@@ -19,11 +19,12 @@
 //	ccsim -workload disjoint -sched 2pl-woundwait -shards 4 -backend disk -checkpoint 262144
 //
 // -shards 0 (default) runs the classic centralized scheduler goroutine;
-// -shards N >= 1 runs the concurrent engine: per-shard dispatch loops over
-// hash-partitioned scheduler state. -sched cto / cto-thomas select the
+// -shards N >= 1 runs the concurrent engine: users decide their own steps
+// under per-shard decision latches over hash-partitioned scheduler state
+// (run-to-completion dispatch; no scheduler goroutine). -sched cto / cto-thomas select the
 // natively concurrent timestamp-ordering scheduler (lock-free sharded
 // atomic timestamp table, no shard mutexes, no ordering rail); it always
-// runs on the dispatch loops. -sched mv selects the multiversion/optimistic
+// runs on the concurrent engine. -sched mv selects the multiversion/optimistic
 // scheduler (write claims with first-writer-wins over the same timestamp
 // table); with the kv backend's version chains, read-only transactions are
 // served from pinned lock-free storage snapshots and never enter the grant
@@ -32,7 +33,7 @@
 // lock-free zero-conflict grants; abort-on-cycle and delay-on-cycle) and
 // -sched cocc the natively concurrent optimistic scheduler (epoch-based
 // backward validation, no global critical section); like cto they always
-// run on the dispatch loops. For single-threaded schedulers behind the Sharded
+// run on the concurrent engine. For single-threaded schedulers behind the Sharded
 // combinator, -railstripes sets how many lock stripes the cross-shard
 // ordering rail is partitioned into (0 = one per shard; 1 = the
 // single-mutex degenerate).
@@ -41,13 +42,15 @@
 // the jobs are read-only (all-Read), the rest increment writers, all
 // skewed onto a small hot set — the E12 regime.
 //
-// -batch N > 1 turns on batched dispatch: each loop drains up to N queued
-// requests (the bound adapts between 1 and N by observed backlog — AIMD —
-// so N is a cap) and decides them in one scheduler critical section. On
-// the concurrent engine commits always flow through the storage
-// group-commit pipeline (undo logs discarded and locks released per
-// group, asynchronously to the committing users); with -batch 1 (default,
-// the unbatched runtime) the groups are mostly singletons.
+// -batch N > 1 turns on batched decisions. The centralized scheduler
+// goroutine drains up to N queued requests (the bound adapts between 1 and
+// N by observed backlog — AIMD — so N is a cap) and decides them in one
+// critical section. The concurrent engine has no intake queue: there N only
+// bounds the chunk of parked requests a retry offers in one scheduler
+// critical section. On the concurrent engine commits always flow through
+// the storage group-commit pipeline (undo logs discarded and locks
+// released per group, asynchronously to the committing users), mostly as
+// singleton groups unless commits pile up on a lane.
 //
 // -backend kv executes every granted step against the sharded in-memory
 // storage backend (payload size -valuesize) instead of only sleeping -exec:
@@ -126,14 +129,14 @@ func schedulerFactory(name string) (factory func() online.Scheduler, policy lock
 
 // schedulerByName builds the scheduler. shards == 0 keeps the classic
 // single-threaded scheduler behind the centralized scheduler goroutine;
-// shards >= 1 selects the concurrent engine with per-shard dispatch loops —
+// shards >= 1 selects the concurrent engine with per-shard decision latches —
 // natively sharded strict 2PL for the 2PL family, native timestamp
 // ordering for cto/cto-thomas, the native serialization graph for
 // csgt/csgt-delay, native optimistic validation for cocc, and the Sharded
 // combinator (with the striped cross-shard ordering rail, railStripes
 // wide; 0 = as wide as the shard count) for everything else. The natively
-// concurrent schedulers (cto, mv, csgt, cocc) always run on the dispatch
-// loops, so -shards 0 behaves as one shard.
+// concurrent schedulers (cto, mv, csgt, cocc) always run on the concurrent
+// engine, so -shards 0 behaves as one shard.
 func schedulerByName(name string, shards, railStripes int) (online.Scheduler, bool) {
 	switch name {
 	case "cto":
@@ -212,7 +215,7 @@ func main() {
 		users     = flag.Int("users", 8, "concurrent user goroutines")
 		shards    = flag.Int("shards", 0, "shard count for the concurrent engine (0 = centralized scheduler goroutine)")
 		stripes   = flag.Int("railstripes", 0, "lock stripes of the cross-shard ordering rail (0 = one per shard)")
-		batchSz   = flag.Int("batch", 1, "max requests decided per dispatch critical section; > 1 also enables group commit on the concurrent engine")
+		batchSz   = flag.Int("batch", 1, "max requests decided per scheduler critical section (central: intake coalescing; concurrent engine: parked-retry chunk)")
 		backend   = flag.String("backend", "none", "storage backend executing granted steps (none|kv|noop|disk)")
 		valueSize = flag.Int("valuesize", 256, "payload bytes per stored record (kv backend)")
 		dir       = flag.String("dir", "", "WAL directory for the disk backend (empty = fresh temp dir, removed after the run)")

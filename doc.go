@@ -22,7 +22,8 @@
 //	                     KV store (copy-on-write records, checksummed payloads,
 //	                     per-transaction undo logs for abort rollback)
 //	internal/sim         goroutine-per-user simulator of the Section 6 environment:
-//	                     centralized scheduler goroutine or per-shard dispatch loops,
+//	                     centralized scheduler goroutine, or users deciding their own
+//	                     steps under per-shard decision latches (run-to-completion),
 //	                     executing granted steps against the storage backend
 //	internal/workload    canonical systems (banking, Figure 1, …), generators and
 //	                     payload sizers

@@ -725,7 +725,7 @@ var E8Config = struct {
 
 // E8ShardScalability measures the sharded scheduling runtime: throughput of
 // centralized strict 2PL (single scheduler goroutine) against the sharded
-// engine (per-shard dispatch loops over the partitioned lock table) across
+// engine (per-shard decision latches over the partitioned lock table) across
 // shard count × user count × contention regime.
 func E8ShardScalability() (*Result, error) {
 	return e8WithScale(E8Config.Jobs, E8Config.Users, E8Config.Shards)
@@ -739,7 +739,7 @@ func e8WithScale(jobs int, userSweep, shardSweep []int) (*Result, error) {
 		ID:    "E8",
 		Title: "Sharded scheduling runtime — throughput vs shard count × users × contention",
 		Text: "central = single scheduler goroutine (Section 6 funnel); " +
-			"sharded(n) = per-shard dispatch loops over an n-shard lock table.",
+			"sharded(n) = users deciding under per-shard latches over an n-shard lock table.",
 	}
 	regimes := []struct {
 		name     string
@@ -898,17 +898,19 @@ var E10Config = struct {
 	Backend string
 }{Jobs: 64, Users: []int{16, 48}, Shards: []int{4}, Batches: []int{1, 8, 32}, Backend: "kv"}
 
-// E10BatchedDispatch measures batch intake + group commit on the sharded
-// runtime over batch size × users × shards, with real storage execution,
-// on the two hot-shard regimes: lock-contended (workload.HotShard — every
-// transaction hammers one hot variable pair, so run time is dominated by
-// waiting and aborts, which batching leaves untouched) and loop-contended
-// (workload.HotShardDisjoint — all traffic on one dispatch loop but no
-// lock conflicts, so run time is dispatch overhead, exactly what batching
-// amortizes; this is where batch > 1 pulls ahead). Batch 1 is the
-// unbatched PR 1/PR 2 runtime; larger batches decide whole intake queues
-// in one scheduler critical section and commit through the group-commit
-// pipeline. Every run self-checks the replay invariant: the committed
+// E10BatchedDispatch sweeps Config.Batch × users × shards on the concurrent
+// runtime, with real storage execution, on the two hot-shard regimes:
+// lock-contended (workload.HotShard — every transaction hammers one hot
+// variable pair, so run time is dominated by waiting and aborts) and
+// latch-contended (workload.HotShardDisjoint — every decision under one
+// shard's latch but no lock conflicts, so nothing ever parks). Intake
+// coalescing exists only on the central engine now: on the concurrent
+// runtime users decide their own steps and Batch merely bounds the chunk of
+// parked requests a retry offers in one scheduler critical section, so the
+// lock-contended regime is the one where Batch can act at all, and commits
+// flow through the group-commit pipeline at every batch size. The
+// experiment records what the sweep shows; it asserts no throughput
+// direction. Every run self-checks the replay invariant: the committed
 // backend state must equal core.Exec of the committed schedule.
 func E10BatchedDispatch() (*Result, error) {
 	return e10WithScale(E10Config.Jobs, E10Config.Users, E10Config.Shards, E10Config.Batches, E10Config.Backend)
@@ -922,12 +924,13 @@ func E10Quick() (*Result, error) {
 func e10WithScale(jobs int, userSweep, shardSweep, batchSweep []int, backendName string) (*Result, error) {
 	res := &Result{
 		ID:    "E10",
-		Title: "Batched dispatch + group commit — throughput vs batch size × users × shards (hot-shard regimes)",
-		Text: "batch=1 is the unbatched runtime (one decision per dispatch iteration, inline commit); " +
-			"batch>1 coalesces intake into one critical section per batch and commits through the " +
-			"per-lane group-commit pipeline (async lock release). The lock-contended regime is " +
-			"wait-dominated (batching changes little); the loop-contended regime isolates dispatch " +
-			"overhead, where batching wins.",
+		Title: "Batched parked-retry + group commit — throughput vs batch size × users × shards (hot-shard regimes)",
+		Text: "Users decide their own steps under the shard latch, so there is no intake queue to " +
+			"coalesce: batch bounds the chunk of parked requests one retry offers in one scheduler " +
+			"critical section, and every commit goes through the per-lane group-commit pipeline " +
+			"(async lock release) whatever the batch. The lock-contended regime parks and retries, " +
+			"so batch can act there; the latch-contended regime (disjoint variables on one shard) " +
+			"never parks, so its rows differ by run-to-run noise only. No throughput direction is asserted.",
 	}
 	for _, shards := range shardSweep {
 		regimes := []struct {
@@ -935,7 +938,7 @@ func e10WithScale(jobs int, userSweep, shardSweep, batchSweep []int, backendName
 			template *core.System
 		}{
 			{"lock-contended hot shard", workload.HotShard()},
-			{"loop-contended hot shard (disjoint vars)", workload.HotShardDisjoint(jobs, shards)},
+			{"latch-contended hot shard (disjoint vars)", workload.HotShardDisjoint(jobs, shards)},
 		}
 		for _, reg := range regimes {
 			for _, users := range userSweep {

@@ -49,7 +49,7 @@ func hasDirective(g *ast.CommentGroup, directive string) bool {
 // //optcc:release declarations into the shared index. Annotations are
 // recognized on function declarations, on methods inside interface type
 // definitions, and on statements binding a function literal to a variable
-// (the dispatch-loop helpers in internal/sim are closures).
+// (closure helpers inside a driver function).
 func collectAnnotations(p *loader.Package, sh *analysis.Shared) {
 	record := func(g *ast.CommentGroup, obj types.Object) {
 		if obj == nil {

@@ -24,6 +24,12 @@ import (
 //     mid-fsync); kvShard.freeMu never nests with itself (the *Locked
 //     naming convention), and commitLane.mu never nests across lanes, with
 //     GroupCommitter.errMu innermost.
+//   - sim: the shard decision latch (shardState.mu) is outermost across
+//     every domain — a scheduler decision runs under it, so lock-table
+//     shard mutexes, SGT stripes, Mutexed.mu and the commit lanes all nest
+//     inside it, it is never taken while any tracked lock is held, and two
+//     latches are never held at once, not even through a call (decide →
+//     unlock → kick).
 //
 // The check is a source-order scan per function: Lock/RLock pushes the
 // receiver's lock class, Unlock/RUnlock pops it (a deferred unlock holds to
@@ -60,6 +66,10 @@ type lockClass struct {
 	// function sorts, a range over the backing array, or an incrementing
 	// index loop).
 	ascending bool
+	// outermost puts the class above every other class of every domain: it
+	// may not be acquired while any tracked lock is held, and a call that
+	// may acquire another instance while one is held is a violation too.
+	outermost bool
 }
 
 // lockClasses is the hierarchy under enforcement, keyed by OwnerType.field.
@@ -76,6 +86,8 @@ var lockClasses = map[string]*lockClass{
 	"commitLane.mu":        {key: "commitLane.mu", domain: "groupcommit", rank: 10, multi: true},
 	"GroupCommitter.errMu": {key: "GroupCommitter.errMu", domain: "groupcommit", rank: 20},
 	"kvShard.freeMu":       {key: "kvShard.freeMu", domain: "kv", rank: 10, multi: true},
+	"Mutexed.mu":           {key: "Mutexed.mu", domain: "online", rank: 10},
+	"shardState.mu":        {key: "shardState.mu", domain: "latch", rank: 10, multi: true, outermost: true},
 }
 
 // lockCallKind classifies a call as a Lock or Unlock on a tracked class.
@@ -274,12 +286,19 @@ func scanLockOrder(pass *analysis.Pass, body *ast.BlockStmt) {
 	checkAcquire := func(n ast.Node, cls *lockClass, viaCall string) {
 		for _, h := range held {
 			if h.class.domain != cls.domain {
+				if cls.outermost && viaCall != "" {
+					report(n, "call to %s may acquire %s while %s is held; the shard latch is outermost", viaCall, cls.key, h.class.key)
+				} else if cls.outermost {
+					report(n, "%s acquired while %s is held; the shard latch is outermost", cls.key, h.class.key)
+				}
 				continue
 			}
 			if h.class == cls {
 				if viaCall != "" {
 					if !cls.multi {
 						report(n, "call to %s may acquire %s, which is already held (self-deadlock)", viaCall, cls.key)
+					} else if cls.outermost {
+						report(n, "call to %s may acquire a second %s while one is held: unlock before kicking", viaCall, cls.key)
 					}
 					// A callee acquiring another instance of a multi-instance
 					// class cannot be ordered statically; left to the race

@@ -100,3 +100,63 @@ func (d *Disk) lockInLoopNoUnlock(n int) {
 		d.n++
 	}
 }
+
+type shardState struct {
+	mu     sync.Mutex
+	parked []int
+}
+
+type Mutexed struct {
+	mu sync.Mutex
+	n  int
+}
+
+type commitLane struct {
+	mu      sync.Mutex
+	pending []int
+}
+
+type run struct {
+	shards []*shardState
+	sched  Mutexed
+	lane   commitLane
+}
+
+// retry is the helper a kick goes through: it takes a latch.
+func (r *run) retry(ss *shardState) {
+	ss.mu.Lock()
+	ss.parked = ss.parked[:0]
+	ss.mu.Unlock()
+}
+
+// kickUnderLatch re-offers another shard's parked requests without
+// unlocking first: two latches held at once, hidden behind a call.
+func (r *run) kickUnderLatch(a, b int) {
+	r.shards[a].mu.Lock()
+	r.retry(r.shards[b]) // want "call to retry may acquire a second shardState.mu while one is held"
+	r.shards[a].mu.Unlock()
+}
+
+// twoLatches holds one latch while locking the next.
+func (r *run) twoLatches(a, b int) {
+	r.shards[a].mu.Lock()
+	r.shards[b].mu.Lock() // want "second shardState.mu acquired while one is held"
+	r.shards[b].mu.Unlock()
+	r.shards[a].mu.Unlock()
+}
+
+// latchUnderScheduler takes the latch inside the scheduler's own mutex: the
+// latch is outermost, a decision runs under it, never the reverse.
+func (r *run) latchUnderScheduler(a int) {
+	r.sched.mu.Lock()
+	defer r.sched.mu.Unlock()
+	r.shards[a].mu.Lock() // want "shardState.mu acquired while Mutexed.mu is held"
+	r.shards[a].mu.Unlock()
+}
+
+// kickUnderLane kicks from inside a commit lane's critical section.
+func (r *run) kickUnderLane(a int) {
+	r.lane.mu.Lock()
+	r.retry(r.shards[a]) // want "call to retry may acquire shardState.mu while commitLane.mu is held"
+	r.lane.mu.Unlock()
+}

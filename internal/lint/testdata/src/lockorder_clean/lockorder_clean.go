@@ -106,3 +106,61 @@ func (d *Disk) plainBackend() {
 	defer d.mu.Unlock()
 	d.n++
 }
+
+type shardState struct {
+	mu     sync.Mutex
+	parked []int
+}
+
+type Mutexed struct {
+	mu sync.Mutex
+	n  int
+}
+
+type run struct {
+	shards []*shardState
+	sched  Mutexed
+	table  []tableShard
+}
+
+// decideUnderLatch is the run-to-completion decision: the latch is
+// outermost, the scheduler's mutex and a lock-table shard nest inside it.
+func (r *run) decideUnderLatch(a, v int) {
+	ss := r.shards[a]
+	ss.mu.Lock()
+	r.sched.mu.Lock()
+	r.sched.n++
+	r.sched.mu.Unlock()
+	r.table[v].mu.Lock()
+	r.table[v].n++
+	r.table[v].mu.Unlock()
+	ss.mu.Unlock()
+}
+
+// retry takes one latch.
+func (r *run) retry(ss *shardState) {
+	ss.mu.Lock()
+	ss.parked = ss.parked[:0]
+	ss.mu.Unlock()
+}
+
+// decideUnlockKick is the documented order: decide, unlock, then kick the
+// other shards one latch at a time.
+func (r *run) decideUnlockKick(a int) {
+	r.shards[a].mu.Lock()
+	r.shards[a].parked = append(r.shards[a].parked, a)
+	r.shards[a].mu.Unlock()
+	for _, ss := range r.shards {
+		r.retry(ss)
+	}
+}
+
+// sweep visits every latch, releasing each before the next.
+func (r *run) sweep() (n int) {
+	for _, ss := range r.shards {
+		ss.mu.Lock()
+		n += len(ss.parked)
+		ss.mu.Unlock()
+	}
+	return n
+}

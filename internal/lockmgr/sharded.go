@@ -169,9 +169,9 @@ func (s *ShardedTable) NumShards() int { return len(s.shards) }
 func (s *ShardedTable) ShardOf(v core.Var) int { return ShardOfVar(v, len(s.shards)) }
 
 // ShardOfVar hash-partitions a variable across n shards: inlined FNV-1a so
-// the hot paths (every Acquire/Release and every dispatch route) allocate
+// the hot paths (every Acquire/Release and every latch lookup) allocate
 // nothing. This is THE partition function — online's Sharded combinator
-// uses it too, so dispatch routing and lock-shard ownership always agree.
+// uses it too, so latch and lock-shard ownership always agree.
 //
 //optcc:hotpath
 func ShardOfVar(v core.Var, n int) int {
@@ -326,8 +326,8 @@ type BatchReq struct {
 // resolve exactly as they would sequentially (a later fast-path-eligible
 // request can never jump ahead of an earlier conflicting one) — but one
 // shard-mutex acquisition is shared across every consecutive run of
-// slow-path requests on the same shard. The batched dispatch loops in
-// internal/sim send same-shard batches, so the common case is at most one
+// slow-path requests on the same shard. The runtime in internal/sim
+// offers same-shard batches, so the common case is at most one
 // mutex acquisition per batch, and all-fast-path batches take none.
 func (s *ShardedTable) AcquireBatch(reqs []BatchReq) []Result {
 	return s.AcquireBatchInto(nil, reqs)

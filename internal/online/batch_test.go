@@ -97,7 +97,7 @@ func TestTryBatchMatchesSequentialTry(t *testing.T) {
 				}
 				// TryBatch must equal the same uninterrupted Try sequence;
 				// commits and aborts are applied to both twins only after
-				// the whole round, exactly as the dispatch loops do.
+				// the whole round, exactly as the runtime does.
 				got := bt.TryBatch(ids)
 				for i, id := range ids {
 					want := sequential.Try(id)

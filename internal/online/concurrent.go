@@ -12,17 +12,19 @@ import (
 )
 
 // ConcurrentScheduler is a scheduler safe for concurrent use from multiple
-// dispatch goroutines. It extends the single-threaded Scheduler contract
-// (so every ConcurrentScheduler also works under the replay harness) with
-// the shard partition the runtime routes requests by: steps on variables of
-// different shards may be offered concurrently; calls on behalf of one
-// transaction must still not overlap with each other.
+// goroutines. It extends the single-threaded Scheduler contract (so every
+// ConcurrentScheduler also works under the replay harness) with the shard
+// partition the runtime serialises decisions by: steps on variables of one
+// shard are offered one at a time (the runtime holds that shard's decision
+// latch around Try), steps on variables of different shards may be offered
+// concurrently; calls on behalf of one transaction must still not overlap
+// with each other.
 type ConcurrentScheduler interface {
 	Scheduler
 	// NumShards returns the number of independent shards.
 	NumShards() int
-	// ShardOf returns the shard owning variable v. The simulator sends each
-	// step request to the dispatch loop of ShardOf(step.Var).
+	// ShardOf returns the shard owning variable v. The simulator decides
+	// each step request under the decision latch of ShardOf(step.Var).
 	ShardOf(v core.Var) int
 }
 
@@ -73,7 +75,7 @@ func (m *Mutexed) Try(id core.StepID) Decision {
 // TryBatch implements BatchTrier: the whole batch is decided under one
 // mutex acquisition instead of one per request. The returned slice is the
 // wrapper's reusable scratch — valid until the next TryBatch, which is the
-// single dispatch loop's usage on this one-shard scheduler.
+// usage under the single decision latch of this one-shard scheduler.
 func (m *Mutexed) TryBatch(ids []core.StepID) []Decision {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -192,7 +194,7 @@ type Sharded struct {
 // NewSharded returns a combinator running one factory-built scheduler per
 // shard (minimum 1) with the cross-shard ordering rail striped as widely as
 // the shard count. The display name is computed eagerly from one probe
-// instance: lazy computation in Name would race with concurrent dispatch
+// instance: lazy computation in Name would race with concurrent decisions
 // when a run is reported while in flight.
 func NewSharded(shards int, factory func() Scheduler) *Sharded {
 	return NewShardedRail(shards, shards, factory)
@@ -266,9 +268,10 @@ func (s *Sharded) Try(id core.StepID) Decision {
 // order — rail edges are global, so reordering could change which grant
 // closes a cycle — but one shard-mutex acquisition is shared across every
 // consecutive run of same-shard requests (the rail is still consulted per
-// step: edge insertion must stay atomic with its cycle check). The dispatch
-// loops send same-shard batches, so the common case is a single mutex
-// acquisition for the whole batch. The returned slice is the first shard's
+// step: edge insertion must stay atomic with its cycle check). The runtime
+// offers same-shard batches (a shard's parked requests, under its decision
+// latch), so the common case is a single mutex acquisition for the whole
+// batch. The returned slice is the first shard's
 // reusable decision scratch — valid until that shard's next TryBatch, and
 // private to each concurrent caller because concurrent batches must be on
 // different shards (the BatchTrier contract).
@@ -462,7 +465,7 @@ func (s *Sharded) Victim(stuck []int) (int, bool) {
 }
 
 // Wounded implements Scheduler: collect and clear every shard's wounds.
-// The common call finds none (the dispatch loops poll after every decide),
+// The common call finds none (the runtime polls after every decision),
 // so the dedup set is allocated lazily — a wound-free poll allocates
 // nothing.
 func (s *Sharded) Wounded() []int {

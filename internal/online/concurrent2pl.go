@@ -10,7 +10,8 @@ import (
 
 // ConcurrentStrict2PL is strict two-phase locking on the sharded lock table:
 // a natively concurrent scheduler whose Try/Commit/Abort may be driven from
-// per-shard dispatch loops without external serialization. Lock state is
+// many goroutines without external serialization (the runtime's per-shard
+// decision latch is more than it needs). Lock state is
 // hash-partitioned by variable (lockmgr.ShardedTable), uncontended exclusive
 // locks take the table's lock-free fast path, and deadlock detection runs on
 // the merged cross-shard waits-for graph.
@@ -26,11 +27,12 @@ type ConcurrentStrict2PL struct {
 	sys   *core.System
 	table *lockmgr.ShardedTable
 
-	// scratch holds one reusable TryBatch buffer set per shard. The
-	// dispatch loops send same-shard batches and concurrent TryBatch calls
-	// must be on different shards (the BatchTrier contract), so indexing by
-	// the first id's shard gives every concurrent caller private scratch —
-	// the batch path allocates nothing in steady state.
+	// scratch holds one reusable TryBatch buffer set per shard. The runtime
+	// offers same-shard batches under that shard's decision latch and
+	// concurrent TryBatch calls must be on different shards (the
+	// BatchTrier contract), so indexing by the first id's shard gives every
+	// concurrent caller private scratch — the batch path allocates nothing
+	// in steady state.
 	scratch []batchScratch
 
 	mu      sync.Mutex // guards wounded
@@ -104,14 +106,14 @@ func (s *ConcurrentStrict2PL) Try(id core.StepID) Decision {
 
 // TryBatch implements BatchTrier natively: the batch's lock requests go
 // through lockmgr.ShardedTable.AcquireBatchInto, which takes each shard
-// mutex at most once for the whole batch (the dispatch loops send
-// same-shard batches, so normally exactly once). Reentrant holds are
+// mutex at most once for the whole batch (the runtime offers same-shard
+// batches, so normally exactly once). Reentrant holds are
 // resolved by the table's fast-slot check and by Table.Acquire itself, so
 // the result is decision-for-decision equivalent to calling Try on each id
 // in order. The returned slice is the scratch of the first id's shard: it
 // stays valid until that shard's next TryBatch, which is exactly the
-// dispatch loops' usage (a loop consumes the decisions before its next
-// batch), and concurrent batches on other shards use their own scratch.
+// runtime's usage (the latch holder consumes the decisions before it
+// unlocks), and concurrent batches on other shards use their own scratch.
 func (s *ConcurrentStrict2PL) TryBatch(ids []core.StepID) []Decision {
 	sc := &s.scratch[s.ShardOf(s.sys.Step(ids[0]).Var)]
 	sc.reqs = sc.reqs[:0]

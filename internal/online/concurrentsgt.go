@@ -29,10 +29,10 @@ func containsNode(list []railNode, n railNode) bool {
 //
 //   - Conflicts are discovered through per-variable marks (internal/online
 //     marks.go): each variable's entry lists the live incarnations that
-//     read and wrote it. The ConcurrentScheduler contract routes every
-//     step of a variable through its shard's dispatch loop, so the lists
-//     need no synchronization — the owning loop appends on grant and
-//     compacts dead incarnations on its next visit. The lists hold every
+//     read and wrote it. The ConcurrentScheduler contract decides every
+//     step of a variable under its shard's decision latch, so the lists
+//     need no synchronization of their own — the latch holder appends on
+//     grant and compacts dead incarnations on the variable's next visit. The lists hold every
 //     live reader/writer, not just the last ones: last-marks would lose
 //     transitive edges when an intermediate incarnation aborts and admit
 //     non-serializable schedules.
@@ -105,8 +105,8 @@ func (s *ConcurrentSGT) Begin(sys *core.System) {
 // collect compacts dead incarnations out of a mark list in place and
 // appends the live ones (except me) to src, deduplicating — an
 // incarnation that both read and wrote the variable is one source. It
-// runs on the variable's dispatch goroutine, the only toucher of the
-// list.
+// runs under the variable's shard latch, which serialises every toucher
+// of the list.
 //
 //optcc:hotpath
 func (s *ConcurrentSGT) collect(list []railNode, me railNode, src []railNode) ([]railNode, []railNode) {
@@ -126,8 +126,8 @@ func (s *ConcurrentSGT) collect(list []railNode, me railNode, src []railNode) ([
 	return kept, src
 }
 
-// record adds me to a mark list if not already present. Runs on the
-// variable's dispatch goroutine.
+// record adds me to a mark list if not already present. Runs under the
+// variable's shard latch.
 //
 //optcc:hotpath
 func (s *ConcurrentSGT) record(list []railNode, me railNode) []railNode {

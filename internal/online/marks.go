@@ -13,7 +13,7 @@ import (
 // fixed per run, so the tables pre-build immutable per-shard maps from
 // variable to a heap-allocated entry (lookups are pure reads, no lock, no
 // sync.Map on the hot path), partitioned with the engine's single
-// partition function so table layout agrees with dispatch routing.
+// partition function so table layout agrees with the latch partition.
 // Variables outside the declared set (none in normal operation) fall back
 // to a sync.Map so the tables degrade safely instead of panicking.
 //
@@ -22,19 +22,20 @@ import (
 //
 //   - sgtEntry (ConcurrentSGT) keeps the variable's live reader and writer
 //     incarnation lists plus the source-collection scratch. These are
-//     plain slices with no synchronization at all: the
-//     ConcurrentScheduler contract routes every step of one variable
-//     through the dispatch loop of its shard, so the only goroutine that
-//     ever reads or mutates a variable's sgtEntry is that loop. Dead
+//     plain slices with no synchronization of their own: the
+//     ConcurrentScheduler contract decides every step of one variable
+//     under the decision latch of its shard, so whichever goroutine reads
+//     or mutates a variable's sgtEntry holds that latch, and the latch's
+//     happens-before hands the lists from one holder to the next. Dead
 //     incarnations (aborted, or committed and pruned from the graph) are
-//     compacted out lazily by the same loop on its next visit.
+//     compacted out lazily on the variable's next visit.
 //   - occEntry (ConcurrentOCC) is read across shards by validators, so
 //     its writer-mark list is published copy-on-write through an atomic
-//     pointer: the owning dispatch loop builds a fresh slice (compacting
-//     dead marks) and stores it; validators load a consistent snapshot
-//     lock-free. Marks of concurrently-validating peers that entered
-//     validation earlier are always visible in the snapshot — the mark
-//     store precedes the peer's validation-epoch draw in the
+//     pointer: the holder of the owning shard's latch builds a fresh slice
+//     (compacting dead marks) and stores it; validators load a consistent
+//     snapshot lock-free. Marks of concurrently-validating peers that
+//     entered validation earlier are always visible in the snapshot — the
+//     mark store precedes the peer's validation-epoch draw in the
 //     sequentially-consistent atomic order.
 type sgtEntry struct {
 	readers []railNode
@@ -81,7 +82,7 @@ func (t *sgtMarks) entry(v core.Var) *sgtEntry {
 }
 
 // reset empties every mark list, preserving entry layout and slice
-// capacity. Only safe between runs (Begin), when no dispatch loop runs.
+// capacity. Only safe between runs (Begin), when nothing is being decided.
 func (t *sgtMarks) reset() {
 	for _, m := range t.shards {
 		for _, e := range m {

@@ -160,8 +160,8 @@ func (g *sgtGraph) lockComp(n railNode) (root railNode, stripe int) {
 // caller's lock-free marks snapshot: each is re-validated as live under
 // the stripe locks and silently dropped if it retired in the window
 // (exactly what the sequential SGT sees — a pruned or aborted incarnation
-// has no recorded steps left). Caller runs on the variable's dispatch
-// goroutine and holds no graph lock.
+// has no recorded steps left). Caller runs under the variable's shard
+// latch and holds no graph lock.
 func (g *sgtGraph) insert(me railNode, sources []railNode) bool {
 	if len(sources) == 0 {
 		// No conflicting predecessors: no edges, no cycle, no locks.

@@ -208,6 +208,16 @@ func (h *Histogram) Grow(n int) {
 	h.xs = xs
 }
 
+// Merge adds every observation of o to h. The simulator's user goroutines
+// record into private histograms and merge them once they have joined, so
+// recording a sample takes no lock.
+func (h *Histogram) Merge(o *Histogram) {
+	if len(o.xs) > 0 {
+		h.xs = append(h.xs, o.xs...)
+		h.sorted = false
+	}
+}
+
 // N returns the number of observations.
 func (h *Histogram) N() int { return len(h.xs) }
 

@@ -1,18 +1,18 @@
 package sim
 
-// batchSizer adapts a dispatch loop's intake-coalescing bound by AIMD on
-// the backlog it actually observes, making Config.Batch a cap instead of a
-// fixed size. Each drain reports how many requests it coalesced: hitting
-// the current bound means the queue had at least that much backlog, so the
-// bound grows additively (+1) toward the cap; draining less than half the
-// bound means the queue is thin, so the bound halves toward 1 — where the
-// loop behaves exactly like the unbatched runtime (scalar fast path, no
-// per-batch slices). A loop under steady load therefore earns its large
-// critical sections, and an idle loop never holds requests hostage to a
-// batch size the traffic cannot fill.
+// batchSizer adapts the central scheduler goroutine's intake-coalescing
+// bound by AIMD on the backlog it actually observes, making Config.Batch a
+// cap instead of a fixed size. Each drain reports how many requests it
+// coalesced: hitting the current bound means the queue had at least that
+// much backlog, so the bound grows additively (+1) toward the cap; draining
+// less than half the bound means the queue is thin, so the bound halves
+// toward 1 — where the goroutine decides one request per iteration. Under
+// steady load it therefore earns its large critical sections, and when
+// idle it never holds requests hostage to a batch size the traffic cannot
+// fill. (The concurrent engine has no intake queue and no sizer.)
 //
-// One sizer belongs to one dispatch goroutine; it is not safe for
-// concurrent use and needs no synchronization.
+// A sizer belongs to the scheduler goroutine; it is not safe for concurrent
+// use and needs no synchronization.
 type batchSizer struct {
 	cap, cur int
 }

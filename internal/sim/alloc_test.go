@@ -2,7 +2,7 @@ package sim
 
 // The hot-path allocation harness: BenchmarkHotPathAllocs measures heap
 // allocations per committed transaction through the full runtime
-// (request→grant→execute→commit on live dispatch and user goroutines), and
+// (request→grant→execute→commit on live user goroutines), and
 // TestHotPathAllocCeilings enforces hard ceilings on the same
 // measurements in a normal `go test` run, so an allocation regression
 // breaks the build instead of only drifting a benchmark number.
@@ -87,9 +87,12 @@ func snapshotBench(b *testing.B) {
 // hotPathCases are the measured configurations and their enforced
 // ceilings (allocs per committed three-step transaction):
 //
-//   - mutexed-noop: the acceptance target — the sharded dispatch runtime
+//   - mutexed-noop: the acceptance target — the run-to-completion runtime
 //     driving Mutexed strict 2PL with the no-op backend performs ZERO
 //     heap allocations per transaction in steady state.
+//   - cto-noop: the configuration the run-to-completion throughput claim is
+//     made on (bench's disjoint-cto-noop) — native timestamp ordering
+//     decided on the user goroutine under the shard latch: ZERO.
 //   - central-noop: the centralized single-goroutine runtime on plain
 //     strict 2PL is equally allocation-free.
 //   - sharded-2pl-noop: natively sharded strict 2PL also measures 0 in
@@ -117,6 +120,9 @@ var hotPathCases = []struct {
 }{
 	{"mutexed-noop", 0, hotPathBench(func() online.Scheduler {
 		return online.NewMutexed(online.NewStrict2PL(lockmgr.Detect))
+	}, noopBackend)},
+	{"cto-noop", 0, hotPathBench(func() online.Scheduler {
+		return online.NewConcurrentTO(4)
 	}, noopBackend)},
 	{"central-noop", 0, hotPathBench(func() online.Scheduler {
 		return online.NewStrict2PL(lockmgr.Detect)

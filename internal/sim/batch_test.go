@@ -1,8 +1,8 @@
 package sim
 
-// Coverage for the batched dispatch runtime (Config.Batch > 1): intake
-// coalescing on the per-shard dispatch loops, the batched parked-retry
-// scan, and the storage group-commit pipeline. CI runs this file under
+// Coverage for Config.Batch > 1: intake coalescing on the centralized
+// scheduler goroutine, the batched parked-retry scan under the shard
+// latches, and the storage group-commit pipeline. CI runs this file under
 // -race; the invariants must match the unbatched runtime exactly — batching
 // only changes how many decisions share a critical section, never which
 // decisions are made legal.
@@ -21,8 +21,8 @@ import (
 )
 
 // hotShardSystem is the batching sweet spot: every transaction hammers a
-// two-variable hot set, so nearly all traffic lands on one or two dispatch
-// loops and intake queues actually build up (workload.HotShard, shared with
+// two-variable hot set, so nearly every decision lands on one or two shard
+// latches and requests park behind each other (workload.HotShard, shared with
 // experiment E10 and BenchmarkBatchedVsUnbatched).
 func hotShardSystem() *core.System { return workload.HotShard() }
 

@@ -1,8 +1,8 @@
 package sim
 
-// Dedicated concurrency coverage for the sharded dispatch runtime: every
-// test here drives per-shard dispatch loops from many user goroutines and
-// is meant to run under `go test -race` (CI does; see also the hotspot
+// Dedicated concurrency coverage for the concurrent runtime: every test
+// here decides under per-shard latches from many user goroutines and is
+// meant to run under `go test -race` (CI does; see also the hotspot
 // workload below, which maximizes cross-goroutine conflict traffic).
 
 import (
@@ -33,7 +33,7 @@ func concurrentSchedulers() []online.ConcurrentScheduler {
 }
 
 // TestShardedDispatchCompletes: every concurrent scheduler must commit all
-// jobs through the per-shard dispatch loops, with a serializable output.
+// jobs under the per-shard decision latches, with a serializable output.
 func TestShardedDispatchCompletes(t *testing.T) {
 	inst := Instantiate(workload.Banking(), 12)
 	for _, cs := range concurrentSchedulers() {

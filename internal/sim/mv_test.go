@@ -1,7 +1,7 @@
 package sim
 
-// The multiversion runtime end-to-end: ConcurrentMV over the sharded
-// dispatch loops with the version-chain KV, read-only transactions served
+// The multiversion runtime end-to-end: ConcurrentMV on the concurrent
+// runtime with the version-chain KV, read-only transactions served
 // through the snapshot fast path. CI runs this file under -race in the
 // concurrency stress job.
 

@@ -16,8 +16,8 @@ import (
 	"optcc/internal/workload"
 )
 
-// TestConcurrentSGTDisjointStateMatchesReplay: native SGT over the sharded
-// dispatch loops with real storage on the conflict-free multi-shard
+// TestConcurrentSGTDisjointStateMatchesReplay: native SGT under the shard
+// decision latches with real storage on the conflict-free multi-shard
 // workload. Every grant takes the zero-conflict lock-free path, every
 // commit retires an edgeless singleton; the committed backend state must
 // equal the committed replay.
@@ -78,8 +78,8 @@ func TestConcurrentSGTContendedSerializable(t *testing.T) {
 	}
 }
 
-// TestConcurrentOCCDisjointStateMatchesReplay: native OCC over the sharded
-// dispatch loops with real storage on the conflict-free multi-shard
+// TestConcurrentOCCDisjointStateMatchesReplay: native OCC under the shard
+// decision latches with real storage on the conflict-free multi-shard
 // workload — the all-lock-free regime the epoch validation is built for.
 func TestConcurrentOCCDisjointStateMatchesReplay(t *testing.T) {
 	const jobs = 24

@@ -16,8 +16,8 @@ import (
 	"optcc/internal/workload"
 )
 
-// TestConcurrentTODisjointStateMatchesReplay: native TO over the sharded
-// dispatch loops with real storage on the conflict-free multi-shard
+// TestConcurrentTODisjointStateMatchesReplay: native TO under the shard
+// decision latches with real storage on the conflict-free multi-shard
 // workload. With no cross-transaction conflicts the committed backend
 // state must equal the committed replay even for a non-strict scheduler,
 // so this is a true end-to-end self-check of the lock-free hot path.
@@ -84,7 +84,7 @@ func TestConcurrentTOContendedSerializable(t *testing.T) {
 }
 
 // TestStripedRailUnderDispatch: the Sharded combinator's striped rail
-// driven by the real dispatch loops on the pairwise-conflict multi-shard
+// driven by the real concurrent runtime on the pairwise-conflict multi-shard
 // workload, across stripe counts (1 = single-mutex degenerate). Everything
 // must commit and the committed schedule must be conflict-serializable.
 func TestStripedRailUnderDispatch(t *testing.T) {
@@ -154,7 +154,7 @@ func TestBatchSizerAIMD(t *testing.T) {
 }
 
 // TestAdaptiveBatchHotShard is the satellite's regression test: with Batch
-// as a cap, the hot-shard workload (all traffic on one dispatch loop) must
+// as a cap, the hot-shard workload (all decisions under one shard latch) must
 // still commit everything with the committed state equal to the committed
 // replay, across cap sizes — the adaptive bound must never strand parked
 // or queued requests.

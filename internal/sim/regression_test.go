@@ -23,7 +23,10 @@ import (
 
 // TestOutputOnlyCommittedOnBudgetExhaustion runs an abort-heavy hot-shard
 // workload under no-wait with a single-restart budget, so some transactions
-// exhaust their budget with a rolled-back final attempt. Output must then
+// exhaust their budget with a rolled-back final attempt. (240 jobs, not a
+// dozen: on the run-to-completion engine a transaction is shorter than a
+// processor wake-up, so a dozen jobs are over before a second processor
+// joins and nothing ever conflicts.) Output must then
 // contain exactly the committed transactions — whole and final-attempt only
 // — and replaying it must reproduce the committed backend state.
 func TestOutputOnlyCommittedOnBudgetExhaustion(t *testing.T) {
@@ -40,7 +43,7 @@ func TestOutputOnlyCommittedOnBudgetExhaustion(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			exhausted := false
 			for seed := int64(1); seed <= 6; seed++ {
-				inst := Instantiate(hotShardSystem(), 12)
+				inst := Instantiate(hotShardSystem(), 240)
 				be := storage.NewKV(storage.Config{Shards: 4, ValueSize: 32})
 				m, err := Run(Config{
 					System: inst, Sched: cfg.mk(), Backend: be,

@@ -30,12 +30,13 @@
 // The steady-state request→grant→execute→commit cycle is allocation-free
 // (DESIGN.md "Memory discipline", enforced by TestHotPathAllocCeilings):
 // each user goroutine reuses one verdict reply channel for all its
-// requests, the histograms and the granted-step log are presized to the
-// run's expected sample counts, the dispatch loops' batch buffers are
-// per-loop scratch, and commit flows through pooled lock-table and
-// group-commit state. The allocations that remain in the drivers are
-// deliberately confined to cold paths: restart bookkeeping after an abort,
-// the deadlock breaker's stuck-set, the failure path's error wrapping, and
+// requests, the histograms (per user on the concurrent engine) and the
+// granted-step logs (per shard there) are presized to the run's expected
+// sample counts, the parked-retry batch buffers are per-shard scratch under
+// the latch, the deadlock breaker reuses its stuck list, and commit flows
+// through pooled lock-table and group-commit state. The allocations that
+// remain in the drivers are deliberately confined to cold paths: restart
+// bookkeeping after an abort, the failure path's error wrapping, and
 // end-of-run projection/reporting.
 package sim
 
@@ -69,24 +70,26 @@ type Config struct {
 	// Users is the number of concurrent user goroutines; jobs are assigned
 	// round-robin. Zero means one user per job.
 	Users int
-	// Batch caps how many queued step requests a dispatch loop decides in
-	// one scheduler critical section (intake coalescing; 0 or 1 = one
-	// request per loop iteration, the unbatched runtime). The effective
-	// bound is adaptive: each loop grows it additively while its queue
-	// shows backlog and halves it toward 1 as the queue drains (AIMD), so
-	// a large Batch costs nothing on thin traffic. On the sharded engine
-	// every commit flows through the storage group-commit pipeline: a
-	// finishing transaction enqueues its commit, and the lane's driver —
-	// the first committer to find the lane idle — discards undo logs and
-	// releases scheduler locks for the whole accumulated group in one
-	// sweep, asynchronously to every follower (async lock release; a lone
-	// committer drives its own singleton group, which is the old inline
-	// commit). The granted-step log and all invariants are unchanged; only
-	// the batching of decisions and commit processing differs.
+	// Batch caps how many step requests are decided in one scheduler
+	// critical section (0 or 1 = one at a time). On the central engine it
+	// coalesces the scheduler goroutine's intake, with an adaptive bound:
+	// the goroutine grows it additively while its queue shows backlog and
+	// halves it toward 1 as the queue drains (AIMD), so a large Batch costs
+	// nothing on thin traffic. The concurrent engine has no intake queue —
+	// users decide their own steps — so there Batch only bounds the chunk
+	// of parked requests a retry offers through online.TryBatch. On the
+	// concurrent engine every commit flows through the storage group-commit
+	// pipeline whatever Batch is: a finishing transaction enqueues its
+	// commit, and the lane's driver — the first committer to find the lane
+	// idle — discards undo logs and releases scheduler locks for the whole
+	// accumulated group in one sweep, asynchronously to every follower
+	// (async lock release; a lone committer drives its own singleton
+	// group, which is the plain inline commit). The granted-step log and
+	// all invariants are the same at every Batch.
 	Batch int
 	// ExecTime adds a simulated per-step execution cost on top of any
 	// backend work (0 = none). It is slept on the user goroutine after the
-	// grant, never inside a dispatch loop.
+	// grant, never inside a scheduler critical section.
 	ExecTime time.Duration
 	// ThinkTime simulates per-user local computation between steps, drawn
 	// uniformly from [0, ThinkTime].
@@ -108,9 +111,10 @@ type Metrics struct {
 	DeadlockBreaks int
 	// CommitGroups and GroupCommits report the group-commit pipeline's
 	// coalescing: groups processed and transactions committed through
-	// them. The sharded engine commits through the pipeline in both modes
-	// (unbatched groups are mostly singletons); both are zero on the
-	// centralized runtime, which has no pipeline.
+	// them. The concurrent engine commits through the pipeline at every
+	// Batch (groups are mostly singletons unless commits pile up on a
+	// lane); both are zero on the centralized runtime, which has no
+	// pipeline.
 	CommitGroups, GroupCommits int
 	// WaitNs records per-request waiting time (delay until grant/abort).
 	WaitNs report.Histogram
@@ -256,16 +260,16 @@ func (e *runErrors) get() error {
 }
 
 // applyStep executes a granted step's real work on the user goroutine: the
-// backend apply (timed into ExecNs under metMu) plus the optional ExecTime
-// extra cost. This deliberately happens after the grant reply, off every
-// dispatch loop's critical path. It reports whether the step succeeded; on
+// backend apply (timed into exec, under mu unless exec is the caller's own
+// and mu nil) plus the optional ExecTime extra cost. This deliberately
+// happens after the grant, outside every scheduler critical section. It reports whether the step succeeded; on
 // failure the error is recorded and the caller must abort the transaction
 // through the normal abort path (rollback, then scheduler release) and stop
 // it — continuing, or worse committing, would persist a partially-applied
 // transaction.
 //
 //optcc:hotpath
-func applyStep(cfg *Config, tx, idx int, m *Metrics, metMu *sync.Mutex, errs *runErrors) bool {
+func applyStep(cfg *Config, tx, idx int, exec *report.Histogram, mu *sync.Mutex, errs *runErrors) bool {
 	if cfg.Backend != nil {
 		start := time.Now()
 		//cclint:ignore hotpath the backend apply is the measured payload work itself, not dispatch overhead
@@ -274,9 +278,14 @@ func applyStep(cfg *Config, tx, idx int, m *Metrics, metMu *sync.Mutex, errs *ru
 			errs.set(fmt.Errorf("sim: apply %v: %w", core.StepID{Tx: tx, Idx: idx}, err))
 			return false
 		}
-		metMu.Lock()
-		m.ExecNs.Add(float64(time.Since(start)))
-		metMu.Unlock()
+		d := float64(time.Since(start))
+		if mu != nil {
+			mu.Lock()
+			exec.Add(d)
+			mu.Unlock()
+		} else {
+			exec.Add(d)
+		}
 	}
 	if cfg.ExecTime > 0 {
 		time.Sleep(cfg.ExecTime)
@@ -289,10 +298,11 @@ func applyStep(cfg *Config, tx, idx int, m *Metrics, metMu *sync.Mutex, errs *ru
 // interleaving varies; the metrics' invariants (all jobs commit, output
 // legal) hold on every run.
 //
-// A Sched implementing online.ConcurrentScheduler is driven by per-shard
-// dispatch loops (see runSharded): users contend only on the shards their
-// steps touch. A plain online.Scheduler runs behind the single centralized
-// scheduler goroutine of Section 6.
+// A Sched implementing online.ConcurrentScheduler is driven run-to-completion
+// (see runSharded): each user decides its own steps under the decision latch
+// of the shard its step touches, so users contend only on those shards. A
+// plain online.Scheduler runs behind the single centralized scheduler
+// goroutine of Section 6.
 func Run(cfg Config) (*Metrics, error) {
 	sys := cfg.System
 	if sys == nil || sys.NumTxs() == 0 {
@@ -610,7 +620,7 @@ func Run(cfg Config) (*Metrics, error) {
 							restart = true
 							break
 						}
-						if !applyStep(&cfg, tx, idx, m, &mu, &errs) {
+						if !applyStep(&cfg, tx, idx, &m.ExecNs, &mu, &errs) {
 							// Failed execution: abort through the scheduler
 							// and stop this transaction for good — no later
 							// steps, no commit. Run surfaces the recorded

@@ -1,7 +1,7 @@
 package sim
 
 // Real-storage coverage for both runtimes (the centralized scheduler
-// goroutine and the per-shard dispatch loops): every test executes granted
+// goroutine and run-to-completion under shard latches): every test executes granted
 // steps against the sharded KV backend and checks the replay invariant —
 // the committed backend state equals core.Exec of the committed schedule.
 // The invariant is guaranteed for strict executions (serial and the strict

@@ -14,7 +14,7 @@ import (
 // member on the backend, discarding undo logs while the scheduler's locks
 // are still held, preserving strictness, then (2) invoking the release
 // callback once with the whole group, which is where the runtime releases
-// scheduler locks and kicks its dispatch loops in a single sweep.
+// scheduler locks and re-offers parked requests in a single sweep.
 // Followers that enqueue while a driver is active return immediately: their
 // commit and lock release happen on the driver (the ROADMAP's async lock
 // release), and the driver keeps draining until its lane is empty, so every

@@ -82,8 +82,8 @@ type Stats struct {
 type Config struct {
 	// Shards is the number of map partitions; variables are placed with
 	// lockmgr.ShardOfVar, the same partition function as the sharded lock
-	// table and the dispatch loops, so storage, locks and dispatch always
-	// agree on ownership (minimum 1).
+	// table and the runtime's decision latches, so storage, locks and
+	// latches always agree on ownership (minimum 1).
 	Shards int
 	// ValueSize is the payload size in bytes for every record (0 keeps
 	// records scalar-only). Sizer overrides it per variable when set.

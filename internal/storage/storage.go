@@ -12,7 +12,7 @@
 // # Transaction discipline
 //
 // A Backend is driven under the same per-transaction discipline as the
-// schedulers and the sharded dispatch runtime: calls on behalf of one
+// schedulers and the concurrent runtime: calls on behalf of one
 // transaction never overlap with each other, while calls for different
 // transactions may be fully concurrent. In the runtime this holds by
 // construction — a transaction's steps execute sequentially on its user

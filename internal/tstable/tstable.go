@@ -19,8 +19,8 @@
 //     so per-variable timestamps are monotonically non-decreasing — the
 //     invariant every TO argument rests on.
 //   - Shards are partitioned with lockmgr.ShardOfVar, the engine's single
-//     partition function, so the table's layout agrees with dispatch
-//     routing and lock/storage ownership. (With immutable maps the shards
+//     partition function, so the table's layout agrees with the latch
+//     partition and lock/storage ownership. (With immutable maps the shards
 //     are a layout nicety, not a synchronization domain.)
 //
 // Variables outside the declared set (none in normal operation) fall back

@@ -173,10 +173,10 @@ func Chain() *core.System {
 	}).Normalize()
 }
 
-// HotShard returns the batching stress pattern: one transaction shape
-// hammering a two-variable hot set (h, then k, then h again), so when
-// instantiated many times nearly all request traffic lands on the one or
-// two dispatch loops owning h and k and intake queues actually build up.
+// HotShard returns the lock-contended hot-shard pattern: one transaction
+// shape hammering a two-variable hot set (h, then k, then h again), so when
+// instantiated many times nearly every decision lands on the one or two
+// shards owning h and k and requests park behind each other's locks.
 // It is the workload of experiment E10 and BenchmarkBatchedVsUnbatched.
 func HotShard() *core.System {
 	return (&core.System{
@@ -191,14 +191,13 @@ func HotShard() *core.System {
 	}).Normalize()
 }
 
-// HotShardDisjoint returns the loop-contention complement of HotShard:
+// HotShardDisjoint returns the latch-contention complement of HotShard:
 // jobs transactions, each updating its own private variable three times,
 // with every variable chosen to hash to shard 0 of a shards-way partition
-// (lockmgr.ShardOfVar — the partition function of the whole engine). All
-// request traffic therefore lands on one dispatch loop while the lock
-// table sees no conflicts at all: the dispatch loop, not the data, is the
-// bottleneck. This is where batch intake is measurable — lock-contended
-// runs are dominated by waiting, which batching does not change.
+// (lockmgr.ShardOfVar — the partition function of the whole engine). Every
+// decision is therefore made under one shard's latch while the lock table
+// sees no conflicts at all: the serialised decision point, not the data,
+// is the bottleneck, and nothing ever parks.
 func HotShardDisjoint(jobs, shards int) *core.System {
 	sys := &core.System{Name: "hotshard-disjoint"}
 	inc := func(l []core.Value) core.Value { return last(l) + 1 }
@@ -219,7 +218,7 @@ func HotShardDisjoint(jobs, shards int) *core.System {
 
 // Disjoint returns jobs transactions that each update a private variable
 // `steps` times, with no shard forcing: the variables hash across every
-// shard of any partition, so the dispatch load spreads while the lock
+// shard of any partition, so the decisions spread over every latch while the lock
 // table, the timestamp table and the ordering rail see zero conflicts.
 // This is the workload where a scheduler's per-step overhead is the whole
 // cost — experiment E11 and BenchmarkNativeTOVsShardedTO use it to compare
