@@ -3,10 +3,6 @@
 
 GO ?= go
 
-# PR numbers the bench-json snapshot; bump it (or pass PR=<n>) so each PR
-# that touches the engine writes its own BENCH_PR<n>.json.
-PR ?= 10
-
 # The extended vet set: standalone `go vet` runs its full analyzer
 # registry (atomic, copylocks, loopclosure, lostcancel, unsafeptr,
 # unreachable, unusedresult, ...), a strict superset of the small
@@ -16,7 +12,7 @@ PR ?= 10
 # misfires.
 VETFLAGS :=
 
-.PHONY: build test race bench bench-json bench-diff check-docs lint ci
+.PHONY: build test race bench check-docs lint ci
 
 build:
 	$(GO) build ./...
@@ -31,19 +27,9 @@ race:
 bench:
 	$(GO) test -run xxx -bench=. -benchtime=1x ./...
 
-# Machine-readable benchmark snapshot: the runtime experiments (sharding,
-# batching, native TO / rail striping, multiversion reads, durable
-# commit, checkpointed WAL, native SGT/OCC) rendered as JSON. Each PR
-# that touches the engine refreshes its BENCH_PR<n>.json so the
-# repository accumulates a throughput trajectory that later PRs can diff
-# against.
-bench-json:
-	$(GO) run ./cmd/ccbench -exp E8,E10,E11,E12,E13,E14,E15 -json > BENCH_PR$(PR).json
-
-# Per-experiment throughput delta between the two newest snapshots
-# (version-sorted, so PR10 follows PR9). See cmd/benchdiff.
-bench-diff:
-	$(GO) run ./cmd/benchdiff $$(ls BENCH_PR*.json | sort -V | tail -2)
+# Before/after performance comparisons go through Bench v2, a module of
+# its own: `bash bench/run.sh` and `bash bench/run.sh compare` (see
+# bench/README.md).
 
 check-docs:
 	./scripts/check-docs.sh

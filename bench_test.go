@@ -449,15 +449,17 @@ func BenchmarkBatchedVsUnbatched(b *testing.B) {
 	}
 }
 
-// BenchmarkNativeTOVsShardedTO is the native-scheduler acceptance
-// benchmark: the disjoint multi-shard workload (per-transaction private
-// variables hashing across every shard, zero conflicts) through the
-// Sharded(TO) combinator — single-threaded TO per shard behind shard
-// mutexes, grant logs and the ordering rail — versus online.ConcurrentTO,
-// whose hot path is a lock-free timestamp-table lookup. With the
-// per-shard serialization gone, native TO should sit at or above the
-// combinator from 2 shards up.
-func BenchmarkNativeTOVsShardedTO(b *testing.B) {
+// BenchmarkNativeVsMutexed is the native-scheduler acceptance benchmark,
+// one family per leg: the disjoint multi-shard workload (per-transaction
+// private variables hashing across every shard, zero conflicts) through
+// the family's sequential scheduler under online.Mutexed — the paper's
+// object, one shard, every decision behind one mutex — versus its native
+// concurrent form (ConcurrentTO's lock-free timestamp-table lookup,
+// ConcurrentSGT's lock-free marks lookup with no graph lock on a
+// zero-conflict grant, ConcurrentOCC's atomic clock, copy-on-write writer
+// marks and commit-stamp table). The native form should sit at or above
+// the mutexed baseline from 2 shards up.
+func BenchmarkNativeVsMutexed(b *testing.B) {
 	const (
 		jobs  = 64
 		users = 16
@@ -476,134 +478,26 @@ func BenchmarkNativeTOVsShardedTO(b *testing.B) {
 			}
 		}
 	}
-	for _, shards := range []int{1, 2, 4} {
-		shards := shards
-		b.Run(fmt.Sprintf("sharded-to-%d", shards), func(b *testing.B) {
-			run(b, func() online.Scheduler {
-				return online.NewSharded(shards, func() online.Scheduler { return online.NewTO() })
+	for _, fam := range []struct {
+		seq, native string
+		mkSeq       func() online.Scheduler
+		mkNative    func(shards int) online.Scheduler
+	}{
+		{"to", "cto", func() online.Scheduler { return online.NewTO() },
+			func(n int) online.Scheduler { return online.NewConcurrentTO(n) }},
+		{"sgt", "csgt", func() online.Scheduler { return online.NewSGTAborting() },
+			func(n int) online.Scheduler { return online.NewConcurrentSGTAborting(n) }},
+		{"occ", "cocc", func() online.Scheduler { return online.NewOCC() },
+			func(n int) online.Scheduler { return online.NewConcurrentOCC(n) }},
+	} {
+		b.Run("mutexed-"+fam.seq, func(b *testing.B) {
+			run(b, func() online.Scheduler { return online.NewMutexed(fam.mkSeq()) })
+		})
+		for _, shards := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("native-%s-%d", fam.native, shards), func(b *testing.B) {
+				run(b, func() online.Scheduler { return fam.mkNative(shards) })
 			})
-		})
-		b.Run(fmt.Sprintf("native-cto-%d", shards), func(b *testing.B) {
-			run(b, func() online.Scheduler { return online.NewConcurrentTO(shards) })
-		})
-	}
-}
-
-// BenchmarkNativeSGTVsShardedSGT is the native serialization-graph
-// acceptance benchmark: the disjoint multi-shard workload through the
-// Sharded(SGT) combinator — single-threaded SGT per shard behind shard
-// mutexes, grant logs and the ordering rail — versus
-// online.ConcurrentSGT, whose zero-conflict grants are a lock-free marks
-// lookup plus liveness loads with no graph lock at all. With the
-// per-shard serialization gone, native SGT should sit at or above the
-// combinator from 2 shards up.
-func BenchmarkNativeSGTVsShardedSGT(b *testing.B) {
-	const (
-		jobs  = 64
-		users = 16
-	)
-	template := workload.Disjoint(jobs, 3)
-	run := func(b *testing.B, mk func() online.Scheduler) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			inst := sim.Instantiate(template, jobs)
-			m, err := sim.Run(sim.Config{System: inst, Sched: mk(), Users: users, Seed: int64(i)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if m.Committed != jobs {
-				b.Fatalf("committed %d of %d", m.Committed, jobs)
-			}
 		}
-	}
-	for _, shards := range []int{1, 2, 4} {
-		shards := shards
-		b.Run(fmt.Sprintf("sharded-sgt-%d", shards), func(b *testing.B) {
-			run(b, func() online.Scheduler {
-				return online.NewSharded(shards, func() online.Scheduler { return online.NewSGTAborting() })
-			})
-		})
-		b.Run(fmt.Sprintf("native-csgt-%d", shards), func(b *testing.B) {
-			run(b, func() online.Scheduler { return online.NewConcurrentSGTAborting(shards) })
-		})
-	}
-}
-
-// BenchmarkNativeOCCVsShardedOCC is the native optimistic-validation
-// acceptance benchmark: the disjoint multi-shard workload through the
-// Sharded(OCC) combinator versus online.ConcurrentOCC, whose execution
-// and validation paths touch only the shared atomic clock, the
-// copy-on-write writer marks and the commit-stamp table — no shard mutex,
-// no rail, no global validation critical section. Native OCC should sit
-// at or above the combinator from 2 shards up.
-func BenchmarkNativeOCCVsShardedOCC(b *testing.B) {
-	const (
-		jobs  = 64
-		users = 16
-	)
-	template := workload.Disjoint(jobs, 3)
-	run := func(b *testing.B, mk func() online.Scheduler) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			inst := sim.Instantiate(template, jobs)
-			m, err := sim.Run(sim.Config{System: inst, Sched: mk(), Users: users, Seed: int64(i)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if m.Committed != jobs {
-				b.Fatalf("committed %d of %d", m.Committed, jobs)
-			}
-		}
-	}
-	for _, shards := range []int{1, 2, 4} {
-		shards := shards
-		b.Run(fmt.Sprintf("sharded-occ-%d", shards), func(b *testing.B) {
-			run(b, func() online.Scheduler {
-				return online.NewSharded(shards, func() online.Scheduler { return online.NewOCC() })
-			})
-		})
-		b.Run(fmt.Sprintf("native-cocc-%d", shards), func(b *testing.B) {
-			run(b, func() online.Scheduler { return online.NewConcurrentOCC(shards) })
-		})
-	}
-}
-
-// BenchmarkRailStripes is the rail acceptance benchmark: multi-shard
-// transactions with pairwise conflicts (workload.CrossPairs — every
-// reservation carries real sources, components stay small) through the
-// Sharded combinator with a 1-stripe rail (the single-mutex PR 1
-// baseline: every reservation serializes on one lock and pays a DFS) and
-// a striped rail (disjoint pair-components resolve on different stripes,
-// and the cycle check is skipped entirely when components are disjoint).
-// Striped should sit at or above the single mutex.
-func BenchmarkRailStripes(b *testing.B) {
-	const (
-		pairs  = 24
-		shards = 4
-		users  = 16
-	)
-	template := workload.CrossPairs(pairs)
-	jobs := template.NumTxs()
-	run := func(b *testing.B, stripes int) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			inst := sim.Instantiate(template, jobs)
-			sched := online.NewShardedRail(shards, stripes, func() online.Scheduler {
-				return online.NewStrict2PL(lockmgr.WoundWait)
-			})
-			m, err := sim.Run(sim.Config{System: inst, Sched: sched, Users: users, Seed: int64(i)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if m.Committed != jobs {
-				b.Fatalf("committed %d of %d", m.Committed, jobs)
-			}
-		}
-	}
-	b.Run("single-mutex", func(b *testing.B) { run(b, 1) })
-	for _, stripes := range []int{4, 16} {
-		stripes := stripes
-		b.Run(fmt.Sprintf("striped-%d", stripes), func(b *testing.B) { run(b, stripes) })
 	}
 }
 

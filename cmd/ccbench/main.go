@@ -6,16 +6,15 @@
 //	ccbench                 # run everything
 //	ccbench -exp E1,E4      # run selected experiments
 //	ccbench -md             # emit markdown (the source of EXPERIMENTS.md)
-//	ccbench -json           # emit machine-readable results (BENCH_*.json)
 //	ccbench -list           # list experiment ids
 //	ccbench -exp E8 -shards 1,8,32 -users 16   # custom scalability sweep
 //	ccbench -exp E9 -backend kv                # real-storage execution sweep
 //	ccbench -exp E10 -batch 1,16,64 -users 8   # batched-dispatch sweep
-//	ccbench -exp E11 -shards 1,4 -railstripes 8  # native-TO / rail sweep
+//	ccbench -exp E11 -shards 1,4 -users 16     # native TO vs mutexed TO sweep
 //	ccbench -exp E12 -readfrac 0.5,0.99 -users 16  # multiversion read sweep
 //	ccbench -exp E13 -fsync always,group -batch 1,8,32  # durable-commit sweep
 //	ccbench -exp E14 -checkpoint 0,8192,65536  # fuzzy-checkpoint footprint sweep
-//	ccbench -exp E15 -shards 1,4,16 -users 16  # native SGT/OCC vs sharded sweep
+//	ccbench -exp E15 -shards 1,4,16 -users 16  # native SGT/OCC vs mutexed sweep
 //
 // Profiling and allocation measurement (the perf workflow behind the
 // zero-allocation hot path, DESIGN.md "Memory discipline"):
@@ -26,7 +25,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -39,23 +37,6 @@ import (
 	"optcc/internal/report"
 	"optcc/internal/storage"
 )
-
-// jsonTable / jsonResult are the machine-readable rendering of an
-// experiment result: the same tables the text mode prints, as data. The
-// schema is deliberately flat (strings as rendered) so BENCH_*.json files
-// diff cleanly across PRs.
-type jsonTable struct {
-	Title   string     `json:"title"`
-	Headers []string   `json:"headers"`
-	Rows    [][]string `json:"rows"`
-}
-
-type jsonResult struct {
-	ID     string      `json:"id"`
-	Title  string      `json:"title"`
-	Text   string      `json:"text,omitempty"`
-	Tables []jsonTable `json:"tables"`
-}
 
 // parseIntList parses "1,4,16" into positive ints.
 func parseIntList(s string) ([]int, error) {
@@ -93,12 +74,10 @@ func main() {
 	var (
 		expFlag     = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
 		mdFlag      = flag.Bool("md", false, "emit markdown instead of plain tables")
-		jsonFlag    = flag.Bool("json", false, "emit machine-readable JSON instead of plain tables")
 		listFlag    = flag.Bool("list", false, "list experiment ids and exit")
 		shardsFlag  = flag.String("shards", "", "comma-separated shard counts for the E8/E10/E11/E15 sweeps (E8 default 1,4,16; E10 default 4; E11/E15 default 1,4)")
 		usersFlag   = flag.String("users", "", "comma-separated user counts for the E8/E10 sweeps (E8 default 4,8; E10 default 16,48); the first entry also sets E11/E15's users")
 		batchFlag   = flag.String("batch", "", "comma-separated batch sizes for the E10 batched-dispatch sweep (default 1,8,32)")
-		stripesFlag = flag.Int("railstripes", 0, "ordering-rail stripe count for the E11/E15 sweeps (0 = one per shard)")
 		fracFlag    = flag.String("readfrac", "", "comma-separated read fractions for the E12 multiversion sweep (default 0.5,0.9,0.99)")
 		fsyncFlag   = flag.String("fsync", "", "comma-separated fsync policies for the E13 durable-commit sweep (always|group|never; default always,group,never)")
 		ckptFlag    = flag.String("checkpoint", "", "comma-separated checkpoint intervals (WAL bytes) for the E14 sweep; 0 = checkpointing off (default 0,8192,65536)")
@@ -177,10 +156,6 @@ func main() {
 		experiments.E10Config.Batches = sweep
 		experiments.E13Config.Batches = sweep
 	}
-	if *stripesFlag > 0 {
-		experiments.E11Config.RailStripes = *stripesFlag
-		experiments.E15Config.RailStripes = *stripesFlag
-	}
 	if *fracFlag != "" {
 		sweep, err := parseFracList(*fracFlag)
 		if err != nil {
@@ -234,20 +209,19 @@ func main() {
 			ids = append(ids, id)
 		}
 	}
-	if *mdFlag && !*jsonFlag {
+	if *mdFlag {
 		fmt.Println("# EXPERIMENTS — paper vs measured")
 		fmt.Println()
 		fmt.Println("Generated by `go run ./cmd/ccbench -md`.")
 		fmt.Println()
 	}
 	// -allocstats meters each experiment with report.AllocMeter; the table
-	// goes to stderr so -json on stdout stays machine-readable.
+	// goes to stderr so stdout holds only the experiments' own tables.
 	var allocTable *report.Table
 	if *allocFlag {
 		allocTable = report.NewTable("allocator pressure (process-wide runtime/metrics deltas)",
 			"experiment", "allocs", "alloc-MB")
 	}
-	var jsonOut []jsonResult
 	for _, id := range ids {
 		var am report.AllocMeter
 		if *allocFlag {
@@ -263,28 +237,10 @@ func main() {
 			allocs, bytes := am.Delta()
 			allocTable.AddRow(id, allocs, float64(bytes)/(1<<20))
 		}
-		switch {
-		case *jsonFlag:
-			// Tables starts non-nil so table-less experiments render as []
-			// rather than null — the schema must diff cleanly across PRs.
-			jr := jsonResult{ID: res.ID, Title: res.Title, Text: res.Text, Tables: []jsonTable{}}
-			for _, t := range res.Tables {
-				jr.Tables = append(jr.Tables, jsonTable{Title: t.Title, Headers: t.Headers(), Rows: t.Rows()})
-			}
-			jsonOut = append(jsonOut, jr)
-		case *mdFlag:
+		if *mdFlag {
 			fmt.Println(res.Markdown())
-		default:
+		} else {
 			fmt.Println(res.String())
-		}
-	}
-	if *jsonFlag {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "ccbench: %v\n", err)
-			stopCPU()
-			os.Exit(1)
 		}
 	}
 	if *allocFlag {

@@ -12,7 +12,7 @@
 //	ccsim -workload disjoint -sched cto -shards 4 -users 16
 //	ccsim -workload crosspairs -sched csgt -shards 4 -users 16
 //	ccsim -workload readmostly -readfrac 0.9 -sched cocc -shards 4 -users 16
-//	ccsim -workload crosspairs -sched to -shards 4 -railstripes 8
+//	ccsim -workload crosspairs -sched to -shards 1
 //	ccsim -workload readmostly -readfrac 0.95 -sched mv -shards 4 -backend kv
 //	ccsim -workload disjoint -sched 2pl-woundwait -shards 4 -backend disk -fsync group -batch 16
 //	ccsim -workload banking -sched 2pl-woundwait -backend disk -dir /tmp/ccwal -fsync always
@@ -23,7 +23,7 @@
 // under per-shard decision latches over hash-partitioned scheduler state
 // (run-to-completion dispatch; no scheduler goroutine). -sched cto / cto-thomas select the
 // natively concurrent timestamp-ordering scheduler (lock-free sharded
-// atomic timestamp table, no shard mutexes, no ordering rail); it always
+// atomic timestamp table, no shard mutexes); it always
 // runs on the concurrent engine. -sched mv selects the multiversion/optimistic
 // scheduler (write claims with first-writer-wins over the same timestamp
 // table); with the kv backend's version chains, read-only transactions are
@@ -33,10 +33,10 @@
 // lock-free zero-conflict grants; abort-on-cycle and delay-on-cycle) and
 // -sched cocc the natively concurrent optimistic scheduler (epoch-based
 // backward validation, no global critical section); like cto they always
-// run on the concurrent engine. For single-threaded schedulers behind the Sharded
-// combinator, -railstripes sets how many lock stripes the cross-shard
-// ordering rail is partitioned into (0 = one per shard; 1 = the
-// single-mutex degenerate).
+// run on the concurrent engine. The single-threaded schedulers with no
+// 2PL policy (serial, 2pl-conservative, treelock, sgt, to, to-thomas, occ)
+// run on the concurrent engine under online.Mutexed — one shard, one latch,
+// whatever N is; the printed scheduler= name says so.
 //
 // -workload readmostly generates the read-fraction workload: -readfrac of
 // the jobs are read-only (all-Read), the rest increment writers, all
@@ -95,33 +95,33 @@ import (
 	"optcc/internal/workload"
 )
 
-// schedulerFactory returns a constructor for the named scheduler plus, for
-// the 2PL family, the lock policy (so -shards can pick the natively sharded
-// implementation over the generic wrapper).
-func schedulerFactory(name string) (factory func() online.Scheduler, policy lockmgr.Policy, is2PL, ok bool) {
+// sequentialScheduler builds the named single-threaded scheduler and
+// reports, for the 2PL family, the lock policy (so -shards can pick the
+// natively sharded implementation instead).
+func sequentialScheduler(name string) (s online.Scheduler, policy lockmgr.Policy, is2PL, ok bool) {
 	switch name {
 	case "serial":
-		return func() online.Scheduler { return online.NewSerial() }, 0, false, true
+		return online.NewSerial(), 0, false, true
 	case "2pl", "2pl-detect":
-		return func() online.Scheduler { return online.NewStrict2PL(lockmgr.Detect) }, lockmgr.Detect, true, true
+		return online.NewStrict2PL(lockmgr.Detect), lockmgr.Detect, true, true
 	case "2pl-nowait":
-		return func() online.Scheduler { return online.NewStrict2PL(lockmgr.NoWait) }, lockmgr.NoWait, true, true
+		return online.NewStrict2PL(lockmgr.NoWait), lockmgr.NoWait, true, true
 	case "2pl-waitdie":
-		return func() online.Scheduler { return online.NewStrict2PL(lockmgr.WaitDie) }, lockmgr.WaitDie, true, true
+		return online.NewStrict2PL(lockmgr.WaitDie), lockmgr.WaitDie, true, true
 	case "2pl-woundwait":
-		return func() online.Scheduler { return online.NewStrict2PL(lockmgr.WoundWait) }, lockmgr.WoundWait, true, true
+		return online.NewStrict2PL(lockmgr.WoundWait), lockmgr.WoundWait, true, true
 	case "2pl-conservative":
-		return func() online.Scheduler { return online.NewConservative2PL() }, 0, false, true
+		return online.NewConservative2PL(), 0, false, true
 	case "sgt":
-		return func() online.Scheduler { return online.NewSGTAborting() }, 0, false, true
+		return online.NewSGTAborting(), 0, false, true
 	case "to":
-		return func() online.Scheduler { return online.NewTO() }, 0, false, true
+		return online.NewTO(), 0, false, true
 	case "to-thomas":
-		return func() online.Scheduler { return online.NewTOThomas() }, 0, false, true
+		return online.NewTOThomas(), 0, false, true
 	case "occ":
-		return func() online.Scheduler { return online.NewOCC() }, 0, false, true
+		return online.NewOCC(), 0, false, true
 	case "treelock":
-		return func() online.Scheduler { return online.NewTreeLock() }, 0, false, true
+		return online.NewTreeLock(), 0, false, true
 	default:
 		return nil, 0, false, false
 	}
@@ -130,14 +130,12 @@ func schedulerFactory(name string) (factory func() online.Scheduler, policy lock
 // schedulerByName builds the scheduler. shards == 0 keeps the classic
 // single-threaded scheduler behind the centralized scheduler goroutine;
 // shards >= 1 selects the concurrent engine with per-shard decision latches —
-// natively sharded strict 2PL for the 2PL family, native timestamp
-// ordering for cto/cto-thomas, the native serialization graph for
-// csgt/csgt-delay, native optimistic validation for cocc, and the Sharded
-// combinator (with the striped cross-shard ordering rail, railStripes
-// wide; 0 = as wide as the shard count) for everything else. The natively
-// concurrent schedulers (cto, mv, csgt, cocc) always run on the concurrent
-// engine, so -shards 0 behaves as one shard.
-func schedulerByName(name string, shards, railStripes int) (online.Scheduler, bool) {
+// natively sharded strict 2PL for the 2PL family, and the single-threaded
+// scheduler under online.Mutexed (one shard, one latch, exactly its
+// fixpoint set) for everything else: a family's multi-shard form is its
+// native scheduler (cto, mv, csgt, cocc), selected by name. Those always
+// run on the concurrent engine, so -shards 0 behaves as one shard.
+func schedulerByName(name string, shards int) (online.Scheduler, bool) {
 	switch name {
 	case "cto":
 		return online.NewConcurrentTO(max(shards, 1)), true
@@ -152,20 +150,17 @@ func schedulerByName(name string, shards, railStripes int) (online.Scheduler, bo
 	case "cocc":
 		return online.NewConcurrentOCC(max(shards, 1)), true
 	}
-	factory, policy, is2PL, ok := schedulerFactory(name)
+	seq, policy, is2PL, ok := sequentialScheduler(name)
 	if !ok {
 		return nil, false
 	}
 	if shards <= 0 {
-		return factory(), true
+		return seq, true
 	}
 	if is2PL {
 		return online.NewConcurrentStrict2PL(policy, shards), true
 	}
-	if railStripes > 0 {
-		return online.NewShardedRail(shards, railStripes, factory), true
-	}
-	return online.NewSharded(shards, factory), true
+	return online.NewMutexed(seq), true
 }
 
 func workloadByName(name string, seed int64, jobs int, readFrac float64) (*core.System, bool) {
@@ -214,7 +209,6 @@ func main() {
 		jobs      = flag.Int("jobs", 32, "transaction instances to run")
 		users     = flag.Int("users", 8, "concurrent user goroutines")
 		shards    = flag.Int("shards", 0, "shard count for the concurrent engine (0 = centralized scheduler goroutine)")
-		stripes   = flag.Int("railstripes", 0, "lock stripes of the cross-shard ordering rail (0 = one per shard)")
 		batchSz   = flag.Int("batch", 1, "max requests decided per scheduler critical section (central: intake coalescing; concurrent engine: parked-retry chunk)")
 		backend   = flag.String("backend", "none", "storage backend executing granted steps (none|kv|noop|disk)")
 		valueSize = flag.Int("valuesize", 256, "payload bytes per stored record (kv backend)")
@@ -237,7 +231,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ccsim: unknown workload %q\n", *wl)
 		os.Exit(2)
 	}
-	sched, ok := schedulerByName(*sc, *shards, *stripes)
+	sched, ok := schedulerByName(*sc, *shards)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "ccsim: unknown scheduler %q\n", *sc)
 		os.Exit(2)

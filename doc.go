@@ -16,8 +16,9 @@
 //	internal/locking     locking policies: 2PL, 2PL′, selective; LRS (Section 5)
 //	internal/geometry    progress space, blocks, deadlock region, homotopy (Section 5.3)
 //	internal/online      online schedulers: serial, 2PL variants, SGT, TO, OCC, tree locking;
-//	                     the concurrent contract (ConcurrentScheduler, Mutexed, Sharded,
-//	                     ConcurrentStrict2PL) with the cross-shard ordering rail
+//	                     the concurrent contract (ConcurrentScheduler), Mutexed (any
+//	                     sequential scheduler behind one mutex, one shard) and one native
+//	                     concurrent scheduler per family (ConcurrentStrict2PL/TO/MV/SGT/OCC)
 //	internal/storage     storage layer: the Backend interface and the sharded in-memory
 //	                     KV store (copy-on-write records, checksummed payloads,
 //	                     per-transaction undo logs for abort rollback)

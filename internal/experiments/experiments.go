@@ -979,51 +979,72 @@ func e10WithScale(jobs int, userSweep, shardSweep, batchSweep []int, backendName
 }
 
 // E11Config parameterizes the native-TO experiment; cmd/ccbench overrides
-// the sweeps via its -shards, -users and -railstripes flags. RailStripes 0
-// stripes the rail as widely as the shard count (the default).
+// the sweeps via its -shards and -users flags.
 var E11Config = struct {
 	Jobs        int
 	Users       int
 	Shards      []int
-	RailStripes int
 	Backend     string
 	MaxRestarts int
-}{Jobs: 48, Users: 12, Shards: []int{1, 4}, RailStripes: 0, Backend: "kv", MaxRestarts: 10000}
+}{Jobs: 48, Users: 12, Shards: []int{1, 4}, Backend: "kv", MaxRestarts: 10000}
 
 // E11NativeTimestampOrdering measures the natively concurrent
 // timestamp-ordering scheduler (online.ConcurrentTO: lock-free sharded
-// atomic timestamp table, no per-shard mutex, no ordering rail) against
-// the Sharded(TO) combinator (single-threaded TO per shard behind shard
-// mutexes plus the striped cross-shard rail) and natively sharded strict
-// 2PL, across shard count × access skew.
-//
-// Self-checks per cell: on the disjoint regime every granted step executes
-// against the storage backend and the committed state must equal core.Exec
-// of the committed schedule — with zero cross-transaction conflicts the
-// invariant holds for every scheduler, timestamp-ordered ones included. On
-// the skewed regime (real conflicts, where non-strict TO execution may
-// legitimately diverge from the committed replay — see internal/storage)
-// the check is the schedulers' contract instead: all jobs commit and the
-// committed schedule is conflict-serializable.
+// atomic timestamp table, no mutex on any path) against the paper's object
+// — the single-threaded TO under online.Mutexed, one shard, exactly TO's
+// fixpoint set — and natively sharded strict 2PL, across shard count ×
+// access skew. Cells and self-checks are nativeVsMutexedTables'.
 func E11NativeTimestampOrdering() (*Result, error) {
-	return e11WithScale(E11Config.Jobs, E11Config.Users, E11Config.Shards, E11Config.RailStripes, E11Config.Backend, E11Config.MaxRestarts)
+	return e11WithScale(E11Config.Jobs, E11Config.Users, E11Config.Shards, E11Config.Backend, E11Config.MaxRestarts)
 }
 
 // E11Quick is a smaller variant for tests.
 func E11Quick() (*Result, error) {
-	return e11WithScale(12, 4, []int{2}, 0, E11Config.Backend, E11Config.MaxRestarts)
+	return e11WithScale(12, 4, []int{2}, E11Config.Backend, E11Config.MaxRestarts)
 }
 
-func e11WithScale(jobs, users int, shardSweep []int, railStripes int, backendName string, maxRestarts int) (*Result, error) {
-	res := &Result{
-		ID:    "E11",
-		Title: "Native timestamp ordering — ConcurrentTO vs Sharded(TO) vs strict 2PL across shards × skew",
-		Text: "cto(n) = natively concurrent TO (lock-free sharded atomic timestamp table, no rail); " +
-			"sharded(n)/to = single-threaded TO per shard behind shard mutexes + the striped ordering rail; " +
-			"2pl-sharded(n) = natively sharded strict 2PL. The disjoint regime self-checks committed state " +
-			"== committed replay on the storage backend; the skewed regime (real conflicts) self-checks " +
-			"conflict-serializability of the committed schedule.",
+func e11WithScale(jobs, users int, shardSweep []int, backendName string, maxRestarts int) (*Result, error) {
+	tables, err := nativeVsMutexedTables("E11", jobs, users, shardSweep, backendName, maxRestarts,
+		func() []online.ConcurrentScheduler {
+			return []online.ConcurrentScheduler{online.NewMutexed(online.NewTO())}
+		},
+		func(shards int) []online.ConcurrentScheduler {
+			return []online.ConcurrentScheduler{
+				online.NewConcurrentTO(shards),
+				online.NewConcurrentStrict2PL(lockmgr.WoundWait, shards),
+			}
+		})
+	if err != nil {
+		return nil, err
 	}
+	return &Result{
+		ID:    "E11",
+		Title: "Native timestamp ordering — ConcurrentTO vs Mutexed(TO) vs strict 2PL across shards × skew",
+		Text: "cto(n) = natively concurrent TO (lock-free sharded atomic timestamp table); " +
+			"mutexed/to/basic = the single-threaded TO behind one mutex (one shard whatever n is, so it " +
+			"is measured once per regime); 2pl-sharded(n) = natively sharded strict 2PL. The disjoint " +
+			"regime self-checks committed state == committed replay on the storage backend; the skewed " +
+			"regime (real conflicts) self-checks conflict-serializability of the committed schedule.",
+		Tables: tables,
+	}, nil
+}
+
+// nativeVsMutexedTables runs the cells E11 and E15 share: per access regime
+// (disjoint across shards, skewed onto a hotspot) one table with the
+// mutexed() baselines first — sequential schedulers under online.Mutexed,
+// one shard by construction — and then the native(shards) schedulers for
+// every shard count of the sweep.
+//
+// Self-checks per cell: on the disjoint regime every granted step executes
+// against the storage backend and the committed state must equal core.Exec
+// of the committed schedule — with zero cross-transaction conflicts the
+// invariant holds for every scheduler, non-strict ones included. On the
+// skewed regime (real conflicts, where non-strict execution may
+// legitimately diverge from the committed replay — see internal/storage)
+// the check is the schedulers' contract instead: all jobs commit and the
+// committed schedule is conflict-serializable.
+func nativeVsMutexedTables(id string, jobs, users int, shardSweep []int, backendName string, maxRestarts int,
+	mutexed func() []online.ConcurrentScheduler, native func(shards int) []online.ConcurrentScheduler) ([]*report.Table, error) {
 	regimes := []struct {
 		name     string
 		disjoint bool
@@ -1033,62 +1054,56 @@ func e11WithScale(jobs, users int, shardSweep []int, railStripes int, backendNam
 		{"skewed access (hotspot)", false, workload.Random(workload.RandomConfig{
 			NumTxs: jobs, MinSteps: 3, MaxSteps: 3, NumVars: 8, Hotspot: 1}, 1979)},
 	}
+	var tables []*report.Table
 	for _, reg := range regimes {
 		t := report.NewTable(fmt.Sprintf("%s, %d jobs, %d users", reg.name, jobs, users),
 			"scheduler", "committed", "aborts", "mean-sched-µs", "mean-wait-µs", "throughput-tx/s", "self-check")
+		scheds := mutexed()
 		for _, shards := range shardSweep {
-			stripes := railStripes
-			if stripes <= 0 {
-				stripes = shards
-			}
-			scheds := []online.Scheduler{
-				online.NewConcurrentTO(shards),
-				online.NewShardedRail(shards, stripes, func() online.Scheduler { return online.NewTO() }),
-				online.NewConcurrentStrict2PL(lockmgr.WoundWait, shards),
-			}
-			for _, sched := range scheds {
-				cfg := sim.Config{System: sim.Instantiate(reg.template, jobs), Sched: sched,
-					Users: users, Seed: 1979, MaxRestarts: maxRestarts}
-				check := "schedule CSR"
-				if reg.disjoint {
-					be, err := NewBackend(backendName, shards, 256)
-					if err != nil {
-						return nil, err
-					}
-					cfg.Backend = be
-					check = "state==replay"
-				}
-				m, err := sim.Run(cfg)
+			scheds = append(scheds, native(shards)...)
+		}
+		for _, sched := range scheds {
+			cfg := sim.Config{System: sim.Instantiate(reg.template, jobs), Sched: sched,
+				Users: users, Seed: 1979, MaxRestarts: maxRestarts}
+			check := "schedule CSR"
+			if reg.disjoint {
+				be, err := NewBackend(backendName, sched.NumShards(), 256)
 				if err != nil {
 					return nil, err
 				}
-				if m.Committed != jobs {
-					return nil, fmt.Errorf("E11: %s committed %d of %d on %s", sched.Name(), m.Committed, jobs, reg.name)
-				}
-				if reg.disjoint {
-					replay, err := core.Exec(cfg.System, m.Output, cfg.System.InitialStates()[0])
-					if err != nil {
-						return nil, fmt.Errorf("E11: %s replay: %w", sched.Name(), err)
-					}
-					if !cfg.Backend.State().Equal(replay) {
-						return nil, fmt.Errorf("E11: %s backend state diverged from committed replay", sched.Name())
-					}
-				} else {
-					csr, _, err := conflict.Serializable(cfg.System, m.Output)
-					if err != nil {
-						return nil, fmt.Errorf("E11: %s output check: %w", sched.Name(), err)
-					}
-					if !csr {
-						return nil, fmt.Errorf("E11: %s committed a non-conflict-serializable schedule", sched.Name())
-					}
-				}
-				t.AddRow(sched.Name(), m.Committed, m.Aborts,
-					m.SchedNs.Mean()/1e3, m.WaitNs.Mean()/1e3, m.Throughput, check)
+				cfg.Backend = be
+				check = "state==replay"
 			}
+			m, err := sim.Run(cfg)
+			if err != nil {
+				return nil, err
+			}
+			if m.Committed != jobs {
+				return nil, fmt.Errorf("%s: %s committed %d of %d on %s", id, sched.Name(), m.Committed, jobs, reg.name)
+			}
+			if reg.disjoint {
+				replay, err := core.Exec(cfg.System, m.Output, cfg.System.InitialStates()[0])
+				if err != nil {
+					return nil, fmt.Errorf("%s: %s replay: %w", id, sched.Name(), err)
+				}
+				if !cfg.Backend.State().Equal(replay) {
+					return nil, fmt.Errorf("%s: %s backend state diverged from committed replay", id, sched.Name())
+				}
+			} else {
+				csr, _, err := conflict.Serializable(cfg.System, m.Output)
+				if err != nil {
+					return nil, fmt.Errorf("%s: %s output check: %w", id, sched.Name(), err)
+				}
+				if !csr {
+					return nil, fmt.Errorf("%s: %s committed a non-conflict-serializable schedule", id, sched.Name())
+				}
+			}
+			t.AddRow(sched.Name(), m.Committed, m.Aborts,
+				m.SchedNs.Mean()/1e3, m.WaitNs.Mean()/1e3, m.Throughput, check)
 		}
-		res.Tables = append(res.Tables, t)
+		tables = append(tables, t)
 	}
-	return res, nil
+	return tables, nil
 }
 
 // E12Config parameterizes the multiversion read-scaling experiment;
@@ -1521,122 +1536,63 @@ func walFootprint(dir string) (files int, bytes int64, err error) {
 }
 
 // E15Config parameterizes the native SGT/OCC experiment; cmd/ccbench
-// overrides the sweeps via its -shards, -users and -railstripes flags.
-// RailStripes 0 stripes the sharded baselines' rail as widely as the shard
-// count (the default).
+// overrides the sweeps via its -shards and -users flags.
 var E15Config = struct {
 	Jobs        int
 	Users       int
 	Shards      []int
-	RailStripes int
 	Backend     string
 	MaxRestarts int
-}{Jobs: 48, Users: 12, Shards: []int{1, 4}, RailStripes: 0, Backend: "kv", MaxRestarts: 10000}
+}{Jobs: 48, Users: 12, Shards: []int{1, 4}, Backend: "kv", MaxRestarts: 10000}
 
 // E15NativeSGTOCC measures the natively concurrent serialization-graph
 // and optimistic schedulers (online.ConcurrentSGT on the striped
 // union-find component graph, online.ConcurrentOCC on epoch-based
-// backward validation) against their Sharded counterparts (single-threaded
-// SGT/OCC per shard behind shard mutexes plus the striped cross-shard
-// rail), with the natively concurrent TO and strict 2PL as the PR 4/5
-// reference points, across shard count × access skew.
-//
-// Self-checks per cell mirror E11: on the disjoint regime every granted
-// step executes against the storage backend and the committed state must
-// equal core.Exec of the committed schedule; on the skewed regime (real
-// conflicts, where non-strict execution may legitimately diverge from the
-// committed replay — see internal/storage) the check is the schedulers'
-// contract instead: all jobs commit and the committed schedule is
-// conflict-serializable.
+// backward validation) against the paper's objects — the single-threaded
+// SGT and OCC under online.Mutexed, one shard, exactly their fixpoint
+// sets — with the natively concurrent TO and strict 2PL as reference
+// points, across shard count × access skew. Cells and self-checks are
+// nativeVsMutexedTables' (shared with E11).
 func E15NativeSGTOCC() (*Result, error) {
-	return e15WithScale(E15Config.Jobs, E15Config.Users, E15Config.Shards, E15Config.RailStripes, E15Config.Backend, E15Config.MaxRestarts)
+	return e15WithScale(E15Config.Jobs, E15Config.Users, E15Config.Shards, E15Config.Backend, E15Config.MaxRestarts)
 }
 
 // E15Quick is a smaller variant for tests.
 func E15Quick() (*Result, error) {
-	return e15WithScale(12, 4, []int{2}, 0, E15Config.Backend, E15Config.MaxRestarts)
+	return e15WithScale(12, 4, []int{2}, E15Config.Backend, E15Config.MaxRestarts)
 }
 
-func e15WithScale(jobs, users int, shardSweep []int, railStripes int, backendName string, maxRestarts int) (*Result, error) {
-	res := &Result{
-		ID:    "E15",
-		Title: "Native SGT + OCC — striped serialization graph and epoch validation vs Sharded(SGT)/Sharded(OCC) across shards × skew",
-		Text: "csgt(n)/abort = natively concurrent SGT (striped union-find component graph, lock-free " +
-			"zero-conflict grants); cocc(n)/backward = natively concurrent OCC (epoch-based backward " +
-			"validation, no global critical section); sharded(n)/sgt|occ = the single-threaded originals " +
-			"per shard behind shard mutexes + the striped ordering rail; cto(n) and 2pl-sharded(n) are the " +
-			"natively concurrent reference points. The disjoint regime self-checks committed state == " +
-			"committed replay on the storage backend; the skewed regime (real conflicts) self-checks " +
-			"conflict-serializability of the committed schedule.",
-	}
-	regimes := []struct {
-		name     string
-		disjoint bool
-		template *core.System
-	}{
-		{"disjoint across shards", true, workload.Disjoint(jobs, 3)},
-		{"skewed access (hotspot)", false, workload.Random(workload.RandomConfig{
-			NumTxs: jobs, MinSteps: 3, MaxSteps: 3, NumVars: 8, Hotspot: 1}, 1979)},
-	}
-	for _, reg := range regimes {
-		t := report.NewTable(fmt.Sprintf("%s, %d jobs, %d users", reg.name, jobs, users),
-			"scheduler", "committed", "aborts", "mean-sched-µs", "mean-wait-µs", "throughput-tx/s", "self-check")
-		for _, shards := range shardSweep {
-			stripes := railStripes
-			if stripes <= 0 {
-				stripes = shards
+func e15WithScale(jobs, users int, shardSweep []int, backendName string, maxRestarts int) (*Result, error) {
+	tables, err := nativeVsMutexedTables("E15", jobs, users, shardSweep, backendName, maxRestarts,
+		func() []online.ConcurrentScheduler {
+			return []online.ConcurrentScheduler{
+				online.NewMutexed(online.NewSGTAborting()),
+				online.NewMutexed(online.NewOCC()),
 			}
-			scheds := []online.Scheduler{
+		},
+		func(shards int) []online.ConcurrentScheduler {
+			return []online.ConcurrentScheduler{
 				online.NewConcurrentSGTAborting(shards),
-				online.NewShardedRail(shards, stripes, func() online.Scheduler { return online.NewSGTAborting() }),
 				online.NewConcurrentOCC(shards),
-				online.NewShardedRail(shards, stripes, func() online.Scheduler { return online.NewOCC() }),
 				online.NewConcurrentTO(shards),
 				online.NewConcurrentStrict2PL(lockmgr.WoundWait, shards),
 			}
-			for _, sched := range scheds {
-				cfg := sim.Config{System: sim.Instantiate(reg.template, jobs), Sched: sched,
-					Users: users, Seed: 1979, MaxRestarts: maxRestarts}
-				check := "schedule CSR"
-				if reg.disjoint {
-					be, err := NewBackend(backendName, shards, 256)
-					if err != nil {
-						return nil, err
-					}
-					cfg.Backend = be
-					check = "state==replay"
-				}
-				m, err := sim.Run(cfg)
-				if err != nil {
-					return nil, err
-				}
-				if m.Committed != jobs {
-					return nil, fmt.Errorf("E15: %s committed %d of %d on %s", sched.Name(), m.Committed, jobs, reg.name)
-				}
-				if reg.disjoint {
-					replay, err := core.Exec(cfg.System, m.Output, cfg.System.InitialStates()[0])
-					if err != nil {
-						return nil, fmt.Errorf("E15: %s replay: %w", sched.Name(), err)
-					}
-					if !cfg.Backend.State().Equal(replay) {
-						return nil, fmt.Errorf("E15: %s backend state diverged from committed replay", sched.Name())
-					}
-				} else {
-					csr, _, err := conflict.Serializable(cfg.System, m.Output)
-					if err != nil {
-						return nil, fmt.Errorf("E15: %s output check: %w", sched.Name(), err)
-					}
-					if !csr {
-						return nil, fmt.Errorf("E15: %s committed a non-conflict-serializable schedule", sched.Name())
-					}
-				}
-				t.AddRow(sched.Name(), m.Committed, m.Aborts,
-					m.SchedNs.Mean()/1e3, m.WaitNs.Mean()/1e3, m.Throughput, check)
-			}
-		}
-		res.Tables = append(res.Tables, t)
+		})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &Result{
+		ID:    "E15",
+		Title: "Native SGT + OCC — striped serialization graph and epoch validation vs Mutexed(SGT)/Mutexed(OCC) across shards × skew",
+		Text: "csgt(n)/abort = natively concurrent SGT (striped union-find component graph, lock-free " +
+			"zero-conflict grants); cocc(n)/backward = natively concurrent OCC (epoch-based backward " +
+			"validation, no global critical section); mutexed/sgt/abort and mutexed/occ/backward = the " +
+			"single-threaded originals behind one mutex (one shard whatever n is, so they are measured " +
+			"once per regime); cto(n) and 2pl-sharded(n) are the natively concurrent reference points. " +
+			"The disjoint regime self-checks committed state == committed replay on the storage backend; " +
+			"the skewed regime (real conflicts) self-checks conflict-serializability of the committed schedule.",
+		Tables: tables,
+	}, nil
 }
 
 // RunAll executes every experiment in order and returns the results.

@@ -101,12 +101,13 @@ func TestE11Quick(t *testing.T) {
 	if len(r.Tables) != 2 {
 		t.Errorf("E11 quick tables = %d", len(r.Tables))
 	}
-	// One native-TO, one Sharded(TO) and one 2PL row per shard count; the
-	// runner itself asserts the per-regime self-checks (state==replay on
-	// the disjoint regime, committed-schedule CSR on the skewed one).
+	// One Mutexed(TO) row per regime, then one native-TO and one 2PL row
+	// per shard count; the runner itself asserts the per-regime self-checks
+	// (state==replay on the disjoint regime, committed-schedule CSR on the
+	// skewed one).
 	for _, tbl := range r.Tables {
 		s := tbl.String()
-		for _, want := range []string{"cto(", "sharded(", "2pl-sharded("} {
+		for _, want := range []string{"cto(", "mutexed/to/basic", "2pl-sharded("} {
 			if !strings.Contains(s, want) {
 				t.Errorf("E11 table missing %q rows:\n%s", want, s)
 			}
@@ -122,13 +123,13 @@ func TestE15Quick(t *testing.T) {
 	if len(r.Tables) != 2 {
 		t.Errorf("E15 quick tables = %d", len(r.Tables))
 	}
-	// One native-SGT, sharded(SGT), native-OCC, sharded(OCC), native-TO
-	// and 2PL row per shard count; the runner itself asserts the per-regime
-	// self-checks (state==replay on the disjoint regime, committed-schedule
-	// CSR on the skewed one).
+	// One Mutexed(SGT) and one Mutexed(OCC) row per regime, then one
+	// native-SGT, native-OCC, native-TO and 2PL row per shard count; the
+	// runner itself asserts the per-regime self-checks (state==replay on
+	// the disjoint regime, committed-schedule CSR on the skewed one).
 	for _, tbl := range r.Tables {
 		s := tbl.String()
-		for _, want := range []string{"csgt(", "cocc(", "sharded(", "cto(", "2pl-sharded("} {
+		for _, want := range []string{"csgt(", "cocc(", "mutexed/sgt/abort", "mutexed/occ/backward", "cto(", "2pl-sharded("} {
 			if !strings.Contains(s, want) {
 				t.Errorf("E15 table missing %q rows:\n%s", want, s)
 			}

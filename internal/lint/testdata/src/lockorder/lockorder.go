@@ -6,42 +6,42 @@ package lockorder
 
 import "sync"
 
-type railStripe struct {
+type sgtStripe struct {
 	mu   sync.Mutex
 	subs map[string][]string
 }
 
-type stripedRail struct {
-	stripes []railStripe
+type sgtGraph struct {
+	stripes []sgtStripe
 	compMu  sync.Mutex
 	parent  map[string]string
 }
 
 // compUnderNothingThenStripe violates the nesting direction: compMu is the
-// innermost rail lock and must never be held while acquiring a stripe.
-func (r *stripedRail) compUnderNothingThenStripe(i int) {
+// innermost graph lock and must never be held while acquiring a stripe.
+func (r *sgtGraph) compUnderNothingThenStripe(i int) {
 	r.compMu.Lock()
-	r.stripes[i].mu.Lock() // want "railStripe.mu acquired while stripedRail.compMu is held"
+	r.stripes[i].mu.Lock() // want "sgtStripe.mu acquired while sgtGraph.compMu is held"
 	r.stripes[i].mu.Unlock()
 	r.compMu.Unlock()
 }
 
 // helperLocksStripe exists to hide the stripe acquisition behind a call.
-func (r *stripedRail) helperLocksStripe(i int) {
+func (r *sgtGraph) helperLocksStripe(i int) {
 	r.stripes[i].mu.Lock()
 	defer r.stripes[i].mu.Unlock()
 	r.parent["a"] = "b"
 }
 
 // compThenHelper hits the same violation through the call summary.
-func (r *stripedRail) compThenHelper(i int) {
+func (r *sgtGraph) compThenHelper(i int) {
 	r.compMu.Lock()
 	defer r.compMu.Unlock()
-	r.helperLocksStripe(i) // want "call to helperLocksStripe may acquire railStripe.mu while stripedRail.compMu is held"
+	r.helperLocksStripe(i) // want "call to helperLocksStripe may acquire sgtStripe.mu while sgtGraph.compMu is held"
 }
 
 // unsortedLoop acquires many stripes in an order nothing proves ascending.
-func (r *stripedRail) unsortedLoop(locked []int) {
+func (r *sgtGraph) unsortedLoop(locked []int) {
 	for _, i := range locked {
 		r.stripes[i].mu.Lock() // want "not provably ascending"
 	}

@@ -7,19 +7,19 @@ import (
 	"sync"
 )
 
-type railStripe struct {
+type sgtStripe struct {
 	mu   sync.Mutex
 	subs map[string][]string
 }
 
-type stripedRail struct {
-	stripes []railStripe
+type sgtGraph struct {
+	stripes []sgtStripe
 	compMu  sync.Mutex
 	parent  map[string]string
 }
 
 // compInsideStripe is the documented order: compMu nests inside a stripe.
-func (r *stripedRail) compInsideStripe(i int) {
+func (r *sgtGraph) compInsideStripe(i int) {
 	r.stripes[i].mu.Lock()
 	defer r.stripes[i].mu.Unlock()
 	r.compMu.Lock()
@@ -27,8 +27,8 @@ func (r *stripedRail) compInsideStripe(i int) {
 	r.compMu.Unlock()
 }
 
-// sortedLoop is the reserve idiom: sort the indices, then lock ascending.
-func (r *stripedRail) sortedLoop(locked []int) {
+// sortedLoop is the insert idiom: sort the indices, then lock ascending.
+func (r *sgtGraph) sortedLoop(locked []int) {
 	sort.Ints(locked)
 	for _, i := range locked {
 		r.stripes[i].mu.Lock()
@@ -40,7 +40,7 @@ func (r *stripedRail) sortedLoop(locked []int) {
 
 // rangeOverStripes locks every stripe by ranging the backing array itself —
 // index order by construction.
-func (r *stripedRail) rangeOverStripes() {
+func (r *sgtGraph) rangeOverStripes() {
 	for i := range r.stripes {
 		r.stripes[i].mu.Lock()
 	}
@@ -51,7 +51,7 @@ func (r *stripedRail) rangeOverStripes() {
 
 // retryLoop is the lockComp idiom: the loop body releases the stripe before
 // the next iteration re-acquires it, so only one instance is ever held.
-func (r *stripedRail) retryLoop(i int) {
+func (r *sgtGraph) retryLoop(i int) {
 	for {
 		r.compMu.Lock()
 		j := i

@@ -170,8 +170,9 @@ func (s *ShardedTable) ShardOf(v core.Var) int { return ShardOfVar(v, len(s.shar
 
 // ShardOfVar hash-partitions a variable across n shards: inlined FNV-1a so
 // the hot paths (every Acquire/Release and every latch lookup) allocate
-// nothing. This is THE partition function — online's Sharded combinator
-// uses it too, so latch and lock-shard ownership always agree.
+// nothing. This is THE partition function — every natively concurrent
+// scheduler in online, tstable and the KV backend use it too, so latch,
+// lock-shard, timestamp-shard and storage-shard ownership always agree.
 //
 //optcc:hotpath
 func ShardOfVar(v core.Var, n int) int {

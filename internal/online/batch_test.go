@@ -2,7 +2,7 @@ package online
 
 // Coverage for the batch-aware scheduler contract: the TryBatch adapter,
 // and decision-for-decision equivalence between the native batch paths
-// (Mutexed, Sharded, ConcurrentStrict2PL) and sequential Try on a twin
+// (Mutexed, ConcurrentStrict2PL) and sequential Try on a twin
 // scheduler.
 
 import (
@@ -64,9 +64,7 @@ func TestTryBatchMatchesSequentialTry(t *testing.T) {
 	}{
 		{"mutexed/2pl-woundwait", func() Scheduler { return NewMutexed(NewStrict2PL(lockmgr.WoundWait)) }},
 		{"mutexed/2pl-nowait", func() Scheduler { return NewMutexed(NewStrict2PL(lockmgr.NoWait)) }},
-		{"sharded4/2pl-detect", func() Scheduler {
-			return NewSharded(4, func() Scheduler { return NewStrict2PL(lockmgr.Detect) })
-		}},
+		{"mutexed/2pl-detect", func() Scheduler { return NewMutexed(NewStrict2PL(lockmgr.Detect)) }},
 		{"2pl-sharded4/woundwait", func() Scheduler { return NewConcurrentStrict2PL(lockmgr.WoundWait, 4) }},
 		{"2pl-sharded4/nowait", func() Scheduler { return NewConcurrentStrict2PL(lockmgr.NoWait, 4) }},
 		{"2pl-sharded1/waitdie", func() Scheduler { return NewConcurrentStrict2PL(lockmgr.WaitDie, 1) }},
@@ -127,35 +125,5 @@ func TestTryBatchMatchesSequentialTry(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestShardedNameStable: the combinator's name is fixed at construction
-// (regression for the unsynchronized lazy Name write) and stays identical
-// before Begin, after Begin, and under concurrent readers.
-func TestShardedNameStable(t *testing.T) {
-	s := NewSharded(4, func() Scheduler { return NewStrict2PL(lockmgr.WoundWait) })
-	want := "sharded(4)/strict-2pl/wound-wait"
-	if got := s.Name(); got != want {
-		t.Fatalf("Name before Begin = %q, want %q", got, want)
-	}
-	s.Begin(workload.Banking())
-	if got := s.Name(); got != want {
-		t.Fatalf("Name after Begin = %q, want %q", got, want)
-	}
-	doneCh := make(chan struct{})
-	for i := 0; i < 4; i++ {
-		go func() {
-			defer func() { doneCh <- struct{}{} }()
-			for j := 0; j < 1000; j++ {
-				if s.Name() != want {
-					t.Errorf("Name changed under concurrency")
-					return
-				}
-			}
-		}()
-	}
-	for i := 0; i < 4; i++ {
-		<-doneCh
 	}
 }

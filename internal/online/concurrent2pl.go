@@ -18,8 +18,8 @@ import (
 //
 // Two-phase locking composes across partitions — every conflict is decided
 // by the single shard owning its variable, and locks are held to commit —
-// so no ordering rail is needed: every complete execution is
-// conflict-serializable, exactly as with the monolithic table.
+// so no cross-shard ordering structure is needed: every complete execution
+// is conflict-serializable, exactly as with the monolithic table.
 type ConcurrentStrict2PL struct {
 	policy lockmgr.Policy
 	shards int

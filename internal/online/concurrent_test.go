@@ -2,19 +2,17 @@ package online
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 
-	"optcc/internal/conflict"
 	"optcc/internal/core"
 	"optcc/internal/lockmgr"
 	"optcc/internal/schedule"
 	"optcc/internal/workload"
 )
 
-// wrapperCases pairs each single-threaded scheduler with a factory the
-// Sharded combinator can instantiate per shard.
+// wrapperCases pairs each single-threaded scheduler with a factory, so a
+// test can build an unwrapped twin next to the Mutexed one.
 func wrapperCases() []struct {
 	name    string
 	factory func() Scheduler
@@ -38,8 +36,8 @@ func wrapperCases() []struct {
 }
 
 // singleShardSystems are systems whose variables all hash to one shard for
-// any shard count (single-variable systems), where the ordering rail is
-// inert and the sharded wrapper must realize exactly the original fixpoint.
+// any shard count (single-variable systems): the hot-variable end of the
+// native schedulers' decision-equivalence enumerations.
 func singleShardSystems() []*core.System {
 	hotspot := (&core.System{
 		Name: "hotspot3",
@@ -52,45 +50,8 @@ func singleShardSystems() []*core.System {
 	return []*core.System{workload.Figure1(), workload.LostUpdate(), hotspot}
 }
 
-// TestShardedReplayEquivalence is the acceptance property of the Sharded
-// combinator: on single-shard systems each wrapper accepts exactly the
-// histories its single-threaded original accepts (fixpoint equality),
-// history by history over the full enumeration.
-func TestShardedReplayEquivalence(t *testing.T) {
-	for _, sys := range singleShardSystems() {
-		for _, tc := range wrapperCases() {
-			base := tc.factory()
-			sharded := NewSharded(4, tc.factory)
-			var checked, members int
-			schedule.Enumerate(sys.Format(), func(h core.Schedule) bool {
-				bres, berr := Replay(sys, base, h, 0)
-				sres, serr := Replay(sys, sharded, h, 0)
-				if (berr == nil) != (serr == nil) {
-					t.Fatalf("%s on %s: completion mismatch on %v: base err %v, sharded err %v",
-						tc.name, sys.Name, h, berr, serr)
-				}
-				if berr != nil {
-					return true
-				}
-				if bres.Undelayed != sres.Undelayed {
-					t.Fatalf("%s on %s: fixpoint mismatch on %v: base %v, sharded %v",
-						tc.name, sys.Name, h, bres.Undelayed, sres.Undelayed)
-				}
-				checked++
-				if bres.Undelayed {
-					members++
-				}
-				return true
-			})
-			if checked == 0 {
-				t.Fatalf("%s on %s: no histories compared", tc.name, sys.Name)
-			}
-		}
-	}
-}
-
 // TestMutexedReplayEquivalence: the mutexed baseline is transparent on any
-// system (one shard, no rail).
+// system (one shard, one mutex, the inner scheduler's decisions verbatim).
 func TestMutexedReplayEquivalence(t *testing.T) {
 	for _, sys := range []*core.System{workload.Cross(), workload.Chain(), workload.Banking()} {
 		for _, tc := range wrapperCases() {
@@ -139,49 +100,15 @@ func TestConcurrent2PLReplayEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedMultiShardSerializable: on systems spanning several shards the
-// ordering rail must keep every completed replay conflict-serializable,
-// whatever the wrapped scheduler.
-func TestShardedMultiShardSerializable(t *testing.T) {
-	systems := []*core.System{workload.Cross(), workload.Chain(), workload.Banking(), workload.PathWorkload(3, 4, 11)}
-	for _, sys := range systems {
-		for _, tc := range wrapperCases() {
-			sched := NewSharded(4, tc.factory)
-			rng := rand.New(rand.NewSource(7))
-			completed := 0
-			for trial := 0; trial < 20; trial++ {
-				h := schedule.Random(sys.Format(), rng)
-				res, err := Replay(sys, sched, h, 50)
-				if err != nil {
-					// Abort storms can livelock the replay harness (no-wait
-					// does so even unsharded); what matters here is that
-					// whatever completes is serializable.
-					continue
-				}
-				completed++
-				final := res.FinalSchedule(sys)
-				csr, _, err := conflict.Serializable(sys, final)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !csr {
-					t.Fatalf("%s on %s: non-serializable final schedule %v from %v", tc.name, sys.Name, final, h)
-				}
-			}
-			if completed == 0 {
-				t.Fatalf("%s on %s: no trial completed", tc.name, sys.Name)
-			}
-		}
-	}
-}
-
-// TestShardedRoutingAndNames covers the partition plumbing.
+// TestShardedRoutingAndNames covers the partition plumbing of the two ends
+// of the ConcurrentScheduler contract: a natively sharded scheduler spreads
+// variables over its shards, Mutexed is one shard.
 func TestShardedRoutingAndNames(t *testing.T) {
-	s := NewSharded(8, func() Scheduler { return NewSerial() })
+	s := NewConcurrentStrict2PL(lockmgr.WoundWait, 8)
 	if s.NumShards() != 8 {
 		t.Fatalf("NumShards = %d", s.NumShards())
 	}
-	if got := s.Name(); got != "sharded(8)/serial" {
+	if got := s.Name(); got != "2pl-sharded(8)/wound-wait" {
 		t.Fatalf("Name = %q", got)
 	}
 	seen := map[int]bool{}

@@ -62,12 +62,12 @@ type wsEntry struct {
 //
 // Read-only transactions never reach the scheduler at all: ConcurrentMV
 // implements SnapshotSource, and the runtime serves them from a pinned
-// storage snapshot (storage.SnapshotBackend) with zero locks, zero rail
-// traffic and zero shard-mutex acquisitions. Write claims are held to
-// commit, so writes execute strictly (no transaction overwrites or — via
-// the read rule — reads an uncommitted value), which is what makes the
-// committed write-set state equal the serial replay of the committed
-// schedule (E12's self-check).
+// storage snapshot (storage.SnapshotBackend) with zero locks and zero
+// shard-latch acquisitions. Write claims are held to commit, so writes
+// execute strictly (no transaction overwrites or — via the read rule —
+// reads an uncommitted value), which is what makes the committed write-set
+// state equal the serial replay of the committed schedule (E12's
+// self-check).
 type ConcurrentMV struct {
 	base
 	shards int

@@ -70,10 +70,9 @@ func (st *coccTx) lookup(v core.Var) *coccAccess {
 
 // ConcurrentOCC is natively concurrent optimistic concurrency control:
 // Kung–Robinson-style backward validation rebuilt for the sharded runtime
-// with no global critical section. Where Sharded(OCC) serializes each
-// shard's validation behind a shard mutex plus the cross-shard rail,
-// ConcurrentOCC validates lock-free against three epoch-published
-// structures:
+// with no global critical section. Where Mutexed(OCC) serializes every
+// validation behind one mutex, ConcurrentOCC validates lock-free against
+// three epoch-published structures:
 //
 //   - commits, an internal/tstable timestamp table whose per-variable
 //     write stamp is raised (CAS max-loop) to the committing transaction's

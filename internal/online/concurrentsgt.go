@@ -7,12 +7,12 @@ import (
 	"optcc/internal/core"
 )
 
-// containsNode is slices.Contains for railNode lists without the generic
+// containsNode is slices.Contains for sgtNode lists without the generic
 // instantiation (the hotpath analyzer models type-parameter arguments as
 // interface conversions).
 //
 //optcc:hotpath
-func containsNode(list []railNode, n railNode) bool {
+func containsNode(list []sgtNode, n sgtNode) bool {
 	for _, x := range list {
 		if x == n {
 			return true
@@ -23,9 +23,9 @@ func containsNode(list []railNode, n railNode) bool {
 
 // ConcurrentSGT is natively concurrent serialization graph testing: the
 // SGT scheduler rebuilt for the sharded runtime on a finely striped graph.
-// Where Sharded(SGT) runs one single-threaded SGT per shard behind a shard
-// mutex plus the cross-shard ordering rail, ConcurrentSGT keeps one graph
-// for the whole run, partitioned by connectivity instead of by variable:
+// Where Mutexed(SGT) runs the single-threaded SGT behind one mutex,
+// ConcurrentSGT keeps one graph for the whole run, partitioned by
+// connectivity instead of by variable:
 //
 //   - Conflicts are discovered through per-variable marks (internal/online
 //     marks.go): each variable's entry lists the live incarnations that
@@ -109,7 +109,7 @@ func (s *ConcurrentSGT) Begin(sys *core.System) {
 // of the list.
 //
 //optcc:hotpath
-func (s *ConcurrentSGT) collect(list []railNode, me railNode, src []railNode) ([]railNode, []railNode) {
+func (s *ConcurrentSGT) collect(list []sgtNode, me sgtNode, src []sgtNode) ([]sgtNode, []sgtNode) {
 	kept := list[:0]
 	for _, n := range list {
 		if !s.graph.alive(n) {
@@ -130,7 +130,7 @@ func (s *ConcurrentSGT) collect(list []railNode, me railNode, src []railNode) ([
 // variable's shard latch.
 //
 //optcc:hotpath
-func (s *ConcurrentSGT) record(list []railNode, me railNode) []railNode {
+func (s *ConcurrentSGT) record(list []sgtNode, me sgtNode) []sgtNode {
 	if containsNode(list, me) {
 		return list
 	}

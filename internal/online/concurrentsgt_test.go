@@ -143,12 +143,15 @@ func TestConcurrentSGTParallelDrive(t *testing.T) {
 
 // TestConcurrentSGTReplaySerializable re-runs the CSR acceptance property
 // on contended random histories through the replay harness, both cycle
-// modes, across shard counts: whatever the striped graph completes must be
-// conflict-serializable.
+// modes, across shard counts — the graph is striped as widely as the
+// scheduler is sharded, so the sweep covers the single-mutex degenerate
+// (1), fewer stripes than components and more stripes than transactions:
+// whatever the striped graph completes must be conflict-serializable. The
+// CI stress job repeats this under -race.
 func TestConcurrentSGTReplaySerializable(t *testing.T) {
 	systems := []*core.System{workload.Cross(), workload.Banking(), workload.CrossPairs(3)}
 	for _, abort := range []bool{false, true} {
-		for _, shards := range []int{1, 4} {
+		for _, shards := range []int{1, 4, 16} {
 			var sched Scheduler = NewConcurrentSGT(shards)
 			if abort {
 				sched = NewConcurrentSGTAborting(shards)

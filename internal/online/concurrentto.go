@@ -11,13 +11,14 @@ import (
 
 // ConcurrentTO is natively concurrent timestamp ordering: the TO scheduler
 // rebuilt for the sharded runtime with a lock-free hot path. Where
-// Sharded(TO) runs one single-threaded TO per shard behind a shard mutex
-// plus the cross-shard ordering rail, ConcurrentTO needs neither — its
-// whole state is a sharded atomic timestamp table (internal/tstable,
-// partitioned on lockmgr.ShardOfVar) and an atomic transaction-timestamp
-// clock, so Try and TryBatch take no mutex on any path.
+// Mutexed(TO) runs the single-threaded TO behind one mutex, ConcurrentTO
+// needs none — its whole state is a sharded atomic timestamp table
+// (internal/tstable, partitioned on lockmgr.ShardOfVar) and an atomic
+// transaction-timestamp clock, so Try and TryBatch take no mutex on any
+// path.
 //
-// Why no rail: TO decides every conflict by the one total timestamp order.
+// Why no cross-shard ordering structure: TO decides every conflict by the
+// one total timestamp order.
 // A granted conflicting pair always executes in timestamp order per
 // variable, so every conflict-graph edge points from older to newer
 // timestamp and no cycle can form, whichever shards the variables live on.

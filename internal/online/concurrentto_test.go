@@ -2,14 +2,11 @@ package online
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 
-	"optcc/internal/conflict"
 	"optcc/internal/core"
-	"optcc/internal/lockmgr"
 	"optcc/internal/schedule"
 	"optcc/internal/workload"
 )
@@ -140,50 +137,4 @@ func TestConcurrentTOParallelDrive(t *testing.T) {
 		}(tx)
 	}
 	wg.Wait()
-}
-
-// TestShardedRailStripesSerializable re-runs the rail's acceptance
-// property across stripe counts (1 = the single-mutex degenerate, then
-// genuinely striped): whatever completes under the striped rail must be
-// conflict-serializable, for delay-based, abort-based and lock-based
-// wrapped schedulers alike. The CI stress job repeats this under -race.
-func TestShardedRailStripesSerializable(t *testing.T) {
-	factories := []struct {
-		name    string
-		factory func() Scheduler
-	}{
-		{"serial", func() Scheduler { return NewSerial() }},
-		{"strict-2pl/woundwait", func() Scheduler { return NewStrict2PL(lockmgr.WoundWait) }},
-		{"to/basic", func() Scheduler { return NewTO() }},
-	}
-	systems := []*core.System{workload.Cross(), workload.Banking(), workload.CrossPairs(3)}
-	for _, stripes := range []int{1, 2, 8} {
-		for _, sys := range systems {
-			for _, tc := range factories {
-				sched := NewShardedRail(4, stripes, tc.factory)
-				rng := rand.New(rand.NewSource(int64(stripes) * 131))
-				completed := 0
-				for trial := 0; trial < 12; trial++ {
-					h := schedule.Random(sys.Format(), rng)
-					res, err := Replay(sys, sched, h, 50)
-					if err != nil {
-						continue // abort storms may blow the restart budget; CSR is the property
-					}
-					completed++
-					final := res.FinalSchedule(sys)
-					csr, _, err := conflict.Serializable(sys, final)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !csr {
-						t.Fatalf("stripes=%d %s on %s: non-serializable final schedule %v from %v",
-							stripes, tc.name, sys.Name, final, h)
-					}
-				}
-				if completed == 0 {
-					t.Fatalf("stripes=%d %s on %s: no trial completed", stripes, tc.name, sys.Name)
-				}
-			}
-		}
-	}
 }

@@ -38,9 +38,9 @@ import (
 //     mark store precedes the peer's validation-epoch draw in the
 //     sequentially-consistent atomic order.
 type sgtEntry struct {
-	readers []railNode
-	writers []railNode
-	srcBuf  []railNode // source-collection scratch, reused across Trys
+	readers []sgtNode
+	writers []sgtNode
+	srcBuf  []sgtNode // source-collection scratch, reused across Trys
 }
 
 // sgtMarks is the sharded variable→sgtEntry table.

@@ -26,11 +26,13 @@
 //   - OCC: optimistic execution with backward validation at commit
 //     (Kung–Robinson style serial validation).
 //
-// The concurrent runtime's contract and combinators (ConcurrentScheduler,
-// Mutexed, Sharded with the striped cross-shard ordering rail) live in
-// concurrent.go/rail.go, with two natively concurrent schedulers:
-// ConcurrentStrict2PL (sharded lock table) and ConcurrentTO (lock-free
-// sharded atomic timestamp table).
+// The concurrent runtime's contract (ConcurrentScheduler) and Mutexed —
+// any scheduler above behind one mutex, one shard, exactly its fixpoint
+// set — live in concurrent.go. Each family's multi-shard form is its
+// native scheduler and nothing else: ConcurrentStrict2PL (sharded lock
+// table), ConcurrentTO and ConcurrentMV (lock-free sharded atomic
+// timestamp table), ConcurrentSGT (striped component graph) and
+// ConcurrentOCC (epoch-published validation).
 package online
 
 import (

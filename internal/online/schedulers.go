@@ -148,21 +148,6 @@ func (s *Strict2PL) Wounded() []int {
 	return w
 }
 
-// WaitsForTxs exposes the lock table's waits-for graph at transaction
-// granularity. The Sharded combinator merges the per-shard graphs into the
-// global view where cross-shard deadlock cycles live.
-func (s *Strict2PL) WaitsForTxs() map[int][]int {
-	out := map[int][]int{}
-	for w, blockers := range s.table.WaitsFor() {
-		bs := make([]int, 0, len(blockers))
-		for _, b := range blockers {
-			bs = append(bs, int(b))
-		}
-		out[int(w)] = bs
-	}
-	return out
-}
-
 // Conservative2PL predeclares each transaction's full lock set (from the
 // syntax) and acquires it atomically before the first step; transactions
 // never hold locks while waiting, so deadlock is impossible.

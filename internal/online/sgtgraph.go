@@ -7,13 +7,29 @@ import (
 	"sync/atomic"
 )
 
-// sgtGraph is the striped serialization graph behind ConcurrentSGT. It
-// reuses the component machinery proven in the striped rail (rail.go) —
-// union-find components under compMu, per-root subgraphs owned by lock
-// stripes, union-before-edge-visible, ascending stripe acquisition,
-// component-scoped DFS on visited-stamp scratch — but it is a scheduler's
-// graph, not a reservation rail, so three things differ:
+// sgtNode identifies a transaction incarnation in the serialization graph.
+type sgtNode struct {
+	tx, epoch int
+}
+
+// sgtGraph is the striped serialization graph behind ConcurrentSGT, and
+// the only owner of the component machinery in this package:
 //
+//   - The graph is partitioned into per-component subgraphs. A union-find
+//     component map (under compMu, whose critical sections are a few
+//     pointer chases) tracks which nodes can possibly be connected;
+//     subgraphs are keyed by component root and owned by the stripe the
+//     root hashes to, each stripe behind its own mutex.
+//   - An insert locks only the stripes owning the components it touches.
+//     If no source shares the requester's component, no path back to any
+//     source can exist — components are unioned before the edges become
+//     visible, so connectivity in the edge graph is always a subset of the
+//     component relation — and the edges go in with no cycle check;
+//     inserts on disjoint components proceed in parallel on different
+//     stripes. Only a same-component source forces the exact DFS, which
+//     runs inside that one component's subgraph under its single stripe.
+//   - The DFS and the prune sweep reuse per-stripe scratch (visited-stamp
+//     map, stack, in-degree map) instead of allocating per call.
 //   - Incarnation liveness lives inside the graph. state[tx] packs the
 //     transaction's current epoch and a retired bit (2e = epoch e live,
 //     2e+1 = retired): the per-variable mark lists ConcurrentSGT keeps are
@@ -23,42 +39,51 @@ import (
 //     locks — pruning a node requires its component root's stripe, which
 //     insert holds, so a source seen live under the locks stays live until
 //     they are released — and drops dead sources instead of edging to them.
-//   - There is no withdraw. ConcurrentSGT has no inner shard scheduler
-//     that could reject a step after the graph accepts it: a cycle is the
-//     decision (Delay or AbortTx), and a failed insert mutates nothing.
+//   - There is no withdraw: a cycle is the decision (Delay or AbortTx),
+//     and a failed insert mutates nothing.
 //   - Retirement is published under the stripe lock. prune flips the
 //     retired bit of every node it removes while still holding the
 //     component's stripe, so marks readers can never resurrect a pruned
 //     incarnation.
 //
-// The locking protocol is the rail's, in sgtGraph's own lock domain:
-// stripe mutexes in ascending index order, compMu strictly innermost
-// (never held while acquiring a stripe mutex). See the cclint lockorder
-// hierarchy (sgtStripe.mu rank 10, sgtGraph.compMu rank 20).
+// Locking protocol (deadlock-free by construction; the cclint lockorder
+// hierarchy checks it — sgtStripe.mu rank 10, sgtGraph.compMu rank 20):
+//
+//   - stripe mutexes are always acquired in ascending index order;
+//   - compMu nests strictly inside stripe mutexes (it is never held while
+//     acquiring one);
+//   - a component root can only be absorbed into another component by a
+//     thread holding the root's stripe mutex, so once a thread holds the
+//     stripes covering its roots (validated under compMu), those roots —
+//     and their subgraphs — are stable until it unlocks.
+//
+// Union-find entries are never deleted during a run: a retired node may
+// live on as a pure component label (splitting the map could break the
+// connectivity invariant), bounded by the run's incarnation count.
 type sgtGraph struct {
 	stripes []sgtStripe
 	state   []atomic.Int64 // per tx: epoch<<1, |1 when that incarnation retired
 
 	compMu sync.Mutex
-	parent map[railNode]railNode // union-find; missing entry = self root
+	parent map[sgtNode]sgtNode // union-find; missing entry = self root
 }
 
 // sgtStripe owns the subgraphs of the components whose roots hash to it,
 // plus the reusable scratch its DFS and prune sweeps run on.
 type sgtStripe struct {
 	mu   sync.Mutex
-	subs map[railNode]*sgtSub
+	subs map[sgtNode]*sgtSub
 
-	visited map[railNode]int // DFS visited-stamp scratch
+	visited map[sgtNode]int // DFS visited-stamp scratch
 	stamp   int
-	stack   []railNode
-	indeg   map[railNode]int // prune scratch
+	stack   []sgtNode
+	indeg   map[sgtNode]int // prune scratch
 }
 
 // sgtSub is one component's subgraph: its edges and committed nodes.
 type sgtSub struct {
-	edges     map[railNode]map[railNode]bool
-	committed map[railNode]bool
+	edges     map[sgtNode]map[sgtNode]bool
+	committed map[sgtNode]bool
 }
 
 func newSGTGraph(stripes, numTxs int) *sgtGraph {
@@ -68,12 +93,12 @@ func newSGTGraph(stripes, numTxs int) *sgtGraph {
 	g := &sgtGraph{
 		stripes: make([]sgtStripe, stripes),
 		state:   make([]atomic.Int64, numTxs),
-		parent:  map[railNode]railNode{},
+		parent:  map[sgtNode]sgtNode{},
 	}
 	for i := range g.stripes {
-		g.stripes[i].subs = map[railNode]*sgtSub{}
-		g.stripes[i].visited = map[railNode]int{}
-		g.stripes[i].indeg = map[railNode]int{}
+		g.stripes[i].subs = map[sgtNode]*sgtSub{}
+		g.stripes[i].visited = map[sgtNode]int{}
+		g.stripes[i].indeg = map[sgtNode]int{}
 	}
 	return g
 }
@@ -93,8 +118,8 @@ func (g *sgtGraph) reset() {
 // node returns the transaction's current incarnation.
 //
 //optcc:hotpath
-func (g *sgtGraph) node(tx int) railNode {
-	return railNode{tx: tx, epoch: int(g.state[tx].Load() >> 1)}
+func (g *sgtGraph) node(tx int) sgtNode {
+	return sgtNode{tx: tx, epoch: int(g.state[tx].Load() >> 1)}
 }
 
 // alive reports whether n is a live (not aborted, not pruned) incarnation.
@@ -102,19 +127,19 @@ func (g *sgtGraph) node(tx int) railNode {
 // insert), advisory otherwise (the marks compaction path).
 //
 //optcc:hotpath
-func (g *sgtGraph) alive(n railNode) bool {
+func (g *sgtGraph) alive(n sgtNode) bool {
 	return g.state[n.tx].Load() == int64(n.epoch)<<1
 }
 
 // stripeOf maps a component root to the stripe owning its subgraph.
-func (g *sgtGraph) stripeOf(n railNode) int {
+func (g *sgtGraph) stripeOf(n sgtNode) int {
 	h := uint32(n.tx)*2654435761 ^ uint32(n.epoch)*40503
 	return int(h % uint32(len(g.stripes)))
 }
 
 // find returns n's component root with path compression. Caller holds
 // compMu.
-func (g *sgtGraph) find(n railNode) railNode {
+func (g *sgtGraph) find(n sgtNode) sgtNode {
 	root := n
 	for {
 		p, ok := g.parent[root]
@@ -135,7 +160,7 @@ func (g *sgtGraph) find(n railNode) railNode {
 // root and stripe index. It retries when a concurrent union moves the root
 // to another stripe between the lookup and the lock; every retry consumes
 // a union, so the loop terminates. Caller unlocks stripes[stripe].mu.
-func (g *sgtGraph) lockComp(n railNode) (root railNode, stripe int) {
+func (g *sgtGraph) lockComp(n sgtNode) (root sgtNode, stripe int) {
 	for {
 		g.compMu.Lock()
 		root = g.find(n)
@@ -162,7 +187,7 @@ func (g *sgtGraph) lockComp(n railNode) (root railNode, stripe int) {
 // (exactly what the sequential SGT sees — a pruned or aborted incarnation
 // has no recorded steps left). Caller runs under the variable's shard
 // latch and holds no graph lock.
-func (g *sgtGraph) insert(me railNode, sources []railNode) bool {
+func (g *sgtGraph) insert(me sgtNode, sources []sgtNode) bool {
 	if len(sources) == 0 {
 		// No conflicting predecessors: no edges, no cycle, no locks.
 		return true
@@ -198,7 +223,7 @@ func (g *sgtGraph) insert(me railNode, sources []railNode) bool {
 		g.compMu.Lock()
 		meRoot := g.find(me)
 		valid := slices.Contains(locked, g.stripeOf(meRoot))
-		var live, srcRoots []railNode
+		var live, srcRoots []sgtNode
 		sameComp := false
 		if valid {
 			for _, src := range sources {
@@ -268,7 +293,7 @@ func (g *sgtGraph) insert(me railNode, sources []railNode) bool {
 			g.compMu.Unlock()
 		}
 		if sub == nil {
-			sub = &sgtSub{edges: map[railNode]map[railNode]bool{}, committed: map[railNode]bool{}}
+			sub = &sgtSub{edges: map[sgtNode]map[sgtNode]bool{}, committed: map[sgtNode]bool{}}
 			st.subs[meRoot] = sub
 		}
 		for _, root := range srcRoots {
@@ -292,7 +317,7 @@ func (g *sgtGraph) insert(me railNode, sources []railNode) bool {
 		for _, src := range live {
 			m := sub.edges[src]
 			if m == nil {
-				m = map[railNode]bool{}
+				m = map[sgtNode]bool{}
 				sub.edges[src] = m
 			}
 			m[me] = true
@@ -306,7 +331,7 @@ func (g *sgtGraph) insert(me railNode, sources []railNode) bool {
 
 // sameRoot reports whether n's component root is root. Called with the
 // root's stripe held, so the answer is stable.
-func (g *sgtGraph) sameRoot(n, root railNode) bool {
+func (g *sgtGraph) sameRoot(n, root sgtNode) bool {
 	g.compMu.Lock()
 	same := g.find(n) == root
 	g.compMu.Unlock()
@@ -318,7 +343,7 @@ func (g *sgtGraph) sameRoot(n, root railNode) bool {
 // steady-state path. Caller holds the stripe's mutex; targets aliases the
 // stripe's stack scratch, so the walk uses a local continuation index
 // rather than the shared stack slice.
-func (st *sgtStripe) reaches(sub *sgtSub, start railNode, targets []railNode) bool {
+func (st *sgtStripe) reaches(sub *sgtSub, start sgtNode, targets []sgtNode) bool {
 	if len(targets) == 0 {
 		return false
 	}
@@ -326,7 +351,7 @@ func (st *sgtStripe) reaches(sub *sgtSub, start railNode, targets []railNode) bo
 	if len(st.visited) > 4096 {
 		// Bound scratch growth across long runs; stamps make stale entries
 		// harmless, this only caps memory.
-		st.visited = make(map[railNode]int)
+		st.visited = make(map[sgtNode]int)
 	}
 	head := len(targets) // frontier lives after the targets in st.stack
 	st.stack = append(st.stack, start)

@@ -237,12 +237,7 @@ func (s *OCC) Try(id core.StepID) Decision {
 
 // Commit implements Scheduler. The commit point is the validating grant of
 // the transaction's last step (see Try), which already recorded the write
-// set and retired the transaction — on the instance that saw that step,
-// this reset is an idempotent no-op. Under the Sharded combinator other
-// shard instances see only their own steps of the transaction and never a
-// validating grant; for them Commit clears the per-transaction state (the
-// cross-shard ordering rail, not shard-local validation, is what keeps
-// multi-shard runs serializable).
+// set and retired the transaction, so this reset is an idempotent no-op.
 func (s *OCC) Commit(tx int) { s.reset(tx) }
 
 // Abort implements Scheduler.

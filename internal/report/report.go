@@ -42,21 +42,6 @@ func (t *Table) AddRow(cells ...any) {
 // Len returns the number of data rows.
 func (t *Table) Len() int { return len(t.rows) }
 
-// Headers returns a copy of the column headers (for machine-readable
-// renderings like ccbench -json).
-func (t *Table) Headers() []string {
-	return append([]string(nil), t.headers...)
-}
-
-// Rows returns a copy of the rendered data rows.
-func (t *Table) Rows() [][]string {
-	out := make([][]string, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = append([]string(nil), r...)
-	}
-	return out
-}
-
 // Render writes the table to w.
 func (t *Table) Render(w io.Writer) {
 	widths := make([]int, len(t.headers))

@@ -61,8 +61,8 @@ func kvRecycleBackend() storage.Backend {
 
 // snapshotBench measures the read-only snapshot fast path: every
 // transaction is all-Read, so the runtime serves each one from a pinned
-// multiversion-KV snapshot — no grants, no rail traffic, no shard
-// mutexes — and the warmed-up path must not allocate at all.
+// multiversion-KV snapshot — no grants, no shard latches — and the
+// warmed-up path must not allocate at all.
 func snapshotBench(b *testing.B) {
 	template := workload.ReadMostly(workload.ReadMostlyConfig{
 		Jobs: hotPathVars, Steps: 3, ReadFrac: 1, Vars: hotPathVars, HotVars: 1,

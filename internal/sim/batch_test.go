@@ -134,11 +134,12 @@ func (b *commitCountingBackend) Commit(tx int) {
 }
 
 // TestShardedNameDuringRun hammers Scheduler.Name concurrently with a full
-// sharded run: reporting a run while it is in flight must be race-free (the
-// name is fixed at construction — regression for the lazy Name write).
+// run on the sharded engine: reporting a run while it is in flight must be
+// race-free (Name reads nothing a decision writes — regression for a lazy
+// Name write).
 func TestShardedNameDuringRun(t *testing.T) {
 	scheds := []online.ConcurrentScheduler{
-		online.NewSharded(4, func() online.Scheduler { return online.NewStrict2PL(lockmgr.WoundWait) }),
+		online.NewMutexed(online.NewStrict2PL(lockmgr.WoundWait)),
 		online.NewConcurrentStrict2PL(lockmgr.WoundWait, 4),
 	}
 	inst := Instantiate(workload.Banking(), 8)

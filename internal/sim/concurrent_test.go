@@ -26,9 +26,8 @@ func concurrentSchedulers() []online.ConcurrentScheduler {
 		online.NewConcurrentStrict2PL(lockmgr.NoWait, 16),
 		online.NewMutexed(online.NewStrict2PL(lockmgr.WoundWait)),
 		online.NewMutexed(online.NewOCC()),
-		online.NewSharded(4, func() online.Scheduler { return online.NewSGTAborting() }),
-		online.NewSharded(4, func() online.Scheduler { return online.NewSerial() }),
-		online.NewSharded(4, func() online.Scheduler { return online.NewStrict2PL(lockmgr.WoundWait) }),
+		online.NewMutexed(online.NewSGTAborting()),
+		online.NewMutexed(online.NewSerial()),
 	}
 }
 

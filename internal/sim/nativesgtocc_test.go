@@ -44,36 +44,46 @@ func TestConcurrentSGTDisjointStateMatchesReplay(t *testing.T) {
 	}
 }
 
-// TestConcurrentSGTContendedSerializable: native SGT under real conflicts
-// (hotspot workload, many users), both cycle modes. Everything must
-// commit — delay mode leans on the parked-request kicks and the deadlock
-// breaker's Victim call, abort mode on restarts — and the committed
-// schedule must be conflict-serializable: the concurrent edge set equals
-// the sequential SGT's, so acyclicity of the striped graph is exactly CSR
-// of the committed log, exercised concurrently.
+// TestConcurrentSGTContendedSerializable: native SGT under real conflicts,
+// both cycle modes, on the hotspot workload (many users, one big
+// component) and on the pairwise-conflict multi-shard workload (many small
+// components that union and prune concurrently), at 1 graph stripe (the
+// single-mutex degenerate) and 4. Everything must commit — delay mode leans
+// on the parked-request kicks and the deadlock breaker's Victim call, abort
+// mode on restarts — and the committed schedule must be
+// conflict-serializable: the concurrent edge set equals the sequential
+// SGT's, so acyclicity of the striped graph is exactly CSR of the committed
+// log, exercised concurrently.
 func TestConcurrentSGTContendedSerializable(t *testing.T) {
-	const jobs = 24
-	template := workload.Random(workload.RandomConfig{
-		NumTxs: jobs, MinSteps: 3, MaxSteps: 3, NumVars: 6, Hotspot: 1}, 7)
-	for _, abort := range []bool{false, true} {
-		var sched online.Scheduler = online.NewConcurrentSGT(4)
-		if abort {
-			sched = online.NewConcurrentSGTAborting(4)
-		}
-		inst := Instantiate(template, jobs)
-		m, err := Run(Config{System: inst, Sched: sched, Users: 8, Seed: 11, MaxRestarts: 10000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Committed != jobs {
-			t.Fatalf("abort=%v: committed %d of %d", abort, m.Committed, jobs)
-		}
-		csr, _, err := conflict.Serializable(inst, m.Output)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !csr {
-			t.Fatalf("abort=%v: non-serializable committed schedule", abort)
+	templates := []*core.System{
+		workload.Random(workload.RandomConfig{
+			NumTxs: 24, MinSteps: 3, MaxSteps: 3, NumVars: 6, Hotspot: 1}, 7),
+		workload.CrossPairs(8),
+	}
+	for _, template := range templates {
+		jobs := template.NumTxs()
+		for _, shards := range []int{1, 4} {
+			for _, abort := range []bool{false, true} {
+				var sched online.Scheduler = online.NewConcurrentSGT(shards)
+				if abort {
+					sched = online.NewConcurrentSGTAborting(shards)
+				}
+				inst := Instantiate(template, jobs)
+				m, err := Run(Config{System: inst, Sched: sched, Users: 8, Seed: 11, MaxRestarts: 10000})
+				if err != nil {
+					t.Fatalf("%s on %s: %v", sched.Name(), template.Name, err)
+				}
+				if m.Committed != jobs {
+					t.Fatalf("%s on %s: committed %d of %d", sched.Name(), template.Name, m.Committed, jobs)
+				}
+				csr, _, err := conflict.Serializable(inst, m.Output)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !csr {
+					t.Fatalf("%s on %s: non-serializable committed schedule", sched.Name(), template.Name)
+				}
+			}
 		}
 	}
 }

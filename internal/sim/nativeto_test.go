@@ -1,8 +1,8 @@
 package sim
 
-// Coverage for the natively concurrent timestamp-ordering scheduler and
-// the striped ordering rail driven by the real dispatch runtime, plus the
-// adaptive batch sizer and the unified (lane-based) unbatched commit path.
+// Coverage for the natively concurrent timestamp-ordering scheduler driven
+// by the real dispatch runtime, plus the adaptive batch sizer and the
+// unified (lane-based) unbatched commit path.
 // CI runs this file under -race -count=5 in the concurrency stress job.
 
 import (
@@ -47,7 +47,7 @@ func TestConcurrentTODisjointStateMatchesReplay(t *testing.T) {
 // TestConcurrentTOContendedSerializable: native TO under real conflicts
 // (hotspot workload, many users) must still commit everything, and in
 // basic mode the committed schedule must be conflict-serializable — the
-// timestamp-order argument that replaces the rail, exercised concurrently.
+// timestamp-order composition argument, exercised concurrently.
 // Thomas mode is exempt from the CSR check by design: the Thomas write
 // rule grants an obsolete blind write as a no-op, which still appears in
 // the granted-step log, so the log's conflict graph may legitimately show
@@ -79,39 +79,6 @@ func TestConcurrentTOContendedSerializable(t *testing.T) {
 		}
 		if !csr {
 			t.Fatal("non-serializable committed schedule under basic timestamp ordering")
-		}
-	}
-}
-
-// TestStripedRailUnderDispatch: the Sharded combinator's striped rail
-// driven by the real concurrent runtime on the pairwise-conflict multi-shard
-// workload, across stripe counts (1 = single-mutex degenerate). Everything
-// must commit and the committed schedule must be conflict-serializable.
-func TestStripedRailUnderDispatch(t *testing.T) {
-	const pairs = 8
-	template := workload.CrossPairs(pairs)
-	jobs := template.NumTxs()
-	for _, stripes := range []int{1, 4} {
-		for _, mk := range []func() online.Scheduler{
-			func() online.Scheduler { return online.NewTO() },
-			func() online.Scheduler { return online.NewStrict2PL(lockmgr.WoundWait) },
-		} {
-			sched := online.NewShardedRail(4, stripes, mk)
-			inst := Instantiate(template, jobs)
-			m, err := Run(Config{System: inst, Sched: sched, Users: 8, Seed: 3, MaxRestarts: 10000})
-			if err != nil {
-				t.Fatalf("stripes=%d %s: %v", stripes, sched.Name(), err)
-			}
-			if m.Committed != jobs {
-				t.Fatalf("stripes=%d %s: committed %d of %d", stripes, sched.Name(), m.Committed, jobs)
-			}
-			csr, _, err := conflict.Serializable(inst, m.Output)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !csr {
-				t.Fatalf("stripes=%d %s: non-serializable committed schedule", stripes, sched.Name())
-			}
 		}
 	}
 }

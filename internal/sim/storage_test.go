@@ -38,15 +38,7 @@ func strictSchedulers() []struct {
 		{"central/2pl-conservative", func() online.Scheduler { return online.NewConservative2PL() }},
 		{"mutexed/2pl-woundwait", func() online.Scheduler { return online.NewMutexed(online.NewStrict2PL(lockmgr.WoundWait)) }},
 		{"mutexed/2pl-detect", func() online.Scheduler { return online.NewMutexed(online.NewStrict2PL(lockmgr.Detect)) }},
-		{"sharded4/serial", func() online.Scheduler {
-			return online.NewSharded(4, func() online.Scheduler { return online.NewSerial() })
-		}},
-		{"sharded4/2pl-woundwait", func() online.Scheduler {
-			return online.NewSharded(4, func() online.Scheduler { return online.NewStrict2PL(lockmgr.WoundWait) })
-		}},
-		{"sharded4/2pl-detect", func() online.Scheduler {
-			return online.NewSharded(4, func() online.Scheduler { return online.NewStrict2PL(lockmgr.Detect) })
-		}},
+		{"mutexed/serial", func() online.Scheduler { return online.NewMutexed(online.NewSerial()) }},
 		{"2pl-sharded1/woundwait", func() online.Scheduler { return online.NewConcurrentStrict2PL(lockmgr.WoundWait, 1) }},
 		{"2pl-sharded4/detect", func() online.Scheduler { return online.NewConcurrentStrict2PL(lockmgr.Detect, 4) }},
 		{"2pl-sharded4/waitdie", func() online.Scheduler { return online.NewConcurrentStrict2PL(lockmgr.WaitDie, 4) }},

@@ -218,12 +218,12 @@ func HotShardDisjoint(jobs, shards int) *core.System {
 
 // Disjoint returns jobs transactions that each update a private variable
 // `steps` times, with no shard forcing: the variables hash across every
-// shard of any partition, so the decisions spread over every latch while the lock
-// table, the timestamp table and the ordering rail see zero conflicts.
-// This is the workload where a scheduler's per-step overhead is the whole
-// cost — experiment E11 and BenchmarkNativeTOVsShardedTO use it to compare
-// the natively concurrent timestamp-ordering scheduler against the
-// Sharded(TO) combinator.
+// shard of any partition, so the decisions spread over every latch while
+// the lock table, the timestamp table and the serialization graph see zero
+// conflicts. This is the workload where a scheduler's per-step overhead is
+// the whole cost — experiments E11/E15 and BenchmarkNativeVsMutexed use it
+// to compare each natively concurrent scheduler against its sequential
+// original under Mutexed.
 func Disjoint(jobs, steps int) *core.System {
 	if steps < 1 {
 		steps = 1
@@ -245,11 +245,11 @@ func Disjoint(jobs, steps int) *core.System {
 // transactions of pair i each update a private variable, then the pair's
 // shared variable, then the private variable again. Every transaction
 // spans shards (the private and shared variables hash independently) and
-// conflicts only with its partner, so the ordering rail sees a steady
-// stream of multi-shard reservations forming many small two-node
-// components — the regime where rail striping pays and a single-mutex
-// rail serializes everything. BenchmarkRailStripes and the rail dispatch
-// tests use it.
+// conflicts only with its partner, so a conflict graph sees a steady
+// stream of edges forming many small two-node components — the regime
+// where sgtGraph's component striping pays and a single graph mutex would
+// serialize everything. ConcurrentSGT's and ConcurrentMV's serializability
+// tests and `ccsim -workload crosspairs` use it.
 func CrossPairs(pairs int) *core.System {
 	sys := &core.System{Name: fmt.Sprintf("crosspairs-%d", pairs)}
 	inc := func(l []core.Value) core.Value { return last(l) + 1 }

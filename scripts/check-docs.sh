@@ -51,26 +51,15 @@ if ! grep -q 'E10' internal/experiments/experiments.go; then
   fail=1
 fi
 
-# The native-TO / rail-striping surface must stay documented: experiment
-# E11, the cto scheduler and the -railstripes flag in both docs and in the
-# flag surfaces that expose them.
+# The native-TO surface must stay documented: experiment E11 and the cto
+# scheduler in both docs.
 for doc in README.md DESIGN.md; do
   if ! grep -q 'E11' "$doc"; then
     echo "check-docs: $doc does not document experiment E11"
     fail=1
   fi
-  if ! grep -qe '-railstripes' "$doc"; then
-    echo "check-docs: $doc does not document the -railstripes flag"
-    fail=1
-  fi
   if ! grep -q 'cto' "$doc"; then
     echo "check-docs: $doc does not document the cto scheduler"
-    fail=1
-  fi
-done
-for cmd in cmd/ccsim/main.go cmd/ccbench/main.go; do
-  if ! grep -q '"railstripes"' "$cmd"; then
-    echo "check-docs: $cmd lost its -railstripes flag"
     fail=1
   fi
 done
@@ -148,8 +137,8 @@ if ! grep -q 'Durability' DESIGN.md; then
 fi
 
 # The profiling / allocation-measurement surface must stay documented:
-# the ccbench profiling flags, the bench-diff workflow and the memory
-# discipline section that states the zero-allocation invariant.
+# the ccbench profiling flags and the memory discipline section that
+# states the zero-allocation invariant.
 for f in -cpuprofile -memprofile -allocstats; do
   if ! grep -qe "$f" README.md; then
     echo "check-docs: README.md does not document the ccbench $f flag"
@@ -164,16 +153,6 @@ for name in cpuprofile memprofile allocstats; do
 done
 if ! grep -q 'Memory discipline' DESIGN.md; then
   echo "check-docs: DESIGN.md lost its Memory discipline section"
-  fail=1
-fi
-for doc in README.md DESIGN.md; do
-  if ! grep -q 'bench-diff' "$doc"; then
-    echo "check-docs: $doc does not document the bench-diff workflow"
-    fail=1
-  fi
-done
-if ! grep -q 'bench-diff' Makefile; then
-  echo "check-docs: Makefile lost its bench-diff target"
   fail=1
 fi
 if ! grep -q 'noop' internal/storage/storage.go; then
@@ -277,6 +256,19 @@ if ! grep -q 'Native SGT and OCC' DESIGN.md; then
   echo "check-docs: DESIGN.md lost its Native SGT and OCC section"
   fail=1
 fi
+
+# Stale-name gate: the Sharded combinator with its ordering rail and the v1
+# measurement stack (BENCH_PR*.json, cmd/benchdiff, make bench-json) are
+# gone; nothing that documents or drives the current tree may name them.
+for f in README.md DESIGN.md doc.go cmd/*/main.go Makefile .claude/skills/verify/SKILL.md; do
+  [ -f "$f" ] || continue
+  for stale in 'railstripes' 'NewSharded(' 'Sharded combinator' 'ordering rail' 'benchdiff' 'bench-json' 'BENCH_PR'; do
+    if grep -qF -- "$stale" "$f"; then
+      echo "check-docs: $f still names the removed '$stale'"
+      fail=1
+    fi
+  done
+done
 
 if [ "$fail" -ne 0 ]; then
   echo "check-docs: FAIL"
