@@ -344,6 +344,29 @@ func BenchmarkKVBackendApplyStep(b *testing.B) {
 	}
 }
 
+// BenchmarkKVSnapshotRead measures the lock-free snapshot read alone — the
+// chain walk plus the full-payload checksum — per record size. bench/'s
+// storage.kv.snapshot_read_ns probe reads 256 B records only, so it cannot
+// show what record size costs.
+func BenchmarkKVSnapshotRead(b *testing.B) {
+	for _, size := range []int{256, 4096, 16384} {
+		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+			kv := storage.NewKV(storage.Config{Shards: 4, ValueSize: size})
+			kv.Reset(core.DB{"x": 7})
+			snap := kv.SnapshotAcquire(0)
+			defer kv.SnapshotRelease(0)
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := kv.SnapshotRead(0, "x", snap); got != 7 {
+					b.Fatalf("SnapshotRead = %d, want 7", got)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkDiskBackendCommit measures the durable commit hot path per
 // fsync policy: one single-write transaction per iteration (update record
 // + commit record appended to the WAL), with the fsync cost inline for

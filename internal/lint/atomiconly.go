@@ -26,10 +26,50 @@ import (
 // then flags any plain (non-atomic) read or write of those variables.
 // Initialization at the declaration and composite-literal keys are allowed
 // (construction happens-before sharing).
+//
+// It also rejects any use of the value returned by sync/atomic's Or/And
+// (atomic.OrUint32, atomic.Uint32.And, ...): go1.24.0 miscompiles those
+// calls when the old value is used (a clobbered register, which PR 16 hit
+// as a nil dereference), so the result must be discarded — use
+// atomic.Bool or a CAS loop when the old value matters.
 var Atomiconly = &analysis.Analyzer{
 	Name: "atomiconly",
-	Doc:  "flag plain accesses to fields that are elsewhere accessed via sync/atomic",
+	Doc:  "flag plain accesses to fields that are elsewhere accessed via sync/atomic, and uses of atomic Or/And results",
 	Run:  runAtomiconly,
+}
+
+// isAtomicOrAnd reports whether c calls sync/atomic's Or or And, in either
+// the function form (OrInt32, AndUint64, ...) or the method form on the
+// typed wrappers.
+func isAtomicOrAnd(info *types.Info, c *ast.CallExpr) bool {
+	fn, ok := calleeObject(info, c).(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+		return false
+	}
+	return strings.HasPrefix(fn.Name(), "Or") || strings.HasPrefix(fn.Name(), "And")
+}
+
+// checkOrAndResults flags every atomic Or/And call whose result is not
+// discarded — anything but a bare expression, go or defer statement.
+func checkOrAndResults(pass *analysis.Pass, f *ast.File) {
+	discarded := map[*ast.CallExpr]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.ExprStmt:
+			if c, ok := unparen(n.X).(*ast.CallExpr); ok {
+				discarded[c] = true
+			}
+		case *ast.GoStmt:
+			discarded[n.Call] = true
+		case *ast.DeferStmt:
+			discarded[n.Call] = true
+		case *ast.CallExpr:
+			if !discarded[n] && isAtomicOrAnd(pass.TypesInfo, n) {
+				pass.Reportf(n.Pos(), "result of atomic Or/And is used; go1.24.0 miscompiles this — discard it and use atomic.Bool or a CAS loop for the old value")
+			}
+		}
+		return true
+	})
 }
 
 // atomicCallTarget returns the *types.Var whose address is the pointer
@@ -88,6 +128,9 @@ func collectAtomicFields(p *loader.Package, sh *analysis.Shared) {
 }
 
 func runAtomiconly(pass *analysis.Pass) error {
+	for _, f := range pass.Files {
+		checkOrAndResults(pass, f)
+	}
 	if len(pass.Shared.AtomicFields) == 0 {
 		return nil
 	}

@@ -56,6 +56,7 @@ var hotpathAllowedFuncs = map[string]bool{
 	"runtime.Gosched": true,
 	"sort.Ints":       true, "sort.SearchInts": true, "sort.Search": true,
 	"slices.Contains": true, "slices.Index": true, "slices.Sort": true,
+	"encoding/binary.littleEndian.Uint64": true,
 }
 
 func runHotpath(pass *analysis.Pass) error {

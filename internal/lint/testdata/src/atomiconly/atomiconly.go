@@ -35,3 +35,19 @@ func readGlobalRacy() int64 {
 func (s *stats) readMisses() int64 {
 	return s.misses
 }
+
+// flags uses sync/atomic's Or/And, whose returned old value go1.24.0
+// miscompiles when it is used.
+type flags struct {
+	bits atomic.Uint32
+	raw  uint32
+}
+
+func (f *flags) setReportsOld(m uint32) bool {
+	return f.bits.Or(m)&m != 0 // want "result of atomic Or/And is used"
+}
+
+func (f *flags) clearReportsOld(m uint32) uint32 {
+	old := atomic.AndUint32(&f.raw, ^m) // want "result of atomic Or/And is used"
+	return old
+}

@@ -32,3 +32,22 @@ func (s *stats) bump() int64 {
 func newStats() *stats {
 	return &stats{hits: 0}
 }
+
+// flags uses sync/atomic's Or/And with the result discarded, the only form
+// the analyzer admits.
+type flags struct {
+	bits atomic.Uint32
+	raw  uint32
+}
+
+func (f *flags) set(m uint32) {
+	f.bits.Or(m)
+}
+
+func (f *flags) clear(m uint32) {
+	atomic.AndUint32(&f.raw, ^m)
+}
+
+func (f *flags) isSet(m uint32) bool {
+	return atomic.LoadUint32(&f.raw)&m != 0
+}

@@ -3,6 +3,7 @@
 package hotpathclean
 
 import (
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,6 +27,18 @@ func hash(v string, n int) int {
 		h *= 16777619
 	}
 	return int(h % uint32(n))
+}
+
+// fold XORs a buffer a word at a time through the allowlisted
+// binary.LittleEndian.Uint64.
+//
+//optcc:hotpath
+func fold(p []byte) uint64 {
+	var w uint64
+	for ; len(p) >= 8; p = p[8:] {
+		w ^= binary.LittleEndian.Uint64(p)
+	}
+	return w
 }
 
 //optcc:hotpath

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -413,16 +414,43 @@ func (kv *KV) chainOf(v core.Var, create bool) *chain {
 }
 
 // checksum is the XOR fold of a payload; recomputed on every read so a read
-// touches every byte, the way a real engine's page checksum does.
+// touches every byte, the way a real engine's page checksum does. It folds
+// a word at a time — four independent accumulators over 32-byte blocks,
+// then single words, then the word folded down to one byte and the 0–7
+// tail bytes XORed in — which equals the byte-at-a-time fold exactly (XOR
+// is associative and commutative; FuzzChecksum holds it to the reference).
 //
 //optcc:hotpath
 func checksum(p []byte) byte {
-	var s byte
-	for _, b := range p {
-		s ^= b
+	var a, b, c, d uint64
+	for ; len(p) >= 32; p = p[32:] {
+		a ^= binary.LittleEndian.Uint64(p)
+		b ^= binary.LittleEndian.Uint64(p[8:])
+		c ^= binary.LittleEndian.Uint64(p[16:])
+		d ^= binary.LittleEndian.Uint64(p[24:])
+	}
+	for ; len(p) >= 8; p = p[8:] {
+		a ^= binary.LittleEndian.Uint64(p)
+	}
+	w := a ^ b ^ c ^ d
+	w ^= w >> 32
+	w ^= w >> 16
+	w ^= w >> 8
+	s := byte(w)
+	for _, x := range p {
+		s ^= x
 	}
 	return s
 }
+
+// fillPeriod is one 256-byte period of the fresh-payload pattern byte(i),
+// copied in whole periods by newVersion.
+var fillPeriod = func() (f [256]byte) {
+	for i := range f {
+		f[i] = byte(i)
+	}
+	return f
+}()
 
 // newVersion builds an immutable version stamped begin=mark: prev's payload
 // is copied (or a fresh deterministic fill when prev is nil or resized),
@@ -437,8 +465,9 @@ func (kv *KV) newVersion(sh *kvShard, size int, scalar core.Value, prev *version
 	if prev != nil && len(prev.rec.Payload) == size {
 		copy(p, prev.rec.Payload)
 	} else {
-		for i := range p {
-			p[i] = byte(i)
+		// p[i] = byte(i): every period starts at a multiple of 256.
+		for n := 0; n < len(p); {
+			n += copy(p[n:], fillPeriod[:])
 		}
 	}
 	u := uint64(scalar)
@@ -566,6 +595,12 @@ func (kv *KV) Get(tx int, v core.Var) core.Value {
 // install race (concurrent writers — non-strict schedulers only) recycles
 // the speculative buffer and rebuilds against the new head.
 func (kv *KV) Put(tx int, v core.Var, scalar core.Value) {
+	kv.put(kv.ctxOf(tx), tx, v, scalar)
+}
+
+// put is Put for a caller already holding tx's context c (ApplyStep), so a
+// write step looks the context up once.
+func (kv *KV) put(c *txCtx, tx int, v core.Var, scalar core.Value) {
 	ch := kv.chainOf(v, true)
 	sh := kv.shard(v)
 	size := kv.sizeOf(v)
@@ -576,7 +611,6 @@ func (kv *KV) Put(tx int, v core.Var, scalar core.Value) {
 		if ch.head.CompareAndSwap(prev, ver) {
 			kv.writes.Add(1)
 			kv.bytesWritten.Add(int64(len(ver.rec.Payload)))
-			c := kv.ctxOf(tx)
 			c.undo = append(c.undo, undoRec{v: v, ver: ver, prev: prev})
 			return
 		}
@@ -617,7 +651,7 @@ func (kv *KV) ApplyStep(tx int, step core.Step) error {
 	if step.Fn == nil {
 		return fmt.Errorf("storage: step on %s has no interpretation", step.Var)
 	}
-	kv.Put(tx, step.Var, step.Fn(c.locals))
+	kv.put(c, tx, step.Var, step.Fn(c.locals))
 	return nil
 }
 
