@@ -50,7 +50,7 @@ func isAtomicOrAnd(info *types.Info, c *ast.CallExpr) bool {
 }
 
 // checkOrAndResults flags every atomic Or/And call whose result is not
-// discarded — anything but a bare expression, go or defer statement.
+// discarded — anything but a bare expression, `_ =`, go or defer statement.
 func checkOrAndResults(pass *analysis.Pass, f *ast.File) {
 	discarded := map[*ast.CallExpr]bool{}
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -58,6 +58,14 @@ func checkOrAndResults(pass *analysis.Pass, f *ast.File) {
 		case *ast.ExprStmt:
 			if c, ok := unparen(n.X).(*ast.CallExpr); ok {
 				discarded[c] = true
+			}
+		case *ast.AssignStmt:
+			if len(n.Lhs) == 1 && len(n.Rhs) == 1 {
+				id, ok := n.Lhs[0].(*ast.Ident)
+				c, isCall := unparen(n.Rhs[0]).(*ast.CallExpr)
+				if ok && isCall && id.Name == "_" {
+					discarded[c] = true
+				}
 			}
 		case *ast.GoStmt:
 			discarded[n.Call] = true

