@@ -1,16 +1,15 @@
 package optcc
 
 // One benchmark per experiment of DESIGN.md's index (theorems T1–T4,
-// figures F1–F5, measurements E1–E13), plus micro-benchmarks for the
-// substrates. Run with:
+// figures F1–F5, measurements E1–E15), plus per-layer micro-benchmarks.
+// End-to-end throughput is bench/'s job, not this file's. Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchmem
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"optcc/internal/conflict"
 	"optcc/internal/core"
@@ -27,95 +26,16 @@ import (
 	"optcc/internal/wsr"
 )
 
-func benchExperiment(b *testing.B, run func() (*experiments.Result, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if _, err := run(); err != nil {
-			b.Fatal(err)
-		}
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Registry {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-}
-
-// --- Theorems ---
-
-func BenchmarkTheorem1InformationBound(b *testing.B) {
-	benchExperiment(b, experiments.T1InformationBound)
-}
-
-func BenchmarkTheorem2SerialOptimal(b *testing.B) {
-	benchExperiment(b, experiments.T2SerialOptimal)
-}
-
-func BenchmarkTheorem3SerializationOptimal(b *testing.B) {
-	benchExperiment(b, experiments.T3SerializationOptimal)
-}
-
-func BenchmarkTheorem4WeakSerialization(b *testing.B) {
-	benchExperiment(b, experiments.T4WeakSerialization)
-}
-
-// --- Figures ---
-
-func BenchmarkFigure1WeaklySerializable(b *testing.B) {
-	benchExperiment(b, experiments.F1WeaklySerializableHistory)
-}
-
-func BenchmarkFigure2TwoPhaseTransform(b *testing.B) {
-	benchExperiment(b, experiments.F2TwoPhaseTransformation)
-}
-
-func BenchmarkFigure3DeadlockRegion(b *testing.B) {
-	benchExperiment(b, experiments.F3ProgressSpace)
-}
-
-func BenchmarkFigure4Homotopy(b *testing.B) {
-	benchExperiment(b, experiments.F4GeometryOfLocking)
-}
-
-func BenchmarkFigure5TwoPhasePrimeTransform(b *testing.B) {
-	benchExperiment(b, experiments.F5TwoPhasePrimeTransformation)
-}
-
-// --- Measurements ---
-
-func BenchmarkFixpointHierarchy(b *testing.B) {
-	benchExperiment(b, experiments.E1FixpointHierarchy)
-}
-
-func BenchmarkNoDelayProbability(b *testing.B) {
-	benchExperiment(b, experiments.E2NoDelayProbability)
-}
-
-func BenchmarkOnlineFixpoints(b *testing.B) {
-	benchExperiment(b, experiments.E3OnlineFixpoints)
-}
-
-func BenchmarkSimulatedWaitingSweep(b *testing.B) {
-	benchExperiment(b, experiments.E4Quick)
-}
-
-func BenchmarkPolicy2PLvs2PLPrime(b *testing.B) {
-	benchExperiment(b, experiments.E5PolicyComparison)
-}
-
-func BenchmarkTreeLocking(b *testing.B) {
-	benchExperiment(b, experiments.E6TreeLocking)
-}
-
-func BenchmarkDeadlockPolicies(b *testing.B) {
-	benchExperiment(b, experiments.E7DeadlockPolicies)
-}
-
-func BenchmarkStorageBackendSweep(b *testing.B) {
-	benchExperiment(b, experiments.E9Quick)
-}
-
-func BenchmarkBatchedDispatchSweep(b *testing.B) {
-	benchExperiment(b, experiments.E10Quick)
-}
-
-func BenchmarkDurableCommitSweep(b *testing.B) {
-	benchExperiment(b, experiments.E13Quick)
 }
 
 // --- Substrate micro-benchmarks ---
@@ -288,39 +208,6 @@ func BenchmarkSchedulerDecisionLatency(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedVsCentral is the scalability acceptance benchmark: the
-// same low-contention multi-user workload through the centralized
-// single-goroutine scheduler versus the sharded concurrent engine at 1, 4
-// and 16 shards. Sharded throughput should sit strictly above the central
-// baseline (and rise with shard count) because users only contend on the
-// decision latches and lock-table shards their steps touch.
-func BenchmarkShardedVsCentral(b *testing.B) {
-	const jobs = 64
-	template := workload.Random(workload.RandomConfig{
-		NumTxs: jobs, MinSteps: 3, MaxSteps: 3, NumVars: 8 * jobs}, 1979)
-	run := func(b *testing.B, mk func() online.Scheduler) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			inst := sim.Instantiate(template, jobs)
-			m, err := sim.Run(sim.Config{System: inst, Sched: mk(), Users: 16, Seed: int64(i)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if m.Committed != jobs {
-				b.Fatalf("committed %d of %d", m.Committed, jobs)
-			}
-		}
-	}
-	b.Run("central", func(b *testing.B) {
-		run(b, func() online.Scheduler { return online.NewStrict2PL(lockmgr.WoundWait) })
-	})
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("sharded-%d", shards), func(b *testing.B) {
-			run(b, func() online.Scheduler { return online.NewConcurrentStrict2PL(lockmgr.WoundWait, shards) })
-		})
-	}
-}
-
 // BenchmarkKVBackendApplyStep measures the storage hot path alone: apply an
 // update step (checksummed read + copy-on-write write) and commit, per
 // payload size.
@@ -393,159 +280,6 @@ func BenchmarkDiskBackendCommit(b *testing.B) {
 					if err := d.GroupSync(); err != nil {
 						b.Fatal(err)
 					}
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkBackendShardedVsCentral is BenchmarkShardedVsCentral with real
-// storage execution: the same low-contention workload, every granted step
-// reading and writing 1KB records through the KV backend.
-func BenchmarkBackendShardedVsCentral(b *testing.B) {
-	const jobs = 64
-	template := workload.Random(workload.RandomConfig{
-		NumTxs: jobs, MinSteps: 3, MaxSteps: 3, NumVars: 8 * jobs}, 1979)
-	run := func(b *testing.B, shards int, mk func() online.Scheduler) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			inst := sim.Instantiate(template, jobs)
-			be := storage.NewKV(storage.Config{Shards: shards, ValueSize: 1024})
-			m, err := sim.Run(sim.Config{System: inst, Sched: mk(), Backend: be, Users: 16, Seed: int64(i)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if m.Committed != jobs {
-				b.Fatalf("committed %d of %d", m.Committed, jobs)
-			}
-		}
-	}
-	b.Run("central", func(b *testing.B) {
-		run(b, 1, func() online.Scheduler { return online.NewStrict2PL(lockmgr.WoundWait) })
-	})
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("sharded-%d", shards), func(b *testing.B) {
-			run(b, shards, func() online.Scheduler { return online.NewConcurrentStrict2PL(lockmgr.WoundWait, shards) })
-		})
-	}
-}
-
-// BenchmarkBatchedVsUnbatched runs a hot-shard multi-user workload with
-// real storage through the concurrent runtime at Batch 1 and Batch 16. The
-// workload is the latch-contention flavor of hot shard
-// (workload.HotShardDisjoint): every request of 48 users is decided under
-// the one latch owning the variables, while the lock table sees no
-// conflicts. Since run-to-completion dispatch the concurrent runtime has no
-// intake queue — Batch only bounds the parked-retry chunk, and nothing
-// parks here — so the two sub-benchmarks are expected to agree within
-// noise; the pair is kept as the guard that Batch stays free on this path.
-// On the lock-contended hot shard (E10's first regime) run time is
-// dominated by waiting and restarts and the ordering is machine-noise
-// territory.
-func BenchmarkBatchedVsUnbatched(b *testing.B) {
-	const (
-		jobs   = 64
-		shards = 4
-		users  = 48
-	)
-	template := workload.HotShardDisjoint(jobs, shards)
-	run := func(b *testing.B, batch int) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			inst := sim.Instantiate(template, jobs)
-			be := storage.NewKV(storage.Config{Shards: shards, ValueSize: 256})
-			m, err := sim.Run(sim.Config{
-				System: inst, Sched: online.NewConcurrentStrict2PL(lockmgr.WoundWait, shards),
-				Backend: be, Users: users, Seed: int64(i), Batch: batch,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if m.Committed != jobs {
-				b.Fatalf("committed %d of %d", m.Committed, jobs)
-			}
-		}
-	}
-	b.Run("unbatched", func(b *testing.B) { run(b, 1) })
-	for _, batch := range []int{8, 32} {
-		b.Run(fmt.Sprintf("batched-%d", batch), func(b *testing.B) { run(b, batch) })
-	}
-}
-
-// BenchmarkNativeVsMutexed is the native-scheduler acceptance benchmark,
-// one family per leg: the disjoint multi-shard workload (per-transaction
-// private variables hashing across every shard, zero conflicts) through
-// the family's sequential scheduler under online.Mutexed — the paper's
-// object, one shard, every decision behind one mutex — versus its native
-// concurrent form (ConcurrentTO's lock-free timestamp-table lookup,
-// ConcurrentSGT's lock-free marks lookup with no graph lock on a
-// zero-conflict grant, ConcurrentOCC's atomic clock, copy-on-write writer
-// marks and commit-stamp table). The native form should sit at or above
-// the mutexed baseline from 2 shards up.
-func BenchmarkNativeVsMutexed(b *testing.B) {
-	const (
-		jobs  = 64
-		users = 16
-	)
-	template := workload.Disjoint(jobs, 3)
-	run := func(b *testing.B, mk func() online.Scheduler) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			inst := sim.Instantiate(template, jobs)
-			m, err := sim.Run(sim.Config{System: inst, Sched: mk(), Users: users, Seed: int64(i)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if m.Committed != jobs {
-				b.Fatalf("committed %d of %d", m.Committed, jobs)
-			}
-		}
-	}
-	for _, fam := range []struct {
-		seq, native string
-		mkSeq       func() online.Scheduler
-		mkNative    func(shards int) online.Scheduler
-	}{
-		{"to", "cto", func() online.Scheduler { return online.NewTO() },
-			func(n int) online.Scheduler { return online.NewConcurrentTO(n) }},
-		{"sgt", "csgt", func() online.Scheduler { return online.NewSGTAborting() },
-			func(n int) online.Scheduler { return online.NewConcurrentSGTAborting(n) }},
-		{"occ", "cocc", func() online.Scheduler { return online.NewOCC() },
-			func(n int) online.Scheduler { return online.NewConcurrentOCC(n) }},
-	} {
-		b.Run("mutexed-"+fam.seq, func(b *testing.B) {
-			run(b, func() online.Scheduler { return online.NewMutexed(fam.mkSeq()) })
-		})
-		for _, shards := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("native-%s-%d", fam.native, shards), func(b *testing.B) {
-				run(b, func() online.Scheduler { return fam.mkNative(shards) })
-			})
-		}
-	}
-}
-
-func BenchmarkSimThroughput(b *testing.B) {
-	for _, mk := range []func() online.Scheduler{
-		func() online.Scheduler { return online.NewStrict2PL(lockmgr.WoundWait) },
-		func() online.Scheduler { return online.NewSGTAborting() },
-		func() online.Scheduler { return online.NewOCC() },
-	} {
-		sched := mk()
-		b.Run(sched.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				inst := sim.Instantiate(workload.Banking(), 16)
-				m, err := sim.Run(sim.Config{
-					System:   inst,
-					Sched:    mk(),
-					Users:    4,
-					ExecTime: 10 * time.Microsecond,
-					Seed:     int64(i),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if m.Committed != 16 {
-					b.Fatalf("committed %d", m.Committed)
 				}
 			}
 		})

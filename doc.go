@@ -28,13 +28,14 @@
 //	                     executing granted steps against the storage backend
 //	internal/workload    canonical systems (banking, Figure 1, …), generators and
 //	                     payload sizers
-//	internal/experiments every experiment of DESIGN.md / EXPERIMENTS.md
+//	internal/experiments every experiment of DESIGN.md's index, each a fixed-scale
+//	                     self-checking run
 //
 // Binaries: cmd/ccbench (experiments), cmd/ccviz (figures), cmd/ccsim
 // (simulator). Runnable examples are under examples/.
 //
-// The benchmarks in bench_test.go regenerate every theorem, figure and
-// measurement table:
+// bench_test.go times each experiment and holds the per-layer
+// microbenchmarks; end-to-end numbers come from bench/:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchmem
 package optcc

@@ -1,226 +1,100 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
-// Each experiment must run green and produce non-empty output; the
-// in-experiment invariant checks (nesting, adversary coverage, strict
-// separations) are the real assertions.
+// engineCells lists, per engine cell, how many tables it renders, the
+// strings every table must carry — the rows of each scheduler or setting
+// the cell compares — the self-check label of each table in order, and a
+// headline its text must carry. The runners themselves make the checks and
+// fail on a violation; this pins that every cell still runs them at full
+// scale.
+var engineCells = map[string]struct {
+	want   []string
+	checks []string // self-check label per table
+	text   string
+}{
+	"E4":  {[]string{"serial", "strict-2pl/wound-wait", "sgt/abort", "occ/backward"}, []string{"all committed", "all committed", "all committed"}, ""},
+	"E7":  {[]string{"detect", "no-wait", "wait-die", "wound-wait"}, []string{"all committed"}, ""},
+	"E9":  {[]string{"central/strict-2pl", "2pl-sharded(1)", "2pl-sharded(8)"}, []string{"state==replay", "state==replay", "state==replay", "state==replay"}, ""},
+	"E11": {[]string{"mutexed/to/basic", "cto(1)", "cto(4)", "2pl-sharded(4)"}, []string{"state==replay", "schedule CSR"}, ""},
+	"E12": {[]string{"mv(", "2pl-sharded(", "cto(", "state==replay"}, []string{"schedule CSR", "schedule CSR", "schedule CSR"}, ""},
+	"E13": {[]string{"always", "group", "never"}, []string{"recovered==replay", "recovered==replay"}, "fsync=group"},
+	"E14": {[]string{"interval-B", "65536"}, []string{"recovered==replay"}, "smaller"},
+	"E15": {[]string{"mutexed/sgt/abort", "mutexed/occ/backward", "csgt(", "cocc(", "cto(", "2pl-sharded("}, []string{"state==replay", "schedule CSR"}, ""},
+}
+
+// Every registry entry runs at full scale, green, with non-empty output;
+// the in-experiment invariant checks (nesting, adversary coverage, strict
+// separations, replay and recovery) are the real assertions.
 func TestEveryExperimentRuns(t *testing.T) {
-	m, order := All()
-	if len(m) != len(order) {
-		t.Fatalf("All() returned %d runners for %d ordered ids", len(m), len(order))
+	for _, e := range Registry {
+		t.Run(e.ID, func(t *testing.T) {
+			r, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.ID != e.ID {
+				t.Errorf("returned result id %s", r.ID)
+			}
+			if out := r.String(); len(out) < 40 {
+				t.Errorf("output suspiciously small:\n%s", out)
+			}
+			cell, ok := engineCells[e.ID]
+			if !ok {
+				return
+			}
+			if len(r.Tables) != len(cell.checks) {
+				t.Fatalf("tables = %d, want %d", len(r.Tables), len(cell.checks))
+			}
+			for i, tbl := range r.Tables {
+				s := tbl.String()
+				for _, want := range append([]string{"self-check", cell.checks[i]}, cell.want...) {
+					if !strings.Contains(s, want) {
+						t.Errorf("table %d missing %q:\n%s", i, want, s)
+					}
+				}
+			}
+			if !strings.Contains(r.Text, cell.text) {
+				t.Errorf("text missing %q:\n%s", cell.text, r.Text)
+			}
+		})
 	}
-	for _, id := range order {
-		if id == "E4" || id == "E8" || id == "E9" || id == "E11" || id == "E12" || id == "E13" || id == "E15" {
-			continue // covered by the TestE*Quick variants to keep the suite fast
+}
+
+// The experiments with no timing columns render byte-identically on every
+// run: nothing in them may depend on map iteration or scheduling order.
+func TestRenderDeterministic(t *testing.T) {
+	for _, e := range Registry {
+		if !slices.Contains([]string{"T1", "T2", "T3", "T4", "F1", "F2", "F3", "F4", "F5", "E1", "E2", "E3", "E5"}, e.ID) {
+			continue
 		}
-		r, err := m[id]()
+		first, err := e.Run()
 		if err != nil {
-			t.Fatalf("%s: %v", id, err)
+			t.Fatalf("%s: %v", e.ID, err)
 		}
-		if r.ID != id {
-			t.Errorf("%s returned result id %s", id, r.ID)
+		second, err := e.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
 		}
-		out := r.String()
-		if len(out) < 40 {
-			t.Errorf("%s output suspiciously small:\n%s", id, out)
+		if a, b := first.String(), second.String(); a != b {
+			t.Errorf("%s renders differently on a second run:\n%s\n---\n%s", e.ID, a, b)
 		}
-		md := r.Markdown()
-		if !strings.HasPrefix(md, "## "+id) {
-			t.Errorf("%s markdown header wrong", id)
-		}
-	}
-}
-
-func TestE4Quick(t *testing.T) {
-	r, err := E4Quick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Tables) != 2 {
-		t.Errorf("E4 quick tables = %d", len(r.Tables))
-	}
-}
-
-func TestE8Quick(t *testing.T) {
-	r, err := E8Quick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Tables) != 2 {
-		t.Errorf("E8 quick tables = %d", len(r.Tables))
-	}
-	// Each table compares the central baseline with every sharded config.
-	for _, tbl := range r.Tables {
-		if got := strings.Count(tbl.String(), "2pl"); got < 3 {
-			t.Errorf("E8 table missing rows:\n%s", tbl.String())
-		}
-	}
-}
-
-func TestE9Quick(t *testing.T) {
-	r, err := E9Quick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Tables) != 2 {
-		t.Errorf("E9 quick tables = %d", len(r.Tables))
-	}
-	// Each table carries the central baseline plus the sharded configs; the
-	// runner itself asserts the committed-state-equals-replay invariant.
-	for _, tbl := range r.Tables {
-		if got := strings.Count(tbl.String(), "2pl"); got < 2 {
-			t.Errorf("E9 table missing rows:\n%s", tbl.String())
-		}
-	}
-}
-
-func TestE10Quick(t *testing.T) {
-	r, err := E10Quick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Tables) != 2 {
-		t.Errorf("E10 quick tables = %d", len(r.Tables))
-	}
-	// One row per batch size; the runner itself asserts all jobs committed
-	// and the committed-state-equals-replay invariant per batch size.
-	if got := len(r.Tables[0].String()); got == 0 {
-		t.Error("E10 table empty")
-	}
-}
-
-func TestE11Quick(t *testing.T) {
-	r, err := E11Quick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Tables) != 2 {
-		t.Errorf("E11 quick tables = %d", len(r.Tables))
-	}
-	// One Mutexed(TO) row per regime, then one native-TO and one 2PL row
-	// per shard count; the runner itself asserts the per-regime self-checks
-	// (state==replay on the disjoint regime, committed-schedule CSR on the
-	// skewed one).
-	for _, tbl := range r.Tables {
-		s := tbl.String()
-		for _, want := range []string{"cto(", "mutexed/to/basic", "2pl-sharded("} {
-			if !strings.Contains(s, want) {
-				t.Errorf("E11 table missing %q rows:\n%s", want, s)
-			}
-		}
-	}
-}
-
-func TestE15Quick(t *testing.T) {
-	r, err := E15Quick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Tables) != 2 {
-		t.Errorf("E15 quick tables = %d", len(r.Tables))
-	}
-	// One Mutexed(SGT) and one Mutexed(OCC) row per regime, then one
-	// native-SGT, native-OCC, native-TO and 2PL row per shard count; the
-	// runner itself asserts the per-regime self-checks (state==replay on
-	// the disjoint regime, committed-schedule CSR on the skewed one).
-	for _, tbl := range r.Tables {
-		s := tbl.String()
-		for _, want := range []string{"csgt(", "cocc(", "mutexed/sgt/abort", "mutexed/occ/backward", "cto(", "2pl-sharded("} {
-			if !strings.Contains(s, want) {
-				t.Errorf("E15 table missing %q rows:\n%s", want, s)
-			}
-		}
-	}
-}
-
-func TestE12Quick(t *testing.T) {
-	r, err := E12Quick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Tables) != 2 {
-		t.Errorf("E12 quick tables = %d", len(r.Tables))
-	}
-	// One mv, one 2PL and one cto row per read fraction; the runner itself
-	// asserts the per-scheduler self-checks (state==replay for mv and 2pl,
-	// committed-schedule CSR for cto). mv must actually have used the
-	// snapshot path.
-	for _, tbl := range r.Tables {
-		s := tbl.String()
-		for _, want := range []string{"mv(", "2pl-sharded(", "cto("} {
-			if !strings.Contains(s, want) {
-				t.Errorf("E12 table missing %q rows:\n%s", want, s)
-			}
-		}
-	}
-}
-
-func TestE13Quick(t *testing.T) {
-	r, err := E13Quick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One table per execution mode (eager 2PL, write-buffered cto); the
-	// runner itself asserts the per-cell durability self-check: live state
-	// == committed replay == state recovered by OpenDisk after Close.
-	if len(r.Tables) != 2 {
-		t.Errorf("E13 quick tables = %d", len(r.Tables))
-	}
-	for _, tbl := range r.Tables {
-		s := tbl.String()
-		for _, want := range []string{"always", "group", "recovered==replay"} {
-			if !strings.Contains(s, want) {
-				t.Errorf("E13 table missing %q rows:\n%s", want, s)
-			}
-		}
-	}
-	if !strings.Contains(r.Text, "fsync=group throughput") {
-		t.Errorf("E13 text missing amortization summary:\n%s", r.Text)
-	}
-}
-
-func TestE14Quick(t *testing.T) {
-	r, err := E14Quick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One table sweeping checkpoint interval × job volume; the runner
-	// asserts per cell that live state == replay == recovery, that the
-	// checkpointer stayed healthy, and that every checkpointed interval
-	// shrinks the on-disk footprint below the interval-0 control.
-	if len(r.Tables) != 1 {
-		t.Fatalf("E14 quick tables = %d", len(r.Tables))
-	}
-	s := r.Tables[0].String()
-	for _, want := range []string{"interval-B", "recovered==replay"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("E14 table missing %q:\n%s", want, s)
-		}
-	}
-	if !strings.Contains(r.Text, "smaller") {
-		t.Errorf("E14 text missing footprint headline:\n%s", r.Text)
-	}
-}
-
-func TestNewBackendUnknown(t *testing.T) {
-	if _, err := NewBackend("bogus", 1, 0); err == nil {
-		t.Error("unknown backend accepted")
 	}
 }
 
 func TestIDs(t *testing.T) {
-	ids := IDs()
-	if len(ids) != 24 {
-		t.Errorf("IDs = %v", ids)
+	want := []string{"T1", "T2", "T3", "T4", "F1", "F2", "F3", "F4", "F5",
+		"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E9", "E11", "E12", "E13", "E14", "E15"}
+	var ids []string
+	for _, e := range Registry {
+		ids = append(ids, e.ID)
 	}
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] >= ids[i] {
-			t.Error("IDs not sorted")
-		}
+	if !slices.Equal(ids, want) {
+		t.Errorf("registry ids = %v, want %v", ids, want)
 	}
 }
 

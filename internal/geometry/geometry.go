@@ -24,6 +24,7 @@ package geometry
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"optcc/internal/core"
@@ -115,7 +116,15 @@ func NewSpace(ls *locking.System, t1, t2 int) (*Space, error) {
 	}
 	spans1 := ls.LockSpans(t1)
 	spans2 := ls.LockSpans(t2)
-	for lv, ss1 := range spans1 {
+	// Blocks come out in lock-variable order, so renderings and the
+	// figures that print sp.Blocks are the same on every run.
+	lvs := make([]string, 0, len(spans1))
+	for lv := range spans1 {
+		lvs = append(lvs, lv)
+	}
+	sort.Strings(lvs)
+	for _, lv := range lvs {
+		ss1 := spans1[lv]
 		ss2, ok := spans2[lv]
 		if !ok {
 			continue

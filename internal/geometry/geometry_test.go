@@ -1,6 +1,7 @@
 package geometry
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -49,6 +50,29 @@ func TestSpaceConstruction(t *testing.T) {
 	for _, b := range sp.Blocks {
 		if b.X1 > b.X2 || b.Y1 > b.Y2 {
 			t.Errorf("degenerate block %v", b)
+		}
+	}
+}
+
+// Blocks are built in lock-variable order, not the LockSpans map's
+// iteration order, so every construction of the same space agrees.
+func TestBlocksDeterministic(t *testing.T) {
+	ls := figure3System(t)
+	var first []Block
+	for i := 0; i < 50; i++ {
+		sp, err := NewSpace(ls, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = sp.Blocks
+			if len(first) != 2 || first[0].LV != "X" || first[1].LV != "Y" {
+				t.Fatalf("blocks = %v, want X then Y", first)
+			}
+			continue
+		}
+		if !slices.Equal(sp.Blocks, first) {
+			t.Fatalf("build %d: blocks = %v, want %v", i, sp.Blocks, first)
 		}
 	}
 }

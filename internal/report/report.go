@@ -1,5 +1,5 @@
 // Package report provides the small output layer shared by cmd/ccbench,
-// the examples and EXPERIMENTS.md: aligned ASCII tables, streaming
+// the simulator and the examples: aligned ASCII tables, streaming
 // statistics (Welford mean/variance) and fixed-capacity histograms with
 // percentile queries.
 package report
@@ -80,24 +80,6 @@ func (t *Table) Render(w io.Writer) {
 func (t *Table) String() string {
 	var b strings.Builder
 	t.Render(&b)
-	return b.String()
-}
-
-// Markdown renders the table as a GitHub-flavored markdown table.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "### %s\n\n", t.Title)
-	}
-	fmt.Fprintf(&b, "| %s |\n", strings.Join(t.headers, " | "))
-	seps := make([]string, len(t.headers))
-	for i := range seps {
-		seps[i] = "---"
-	}
-	fmt.Fprintf(&b, "| %s |\n", strings.Join(seps, " | "))
-	for _, row := range t.rows {
-		fmt.Fprintf(&b, "| %s |\n", strings.Join(row, " | "))
-	}
 	return b.String()
 }
 

@@ -26,17 +26,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestTableMarkdown(t *testing.T) {
-	tb := NewTable("md", "a", "b")
-	tb.AddRow("x", "y")
-	md := tb.Markdown()
-	for _, want := range []string{"### md", "| a | b |", "| --- | --- |", "| x | y |"} {
-		if !strings.Contains(md, want) {
-			t.Errorf("markdown missing %q:\n%s", want, md)
-		}
-	}
-}
-
 func TestStats(t *testing.T) {
 	var s Stats
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {

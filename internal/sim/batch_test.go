@@ -22,8 +22,8 @@ import (
 
 // hotShardSystem is the batching sweet spot: every transaction hammers a
 // two-variable hot set, so nearly every decision lands on one or two shard
-// latches and requests park behind each other (workload.HotShard, shared with
-// experiment E10 and BenchmarkBatchedVsUnbatched).
+// latches and requests park behind each other (workload.HotShard, also
+// ccsim's -workload hotshard).
 func hotShardSystem() *core.System { return workload.HotShard() }
 
 // TestBatchedDispatchCompletes: every concurrent scheduler must drive all

@@ -177,7 +177,7 @@ func Chain() *core.System {
 // shape hammering a two-variable hot set (h, then k, then h again), so when
 // instantiated many times nearly every decision lands on the one or two
 // shards owning h and k and requests park behind each other's locks.
-// It is the workload of experiment E10 and BenchmarkBatchedVsUnbatched.
+// It is ccsim's -workload hotshard and the sim package's batch tests'.
 func HotShard() *core.System {
 	return (&core.System{
 		Name: "hotshard",

@@ -28,26 +28,16 @@ for doc in README.md DESIGN.md; do
   done
 done
 
-# The batching surface must stay documented: experiment E10 and the -batch
-# flag in both docs and in the flag surfaces that expose them.
+# The batching surface must stay documented: the ccsim -batch flag in both
+# docs and in ccsim.
 for doc in README.md DESIGN.md; do
-  if ! grep -q 'E10' "$doc"; then
-    echo "check-docs: $doc does not document experiment E10"
-    fail=1
-  fi
   if ! grep -qe '-batch' "$doc"; then
     echo "check-docs: $doc does not document the -batch flag"
     fail=1
   fi
 done
-for cmd in cmd/ccsim/main.go cmd/ccbench/main.go; do
-  if ! grep -q '"batch"' "$cmd"; then
-    echo "check-docs: $cmd lost its -batch flag"
-    fail=1
-  fi
-done
-if ! grep -q 'E10' internal/experiments/experiments.go; then
-  echo "check-docs: experiments registry lost E10"
+if ! grep -q '"batch"' cmd/ccsim/main.go; then
+  echo "check-docs: cmd/ccsim/main.go lost its -batch flag"
   fail=1
 fi
 
@@ -85,12 +75,10 @@ for doc in README.md DESIGN.md; do
     fail=1
   fi
 done
-for cmd in cmd/ccsim/main.go cmd/ccbench/main.go; do
-  if ! grep -q '"readfrac"' "$cmd"; then
-    echo "check-docs: $cmd lost its -readfrac flag"
-    fail=1
-  fi
-done
+if ! grep -q '"readfrac"' cmd/ccsim/main.go; then
+  echo "check-docs: cmd/ccsim/main.go lost its -readfrac flag"
+  fail=1
+fi
 if ! grep -q 'E12' internal/experiments/experiments.go; then
   echo "check-docs: experiments registry lost E12"
   fail=1
@@ -117,12 +105,10 @@ for doc in README.md DESIGN.md; do
     fail=1
   fi
 done
-for cmd in cmd/ccsim/main.go cmd/ccbench/main.go; do
-  if ! grep -q '"fsync"' "$cmd"; then
-    echo "check-docs: $cmd lost its -fsync flag"
-    fail=1
-  fi
-done
+if ! grep -q '"fsync"' cmd/ccsim/main.go; then
+  echo "check-docs: cmd/ccsim/main.go lost its -fsync flag"
+  fail=1
+fi
 if ! grep -q 'E13' internal/experiments/experiments.go; then
   echo "check-docs: experiments registry lost E13"
   fail=1
@@ -200,7 +186,7 @@ for a in lockorder hotpath recycle atomiconly gojoin; do
 done
 
 # The checkpointing surface must stay documented: experiment E14, the
-# -checkpoint flag on both binaries and DESIGN.md's Checkpointing section
+# ccsim -checkpoint flag and DESIGN.md's Checkpointing section
 # covering the marker protocol and segment retirement.
 for doc in README.md DESIGN.md; do
   if ! grep -q 'E14' "$doc"; then
@@ -212,12 +198,10 @@ for doc in README.md DESIGN.md; do
     fail=1
   fi
 done
-for cmd in cmd/ccsim/main.go cmd/ccbench/main.go; do
-  if ! grep -q '"checkpoint"' "$cmd"; then
-    echo "check-docs: $cmd lost its -checkpoint flag"
-    fail=1
-  fi
-done
+if ! grep -q '"checkpoint"' cmd/ccsim/main.go; then
+  echo "check-docs: cmd/ccsim/main.go lost its -checkpoint flag"
+  fail=1
+fi
 if ! grep -q 'E14' internal/experiments/experiments.go; then
   echo "check-docs: experiments registry lost E14"
   fail=1
@@ -257,12 +241,16 @@ if ! grep -q 'Native SGT and OCC' DESIGN.md; then
   fail=1
 fi
 
-# Stale-name gate: the Sharded combinator with its ordering rail and the v1
-# measurement stack (BENCH_PR*.json, cmd/benchdiff, make bench-json) are
-# gone; nothing that documents or drives the current tree may name them.
-for f in README.md DESIGN.md doc.go cmd/*/main.go Makefile .claude/skills/verify/SKILL.md; do
+# Stale-name gate: the Sharded combinator with its ordering rail, the v1
+# measurement stack (BENCH_PR*.json, cmd/benchdiff, make bench-json), the
+# experiment sweep knobs with their Quick twins, E8, E10, ccbench -md and
+# its EXPERIMENTS.md, and the end-to-end root benchmarks are gone; nothing
+# that documents or drives the current tree may name them.
+for f in README.md DESIGN.md doc.go cmd/*/main.go Makefile internal/report/report.go .claude/skills/verify/SKILL.md; do
   [ -f "$f" ] || continue
-  for stale in 'railstripes' 'NewSharded(' 'Sharded combinator' 'ordering rail' 'benchdiff' 'bench-json' 'BENCH_PR'; do
+  for stale in 'railstripes' 'NewSharded(' 'Sharded combinator' 'ordering rail' 'benchdiff' 'bench-json' 'BENCH_PR' \
+      'E8Config' 'E10Config' 'E8Quick' 'ccbench -md' 'EXPERIMENTS.md' '-exp E8' '-exp E10' \
+      'BenchmarkShardedVsCentral' 'BenchmarkNativeVsMutexed'; do
     if grep -qF -- "$stale" "$f"; then
       echo "check-docs: $f still names the removed '$stale'"
       fail=1
