@@ -23,7 +23,7 @@ var engineCells = map[string]struct {
 	"E11": {[]string{"mutexed/to/basic", "cto(1)", "cto(4)", "2pl-sharded(4)"}, []string{"state==replay", "schedule CSR"}, ""},
 	"E12": {[]string{"mv(", "2pl-sharded(", "cto(", "state==replay"}, []string{"schedule CSR", "schedule CSR", "schedule CSR"}, ""},
 	"E13": {[]string{"always", "group", "never"}, []string{"recovered==replay", "recovered==replay"}, "fsync=group"},
-	"E14": {[]string{"interval-B", "65536"}, []string{"recovered==replay"}, "smaller"},
+	"E14": {[]string{"interval-B", "4096", "8192"}, []string{"recovered==replay"}, "smaller"},
 	"E15": {[]string{"mutexed/sgt/abort", "mutexed/occ/backward", "csgt(", "cocc(", "cto(", "2pl-sharded("}, []string{"state==replay", "schedule CSR"}, ""},
 }
 

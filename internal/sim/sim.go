@@ -365,8 +365,9 @@ func Run(cfg Config) (*Metrics, error) {
 	reqCh := make(chan request)
 	// commitCh carries finished transactions back to the scheduler
 	// goroutine: the user goroutine executes the final step (and the
-	// backend commit) first, then the scheduler releases locks. Buffered so
-	// committing users never block on the scheduler.
+	// backend commit) first, then the scheduler releases locks. It has room
+	// for every transaction, so committing users never block on the
+	// scheduler.
 	commitCh := make(chan int, sys.NumTxs())
 	// failCh carries failed backend applies: the transaction aborts through
 	// the scheduler (rollback before lock release) and must not commit.

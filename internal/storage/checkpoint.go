@@ -8,23 +8,24 @@ package storage
 // to this log's record algebra:
 //
 //  1. Capture (fuzzy, under d.mu, O(table) copy — commits proceed the
-//     moment the mutex drops): copy the table, copy the undo chains of
-//     live eager transactions, and note the anchor — (segment aseq, byte
-//     offset aoff) of the active segment. Because every table mutation and
-//     its log append happen together under d.mu, the capture equals the
-//     replay of the log prefix [.., aseq:aoff) exactly; the chains make
-//     the snapshot self-sufficient even while transactions are in flight
-//     (a captured live transaction that later aborts, or never ends, is
-//     undone from the checkpoint's own chains — its update records may be
-//     behind the checkpoint and already retired).
-//  2. Write the checkpoint file ckpt-N.ckpt off-mutex with the established
-//     tmp → sync → rename protocol: a header marker record (anchor), one
-//     snapshot record (the table), one update record per live chain entry.
-//     Same framing and checksums as the WAL, so torn checkpoints are
-//     detected exactly like torn segments — and ignored by recovery.
-//  3. Append the checkpoint marker to the WAL and sync it durable. The
-//     marker is what recovery and the torture harness cross-check; nothing
-//     is unlinked before it is on disk.
+//     moment the mutex drops): copy the table and note the anchor —
+//     (segment aseq, byte offset aoff) of the active segment. Because every
+//     table mutation and its commit-record append happen together under
+//     d.mu, the capture equals the replay of the log prefix [.., aseq:aoff)
+//     exactly. Transactions in flight need nothing: their writes are still
+//     in their own buffers, in neither the table nor the log.
+//  2. Write the checkpoint file ckpt-N.ckpt with the established tmp →
+//     sync → rename protocol: a header marker record (anchor) and one
+//     snapshot record (the table). Same framing and checksums as the WAL,
+//     so torn checkpoints are detected exactly like torn segments — and
+//     ignored by recovery. The writes and the sync run off-mutex.
+//  3. Publish, under d.mu: re-check the generation, rename the file to its
+//     real name, append the checkpoint marker to the WAL and sync it
+//     durable. A Reset therefore either finds the file published (and
+//     removes it with the rest of the old log) or abandons the attempt
+//     before the file has its real name. The marker is what recovery and
+//     the torture harness cross-check; nothing is unlinked before it is on
+//     disk.
 //  4. Retire: close and unlink every sealed segment with seq < aseq (all
 //     of them are wholly behind the anchor), and GC superseded checkpoint
 //     files. Recovery (recovery.go) then starts from the newest complete
@@ -38,10 +39,10 @@ package storage
 // disables itself and surfaces CheckpointerOff, leaving commits correct
 // and fast (the log merely stops being retired) — a later Reset clears the
 // flag and respawns the loop (disk.go), so the flag never claims a
-// checkpointer that does not exist. A fault in step 3 is a
-// real log-append failure and poisons the store like any other append —
-// at which point the checkpointer (like GroupSync) observes the sticky
-// error and stops cleanly, performing no further unlinks.
+// checkpointer that does not exist. A fault in step 3's marker append or
+// sync is a real log-append failure and poisons the store like any other
+// append — at which point the checkpointer (like GroupSync) observes the
+// sticky error and stops cleanly, performing no further unlinks.
 
 import (
 	"errors"
@@ -189,31 +190,17 @@ func (d *Disk) checkpointOnce() error {
 	aoff := d.activeBytes
 	d.ckptSeq++
 	cseq := d.ckptSeq
-	table := make(map[core.Var]core.Value, len(d.table))
+	db := make(core.DB, len(d.table))
 	for v, val := range d.table {
-		table[v] = val
-	}
-	var liveTx []int
-	var liveChains [][]diskUndo
-	if !d.buffered {
-		// Live eager transactions have updates in the table (and possibly
-		// only in retired segments); their undo chains ride along so the
-		// checkpoint alone can revert them. Buffered transactions keep
-		// uncommitted writes out of both table and log — nothing to carry.
-		for tx, c := range d.ctx {
-			if len(c.undo) > 0 {
-				liveTx = append(liveTx, tx)
-				liveChains = append(liveChains, append([]diskUndo(nil), c.undo...))
-			}
-		}
+		db[v] = val
 	}
 	d.sinceCkpt = 0
 	d.mu.Unlock()
 
-	// Step 2: write the checkpoint file off-mutex, tmp → sync → rename.
-	// Separate frames per record keep the fault injector's granularity:
-	// every write is its own crash point. d.enc belongs to the append path
-	// (under mu); this uses its own encoder.
+	// Step 2: write the checkpoint file off-mutex, tmp → sync. Separate
+	// frames per record keep the fault injector's granularity: every write
+	// is its own crash point. d.enc belongs to the append path (under mu);
+	// this uses its own encoder.
 	var enc walEncoder
 	tmp := segPath(d.dir, ckptName(cseq)+ckptTmpExt)
 	f, err := d.fs.Create(tmp)
@@ -228,18 +215,7 @@ func (d *Disk) checkpointOnce() error {
 	}
 	werr := write(enc.encodeCkpt(cseq, aseq, aoff))
 	if werr == nil {
-		db := make(core.DB, len(table))
-		for v, val := range table {
-			db[v] = val
-		}
 		werr = write(enc.encodeSnapshot(db))
-	}
-	for i := 0; werr == nil && i < len(liveTx); i++ {
-		for _, u := range liveChains[i] {
-			if werr = write(enc.encodeUpdate(liveTx[i], u.v, u.old, table[u.v], u.existed)); werr != nil {
-				break
-			}
-		}
 	}
 	if werr == nil {
 		werr = f.Sync()
@@ -250,38 +226,46 @@ func (d *Disk) checkpointOnce() error {
 		return fmt.Errorf("storage: checkpoint write: %w", werr)
 	}
 	d.fsyncs.Add(1)
-	if err := d.fs.Rename(tmp, segPath(d.dir, ckptName(cseq))); err != nil {
-		return fmt.Errorf("storage: checkpoint rename: %w", err)
-	}
 
-	// Step 3: durable marker in the WAL. A failure here is a real append
-	// failure — appendLocked/syncLocked poison the store and the sticky
-	// error stops everything, this checkpoint included. A Reset since the
-	// capture (generation bump) abandons the checkpoint: its file refers
-	// to a discarded incarnation and must never gate that log's segments.
-	d.mu.Lock()
-	if d.err != nil {
-		err := d.err
-		d.mu.Unlock()
+	// Step 3: publish the file and append its durable marker; nothing is
+	// unlinked before the marker is on disk.
+	if err := d.publish(gen, tmp, cseq, aseq, aoff); err != nil {
 		return err
 	}
-	if d.ckptGen != gen {
-		d.mu.Unlock()
-		return errCkptSuperseded
-	}
-	if err := d.appendLocked(d.enc.encodeCkpt(cseq, aseq, aoff)); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	if err := d.syncLocked(); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	d.mu.Unlock()
 
 	// Step 4: retire. Only now — marker durably synced — may segments
 	// wholly behind the anchor disappear.
 	return d.retire(gen, aseq, cseq)
+}
+
+// publish is checkpoint step 3, one critical section under mu: rename the
+// synced tmp file to its real name, then append the marker and sync it. A
+// failed append or sync is a real log failure — appendLocked/syncLocked
+// poison the store and the sticky error stops everything, this checkpoint
+// included. A Reset since the capture (generation bump) abandons the
+// checkpoint unpublished: its file describes a discarded incarnation, so it
+// must never appear under a real name in the new log's directory, where
+// recovery could pick it. The tmp is dropped instead — Reset's sweep may
+// already have unlinked it, or it may have been created after the sweep.
+// Renaming under mu is also what keeps Reset's sweep (under mu too) from
+// listing a file that then vanishes before its unlink.
+func (d *Disk) publish(gen int64, tmp string, cseq, aseq int, aoff int64) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.err != nil {
+		return d.err
+	}
+	if d.ckptGen != gen {
+		d.fs.Remove(tmp) // best-effort, like retire's GC: the name is garbage either way
+		return errCkptSuperseded
+	}
+	if err := d.fs.Rename(tmp, segPath(d.dir, ckptName(cseq))); err != nil {
+		return fmt.Errorf("storage: checkpoint rename: %w", err)
+	}
+	if err := d.appendLocked(d.enc.encodeCkpt(cseq, aseq, aoff)); err != nil {
+		return err
+	}
+	return d.syncLocked()
 }
 
 // retire is checkpoint step 4: close and unlink every sealed segment wholly
@@ -296,8 +280,9 @@ func (d *Disk) checkpointOnce() error {
 // under the old incarnation's feet. syncMu additionally excludes an
 // in-flight GroupSync that may be fsyncing a captured handle that has since
 // rolled into sealed. Holding mu across unlinks stalls the commit path for
-// the duration of a few Removes, once per checkpoint — the one deliberate
-// exception to the "no I/O under mu" rule, bought for Reset/poison atomicity.
+// the duration of a few Removes, once per checkpoint — like publish's
+// rename, a deliberate exception to the "no I/O under mu" rule, bought for
+// Reset/poison atomicity.
 func (d *Disk) retire(gen int64, aseq, cseq int) error {
 	d.syncMu.Lock()
 	defer d.syncMu.Unlock()

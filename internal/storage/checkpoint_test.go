@@ -67,8 +67,8 @@ func runCkptTortureWorkload(d *Disk, sys *core.System) (synced []int) {
 // ckptTortureConfig: segments small enough that every checkpoint has
 // something to retire, no background loop (explicit checkpoints keep the
 // operation sequence deterministic for the injection sweep).
-func ckptTortureConfig(dir string, fs FS, buffered bool) Config {
-	return Config{Dir: dir, FS: fs, Fsync: FsyncAlways, Buffered: buffered, SegmentBytes: 192}
+func ckptTortureConfig(dir string, fs FS) Config {
+	return Config{Dir: dir, FS: fs, Fsync: FsyncAlways, SegmentBytes: 192}
 }
 
 // TestCheckpointCrashRecoveryEveryInjectionPoint is the exhaustive sweep
@@ -76,92 +76,82 @@ func ckptTortureConfig(dir string, fs FS, buffered bool) Config {
 // and the crash lands at EVERY countable operation in turn — including
 // the checkpoint file's writes and sync, its publishing rename, the WAL
 // marker append and sync, and each retirement unlink. Recovery must be
-// exact at all of them, in both execution modes.
+// exact at all of them. The sweep runs as subtest "buffered", the disk's
+// one execution mode.
 func TestCheckpointCrashRecoveryEveryInjectionPoint(t *testing.T) {
-	sys := tortureSystem(8)
-	for _, buffered := range []bool{false, true} {
-		mode := "eager"
-		if buffered {
-			mode = "buffered"
+	t.Run("buffered", func(t *testing.T) {
+		sys := tortureSystem(8)
+		// Fault-free run sizes the injection space.
+		efs := NewErrFS(OSFS{})
+		d, err := NewDisk(ckptTortureConfig(t.TempDir(), efs))
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(mode, func(t *testing.T) {
-			// Fault-free run sizes the injection space.
+		d.Reset(tortureInit)
+		if got := len(runCkptTortureWorkload(d, sys)); got != len(sys.Txs) {
+			t.Fatalf("fault-free run committed %d of %d", got, len(sys.Txs))
+		}
+		if ds := d.DurabilityStats(); ds.Checkpoints == 0 || ds.SegmentsRetired == 0 {
+			t.Fatalf("fault-free run exercised no retirement: %+v", ds)
+		}
+		d.Close()
+		total := efs.Ops()
+
+		for k := int64(1); k <= total; k++ {
+			dir := t.TempDir()
 			efs := NewErrFS(OSFS{})
-			d, err := NewDisk(ckptTortureConfig(t.TempDir(), efs, buffered))
+			d, err := NewDisk(ckptTortureConfig(dir, efs))
 			if err != nil {
 				t.Fatal(err)
 			}
+			efs.CrashAt(k)
 			d.Reset(tortureInit)
-			if got := len(runCkptTortureWorkload(d, sys)); got != len(sys.Txs) {
-				t.Fatalf("fault-free run committed %d of %d", got, len(sys.Txs))
-			}
-			if ds := d.DurabilityStats(); ds.Checkpoints == 0 || ds.SegmentsRetired == 0 {
-				t.Fatalf("fault-free run exercised no retirement: %+v", ds)
-			}
-			d.Close()
-			total := efs.Ops()
-
-			for k := int64(1); k <= total; k++ {
-				dir := t.TempDir()
-				efs := NewErrFS(OSFS{})
-				d, err := NewDisk(ckptTortureConfig(dir, efs, buffered))
-				if err != nil {
-					t.Fatal(err)
-				}
-				efs.CrashAt(k)
-				d.Reset(tortureInit)
-				synced := runCkptTortureWorkload(d, sys)
-				// No Close: the process "died". Recover from the real files.
-				dropLock(d)
-				checkRecovered(t, fmt.Sprintf("%s/ckpt-crash@%d", mode, k), dir, sys, synced)
-			}
-		})
-	}
+			synced := runCkptTortureWorkload(d, sys)
+			// No Close: the process "died". Recover from the real files.
+			dropLock(d)
+			checkRecovered(t, fmt.Sprintf("ckpt-crash@%d", k), dir, sys, synced)
+		}
+	})
 }
 
 // TestCheckpointTransientFaultSweep is the FailAt/ShortWriteAt analogue:
 // a one-shot fault anywhere in the checkpointed workload. Faults on the
 // log poison the store; faults on the checkpoint path merely fail that
-// checkpoint. Either way recovery must be exact.
+// checkpoint. Either way recovery must be exact. The sweep runs as
+// subtest "buffered", the disk's one execution mode.
 func TestCheckpointTransientFaultSweep(t *testing.T) {
-	sys := tortureSystem(8)
-	for _, buffered := range []bool{false, true} {
-		mode := "eager"
-		if buffered {
-			mode = "buffered"
+	t.Run("buffered", func(t *testing.T) {
+		sys := tortureSystem(8)
+		efs := NewErrFS(OSFS{})
+		d, err := NewDisk(ckptTortureConfig(t.TempDir(), efs))
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(mode, func(t *testing.T) {
-			efs := NewErrFS(OSFS{})
-			d, err := NewDisk(ckptTortureConfig(t.TempDir(), efs, buffered))
-			if err != nil {
-				t.Fatal(err)
-			}
-			d.Reset(tortureInit)
-			runCkptTortureWorkload(d, sys)
-			d.Close()
-			total := efs.Ops()
+		d.Reset(tortureInit)
+		runCkptTortureWorkload(d, sys)
+		d.Close()
+		total := efs.Ops()
 
-			for k := int64(1); k <= total; k += 3 { // sample a third of the space
-				for _, fault := range []string{"fail", "short"} {
-					dir := t.TempDir()
-					efs := NewErrFS(OSFS{})
-					d, err := NewDisk(ckptTortureConfig(dir, efs, buffered))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if fault == "fail" {
-						efs.FailAt(k)
-					} else {
-						efs.ShortWriteAt(k)
-					}
-					d.Reset(tortureInit)
-					synced := runCkptTortureWorkload(d, sys)
-					d.Close()
-					checkRecovered(t, fmt.Sprintf("%s/ckpt-%s@%d", mode, fault, k), dir, sys, synced)
+		for k := int64(1); k <= total; k += 3 { // sample a third of the space
+			for _, fault := range []string{"fail", "short"} {
+				dir := t.TempDir()
+				efs := NewErrFS(OSFS{})
+				d, err := NewDisk(ckptTortureConfig(dir, efs))
+				if err != nil {
+					t.Fatal(err)
 				}
+				if fault == "fail" {
+					efs.FailAt(k)
+				} else {
+					efs.ShortWriteAt(k)
+				}
+				d.Reset(tortureInit)
+				synced := runCkptTortureWorkload(d, sys)
+				d.Close()
+				checkRecovered(t, fmt.Sprintf("ckpt-%s@%d", fault, k), dir, sys, synced)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestCheckpointRetiresSegments pins the tentpole's visible effect: after
@@ -208,11 +198,12 @@ func TestCheckpointRetiresSegments(t *testing.T) {
 }
 
 // TestCheckpointLiveTransactions is the "fuzzy" in fuzzy checkpoint: a
-// checkpoint captured while an eager transaction is mid-flight must carry
-// its undo chain, because its update records may be retired with the
-// segments. Whatever the transaction then does — crash-never-ends, abort,
-// or commit — recovery must resolve it correctly from the checkpoint plus
-// the tail.
+// checkpoint captured while a transaction is mid-flight must leave that
+// transaction's buffered writes out of the snapshot — they are in neither
+// the table nor the log yet — and must not lose them either: they reach
+// the log only in the commit record, after the checkpoint's anchor.
+// Whatever the transaction then does — crash-never-ends, abort, or commit
+// — recovery must resolve it correctly from the checkpoint plus the tail.
 func TestCheckpointLiveTransactions(t *testing.T) {
 	for _, outcome := range []string{"crash", "abort", "commit"} {
 		t.Run(outcome, func(t *testing.T) {
@@ -225,8 +216,8 @@ func TestCheckpointLiveTransactions(t *testing.T) {
 			// Committed baseline the checkpoint must preserve.
 			applyTx(t, d, 1, []walWrite{{v: "x", val: 10}})
 			d.Commit(1)
-			// Transaction 2 is live across the checkpoint: two writes to y
-			// (a two-entry undo chain), nothing committed.
+			// Transaction 2 is live across the checkpoint: two buffered
+			// writes to y, nothing committed.
 			step := func(val core.Value) core.Step {
 				return core.Step{Var: "y", Kind: core.Write, Fn: func([]core.Value) core.Value { return val }}
 			}
@@ -383,6 +374,56 @@ func TestCheckpointBackgroundThreshold(t *testing.T) {
 	}
 }
 
+// TestCheckpointBaselineIsNotGrowth: the snapshot that opens a log —
+// Reset's initial database, or OpenDisk's compaction of the recovered
+// state — is what a checkpoint would copy, not log growth. After either,
+// however large the baseline, no checkpoint is requested until
+// CheckpointBytes of transaction traffic has been appended. The background
+// loop is stopped so that its kick channel can be observed directly.
+func TestCheckpointBaselineIsNotGrowth(t *testing.T) {
+	const thresh = 4096
+	big := core.DB{}
+	for i := 0; i < 1024; i++ {
+		big[core.Var(fmt.Sprintf("base%04d", i))] = core.Value(i)
+	}
+	// check runs on a store whose loop is already stopped (before the
+	// baseline was written, so no kick can have been consumed).
+	check := func(label string, d *Disk) {
+		t.Helper()
+		defer d.Close()
+		if len(d.ckptKick) != 0 {
+			t.Fatalf("%s: the baseline snapshot requested a checkpoint", label)
+		}
+		next := fillDisk(t, d, 0, thresh-64)
+		if len(d.ckptKick) != 0 {
+			t.Fatalf("%s: checkpoint requested before CheckpointBytes of traffic", label)
+		}
+		fillDisk(t, d, next, 64)
+		if len(d.ckptKick) == 0 {
+			t.Fatalf("%s: no checkpoint requested after CheckpointBytes of traffic", label)
+		}
+	}
+	dir := t.TempDir()
+	d, err := NewDisk(Config{Dir: dir, CheckpointBytes: thresh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.stopCheckpointer()
+	d.Reset(big)
+	if ds := d.DurabilityStats(); ds.WALBytes < thresh {
+		t.Fatalf("baseline snapshot is %dB, want >= CheckpointBytes %d", ds.WALBytes, thresh)
+	}
+	check("Reset", d)
+	// OpenDisk compacts the same large state into its opening snapshot
+	// without any append, so nothing can kick before the loop is stopped.
+	r, err := OpenDisk(Config{Dir: dir, CheckpointBytes: thresh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.stopCheckpointer()
+	check("OpenDisk", r)
+}
+
 // TestCheckpointTransientFaultRetry: the first checkpoint attempts fail
 // (checkpoint path only), the background loop retries with backoff, and a
 // later attempt lands. The store stays healthy throughout.
@@ -462,10 +503,14 @@ func TestPoisonedStoreNoUnlinks(t *testing.T) {
 	}
 	d.Reset(tortureInit)
 	synced := runTortureWorkload(d, sys)
-	efs.FailAt(efs.Ops() + 1) // poison the very next log write
 	step := core.Step{Var: "poison", Kind: core.Write, Fn: func([]core.Value) core.Value { return 1 }}
-	if err := d.ApplyStep(900, step); err == nil {
-		t.Fatal("armed fault did not fail the write")
+	if err := d.ApplyStep(900, step); err != nil {
+		t.Fatal(err)
+	}
+	efs.FailAt(efs.Ops() + 1) // poison the very next log write: the commit record
+	d.Commit(900)
+	if got := d.State()["poison"]; got != 0 {
+		t.Fatalf("armed fault did not fail the write: poison = %d after the failed commit", got)
 	}
 	sticky := d.Err()
 	if sticky == nil {
@@ -554,76 +599,171 @@ func TestCheckpointRecoveryBounded(t *testing.T) {
 	}
 }
 
-// postRenameFS invokes a one-shot hook immediately AFTER a successful
-// rename — the post-rename-pre-marker window, where a checkpoint file has
-// been published but its WAL marker has not. The superseded-by-Reset test
-// lands a full Reset in exactly that window, deterministically.
-type postRenameFS struct {
+// ckptHookFS runs one-shot hooks inside the checkpoint-file protocol:
+// onCreate just before a checkpoint file is created, onSync just after it
+// is synced — the last moment before the publishing rename — and onRename
+// just before that rename. Every other file passes straight through. The
+// hooks run on the checkpointing goroutine — the tests call Checkpoint
+// directly, with no background loop — which is what lets a test land a
+// Reset (or inspect the store) deterministically inside one window.
+type ckptHookFS struct {
 	FS
-	mu   sync.Mutex
-	hook func()
+	onCreate, onSync, onRename func()
 }
 
-func (p *postRenameFS) Rename(oldname, newname string) error {
-	err := p.FS.Rename(oldname, newname)
-	p.mu.Lock()
-	hook := p.hook
-	p.hook = nil
-	p.mu.Unlock()
-	if hook != nil {
-		hook()
+// take returns the hook in *slot and disarms it.
+func (h *ckptHookFS) take(slot *func()) func() {
+	hook := *slot
+	*slot = nil
+	if hook == nil {
+		return func() {}
 	}
+	return hook
+}
+
+func (h *ckptHookFS) Create(name string) (File, error) {
+	if !strings.HasPrefix(filepath.Base(name), ckptPrefix) {
+		return h.FS.Create(name)
+	}
+	h.take(&h.onCreate)()
+	f, err := h.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &ckptHookFile{File: f, h: h}, nil
+}
+
+func (h *ckptHookFS) Rename(oldname, newname string) error {
+	if strings.HasPrefix(filepath.Base(newname), ckptPrefix) {
+		h.take(&h.onRename)()
+	}
+	return h.FS.Rename(oldname, newname)
+}
+
+type ckptHookFile struct {
+	File
+	h *ckptHookFS
+}
+
+func (f *ckptHookFile) Sync() error {
+	err := f.File.Sync()
+	f.h.take(&f.h.onSync)()
 	return err
 }
 
-// TestCheckpointSupersededByReset pins the Reset-abandons-checkpoint
-// contract: a Reset landing after the checkpoint file is published but
-// before the marker must abandon the attempt — counted neither as a
-// completed checkpoint nor as a failure, since it published nothing usable
-// for the new incarnation's log — and the fresh incarnation's segments
-// must survive the dead generation's retirement untouched.
-func TestCheckpointSupersededByReset(t *testing.T) {
-	dir := t.TempDir()
-	pfs := &postRenameFS{FS: OSFS{}}
-	d, err := NewDisk(Config{Dir: dir, FS: pfs, Fsync: FsyncAlways, SegmentBytes: 256})
+// ckptFiles lists the checkpoint files (published or tmp) in dir.
+func ckptFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Reset(tortureInit)
-	fillDisk(t, d, 0, 4*1024) // several sealed segments to tempt retirement
-	pfs.mu.Lock()
-	pfs.hook = func() { d.Reset(tortureInit) }
-	pfs.mu.Unlock()
-	if err := d.Checkpoint(); err != nil {
-		t.Fatalf("superseded checkpoint must not report an error: %v", err)
+	var out []string
+	for _, e := range ents {
+		if strings.HasPrefix(e.Name(), ckptPrefix) {
+			out = append(out, e.Name())
+		}
 	}
-	ds := d.DurabilityStats()
-	if ds.Checkpoints != 0 {
-		t.Fatalf("superseded checkpoint counted as completed: %+v", ds)
+	return out
+}
+
+// TestCheckpointSupersededByReset pins the Reset-abandons-checkpoint
+// contract in both windows a Reset can land in: before the checkpoint file
+// exists (so it would be created inside the fresh incarnation's directory)
+// and after it is written and synced but before it is published. Either
+// way the attempt is abandoned — counted neither as a completed checkpoint
+// nor as a failure, since it published nothing usable for the new
+// incarnation's log — no checkpoint file of the dead generation survives
+// where recovery could pick it, and the fresh incarnation's segments
+// survive untouched.
+func TestCheckpointSupersededByReset(t *testing.T) {
+	for _, window := range []string{"before-create", "before-publish"} {
+		t.Run(window, func(t *testing.T) {
+			dir := t.TempDir()
+			hfs := &ckptHookFS{FS: OSFS{}}
+			d, err := NewDisk(Config{Dir: dir, FS: hfs, Fsync: FsyncAlways, SegmentBytes: 256})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Reset(tortureInit)
+			fillDisk(t, d, 0, 4*1024) // several sealed segments to tempt retirement
+			reset := func() { d.Reset(tortureInit) }
+			if window == "before-create" {
+				hfs.onCreate = reset
+			} else {
+				hfs.onSync = reset
+			}
+			if err := d.Checkpoint(); err != nil {
+				t.Fatalf("superseded checkpoint must not report an error: %v", err)
+			}
+			ds := d.DurabilityStats()
+			if ds.Checkpoints != 0 {
+				t.Fatalf("superseded checkpoint counted as completed: %+v", ds)
+			}
+			if ds.CheckpointFailures != 0 {
+				t.Fatalf("superseded checkpoint counted as failed: %+v", ds)
+			}
+			if ds.SegmentsRetired != 0 {
+				t.Fatalf("dead generation's checkpoint retired segments: %+v", ds)
+			}
+			if segs := listSegments(t, dir); len(segs) != 1 || filepath.Base(segs[0]) != segName(1) {
+				t.Fatalf("fresh incarnation's log damaged: segments %v, want [%s]", segs, segName(1))
+			}
+			if files := ckptFiles(t, dir); len(files) != 0 {
+				t.Fatalf("dead generation's checkpoint left %v in the fresh incarnation's directory", files)
+			}
+			if err := d.Err(); err != nil {
+				t.Fatalf("superseded checkpoint poisoned the store: %v", err)
+			}
+			// The new incarnation must still work end to end, with as much
+			// log as the dead one had: its segment numbers reach the dead
+			// checkpoint's anchor, so a stale checkpoint file would now be
+			// eligible for recovery.
+			fillDisk(t, d, 0, 4*1024)
+			live := d.State()
+			d.Close()
+			r, err := OpenDisk(Config{Dir: dir})
+			if err != nil {
+				t.Fatalf("recovery after superseded checkpoint: %v", err)
+			}
+			defer r.Close()
+			if !r.State().Equal(live) {
+				t.Fatalf("recovered state diverged after superseded checkpoint")
+			}
+		})
 	}
-	if ds.CheckpointFailures != 0 {
-		t.Fatalf("superseded checkpoint counted as failed: %+v", ds)
-	}
-	if ds.SegmentsRetired != 0 {
-		t.Fatalf("dead generation's checkpoint retired segments: %+v", ds)
-	}
-	if segs := listSegments(t, dir); len(segs) != 1 || filepath.Base(segs[0]) != segName(1) {
-		t.Fatalf("fresh incarnation's log damaged: segments %v, want [%s]", segs, segName(1))
-	}
-	if err := d.Err(); err != nil {
-		t.Fatalf("superseded checkpoint poisoned the store: %v", err)
-	}
-	// The new incarnation must still work end to end.
-	fillDisk(t, d, 0, 1024)
-	live := d.State()
-	d.Close()
-	r, err := OpenDisk(Config{Dir: dir})
+}
+
+// TestCheckpointPublishExcludesReset is the deterministic regression test
+// for TestCheckpointResetRace's rare poisoning. Reset sweeps the directory
+// under mu: it lists every file, then unlinks each one, and a failed unlink
+// poisons the store. A checkpoint that renamed its tmp file off-mutex could
+// land that rename between Reset's listing and its unlink of the tmp, and
+// the unlink failed with "no such file". The publishing rename therefore
+// runs with mu held, and this test checks exactly that at the moment of the
+// rename.
+func TestCheckpointPublishExcludesReset(t *testing.T) {
+	hfs := &ckptHookFS{FS: OSFS{}}
+	d, err := NewDisk(Config{Dir: t.TempDir(), FS: hfs, Fsync: FsyncNever, SegmentBytes: 128})
 	if err != nil {
-		t.Fatalf("recovery after superseded checkpoint: %v", err)
+		t.Fatal(err)
 	}
-	defer r.Close()
-	if !r.State().Equal(live) {
-		t.Fatalf("recovered state diverged after superseded checkpoint")
+	defer d.Close()
+	d.Reset(tortureInit)
+	fillDisk(t, d, 0, 1024)
+	renamed := false
+	hfs.onRename = func() {
+		renamed = true
+		if d.mu.TryLock() {
+			d.mu.Unlock()
+			t.Error("checkpoint renamed its file without holding the mutex Reset sweeps under")
+		}
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if !renamed {
+		t.Fatal("checkpoint published without a rename")
 	}
 }
 
@@ -713,13 +853,13 @@ func TestCheckpointerRespawnsAfterDegraded(t *testing.T) {
 }
 
 // TestCheckpointConcurrentCommits runs the background checkpointer against
-// concurrent committers (write-buffered mode, disjoint keys) — the
+// concurrent committers (disjoint keys) — the
 // race-detector workout for the capture/retire locking. The final state
 // must be exact after recovery and at least one checkpoint must land.
 func TestCheckpointConcurrentCommits(t *testing.T) {
 	const workers, iters = 4, 300
 	dir := t.TempDir()
-	d, err := NewDisk(Config{Dir: dir, Fsync: FsyncGroup, Buffered: true, SegmentBytes: 2048, CheckpointBytes: 8192})
+	d, err := NewDisk(Config{Dir: dir, Fsync: FsyncGroup, SegmentBytes: 2048, CheckpointBytes: 8192})
 	if err != nil {
 		t.Fatal(err)
 	}

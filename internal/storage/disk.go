@@ -113,20 +113,10 @@ type DurableBackend interface {
 	DurabilityStats() DurabilityStats
 }
 
-// diskUndo is one overwritten value in an eagerly-applied transaction,
-// kept for Rollback (and mirrored into the WAL update record so recovery
-// can undo losers the same way).
-type diskUndo struct {
-	v       core.Var
-	old     core.Value
-	existed bool
-}
-
 // diskCtx is a transaction's execution context on the disk backend.
 type diskCtx struct {
 	locals []core.Value
-	undo   []diskUndo // eager mode: overwritten values, newest last
-	writes []walWrite // buffered mode: the deferred write set, in order
+	writes []walWrite // the deferred write set, in order
 }
 
 // Disk is the durable backend: a log-structured store whose only on-disk
@@ -136,21 +126,13 @@ type diskCtx struct {
 // consistent with the WAL; the committed prefix of the log IS the
 // database, which is what makes crash recovery a pure replay.
 //
-// Two execution modes, selected by Config.Buffered:
-//
-//   - Eager (Buffered=false): Put applies to the table immediately and
-//     appends a redo+undo update record; Commit appends a commit record;
-//     Rollback undoes memory and appends an abort record. Correct under
-//     strict schedulers (the 2PL family, serial), where no two live
-//     transactions ever write the same variable.
-//
-//   - Write-buffered (Buffered=true): Put only accumulates in the
-//     transaction's write set; readers see their own writes, everyone else
-//     sees committed state. Commit appends one commit record carrying the
-//     write set and applies it atomically; Rollback discards the buffer
-//     without touching the log. This is what makes non-strict schedulers
-//     (TO/OCC/SGT/mv) recoverable: an uncommitted write can never reach
-//     the log, so recovery never needs to undo one.
+// Execution is write-buffered: Put only accumulates in the transaction's
+// write set; readers see their own writes, everyone else sees committed
+// state. Commit appends one redo-only commit record carrying the write set
+// and applies it atomically; Rollback discards the buffer without touching
+// the log. An uncommitted write can never reach the log, so recovery never
+// undoes one — which is what makes every scheduler recoverable, the
+// non-strict ones (TO/OCC/SGT/mv) included.
 //
 // Concurrency: in-memory operations and log appends serialize on one
 // mutex; the fsync behind GroupSync runs OFF that mutex (serialized by its
@@ -164,7 +146,6 @@ type Disk struct {
 	fs       FS
 	dir      string
 	policy   FsyncPolicy
-	buffered bool
 	segBytes int64
 
 	// ckptMu serializes whole checkpoints: the background loop and explicit
@@ -270,7 +251,6 @@ func NewDisk(cfg Config) (*Disk, error) {
 		fs:         fs,
 		dir:        dir,
 		policy:     cfg.Fsync,
-		buffered:   cfg.Buffered,
 		segBytes:   segBytes,
 		lock:       lock,
 		ckptThresh: int64(cfg.CheckpointBytes),
@@ -288,12 +268,7 @@ func NewDisk(cfg Config) (*Disk, error) {
 }
 
 // Name implements Backend.
-func (d *Disk) Name() string {
-	if d.buffered {
-		return "disk(buffered)"
-	}
-	return "disk"
-}
+func (d *Disk) Name() string { return "disk" }
 
 // Dir returns the backing directory.
 func (d *Disk) Dir() string { return d.dir }
@@ -391,17 +366,38 @@ func (d *Disk) resetLocked(init core.DB) {
 		return
 	}
 	d.active = f
-	if err := d.appendLocked(d.enc.encodeSnapshot(init)); err != nil {
+	// The baseline snapshot is the state a checkpoint would copy, not log
+	// growth: like OpenDisk's compaction snapshot it does not count toward
+	// CheckpointBytes, or a large initial database would kick a checkpoint
+	// that only re-copies the table just written.
+	if err := d.writeLocked(d.enc.encodeSnapshot(init)); err != nil {
 		return
 	}
 	d.syncLocked()
 }
 
-// appendLocked writes one framed record to the active segment, rolling to
-// a new segment first when the active one is full. On failure the error is
+// appendLocked writes one framed record (writeLocked) and counts it toward
+// the checkpoint threshold, kicking the background checkpointer once the
+// bytes appended since the last capture cross it.
+func (d *Disk) appendLocked(frame []byte) error {
+	if err := d.writeLocked(frame); err != nil {
+		return err
+	}
+	d.sinceCkpt += int64(len(frame))
+	if d.ckptThresh > 0 && d.sinceCkpt >= d.ckptThresh && !d.ckptOff {
+		select { // wake the checkpointer; a pending kick already covers us
+		case d.ckptKick <- struct{}{}:
+		default:
+		}
+	}
+	return nil
+}
+
+// writeLocked writes one framed record to the active segment, rolling to a
+// new segment first when the active one is full. On failure the error is
 // sticky: memory was not modified by the caller yet (callers append before
 // applying), so the log remains the truth.
-func (d *Disk) appendLocked(frame []byte) error {
+func (d *Disk) writeLocked(frame []byte) error {
 	if d.err != nil {
 		return d.err
 	}
@@ -435,16 +431,8 @@ func (d *Disk) appendLocked(frame []byte) error {
 	}
 	if err != nil {
 		d.poisonLocked(err)
-		return err
 	}
-	d.sinceCkpt += int64(n)
-	if d.ckptThresh > 0 && d.sinceCkpt >= d.ckptThresh && !d.ckptOff {
-		select { // wake the checkpointer; a pending kick already covers us
-		case d.ckptKick <- struct{}{}:
-		default:
-		}
-	}
-	return nil
+	return err
 }
 
 // syncLocked forces the active segment to stable storage if anything was
@@ -479,7 +467,7 @@ func (d *Disk) ctxOfLocked(tx int) *diskCtx {
 // getLocked reads v for tx: its own buffered write if any, else the table.
 func (d *Disk) getLocked(c *diskCtx, v core.Var) core.Value {
 	d.reads.Add(1)
-	if d.buffered && c != nil {
+	if c != nil {
 		for i := len(c.writes) - 1; i >= 0; i-- {
 			if c.writes[i].v == v {
 				return c.writes[i].val
@@ -489,21 +477,11 @@ func (d *Disk) getLocked(c *diskCtx, v core.Var) core.Value {
 	return d.table[v]
 }
 
-// putLocked stores scalar as v for tx: buffered mode accumulates in the
-// write set; eager mode logs an update record (redo+undo) and applies.
-func (d *Disk) putLocked(tx int, c *diskCtx, v core.Var, scalar core.Value) error {
+// putLocked stores scalar as v in tx's write set; nothing reaches the table
+// or the log before Commit.
+func (d *Disk) putLocked(c *diskCtx, v core.Var, scalar core.Value) {
 	d.writes.Add(1)
-	if d.buffered {
-		c.writes = append(c.writes, walWrite{v: v, val: scalar})
-		return nil
-	}
-	old, existed := d.table[v]
-	if err := d.appendLocked(d.enc.encodeUpdate(tx, v, old, scalar, existed)); err != nil {
-		return err
-	}
-	d.table[v] = scalar
-	c.undo = append(c.undo, diskUndo{v: v, old: old, existed: existed})
-	return nil
+	c.writes = append(c.writes, walWrite{v: v, val: scalar})
 }
 
 // Get implements Backend.
@@ -513,12 +491,11 @@ func (d *Disk) Get(tx int, v core.Var) core.Value {
 	return d.getLocked(d.ctx[tx], v)
 }
 
-// Put implements Backend. Errors are sticky (Err); ApplyStep is the
-// error-propagating path the runtime uses.
+// Put implements Backend.
 func (d *Disk) Put(tx int, v core.Var, scalar core.Value) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.putLocked(tx, d.ctxOfLocked(tx), v, scalar)
+	d.putLocked(d.ctxOfLocked(tx), v, scalar)
 }
 
 // Scan implements Backend.
@@ -549,70 +526,43 @@ func (d *Disk) ApplyStep(tx int, step core.Step) error {
 	if step.Fn == nil {
 		return fmt.Errorf("storage: step on %s has no interpretation", step.Var)
 	}
-	return d.putLocked(tx, c, step.Var, step.Fn(c.locals))
+	d.putLocked(c, step.Var, step.Fn(c.locals))
+	return nil
 }
 
-// Commit implements Backend. The commit record is the durability point:
-// buffered mode logs the write set and applies it only after the append
-// succeeded (atomic — a failed append commits nothing); eager mode logs a
-// bare commit record sealing the transaction's update records. Under
-// FsyncAlways the log is synced before Commit returns; under FsyncGroup
-// durability arrives at the next GroupSync.
+// Commit implements Backend. The commit record is the durability point: it
+// logs the write set, which is applied only after the append succeeded
+// (atomic — a failed append commits nothing, and the error is sticky:
+// Err). Under FsyncAlways the log is synced before Commit returns; under
+// FsyncGroup durability arrives at the next GroupSync.
 func (d *Disk) Commit(tx int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	c := d.ctx[tx]
 	delete(d.ctx, tx)
-	if d.err != nil {
+	if d.err != nil || c == nil || len(c.writes) == 0 {
+		return // poisoned, or read-only: nothing to make durable
+	}
+	if err := d.appendLocked(d.enc.encodeCommit(tx, c.writes)); err != nil {
 		return
 	}
-	if d.buffered {
-		if c == nil || len(c.writes) == 0 {
-			return // read-only: nothing to make durable
-		}
-		if err := d.appendLocked(d.enc.encodeCommit(tx, c.writes)); err != nil {
-			return
-		}
-		for _, w := range c.writes {
-			d.table[w.v] = w.val
-		}
-	} else {
-		if c == nil || len(c.undo) == 0 {
-			return
-		}
-		if err := d.appendLocked(d.enc.encodeCommit(tx, nil)); err != nil {
-			return
-		}
+	for _, w := range c.writes {
+		d.table[w.v] = w.val
 	}
 	if d.policy == FsyncAlways {
 		d.syncLocked()
 	}
 }
 
-// Rollback implements Backend: buffered mode just discards the write set
-// (nothing reached the log); eager mode restores overwritten values in
-// reverse and appends an abort record so recovery undoes the same way.
+// Rollback implements Backend: it discards the write set, which never
+// reached the table or the log.
 func (d *Disk) Rollback(tx int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	c := d.ctx[tx]
-	delete(d.ctx, tx)
-	if c == nil {
-		return
+	if _, ok := d.ctx[tx]; ok {
+		delete(d.ctx, tx)
+		d.rollbacks.Add(1)
 	}
-	d.rollbacks.Add(1)
-	if d.buffered || len(c.undo) == 0 {
-		return
-	}
-	for i := len(c.undo) - 1; i >= 0; i-- {
-		u := c.undo[i]
-		if u.existed {
-			d.table[u.v] = u.old
-		} else {
-			delete(d.table, u.v)
-		}
-	}
-	d.appendLocked(d.enc.encodeAbort(tx))
 }
 
 // State implements Backend.

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"optcc/internal/core"
@@ -12,45 +13,48 @@ import (
 func TestWALRoundTrip(t *testing.T) {
 	var enc walEncoder
 	var log []byte
-	log = append(log, enc.encodeUpdate(3, "x", 7, 9, true)...)
-	log = append(log, enc.encodeUpdate(4, "fresh", 0, 1, false)...)
-	log = append(log, enc.encodeCommit(3, nil)...)
 	log = append(log, enc.encodeCommit(5, []walWrite{{v: "a", val: -2}, {v: "b", val: 1 << 40}})...)
-	log = append(log, enc.encodeAbort(4)...)
 	log = append(log, enc.encodeSnapshot(core.DB{"x": 9, "y": -1})...)
+	log = append(log, enc.encodeCkpt(3, 7, 1<<20)...)
 
 	var recs []walRec
 	valid, clean := walScan(log, func(r walRec) { recs = append(recs, r) })
 	if !clean || valid != len(log) {
 		t.Fatalf("scan: valid=%d clean=%v, want %d true", valid, clean, len(log))
 	}
-	if len(recs) != 6 {
-		t.Fatalf("decoded %d records, want 6", len(recs))
+	if len(recs) != 3 {
+		t.Fatalf("decoded %d records, want 3", len(recs))
 	}
-	if r := recs[0]; r.kind != walUpdate || r.tx != 3 || r.v != "x" || r.old != 7 || r.new != 9 || !r.existed {
-		t.Errorf("update record mismatch: %+v", r)
+	if r := recs[0]; r.kind != walCommit || r.tx != 5 || len(r.writes) != 2 || r.writes[0].v != "a" || r.writes[0].val != -2 || r.writes[1].val != 1<<40 {
+		t.Errorf("commit record mismatch: %+v", r)
 	}
-	if r := recs[1]; r.existed {
-		t.Errorf("fresh-variable update decoded existed=true")
-	}
-	if r := recs[3]; r.kind != walCommit || r.tx != 5 || len(r.writes) != 2 || r.writes[1].val != 1<<40 {
-		t.Errorf("buffered commit record mismatch: %+v", r)
-	}
-	if r := recs[5]; r.kind != walSnapshot || len(r.writes) != 2 {
+	if r := recs[1]; r.kind != walSnapshot || len(r.writes) != 2 {
 		t.Errorf("snapshot record mismatch: %+v", r)
+	}
+	if r := recs[2]; r.kind != walCkpt || r.ckpt != 3 || r.aseq != 7 || r.aoff != 1<<20 {
+		t.Errorf("checkpoint marker mismatch: %+v", r)
 	}
 }
 
-// TestWALScanStopsAtTear checks the scanner's three failure modes — short
-// frame, bad checksum, garbage payload — all end the valid prefix exactly
-// at the last good record.
+// TestWALScanStopsAtTear checks the scanner's failure modes — short frame,
+// bad checksum, garbage payload, and a checksummed frame of a retired kind
+// — all end the valid prefix exactly at the last good record.
 func TestWALScanStopsAtTear(t *testing.T) {
 	var enc walEncoder
 	good := append([]byte(nil), enc.encodeCommit(1, []walWrite{{v: "x", val: 1}})...)
 	good = append(good, enc.encodeCommit(2, []walWrite{{v: "y", val: 2}})...)
 
 	tail := append([]byte(nil), enc.encodeCommit(3, []walWrite{{v: "z", val: 3}})...)
+	// retired frames a well-formed, checksummed record with a tag of the
+	// retired update (1) or abort (3) kinds.
+	retired := func(kind byte) []byte {
+		enc.reset()
+		enc.buf = append(enc.buf, kind, 3)
+		return append(append([]byte(nil), good...), enc.seal()...)
+	}
 	cases := map[string][]byte{
+		"retired kind 1":   retired(1),
+		"retired kind 3":   retired(3),
 		"truncated header": append(append([]byte(nil), good...), tail[:4]...),
 		"truncated body":   append(append([]byte(nil), good...), tail[:len(tail)-3]...),
 		"flipped byte": func() []byte {
@@ -68,6 +72,37 @@ func TestWALScanStopsAtTear(t *testing.T) {
 				name, valid, clean, n, len(good))
 		}
 	}
+}
+
+// FuzzWALScan holds the frame scanner and record decoder — the code that
+// reads bytes back from disk — to their contract on arbitrary input: no
+// panic; a valid prefix no longer than the input, clean exactly when it is
+// the whole input; only the three live record kinds ever decoded (a frame
+// tagged with the retired kinds 1 or 3 ends the prefix); and a re-scan of
+// the valid prefix alone is clean and yields the same records. The seed
+// corpus under testdata/fuzz/FuzzWALScan holds one record of each kind, a
+// torn frame and frames of both retired kinds.
+func FuzzWALScan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var recs []walRec
+		valid, clean := walScan(data, func(r walRec) { recs = append(recs, r) })
+		if valid < 0 || valid > len(data) || clean != (valid == len(data)) {
+			t.Fatalf("scan of %d bytes: valid=%d clean=%v", len(data), valid, clean)
+		}
+		for _, r := range recs {
+			if r.kind != walCommit && r.kind != walSnapshot && r.kind != walCkpt {
+				t.Fatalf("decoded a record of kind %d", r.kind)
+			}
+		}
+		var again []walRec
+		valid2, clean2 := walScan(data[:valid], func(r walRec) { again = append(again, r) })
+		if valid2 != valid || !clean2 {
+			t.Fatalf("re-scan of the %d-byte valid prefix: valid=%d clean=%v", valid, valid2, clean2)
+		}
+		if !reflect.DeepEqual(recs, again) {
+			t.Fatalf("re-scan of the valid prefix decoded different records:\n  %+v\n  %+v", recs, again)
+		}
+	})
 }
 
 // applyTx runs one write transaction through the Backend interface: each
@@ -95,62 +130,55 @@ func dbEqual(a, b core.DB) bool {
 	return true
 }
 
-// TestDiskBackendContract exercises the Backend surface in both execution
-// modes: read-your-writes, commit permanence, rollback atomicity, and the
-// durability core — State() survives Close + OpenDisk byte for byte.
+// TestDiskBackendContract exercises the Backend surface: read-your-writes,
+// isolation of uncommitted writes, commit permanence, rollback atomicity,
+// and the durability core — State() survives Close + OpenDisk byte for
+// byte. It runs as subtest "buffered", the disk's one execution mode.
 func TestDiskBackendContract(t *testing.T) {
-	for _, buffered := range []bool{false, true} {
-		name := "eager"
-		if buffered {
-			name = "buffered"
+	t.Run("buffered", func(t *testing.T) {
+		dir := t.TempDir()
+		d, err := NewDisk(Config{Dir: dir, Fsync: FsyncAlways})
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			d, err := NewDisk(Config{Dir: dir, Buffered: buffered, Fsync: FsyncAlways})
-			if err != nil {
-				t.Fatal(err)
-			}
-			init := core.DB{"x": 1, "y": 2}
-			d.Reset(init)
+		init := core.DB{"x": 1, "y": 2}
+		d.Reset(init)
 
-			applyTx(t, d, 0, []walWrite{{v: "x", val: 10}, {v: "z", val: 30}})
-			if got := d.Get(0, "x"); got != 10 {
-				t.Fatalf("read-your-writes: Get(x) = %d, want 10", got)
-			}
-			if buffered {
-				if got := d.Get(1, "x"); got != 1 {
-					t.Fatalf("buffered isolation: other tx sees %d for x, want committed 1", got)
-				}
-			}
-			d.Commit(0)
+		applyTx(t, d, 0, []walWrite{{v: "x", val: 10}, {v: "z", val: 30}})
+		if got := d.Get(0, "x"); got != 10 {
+			t.Fatalf("read-your-writes: Get(x) = %d, want 10", got)
+		}
+		if got := d.Get(1, "x"); got != 1 {
+			t.Fatalf("isolation: other tx sees %d for x, want committed 1", got)
+		}
+		d.Commit(0)
 
-			applyTx(t, d, 1, []walWrite{{v: "y", val: 20}, {v: "w", val: 40}})
-			d.Rollback(1)
+		applyTx(t, d, 1, []walWrite{{v: "y", val: 20}, {v: "w", val: 40}})
+		d.Rollback(1)
 
-			want := core.DB{"x": 10, "y": 2, "z": 30}
-			if got := d.State(); !dbEqual(got, want) {
-				t.Fatalf("state after commit+rollback = %v, want %v", got, want)
-			}
+		want := core.DB{"x": 10, "y": 2, "z": 30}
+		if got := d.State(); !dbEqual(got, want) {
+			t.Fatalf("state after commit+rollback = %v, want %v", got, want)
+		}
 
-			if err := d.Close(); err != nil {
-				t.Fatal(err)
-			}
-			r, err := OpenDisk(Config{Dir: dir, Buffered: buffered})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			if got := r.State(); !dbEqual(got, want) {
-				t.Fatalf("recovered state = %v, want %v", got, want)
-			}
-			if ds := r.DurabilityStats(); ds.WALTruncated != 0 {
-				t.Fatalf("clean close recovered with WALTruncated=%d", ds.WALTruncated)
-			}
-			if ds := r.DurabilityStats(); ds.RecoveryNs <= 0 {
-				t.Fatalf("RecoveryNs not recorded")
-			}
-		})
-	}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenDisk(Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if got := r.State(); !dbEqual(got, want) {
+			t.Fatalf("recovered state = %v, want %v", got, want)
+		}
+		if ds := r.DurabilityStats(); ds.WALTruncated != 0 {
+			t.Fatalf("clean close recovered with WALTruncated=%d", ds.WALTruncated)
+		}
+		if ds := r.DurabilityStats(); ds.RecoveryNs <= 0 {
+			t.Fatalf("RecoveryNs not recorded")
+		}
+	})
 }
 
 // TestDiskSegmentRoll forces segment rotation with a tiny segment cap and

@@ -51,10 +51,14 @@ func TestDoubleOpenLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	d2.Reset(core.DB{"x": 1})
-	efs.FailAt(efs.Ops() + 1)
 	step := core.Step{Var: "x", Kind: core.Write, Fn: func([]core.Value) core.Value { return 2 }}
-	if err := d2.ApplyStep(5, step); err == nil {
-		t.Fatal("armed fault did not fire")
+	if err := d2.ApplyStep(5, step); err != nil {
+		t.Fatal(err)
+	}
+	efs.FailAt(efs.Ops() + 1) // the commit record's append
+	d2.Commit(5)
+	if got := d2.State()["x"]; got != 1 {
+		t.Fatalf("armed fault did not fire: x = %d after the failed commit, want 1", got)
 	}
 	if d2.Err() == nil {
 		t.Fatal("store not poisoned")

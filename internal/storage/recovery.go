@@ -9,39 +9,28 @@ import (
 	"optcc/internal/core"
 )
 
-// OpenDisk recovers a disk backend from the files in cfg.Dir, ARIES style
-// restricted to what this log needs:
+// OpenDisk recovers a disk backend from the files in cfg.Dir: a checkpoint
+// plus redo to the torn tail. Uncommitted writes never reach the log (they
+// travel only inside commit records), so there is no undo phase.
 //
 //  1. Start from the newest complete checkpoint, if any (checkpoint.go):
-//     its snapshot record seeds the table and its update records seed the
-//     undo chains of the transactions that were live at the capture. A
-//     torn or incomplete checkpoint file — one whose scan is unclean or
-//     whose anchor segment is gone — is ignored and an older one (or the
-//     empty state) is used instead; checkpoint files share the WAL's
-//     framing and checksums precisely so this judgment is mechanical.
-//  2. Redo by history from the checkpoint's anchor — byte aoff of segment
-//     aseq, then every later segment in order; without a checkpoint, from
-//     the start of the oldest segment. Snapshot records reset the state;
-//     update records apply their redo value and join their transaction's
-//     undo chain; commit records apply a buffered write set (if any) and
-//     retire the chain; abort records undo the chain in reverse;
-//     checkpoint markers carry no state and are skipped. Segments wholly
-//     behind the anchor are leftovers of an interrupted retirement —
-//     their effects are inside the checkpoint — and are not replayed.
+//     its snapshot record seeds the table. A torn or incomplete checkpoint
+//     file — one whose scan is unclean or whose anchor segment is gone —
+//     is ignored and an older one (or the empty state) is used instead;
+//     checkpoint files share the WAL's framing and checksums precisely so
+//     this judgment is mechanical.
+//  2. Redo from the checkpoint's anchor — byte aoff of segment aseq, then
+//     every later segment in order; without a checkpoint, from the start
+//     of the oldest segment. Snapshot records reset the state; commit
+//     records apply their write set; checkpoint markers carry no state and
+//     are skipped. Segments wholly behind the anchor are leftovers of an
+//     interrupted retirement — their effects are inside the checkpoint —
+//     and are not replayed.
 //  3. Stop at the torn tail: the first incomplete frame, checksum
 //     mismatch, or undecodable payload ends the trusted prefix — that
 //     record and everything after it (including any later segments) is
 //     discarded and counted in WALTruncated. A torn commit record is
-//     therefore never admitted: its transaction is a loser.
-//  4. Undo the losers: transactions with a live undo chain at the end of
-//     the log never committed; their updates are reverted in reverse
-//     order. (Eager updates come only from strict schedulers, so live
-//     transactions never share a variable and per-transaction reverse
-//     undo is exact.) A chain seeded from the checkpoint undoes the same
-//     way even though its update records may live in retired segments —
-//     that is why checkpoints carry live chains. Buffered transactions
-//     need no undo: their writes only ever reach the log inside a commit
-//     record.
+//     therefore never admitted: its transaction never happened.
 //
 // The recovered state is then compacted: one snapshot record is written
 // to a fresh segment (via temp file + atomic rename, so a crash during
@@ -115,7 +104,6 @@ func OpenDisk(cfg Config) (*Disk, error) {
 	}
 
 	table := make(map[core.Var]core.Value)
-	live := make(map[int][]diskUndo) // undo chains of not-yet-ended eager txs
 	truncated := false
 	replayed := int64(0)
 	apply := func(r walRec) {
@@ -125,18 +113,10 @@ func OpenDisk(cfg Config) (*Disk, error) {
 			for _, w := range r.writes {
 				table[w.v] = w.val
 			}
-			live = make(map[int][]diskUndo)
-		case walUpdate:
-			live[r.tx] = append(live[r.tx], diskUndo{v: r.v, old: r.old, existed: r.existed})
-			table[r.v] = r.new
 		case walCommit:
 			for _, w := range r.writes {
 				table[w.v] = w.val
 			}
-			delete(live, r.tx)
-		case walAbort:
-			undoChain(table, live[r.tx])
-			delete(live, r.tx)
 		case walCkpt:
 			// Markers gate retirement; they carry no state to replay.
 		}
@@ -144,7 +124,7 @@ func OpenDisk(cfg Config) (*Disk, error) {
 
 	tail := segs
 	if img != nil {
-		table, live = img.table, img.live
+		table = img.table
 		replayed += int64(img.bytes)
 		tail = tail[:0:0]
 		for _, n := range segs {
@@ -176,9 +156,6 @@ func OpenDisk(cfg Config) (*Disk, error) {
 			truncated = true
 			break // later segments are beyond the torn tail: discard
 		}
-	}
-	for _, chain := range live {
-		undoChain(table, chain)
 	}
 
 	// Compact: persist the recovered state as a snapshot segment, drop
@@ -235,12 +212,10 @@ func OpenDisk(cfg Config) (*Disk, error) {
 	return d, nil
 }
 
-// ckptImage is a decoded checkpoint file: the captured table, the undo
-// chains of the transactions live at the capture, and the log anchor the
-// capture equals.
+// ckptImage is a decoded checkpoint file: the captured table and the log
+// anchor the capture equals.
 type ckptImage struct {
 	table map[core.Var]core.Value
-	live  map[int][]diskUndo
 	aseq  int
 	aoff  int64
 	bytes int
@@ -248,18 +223,15 @@ type ckptImage struct {
 
 // loadCheckpoint reads and validates one checkpoint file: a clean scan
 // whose first record is the walCkpt header, followed by exactly one
-// snapshot and any number of live-chain update records. Anything else —
-// torn tail, wrong shape, unreadable — disqualifies the file; recovery
-// falls back to an older checkpoint or a full replay.
+// snapshot. Anything else — torn tail, wrong shape, unreadable —
+// disqualifies the file; recovery falls back to an older checkpoint or a
+// full replay.
 func loadCheckpoint(fs FS, dir, name string) (*ckptImage, bool) {
 	data, err := fs.ReadFile(segPath(dir, name))
 	if err != nil {
 		return nil, false
 	}
-	img := &ckptImage{
-		table: make(map[core.Var]core.Value),
-		live:  make(map[int][]diskUndo),
-	}
+	img := &ckptImage{table: make(map[core.Var]core.Value)}
 	first, sawSnap, wellFormed := true, false, true
 	valid, clean := walScan(data, func(r walRec) {
 		if first {
@@ -271,24 +243,13 @@ func loadCheckpoint(fs FS, dir, name string) (*ckptImage, bool) {
 			img.aseq, img.aoff = r.aseq, r.aoff
 			return
 		}
-		switch r.kind {
-		case walSnapshot:
-			if sawSnap {
-				wellFormed = false
-				return
-			}
-			sawSnap = true
-			for _, w := range r.writes {
-				img.table[w.v] = w.val
-			}
-		case walUpdate:
-			// Live-chain entries: the redo value is already in the snapshot
-			// (the capture copied the table last-writer-wins), so applying it
-			// is a no-op; what matters is rebuilding the undo chain.
-			img.live[r.tx] = append(img.live[r.tx], diskUndo{v: r.v, old: r.old, existed: r.existed})
-			img.table[r.v] = r.new
-		default:
+		if r.kind != walSnapshot || sawSnap {
 			wellFormed = false
+			return
+		}
+		sawSnap = true
+		for _, w := range r.writes {
+			img.table[w.v] = w.val
 		}
 	})
 	if !clean || first || !sawSnap || !wellFormed {
@@ -296,16 +257,4 @@ func loadCheckpoint(fs FS, dir, name string) (*ckptImage, bool) {
 	}
 	img.bytes = valid
 	return img, true
-}
-
-// undoChain reverts one transaction's eager updates, newest first.
-func undoChain(table map[core.Var]core.Value, chain []diskUndo) {
-	for i := len(chain) - 1; i >= 0; i-- {
-		u := chain[i]
-		if u.existed {
-			table[u.v] = u.old
-		} else {
-			delete(table, u.v)
-		}
-	}
 }

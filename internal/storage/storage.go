@@ -32,17 +32,17 @@
 // (SGT-style aborting, OCC, TO) may execute dirty reads whose transaction
 // later rolls back; running them against a Backend is safe (no corruption,
 // no races) but the final state may legitimately differ from the committed
-// replay. The disk backend's write-buffered mode (Config.Buffered) is the
-// deferred-write answer: uncommitted writes never leave the transaction's
-// buffer, so non-strict schedulers become recoverable rather than
-// best-effort.
+// replay. The disk backend is the deferred-write answer: uncommitted writes
+// never leave the transaction's buffer, so every scheduler, strict or not,
+// is recoverable rather than best-effort.
 //
 // # Durability
 //
 // The durable disk backend (disk.go) is a log-structured store: append-only
-// segment files of checksummed records (wal.go), recovered by redo/undo
-// replay (recovery.go), with fsyncs coalesced through the GroupCommitter
-// (GroupSync). The fault-injection surface lives in fs.go (ErrFS). See
+// segment files of checksummed records (wal.go) in which each committed
+// transaction is one redo-only commit record carrying its write set,
+// recovered by checkpoint plus redo to the torn tail (recovery.go), with
+// fsyncs coalesced through the GroupCommitter (GroupSync). The fault-injection surface lives in fs.go (ErrFS). See
 // DESIGN.md "Durability".
 package storage
 

@@ -20,24 +20,24 @@ import (
 //
 // Record kinds (DESIGN.md "Durability"):
 //
-//	walUpdate   tx, var, old, new       eager write: redo (new) + undo (old)
-//	walCommit   tx, n, (var, new)×n     commit point; n>0 carries a buffered
+//	walCommit   tx, n, (var, new)×n     commit point carrying the
 //	                                    transaction's write set (redo-only)
-//	walAbort    tx                      abort point: undo tx's walUpdates
-//	walSnapshot n, (var, val)×n         full-state checkpoint; resets the
-//	                                    recovered state and clears live txs
+//	walSnapshot n, (var, val)×n         full database image; resets the
+//	                                    recovered state
 //	walCkpt     ckpt, aseq, aoff        fuzzy-checkpoint marker: checkpoint
 //	                                    file ckpt is complete and anchored at
 //	                                    byte aoff of segment aseq; every
 //	                                    segment < aseq is retirement-eligible.
 //	                                    Doubles as the header record inside
 //	                                    the checkpoint file itself.
+//
+// The tag values are part of the on-disk format. 1 and 3 belonged to the
+// retired update and abort records; they decode as unknown kinds, so such a
+// frame ends the valid prefix and is never misread as a commit.
 const (
-	walUpdate byte = iota + 1
-	walCommit
-	walAbort
-	walSnapshot
-	walCkpt
+	walCommit   byte = 2
+	walSnapshot byte = 4
+	walCkpt     byte = 5
 )
 
 // walHeaderSize is the fixed frame prefix: length + checksum.
@@ -48,7 +48,7 @@ const walHeaderSize = 8
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // walWrite is one (variable, value) pair inside a commit or snapshot
-// record, or the redo half of an update record.
+// record.
 type walWrite struct {
 	v   core.Var
 	val core.Value
@@ -56,16 +56,12 @@ type walWrite struct {
 
 // walRec is a decoded record.
 type walRec struct {
-	kind    byte
-	tx      int
-	v       core.Var   // walUpdate
-	old     core.Value // walUpdate: undo value
-	new     core.Value // walUpdate: redo value
-	existed bool       // walUpdate: v existed before (undo restores vs deletes)
-	writes  []walWrite // walCommit (buffered), walSnapshot
-	ckpt    int        // walCkpt: checkpoint file sequence number
-	aseq    int        // walCkpt: anchor segment
-	aoff    int64      // walCkpt: anchor byte offset within aseq
+	kind   byte
+	tx     int        // walCommit
+	writes []walWrite // walCommit, walSnapshot
+	ckpt   int        // walCkpt: checkpoint file sequence number
+	aseq   int        // walCkpt: anchor segment
+	aoff   int64      // walCkpt: anchor byte offset within aseq
 }
 
 // walEncoder frames records into a reusable buffer. Not safe for
@@ -101,25 +97,7 @@ func (e *walEncoder) putVar(v core.Var) {
 	e.buf = append(e.buf, v...)
 }
 
-// encodeUpdate frames an eager-write record: redo value plus the
-// overwritten value (and whether the variable existed) for undo.
-func (e *walEncoder) encodeUpdate(tx int, v core.Var, old, new core.Value, existed bool) []byte {
-	e.reset()
-	e.buf = append(e.buf, walUpdate)
-	e.putUvarint(uint64(tx))
-	e.putVar(v)
-	e.putVarint(int64(old))
-	e.putVarint(int64(new))
-	if existed {
-		e.buf = append(e.buf, 1)
-	} else {
-		e.buf = append(e.buf, 0)
-	}
-	return e.seal()
-}
-
-// encodeCommit frames a commit record; writes carries a buffered
-// transaction's write set (nil/empty for eagerly-applied transactions).
+// encodeCommit frames a commit record carrying tx's write set.
 func (e *walEncoder) encodeCommit(tx int, writes []walWrite) []byte {
 	e.reset()
 	e.buf = append(e.buf, walCommit)
@@ -129,14 +107,6 @@ func (e *walEncoder) encodeCommit(tx int, writes []walWrite) []byte {
 		e.putVar(w.v)
 		e.putVarint(int64(w.val))
 	}
-	return e.seal()
-}
-
-// encodeAbort frames an abort record.
-func (e *walEncoder) encodeAbort(tx int) []byte {
-	e.reset()
-	e.buf = append(e.buf, walAbort)
-	e.putUvarint(uint64(tx))
 	return e.seal()
 }
 
@@ -174,46 +144,27 @@ func walDecode(payload []byte) (walRec, error) {
 	r.kind = payload[0]
 	d := walDecoder{b: payload[1:]}
 	switch r.kind {
-	case walUpdate:
-		r.tx = int(d.uvarint())
-		r.v = d.variable()
-		r.old = core.Value(d.varint())
-		r.new = core.Value(d.varint())
-		r.existed = d.byte() != 0
-	case walCommit:
-		r.tx = int(d.uvarint())
+	case walCommit, walSnapshot:
+		if r.kind == walCommit {
+			r.tx = int(d.uvarint())
+		}
 		n := d.uvarint()
 		if n > uint64(len(d.b)) { // each write needs ≥2 bytes; cheap bound
-			return r, fmt.Errorf("wal: commit write count %d exceeds payload", n)
+			return r, fmt.Errorf("wal: write count %d exceeds payload", n)
 		}
 		for i := uint64(0); i < n && d.err == nil; i++ {
 			w := walWrite{v: d.variable()}
 			w.val = core.Value(d.varint())
 			r.writes = append(r.writes, w)
 		}
-	case walAbort:
-		r.tx = int(d.uvarint())
 	case walCkpt:
 		r.ckpt = int(d.uvarint())
 		r.aseq = int(d.uvarint())
 		r.aoff = int64(d.uvarint())
-	case walSnapshot:
-		n := d.uvarint()
-		if n > uint64(len(d.b)) {
-			return r, fmt.Errorf("wal: snapshot entry count %d exceeds payload", n)
-		}
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			w := walWrite{v: d.variable()}
-			w.val = core.Value(d.varint())
-			r.writes = append(r.writes, w)
-		}
 	default:
 		return r, fmt.Errorf("wal: unknown record kind %d", r.kind)
 	}
-	if d.err != nil {
-		return r, d.err
-	}
-	return r, nil
+	return r, d.err
 }
 
 // walDecoder cursors over a record payload.
@@ -246,19 +197,6 @@ func (d *walDecoder) varint() int64 {
 	}
 	d.b = d.b[n:]
 	return x
-}
-
-func (d *walDecoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) == 0 {
-		d.err = fmt.Errorf("wal: truncated flag byte")
-		return 0
-	}
-	c := d.b[0]
-	d.b = d.b[1:]
-	return c
 }
 
 func (d *walDecoder) variable() core.Var {
