@@ -47,10 +47,10 @@
 // N by observed backlog — AIMD — so N is a cap) and decides them in one
 // critical section. The concurrent engine has no intake queue: there N only
 // bounds the chunk of parked requests a retry offers in one scheduler
-// critical section. On the concurrent engine commits always flow through
-// the storage group-commit pipeline (undo logs discarded and locks
-// released per group, asynchronously to the committing users), mostly as
-// singleton groups unless commits pile up on a lane.
+// critical section. On the concurrent engine a transaction commits inline
+// on its user goroutine, unless the backend syncs (-backend disk): then
+// commits flow through the storage group-commit pipeline (one fsync and
+// one lock release per group, asynchronously to the committing users).
 //
 // -backend kv executes every granted step against the sharded in-memory
 // storage backend (payload size -valuesize) instead of only sleeping -exec:

@@ -10,6 +10,7 @@ package sim
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"optcc/internal/conflict"
@@ -89,13 +90,16 @@ func TestBatchedCentralRuntime(t *testing.T) {
 	}
 }
 
-// TestGroupCommitPipelineUsed: with Batch > 1 and a backend, commits must
-// flow through the group-commit pipeline (undo logs discarded on lanes,
-// locks released per group) and every transaction must still commit exactly
-// once.
+// TestGroupCommitPipelineUsed: with Batch > 1 and a backend that syncs,
+// commits must flow through the group-commit pipeline (undo logs discarded
+// on lanes, one sync and one lock release per group), every transaction
+// must still commit exactly once, and the committed state must be the
+// committed replay.
 func TestGroupCommitPipelineUsed(t *testing.T) {
-	inst := Instantiate(hotShardSystem(), 12)
-	be := &commitCountingBackend{Backend: storage.NewKV(storage.Config{Shards: 4, ValueSize: 32}), commits: map[int]int{}}
+	const jobs = 12
+	inst := Instantiate(hotShardSystem(), jobs)
+	be := &syncCountingBackend{commitCountingBackend: &commitCountingBackend{
+		Backend: storage.NewKV(storage.Config{Shards: 4, ValueSize: 32}), commits: map[int]int{}}}
 	m, err := Run(Config{
 		System:  inst,
 		Sched:   online.NewConcurrentStrict2PL(lockmgr.WoundWait, 4),
@@ -107,15 +111,69 @@ func TestGroupCommitPipelineUsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Committed != 12 {
-		t.Fatalf("committed %d of 12", m.Committed)
+	if m.Committed != jobs {
+		t.Fatalf("committed %d of %d", m.Committed, jobs)
 	}
-	be.mu.Lock()
-	defer be.mu.Unlock()
-	for tx := 0; tx < 12; tx++ {
-		if be.commits[tx] != 1 {
-			t.Errorf("tx %d committed %d times on the backend", tx, be.commits[tx])
-		}
+	if m.GroupCommits != jobs || m.CommitGroups < 1 {
+		t.Fatalf("pipeline committed %d transactions in %d groups, want %d", m.GroupCommits, m.CommitGroups, jobs)
+	}
+	if syncs := be.syncs.Load(); syncs != int64(m.CommitGroups) {
+		t.Errorf("%d syncs for %d groups", syncs, m.CommitGroups)
+	}
+	be.checkOnce(t, jobs)
+	checkReplay(t, inst, m, be.State())
+}
+
+// TestInlineCommitWithoutSyncer: a backend with nothing to sync — KV, Noop
+// or none at all — gets no commit lanes. Every transaction commits inline
+// on its user goroutine, exactly once on the backend, and on KV the
+// committed state is the committed replay. The hot shard parks requests,
+// so the inline release must wake them too.
+func TestInlineCommitWithoutSyncer(t *testing.T) {
+	const jobs = 48
+	inst := Instantiate(hotShardSystem(), jobs)
+	for _, c := range []struct {
+		name string
+		be   storage.Backend
+	}{
+		{"kv", storage.NewKV(storage.Config{Shards: 4, ValueSize: 32})},
+		{"noop", storage.NewNoop()},
+		{"none", nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{System: inst, Sched: online.NewConcurrentStrict2PL(lockmgr.WoundWait, 4), Users: 8, Seed: 5}
+			var be *commitCountingBackend
+			if c.be != nil {
+				be = &commitCountingBackend{Backend: c.be, commits: map[int]int{}}
+				cfg.Backend = be
+			}
+			m := runMerged(t, cfg)
+			if m.Committed != jobs {
+				t.Fatalf("committed %d of %d", m.Committed, jobs)
+			}
+			if m.CommitGroups != 0 || m.GroupCommits != 0 {
+				t.Fatalf("%d commits in %d lane groups without a syncing backend", m.GroupCommits, m.CommitGroups)
+			}
+			if be == nil {
+				return
+			}
+			be.checkOnce(t, jobs)
+			if c.name == "kv" {
+				checkReplay(t, inst, m, be.State())
+			}
+		})
+	}
+}
+
+// checkReplay requires state to equal the replay of the run's Output.
+func checkReplay(t *testing.T, inst *core.System, m *Metrics, state core.DB) {
+	t.Helper()
+	replay, err := core.Exec(inst, m.Output, inst.InitialStates()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !state.Equal(replay) {
+		t.Fatal("backend state diverged from committed replay")
 	}
 }
 
@@ -131,6 +189,32 @@ func (b *commitCountingBackend) Commit(tx int) {
 	b.commits[tx]++
 	b.mu.Unlock()
 	b.Backend.Commit(tx)
+}
+
+// checkOnce requires every one of jobs transactions to have committed
+// exactly once on the backend.
+func (b *commitCountingBackend) checkOnce(t *testing.T, jobs int) {
+	t.Helper()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for tx := 0; tx < jobs; tx++ {
+		if b.commits[tx] != 1 {
+			t.Errorf("tx %d committed %d times on the backend", tx, b.commits[tx])
+		}
+	}
+}
+
+// syncCountingBackend is a commitCountingBackend that syncs
+// (storage.GroupSyncer), counting the syncs: a memory backend the engine
+// commits through the group-commit lanes.
+type syncCountingBackend struct {
+	*commitCountingBackend
+	syncs atomic.Int64
+}
+
+func (b *syncCountingBackend) GroupSync() error {
+	b.syncs.Add(1)
+	return nil
 }
 
 // TestShardedNameDuringRun hammers Scheduler.Name concurrently with a full

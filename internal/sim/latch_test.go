@@ -18,22 +18,27 @@ import (
 )
 
 // runOrHang runs cfg and fails the test instead of hanging it when the run
-// does not finish: a lost wake-up shows as a run that never ends.
+// does not finish: a lost wake-up shows as a run that never ends. A
+// finished run's Output must pass checkMerge.
 func runOrHang(t *testing.T, cfg Config, limit time.Duration) *Metrics {
 	t.Helper()
 	type outcome struct {
 		m   *Metrics
+		r   *shardedRun
 		err error
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		m, err := Run(cfg)
-		done <- outcome{m, err}
+		m, r, err := run(cfg)
+		done <- outcome{m, r, err}
 	}()
 	select {
 	case o := <-done:
 		if o.err != nil {
 			t.Fatal(o.err)
+		}
+		if err := checkMerge(o.r, o.m.Output); err != nil {
+			t.Fatal(err)
 		}
 		return o.m
 	case <-time.After(limit):
@@ -78,6 +83,7 @@ func TestLatchNoWakeupDependsOnWatchdog(t *testing.T) {
 
 // TestLatchOrderingUsersFarAboveShards: with 48 users on 4 latches the
 // merged shard logs must still be a legal, conflict-serializable schedule
+// that keeps each variable's logged order (runOrHang's checkMerge) and
 // whose replay is the backend's state, and every request must have left
 // exactly one scheduling-or-waiting sample — on the lock-free hot shard
 // (every decision on one latch, no conflicts) and on the contended

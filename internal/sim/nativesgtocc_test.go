@@ -53,7 +53,8 @@ func TestConcurrentSGTDisjointStateMatchesReplay(t *testing.T) {
 // mode on restarts — and the committed schedule must be
 // conflict-serializable: the concurrent edge set equals the sequential
 // SGT's, so acyclicity of the striped graph is exactly CSR of the committed
-// log, exercised concurrently.
+// log, exercised concurrently. Output must also keep the shard logs'
+// per-variable order (checkMerge).
 func TestConcurrentSGTContendedSerializable(t *testing.T) {
 	templates := []*core.System{
 		workload.Random(workload.RandomConfig{
@@ -69,10 +70,7 @@ func TestConcurrentSGTContendedSerializable(t *testing.T) {
 					sched = online.NewConcurrentSGTAborting(shards)
 				}
 				inst := Instantiate(template, jobs)
-				m, err := Run(Config{System: inst, Sched: sched, Users: 8, Seed: 11, MaxRestarts: 10000})
-				if err != nil {
-					t.Fatalf("%s on %s: %v", sched.Name(), template.Name, err)
-				}
+				m := runMerged(t, Config{System: inst, Sched: sched, Users: 8, Seed: 11, MaxRestarts: 10000})
 				if m.Committed != jobs {
 					t.Fatalf("%s on %s: committed %d of %d", sched.Name(), template.Name, m.Committed, jobs)
 				}
@@ -119,16 +117,14 @@ func TestConcurrentOCCDisjointStateMatchesReplay(t *testing.T) {
 // everything commits, and the committed schedule must be
 // conflict-serializable — committed transactions are serialized by their
 // validation epochs, exercised with genuinely concurrent validators.
+// Output must also keep the shard logs' per-variable order (checkMerge).
 func TestConcurrentOCCContendedSerializable(t *testing.T) {
 	const jobs = 24
 	template := workload.Random(workload.RandomConfig{
 		NumTxs: jobs, MinSteps: 3, MaxSteps: 3, NumVars: 6, Hotspot: 1}, 7)
 	inst := Instantiate(template, jobs)
-	m, err := Run(Config{System: inst, Sched: online.NewConcurrentOCC(4),
+	m := runMerged(t, Config{System: inst, Sched: online.NewConcurrentOCC(4),
 		Users: 8, Seed: 11, MaxRestarts: 10000})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if m.Committed != jobs {
 		t.Fatalf("committed %d of %d", m.Committed, jobs)
 	}

@@ -2,7 +2,7 @@ package sim
 
 // Coverage for the natively concurrent timestamp-ordering scheduler driven
 // by the real dispatch runtime, plus the adaptive batch sizer and the
-// unified (lane-based) unbatched commit path.
+// unbatched commit path through the group-commit lanes.
 // CI runs this file under -race -count=5 in the concurrency stress job.
 
 import (
@@ -149,14 +149,19 @@ func TestAdaptiveBatchHotShard(t *testing.T) {
 	}
 }
 
-// TestUnbatchedCommitsThroughLanes: with Batch <= 1 the sharded engine now
-// commits through the group-commit pipeline too (mostly singleton groups),
-// so lock release is asynchronous in both modes. The pipeline must process
-// every commit exactly once and preserve the replay invariant.
+// TestUnbatchedCommitsThroughLanes: on a backend that syncs (a Disk under
+// group fsync) the concurrent engine commits through the group-commit
+// lanes with Batch <= 1 too, so lock release is asynchronous whatever the
+// batch. The pipeline must process every commit exactly once and preserve
+// the replay invariant.
 func TestUnbatchedCommitsThroughLanes(t *testing.T) {
 	const jobs = 24
 	inst := Instantiate(workload.HotShard(), jobs)
-	be := storage.NewKV(storage.Config{Shards: 4, ValueSize: 128})
+	be, err := storage.NewDisk(storage.Config{Dir: t.TempDir(), Fsync: storage.FsyncGroup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
 	m, err := Run(Config{System: inst, Sched: online.NewConcurrentStrict2PL(lockmgr.WoundWait, 4),
 		Backend: be, Users: 8, Seed: 9})
 	if err != nil {

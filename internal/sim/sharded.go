@@ -9,11 +9,17 @@
 // shards decide in parallel. The Section 6 latency decomposition is
 // unchanged: latch wait + decision is scheduling time, time parked is
 // waiting time, step cost (real backend work and/or the ExecTime knob) is
-// execution time.
+// execution time. The user reads the clock only between stages and never
+// under a latch: every timestamp is a monotonic offset from the run's
+// epoch, and one stage's end is the next one's start.
+//
+// A grant carries no run-global sequence number. Its position in its
+// shard's log is its order, and project merges the logs at the end of the
+// run (see there).
 //
 // A Delay parks the request in the shard's parked list and the user blocks
 // on its own verdict channel. Nobody polls: whoever changes state another
-// request may wait on — the commit lane's release callback, an abort, a
+// request may wait on — a commit's release, an abort, a
 // fresh wound — re-offers the parked requests (kickParked) of exactly those
 // shards whose atomic parked counter is non-zero, one latch at a time and
 // never while holding another latch. A request registers (append and
@@ -31,20 +37,23 @@
 // any commit is in flight, because that commit is guaranteed to arrive and
 // may unblock the waiters for free.
 //
-// Finishing transactions enqueue into a storage.GroupCommitter lane; the
-// lane discards a whole group's undo logs and releases their scheduler
-// locks in one sweep, followed by one kickParked per group (async lock
-// release — commit processing leaves the follower's goroutine entirely).
-// There is no intake queue left to coalesce, so Config.Batch only bounds
-// the chunk of parked requests a retry offers through online.TryBatch (one
-// scheduler critical section per chunk for the natively batched
-// schedulers).
+// A finishing transaction commits inline on its user goroutine: backend
+// Commit, scheduler Commit, one kickParked. Only a backend that syncs
+// (storage.GroupSyncer) gets a storage.GroupCommitter: finishing
+// transactions enqueue into its lanes, and a lane's driver commits a whole
+// group under one sync and releases the group's scheduler locks in one
+// sweep (async lock release — commit processing leaves the follower's
+// goroutine entirely). There is no intake queue left to coalesce, so
+// Config.Batch only bounds the chunk of parked requests a retry offers
+// through online.TryBatch (one scheduler critical section per chunk for
+// the natively batched schedulers).
 package sim
 
 import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,11 +86,10 @@ type shardState struct {
 	verdicts []verdict
 }
 
-// grant is one granted step in a shard's log. Stamps come from one
-// run-global counter read under the latch, so stamp order is grant order
-// and, per variable, decision order.
+// grant is one granted step in a shard's log. It is appended under the
+// latch, so a shard's log is in decision order and so, because a variable
+// lives in one shard, is every variable's part of it.
 type grant struct {
-	stamp            int64
 	tx, idx, attempt int32
 }
 
@@ -103,12 +111,29 @@ type userMetrics struct {
 	_                          [64]byte
 }
 
+// terminal is one user goroutine's private state.
+type terminal struct {
+	id  int
+	um  *userMetrics
+	rng *rand.Rand
+	// reply is the user's reusable verdict channel: a request that parks
+	// gets exactly one verdict (the deadlock breaker's is that one too) and
+	// the user reads it before its next request.
+	reply chan verdict
+	// mark is when the running stage began, as an offset from the run's
+	// epoch: the end of the stage before it.
+	mark time.Duration
+}
+
 type shardedRun struct {
-	cfg         *Config
-	cs          online.ConcurrentScheduler
-	sys         *core.System
-	sb          storage.SnapshotBackend
+	cfg *Config
+	cs  online.ConcurrentScheduler
+	sys *core.System
+	sb  storage.SnapshotBackend
+	// gc is the group-commit pipeline, built only for a backend that syncs
+	// (nil: every commit runs inline on its user goroutine).
 	gc          *storage.GroupCommitter
+	epoch       time.Time // the run's start; timestamps are offsets from it
 	batch       int
 	maxRestarts int
 	// yield makes users hand their processor on between transactions. A
@@ -126,7 +151,6 @@ type shardedRun struct {
 	roTx []bool
 
 	nextJob atomic.Int64 // job cursor: users claim the next transaction
-	stamp   atomic.Int64 // grants issued so far
 	// inFlight counts the transactions in flight; committing those whose
 	// final step is granted but whose locks are not released yet.
 	inFlight, committing atomic.Int64
@@ -137,7 +161,9 @@ type shardedRun struct {
 	errs    runErrors
 }
 
-func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, users, maxRestarts, batch int) (*Metrics, error) {
+// runSharded runs the system on the concurrent engine and returns the
+// metrics together with the run.
+func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, users, maxRestarts, batch int) (*Metrics, *shardedRun, error) {
 	m := &Metrics{}
 	n := sys.NumTxs()
 	// Histogram storage is reserved per user, outside the allocation meter
@@ -196,32 +222,23 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 		r.shards[i] = &shardState{log: make([]grant, 0, perShard[i])}
 	}
 
-	// Group commit: finishing users enqueue into a per-lane commit pipeline;
-	// the lane's driver (the first committer to find it idle — a live user
-	// goroutine, so no wakeup handoff) discards a whole group's undo logs
-	// while their locks are still held, then releases the group's scheduler
-	// locks and re-offers parked requests once. The breaker stays disabled
-	// until the group's release completes (committing is decremented last),
-	// preserving the "a pending commit always arrives" argument. Lanes
-	// partition by transaction id, NOT by shard (a transaction's locks may
-	// span shards); the shard count is only borrowed as a concurrency
-	// heuristic for how many lanes to run. An idle lane makes its enqueuer
-	// the driver of a singleton group — the plain inline commit — and
-	// whenever commits pile up the followers return immediately.
-	r.gc = storage.NewGroupCommitter(cfg.Backend, cs.NumShards(), func(txs []int) {
-		for _, tx := range txs {
-			cs.Commit(tx)
-		}
-		r.kickParked()
-		r.committing.Add(-int64(len(txs)))
-		r.maybeBreak()
-	})
-	// Durable backends sync once per drained group (storage.GroupSyncer). A
-	// failed sync fails the whole group: record it as the run error; the
-	// release callback above still runs so locks free and the run drains.
-	r.gc.OnFail(func(txs []int, err error) {
-		r.errs.set(fmt.Errorf("sim: durable group commit of %d txs: %w", len(txs), err))
-	})
+	// Group commit, for a backend that syncs (storage.GroupSyncer): lanes
+	// exist to amortize one sync over a group. Finishing users enqueue into
+	// a per-lane commit pipeline; the lane's driver (the first committer to
+	// find it idle — a live user goroutine, so no wakeup handoff) commits a
+	// whole group on the backend while its locks are still held, syncs once,
+	// then runs release for the group. Lanes partition by transaction id,
+	// NOT by shard (a transaction's locks may span shards); the shard count
+	// is only borrowed as a concurrency heuristic for how many lanes to run.
+	// Every other backend commits inline (commit).
+	if _, ok := cfg.Backend.(storage.GroupSyncer); ok {
+		r.gc = storage.NewGroupCommitter(cfg.Backend, cs.NumShards(), r.release)
+		// A failed sync fails the whole group: record it as the run error;
+		// release still runs so locks free and the run drains.
+		r.gc.OnFail(func(txs []int, err error) {
+			r.errs.set(fmt.Errorf("sim: durable group commit of %d txs: %w", len(txs), err))
+		})
+	}
 
 	// The breaker goroutine is joined before Run returns: machinery from
 	// this run must not bleed CPU into whatever the caller does next.
@@ -255,27 +272,31 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 		wg.Add(1)
 		go func(user int) {
 			defer wg.Done()
+			t := &terminal{id: user, um: &um[user], reply: make(chan verdict, 1),
+				rng: rand.New(rand.NewSource(cfg.Seed + int64(user)*7919))}
 			<-gate
-			r.runUser(user, &um[user])
+			r.runUser(t)
 		}(u)
 	}
-	start := time.Now()
+	r.epoch = time.Now()
 	close(gate)
 	wg.Wait()
 	// Flush the commit pipeline before stopping the breaker: pending groups
 	// still need their undo logs discarded and locks released, and the
 	// metrics below must see a quiesced backend.
-	r.gc.Close()
-	groups, txs := r.gc.Stats()
-	m.CommitGroups, m.GroupCommits = int(groups), int(txs)
+	if r.gc != nil {
+		r.gc.Close()
+		groups, txs := r.gc.Stats()
+		m.CommitGroups, m.GroupCommits = int(groups), int(txs)
+	}
 	close(done)
 	breakerWG.Wait()
-	m.Elapsed = time.Since(start)
+	m.Elapsed = time.Since(r.epoch)
 	if err := r.errs.get(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := durableErr(cfg.Backend); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	for tx := range r.txs {
@@ -284,7 +305,10 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 		}
 	}
 	m.Aborts, m.DeadlockBreaks = int(r.aborts.Load()), int(r.breaks.Load())
-	m.Output = r.project()
+	var err error
+	if m.Output, err = r.project(); err != nil {
+		return nil, nil, err
+	}
 	if m.Elapsed > 0 {
 		m.Throughput = float64(m.Committed) / m.Elapsed.Seconds()
 	}
@@ -297,97 +321,139 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 	}
 	fillSnapshotStats(m, cfg.Backend)
 	fillDurableStats(m, cfg.Backend)
-	return m, nil
+	return m, r, nil
 }
+
+// clock reads the time since the run's epoch. Since reads only the
+// monotonic clock; time.Now reads the wall clock as well.
+func (r *shardedRun) clock() time.Duration { return time.Since(r.epoch) }
 
 // runUser is one terminal: it claims jobs from the cursor and runs each to
 // completion — decide, execute, commit — on this goroutine.
-func (r *shardedRun) runUser(user int, um *userMetrics) {
+func (r *shardedRun) runUser(t *terminal) {
 	cfg := r.cfg
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(user)*7919))
-	// reply is this user's reusable verdict channel: a request that parks
-	// gets exactly one verdict (the deadlock breaker's is that one too) and
-	// the user reads it before its next request.
-	reply := make(chan verdict, 1)
-	think := func() {
-		if cfg.ThinkTime > 0 {
-			time.Sleep(time.Duration(rng.Int63n(int64(cfg.ThinkTime) + 1)))
-		}
-	}
 	for {
 		tx := int(r.nextJob.Add(1)) - 1
 		if tx >= len(r.txs) {
 			return
 		}
-		txStart := time.Now()
+		start := r.clock()
+		t.mark = start
 		steps := r.sys.Txs[tx].Steps
 		if r.roTx != nil && r.roTx[tx] {
 			// Read-only fast path: one pinned snapshot, every step a
 			// lock-free chain walk, nothing shared but atomics.
-			snap := r.sb.SnapshotAcquire(user)
+			snap := r.sb.SnapshotAcquire(t.id)
 			for i := range steps {
-				think()
-				r.sb.SnapshotRead(user, steps[i].Var, snap)
+				r.think(t)
+				r.sb.SnapshotRead(t.id, steps[i].Var, snap)
 				if cfg.ExecTime > 0 {
 					time.Sleep(cfg.ExecTime)
 				}
 			}
-			r.sb.SnapshotRelease(user)
+			r.sb.SnapshotRelease(t.id)
 			r.txs[tx].committed.Store(true)
 		} else {
-			for r.attempt(tx, steps, um, reply, think) && int(r.txs[tx].restarts.Load()) < r.maxRestarts {
-				time.Sleep(time.Duration(rng.Int63n(int64(50 * time.Microsecond))))
+			for r.attempt(tx, steps, t) && int(r.txs[tx].restarts.Load()) < r.maxRestarts {
+				time.Sleep(time.Duration(t.rng.Int63n(int64(50 * time.Microsecond))))
+				t.mark = r.clock()
 			}
 		}
-		um.latency.Add(float64(time.Since(txStart)))
+		t.um.latency.Add(float64(r.clock() - start))
 		if r.yield {
 			runtime.Gosched()
 		}
 	}
 }
 
+// think sleeps the user's think time, if it has one; the next stage begins
+// when the user wakes.
+func (r *shardedRun) think(t *terminal) {
+	if r.cfg.ThinkTime > 0 {
+		time.Sleep(time.Duration(t.rng.Int63n(int64(r.cfg.ThinkTime) + 1)))
+		t.mark = r.clock()
+	}
+}
+
 // attempt runs one attempt of tx — every step decided, executed and, after
-// the last one, the commit enqueued — and reports whether it was aborted
-// and should restart.
-func (r *shardedRun) attempt(tx int, steps []core.Step, um *userMetrics, reply chan verdict, think func()) (restart bool) {
+// the last one, committed — and reports whether it was aborted and should
+// restart. The clock is read once after each decision and once after each
+// backend apply, each reading closing one stage and opening the next.
+func (r *shardedRun) attempt(tx int, steps []core.Step, t *terminal) (restart bool) {
 	for idx := range steps {
-		think()
-		sent := time.Now()
-		v := r.request(r.shards[r.cs.ShardOf(steps[idx].Var)], tx, idx, reply)
+		r.think(t)
+		v := r.request(r.shards[r.cs.ShardOf(steps[idx].Var)], tx, idx, t.reply)
+		// Read off the latch: a parked request's wait ends when its user
+		// wakes, an unparked one's decision when request returns.
+		now := r.clock()
 		if v.parked {
-			um.wait.Add(float64(v.decided.Sub(sent)))
+			t.um.wait.Add(float64(now - t.mark))
 		} else {
-			um.sched.Add(float64(v.decided.Sub(sent)))
+			t.um.sched.Add(float64(now - t.mark))
 		}
+		t.mark = now
 		if v.aborted {
 			return true
 		}
-		if !applyStep(r.cfg, tx, idx, &um.exec, nil, &r.errs) {
-			// Failed execution: abort through the normal path — undo the
-			// final step's committed mark if any, roll the backend back,
-			// release locks — and stop this transaction for good. Run
-			// surfaces the recorded error.
-			if v.lastGranted {
-				r.txs[tx].committed.Store(false)
+		if r.cfg.Backend != nil {
+			if !applyBackend(r.cfg, tx, idx, &r.errs) {
+				// Failed execution: abort through the normal path — undo
+				// the final step's committed mark if any, roll the backend
+				// back, release locks — and stop this transaction for
+				// good. Run surfaces the recorded error.
+				if v.lastGranted {
+					r.txs[tx].committed.Store(false)
+				}
+				r.abortTx(tx)
+				r.kickParked()
+				if v.lastGranted {
+					r.committing.Add(-1)
+				}
+				return false
 			}
-			r.abortTx(tx)
-			r.kickParked()
-			if v.lastGranted {
-				r.committing.Add(-1)
-			}
-			return false
+			now = r.clock()
+			t.um.exec.Add(float64(now - t.mark))
+			t.mark = now
+		}
+		if r.cfg.ExecTime > 0 {
+			time.Sleep(r.cfg.ExecTime)
+			t.mark = r.clock()
 		}
 		if v.lastGranted {
-			// Commit order matters: the backend discards the undo log while
-			// locks are still held, then the scheduler releases them, then
-			// parked requests are re-offered; only then may the breaker
-			// resume (committing). The sequence runs on the commit
-			// pipeline's lane — inline for a lone committer, on the lane
-			// driver for a group.
-			r.gc.Enqueue(tx)
+			r.commit(tx)
 		}
 	}
 	return false
+}
+
+// commit commits tx once its final step has executed. A syncing backend
+// commits through the group-commit lanes, which amortize one sync over a
+// group. Any other backend has nothing to amortize, so the user commits
+// inline: an idle lane's singleton group was exactly this, plus a mutex, a
+// CAS and a callback.
+func (r *shardedRun) commit(tx int) {
+	if r.gc != nil {
+		r.gc.Enqueue(tx)
+		return
+	}
+	if r.cfg.Backend != nil {
+		r.cfg.Backend.Commit(tx)
+	}
+	r.release([]int{tx})
+}
+
+// release finishes the commit of txs after the backend has committed them.
+// Order matters: the backend discarded the undo logs while the locks were
+// still held; now the scheduler releases the locks, then parked requests
+// are re-offered, and only then may the breaker resume (committing). It
+// runs on the committing user, or on a lane's driver for a whole group.
+func (r *shardedRun) release(txs []int) {
+	for _, tx := range txs {
+		r.cs.Commit(tx)
+	}
+	r.kickParked()
+	r.committing.Add(-int64(len(txs)))
+	r.maybeBreak()
 }
 
 // request decides one step on the calling user's goroutine under the
@@ -433,21 +499,20 @@ func (r *shardedRun) request(ss *shardState, tx, idx int, reply chan verdict) ve
 //optcc:hotpath
 func (r *shardedRun) decide(ss *shardState, tx, idx int) (v verdict, decided, kick bool) {
 	if !r.admit(tx) {
-		return verdict{aborted: true, decided: time.Now()}, true, true
+		return verdict{aborted: true}, true, true
 	}
 	//cclint:ignore hotpath the scheduler decision is the measured work itself
 	d := r.cs.Try(core.StepID{Tx: tx, Idx: idx})
 	kick = r.collectWounds()
-	now := time.Now()
 	switch d {
 	case online.Grant:
 		// A transaction wounded by its own request's side effects is
 		// honoured on its next request, not this grant.
-		return r.granted(ss, tx, idx, now), true, kick
+		return r.granted(ss, tx, idx), true, kick
 	case online.AbortTx:
 		//cclint:ignore hotpath abort path
 		r.abortTx(tx)
-		return verdict{aborted: true, decided: now}, true, true
+		return verdict{aborted: true}, true, true
 	}
 	return verdict{}, false, kick
 }
@@ -473,10 +538,10 @@ func (r *shardedRun) admit(tx int) bool {
 
 // granted logs a grant under ss's latch. The grant of a final step only
 // marks the transaction committed; the commit itself runs later, on the
-// user goroutine and its commit lane.
+// user goroutine (or its commit lane).
 //
 //optcc:hotpath
-func (r *shardedRun) granted(ss *shardState, tx, idx int, now time.Time) verdict {
+func (r *shardedRun) granted(ss *shardState, tx, idx int) verdict {
 	st := &r.txs[tx]
 	last := idx == len(r.sys.Txs[tx].Steps)-1
 	if last {
@@ -486,8 +551,8 @@ func (r *shardedRun) granted(ss *shardState, tx, idx int, now time.Time) verdict
 		r.inFlight.Add(-1)
 	}
 	//cclint:ignore hotpath presized to the shard's conflict-free request count; restarts overflow into amortized growth
-	ss.log = append(ss.log, grant{stamp: r.stamp.Add(1), tx: int32(tx), idx: int32(idx), attempt: st.restarts.Load()})
-	return verdict{decided: now, lastGranted: last}
+	ss.log = append(ss.log, grant{tx: int32(tx), idx: int32(idx), attempt: st.restarts.Load()})
+	return verdict{lastGranted: last}
 }
 
 // collectWounds marks the transactions the last decision wounded and
@@ -588,7 +653,7 @@ func (r *shardedRun) decideBatch(ss *shardState, chunk, kept []request) (_ []req
 			ids = append(ids, core.StepID{Tx: p.tx, Idx: p.idx})
 			slots = append(slots, i)
 		} else {
-			v, kick = verdict{aborted: true, decided: time.Now()}, true
+			v, kick = verdict{aborted: true}, true
 		}
 		vs = append(vs, v)
 	}
@@ -598,24 +663,28 @@ func (r *shardedRun) decideBatch(ss *shardState, chunk, kept []request) (_ []req
 		ds = online.TryBatch(r.cs, ids)
 	}
 	kick = r.collectWounds() || kick
-	now := time.Now()
 	for k, d := range ds {
 		p := chunk[slots[k]]
 		switch d {
 		case online.Grant:
-			vs[slots[k]] = r.granted(ss, p.tx, p.idx, now)
+			vs[slots[k]] = r.granted(ss, p.tx, p.idx)
 		case online.AbortTx:
 			r.abortTx(p.tx)
-			vs[slots[k]], kick = verdict{aborted: true, decided: now}, true
+			vs[slots[k]], kick = verdict{aborted: true}, true
 		}
 	}
+	k := 0 // walks slots, the admitted requests in chunk order
 	for i, p := range chunk {
-		if v := vs[i]; !v.decided.IsZero() {
-			v.parked = true
-			p.reply <- v
-		} else {
-			kept = append(kept, p)
+		if k < len(slots) && slots[k] == i {
+			k++
+			if ds[k-1] == online.Delay {
+				kept = append(kept, p)
+				continue
+			}
 		}
+		v := vs[i]
+		v.parked = true
+		p.reply <- v
 	}
 	return kept, kick
 }
@@ -678,7 +747,7 @@ func (r *shardedRun) tryBreak() {
 	}
 	r.breaks.Add(1)
 	r.abortTx(victim)
-	reply <- verdict{aborted: true, parked: true, decided: time.Now()}
+	reply <- verdict{aborted: true, parked: true}
 	r.kickParked()
 }
 
@@ -703,27 +772,61 @@ func (r *shardedRun) unpark(tx int) chan verdict {
 	return nil
 }
 
-// project merges the shard logs by stamp and keeps each committed
-// transaction's final attempt — Metrics.Output with the meaning
-// projectFinal gives it on the central engine. A committed transaction's
-// restart count still names the attempt that committed.
-func (r *shardedRun) project() core.Schedule {
-	h := make(core.Schedule, r.stamp.Load())
-	for i := range h {
-		h[i].Tx = -1
+// project merges the shard logs into each committed transaction's final
+// attempt — Metrics.Output with the meaning projectFinal gives it on the
+// central engine. A committed transaction's restart count still names the
+// attempt that committed.
+//
+// The merge is topological: it repeatedly takes any shard head whose step
+// is the next one its transaction needs. So it keeps every shard log's
+// order, and with it each variable's decision order, and every
+// transaction's program order. Each grant happened at one instant under
+// its latch, and real time is a linear extension of both orders, so the
+// merge always completes; the result is conflict-equivalent to real-time
+// grant order. A merge that stalls means a log broke that argument — an
+// engine invariant violation, returned as an error naming the stuck heads.
+func (r *shardedRun) project() (core.Schedule, error) {
+	final := func(g grant) bool {
+		st := &r.txs[g.tx]
+		return st.committed.Load() && g.attempt == st.restarts.Load()
 	}
+	n := 0
 	for _, ss := range r.shards {
 		for _, g := range ss.log {
-			if st := &r.txs[g.tx]; st.committed.Load() && g.attempt == st.restarts.Load() {
-				h[g.stamp-1] = core.StepID{Tx: int(g.tx), Idx: int(g.idx)}
+			if final(g) {
+				n++
 			}
 		}
 	}
-	kept := h[:0]
-	for _, id := range h {
-		if id.Tx >= 0 {
-			kept = append(kept, id)
+	h := make(core.Schedule, 0, n)
+	next := make([]int32, len(r.txs)) // each transaction's next step index
+	heads := make([]int, len(r.shards))
+	for progress := true; progress; {
+		progress = false
+		for s, ss := range r.shards {
+			for ; heads[s] < len(ss.log); heads[s]++ {
+				g := ss.log[heads[s]]
+				if !final(g) {
+					continue
+				}
+				if g.idx != next[g.tx] {
+					break
+				}
+				h = append(h, core.StepID{Tx: int(g.tx), Idx: int(g.idx)})
+				next[g.tx]++
+				progress = true
+			}
 		}
 	}
-	return kept
+	if len(h) == n {
+		return h, nil
+	}
+	var stuck strings.Builder
+	for s, ss := range r.shards {
+		if heads[s] < len(ss.log) {
+			g := ss.log[heads[s]]
+			fmt.Fprintf(&stuck, "; shard %d entry %d: tx %d step %d, tx at step %d", s, heads[s], g.tx, g.idx, next[g.tx])
+		}
+	}
+	return nil, fmt.Errorf("sim: shard logs do not merge (%d of %d grants placed)%s", len(h), n, stuck.String())
 }

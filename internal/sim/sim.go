@@ -34,7 +34,8 @@
 // granted-step logs (per shard there) are presized to the run's expected
 // sample counts, the parked-retry batch buffers are per-shard scratch under
 // the latch, the deadlock breaker reuses its stuck list, and commit flows
-// through pooled lock-table and group-commit state. The allocations that
+// through pooled lock-table state (and, on a syncing backend, the
+// group-commit lanes' double-buffered queues). The allocations that
 // remain in the drivers are deliberately confined to cold paths: restart
 // bookkeeping after an abort, the failure path's error wrapping, and
 // end-of-run projection/reporting.
@@ -77,15 +78,15 @@ type Config struct {
 	// halves it toward 1 as the queue drains (AIMD), so a large Batch costs
 	// nothing on thin traffic. The concurrent engine has no intake queue —
 	// users decide their own steps — so there Batch only bounds the chunk
-	// of parked requests a retry offers through online.TryBatch. On the
-	// concurrent engine every commit flows through the storage group-commit
-	// pipeline whatever Batch is: a finishing transaction enqueues its
-	// commit, and the lane's driver — the first committer to find the lane
-	// idle — discards undo logs and releases scheduler locks for the whole
-	// accumulated group in one sweep, asynchronously to every follower
-	// (async lock release; a lone committer drives its own singleton
-	// group, which is the plain inline commit). The granted-step log and
-	// all invariants are the same at every Batch.
+	// of parked requests a retry offers through online.TryBatch. Batch
+	// does not touch commits: on the concurrent engine a finishing
+	// transaction commits inline, unless the backend syncs
+	// (storage.GroupSyncer) — then it enqueues its commit into the storage
+	// group-commit pipeline, and the lane's driver — the first committer to
+	// find the lane idle — commits the whole accumulated group under one
+	// sync and releases its scheduler locks in one sweep, asynchronously to
+	// every follower. The granted-step log and all invariants are the same
+	// at every Batch.
 	Batch int
 	// ExecTime adds a simulated per-step execution cost on top of any
 	// backend work (0 = none). It is slept on the user goroutine after the
@@ -111,10 +112,10 @@ type Metrics struct {
 	DeadlockBreaks int
 	// CommitGroups and GroupCommits report the group-commit pipeline's
 	// coalescing: groups processed and transactions committed through
-	// them. The concurrent engine commits through the pipeline at every
-	// Batch (groups are mostly singletons unless commits pile up on a
-	// lane); both are zero on the centralized runtime, which has no
-	// pipeline.
+	// them. Only the concurrent engine on a backend that syncs
+	// (storage.GroupSyncer) commits through the pipeline; everywhere else —
+	// the concurrent engine on a memory backend or none, and the
+	// centralized runtime — both are zero.
 	CommitGroups, GroupCommits int
 	// WaitNs records per-request waiting time (delay until grant/abort).
 	WaitNs report.Histogram
@@ -179,7 +180,7 @@ type Metrics struct {
 }
 
 // GroupSize returns the mean commit-group size — the coalescing factor the
-// group-commit pipeline achieved — or 0 when group commit was off.
+// group-commit pipeline achieved — or 0 when no commit went through it.
 func (m *Metrics) GroupSize() float64 {
 	if m.CommitGroups == 0 {
 		return 0
@@ -216,7 +217,10 @@ type verdict struct {
 	// lastGranted reports the grant completed the transaction's final
 	// step: the user goroutine executes it and then drives the commit.
 	lastGranted bool
-	decided     time.Time
+	// decided is when the central scheduler goroutine decided. The
+	// concurrent engine leaves it zero: its users read the clock
+	// themselves once the verdict is in hand.
+	decided time.Time
 }
 
 // parked is a delayed request awaiting retry.
@@ -259,36 +263,44 @@ func (e *runErrors) get() error {
 	return e.err
 }
 
-// applyStep executes a granted step's real work on the user goroutine: the
-// backend apply (timed into exec, under mu unless exec is the caller's own
-// and mu nil) plus the optional ExecTime extra cost. This deliberately
-// happens after the grant, outside every scheduler critical section. It reports whether the step succeeded; on
-// failure the error is recorded and the caller must abort the transaction
-// through the normal abort path (rollback, then scheduler release) and stop
-// it — continuing, or worse committing, would persist a partially-applied
-// transaction.
+// applyStep executes a granted step's real work on a central-engine user
+// goroutine: the backend apply (timed into exec under mu) plus the optional
+// ExecTime extra cost. It reports whether the step succeeded, with
+// applyBackend's contract on failure.
 //
 //optcc:hotpath
 func applyStep(cfg *Config, tx, idx int, exec *report.Histogram, mu *sync.Mutex, errs *runErrors) bool {
 	if cfg.Backend != nil {
 		start := time.Now()
-		//cclint:ignore hotpath the backend apply is the measured payload work itself, not dispatch overhead
-		if err := cfg.Backend.ApplyStep(tx, cfg.System.Txs[tx].Steps[idx]); err != nil {
-			//cclint:ignore hotpath failure path; an apply error aborts the transaction, allocation is irrelevant
-			errs.set(fmt.Errorf("sim: apply %v: %w", core.StepID{Tx: tx, Idx: idx}, err))
+		if !applyBackend(cfg, tx, idx, errs) {
 			return false
 		}
 		d := float64(time.Since(start))
-		if mu != nil {
-			mu.Lock()
-			exec.Add(d)
-			mu.Unlock()
-		} else {
-			exec.Add(d)
-		}
+		mu.Lock()
+		exec.Add(d)
+		mu.Unlock()
 	}
 	if cfg.ExecTime > 0 {
 		time.Sleep(cfg.ExecTime)
+	}
+	return true
+}
+
+// applyBackend applies a granted step to the backend on the user goroutine.
+// This deliberately happens after the grant, outside every scheduler
+// critical section. It reports whether the step succeeded; on failure the
+// error is recorded and the caller must abort the transaction through the
+// normal abort path (rollback, then scheduler release) and stop it —
+// continuing, or worse committing, would persist a partially-applied
+// transaction.
+//
+//optcc:hotpath
+func applyBackend(cfg *Config, tx, idx int, errs *runErrors) bool {
+	//cclint:ignore hotpath the backend apply is the measured payload work itself, not dispatch overhead
+	if err := cfg.Backend.ApplyStep(tx, cfg.System.Txs[tx].Steps[idx]); err != nil {
+		//cclint:ignore hotpath failure path; an apply error aborts the transaction, allocation is irrelevant
+		errs.set(fmt.Errorf("sim: apply %v: %w", core.StepID{Tx: tx, Idx: idx}, err))
+		return false
 	}
 	return true
 }
@@ -304,16 +316,23 @@ func applyStep(cfg *Config, tx, idx int, exec *report.Histogram, mu *sync.Mutex,
 // plain online.Scheduler runs behind the single centralized scheduler
 // goroutine of Section 6.
 func Run(cfg Config) (*Metrics, error) {
+	m, _, err := run(cfg)
+	return m, err
+}
+
+// run is Run. On the concurrent engine it also returns the run itself,
+// whose shard logs tests check Output against (nil on the central engine).
+func run(cfg Config) (*Metrics, *shardedRun, error) {
 	sys := cfg.System
 	if sys == nil || sys.NumTxs() == 0 {
-		return nil, fmt.Errorf("sim: empty system")
+		return nil, nil, fmt.Errorf("sim: empty system")
 	}
 	if err := sys.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if cfg.Backend != nil {
 		if !sys.Executable() {
-			return nil, fmt.Errorf("sim: backend execution needs an executable system (every non-Read step interpreted)")
+			return nil, nil, fmt.Errorf("sim: backend execution needs an executable system (every non-Read step interpreted)")
 		}
 		cfg.Backend.Reset(sys.InitialStates()[0])
 	}
@@ -332,7 +351,13 @@ func Run(cfg Config) (*Metrics, error) {
 	if cs, ok := cfg.Sched.(online.ConcurrentScheduler); ok {
 		return runSharded(cfg, cs, sys, users, maxRestarts, batch)
 	}
+	m, err := runCentral(cfg, sys, users, maxRestarts, batch)
+	return m, nil, err
+}
 
+// runCentral runs a plain online.Scheduler behind the single centralized
+// scheduler goroutine of Section 6.
+func runCentral(cfg Config, sys *core.System, users, maxRestarts, batch int) (*Metrics, error) {
 	m := &Metrics{}
 	presizeMetrics(m, sys, cfg.Backend != nil)
 	var am report.AllocMeter

@@ -50,7 +50,7 @@ func strictSchedulers() []struct {
 // checkReplayInvariant runs the configuration with a fresh KV backend and
 // fails unless all jobs commit and the backend state equals the serial
 // replay of the committed schedule. batch > 1 turns on intake coalescing
-// and group commit.
+// and batched parked retries.
 func checkReplayInvariant(t *testing.T, name string, mk func() online.Scheduler, template *core.System, jobs, users, valueSize int, seed int64, batch int) *Metrics {
 	t.Helper()
 	inst := Instantiate(template, jobs)

@@ -23,6 +23,10 @@ import (
 // exactly what makes the pattern cheap where a dedicated commit thread
 // would add a scheduling hop per group.
 //
+// What a group amortizes is the backend's sync (GroupSyncer): one per
+// group instead of one per commit. A backend with nothing to sync gains
+// nothing from a lane, and the runtime commits on it inline instead.
+//
 // Transactions are partitioned across lanes by id; a transaction's Enqueue
 // must follow its last granted step (the usual per-transaction discipline —
 // nothing else may act for it concurrently).
@@ -54,10 +58,8 @@ type commitLane struct {
 }
 
 // NewGroupCommitter returns a pipeline with the given lane count (minimum
-// 1) over be. A nil backend is allowed: the pipeline then only batches the
-// release callback (group lock release without storage). The release
-// callback receives every enqueued transaction exactly once, in per-lane
-// groups; a nil release is a no-op.
+// 1) over be. The release callback receives every enqueued transaction
+// exactly once, in per-lane groups; a nil release is a no-op.
 func NewGroupCommitter(be Backend, lanes int, release func(txs []int)) *GroupCommitter {
 	if lanes < 1 {
 		lanes = 1
@@ -165,9 +167,7 @@ func (g *GroupCommitter) drain(l *commitLane) {
 			return
 		}
 		for _, tx := range group {
-			if g.be != nil {
-				g.be.Commit(tx)
-			}
+			g.be.Commit(tx)
 		}
 		// Durable backends get exactly one fsync per group, here — the
 		// whole point of coalescing commits into lanes. A failure is a

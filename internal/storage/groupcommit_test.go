@@ -110,25 +110,6 @@ func TestGroupCommitterBackendBeforeRelease(t *testing.T) {
 	}
 }
 
-// TestGroupCommitterNilBackend: with no backend the pipeline still batches
-// the release callback.
-func TestGroupCommitterNilBackend(t *testing.T) {
-	var mu sync.Mutex
-	seen := 0
-	gc := NewGroupCommitter(nil, 2, func(txs []int) {
-		mu.Lock()
-		seen += len(txs)
-		mu.Unlock()
-	})
-	for tx := 0; tx < 10; tx++ {
-		gc.Enqueue(tx)
-	}
-	gc.Close()
-	if seen != 10 {
-		t.Fatalf("released %d of 10", seen)
-	}
-}
-
 // recordingBackend is a minimal Backend stub for pipeline-order tests.
 type recordingBackend struct {
 	onCommit func(tx int)

@@ -246,14 +246,16 @@ fi
 # experiment sweep knobs with their Quick twins, E8, E10, ccbench -md and
 # its EXPERIMENTS.md, the end-to-end root benchmarks, and the disk
 # backend's eager redo+undo execution mode with its Config switch and
-# torture env var are gone; nothing that documents or drives the current
-# tree may name them.
+# torture env var, the concurrent engine's run-global grant stamp and its
+# every-commit-through-a-lane rule are gone; nothing that documents or
+# drives the current tree may name them.
 for f in README.md DESIGN.md doc.go cmd/*/main.go Makefile internal/report/report.go .claude/skills/verify/SKILL.md; do
   [ -f "$f" ] || continue
   for stale in 'railstripes' 'NewSharded(' 'Sharded combinator' 'ordering rail' 'benchdiff' 'bench-json' 'BENCH_PR' \
       'E8Config' 'E10Config' 'E8Quick' 'ccbench -md' 'EXPERIMENTS.md' '-exp E8' '-exp E10' \
       'BenchmarkShardedVsCentral' 'BenchmarkNativeVsMutexed' \
-      'Config.Buffered' 'Buffered:' 'redo+undo' 'eager redo' 'disk(buffered)' 'OPTCC_TORTURE_BUFFERED'; do
+      'Config.Buffered' 'Buffered:' 'redo+undo' 'eager redo' 'disk(buffered)' 'OPTCC_TORTURE_BUFFERED' \
+      'merged by stamp' 'stamped from one' 'every commit flows through'; do
     if grep -qF -- "$stale" "$f"; then
       echo "check-docs: $f still names the removed '$stale'"
       fail=1
