@@ -326,6 +326,90 @@ func TestSGTPruning(t *testing.T) {
 	if nodes != 0 || steps != 0 {
 		t.Errorf("graph not pruned after commits: nodes=%d steps=%d", nodes, steps)
 	}
+
+	// A chain T0 → T1 → T2 → T3 (through a, b, c) with T1–T3 committed
+	// behind a live head T0, and T3 also behind T0 directly in the
+	// middle-abort case. Each case runs on SGT and on the reference.
+	chain := (&core.System{Name: "chain", Txs: []core.Transaction{
+		{Steps: []core.Step{{Var: "a", Kind: core.Write}, {Var: "m", Kind: core.Read}}},
+		{Steps: []core.Step{{Var: "a", Kind: core.Read}, {Var: "b", Kind: core.Write}}},
+		{Steps: []core.Step{{Var: "b", Kind: core.Read}, {Var: "c", Kind: core.Write}}},
+		{Steps: []core.Step{{Var: "c", Kind: core.Read}}},
+	}}).Normalize()
+	middle := (&core.System{Name: "middle", Txs: []core.Transaction{
+		{Steps: []core.Step{{Var: "a", Kind: core.Write}, {Var: "m", Kind: core.Read}}},
+		{Steps: []core.Step{{Var: "m", Kind: core.Write}, {Var: "a", Kind: core.Read}, {Var: "b", Kind: core.Write}}},
+		{Steps: []core.Step{{Var: "b", Kind: core.Read}}},
+		{Steps: []core.Step{{Var: "a", Kind: core.Read}}},
+	}}).Normalize()
+	grant := func(t *testing.T, s sgtUnderTest, tx, idx int) {
+		t.Helper()
+		if d := s.Try(core.StepID{Tx: tx, Idx: idx}); d != Grant {
+			t.Fatalf("%s: T%d step %d: %v, want grant", s.Name(), tx, idx, d)
+		}
+	}
+	size := func(t *testing.T, s sgtUnderTest, nodes, steps int) {
+		t.Helper()
+		if n, st := s.GraphSize(); n != nodes || st != steps {
+			t.Fatalf("%s: GraphSize = %d nodes %d steps, want %d nodes %d steps", s.Name(), n, st, nodes, steps)
+		}
+	}
+	buildChain := func(t *testing.T, s sgtUnderTest) {
+		s.Begin(chain)
+		grant(t, s, 0, 0)
+		for tx := 1; tx <= 3; tx++ {
+			for idx := range chain.Txs[tx].Steps {
+				grant(t, s, tx, idx)
+			}
+			s.Commit(tx)
+		}
+		size(t, s, 4, 6)
+	}
+	for _, mk := range []func() sgtUnderTest{
+		func() sgtUnderTest { return NewSGT() },
+		func() sgtUnderTest { return &refSGT{} },
+	} {
+		t.Run(mk().Name()+"/head-commits", func(t *testing.T) {
+			s := mk()
+			buildChain(t, s)
+			grant(t, s, 0, 1)
+			size(t, s, 4, 7)
+			s.Commit(0)
+			size(t, s, 0, 0)
+		})
+		t.Run(mk().Name()+"/head-aborts", func(t *testing.T) {
+			s := mk()
+			buildChain(t, s)
+			s.Abort(0)
+			size(t, s, 0, 0)
+		})
+		t.Run(mk().Name()+"/middle-aborts", func(t *testing.T) {
+			// T0 → T1 (a), T1 → T2 (b), T0 → T3 (a); T2 and T3 committed,
+			// T0 and T1 live. Aborting T1 takes T2 with it and leaves T0
+			// and T3.
+			s := mk()
+			s.Begin(middle)
+			grant(t, s, 0, 0)
+			for idx := 0; idx < 3; idx++ {
+				grant(t, s, 1, idx)
+			}
+			grant(t, s, 2, 0)
+			s.Commit(2)
+			grant(t, s, 3, 0)
+			s.Commit(3)
+			size(t, s, 4, 6)
+			s.Abort(1)
+			size(t, s, 2, 2)
+			if v, _ := s.Victim([]int{1, 3}); v != 3 {
+				t.Fatalf("%s: victim %d after the abort, want T3 (T1 has no predecessor left)", s.Name(), v)
+			}
+			// T0's edge to the dead T1 must be gone: the restarted T1
+			// writes m before T0 reads it, so T1 → T0 closes no cycle.
+			grant(t, s, 1, 0)
+			grant(t, s, 0, 1)
+			size(t, s, 3, 4)
+		})
+	}
 }
 
 func TestReplayRejectsIllegalHistory(t *testing.T) {

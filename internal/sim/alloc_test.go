@@ -113,6 +113,12 @@ func snapshotBench(b *testing.B) {
 //     copy-on-write writer-mark publish (slice + published header) on each
 //     transaction's first write of a variable; footprints live in a
 //     Begin-time slab. Ceiling 4 leaves restart headroom.
+//   - central-sgt-noop, mutexed-sgt-noop: the sequential SGT, the paper's
+//     serialization scheduler, on the central goroutine and behind
+//     Mutexed: ZERO — steps are filed in per-variable lists, edges in
+//     per-transaction lists recycled through a spare pool, scratch sets are
+//     stamps on the nodes, and the per-step variable index is one
+//     Begin-time slab.
 var hotPathCases = []struct {
 	name    string
 	ceiling int64
@@ -139,6 +145,12 @@ var hotPathCases = []struct {
 	}, noopBackend)},
 	{"cocc-noop", 4, hotPathBench(func() online.Scheduler {
 		return online.NewConcurrentOCC(4)
+	}, noopBackend)},
+	{"central-sgt-noop", 0, hotPathBench(func() online.Scheduler {
+		return online.NewSGTAborting()
+	}, noopBackend)},
+	{"mutexed-sgt-noop", 0, hotPathBench(func() online.Scheduler {
+		return online.NewMutexed(online.NewSGTAborting())
 	}, noopBackend)},
 }
 
