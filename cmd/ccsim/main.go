@@ -29,9 +29,9 @@
 // table); with the kv backend's version chains, read-only transactions are
 // served from pinned lock-free storage snapshots and never enter the grant
 // machinery at all. -sched csgt / csgt-delay select the natively concurrent
-// serialization-graph scheduler (striped union-find component graph,
-// lock-free zero-conflict grants; abort-on-cycle and delay-on-cycle) and
-// -sched cocc the natively concurrent optimistic scheduler (epoch-based
+// serialization-graph scheduler (the sequential SGT's graph behind one
+// mutex, lock-free zero-conflict grants; abort-on-cycle and delay-on-cycle)
+// and -sched cocc the natively concurrent optimistic scheduler (epoch-based
 // backward validation, no global critical section); like cto they always
 // run on the concurrent engine. The single-threaded schedulers with no
 // 2PL policy (serial, 2pl-conservative, treelock, sgt, to, to-thomas, occ)

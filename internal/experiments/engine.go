@@ -567,12 +567,12 @@ func E14CheckpointedWAL() (*Result, error) {
 }
 
 // E15NativeSGTOCC runs the natively concurrent serialization-graph and
-// optimistic schedulers (online.ConcurrentSGT on the striped union-find
-// component graph, online.ConcurrentOCC on epoch-based backward validation)
-// beside the paper's objects — the single-threaded SGT and OCC under
-// online.Mutexed, one shard, exactly their fixpoint sets — with the
-// natively concurrent TO and strict 2PL as reference points, across shard
-// count × access skew. Cells and self-checks are nativeVsMutexedTables'
+// optimistic schedulers (online.ConcurrentSGT on the sequential SGT's dense
+// graph behind one mutex, online.ConcurrentOCC on epoch-based backward
+// validation) beside the paper's objects — the single-threaded SGT and
+// OCC under online.Mutexed, one shard, exactly their fixpoint sets — with
+// the natively concurrent TO and strict 2PL as reference points, across
+// shard count × access skew. Cells and self-checks are nativeVsMutexedTables'
 // (shared with E11).
 func E15NativeSGTOCC() (*Result, error) {
 	tables, err := nativeVsMutexedTables("E15",
@@ -595,9 +595,10 @@ func E15NativeSGTOCC() (*Result, error) {
 	}
 	return &Result{
 		ID:    "E15",
-		Title: "Native SGT + OCC — striped serialization graph and epoch validation vs Mutexed(SGT)/Mutexed(OCC) across shards × skew",
-		Text: "csgt(n)/abort = natively concurrent SGT (striped union-find component graph, lock-free " +
-			"zero-conflict grants); cocc(n)/backward = natively concurrent OCC (epoch-based backward " +
+		Title: "Native SGT + OCC — one-mutex serialization graph and epoch validation vs Mutexed(SGT)/Mutexed(OCC) across shards × skew",
+		Text: "csgt(n)/abort = natively concurrent SGT (conflicts found under the shard latches, the " +
+			"sequential SGT's dense graph behind one mutex, lock-free zero-conflict grants); " +
+			"cocc(n)/backward = natively concurrent OCC (epoch-based backward " +
 			"validation, no global critical section); mutexed/sgt/abort and mutexed/occ/backward = the " +
 			"single-threaded originals behind one mutex (one shard whatever n is, so they run " +
 			"once per regime); cto(n) and 2pl-sharded(n) are the natively concurrent reference points. " +

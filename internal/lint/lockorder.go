@@ -12,9 +12,8 @@ import (
 // LockOrder machine-checks the engine's documented lock hierarchy (DESIGN.md
 // "Native SGT and OCC" and "Durability"):
 //
-//   - sgtgraph: stripe mutexes (sgtStripe.mu) are acquired in ascending
-//     index order, and sgtGraph.compMu nests strictly inside them — compMu
-//     is never held while acquiring a stripe mutex.
+//   - sgtgraph: ConcurrentSGT's one graph mutex (sgtGraph.mu) is never
+//     taken recursively.
 //   - lockmgr: per-shard table mutexes (tableShard.mu) are never nested —
 //     every multi-shard sweep releases one shard before locking the next —
 //     and fastSet.mu is innermost.
@@ -26,19 +25,19 @@ import (
 //     GroupCommitter.errMu innermost.
 //   - sim: the shard decision latch (shardState.mu) is outermost across
 //     every domain — a scheduler decision runs under it, so lock-table
-//     shard mutexes, SGT stripes, Mutexed.mu and the commit lanes all nest
-//     inside it, it is never taken while any tracked lock is held, and two
-//     latches are never held at once, not even through a call (decide →
-//     unlock → kick).
+//     shard mutexes, the SGT graph mutex, Mutexed.mu and the commit lanes
+//     all nest inside it, it is never taken while any tracked lock is
+//     held, and two latches are never held at once, not even through a
+//     call (decide → unlock → kick).
 //
 // The check is a source-order scan per function: Lock/RLock pushes the
 // receiver's lock class, Unlock/RUnlock pops it (a deferred unlock holds to
 // function end), and every acquisition is checked against the classes still
-// held — rank order within a domain, self-nesting, and the sorted-loop
-// idiom for multi-instance classes. Calls to functions whose transitive
-// lock summary (built over the whole module) intersects the held set are
-// checked the same way, so a violation hidden behind a helper is still
-// caught. Loop back-edges are not modeled: a lock held across a loop
+// held — rank order within a domain and self-nesting, where a
+// multi-instance class must be released before its next instance is
+// taken. Calls to functions whose transitive lock summary (built over the
+// whole module) intersects the held set are checked the same way, so a
+// violation hidden behind a helper is still caught. Loop back-edges are not modeled: a lock held across a loop
 // iteration into its own re-acquisition is out of scope (documented
 // limitation; the race/stress CI jobs cover that dynamically).
 var LockOrder = &analysis.Analyzer{
@@ -51,21 +50,15 @@ var LockOrder = &analysis.Analyzer{
 // "OwnerType.field" so the analyzer needs no package configuration and the
 // golden fixtures can replicate the shapes under test.
 type lockClass struct {
-	key    string // "sgtStripe.mu"
+	key    string // "sgtGraph.mu"
 	domain string // classes in different domains never constrain each other
 	// rank orders acquisition within a domain: a lock may only be acquired
 	// while every held same-domain lock has a strictly smaller rank
 	// (smaller = outer, larger = inner).
 	rank int
-	// multi marks classes with many instances (per-stripe, per-shard).
-	// Acquiring a second instance while one is held is a violation unless
-	// ascending loop evidence applies.
+	// multi marks classes with many instances (per-shard, per-lane).
+	// Acquiring a second instance while one is held is a violation.
 	multi bool
-	// ascending allows a loop to acquire many instances when the loop
-	// provably visits indices in ascending order (a range over a slice the
-	// function sorts, a range over the backing array, or an incrementing
-	// index loop).
-	ascending bool
 	// outermost puts the class above every other class of every domain: it
 	// may not be acquired while any tracked lock is held, and a call that
 	// may acquire another instance while one is held is a violation too.
@@ -74,8 +67,7 @@ type lockClass struct {
 
 // lockClasses is the hierarchy under enforcement, keyed by OwnerType.field.
 var lockClasses = map[string]*lockClass{
-	"sgtStripe.mu":         {key: "sgtStripe.mu", domain: "sgtgraph", rank: 10, multi: true, ascending: true},
-	"sgtGraph.compMu":      {key: "sgtGraph.compMu", domain: "sgtgraph", rank: 20},
+	"sgtGraph.mu":          {key: "sgtGraph.mu", domain: "sgtgraph", rank: 10},
 	"tableShard.mu":        {key: "tableShard.mu", domain: "lockmgr", rank: 10, multi: true},
 	"fastSet.mu":           {key: "fastSet.mu", domain: "lockmgr", rank: 20, multi: true},
 	"Disk.ckptMu":          {key: "Disk.ckptMu", domain: "disk", rank: 5},
@@ -274,7 +266,7 @@ func runLockOrder(pass *analysis.Pass) error {
 // are skipped (scanned separately).
 func scanLockOrder(pass *analysis.Pass, body *ast.BlockStmt) {
 	var held []heldLock
-	var loops []*loopFrame
+	var loops []ast.Node
 	var walk func(n ast.Node)
 
 	report := func(n ast.Node, format string, args ...any) {
@@ -304,7 +296,7 @@ func scanLockOrder(pass *analysis.Pass, body *ast.BlockStmt) {
 					continue
 				}
 				if cls.multi {
-					report(n, "second %s acquired while one is held: multi-instance locks must be released first or taken in one ascending-order loop", cls.key)
+					report(n, "second %s acquired while one is held: multi-instance locks must be released first", cls.key)
 				} else {
 					report(n, "recursive acquisition of %s (self-deadlock)", cls.key)
 				}
@@ -343,8 +335,7 @@ func scanLockOrder(pass *analysis.Pass, body *ast.BlockStmt) {
 			walk(n.Call)
 			return
 		case *ast.ForStmt:
-			frame := &loopFrame{node: n, ascending: forLoopAscending(n)}
-			loops = append(loops, frame)
+			loops = append(loops, n)
 			walk(n.Init)
 			walk(n.Cond)
 			walk(n.Body)
@@ -352,8 +343,7 @@ func scanLockOrder(pass *analysis.Pass, body *ast.BlockStmt) {
 			loops = loops[:len(loops)-1]
 			return
 		case *ast.RangeStmt:
-			frame := &loopFrame{node: n, rangeOver: n.X}
-			loops = append(loops, frame)
+			loops = append(loops, n)
 			walk(n.Body)
 			loops = loops[:len(loops)-1]
 			return
@@ -364,13 +354,11 @@ func scanLockOrder(pass *analysis.Pass, body *ast.BlockStmt) {
 			cls, kind := classifyLockCall(pass.TypesInfo, n)
 			switch {
 			case cls != nil && kind == lockCall:
-				if frame := innermostLoopWithoutUnlock(pass, loops, cls); frame != nil {
+				if loopWithoutUnlock(pass, loops, cls) {
 					if !cls.multi {
 						report(n, "%s locked inside a loop with no unlock in the loop body (recursive self-deadlock)", cls.key)
-					} else if !cls.ascending {
-						report(n, "a loop acquires multiple %s instances; this class requires release-before-next (no ordered multi-acquisition is documented)", cls.key)
-					} else if !frame.ascendingEvidence(pass, body) {
-						report(n, "a loop acquires multiple %s instances in an order that is not provably ascending; sort the index slice (sort.Ints/slices.Sort) before the loop", cls.key)
+					} else {
+						report(n, "a loop acquires multiple %s instances; this class requires release-before-next", cls.key)
 					}
 				}
 				checkAcquire(n, cls, "")
@@ -413,24 +401,16 @@ func scanLockOrder(pass *analysis.Pass, body *ast.BlockStmt) {
 	walk(body)
 }
 
-// loopFrame tracks one enclosing loop during the scan.
-type loopFrame struct {
-	node      ast.Node
-	rangeOver ast.Expr // for range loops: the ranged expression
-	ascending bool     // for 3-clause loops: provably incrementing index
-}
-
-// innermostLoopWithoutUnlock returns the innermost enclosing loop whose body
+// loopWithoutUnlock reports whether the innermost enclosing loop's body
 // contains no unlock of cls — meaning a Lock call inside it accumulates one
 // instance per iteration. A loop that unlocks the class in its own body is
 // the release-before-next idiom and holds at most one instance at a time.
-func innermostLoopWithoutUnlock(pass *analysis.Pass, loops []*loopFrame, cls *lockClass) *loopFrame {
+func loopWithoutUnlock(pass *analysis.Pass, loops []ast.Node, cls *lockClass) bool {
 	if len(loops) == 0 {
-		return nil
+		return false
 	}
-	frame := loops[len(loops)-1]
 	var body ast.Node
-	switch n := frame.node.(type) {
+	switch n := loops[len(loops)-1].(type) {
 	case *ast.ForStmt:
 		body = n.Body
 	case *ast.RangeStmt:
@@ -448,82 +428,5 @@ func innermostLoopWithoutUnlock(pass *analysis.Pass, loops []*loopFrame, cls *lo
 		}
 		return !found
 	})
-	if found {
-		return nil
-	}
-	return frame
-}
-
-// ascendingEvidence reports whether the loop provably visits lock indices in
-// ascending order: an incrementing 3-clause loop, a range over a slice the
-// function sorts (sort.Ints/sort.Slice/slices.Sort*) before the loop, or a
-// range directly over a struct's backing array of instances.
-func (fr *loopFrame) ascendingEvidence(pass *analysis.Pass, funcBody *ast.BlockStmt) bool {
-	if fr.ascending {
-		return true
-	}
-	if fr.rangeOver == nil {
-		return false
-	}
-	switch x := fr.rangeOver.(type) {
-	case *ast.SelectorExpr:
-		// for i := range r.stripes { r.stripes[i].mu.Lock() }: range over
-		// the instance array itself is index order by construction.
-		return true
-	case *ast.Ident:
-		obj := pass.TypesInfo.Uses[x]
-		if obj == nil {
-			return false
-		}
-		sorted := false
-		ast.Inspect(funcBody, func(n ast.Node) bool {
-			if sorted || n == nil || n.Pos() >= fr.node.Pos() {
-				return !sorted
-			}
-			c, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if name := sortCallName(pass.TypesInfo, c); name != "" && len(c.Args) >= 1 {
-				if id, ok := c.Args[0].(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
-					sorted = true
-				}
-			}
-			return true
-		})
-		return sorted
-	}
-	return false
-}
-
-// sortCallName matches the standard sorting helpers.
-func sortCallName(info *types.Info, c *ast.CallExpr) string {
-	sel, ok := c.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return ""
-	}
-	switch fn.Pkg().Path() {
-	case "sort":
-		switch fn.Name() {
-		case "Ints", "Slice", "SliceStable", "Sort", "Stable":
-			return "sort." + fn.Name()
-		}
-	case "slices":
-		switch fn.Name() {
-		case "Sort", "SortFunc", "SortStableFunc":
-			return "slices." + fn.Name()
-		}
-	}
-	return ""
-}
-
-// forLoopAscending reports whether a 3-clause for loop provably increments
-// its index (for i := lo; i < hi; i++).
-func forLoopAscending(n *ast.ForStmt) bool {
-	inc, ok := n.Post.(*ast.IncDecStmt)
-	return ok && inc.Tok.String() == "++"
+	return !found
 }

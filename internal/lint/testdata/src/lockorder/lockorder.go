@@ -6,48 +6,23 @@ package lockorder
 
 import "sync"
 
-type sgtStripe struct {
-	mu   sync.Mutex
-	subs map[string][]string
-}
-
 type sgtGraph struct {
-	stripes []sgtStripe
-	compMu  sync.Mutex
-	parent  map[string]string
+	mu    sync.Mutex
+	edges []int
 }
 
-// compUnderNothingThenStripe violates the nesting direction: compMu is the
-// innermost graph lock and must never be held while acquiring a stripe.
-func (r *sgtGraph) compUnderNothingThenStripe(i int) {
-	r.compMu.Lock()
-	r.stripes[i].mu.Lock() // want "sgtStripe.mu acquired while sgtGraph.compMu is held"
-	r.stripes[i].mu.Unlock()
-	r.compMu.Unlock()
+// lockedHelper exists to hide the graph mutex behind a call.
+func (g *sgtGraph) lockedHelper() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.edges)
 }
 
-// helperLocksStripe exists to hide the stripe acquisition behind a call.
-func (r *sgtGraph) helperLocksStripe(i int) {
-	r.stripes[i].mu.Lock()
-	defer r.stripes[i].mu.Unlock()
-	r.parent["a"] = "b"
-}
-
-// compThenHelper hits the same violation through the call summary.
-func (r *sgtGraph) compThenHelper(i int) {
-	r.compMu.Lock()
-	defer r.compMu.Unlock()
-	r.helperLocksStripe(i) // want "call to helperLocksStripe may acquire sgtStripe.mu while sgtGraph.compMu is held"
-}
-
-// unsortedLoop acquires many stripes in an order nothing proves ascending.
-func (r *sgtGraph) unsortedLoop(locked []int) {
-	for _, i := range locked {
-		r.stripes[i].mu.Lock() // want "not provably ascending"
-	}
-	for _, i := range locked {
-		r.stripes[i].mu.Unlock()
-	}
+// helperUnderMu re-takes the one graph mutex through a call.
+func (g *sgtGraph) helperUnderMu() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.lockedHelper() // want "call to lockedHelper may acquire sgtGraph.mu, which is already held"
 }
 
 type tableShard struct {
@@ -69,6 +44,17 @@ func (s *shardedTable) nestedShards(a, b int) {
 	s.shards[a].mu.Unlock()
 }
 
+// lockAll accumulates one shard mutex per iteration: the class is
+// release-before-next, whatever order the loop visits.
+func (s *shardedTable) lockAll(order []int) {
+	for _, i := range order {
+		s.shards[i].mu.Lock() // want "a loop acquires multiple tableShard.mu instances"
+	}
+	for _, i := range order {
+		s.shards[i].mu.Unlock()
+	}
+}
+
 type Disk struct {
 	syncMu sync.Mutex
 	mu     sync.Mutex
@@ -82,6 +68,21 @@ func (d *Disk) syncUnderBackend() {
 	defer d.mu.Unlock()
 	d.syncMu.Lock() // want "Disk.syncMu acquired while Disk.mu is held"
 	d.syncMu.Unlock()
+}
+
+// helperLocksSync exists to hide the group-sync acquisition behind a call.
+func (d *Disk) helperLocksSync() {
+	d.syncMu.Lock()
+	defer d.syncMu.Unlock()
+	d.n++
+}
+
+// backendThenHelper hits syncUnderBackend's violation through the call
+// summary.
+func (d *Disk) backendThenHelper() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.helperLocksSync() // want "call to helperLocksSync may acquire Disk.syncMu while Disk.mu is held"
 }
 
 // recursiveSync self-deadlocks on a single-instance class.

@@ -2,68 +2,7 @@
 // the documented hierarchy and the analyzer must stay silent.
 package lockorderclean
 
-import (
-	"sort"
-	"sync"
-)
-
-type sgtStripe struct {
-	mu   sync.Mutex
-	subs map[string][]string
-}
-
-type sgtGraph struct {
-	stripes []sgtStripe
-	compMu  sync.Mutex
-	parent  map[string]string
-}
-
-// compInsideStripe is the documented order: compMu nests inside a stripe.
-func (r *sgtGraph) compInsideStripe(i int) {
-	r.stripes[i].mu.Lock()
-	defer r.stripes[i].mu.Unlock()
-	r.compMu.Lock()
-	r.parent["a"] = "b"
-	r.compMu.Unlock()
-}
-
-// sortedLoop is the insert idiom: sort the indices, then lock ascending.
-func (r *sgtGraph) sortedLoop(locked []int) {
-	sort.Ints(locked)
-	for _, i := range locked {
-		r.stripes[i].mu.Lock()
-	}
-	for _, i := range locked {
-		r.stripes[i].mu.Unlock()
-	}
-}
-
-// rangeOverStripes locks every stripe by ranging the backing array itself —
-// index order by construction.
-func (r *sgtGraph) rangeOverStripes() {
-	for i := range r.stripes {
-		r.stripes[i].mu.Lock()
-	}
-	for i := range r.stripes {
-		r.stripes[i].mu.Unlock()
-	}
-}
-
-// retryLoop is the lockComp idiom: the loop body releases the stripe before
-// the next iteration re-acquires it, so only one instance is ever held.
-func (r *sgtGraph) retryLoop(i int) {
-	for {
-		r.compMu.Lock()
-		j := i
-		r.compMu.Unlock()
-		r.stripes[j].mu.Lock()
-		if j == i {
-			r.stripes[j].mu.Unlock()
-			return
-		}
-		r.stripes[j].mu.Unlock()
-	}
-}
+import "sync"
 
 type tableShard struct {
 	mu sync.Mutex
@@ -80,6 +19,20 @@ func (s *shardedTable) sweep() {
 		s.shards[i].mu.Lock()
 		s.shards[i].n++
 		s.shards[i].mu.Unlock()
+	}
+}
+
+// retryLoop releases the shard on every path through the loop body before
+// the next iteration may take another, so only one instance is ever held.
+func (s *shardedTable) retryLoop(i int) {
+	for {
+		s.shards[i].mu.Lock()
+		if s.shards[i].n > 0 {
+			s.shards[i].mu.Unlock()
+			return
+		}
+		s.shards[i].mu.Unlock()
+		i = (i + 1) % len(s.shards)
 	}
 }
 
@@ -117,14 +70,21 @@ type Mutexed struct {
 	n  int
 }
 
+type sgtGraph struct {
+	mu    sync.Mutex
+	edges []int
+}
+
 type run struct {
 	shards []*shardState
 	sched  Mutexed
 	table  []tableShard
+	graph  sgtGraph
 }
 
 // decideUnderLatch is the run-to-completion decision: the latch is
-// outermost, the scheduler's mutex and a lock-table shard nest inside it.
+// outermost; the scheduler's mutex, a lock-table shard and the SGT graph
+// mutex nest inside it.
 func (r *run) decideUnderLatch(a, v int) {
 	ss := r.shards[a]
 	ss.mu.Lock()
@@ -134,6 +94,9 @@ func (r *run) decideUnderLatch(a, v int) {
 	r.table[v].mu.Lock()
 	r.table[v].n++
 	r.table[v].mu.Unlock()
+	r.graph.mu.Lock()
+	r.graph.edges = append(r.graph.edges, v)
+	r.graph.mu.Unlock()
 	ss.mu.Unlock()
 }
 

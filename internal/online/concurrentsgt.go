@@ -22,10 +22,10 @@ func containsNode(list []sgtNode, n sgtNode) bool {
 }
 
 // ConcurrentSGT is natively concurrent serialization graph testing: the
-// SGT scheduler rebuilt for the sharded runtime on a finely striped graph.
-// Where Mutexed(SGT) runs the single-threaded SGT behind one mutex,
-// ConcurrentSGT keeps one graph for the whole run, partitioned by
-// connectivity instead of by variable:
+// SGT scheduler rebuilt for the sharded runtime. Where Mutexed(SGT) runs
+// the whole single-threaded SGT behind one mutex, ConcurrentSGT finds
+// conflicts under the shard latches and holds a graph mutex only to edge
+// a step that has them:
 //
 //   - Conflicts are discovered through per-variable marks (internal/online
 //     marks.go): each variable's entry lists the live incarnations that
@@ -36,15 +36,11 @@ func containsNode(list []sgtNode, n sgtNode) bool {
 //     live reader/writer, not just the last ones: last-marks would lose
 //     transitive edges when an intermediate incarnation aborts and admit
 //     non-serializable schedules.
-//   - Edges and cycle checks live in sgtGraph, the striped union-find
-//     component graph (sgtgraph.go). Grants touching disjoint components
-//     proceed in parallel on different stripes; a zero-conflict grant
-//     (empty source set) takes no lock at all; only a same-component
-//     source forces the exact DFS, inside that component's single stripe.
-//   - Commit and abort prune component-locally, retiring exactly the
-//     nodes the sequential SGT's global prune would (eligibility can only
-//     change through an event in the node's own component, and each such
-//     event prunes that component to fixpoint).
+//   - Edges and cycle checks live in sgtGraph (sgtgraph.go): the
+//     sequential SGT's dense graph behind one mutex. A zero-conflict grant
+//     (empty source set) takes no lock at all.
+//   - Commit and abort drop nodes with the sequential SGT's cascade and
+//     retire exactly the nodes it removes.
 //
 // Cycle handling matches the sequential pair: delay-on-cycle preserves the
 // CSR fixpoint (NewConcurrentSGT), abort-on-cycle guarantees progress
@@ -90,7 +86,7 @@ func (s *ConcurrentSGT) Name() string {
 
 // Begin implements Scheduler. Re-beginning over the same system (the
 // replay harness enumerating histories does this per history) reuses the
-// marks table and graph via reset instead of rebuilding their maps.
+// marks table and graph via reset instead of rebuilding them.
 func (s *ConcurrentSGT) Begin(sys *core.System) {
 	if sys == s.sys && s.marks != nil && len(s.graph.state) == sys.NumTxs() {
 		s.marks.reset()
@@ -99,7 +95,7 @@ func (s *ConcurrentSGT) Begin(sys *core.System) {
 	}
 	s.sys = sys
 	s.marks = newSGTMarks(sys.Vars(), s.shards)
-	s.graph = newSGTGraph(s.shards, sys.NumTxs())
+	s.graph = newSGTGraph(sys.NumTxs())
 }
 
 // collect compacts dead incarnations out of a mark list in place and
@@ -140,8 +136,8 @@ func (s *ConcurrentSGT) record(list []sgtNode, me sgtNode) []sgtNode {
 
 // Try implements Scheduler. The zero-conflict path — no live conflicting
 // marks on the step's variable — is lock-free: marks lookup, liveness
-// loads, mark record. Conflicting grants go through the striped graph's
-// insert, locking only the stripes owning the touched components.
+// loads, mark record. Conflicting grants go through the graph's insert
+// under its mutex.
 //
 //optcc:hotpath
 func (s *ConcurrentSGT) Try(id core.StepID) Decision {
@@ -156,7 +152,6 @@ func (s *ConcurrentSGT) Try(id core.StepID) Decision {
 		e.readers, src = s.collect(e.readers, me, src)
 	}
 	e.srcBuf = src
-	//cclint:ignore hotpath contended path: the striped-graph insert takes component stripe locks
 	if !s.graph.insert(me, src) {
 		if s.AbortOnCycle {
 			return AbortTx
@@ -183,26 +178,23 @@ func (s *ConcurrentSGT) TryBatch(ids []core.StepID) []Decision {
 }
 
 // Commit implements Scheduler.
+//
+//optcc:hotpath
 func (s *ConcurrentSGT) Commit(tx int) { s.graph.commitTx(tx) }
 
 // Abort implements Scheduler: the incarnation's node leaves the graph and
-// its marks die everywhere, atomically under its component's stripe.
+// its marks die everywhere, atomically under the graph mutex.
+//
+//optcc:hotpath
 func (s *ConcurrentSGT) Abort(tx int) { s.graph.abortTx(tx) }
 
 // Victim implements Scheduler: abort the stuck transaction with the most
-// incoming conflict edges (most constrained), matching the sequential
-// SGT's choice — including its first-max tie-break over the stuck order.
+// incoming conflict edges (most constrained), the sequential SGT's choice
+// including its first-max tie-break over the stuck order.
 func (s *ConcurrentSGT) Victim(stuck []int) (int, bool) {
-	if len(stuck) == 0 {
-		return 0, false
-	}
-	best, bestIn := stuck[0], -1
-	for _, tx := range stuck {
-		if in := s.graph.indegree(tx); in > bestIn {
-			best, bestIn = tx, in
-		}
-	}
-	return best, true
+	s.graph.mu.Lock()
+	defer s.graph.mu.Unlock()
+	return s.graph.victim(stuck)
 }
 
 // NumShards implements ConcurrentScheduler.

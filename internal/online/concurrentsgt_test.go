@@ -143,11 +143,11 @@ func TestConcurrentSGTParallelDrive(t *testing.T) {
 
 // TestConcurrentSGTReplaySerializable re-runs the CSR acceptance property
 // on contended random histories through the replay harness, both cycle
-// modes, across shard counts — the graph is striped as widely as the
-// scheduler is sharded, so the sweep covers the single-mutex degenerate
-// (1), fewer stripes than components and more stripes than transactions:
-// whatever the striped graph completes must be conflict-serializable. The
-// CI stress job repeats this under -race.
+// modes, across shard counts — the mark tables are sharded as widely as
+// the scheduler, so the sweep covers one mark shard (1), fewer shards than
+// variables and more shards than variables: whatever the graph completes
+// must be conflict-serializable. The CI stress job repeats this under
+// -race.
 func TestConcurrentSGTReplaySerializable(t *testing.T) {
 	systems := []*core.System{workload.Cross(), workload.Banking(), workload.CrossPairs(3)}
 	for _, abort := range []bool{false, true} {
@@ -181,5 +181,89 @@ func TestConcurrentSGTReplaySerializable(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// sgtCall is one recorded scheduler call: a Try with the decision it got,
+// or a Commit or Abort (decision unused).
+type sgtCall struct {
+	op byte // 't', 'c' or 'a'
+	id core.StepID
+	d  Decision
+}
+
+// sgtCallRecorder passes every call through to the scheduler it wraps and
+// records the state-changing ones.
+type sgtCallRecorder struct {
+	Scheduler
+	calls []sgtCall
+}
+
+func (r *sgtCallRecorder) Try(id core.StepID) Decision {
+	d := r.Scheduler.Try(id)
+	r.calls = append(r.calls, sgtCall{op: 't', id: id, d: d})
+	return d
+}
+
+func (r *sgtCallRecorder) Commit(tx int) {
+	r.Scheduler.Commit(tx)
+	r.calls = append(r.calls, sgtCall{op: 'c', id: core.StepID{Tx: tx}})
+}
+
+func (r *sgtCallRecorder) Abort(tx int) {
+	r.Scheduler.Abort(tx)
+	r.calls = append(r.calls, sgtCall{op: 'a', id: core.StepID{Tx: tx}})
+}
+
+// TestConcurrentSGTContendedAllocs holds ConcurrentSGT's contended path —
+// inserts with sources, cycle checks, commit and abort cascades — to zero
+// allocations once warm. It records the calls Replay makes on random
+// Banking histories, then plays them straight into the re-begun scheduler
+// from one goroutine, checking every decision.
+func TestConcurrentSGTContendedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates; run without -race")
+	}
+	sys := workload.Banking()
+	sched := NewConcurrentSGTAborting(4)
+	rec := &sgtCallRecorder{Scheduler: sched}
+	rng := rand.New(rand.NewSource(1))
+	var traces [][]sgtCall
+	cycles := 0
+	for len(traces) < 32 {
+		rec.calls = nil
+		if _, err := Replay(sys, rec, schedule.Random(sys.Format(), rng), 0); err != nil {
+			continue
+		}
+		for _, c := range rec.calls {
+			if c.d == AbortTx {
+				cycles++
+			}
+		}
+		traces = append(traces, rec.calls)
+	}
+	if cycles == 0 {
+		t.Fatal("no trace closed a cycle: the contended path is unexercised")
+	}
+	play := func() {
+		for _, calls := range traces {
+			sched.Begin(sys)
+			for _, c := range calls {
+				switch c.op {
+				case 't':
+					if d := sched.Try(c.id); d != c.d {
+						t.Fatalf("replayed Try(%v) = %v, recorded %v", c.id, d, c.d)
+					}
+				case 'c':
+					sched.Commit(c.id.Tx)
+				case 'a':
+					sched.Abort(c.id.Tx)
+				}
+			}
+		}
+	}
+	play()
+	if allocs := testing.AllocsPerRun(20, play); allocs != 0 {
+		t.Fatalf("contended Try/Commit/Abort over %d traces (%d cycles): %v allocs per pass, want 0", len(traces), cycles, allocs)
 	}
 }

@@ -31,7 +31,7 @@
 // set — live in concurrent.go. Each family's multi-shard form is its
 // native scheduler and nothing else: ConcurrentStrict2PL (sharded lock
 // table), ConcurrentTO and ConcurrentMV (lock-free sharded atomic
-// timestamp table), ConcurrentSGT (striped component graph) and
+// timestamp table), ConcurrentSGT (per-variable marks, one graph mutex) and
 // ConcurrentOCC (epoch-published validation).
 package online
 

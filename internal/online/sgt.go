@@ -13,15 +13,14 @@ import (
 // the conflict-serializable schedules — the practical realization of the
 // serialization scheduler of Theorem 3 (CSR ⊆ SR).
 //
-// The graph is dense. A node is a transaction index: at most one
-// incarnation of a transaction is ever in the graph, because Abort removes
-// the dying incarnation's steps and edges before the transaction can run
-// again, and a committed transaction never runs again. Granted steps are
-// filed per variable, edges are per-transaction out/in lists, and every
-// scratch set is a stamp, so Try, Commit and Abort touch no map and, once
-// the lists have grown, allocate nothing.
+// The graph is the dense sgtCore. At most one incarnation of a transaction
+// is ever in it, because Abort removes the dying incarnation's steps and
+// edges before the transaction can run again, and a committed transaction
+// never runs again. Granted steps are filed per variable, so Try, Commit
+// and Abort touch no map and, once the lists have grown, allocate nothing.
 type SGT struct {
 	base
+	sgtCore
 	// AbortOnCycle aborts the requester when a grant would close a cycle
 	// instead of delaying it (the classic SGT certifier). Delays preserve
 	// the fixpoint; aborts guarantee progress.
@@ -33,34 +32,6 @@ type SGT struct {
 	steps []sgtStep
 	// byVar[v] holds one record per granted step on v still in the graph.
 	byVar [][]sgtRec
-	txs   []sgtTx
-	// spare holds emptied edge lists whose backing arrays the next nodes
-	// reuse.
-	spare [][]sgtEdge
-
-	// Try stamps its sources with an even stamp and its DFS's visited set
-	// with the odd one after it.
-	stamp       uint64
-	srcs, stack []int
-}
-
-// sgtTx is one transaction's node, one cache line.
-type sgtTx struct {
-	// out and in are the conflict edges in both directions. They are sets:
-	// Try adds only sources that are not already predecessors.
-	out, in []sgtEdge
-	mark    uint64
-	// held counts the granted steps still recorded; 0 means the
-	// transaction is not in the graph.
-	held      int32
-	committed bool
-}
-
-// sgtEdge is one end of an edge: the transaction at the other end and the
-// index of the mirror entry in that transaction's opposite list, so either
-// end is unlinked in constant time.
-type sgtEdge struct {
-	tx, at int32
 }
 
 // sgtStep is a step's dense variable index and whether it writes.
@@ -110,43 +81,29 @@ func (s *SGT) Begin(sys *core.System) {
 	}
 	s.first[n] = len(s.steps)
 	s.byVar = make([][]sgtRec, len(vars))
-	s.txs = make([]sgtTx, n)
-	s.spare = nil
-	s.stamp = 0
+	s.init(n)
 }
 
 // Try implements Scheduler. The sources are the other transactions with a
-// recorded conflicting step on the variable. Existing predecessors are
-// stamped first and skipped: their edge is already in, and since the graph
-// is acyclic the requester cannot reach them. The requester closes a cycle
-// exactly when it already reaches one of the remaining, new sources.
+// recorded conflicting step on the variable; the requester closes a cycle
+// exactly when it already reaches one of them that is not yet a
+// predecessor.
 //
 //optcc:hotpath
 func (s *SGT) Try(id core.StepID) Decision {
 	me := id.Tx
 	st := s.steps[s.first[me]+id.Idx]
-	s.stamp += 2
-	src := s.stamp
-	for _, e := range s.txs[me].in {
-		s.txs[e.tx].mark = src
-	}
-	srcs := s.srcs[:0]
+	src := s.sources(me)
 	for _, r := range s.byVar[st.v] {
-		if t := int(r.tx); t != me && (r.writes || st.writes) && s.txs[t].mark != src {
-			s.txs[t].mark = src
-			//cclint:ignore hotpath amortized append into the reused source scratch
-			srcs = append(srcs, t)
+		if t := int(r.tx); t != me && (r.writes || st.writes) {
+			s.addSource(t, src)
 		}
 	}
-	s.srcs = srcs
-	if len(srcs) > 0 && s.reaches(me, src) {
+	if !s.admit(me, src) {
 		if s.AbortOnCycle {
 			return AbortTx
 		}
 		return Delay
-	}
-	for _, p := range srcs {
-		s.link(p, me)
 	}
 	//cclint:ignore hotpath amortized append: a variable's list keeps its capacity as records leave
 	s.byVar[st.v] = append(s.byVar[st.v], sgtRec{tx: int32(me), writes: st.writes})
@@ -154,82 +111,13 @@ func (s *SGT) Try(id core.StepID) Decision {
 	return Grant
 }
 
-// reaches reports whether a DFS from me over out-edges meets a node
-// stamped src, stopping at the first one.
-//
-//optcc:hotpath
-func (s *SGT) reaches(me int, src uint64) bool {
-	seen := src + 1
-	s.txs[me].mark = seen
-	//cclint:ignore hotpath amortized append into the reused DFS stack
-	stack := append(s.stack[:0], me)
-	found := false
-	for len(stack) > 0 && !found {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range s.txs[u].out {
-			if n := &s.txs[e.tx]; n.mark == src {
-				found = true
-				break
-			} else if n.mark != seen {
-				n.mark = seen
-				//cclint:ignore hotpath amortized append into the reused DFS stack
-				stack = append(stack, int(e.tx))
-			}
-		}
-	}
-	s.stack = stack
-	return found
-}
-
-// link adds the edge p → me.
-//
-//optcc:hotpath
-func (s *SGT) link(p, me int) {
-	from, to := &s.txs[p], &s.txs[me]
-	i, j := int32(len(from.out)), int32(len(to.in))
-	from.out = s.push(from.out, sgtEdge{tx: int32(me), at: j})
-	to.in = s.push(to.in, sgtEdge{tx: int32(p), at: i})
-}
-
-// unlinkIn deletes entry j of tx's in-list, moving the last entry into its
-// place and repointing that entry's mirror.
-//
-//optcc:hotpath
-func (s *SGT) unlinkIn(tx int, j int32) {
-	l := s.txs[tx].in
-	last := int32(len(l) - 1)
-	if j != last {
-		m := l[last]
-		l[j] = m
-		s.txs[m.tx].out[m.at].at = j
-	}
-	s.txs[tx].in = l[:last]
-}
-
-// unlinkOut is unlinkIn for tx's out-list.
-//
-//optcc:hotpath
-func (s *SGT) unlinkOut(tx int, i int32) {
-	l := s.txs[tx].out
-	last := int32(len(l) - 1)
-	if i != last {
-		m := l[last]
-		l[i] = m
-		s.txs[m.tx].in[m.at].at = i
-	}
-	s.txs[tx].out = l[:last]
-}
-
-// Commit implements Scheduler: a committed node with no predecessor can
-// never join a future cycle (new edges only leave committed nodes), so it
-// leaves the graph at once.
+// Commit implements Scheduler: the transaction leaves the graph at once if
+// it has no predecessor, taking its committed cascade with it.
 //
 //optcc:hotpath
 func (s *SGT) Commit(tx int) {
-	s.txs[tx].committed = true
-	if len(s.txs[tx].in) == 0 {
-		s.drop(tx)
+	for _, u := range s.commit(tx) {
+		s.forget(u)
 	}
 }
 
@@ -238,43 +126,9 @@ func (s *SGT) Commit(tx int) {
 //
 //optcc:hotpath
 func (s *SGT) Abort(tx int) {
-	n := &s.txs[tx]
-	for _, e := range n.in {
-		s.unlinkOut(int(e.tx), e.at)
-	}
-	n.in = s.recycle(n.in)
-	s.drop(tx)
-}
-
-// drop removes a node whose in-list is empty — its recorded steps, its
-// out-edges and their mirrors — and cascades to every committed successor
-// whose in-list empties. Because no committed node without a predecessor
-// survives a Commit or Abort, and Try only adds edges, this leaves the
-// graph the fixpoint sweep "remove committed zero-in-degree nodes until
-// none is left" would.
-//
-//optcc:hotpath
-func (s *SGT) drop(tx int) {
-	//cclint:ignore hotpath amortized append into the reused DFS stack
-	stack := append(s.stack[:0], tx)
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n := &s.txs[u]
-		for _, e := range n.out {
-			v := int(e.tx)
-			s.unlinkIn(v, e.at)
-			if len(s.txs[v].in) == 0 && s.txs[v].committed {
-				//cclint:ignore hotpath amortized append into the reused DFS stack
-				stack = append(stack, v)
-			}
-		}
-		n.out = s.recycle(n.out)
-		n.in = s.recycle(n.in)
-		n.committed = false
+	for _, u := range s.abort(tx) {
 		s.forget(u)
 	}
-	s.stack = stack
 }
 
 // forget removes tx's records from the lists of the variables its steps
@@ -299,31 +153,6 @@ func (s *SGT) forget(tx int) {
 	s.txs[tx].held = 0
 }
 
-// push appends e to an edge list, giving a list that has no backing array
-// a spare one.
-//
-//optcc:hotpath
-func (s *SGT) push(l []sgtEdge, e sgtEdge) []sgtEdge {
-	if l == nil && len(s.spare) > 0 {
-		l = s.spare[len(s.spare)-1]
-		s.spare = s.spare[:len(s.spare)-1]
-	}
-	//cclint:ignore hotpath amortized append: edge lists are recycled through spare
-	return append(l, e)
-}
-
-// recycle keeps an edge list's backing array for reuse and returns the
-// empty list.
-//
-//optcc:hotpath
-func (s *SGT) recycle(l []sgtEdge) []sgtEdge {
-	if cap(l) > 0 {
-		//cclint:ignore hotpath amortized append: spare holds at most one list per node ever built
-		s.spare = append(s.spare, l[:0])
-	}
-	return nil
-}
-
 // GraphSize returns the number of live nodes and recorded steps (for tests
 // of the pruning logic).
 func (s *SGT) GraphSize() (nodes, steps int) {
@@ -338,18 +167,7 @@ func (s *SGT) GraphSize() (nodes, steps int) {
 
 // Victim implements Scheduler: abort the stuck transaction with the most
 // incoming conflict edges (most constrained).
-func (s *SGT) Victim(stuck []int) (int, bool) {
-	if len(stuck) == 0 {
-		return 0, false
-	}
-	best, bestIn := stuck[0], -1
-	for _, tx := range stuck {
-		if in := len(s.txs[tx].in); in > bestIn {
-			best, bestIn = tx, in
-		}
-	}
-	return best, true
-}
+func (s *SGT) Victim(stuck []int) (int, bool) { return s.victim(stuck) }
 
 // String renders a summary for debugging.
 func (s *SGT) String() string {

@@ -8,7 +8,9 @@ import (
 	"optcc/internal/core"
 )
 
-// sgtUnderTest is the surface the differential driver compares.
+// sgtUnderTest is the surface the differential driver compares against a
+// reference; a scheduler under test without GraphSize is held to the
+// decisions and Victim only.
 type sgtUnderTest interface {
 	Scheduler
 	GraphSize() (nodes, steps int)
@@ -46,8 +48,12 @@ func (a *sgtTally) add(b sgtTally) {
 // Scheduler contract: Try names a live transaction's next step, an AbortTx
 // is followed by Abort, Commit follows the last grant (possibly after
 // other calls), Abort names any uncommitted transaction — a victim or a
-// failed apply, finished or not — and nothing names a committed one.
-func driveSGTPair(t *testing.T, label string, sys *core.System, got, want sgtUnderTest, ops []byte) sgtTally {
+// failed apply, finished or not — and nothing names a committed one. A
+// ConcurrentSGT under test has no GraphSize; instead, after every call its
+// graph must drop every dead incarnation offered as a source (see
+// checkStaleSources), and once every transaction has committed every
+// incarnation must be retired.
+func driveSGTPair(t *testing.T, label string, sys *core.System, got Scheduler, want sgtUnderTest, ops []byte) sgtTally {
 	t.Helper()
 	got.Begin(sys)
 	want.Begin(sys)
@@ -131,39 +137,85 @@ func driveSGTPair(t *testing.T, label string, sys *core.System, got, want sgtUnd
 			}
 			tally.victims++
 		}
-		gn, gs := got.GraphSize()
-		wn, ws := want.GraphSize()
-		if gn != wn || gs != ws {
-			t.Fatalf("%s, op %d: GraphSize = %d nodes %d steps, reference %d nodes %d steps", label, k/2, gn, gs, wn, ws)
+		switch g := got.(type) {
+		case sgtUnderTest:
+			gn, gs := g.GraphSize()
+			wn, ws := want.GraphSize()
+			if gn != wn || gs != ws {
+				t.Fatalf("%s, op %d: GraphSize = %d nodes %d steps, reference %d nodes %d steps", label, k/2, gn, gs, wn, ws)
+			}
+		case *ConcurrentSGT:
+			if tx := choose(arg, live); tx >= 0 {
+				checkStaleSources(t, fmt.Sprintf("%s, op %d", label, k/2), g.graph, tx)
+			}
 		}
 	}
 	done := true
 	for tx := range committed {
 		done = done && committed[tx]
 	}
-	if nodes, steps := got.GraphSize(); done && (nodes != 0 || steps != 0) {
-		t.Fatalf("%s: every transaction committed but the graph holds %d nodes, %d steps", label, nodes, steps)
+	if !done {
+		return tally
+	}
+	switch g := got.(type) {
+	case sgtUnderTest:
+		if nodes, steps := g.GraphSize(); nodes != 0 || steps != 0 {
+			t.Fatalf("%s: every transaction committed but the graph holds %d nodes, %d steps", label, nodes, steps)
+		}
+	case *ConcurrentSGT:
+		for tx := range g.graph.state {
+			if w := g.graph.state[tx].Load(); w&1 == 0 {
+				t.Fatalf("%s: every transaction committed but tx %d's incarnation %d is still live", label, tx, w>>1)
+			}
+		}
 	}
 	return tally
 }
 
+// checkStaleSources plays the window between ConcurrentSGT's lock-free
+// marks read and its graph insert, in which a source may retire: it offers
+// every transaction's newest dead incarnation as a source to me's current
+// one. The insert must drop them all, granting and linking nothing.
+func checkStaleSources(t *testing.T, label string, g *sgtGraph, me int) {
+	t.Helper()
+	var stale []sgtNode
+	for tx := range g.state {
+		w := g.state[tx].Load()
+		if w&1 != 0 {
+			stale = append(stale, sgtNode{tx: tx, epoch: int(w >> 1)})
+		} else if w > 0 {
+			stale = append(stale, sgtNode{tx: tx, epoch: int(w>>1) - 1})
+		}
+	}
+	in := len(g.txs[me].in)
+	if !g.insert(g.node(me), stale) || len(g.txs[me].in) != in {
+		t.Fatalf("%s: insert of dead sources %v into tx %d linked them (in-degree %d → %d)", label, stale, me, in, len(g.txs[me].in))
+	}
+}
+
 // checkSGTAgainstReference runs one seeded system with the given op bytes
-// under both cycle modes.
+// under both cycle modes: SGT against the map-based reference, then
+// ConcurrentSGT at one and four shards, from one goroutine, against SGT.
 func checkSGTAgainstReference(t *testing.T, seed int64, ops []byte) sgtTally {
 	t.Helper()
 	sys := randomSGTSystem(rand.New(rand.NewSource(seed)))
 	var tally sgtTally
 	for _, abortOnCycle := range []bool{false, true} {
-		got := &SGT{AbortOnCycle: abortOnCycle}
-		want := &refSGT{AbortOnCycle: abortOnCycle}
-		tally.add(driveSGTPair(t, fmt.Sprintf("seed %d, %s", seed, got.Name()), sys, got, want, ops))
+		want := &SGT{AbortOnCycle: abortOnCycle}
+		tally.add(driveSGTPair(t, fmt.Sprintf("seed %d, %s", seed, want.Name()), sys, want, &refSGT{AbortOnCycle: abortOnCycle}, ops))
+		for _, shards := range []int{1, 4} {
+			got := NewConcurrentSGT(shards)
+			got.AbortOnCycle = abortOnCycle
+			tally.add(driveSGTPair(t, fmt.Sprintf("seed %d, %s", seed, got.Name()), sys, got, want, ops))
+		}
 	}
 	return tally
 }
 
 // TestSGTMatchesReference holds the dense SGT to the map-based reference
-// on seeded random call sequences: every decision, GraphSize after every
-// call, and Victim on random stuck sets.
+// and ConcurrentSGT to SGT on seeded random call sequences: every decision,
+// GraphSize (SGT) or dead-source dropping and final retirement
+// (ConcurrentSGT) after every call, and Victim on random stuck sets.
 func TestSGTMatchesReference(t *testing.T) {
 	seeds := 2000
 	if testing.Short() {
@@ -186,7 +238,8 @@ func TestSGTMatchesReference(t *testing.T) {
 // FuzzSGTDecisions is TestSGTMatchesReference's driver over fuzzed inputs:
 // the seed draws the system, the bytes choose the calls. The seed corpus
 // under testdata/fuzz holds TestSGTMatchesReference's inputs for seeds
-// that catch a dropped cascade, dedup or unlink.
+// that catch a dropped cascade, dedup, unlink, retirement or liveness
+// revalidation.
 func FuzzSGTDecisions(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		if len(ops) > 4096 {

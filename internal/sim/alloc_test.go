@@ -104,11 +104,12 @@ func snapshotBench(b *testing.B) {
 //   - mv-snapshot-kv: read-only transactions through the multiversion
 //     snapshot path perform ZERO allocations — acquire, chain-walk reads
 //     and release touch no lock and build nothing on the heap.
-//   - csgt-noop: the natively concurrent SGT measures 0 in steady state —
-//     zero-conflict grants take the lock-free path, marks and source
-//     scratch are amortized per-entry slices, commits retire edgeless
-//     singletons. Ceiling 4 leaves headroom for the striped insert's
-//     collision-path slices on slower boxes.
+//   - csgt-noop: the natively concurrent SGT: ZERO — zero-conflict grants
+//     take the lock-free path, marks and source scratch are amortized
+//     per-entry slices, and a colliding grant edges on the sequential
+//     SGT's dense graph, whose lists recycle through its spare pool
+//     (internal/online's TestConcurrentSGTContendedAllocs holds the
+//     contended path to 0 on its own).
 //   - cocc-noop: the natively concurrent OCC measures 2 — the
 //     copy-on-write writer-mark publish (slice + published header) on each
 //     transaction's first write of a variable; footprints live in a
@@ -140,7 +141,7 @@ var hotPathCases = []struct {
 		return online.NewMutexed(online.NewStrict2PL(lockmgr.Detect))
 	}, kvRecycleBackend)},
 	{"mv-snapshot-kv", 0, snapshotBench},
-	{"csgt-noop", 4, hotPathBench(func() online.Scheduler {
+	{"csgt-noop", 0, hotPathBench(func() online.Scheduler {
 		return online.NewConcurrentSGTAborting(4)
 	}, noopBackend)},
 	{"cocc-noop", 4, hotPathBench(func() online.Scheduler {

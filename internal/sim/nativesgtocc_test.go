@@ -2,7 +2,7 @@ package sim
 
 // Coverage for the natively concurrent SGT and OCC schedulers driven by
 // the real dispatch runtime: disjoint-workload state==replay self-checks
-// of the lock-free paths, and contended CSR self-checks of the striped
+// of the lock-free paths, and contended CSR self-checks of the SGT's
 // graph and the epoch-based validation. CI runs this file under
 // -race -count=5 in the concurrency stress job.
 
@@ -47,12 +47,12 @@ func TestConcurrentSGTDisjointStateMatchesReplay(t *testing.T) {
 // TestConcurrentSGTContendedSerializable: native SGT under real conflicts,
 // both cycle modes, on the hotspot workload (many users, one big
 // component) and on the pairwise-conflict multi-shard workload (many small
-// components that union and prune concurrently), at 1 graph stripe (the
-// single-mutex degenerate) and 4. Everything must commit — delay mode leans
+// components that link and drop concurrently), at 1 shard and 4.
+// Everything must commit — delay mode leans
 // on the parked-request kicks and the deadlock breaker's Victim call, abort
 // mode on restarts — and the committed schedule must be
 // conflict-serializable: the concurrent edge set equals the sequential
-// SGT's, so acyclicity of the striped graph is exactly CSR of the committed
+// SGT's, so acyclicity of the shared graph is exactly CSR of the committed
 // log, exercised concurrently. Output must also keep the shard logs'
 // per-variable order (checkMerge).
 func TestConcurrentSGTContendedSerializable(t *testing.T) {

@@ -246,10 +246,12 @@ func Disjoint(jobs, steps int) *core.System {
 // shared variable, then the private variable again. Every transaction
 // spans shards (the private and shared variables hash independently) and
 // conflicts only with its partner, so a conflict graph sees a steady
-// stream of edges forming many small two-node components — the regime
-// where sgtGraph's component striping pays and a single graph mutex would
-// serialize everything. ConcurrentSGT's and ConcurrentMV's serializability
-// tests and `ccsim -workload crosspairs` use it.
+// stream of edges forming many small two-node components. This is the
+// regime where striping a serialization graph by component should pay,
+// yet measured in-process at 4 users one graph mutex beats a striped
+// union-find graph here too (DESIGN.md "Native SGT and OCC").
+// ConcurrentSGT's and ConcurrentMV's serializability tests and
+// `ccsim -workload crosspairs` use it.
 func CrossPairs(pairs int) *core.System {
 	sys := &core.System{Name: fmt.Sprintf("crosspairs-%d", pairs)}
 	inc := func(l []core.Value) core.Value { return last(l) + 1 }

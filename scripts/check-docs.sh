@@ -213,7 +213,7 @@ fi
 
 # The native SGT/OCC surface must stay documented: experiment E15, the
 # csgt/cocc schedulers in both docs and the ccsim scheduler surface, and
-# DESIGN.md's section on the striped graph + epoch validation invariants.
+# DESIGN.md's section on the one-mutex SGT graph + epoch validation invariants.
 for doc in README.md DESIGN.md; do
   if ! grep -q 'E15' "$doc"; then
     echo "check-docs: $doc does not document experiment E15"
