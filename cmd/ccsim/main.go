@@ -8,13 +8,13 @@
 //	ccsim -workload tree -sched treelock -jobs 32 -users 8 -exec 200us
 //	ccsim -workload random -sched 2pl-woundwait -shards 16 -users 16
 //	ccsim -workload banking -sched 2pl-woundwait -backend kv -valuesize 4096
-//	ccsim -workload hotshard -sched 2pl-woundwait -shards 4 -batch 16 -backend kv
+//	ccsim -workload hotshard -sched 2pl-woundwait -shards 4 -backend kv
 //	ccsim -workload disjoint -sched cto -shards 4 -users 16
 //	ccsim -workload crosspairs -sched csgt -shards 4 -users 16
 //	ccsim -workload readmostly -readfrac 0.9 -sched cocc -shards 4 -users 16
 //	ccsim -workload crosspairs -sched to -shards 1
 //	ccsim -workload readmostly -readfrac 0.95 -sched mv -shards 4 -backend kv
-//	ccsim -workload disjoint -sched 2pl-woundwait -shards 4 -backend disk -fsync group -batch 16
+//	ccsim -workload disjoint -sched 2pl-woundwait -shards 4 -backend disk -fsync group
 //	ccsim -workload banking -sched 2pl-woundwait -backend disk -dir /tmp/ccwal -fsync always
 //	ccsim -workload disjoint -sched 2pl-woundwait -shards 4 -backend disk -checkpoint 262144
 //
@@ -42,15 +42,11 @@
 // the jobs are read-only (all-Read), the rest increment writers, all
 // skewed onto a small hot set — the E12 regime.
 //
-// -batch N > 1 turns on batched decisions. The centralized scheduler
-// goroutine drains up to N queued requests (the bound adapts between 1 and
-// N by observed backlog — AIMD — so N is a cap) and decides them in one
-// critical section. The concurrent engine has no intake queue: there N only
-// bounds the chunk of parked requests a retry offers in one scheduler
-// critical section. On the concurrent engine a transaction commits inline
-// on its user goroutine, unless the backend syncs (-backend disk): then
-// commits flow through the storage group-commit pipeline (one fsync and
-// one lock release per group, asynchronously to the committing users).
+// Both engines offer every step request to the scheduler on its own. On
+// the concurrent engine a transaction commits inline on its user
+// goroutine, unless the backend syncs (-backend disk): then commits flow
+// through the storage group-commit pipeline (one fsync and one lock
+// release per group, asynchronously to the committing users).
 //
 // -backend kv executes every granted step against the sharded in-memory
 // storage backend (payload size -valuesize) instead of only sleeping -exec:
@@ -64,7 +60,7 @@
 // checksummed segments in -dir, a fresh temporary directory by default,
 // removed after the run; a named -dir persists and is reported). -fsync
 // picks the durability policy: always (one fsync per commit), group (one
-// per drained commit group — pair with -batch and -shards to grow the
+// per drained commit group — pair with -shards and -users to grow the
 // groups), never (leave flushing to the OS). Every scheduler runs
 // write-buffered: a transaction's writes reach the log only inside its
 // commit record, so an uncommitted write never does — that is what makes
@@ -209,7 +205,6 @@ func main() {
 		jobs      = flag.Int("jobs", 32, "transaction instances to run")
 		users     = flag.Int("users", 8, "concurrent user goroutines")
 		shards    = flag.Int("shards", 0, "shard count for the concurrent engine (0 = centralized scheduler goroutine)")
-		batchSz   = flag.Int("batch", 1, "max requests decided per scheduler critical section (central: intake coalescing; concurrent engine: parked-retry chunk)")
 		backend   = flag.String("backend", "none", "storage backend executing granted steps (none|kv|noop|disk)")
 		valueSize = flag.Int("valuesize", 256, "payload bytes per stored record (kv backend)")
 		dir       = flag.String("dir", "", "WAL directory for the disk backend (empty = fresh temp dir, removed after the run)")
@@ -276,7 +271,6 @@ func main() {
 		Sched:     sched,
 		Backend:   be,
 		Users:     *users,
-		Batch:     *batchSz,
 		ExecTime:  *exec,
 		ThinkTime: *think,
 		Seed:      *seed,
@@ -285,7 +279,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ccsim: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("workload=%s scheduler=%s jobs=%d users=%d batch=%d backend=%s exec=%v\n", *wl, sched.Name(), *jobs, *users, *batchSz, *backend, *exec)
+	fmt.Printf("workload=%s scheduler=%s jobs=%d users=%d backend=%s exec=%v\n", *wl, sched.Name(), *jobs, *users, *backend, *exec)
 	fmt.Printf("committed      %d\n", m.Committed)
 	fmt.Printf("aborts         %d\n", m.Aborts)
 	fmt.Printf("deadlockBreaks %d\n", m.DeadlockBreaks)

@@ -427,7 +427,7 @@ func walFootprint(dir string) (files int, bytes int64, err error) {
 
 // E13DurableCommit runs the durable disk backend (append-only checksummed
 // WAL segments, redo-only commit records, checkpoint + redo recovery)
-// across fsync policy × batch size on the conflict-free disjoint workload,
+// across the three fsync policies on the conflict-free disjoint workload,
 // once per scheduler: natively sharded strict 2PL and native timestamp
 // ordering. Both commit through the same write-buffered log — uncommitted
 // writes never reach it, which is what makes the non-strict scheduler
@@ -437,14 +437,14 @@ func walFootprint(dir string) (files int, bytes int64, err error) {
 // tear them).
 //
 // Self-checks per cell: runDurable's live == replay == recovered with a
-// clean log; and per scheduler and batch size, fsync=group must issue
+// clean log; and per scheduler, fsync=group must issue
 // strictly fewer fsyncs than fsync=always — the amortization group commit
 // exists for.
 func E13DurableCommit() (*Result, error) {
 	const jobs, users, shards = 128, 16, 4
 	res := &Result{
 		ID:    "E13",
-		Title: "Durable commit — fsync policy × batch size on the WAL disk backend (2pl-sharded and cto)",
+		Title: "Durable commit — fsync policy on the WAL disk backend (2pl-sharded and cto)",
 		Text: "Disjoint workload (zero conflicts). fsync=always pays one fsync per commit; " +
 			"fsync=group pays one per drained commit group; fsync=never defers to the OS. " +
 			"Self-check per cell: live state == committed replay == state recovered by OpenDisk " +
@@ -458,36 +458,29 @@ func E13DurableCommit() (*Result, error) {
 		{"2pl-sharded", func() online.Scheduler { return online.NewConcurrentStrict2PL(lockmgr.WoundWait, shards) }},
 		{"cto", func() online.Scheduler { return online.NewConcurrentTO(shards) }},
 	}
-	batches := []int{1, 8, 32}
 	for _, sc := range scheds {
 		t := report.NewTable(fmt.Sprintf("%s, %d jobs, %d users, %d shards", sc.name, jobs, users, shards),
-			"fsync", "batch", "committed", "fsyncs", "wal-KB", "group-size", "self-check")
-		fsyncs := map[storage.FsyncPolicy]map[int]int64{}
+			"fsync", "committed", "fsyncs", "wal-KB", "group-size", "self-check")
+		fsyncs := map[storage.FsyncPolicy]int64{}
 		for _, policy := range []storage.FsyncPolicy{storage.FsyncAlways, storage.FsyncGroup, storage.FsyncNever} {
-			fsyncs[policy] = map[int]int64{}
-			for _, batch := range batches {
-				c, err := runDurable(storage.Config{Fsync: policy}, sim.Config{
-					System: sim.Instantiate(template, jobs), Sched: sc.mk(),
-					Users: users, Seed: 1979, Batch: batch,
-				})
-				if err != nil {
-					return nil, fmt.Errorf("E13: %s fsync=%s batch=%d: %w", sc.name, policy, batch, err)
-				}
-				fsyncs[policy][batch] = c.m.Fsyncs
-				t.AddRow(policy.String(), batch, c.m.Committed, c.m.Fsyncs, float64(c.m.WALBytes)/1024,
-					c.m.GroupSize(), "recovered==replay")
+			c, err := runDurable(storage.Config{Fsync: policy}, sim.Config{
+				System: sim.Instantiate(template, jobs), Sched: sc.mk(),
+				Users: users, Seed: 1979,
+			})
+			if err != nil {
+				return nil, fmt.Errorf("E13: %s fsync=%s: %w", sc.name, policy, err)
 			}
+			fsyncs[policy] = c.m.Fsyncs
+			t.AddRow(policy.String(), c.m.Committed, c.m.Fsyncs, float64(c.m.WALBytes)/1024,
+				c.m.GroupSize(), "recovered==replay")
 		}
 		res.Tables = append(res.Tables, t)
-		for _, batch := range batches {
-			always, group := fsyncs[storage.FsyncAlways][batch], fsyncs[storage.FsyncGroup][batch]
-			if group >= always {
-				return nil, fmt.Errorf("E13: %s batch=%d: fsync=group issued %d fsyncs, not fewer than fsync=always's %d",
-					sc.name, batch, group, always)
-			}
-			res.Text += fmt.Sprintf("\n%s batch %d: fsync=group %d fsyncs vs fsync=always %d.",
-				sc.name, batch, group, always)
+		always, group := fsyncs[storage.FsyncAlways], fsyncs[storage.FsyncGroup]
+		if group >= always {
+			return nil, fmt.Errorf("E13: %s: fsync=group issued %d fsyncs, not fewer than fsync=always's %d",
+				sc.name, group, always)
 		}
+		res.Text += fmt.Sprintf("\n%s: fsync=group %d fsyncs vs fsync=always %d.", sc.name, group, always)
 	}
 	return res, nil
 }
@@ -510,7 +503,7 @@ func E13DurableCommit() (*Result, error) {
 // interval-0 control. The intervals are sized for that: the top volume
 // appends about 35KB of commit records, four times the largest interval.
 func E14CheckpointedWAL() (*Result, error) {
-	const users, shards, batch, segBytes = 16, 4, 8, 4096
+	const users, shards, segBytes = 16, 4, 4096
 	volumes := []int{128, 1024}
 	res := &Result{
 		ID:    "E14",
@@ -523,7 +516,7 @@ func E14CheckpointedWAL() (*Result, error) {
 			"recovered state, clean log, checkpointer healthy; at the top volume every " +
 			"non-zero interval must have checkpointed and beat the interval-0 footprint.",
 	}
-	t := report.NewTable(fmt.Sprintf("%d users, %d shards, batch %d, %dB segments", users, shards, batch, segBytes),
+	t := report.NewTable(fmt.Sprintf("%d users, %d shards, %dB segments", users, shards, segBytes),
 		"interval-B", "jobs", "committed", "checkpoints", "segs-retired", "footprint-KB", "recovery-KB", "self-check")
 	top := volumes[len(volumes)-1]
 	var controlKB float64 // interval 0 at the top volume; interval 0 runs first
@@ -535,7 +528,7 @@ func E14CheckpointedWAL() (*Result, error) {
 			}, sim.Config{
 				System: sim.Instantiate(workload.Disjoint(volume, 3), volume),
 				Sched:  online.NewConcurrentStrict2PL(lockmgr.WoundWait, shards),
-				Users:  users, Seed: 1979, Batch: batch,
+				Users:  users, Seed: 1979,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("E14: %s: %w", label, err)

@@ -1,6 +1,6 @@
 package lockmgr
 
-// Coverage for ShardedTable.AcquireBatch: result-for-result equivalence
+// Coverage for ShardedTable.AcquireBatchInto: result-for-result equivalence
 // with sequential Acquire on a twin table, across fast-path grants,
 // reentrant holds, conflicts, and every deadlock policy.
 
@@ -12,7 +12,7 @@ import (
 )
 
 // TestAcquireBatchMatchesSequential drives a deterministic request script
-// through AcquireBatch on one table and Acquire on a twin, and requires
+// through AcquireBatchInto on one table and Acquire on a twin, and requires
 // identical statuses and wound sets at every step.
 func TestAcquireBatchMatchesSequential(t *testing.T) {
 	vars := []core.Var{"a", "b", "c", "d", "e"}
@@ -41,7 +41,7 @@ func TestAcquireBatchMatchesSequential(t *testing.T) {
 				}
 				for round := 0; round < 6; round++ {
 					reqs := script(round)
-					got := batched.AcquireBatch(reqs)
+					got := batched.AcquireBatchInto(nil, reqs)
 					for i, r := range reqs {
 						want := sequential.Acquire(r.Tx, r.Var, r.Mode)
 						if got[i].Status != want.Status {
@@ -81,7 +81,7 @@ func TestAcquireBatchSameVariableOrder(t *testing.T) {
 				batched.Register(tx)
 				sequential.Register(tx)
 			}
-			got := batched.AcquireBatch(order)
+			got := batched.AcquireBatchInto(nil, order)
 			for i, r := range order {
 				want := sequential.Acquire(r.Tx, r.Var, r.Mode)
 				if got[i].Status != want.Status || len(got[i].Wounded) != len(want.Wounded) {
@@ -102,7 +102,7 @@ func TestAcquireBatchSameVariableOrder(t *testing.T) {
 func TestAcquireBatchFastPathAndReentrant(t *testing.T) {
 	s := NewShardedTable(WoundWait, 4)
 	s.Register(1)
-	first := s.AcquireBatch([]BatchReq{
+	first := s.AcquireBatchInto(nil, []BatchReq{
 		{Tx: 1, Var: "x", Mode: Exclusive},
 		{Tx: 1, Var: "y", Mode: Exclusive},
 	})
@@ -115,7 +115,7 @@ func TestAcquireBatchFastPathAndReentrant(t *testing.T) {
 	if s.QueueLen("x") != 0 || s.QueueLen("y") != 0 {
 		t.Fatal("fast-path grant escalated")
 	}
-	again := s.AcquireBatch([]BatchReq{
+	again := s.AcquireBatchInto(nil, []BatchReq{
 		{Tx: 1, Var: "x", Mode: Exclusive}, // reentrant X on fast X
 		{Tx: 1, Var: "y", Mode: Shared},    // S on fast X hold: covered
 	})
@@ -129,7 +129,7 @@ func TestAcquireBatchFastPathAndReentrant(t *testing.T) {
 	}
 	// A conflicting batch from another transaction escalates and queues.
 	s.Register(2)
-	res := s.AcquireBatch([]BatchReq{{Tx: 2, Var: "x", Mode: Exclusive}})
+	res := s.AcquireBatchInto(nil, []BatchReq{{Tx: 2, Var: "x", Mode: Exclusive}})
 	if res[0].Status != Waiting {
 		t.Fatalf("conflicting request: %v", res[0].Status)
 	}

@@ -276,7 +276,7 @@ func (s *ShardedTable) escalate(sl *fastSlot, t *Table, v core.Var) {
 // any requested mode, so no escalation is needed), or a single-CAS
 // acquisition for an Exclusive request on a free fast-regime variable.
 // ok=false means the request must go through the owning shard's Table.
-// It is THE fast path — Acquire and AcquireBatch both use it, so the
+// It is THE fast path — Acquire and AcquireBatchInto both use it, so the
 // batched and unbatched lock managers cannot drift apart.
 //
 //optcc:hotpath
@@ -313,30 +313,25 @@ func (s *ShardedTable) Acquire(tx TxID, v core.Var, m Mode) Result {
 	return sh.t.Acquire(tx, v, m)
 }
 
-// BatchReq is one request of an AcquireBatch.
+// BatchReq is one request of an AcquireBatchInto. Its only outside
+// consumer is the bench module's lock-table probe.
 type BatchReq struct {
 	Tx   TxID
 	Var  core.Var
 	Mode Mode
 }
 
-// AcquireBatch acquires a batch of lock requests for distinct transactions
-// and returns the per-request results, aligned with reqs. It is equivalent
-// to calling Acquire on each request in order — requests are decided
-// strictly in batch order, so two same-variable requests in one batch
-// resolve exactly as they would sequentially (a later fast-path-eligible
-// request can never jump ahead of an earlier conflicting one) — but one
-// shard-mutex acquisition is shared across every consecutive run of
-// slow-path requests on the same shard. The runtime in internal/sim
-// offers same-shard batches, so the common case is at most one
-// mutex acquisition per batch, and all-fast-path batches take none.
-func (s *ShardedTable) AcquireBatch(reqs []BatchReq) []Result {
-	return s.AcquireBatchInto(nil, reqs)
-}
-
-// AcquireBatchInto is AcquireBatch appending into out[:0], so a caller
-// holding a reusable result buffer (online.ConcurrentStrict2PL keeps one
-// per shard) pays no per-batch allocation.
+// AcquireBatchInto acquires a batch of lock requests for distinct
+// transactions, appending the per-request results, aligned with reqs, to
+// out[:0]. It is equivalent to calling Acquire on each request in order —
+// requests are decided strictly in batch order, so two same-variable
+// requests in one batch resolve exactly as they would sequentially (a
+// later fast-path-eligible request can never jump ahead of an earlier
+// conflicting one) — but one shard-mutex acquisition is shared across
+// every consecutive run of slow-path requests on the same shard, and a
+// caller holding a reusable result buffer pays no per-batch allocation.
+// Its callers are online.ConcurrentStrict2PL.TryBatch and, outside this
+// module, only the bench module's lock-table probe.
 func (s *ShardedTable) AcquireBatchInto(out []Result, reqs []BatchReq) []Result {
 	// Register up front: Register takes every shard mutex, so it must not
 	// run while the decide loop below holds one.

@@ -1,9 +1,7 @@
 package online
 
-// Coverage for the batch-aware scheduler contract: the TryBatch adapter,
-// and decision-for-decision equivalence between the native batch paths
-// (Mutexed, ConcurrentStrict2PL) and sequential Try on a twin
-// scheduler.
+// Coverage for ConcurrentStrict2PL's native TryBatch path: decision-for-
+// decision equivalence with sequential Try on a twin scheduler.
 
 import (
 	"testing"
@@ -13,58 +11,13 @@ import (
 	"optcc/internal/workload"
 )
 
-// countingScheduler records Try calls so the adapter's fallback is visible.
-type countingScheduler struct {
-	Scheduler
-	tries []core.StepID
-}
-
-func (c *countingScheduler) Try(id core.StepID) Decision {
-	c.tries = append(c.tries, id)
-	return c.Scheduler.Try(id)
-}
-
-// TestTryBatchAdapterFallsBackToTry: a scheduler without a native batch
-// path must be driven through one Try per id, in order.
-func TestTryBatchAdapterFallsBackToTry(t *testing.T) {
-	sys := workload.Banking()
-	inner := &countingScheduler{Scheduler: NewSGT()}
-	inner.Begin(sys)
-	ids := firstSteps(sys)
-	out := TryBatch(inner, ids)
-	if len(out) != len(ids) {
-		t.Fatalf("got %d decisions for %d ids", len(out), len(ids))
-	}
-	if len(inner.tries) != len(ids) {
-		t.Fatalf("adapter made %d Try calls, want %d", len(inner.tries), len(ids))
-	}
-	for i, id := range inner.tries {
-		if id != ids[i] {
-			t.Fatalf("Try call %d got %v, want %v", i, id, ids[i])
-		}
-	}
-}
-
-// firstSteps returns each transaction's first step — a valid batch (one
-// request per distinct transaction).
-func firstSteps(sys *core.System) []core.StepID {
-	ids := make([]core.StepID, sys.NumTxs())
-	for tx := range ids {
-		ids[tx] = core.StepID{Tx: tx, Idx: 0}
-	}
-	return ids
-}
-
-// TestTryBatchMatchesSequentialTry: for every native BatchTrier, deciding a
-// batch must yield exactly the decisions sequential Try yields on a twin.
+// TestTryBatchMatchesSequentialTry: deciding a batch must yield exactly the
+// decisions sequential Try yields on a twin.
 func TestTryBatchMatchesSequentialTry(t *testing.T) {
 	cases := []struct {
 		name string
 		mk   func() Scheduler
 	}{
-		{"mutexed/2pl-woundwait", func() Scheduler { return NewMutexed(NewStrict2PL(lockmgr.WoundWait)) }},
-		{"mutexed/2pl-nowait", func() Scheduler { return NewMutexed(NewStrict2PL(lockmgr.NoWait)) }},
-		{"mutexed/2pl-detect", func() Scheduler { return NewMutexed(NewStrict2PL(lockmgr.Detect)) }},
 		{"2pl-sharded4/woundwait", func() Scheduler { return NewConcurrentStrict2PL(lockmgr.WoundWait, 4) }},
 		{"2pl-sharded4/nowait", func() Scheduler { return NewConcurrentStrict2PL(lockmgr.NoWait, 4) }},
 		{"2pl-sharded1/waitdie", func() Scheduler { return NewConcurrentStrict2PL(lockmgr.WaitDie, 1) }},
@@ -95,7 +48,7 @@ func TestTryBatchMatchesSequentialTry(t *testing.T) {
 				}
 				// TryBatch must equal the same uninterrupted Try sequence;
 				// commits and aborts are applied to both twins only after
-				// the whole round, exactly as the runtime does.
+				// the whole round.
 				got := bt.TryBatch(ids)
 				for i, id := range ids {
 					want := sequential.Try(id)

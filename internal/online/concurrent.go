@@ -43,9 +43,8 @@ func shardOfVar(v core.Var, n int) int { return lockmgr.ShardOfVar(v, n) }
 // centralized baseline of the ConcurrentScheduler contract (one shard, all
 // requests serialized). It realizes exactly the inner scheduler's fixpoint.
 type Mutexed struct {
-	mu     sync.Mutex
-	inner  Scheduler
-	outBuf []Decision // TryBatch scratch, reused under mu
+	mu    sync.Mutex
+	inner Scheduler
 }
 
 // NewMutexed returns the inner scheduler behind a single global mutex.
@@ -66,21 +65,6 @@ func (m *Mutexed) Try(id core.StepID) Decision {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.inner.Try(id)
-}
-
-// TryBatch implements BatchTrier: the whole batch is decided under one
-// mutex acquisition instead of one per request. The returned slice is the
-// wrapper's reusable scratch — valid until the next TryBatch, which is the
-// usage under the single decision latch of this one-shard scheduler.
-func (m *Mutexed) TryBatch(ids []core.StepID) []Decision {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := m.outBuf[:0]
-	for _, id := range ids {
-		out = append(out, m.inner.Try(id))
-	}
-	m.outBuf = out
-	return out
 }
 
 // Commit implements Scheduler.

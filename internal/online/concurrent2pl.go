@@ -27,12 +27,10 @@ type ConcurrentStrict2PL struct {
 	sys   *core.System
 	table *lockmgr.ShardedTable
 
-	// scratch holds one reusable TryBatch buffer set per shard. The runtime
-	// offers same-shard batches under that shard's decision latch and
-	// concurrent TryBatch calls must be on different shards (the
-	// BatchTrier contract), so indexing by the first id's shard gives every
-	// concurrent caller private scratch — the batch path allocates nothing
-	// in steady state.
+	// scratch holds one reusable TryBatch buffer set per shard. Concurrent
+	// TryBatch calls must be on different shards (the BatchTrier contract),
+	// so indexing by the first id's shard gives every concurrent caller
+	// private scratch — the batch path allocates nothing in steady state.
 	scratch []batchScratch
 
 	mu      sync.Mutex // guards wounded
@@ -106,14 +104,12 @@ func (s *ConcurrentStrict2PL) Try(id core.StepID) Decision {
 
 // TryBatch implements BatchTrier natively: the batch's lock requests go
 // through lockmgr.ShardedTable.AcquireBatchInto, which takes each shard
-// mutex at most once for the whole batch (the runtime offers same-shard
-// batches, so normally exactly once). Reentrant holds are
+// mutex at most once per run of same-shard requests. Reentrant holds are
 // resolved by the table's fast-slot check and by Table.Acquire itself, so
 // the result is decision-for-decision equivalent to calling Try on each id
 // in order. The returned slice is the scratch of the first id's shard: it
-// stays valid until that shard's next TryBatch, which is exactly the
-// runtime's usage (the latch holder consumes the decisions before it
-// unlocks), and concurrent batches on other shards use their own scratch.
+// stays valid until that shard's next TryBatch. Its only consumer is the
+// bench module's tracer.
 func (s *ConcurrentStrict2PL) TryBatch(ids []core.StepID) []Decision {
 	sc := &s.scratch[s.ShardOf(s.sys.Step(ids[0]).Var)]
 	sc.reqs = sc.reqs[:0]

@@ -159,9 +159,8 @@ func (s *ConcurrentMV) Try(id core.StepID) Decision {
 	return Grant
 }
 
-// TryBatch implements BatchTrier. The hot path is already lock-free, so
-// there is no synchronization to amortize: the native batch path simply
-// decides in order without the adapter's indirection.
+// TryBatch implements BatchTrier by deciding in order through Try. Its
+// only consumer is the bench module's tracer.
 func (s *ConcurrentMV) TryBatch(ids []core.StepID) []Decision {
 	out := make([]Decision, len(ids))
 	for i, id := range ids {

@@ -166,9 +166,8 @@ func (s *ConcurrentSGT) Try(id core.StepID) Decision {
 	return Grant
 }
 
-// TryBatch implements BatchTrier. Decisions are per-step graph operations
-// already; the native batch path simply decides in order without the
-// adapter's indirection.
+// TryBatch implements BatchTrier by deciding in order through Try. Its
+// only consumer is the bench module's tracer.
 func (s *ConcurrentSGT) TryBatch(ids []core.StepID) []Decision {
 	out := make([]Decision, len(ids))
 	for i, id := range ids {

@@ -14,8 +14,7 @@ import (
 // Mutexed(TO) runs the single-threaded TO behind one mutex, ConcurrentTO
 // needs none — its whole state is a sharded atomic timestamp table
 // (internal/tstable, partitioned on lockmgr.ShardOfVar) and an atomic
-// transaction-timestamp clock, so Try and TryBatch take no mutex on any
-// path.
+// transaction-timestamp clock, so Try takes no mutex on any path.
 //
 // Why no cross-shard ordering structure: TO decides every conflict by the
 // one total timestamp order.
@@ -129,9 +128,8 @@ func (s *ConcurrentTO) Try(id core.StepID) Decision {
 	return Grant
 }
 
-// TryBatch implements BatchTrier. The hot path is already lock-free, so
-// there is no synchronization to amortize: the native batch path simply
-// decides in order without the adapter's indirection.
+// TryBatch implements BatchTrier by deciding in order through Try. Its
+// only consumer is the bench module's tracer.
 func (s *ConcurrentTO) TryBatch(ids []core.StepID) []Decision {
 	out := make([]Decision, len(ids))
 	for i, id := range ids {

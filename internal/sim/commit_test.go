@@ -1,11 +1,9 @@
 package sim
 
-// Coverage for Config.Batch > 1: intake coalescing on the centralized
-// scheduler goroutine, the batched parked-retry scan under the shard
-// latches, and the storage group-commit pipeline. CI runs this file under
-// -race; the invariants must match the unbatched runtime exactly — batching
-// only changes how many decisions share a critical section, never which
-// decisions are made legal.
+// Coverage for the commit path on the concurrent engine: the storage
+// group-commit pipeline for a backend that syncs, inline commits for every
+// other backend, and the hot-shard replay invariant. CI runs this file
+// under -race.
 
 import (
 	"fmt"
@@ -13,7 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"optcc/internal/conflict"
 	"optcc/internal/core"
 	"optcc/internal/lockmgr"
 	"optcc/internal/online"
@@ -21,45 +18,17 @@ import (
 	"optcc/internal/workload"
 )
 
-// hotShardSystem is the batching sweet spot: every transaction hammers a
+// hotShardSystem is the parking stress: every transaction hammers a
 // two-variable hot set, so nearly every decision lands on one or two shard
 // latches and requests park behind each other (workload.HotShard, also
 // ccsim's -workload hotshard).
 func hotShardSystem() *core.System { return workload.HotShard() }
 
-// TestBatchedDispatchCompletes: every concurrent scheduler must drive all
-// jobs to commit through the batched intake path, with serializable output,
-// across batch sizes from degenerate to larger than the user count.
-func TestBatchedDispatchCompletes(t *testing.T) {
-	inst := Instantiate(workload.Banking(), 12)
-	for _, batch := range []int{2, 8, 64} {
-		for _, cs := range concurrentSchedulers() {
-			t.Run(fmt.Sprintf("batch%d/%s", batch, cs.Name()), func(t *testing.T) {
-				m, err := Run(Config{System: inst, Sched: cs, Users: 6, Seed: 99, Batch: batch})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if m.Committed != 12 {
-					t.Fatalf("committed %d of 12 (aborts=%d breaks=%d)", m.Committed, m.Aborts, m.DeadlockBreaks)
-				}
-				if !m.Output.Legal(inst.Format()) {
-					t.Fatal("output illegal")
-				}
-				csr, _, err := conflict.Serializable(inst, m.Output)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !csr {
-					t.Error("non-serializable output")
-				}
-			})
-		}
-	}
-}
-
-// TestBatchedHotShard: the hot-shard stress against real storage with group
-// commit on — the configuration BenchmarkBatchedVsUnbatched measures — must
-// preserve the replay invariant under heavy conflict traffic.
+// TestBatchedHotShard: the hot-shard stress against real storage must
+// preserve the replay invariant under heavy conflict traffic, every parked
+// request re-offered on its own. Config.Batch is ignored, so the batch2 and
+// batch16 rows are two runs of one configuration; they keep their names
+// until the field itself goes.
 func TestBatchedHotShard(t *testing.T) {
 	for _, batch := range []int{2, 16} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -72,29 +41,10 @@ func TestBatchedHotShard(t *testing.T) {
 	}
 }
 
-// TestBatchedCentralRuntime: the centralized scheduler goroutine coalesces
-// its intake too; results must be indistinguishable from unbatched runs.
-func TestBatchedCentralRuntime(t *testing.T) {
-	inst := Instantiate(workload.Cross(), 10)
-	for _, batch := range []int{4, 32} {
-		m, err := Run(Config{System: inst, Sched: online.NewStrict2PL(lockmgr.WoundWait), Users: 5, Seed: 7, Batch: batch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Committed != 10 {
-			t.Fatalf("batch %d: committed %d of 10", batch, m.Committed)
-		}
-		if !m.Output.Legal(inst.Format()) {
-			t.Fatalf("batch %d: output illegal", batch)
-		}
-	}
-}
-
-// TestGroupCommitPipelineUsed: with Batch > 1 and a backend that syncs,
-// commits must flow through the group-commit pipeline (undo logs discarded
-// on lanes, one sync and one lock release per group), every transaction
-// must still commit exactly once, and the committed state must be the
-// committed replay.
+// TestGroupCommitPipelineUsed: with a backend that syncs, commits must flow
+// through the group-commit pipeline (undo logs discarded on lanes, one sync
+// and one lock release per group), every transaction must still commit
+// exactly once, and the committed state must be the committed replay.
 func TestGroupCommitPipelineUsed(t *testing.T) {
 	const jobs = 12
 	inst := Instantiate(hotShardSystem(), jobs)
@@ -106,7 +56,6 @@ func TestGroupCommitPipelineUsed(t *testing.T) {
 		Backend: be,
 		Users:   6,
 		Seed:    13,
-		Batch:   8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +195,7 @@ func TestShardedNameDuringRun(t *testing.T) {
 				}
 			}
 		}()
-		m, err := Run(Config{System: inst, Sched: cs, Users: 4, Seed: 21, Batch: 4})
+		m, err := Run(Config{System: inst, Sched: cs, Users: 4, Seed: 21})
 		close(stop)
 		hammer.Wait()
 		if err != nil {

@@ -78,8 +78,10 @@ func checkDurableReplay(t *testing.T, name string, mk func() online.Scheduler, t
 
 // TestDiskBackendReplayAndRecovery: serial, strict 2PL and the natively
 // concurrent (non-strict) TO scheduler on the disk backend, across both
-// runtimes, batching modes and all three fsync policies — the committed
-// replay must match the live state AND the recovered state.
+// runtimes and all three fsync policies — the committed replay must match
+// the live state AND the recovered state. Config.Batch is ignored, so the
+// batch1 and batch8 rows are two runs of one configuration; they keep
+// their names until the field goes.
 func TestDiskBackendReplayAndRecovery(t *testing.T) {
 	scheds := []struct {
 		name        string
@@ -118,7 +120,8 @@ func TestDiskBackendReplayAndRecovery(t *testing.T) {
 // conflicts, where its reads may differ from the granted-order replay and
 // restarts are routine. The write-buffered log holds only commit records,
 // so whatever the live store ended with, recovery must reproduce exactly:
-// no restarted attempt's writes reach the log.
+// no restarted attempt's writes reach the log. The batch rows differ only
+// in the ignored Config.Batch, as in TestDiskBackendReplayAndRecovery.
 func TestDiskBufferedNonStrictRecovery(t *testing.T) {
 	const jobs = 24
 	template := workload.Random(workload.RandomConfig{

@@ -67,7 +67,7 @@ func TestLatchNoWakeupDependsOnWatchdog(t *testing.T) {
 	for run := 0; run < runs; run++ {
 		be := storage.NewKV(storage.Config{Shards: 4, ValueSize: 32})
 		m := runOrHang(t, Config{System: inst, Sched: online.NewConcurrentStrict2PL(lockmgr.WoundWait, 4),
-			Backend: be, Users: users, Seed: int64(run), Batch: 1 + run%3*7}, 30*time.Second)
+			Backend: be, Users: users, Seed: int64(run)}, 30*time.Second)
 		if m.Committed != jobs {
 			t.Fatalf("run %d: committed %d of %d (aborts=%d breaks=%d)", run, m.Committed, jobs, m.Aborts, m.DeadlockBreaks)
 		}

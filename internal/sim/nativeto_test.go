@@ -1,8 +1,8 @@
 package sim
 
 // Coverage for the natively concurrent timestamp-ordering scheduler driven
-// by the real dispatch runtime, plus the adaptive batch sizer and the
-// unbatched commit path through the group-commit lanes.
+// by the real dispatch runtime, plus the commit path through the
+// group-commit lanes.
 // CI runs this file under -race -count=5 in the concurrency stress job.
 
 import (
@@ -83,77 +83,10 @@ func TestConcurrentTOContendedSerializable(t *testing.T) {
 	}
 }
 
-// TestBatchSizerAIMD pins the adaptive controller's behavior: additive
-// growth while drains hit the bound, multiplicative shrink toward 1 as the
-// queue thins, and a hard cap.
-func TestBatchSizerAIMD(t *testing.T) {
-	s := newBatchSizer(8)
-	if s.bound() != 1 {
-		t.Fatalf("initial bound %d, want 1", s.bound())
-	}
-	for i := 0; i < 20; i++ {
-		s.observe(s.bound()) // saturated drains
-	}
-	if s.bound() != 8 {
-		t.Fatalf("bound after backlog %d, want cap 8", s.bound())
-	}
-	s.observe(3) // 3 <= 8/2: halve
-	if s.bound() != 4 {
-		t.Fatalf("bound after thin drain %d, want 4", s.bound())
-	}
-	s.observe(1)
-	s.observe(1)
-	if s.bound() != 1 {
-		t.Fatalf("bound after idle %d, want 1", s.bound())
-	}
-	s.observe(0)
-	if s.bound() != 1 {
-		t.Fatalf("bound regressed below 1: %d", s.bound())
-	}
-	one := newBatchSizer(1)
-	one.observe(1)
-	if one.bound() != 1 {
-		t.Fatal("cap 1 must stay scalar")
-	}
-	if newBatchSizer(0).bound() != 1 {
-		t.Fatal("cap 0 must clamp to 1")
-	}
-}
-
-// TestAdaptiveBatchHotShard is the satellite's regression test: with Batch
-// as a cap, the hot-shard workload (all decisions under one shard latch) must
-// still commit everything with the committed state equal to the committed
-// replay, across cap sizes — the adaptive bound must never strand parked
-// or queued requests.
-func TestAdaptiveBatchHotShard(t *testing.T) {
-	const jobs = 32
-	template := workload.HotShardDisjoint(jobs, 4)
-	for _, cap := range []int{2, 16, 64} {
-		inst := Instantiate(template, jobs)
-		be := storage.NewKV(storage.Config{Shards: 4, ValueSize: 128})
-		m, err := Run(Config{System: inst, Sched: online.NewConcurrentStrict2PL(lockmgr.WoundWait, 4),
-			Backend: be, Users: 16, Seed: 5, Batch: cap})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Committed != jobs {
-			t.Fatalf("cap=%d: committed %d of %d", cap, m.Committed, jobs)
-		}
-		replay, err := core.Exec(inst, m.Output, inst.InitialStates()[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !be.State().Equal(replay) {
-			t.Fatalf("cap=%d: backend state diverged from committed replay", cap)
-		}
-	}
-}
-
 // TestUnbatchedCommitsThroughLanes: on a backend that syncs (a Disk under
 // group fsync) the concurrent engine commits through the group-commit
-// lanes with Batch <= 1 too, so lock release is asynchronous whatever the
-// batch. The pipeline must process every commit exactly once and preserve
-// the replay invariant.
+// lanes, so lock release is asynchronous. The pipeline must process every
+// commit exactly once and preserve the replay invariant.
 func TestUnbatchedCommitsThroughLanes(t *testing.T) {
 	const jobs = 24
 	inst := Instantiate(workload.HotShard(), jobs)

@@ -28,8 +28,14 @@ import (
 // processor wake-up, so a dozen jobs are over before a second processor
 // joins and nothing ever conflicts.) Output must then
 // contain exactly the committed transactions — whole and final-attempt only
-// — and replaying it must reproduce the committed backend state.
+// — and replaying it must reproduce the committed backend state. Whether a
+// seed exhausts a budget depends on the interleaving, so seeds run until
+// one has, at least minSeeds and at most maxSeeds of them, and every
+// invariant is checked on every seed. The batch8 row sets the deprecated
+// Config.Batch, which the engines ignore, and must behave like the row
+// without it.
 func TestOutputOnlyCommittedOnBudgetExhaustion(t *testing.T) {
+	const minSeeds, maxSeeds = 6, 40
 	cfgs := []struct {
 		name  string
 		mk    func() online.Scheduler
@@ -42,7 +48,7 @@ func TestOutputOnlyCommittedOnBudgetExhaustion(t *testing.T) {
 	for _, cfg := range cfgs {
 		t.Run(cfg.name, func(t *testing.T) {
 			exhausted := false
-			for seed := int64(1); seed <= 6; seed++ {
+			for seed := int64(1); seed <= maxSeeds && (!exhausted || seed <= minSeeds); seed++ {
 				inst := Instantiate(hotShardSystem(), 240)
 				be := storage.NewKV(storage.Config{Shards: 4, ValueSize: 32})
 				m, err := Run(Config{
@@ -84,7 +90,7 @@ func TestOutputOnlyCommittedOnBudgetExhaustion(t *testing.T) {
 				}
 			}
 			if !exhausted {
-				t.Fatal("no run exhausted its restart budget; regression not exercised")
+				t.Fatalf("no run in %d seeds exhausted its restart budget; regression not exercised", maxSeeds)
 			}
 		})
 	}
@@ -150,9 +156,9 @@ func (b *failingBackend) Rollback(tx int) {
 // TestNoCommitAfterFailedApply injects an apply failure — once mid-
 // transaction and once on the final step, whose grant has already marked
 // the transaction committed — and requires, for the central and the sharded
-// runtime (batched and not): the run reports the error, the failed
-// transaction is rolled back and never committed, and every other
-// transaction still commits exactly once.
+// runtime (with the deprecated Config.Batch set and not): the run reports
+// the error, the failed transaction is rolled back and never committed, and
+// every other transaction still commits exactly once.
 func TestNoCommitAfterFailedApply(t *testing.T) {
 	stepCount := len(hotShardSystem().Txs[0].Steps)
 	cfgs := []struct {

@@ -43,10 +43,9 @@
 // transactions enqueue into its lanes, and a lane's driver commits a whole
 // group under one sync and releases the group's scheduler locks in one
 // sweep (async lock release — commit processing leaves the follower's
-// goroutine entirely). There is no intake queue left to coalesce, so
-// Config.Batch only bounds the chunk of parked requests a retry offers
-// through online.TryBatch (one scheduler critical section per chunk for
-// the natively batched schedulers).
+// goroutine entirely). That is commit batching; decisions are never
+// batched: a fresh request and every parked retry are each offered to the
+// scheduler on their own through decide.
 package sim
 
 import (
@@ -69,10 +68,10 @@ import (
 var watchdogPeriod = 250 * time.Microsecond
 
 // shardState is one shard's decision latch and everything it guards: the
-// parked list, the shard's grant log and the batched-retry scratch.
-// nParked mirrors len(parked) so releasers can skip shards with nobody to
-// wake without touching the latch; it sits on its own cache line because
-// every commit reads it while the latch next to it changes hands.
+// parked list and the shard's grant log. nParked mirrors len(parked) so
+// releasers can skip shards with nobody to wake without touching the
+// latch; it sits on its own cache line because every commit reads it while
+// the latch next to it changes hands.
 type shardState struct {
 	nParked atomic.Int32
 	_       [60]byte
@@ -80,10 +79,6 @@ type shardState struct {
 	mu     sync.Mutex // the decision latch
 	parked []request
 	log    []grant
-
-	ids      []core.StepID
-	slots    []int
-	verdicts []verdict
 }
 
 // grant is one granted step in a shard's log. It is appended under the
@@ -134,7 +129,6 @@ type shardedRun struct {
 	// (nil: every commit runs inline on its user goroutine).
 	gc          *storage.GroupCommitter
 	epoch       time.Time // the run's start; timestamps are offsets from it
-	batch       int
 	maxRestarts int
 	// yield makes users hand their processor on between transactions. A
 	// run-to-completion user never blocks on an uncontended run, so with
@@ -163,7 +157,7 @@ type shardedRun struct {
 
 // runSharded runs the system on the concurrent engine and returns the
 // metrics together with the run.
-func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, users, maxRestarts, batch int) (*Metrics, *shardedRun, error) {
+func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, users, maxRestarts int) (*Metrics, *shardedRun, error) {
 	m := &Metrics{}
 	n := sys.NumTxs()
 	// Histogram storage is reserved per user, outside the allocation meter
@@ -184,7 +178,7 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 	am.Start()
 	cs.Begin(sys)
 
-	r := &shardedRun{cfg: &cfg, cs: cs, sys: sys, batch: batch, maxRestarts: maxRestarts,
+	r := &shardedRun{cfg: &cfg, cs: cs, sys: sys, maxRestarts: maxRestarts,
 		yield: users > runtime.GOMAXPROCS(0), txs: make([]txState, n), breakCh: make(chan struct{}, 1)}
 
 	// Read-only fast path: when the scheduler's semantics allow it
@@ -607,27 +601,20 @@ func (r *shardedRun) kickParked() {
 	}
 }
 
-// retryParked re-offers one shard's parked requests under its latch, in
-// chunks of at most Config.Batch through the batch path, and replies to the
-// decided ones. It reports whether the caller must kick again.
+// retryParked re-offers one shard's parked requests under its latch, one at
+// a time through decide, and replies to the decided ones. It reports
+// whether the caller must kick again.
 func (r *shardedRun) retryParked(ss *shardState) (kick bool) {
 	ss.mu.Lock()
 	kept := ss.parked[:0]
-	for start := 0; start < len(ss.parked); start += r.batch {
-		chunk := ss.parked[start:min(start+r.batch, len(ss.parked))]
-		if len(chunk) > 1 {
-			var again bool
-			kept, again = r.decideBatch(ss, chunk, kept)
-			kick = kick || again
-			continue
-		}
-		v, decided, again := r.decide(ss, chunk[0].tx, chunk[0].idx)
+	for _, p := range ss.parked {
+		v, decided, again := r.decide(ss, p.tx, p.idx)
 		kick = kick || again
 		if decided {
 			v.parked = true
-			chunk[0].reply <- v
+			p.reply <- v
 		} else {
-			kept = append(kept, chunk[0])
+			kept = append(kept, p)
 		}
 	}
 	clear(ss.parked[len(kept):])
@@ -635,58 +622,6 @@ func (r *shardedRun) retryParked(ss *shardState) (kick bool) {
 	ss.nParked.Store(int32(len(kept)))
 	ss.mu.Unlock()
 	return kick
-}
-
-// decideBatch decides a chunk of parked requests (distinct transactions,
-// all on ss, latch held) in one scheduler critical section. Wounded
-// requesters abort before the batch is offered; the rest go through
-// online.TryBatch and the bookkeeping mirrors decide exactly. Replies go
-// out only after the whole chunk's bookkeeping (wounds included) is done: a
-// granted user's next request must not race ahead of the wounds its own
-// grant produced. Undecided requests are appended to kept, which may alias
-// the list chunk is cut from (it never overtakes the read position).
-func (r *shardedRun) decideBatch(ss *shardState, chunk, kept []request) (_ []request, kick bool) {
-	ids, slots, vs := ss.ids[:0], ss.slots[:0], ss.verdicts[:0]
-	for i, p := range chunk {
-		var v verdict
-		if r.admit(p.tx) {
-			ids = append(ids, core.StepID{Tx: p.tx, Idx: p.idx})
-			slots = append(slots, i)
-		} else {
-			v, kick = verdict{aborted: true}, true
-		}
-		vs = append(vs, v)
-	}
-	ss.ids, ss.slots, ss.verdicts = ids, slots, vs
-	var ds []online.Decision
-	if len(ids) > 0 {
-		ds = online.TryBatch(r.cs, ids)
-	}
-	kick = r.collectWounds() || kick
-	for k, d := range ds {
-		p := chunk[slots[k]]
-		switch d {
-		case online.Grant:
-			vs[slots[k]] = r.granted(ss, p.tx, p.idx)
-		case online.AbortTx:
-			r.abortTx(p.tx)
-			vs[slots[k]], kick = verdict{aborted: true}, true
-		}
-	}
-	k := 0 // walks slots, the admitted requests in chunk order
-	for i, p := range chunk {
-		if k < len(slots) && slots[k] == i {
-			k++
-			if ds[k-1] == online.Delay {
-				kept = append(kept, p)
-				continue
-			}
-		}
-		v := vs[i]
-		v.parked = true
-		p.reply <- v
-	}
-	return kept, kick
 }
 
 func (r *shardedRun) parkedTotal() (n int64) {

@@ -2,7 +2,8 @@
 // goroutine-per-user simulation of the Section 6 environment. Multiple
 // users at terminals execute transactions that mostly compute locally but
 // occasionally touch shared data; a scheduler grants, delays or aborts each
-// arriving step request.
+// arriving step request, one request at a time: neither engine collects
+// requests into a batch decision.
 //
 // The simulator decomposes each step's latency exactly as Section 6 does:
 //
@@ -32,8 +33,7 @@
 // each user goroutine reuses one verdict reply channel for all its
 // requests, the histograms (per user on the concurrent engine) and the
 // granted-step logs (per shard there) are presized to the run's expected
-// sample counts, the parked-retry batch buffers are per-shard scratch under
-// the latch, the deadlock breaker reuses its stuck list, and commit flows
+// sample counts, the deadlock breaker reuses its stuck list, and commit flows
 // through pooled lock-table state (and, on a syncing backend, the
 // group-commit lanes' double-buffered queues). The allocations that
 // remain in the drivers are deliberately confined to cold paths: restart
@@ -71,22 +71,11 @@ type Config struct {
 	// Users is the number of concurrent user goroutines; jobs are assigned
 	// round-robin. Zero means one user per job.
 	Users int
-	// Batch caps how many step requests are decided in one scheduler
-	// critical section (0 or 1 = one at a time). On the central engine it
-	// coalesces the scheduler goroutine's intake, with an adaptive bound:
-	// the goroutine grows it additively while its queue shows backlog and
-	// halves it toward 1 as the queue drains (AIMD), so a large Batch costs
-	// nothing on thin traffic. The concurrent engine has no intake queue —
-	// users decide their own steps — so there Batch only bounds the chunk
-	// of parked requests a retry offers through online.TryBatch. Batch
-	// does not touch commits: on the concurrent engine a finishing
-	// transaction commits inline, unless the backend syncs
-	// (storage.GroupSyncer) — then it enqueues its commit into the storage
-	// group-commit pipeline, and the lane's driver — the first committer to
-	// find the lane idle — commits the whole accumulated group under one
-	// sync and releases its scheduler locks in one sweep, asynchronously to
-	// every follower. The granted-step log and all invariants are the same
-	// at every Batch.
+	// Batch is ignored: both engines offer every step request to the
+	// scheduler on its own. Its only consumer is the bench module's
+	// workload configs.
+	//
+	// Deprecated: set nothing; the field goes once bench stops writing it.
 	Batch int
 	// ExecTime adds a simulated per-step execution cost on top of any
 	// backend work (0 = none). It is slept on the user goroutine after the
@@ -344,20 +333,16 @@ func run(cfg Config) (*Metrics, *shardedRun, error) {
 	if maxRestarts <= 0 {
 		maxRestarts = 1000
 	}
-	batch := cfg.Batch
-	if batch < 1 {
-		batch = 1
-	}
 	if cs, ok := cfg.Sched.(online.ConcurrentScheduler); ok {
-		return runSharded(cfg, cs, sys, users, maxRestarts, batch)
+		return runSharded(cfg, cs, sys, users, maxRestarts)
 	}
-	m, err := runCentral(cfg, sys, users, maxRestarts, batch)
+	m, err := runCentral(cfg, sys, users, maxRestarts)
 	return m, nil, err
 }
 
 // runCentral runs a plain online.Scheduler behind the single centralized
 // scheduler goroutine of Section 6.
-func runCentral(cfg Config, sys *core.System, users, maxRestarts, batch int) (*Metrics, error) {
+func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics, error) {
 	m := &Metrics{}
 	presizeMetrics(m, sys, cfg.Backend != nil)
 	var am report.AllocMeter
@@ -520,72 +505,36 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts, batch int) (*M
 		}
 	}
 
-	// Scheduler goroutine: the single centralized scheduler of Section 6.
-	// With Batch > 1 it coalesces its intake: everything queued on a channel
-	// is drained opportunistically and processed under one critical section
-	// — one parked-retry scan and one deadlock check per batch instead of
-	// one per request/commit. The coalescing bound adapts (AIMD on observed
-	// backlog, batchSizer) so Batch is the cap, not a fixed size; each
-	// channel has its own sizer — commit drains are often singletons, and a
-	// shared bound would let them keep halving what the request path earned.
+	// Scheduler goroutine: the single centralized scheduler of Section 6. It
+	// handles one arrival per select — a step request, a commit or a failed
+	// apply — and decides it on its own, then re-offers the parked requests
+	// and checks for deadlock.
 	// schedWG joins the scheduler before Run returns: every sender has
 	// exited by the time done is closed (wg.Wait above the close), so the
 	// scheduler drains nothing after the join starts and Wait is bounded.
 	// Without the join the goroutine could still be inside a mu-protected
-	// batch while Run's caller reads Metrics — the race gojoin exists to
+	// decision while Run's caller reads Metrics — the race gojoin exists to
 	// prevent.
 	var schedWG sync.WaitGroup
 	schedWG.Add(1)
 	go func() {
 		defer schedWG.Done()
-		reqSizer := newBatchSizer(batch)
-		commitSizer := newBatchSizer(batch)
-		reqBuf := make([]request, 0, batch)
-		commitBuf := make([]int, 0, batch)
 		for {
 			select {
 			case r := <-reqCh:
-				bound := reqSizer.bound()
-				reqBuf = append(reqBuf[:0], r)
-			reqDrain:
-				for len(reqBuf) < bound {
-					select {
-					case r2 := <-reqCh:
-						reqBuf = append(reqBuf, r2)
-					default:
-						break reqDrain
-					}
-				}
-				reqSizer.observe(len(reqBuf))
 				mu.Lock()
-				for _, r := range reqBuf {
-					if v, decided := tryRequest(r); decided {
-						r.reply <- v
-					} else {
-						waiting = append(waiting, parked{req: r, since: time.Now()})
-					}
+				if v, decided := tryRequest(r); decided {
+					r.reply <- v
+				} else {
+					waiting = append(waiting, parked{req: r, since: time.Now()})
 				}
 				retryParked()
 				checkDeadlock()
 				mu.Unlock()
 			case tx := <-commitCh:
-				bound := commitSizer.bound()
-				commitBuf = append(commitBuf[:0], tx)
-			commitDrain:
-				for len(commitBuf) < bound {
-					select {
-					case tx2 := <-commitCh:
-						commitBuf = append(commitBuf, tx2)
-					default:
-						break commitDrain
-					}
-				}
-				commitSizer.observe(len(commitBuf))
 				mu.Lock()
-				for _, tx := range commitBuf {
-					delete(committing, tx)
-					sched.Commit(tx)
-				}
+				delete(committing, tx)
+				sched.Commit(tx)
 				retryParked()
 				checkDeadlock()
 				mu.Unlock()

@@ -49,8 +49,8 @@ func strictSchedulers() []struct {
 
 // checkReplayInvariant runs the configuration with a fresh KV backend and
 // fails unless all jobs commit and the backend state equals the serial
-// replay of the committed schedule. batch > 1 turns on intake coalescing
-// and batched parked retries.
+// replay of the committed schedule. batch only sets the ignored
+// Config.Batch; it goes with the field.
 func checkReplayInvariant(t *testing.T, name string, mk func() online.Scheduler, template *core.System, jobs, users, valueSize int, seed int64, batch int) *Metrics {
 	t.Helper()
 	inst := Instantiate(template, jobs)
@@ -77,10 +77,12 @@ func checkReplayInvariant(t *testing.T, name string, mk func() online.Scheduler,
 }
 
 // TestBackendStateMatchesCommittedReplay is the acceptance invariant: for
-// every strict scheduler — central and sharded, unbatched and batched — a
-// run over real storage leaves the backend in exactly the state of serially
-// replaying the committed schedule, on workloads spanning low contention,
-// interpreted banking transfers, and a deadlock-prone cross pattern.
+// every strict scheduler — central and sharded — a run over real storage
+// leaves the backend in exactly the state of serially replaying the
+// committed schedule, on workloads spanning low contention, interpreted
+// banking transfers, and a deadlock-prone cross pattern.
+// Config.Batch is ignored, so the batch1 and batch8 rows are two runs of
+// one configuration; they keep their names until the field goes.
 func TestBackendStateMatchesCommittedReplay(t *testing.T) {
 	templates := []struct {
 		name     string

@@ -87,11 +87,8 @@ type Config struct {
 	// latches always agree on ownership (minimum 1).
 	Shards int
 	// ValueSize is the payload size in bytes for every record (0 keeps
-	// records scalar-only). Sizer overrides it per variable when set.
+	// records scalar-only).
 	ValueSize int
-	// Sizer, when non-nil, gives each variable its payload size; workloads
-	// supply sizers (e.g. workload.UniformPayload) to model value-size skew.
-	Sizer func(v core.Var) int
 	// Recycle returns dead payload buffers to the per-shard size-classed
 	// freelists: superseded versions are recycled by the GC once no pinned
 	// snapshot can see them, and a Rollback recycles the dying write it
@@ -378,13 +375,6 @@ func (kv *KV) shard(v core.Var) *kvShard {
 	return &kv.shards[lockmgr.ShardOfVar(v, len(kv.shards))]
 }
 
-func (kv *KV) sizeOf(v core.Var) int {
-	if kv.cfg.Sizer != nil {
-		return kv.cfg.Sizer(v)
-	}
-	return kv.cfg.ValueSize
-}
-
 // chainOf returns v's version chain with one immutable map lookup (the
 // lock-free fast path for every variable declared at Reset). Undeclared
 // variables fall back to the extra sync.Map; with create false a fully
@@ -512,7 +502,7 @@ func (kv *KV) Reset(init core.DB) {
 	kv.versionsGCed.Store(0)
 	for v, val := range init {
 		sh := kv.shard(v)
-		ver := kv.newVersion(sh, kv.sizeOf(v), val, nil, 0)
+		ver := kv.newVersion(sh, kv.cfg.ValueSize, val, nil, 0)
 		ch := &chain{}
 		ch.head.Store(ver)
 		sh.data[v] = ch
@@ -598,7 +588,7 @@ func (kv *KV) Put(tx int, v core.Var, scalar core.Value) {
 func (kv *KV) put(c *txCtx, tx int, v core.Var, scalar core.Value) {
 	ch := kv.chainOf(v, true)
 	sh := kv.shard(v)
-	size := kv.sizeOf(v)
+	size := kv.cfg.ValueSize
 	mark := uncommittedMark(tx)
 	for {
 		prev := ch.head.Load()

@@ -189,7 +189,9 @@ func OpenDisk(cfg Config) (*Disk, error) {
 		return fail(fmt.Errorf("storage: recovery snapshot rename: %w", err))
 	}
 	for _, name := range names {
-		if name == lockFileName {
+		// A leftover tmpName from a recovery killed before its rename was
+		// just overwritten and renamed away: it is gone already.
+		if name == lockFileName || name == tmpName {
 			continue
 		}
 		if err := d.fs.Remove(segPath(d.dir, name)); err != nil {

@@ -77,26 +77,17 @@ func TestKVGetPutScanState(t *testing.T) {
 }
 
 func TestKVPayloadSizing(t *testing.T) {
-	kv := NewKV(Config{
-		Shards:    2,
-		ValueSize: 16,
-		Sizer: func(v core.Var) int {
-			if v == "big" {
-				return 1024
-			}
-			return 16
-		},
-	})
-	kv.Reset(core.DB{"big": 7, "small": 3})
+	kv := NewKV(Config{Shards: 2, ValueSize: 1024})
+	kv.Reset(core.DB{"a": 7, "b": 3})
 	snap := kv.Snapshot()
-	if len(snap["big"].Payload) != 1024 || len(snap["small"].Payload) != 16 {
-		t.Fatalf("payload sizes %d/%d", len(snap["big"].Payload), len(snap["small"].Payload))
+	if len(snap["a"].Payload) != 1024 || len(snap["b"].Payload) != 1024 {
+		t.Fatalf("payload sizes %d/%d", len(snap["a"].Payload), len(snap["b"].Payload))
 	}
 	// The scalar is stamped into the payload and covered by the checksum.
-	if snap["big"].Payload[0] != 7 {
-		t.Fatalf("scalar not stamped: %d", snap["big"].Payload[0])
+	if snap["a"].Payload[0] != 7 {
+		t.Fatalf("scalar not stamped: %d", snap["a"].Payload[0])
 	}
-	if checksum(snap["big"].Payload) != snap["big"].Sum {
+	if checksum(snap["a"].Payload) != snap["a"].Sum {
 		t.Fatal("stored checksum does not cover payload")
 	}
 }

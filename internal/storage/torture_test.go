@@ -364,6 +364,34 @@ func TestSegmentCorruptionRecovery(t *testing.T) {
 	}
 }
 
+// TestRecoveryLeftoverCompactionTmp: a recovery killed between creating its
+// compaction snapshot's temp file and renaming it leaves that file behind.
+// The next OpenDisk writes the same temp name, renames it away, and must
+// not then try to unlink it again from its listing.
+func TestRecoveryLeftoverCompactionTmp(t *testing.T) {
+	dir := t.TempDir()
+	d, err := NewDisk(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Reset(tortureInit)
+	d.Close()
+	if segs := listSegments(t, dir); len(segs) != 1 || filepath.Base(segs[0]) != segName(1) {
+		t.Fatalf("segments after Reset and Close: %v, want [%s]", segs, segName(1))
+	}
+	if err := os.WriteFile(filepath.Join(dir, segName(2)+".tmp"), []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenDisk(Config{Dir: dir})
+	if err != nil {
+		t.Fatalf("recovery over a leftover compaction temp file: %v", err)
+	}
+	defer r.Close()
+	if got := r.State(); !got.Equal(tortureInit) {
+		t.Fatalf("recovered %v, want %v", got, tortureInit)
+	}
+}
+
 // newestSegment returns the path of the newest log segment in dir.
 func newestSegment(t *testing.T, dir string) string {
 	t.Helper()

@@ -7,9 +7,7 @@
 // update) used across experiments. Generators: seeded random systems with
 // tunable contention, a hierarchical (tree) access workload for the
 // Section 5.5 structured-data experiments, and the engine-stress shapes
-// (hot-shard, disjoint, cross-shard pairs) the runtime experiments sweep. Payload sizers (UniformPayload,
-// HotColdPayload) attach value payloads to a workload's variables for the
-// real-storage experiments (internal/storage).
+// (hot-shard, disjoint, cross-shard pairs) the runtime experiments sweep.
 package workload
 
 import (
@@ -177,7 +175,7 @@ func Chain() *core.System {
 // shape hammering a two-variable hot set (h, then k, then h again), so when
 // instantiated many times nearly every decision lands on the one or two
 // shards owning h and k and requests park behind each other's locks.
-// It is ccsim's -workload hotshard and the sim package's batch tests'.
+// It is ccsim's -workload hotshard and the sim package's parking stress.
 func HotShard() *core.System {
 	return (&core.System{
 		Name: "hotshard",
@@ -386,29 +384,6 @@ func Random(cfg RandomConfig, seed int64) *core.System {
 		txs[i] = core.Transaction{Steps: steps}
 	}
 	return (&core.System{Name: fmt.Sprintf("random-%d", seed), Txs: txs}).Normalize()
-}
-
-// UniformPayload returns a payload sizer giving every variable n bytes.
-// Sizers feed storage.Config.Sizer: they attach value payloads to a
-// workload's variables so backend reads and writes move real bytes.
-func UniformPayload(n int) func(core.Var) int {
-	return func(core.Var) int { return n }
-}
-
-// HotColdPayload returns a sizer giving `hot` bytes to the named variables
-// and `cold` bytes to every other one: value-size skew for the storage
-// experiments (e.g. a few large hot records among small cold ones).
-func HotColdPayload(hot, cold int, hotVars ...core.Var) func(core.Var) int {
-	set := make(map[core.Var]bool, len(hotVars))
-	for _, v := range hotVars {
-		set[v] = true
-	}
-	return func(v core.Var) int {
-		if set[v] {
-			return hot
-		}
-		return cold
-	}
 }
 
 // ReadMostlyConfig tunes the read-mostly generator.

@@ -28,19 +28,6 @@ for doc in README.md DESIGN.md; do
   done
 done
 
-# The batching surface must stay documented: the ccsim -batch flag in both
-# docs and in ccsim.
-for doc in README.md DESIGN.md; do
-  if ! grep -qe '-batch' "$doc"; then
-    echo "check-docs: $doc does not document the -batch flag"
-    fail=1
-  fi
-done
-if ! grep -q '"batch"' cmd/ccsim/main.go; then
-  echo "check-docs: cmd/ccsim/main.go lost its -batch flag"
-  fail=1
-fi
-
 # The native-TO surface must stay documented: experiment E11 and the cto
 # scheduler in both docs.
 for doc in README.md DESIGN.md; do
@@ -247,20 +234,28 @@ fi
 # its EXPERIMENTS.md, the end-to-end root benchmarks, and the disk
 # backend's eager redo+undo execution mode with its Config switch and
 # torture env var, the concurrent engine's run-global grant stamp and its
-# every-commit-through-a-lane rule are gone; nothing that documents or
-# drives the current tree may name them.
+# every-commit-through-a-lane rule, and decision batching (the central
+# loop's adaptive intake coalescing, the batched parked retry and ccsim's
+# -batch flag) are gone; nothing that documents or drives the current tree
+# may name them.
 for f in README.md DESIGN.md doc.go cmd/*/main.go Makefile internal/report/report.go .claude/skills/verify/SKILL.md; do
   [ -f "$f" ] || continue
   for stale in 'railstripes' 'NewSharded(' 'Sharded combinator' 'ordering rail' 'benchdiff' 'bench-json' 'BENCH_PR' \
       'E8Config' 'E10Config' 'E8Quick' 'ccbench -md' 'EXPERIMENTS.md' '-exp E8' '-exp E10' \
       'BenchmarkShardedVsCentral' 'BenchmarkNativeVsMutexed' \
       'Config.Buffered' 'Buffered:' 'redo+undo' 'eager redo' 'disk(buffered)' 'OPTCC_TORTURE_BUFFERED' \
-      'merged by stamp' 'stamped from one' 'every commit flows through'; do
+      'merged by stamp' 'stamped from one' 'every commit flows through' \
+      'batchSizer' 'decideBatch' 'intake coalescing'; do
     if grep -qF -- "$stale" "$f"; then
       echo "check-docs: $f still names the removed '$stale'"
       fail=1
     fi
   done
+  # The flag, not words like "per-batch".
+  if grep -qE -- '(^|[^[:alnum:]-])-batch([^[:alnum:]-]|$)' "$f" || grep -qF '"batch"' "$f"; then
+    echo "check-docs: $f still names the removed -batch flag"
+    fail=1
+  fi
 done
 
 if [ "$fail" -ne 0 ]; then
