@@ -136,7 +136,7 @@ func TestAcquireBatchFastPathAndReentrant(t *testing.T) {
 	if got := s.ReleaseAll(1); len(got) == 0 {
 		t.Fatal("release granted nothing to the waiter")
 	}
-	if m, ok := s.Holds(2, "x"); !ok || m != Exclusive {
+	if m, ok := s.HeldBy("x")[2]; !ok || m != Exclusive {
 		t.Fatal("waiter not promoted to holder")
 	}
 	if err := s.Invariant(); err != nil {

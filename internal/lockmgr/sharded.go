@@ -1,6 +1,8 @@
 package lockmgr
 
 import (
+	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -25,19 +27,33 @@ import (
 // distinct goroutines concurrently; operations on behalf of one transaction
 // must not overlap with each other (the same per-transaction discipline the
 // schedulers and simulator already follow).
+//
+// A reserved transaction (Reserve) enters a shard's Table lazily: it is
+// registered there, and its bit set in its touched-shard set, the first
+// time it reaches that shard's slow path — its own slow-path Acquire or
+// the escalation that adopts its fast hold. ReleaseAll and Forget then
+// lock only the shards in that set, so a transaction whose every lock took
+// the fast path commits without taking a shard mutex.
 type ShardedTable struct {
 	policy Policy
 	shards []tableShard
 	clock  atomic.Int64
-	// birthArr and fastArr are the flat per-transaction state for ids
-	// reserved with Reserve: a birth timestamp slot (0 = unset) and a
-	// fast-path lock set per id, indexed directly — no sync.Map entry
-	// allocation per transaction. Ids outside the reserved range fall back
-	// to the sync.Maps below.
+	// declared holds the fast slots of the variables named to Declare, one
+	// immutable map per shard over a single slab: a declared variable's
+	// slot is one map read, no boxing, no allocation.
+	declared []map[core.Var]*fastSlot
+	// birthArr, fastArr and touched are the flat per-transaction state for
+	// ids reserved with Reserve: a birth timestamp slot (0 = unset), a
+	// fast-path lock set, and a bitset of the shards whose Table may hold
+	// state for the id (words uint64s per id), indexed directly — no
+	// sync.Map entry allocation per transaction. Ids outside the reserved
+	// range fall back to the sync.Maps below.
 	birthArr []atomic.Int64
 	fastArr  []fastSet
+	touched  []atomic.Uint64
+	words    int
 	birth    sync.Map // TxID → int64 (unreserved ids)
-	slots    sync.Map // core.Var → *fastSlot
+	slots    sync.Map // core.Var → *fastSlot (undeclared variables)
 	fast     sync.Map // TxID → *fastSet (unreserved ids)
 }
 
@@ -132,7 +148,7 @@ func NewShardedTable(policy Policy, shards int) *ShardedTable {
 	if shards < 1 {
 		shards = 1
 	}
-	st := &ShardedTable{policy: policy, shards: make([]tableShard, shards)}
+	st := &ShardedTable{policy: policy, shards: make([]tableShard, shards), words: (shards + 63) / 64}
 	for i := range st.shards {
 		st.shards[i].t = NewTable(policy)
 	}
@@ -143,15 +159,37 @@ func NewShardedTable(policy Policy, shards int) *ShardedTable {
 func (s *ShardedTable) Policy() Policy { return s.policy }
 
 // Reserve preallocates flat per-transaction state for transaction ids
-// [0, n): birth timestamps and fast-path lock sets live in arrays instead
-// of sync.Maps, so registering, fast-locking and releasing a reserved id
-// allocates nothing. Call it once, before the table is driven concurrently
+// [0, n): birth timestamps, fast-path lock sets and touched-shard sets live
+// in arrays instead of sync.Maps, so registering, fast-locking and
+// releasing a reserved id allocates nothing, and a reserved id is entered
+// into a shard's Table only when it first needs that shard's slow path.
+// Call it once, before the table is driven concurrently
 // (ConcurrentStrict2PL calls it from Begin with the system's transaction
 // count); ids outside the range keep working through the sync.Map fallback.
 func (s *ShardedTable) Reserve(n int) {
 	if n > len(s.birthArr) {
 		s.birthArr = make([]atomic.Int64, n)
 		s.fastArr = make([]fastSet, n)
+		s.touched = make([]atomic.Uint64, n*s.words)
+	}
+}
+
+// Declare builds the fast slots of vars up front: per-shard immutable maps
+// over one slab, duplicates folded, so looking up a declared variable's
+// slot is one lock-free map read. Variables outside the declared set keep
+// working through the sync.Map fallback. Call it once, before the table is
+// driven (ConcurrentStrict2PL calls it from Begin with the system's
+// variables).
+func (s *ShardedTable) Declare(vars []core.Var) {
+	s.declared = make([]map[core.Var]*fastSlot, len(s.shards))
+	for i := range s.declared {
+		s.declared[i] = map[core.Var]*fastSlot{}
+	}
+	slab := make([]fastSlot, len(vars))
+	for i, v := range vars {
+		if m := s.declared[s.ShardOf(v)]; m[v] == nil {
+			m[v] = &slab[i]
+		}
 	}
 }
 
@@ -188,20 +226,23 @@ func ShardOfVar(v core.Var, n int) int {
 }
 
 // Register assigns the transaction its birth timestamp from the global
-// clock and registers it with every shard. Re-registering keeps the
-// original timestamp, preserving wound-wait/wait-die progress guarantees.
+// clock. An unreserved id is also registered with every shard; a reserved
+// id is registered with a shard when it first enters that shard's slow
+// path (enter). Re-registering keeps the original timestamp, preserving
+// wound-wait/wait-die progress guarantees.
 func (s *ShardedTable) Register(tx TxID) {
+	if s.reserved(tx) {
+		// Timestamps start at 1, so 0 is an unambiguous "unset"; the CAS
+		// keeps the first registration's timestamp under races.
+		if s.birthArr[tx].Load() == 0 {
+			s.birthArr[tx].CompareAndSwap(0, s.clock.Add(1))
+		}
+		return
+	}
 	birth := s.birthOf(tx)
 	if birth == 0 {
-		if s.reserved(tx) {
-			// Timestamps start at 1, so 0 is an unambiguous "unset"; the
-			// CAS keeps the first registration's timestamp under races.
-			s.birthArr[tx].CompareAndSwap(0, s.clock.Add(1))
-			birth = s.birthArr[tx].Load()
-		} else {
-			b, _ := s.birth.LoadOrStore(tx, s.clock.Add(1))
-			birth = b.(int64)
-		}
+		b, _ := s.birth.LoadOrStore(tx, s.clock.Add(1))
+		birth = b.(int64)
 	}
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -211,13 +252,69 @@ func (s *ShardedTable) Register(tx TxID) {
 	}
 }
 
+// enter makes shard si's Table ready to hold state for tx: a reserved id
+// is registered there with its global birth and gets bit si of its
+// touched-shard set. Caller holds shard si's mutex. Unreserved ids were
+// registered with every shard by Register.
+func (s *ShardedTable) enter(si int, tx TxID) {
+	if !s.reserved(tx) {
+		return
+	}
+	w, bit := s.touchedBit(tx, si)
+	if w.Load()&bit != 0 {
+		return
+	}
+	s.shards[si].t.RegisterAt(tx, s.birthArr[tx].Load())
+	// Other bits of the word change concurrently (escalations enter tx
+	// under other shards' mutexes), hence the CAS loop.
+	for old := w.Load(); !w.CompareAndSwap(old, old|bit); old = w.Load() {
+	}
+}
+
+// touchedBit locates bit si of reserved tx's touched-shard set.
+func (s *ShardedTable) touchedBit(tx TxID, si int) (*atomic.Uint64, uint64) {
+	return &s.touched[int(tx)*s.words+si/64], uint64(1) << (si % 64)
+}
+
+// lockedShards calls fn, under each shard's mutex, for every shard whose
+// Table may hold state for tx: the touched-shard set of a reserved id,
+// every shard for an unreserved one.
+func (s *ShardedTable) lockedShards(tx TxID, fn func(si int, t *Table)) {
+	visit := func(si int) {
+		sh := &s.shards[si]
+		sh.mu.Lock()
+		fn(si, sh.t)
+		sh.mu.Unlock()
+	}
+	if !s.reserved(tx) {
+		for si := range s.shards {
+			visit(si)
+		}
+		return
+	}
+	set := s.touched[int(tx)*s.words : int(tx+1)*s.words]
+	for wi := range set {
+		for b := set[wi].Load(); b != 0; b &= b - 1 {
+			visit(wi*64 + bits.TrailingZeros64(b))
+		}
+	}
+}
+
+// slot returns v's fast slot: the declared one, else the sync.Map
+// fallback's (created on first touch).
+//
 //optcc:hotpath
 func (s *ShardedTable) slot(v core.Var) *fastSlot {
-	//cclint:ignore hotpath sync.Map lookup is the slot registry; one boxed key per lookup is the accepted cost until slots are reserved like birthArr
+	if s.declared != nil {
+		if sl, ok := s.declared[ShardOfVar(v, len(s.shards))][v]; ok {
+			return sl
+		}
+	}
+	//cclint:ignore hotpath undeclared-variable fallback; ConcurrentStrict2PL declares the system's variables up front
 	if sl, ok := s.slots.Load(v); ok {
 		return sl.(*fastSlot)
 	}
-	//cclint:ignore hotpath first-touch slot creation happens once per variable, not per request
+	//cclint:ignore hotpath undeclared-variable fallback; first-touch slot creation happens once per variable, not per request
 	sl, _ := s.slots.LoadOrStore(v, &fastSlot{})
 	return sl.(*fastSlot)
 }
@@ -252,19 +349,29 @@ func (s *ShardedTable) fastSetIfAny(tx TxID) *fastSet {
 	return nil
 }
 
-// escalate moves v out of the fast regime into the shard Table. Caller
+// escalate moves v out of the fast regime into shard si's Table. Caller
 // holds the shard mutex. If a fast-path owner loses the race, it is adopted
 // into the Table so queueing and deadlock handling see it; its own release
 // will then go through the slow path (the fast-release CAS fails).
-func (s *ShardedTable) escalate(sl *fastSlot, t *Table, v core.Var) {
+//
+// The owner is entered into the shard before the escalating CAS, not
+// after: an owner whose release CAS fails has then already seen its
+// touched bit, so its ReleaseAll locks this shard (waiting the adoption
+// out) and releases the adopted hold. If the CAS loses instead, the entry
+// is spurious and harmless — the bit only makes a later release visit a
+// shard with nothing to release.
+func (s *ShardedTable) escalate(sl *fastSlot, si int, v core.Var) {
 	for {
 		st := sl.state.Load()
 		if st == escalated {
 			return
 		}
+		if st > 0 {
+			s.enter(si, decTx(st))
+		}
 		if sl.state.CompareAndSwap(st, escalated) {
 			if st > 0 {
-				t.AdoptHolder(decTx(st), v, Exclusive)
+				s.shards[si].t.AdoptHolder(decTx(st), v, Exclusive)
 			}
 			return
 		}
@@ -306,10 +413,12 @@ func (s *ShardedTable) Acquire(tx TxID, v core.Var, m Mode) Result {
 	if r, ok := s.tryFast(tx, sl, v, m); ok {
 		return r
 	}
-	sh := &s.shards[s.ShardOf(v)]
+	si := s.ShardOf(v)
+	sh := &s.shards[si]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	s.escalate(sl, sh.t, v)
+	s.enter(si, tx)
+	s.escalate(sl, si, v)
 	return sh.t.Acquire(tx, v, m)
 }
 
@@ -333,8 +442,8 @@ type BatchReq struct {
 // Its callers are online.ConcurrentStrict2PL.TryBatch and, outside this
 // module, only the bench module's lock-table probe.
 func (s *ShardedTable) AcquireBatchInto(out []Result, reqs []BatchReq) []Result {
-	// Register up front: Register takes every shard mutex, so it must not
-	// run while the decide loop below holds one.
+	// Register up front: registering an unreserved id takes every shard
+	// mutex, so it must not run while the decide loop below holds one.
 	for _, r := range reqs {
 		if s.birthOf(r.Tx) == 0 {
 			s.Register(r.Tx)
@@ -356,7 +465,8 @@ func (s *ShardedTable) AcquireBatchInto(out []Result, reqs []BatchReq) []Result 
 			s.shards[si].mu.Lock()
 			held = si
 		}
-		s.escalate(sl, s.shards[si].t, r.Var)
+		s.enter(si, r.Tx)
+		s.escalate(sl, si, r.Var)
 		out = append(out, s.shards[si].t.Acquire(r.Tx, r.Var, r.Mode))
 	}
 	if held >= 0 {
@@ -391,38 +501,27 @@ func (s *ShardedTable) dropFast(tx TxID, v core.Var) {
 }
 
 // ReleaseAll releases every lock held by tx — fast-path holds by CAS,
-// everything else through the per-shard tables — and removes it from every
-// wait queue. It returns all requests granted as a consequence (nil when
-// nothing was waiting: the whole uncontended release is allocation-free).
+// everything else through the shard tables that may hold state for it —
+// and removes it from every wait queue. It returns all requests granted as
+// a consequence (nil when nothing was waiting: the whole uncontended
+// release is allocation-free, and takes no shard mutex when every lock
+// took the fast path).
 func (s *ShardedTable) ReleaseAll(tx TxID) []Grant {
 	if fs := s.fastSetIfAny(tx); fs != nil {
 		fs.mu.Lock()
 		fs.drain(func(v core.Var) {
-			// If the CAS fails the variable was escalated and the hold was
-			// adopted into its shard Table; the sweep below releases it.
+			// If the CAS fails the variable was escalated and the hold
+			// adopted into its shard Table, which the escalation entered
+			// tx into first; the sweep below releases it.
 			s.slot(v).state.CompareAndSwap(encTx(tx), 0)
 		})
 		fs.mu.Unlock()
 	}
 	var grants []Grant
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		grants = append(grants, sh.t.ReleaseAll(tx)...)
-		sh.mu.Unlock()
-	}
+	s.lockedShards(tx, func(_ int, t *Table) {
+		grants = append(grants, t.ReleaseAll(tx)...)
+	})
 	return grants
-}
-
-// Holds reports the mode in which tx holds v, if any.
-func (s *ShardedTable) Holds(tx TxID, v core.Var) (Mode, bool) {
-	if s.slot(v).state.Load() == encTx(tx) {
-		return Exclusive, true
-	}
-	sh := &s.shards[s.ShardOf(v)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.t.Holds(tx, v)
 }
 
 // HeldBy returns the current holders of v with their modes.
@@ -494,8 +593,8 @@ func (s *ShardedTable) birthOf(tx TxID) int64 {
 
 // Forget removes per-transaction bookkeeping after everything is released;
 // the birth timestamp is retained so restarts keep their age. A reserved
-// id's fast set is cleared in place (its storage is reused on restart);
-// unreserved ids drop their sync.Map entry.
+// id's fast set is cleared in place (its storage is reused on restart) and
+// its touched-shard set emptied; unreserved ids drop their sync.Map entry.
 func (s *ShardedTable) Forget(tx TxID) {
 	if s.reserved(tx) {
 		fs := &s.fastArr[tx]
@@ -505,48 +604,85 @@ func (s *ShardedTable) Forget(tx TxID) {
 	} else {
 		s.fast.Delete(tx)
 	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.t.Forget(tx)
-		sh.mu.Unlock()
-	}
+	s.lockedShards(tx, func(si int, t *Table) {
+		t.Forget(tx)
+		if s.reserved(tx) {
+			w, bit := s.touchedBit(tx, si)
+			for old := w.Load(); !w.CompareAndSwap(old, old&^bit); old = w.Load() {
+			}
+		}
+	})
 }
 
-// Invariant checks every shard's safety invariants plus the fast path's:
-// a fast-held variable must not also have holders in its shard Table.
+// Invariant checks every shard's safety invariants plus the fast path's —
+// a fast-held variable, declared or not, must not also have holders in its
+// shard Table — and the touched-shard sets': a reserved transaction with
+// held or queued state in a shard's Table has that shard's bit set.
 func (s *ShardedTable) Invariant() error {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		err := sh.t.Invariant()
+		if err == nil {
+			err = s.touchedInvariant(i)
+		}
 		sh.mu.Unlock()
 		if err != nil {
 			return err
 		}
 	}
 	var bad error
-	s.slots.Range(func(k, v any) bool {
-		if v.(*fastSlot).state.Load() > 0 {
+	check := func(v core.Var, sl *fastSlot) bool {
+		if sl.state.Load() > 0 {
 			// A fast-held variable must have no holders in its shard Table
 			// (its entire lock state lives in the slot until escalation).
-			vr := k.(core.Var)
-			sh := &s.shards[s.ShardOf(vr)]
+			sh := &s.shards[s.ShardOf(v)]
 			sh.mu.Lock()
-			held := sh.t.HeldBy(vr)
+			held := sh.t.HeldBy(v)
 			sh.mu.Unlock()
 			if len(held) != 0 {
-				bad = &fastInvariantError{v: vr}
+				bad = fmt.Errorf("sharded table: fast-path invariant violated on %s", v)
 				return false
 			}
 		}
 		return true
-	})
+	}
+	for _, m := range s.declared {
+		for v, sl := range m {
+			if !check(v, sl) {
+				return bad
+			}
+		}
+	}
+	s.slots.Range(func(k, v any) bool { return check(k.(core.Var), v.(*fastSlot)) })
 	return bad
 }
 
-type fastInvariantError struct{ v core.Var }
-
-func (e *fastInvariantError) Error() string {
-	return "sharded table: fast-path invariant violated on " + string(e.v)
+// touchedInvariant checks shard si's Table against the touched-shard sets:
+// every reserved transaction with a held map or a queued request there
+// must have bit si set. Caller holds shard si's mutex.
+func (s *ShardedTable) touchedInvariant(si int) error {
+	t := s.shards[si].t
+	check := func(tx TxID) error {
+		if !s.reserved(tx) {
+			return nil
+		}
+		if w, bit := s.touchedBit(tx, si); w.Load()&bit == 0 {
+			return fmt.Errorf("sharded table: tx %d has state in shard %d but not its touched bit", tx, si)
+		}
+		return nil
+	}
+	for tx := range t.held {
+		if err := check(tx); err != nil {
+			return err
+		}
+	}
+	for _, e := range t.locks {
+		for _, w := range e.queue {
+			if err := check(w.tx); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

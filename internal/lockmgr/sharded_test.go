@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"optcc/internal/core"
@@ -15,8 +16,8 @@ func TestShardedFastPathExclusive(t *testing.T) {
 	if r := tab.Acquire(1, "x", Exclusive); r.Status != Granted {
 		t.Fatalf("fast X: %v", r.Status)
 	}
-	if m, ok := tab.Holds(1, "x"); !ok || m != Exclusive {
-		t.Fatalf("Holds = %v %v", m, ok)
+	if m, ok := tab.HeldBy("x")[1]; !ok || m != Exclusive {
+		t.Fatalf("HeldBy[1] = %v %v", m, ok)
 	}
 	// Reentrant fast-path acquire is a no-op grant.
 	if r := tab.Acquire(1, "x", Exclusive); r.Status != Granted {
@@ -26,7 +27,7 @@ func TestShardedFastPathExclusive(t *testing.T) {
 		t.Fatalf("HeldBy = %v", got)
 	}
 	tab.Release(1, "x")
-	if _, ok := tab.Holds(1, "x"); ok {
+	if _, ok := tab.HeldBy("x")[1]; ok {
 		t.Fatal("still held after fast release")
 	}
 	// The variable never saw contention: a second owner goes fast too.
@@ -63,7 +64,7 @@ func TestShardedEscalationOnContention(t *testing.T) {
 	if len(grants) != 1 || grants[0].Tx != 2 || grants[0].Var != "x" {
 		t.Fatalf("grants = %v", grants)
 	}
-	if m, ok := tab.Holds(2, "x"); !ok || m != Exclusive {
+	if m, ok := tab.HeldBy("x")[2]; !ok || m != Exclusive {
 		t.Fatalf("tx 2 should hold x, got %v %v", m, ok)
 	}
 	if err := tab.Invariant(); err != nil {
@@ -86,7 +87,7 @@ func TestShardedSharedGoesSlowPath(t *testing.T) {
 		t.Fatalf("upgrade: %v", r.Status)
 	}
 	tab.ReleaseAll(2)
-	if m, ok := tab.Holds(1, "y"); !ok || m != Exclusive {
+	if m, ok := tab.HeldBy("y")[1]; !ok || m != Exclusive {
 		t.Fatalf("upgrade after release: %v %v", m, ok)
 	}
 }
@@ -147,56 +148,99 @@ func TestShardedWoundWaitAcrossShards(t *testing.T) {
 // TestShardedTableConcurrentHammer drives the table from many goroutines
 // (one per transaction, no-wait policy so no goroutine ever blocks another
 // indefinitely) over a mix of private variables (fast path) and a hot set
-// (escalation, queues, aborts). Run with -race this is the concurrency
-// safety net for the sharded substrate.
+// (escalation, queues, aborts). It runs twice. "unreserved" uses
+// unreserved ids and undeclared variables (the sync.Map fallbacks, every
+// shard visited on release), one private variable per transaction.
+// "reserved-declared" uses reserved ids and declared variables (lazy shard
+// entry, touched-shard sets) and a fresh private variable per round, and
+// transactions sometimes request Shared on the private variable a peer is
+// using right now, so escalation adopts fast holds while their owners
+// release them. Run with -race this is the concurrency safety net for the
+// sharded substrate.
 func TestShardedTableConcurrentHammer(t *testing.T) {
 	const (
 		txs    = 24
 		rounds = 200
 	)
-	tab := NewShardedTable(NoWait, 4)
-	var wg sync.WaitGroup
-	for tx := TxID(0); tx < txs; tx++ {
-		wg.Add(1)
-		go func(tx TxID) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(tx) * 31))
-			tab.Register(tx)
-			priv := core.Var(fmt.Sprintf("priv%d", tx))
-			for i := 0; i < rounds; i++ {
-				vars := []core.Var{priv}
-				modes := []Mode{Exclusive}
-				for k := 0; k < 2; k++ {
-					vars = append(vars, core.Var(fmt.Sprintf("hot%d", rng.Intn(3))))
-					if rng.Intn(2) == 0 {
-						modes = append(modes, Shared)
-					} else {
-						modes = append(modes, Exclusive)
-					}
-				}
-				ok := true
-				for j, v := range vars {
-					if r := tab.Acquire(tx, v, modes[j]); r.Status == AbortSelf {
-						ok = false
-						break
-					}
-				}
-				_ = ok
-				tab.ReleaseAll(tx)
-			}
-			tab.Forget(tx)
-		}(tx)
-	}
-	wg.Wait()
-	if err := tab.Invariant(); err != nil {
-		t.Fatal(err)
-	}
-	// Everything must be released.
-	for i := 0; i < 3; i++ {
-		v := core.Var(fmt.Sprintf("hot%d", i))
-		if held := tab.HeldBy(v); len(held) != 0 {
-			t.Fatalf("%s still held by %v", v, held)
+	for _, reserved := range []bool{false, true} {
+		name := "unreserved"
+		if reserved {
+			name = "reserved-declared"
 		}
+		t.Run(name, func(t *testing.T) {
+			tab := NewShardedTable(NoWait, 4)
+			priv := func(tx TxID, round int) core.Var {
+				if !reserved {
+					return core.Var(fmt.Sprintf("priv%d", tx))
+				}
+				return core.Var(fmt.Sprintf("priv%d.%d", tx, round))
+			}
+			var all []core.Var
+			for tx := TxID(0); tx < txs; tx++ {
+				for i := 0; i < rounds; i++ {
+					all = append(all, priv(tx, i))
+				}
+			}
+			for i := 0; i < 3; i++ {
+				all = append(all, core.Var(fmt.Sprintf("hot%d", i)))
+			}
+			if reserved {
+				tab.Reserve(txs)
+				tab.Declare(all)
+			}
+			var cur [txs]atomic.Int64 // each transaction's current round
+			var wg sync.WaitGroup
+			for tx := TxID(0); tx < txs; tx++ {
+				wg.Add(1)
+				go func(tx TxID) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(tx) * 31))
+					tab.Register(tx)
+					for i := 0; i < rounds; i++ {
+						cur[tx].Store(int64(i))
+						vars := []core.Var{priv(tx, i)}
+						modes := []Mode{Exclusive}
+						if reserved && rng.Intn(4) == 0 {
+							peer := TxID(rng.Intn(txs))
+							vars = append(vars, priv(peer, int(cur[peer].Load())))
+							modes = append(modes, Shared)
+						}
+						for k := 0; k < 2; k++ {
+							vars = append(vars, core.Var(fmt.Sprintf("hot%d", rng.Intn(3))))
+							if rng.Intn(2) == 0 {
+								modes = append(modes, Shared)
+							} else {
+								modes = append(modes, Exclusive)
+							}
+						}
+						for j, v := range vars {
+							if r := tab.Acquire(tx, v, modes[j]); r.Status == AbortSelf {
+								break
+							}
+						}
+						tab.ReleaseAll(tx)
+					}
+					tab.Forget(tx)
+				}(tx)
+			}
+			wg.Wait()
+			if err := tab.Invariant(); err != nil {
+				t.Fatal(err)
+			}
+			// Everything must be released, and no shard Table may keep
+			// held or queued state for any transaction.
+			for _, v := range all {
+				if held := tab.HeldBy(v); len(held) != 0 {
+					t.Fatalf("%s still held by %v", v, held)
+				}
+			}
+			for i := range tab.shards {
+				st := tab.shards[i].t
+				if len(st.held) != 0 || len(st.waitQ) != 0 {
+					t.Fatalf("shard %d keeps state: held %v, queued %v", i, st.held, st.waitQ)
+				}
+			}
+		})
 	}
 }
 
@@ -215,5 +259,100 @@ func TestShardedRegisterKeepsBirth(t *testing.T) {
 	tab.Register(11)
 	if r := tab.Acquire(11, "p", Exclusive); r.Status != AbortSelf {
 		t.Fatalf("younger should die: %v", r.Status)
+	}
+}
+
+// TestShardedReservedLazyEntry follows a reserved transaction through the
+// touched-shard set: fast-path locks leave it empty (commit takes no shard
+// mutex), an escalation that adopts a fast hold enters the owner into that
+// shard's Table, and Forget empties the set again.
+func TestShardedReservedLazyEntry(t *testing.T) {
+	tab := NewShardedTable(WoundWait, 4)
+	tab.Reserve(2)
+	tab.Declare([]core.Var{"x", "y", "x"})
+	tab.Register(0) // older
+	tab.Register(1)
+	touched := func(tx TxID) uint64 { return tab.touched[int(tx)*tab.words].Load() }
+	tab.Acquire(1, "x", Exclusive)
+	tab.Acquire(1, "y", Exclusive)
+	if got := touched(1); got != 0 {
+		t.Fatalf("fast-path locks touched shards %b", got)
+	}
+	tab.ReleaseAll(1)
+	tab.Forget(1)
+	tab.Acquire(1, "x", Exclusive)
+	// The older transaction's Shared request escalates x, adopts tx 1's
+	// fast hold, and wounds it — which needs tx 1's birth in x's shard.
+	r := tab.Acquire(0, "x", Shared)
+	if r.Status != Waiting || len(r.Wounded) != 1 || r.Wounded[0] != 1 {
+		t.Fatalf("wound-wait across adoption: %+v", r)
+	}
+	bit := uint64(1) << tab.ShardOf("x")
+	if touched(0) != bit || touched(1) != bit {
+		t.Fatalf("touched = %b, %b, want %b", touched(0), touched(1), bit)
+	}
+	if err := tab.Invariant(); err != nil {
+		t.Fatal(err)
+	}
+	if g := tab.ReleaseAll(1); len(g) != 1 || g[0].Tx != 0 {
+		t.Fatalf("grants = %v", g)
+	}
+	tab.Forget(1)
+	tab.ReleaseAll(0)
+	tab.Forget(0)
+	if touched(0) != 0 || touched(1) != 0 {
+		t.Fatalf("touched after Forget = %b, %b", touched(0), touched(1))
+	}
+	if err := tab.Invariant(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShardedTouchedSetBeyond64Shards covers touched-shard sets wider than
+// one word: shared locks spread over a 130-shard table are all released
+// by ReleaseAll, which visits only the touched shards.
+func TestShardedTouchedSetBeyond64Shards(t *testing.T) {
+	tab := NewShardedTable(Detect, 130)
+	var vars []core.Var
+	seen := map[int]bool{}
+	for i := 0; len(seen) < 130; i++ {
+		v := core.Var(fmt.Sprintf("v%d", i))
+		if !seen[tab.ShardOf(v)] {
+			seen[tab.ShardOf(v)] = true
+			vars = append(vars, v)
+		}
+	}
+	tab.Reserve(2)
+	tab.Declare(vars)
+	tab.Register(0)
+	tab.Register(1)
+	for _, v := range vars {
+		if r := tab.Acquire(0, v, Shared); r.Status != Granted {
+			t.Fatalf("S on %s: %v", v, r.Status)
+		}
+	}
+	if err := tab.Invariant(); err != nil {
+		t.Fatal(err)
+	}
+	last := vars[len(vars)-1]
+	if r := tab.Acquire(1, last, Exclusive); r.Status != Waiting {
+		t.Fatalf("X behind S on %s: %v", last, r.Status)
+	}
+	if g := tab.ReleaseAll(0); len(g) != 1 || g[0].Tx != 1 || g[0].Var != last {
+		t.Fatalf("grants = %v", g)
+	}
+	tab.Forget(0)
+	for _, v := range vars[:len(vars)-1] {
+		if held := tab.HeldBy(v); len(held) != 0 {
+			t.Fatalf("%s (shard %d) still held by %v", v, tab.ShardOf(v), held)
+		}
+	}
+	for w := 0; w < tab.words; w++ {
+		if b := tab.touched[w].Load(); b != 0 {
+			t.Fatalf("tx 0 touched word %d = %b after Forget", w, b)
+		}
+	}
+	if err := tab.Invariant(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -2,8 +2,10 @@ package online
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"optcc/internal/core"
 	"optcc/internal/lockmgr"
@@ -135,7 +137,10 @@ func TestShardedRoutingAndNames(t *testing.T) {
 // goroutine per transaction with the no-wait policy (conflicts abort the
 // requester, so per-transaction call sequencing is preserved without a
 // harness). Run under -race this exercises the sharded lock table's fast
-// path, escalation, and per-shard mutexes concurrently.
+// path, escalation, and per-shard mutexes concurrently. Like the runtime,
+// the driver backs off a random 0–50µs before restarting an aborted
+// transaction: without it, no-wait Read→Write upgrades on the hot set can
+// abort each other in lockstep until the attempt bound runs out.
 func TestConcurrent2PLParallelDrive(t *testing.T) {
 	const txs = 32
 	sys := &core.System{Name: "hammer"}
@@ -161,6 +166,7 @@ func TestConcurrent2PLParallelDrive(t *testing.T) {
 		wg.Add(1)
 		go func(tx int) {
 			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(tx)))
 			steps := len(sys.Txs[tx].Steps)
 			for attempt := 0; attempt < 10_000; attempt++ {
 				ok := true
@@ -179,6 +185,7 @@ func TestConcurrent2PLParallelDrive(t *testing.T) {
 					return
 				}
 				sched.Abort(tx)
+				time.Sleep(time.Duration(rng.Int63n(int64(50 * time.Microsecond))))
 			}
 			t.Errorf("tx %d never committed", tx)
 		}(tx)

@@ -33,8 +33,19 @@ const hotPathVars = 256
 // through the given scheduler and backend; allocations are counted from
 // after setup (ResetTimer) to completion.
 func hotPathBench(mk func() online.Scheduler, mkBackend func() storage.Backend) func(b *testing.B) {
+	return poolBench(hotPathVars, mk, mkBackend)
+}
+
+// poolBench is hotPathBench over a pool of vars variables; vars 0 gives
+// every transaction a variable of its own, so no per-variable state is
+// ever warm (bench's durable-2pl-disk shape).
+func poolBench(vars int, mk func() online.Scheduler, mkBackend func() storage.Backend) func(b *testing.B) {
 	return func(b *testing.B) {
-		template := workload.Disjoint(hotPathVars, 3)
+		pool := vars
+		if pool == 0 {
+			pool = b.N
+		}
+		template := workload.Disjoint(pool, 3)
 		inst := Instantiate(template, b.N)
 		var be storage.Backend
 		if mkBackend != nil {
@@ -98,6 +109,9 @@ func snapshotBench(b *testing.B) {
 //   - sharded-2pl-noop: natively sharded strict 2PL also measures 0 in
 //     steady state; the ceiling of 4 leaves headroom for collision-path
 //     bookkeeping (wound lists, breaker scans) on slower boxes.
+//   - sharded-2pl-fresh-noop: the same scheduler with every transaction on
+//     a variable of its own: ZERO — every variable's fast slot is declared
+//     at Begin, so a first touch creates nothing.
 //   - mutexed-kv: real storage with payload recycling measures 3 — one
 //     immutable Record struct per write step; the payload bytes
 //     themselves are pooled. Ceiling 8 leaves restart headroom.
@@ -135,6 +149,9 @@ var hotPathCases = []struct {
 		return online.NewStrict2PL(lockmgr.Detect)
 	}, noopBackend)},
 	{"sharded-2pl-noop", 4, hotPathBench(func() online.Scheduler {
+		return online.NewConcurrentStrict2PL(lockmgr.Detect, 4)
+	}, noopBackend)},
+	{"sharded-2pl-fresh-noop", 0, poolBench(0, func() online.Scheduler {
 		return online.NewConcurrentStrict2PL(lockmgr.Detect, 4)
 	}, noopBackend)},
 	{"mutexed-kv", 8, hotPathBench(func() online.Scheduler {
