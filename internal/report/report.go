@@ -146,9 +146,15 @@ func (s *Stats) String() string {
 
 // Histogram stores raw observations and answers percentile queries
 // exactly. It is meant for simulation-scale data (≤ millions of points).
+//
+// An observation may be counted without a value (Skip): the simulator times
+// its per-step stages on a sample of transactions and counts the rest. N
+// counts every observation; Mean and Percentile read the timed values only,
+// so with an unbiased sample N × Mean estimates the sum over all of them.
 type Histogram struct {
-	xs     []float64
-	sorted bool
+	xs      []float64
+	skipped int
+	sorted  bool
 }
 
 // Add records an observation.
@@ -160,7 +166,12 @@ func (h *Histogram) Add(x float64) {
 	h.sorted = false
 }
 
-// Grow ensures capacity for at least n further observations without
+// Skip records an observation that was counted but not timed.
+//
+//optcc:hotpath
+func (h *Histogram) Skip() { h.skipped++ }
+
+// Grow ensures capacity for at least n further timed observations without
 // reallocating. The simulator presizes its per-request histograms with the
 // run's expected sample count so steady-state Add calls never touch the
 // allocator (the zero-allocation hot-path invariant, DESIGN.md "Memory
@@ -175,21 +186,25 @@ func (h *Histogram) Grow(n int) {
 	h.xs = xs
 }
 
-// Merge adds every observation of o to h. The simulator's user goroutines
-// record into private histograms and merge them once they have joined, so
-// recording a sample takes no lock.
+// Merge adds every observation of o, timed or not, to h. The simulator's
+// user goroutines record into private histograms and merge them once they
+// have joined, so recording a sample takes no lock.
 func (h *Histogram) Merge(o *Histogram) {
+	h.skipped += o.skipped
 	if len(o.xs) > 0 {
 		h.xs = append(h.xs, o.xs...)
 		h.sorted = false
 	}
 }
 
-// N returns the number of observations.
-func (h *Histogram) N() int { return len(h.xs) }
+// N returns the number of observations, timed or not.
+func (h *Histogram) N() int { return len(h.xs) + h.skipped }
 
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) using
-// nearest-rank; it returns 0 for an empty histogram.
+// Timed returns the number of observations that carry a value.
+func (h *Histogram) Timed() int { return len(h.xs) }
+
+// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of the timed values
+// using nearest-rank; it returns 0 when none is timed.
 func (h *Histogram) Percentile(p float64) float64 {
 	if len(h.xs) == 0 {
 		return 0
@@ -211,7 +226,7 @@ func (h *Histogram) Percentile(p float64) float64 {
 	return h.xs[rank-1]
 }
 
-// Mean returns the mean of all observations.
+// Mean returns the mean of the timed values (0 when none is timed).
 func (h *Histogram) Mean() float64 {
 	if len(h.xs) == 0 {
 		return 0
@@ -223,10 +238,11 @@ func (h *Histogram) Mean() float64 {
 	return sum / float64(len(h.xs))
 }
 
-// Summary renders n, mean and the standard latency percentiles.
+// Summary renders the count, the timed count, and the timed values' mean
+// and standard latency percentiles.
 func (h *Histogram) Summary() string {
-	return fmt.Sprintf("n=%d mean=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f",
-		h.N(), h.Mean(), h.Percentile(50), h.Percentile(95), h.Percentile(99), h.Percentile(100))
+	return fmt.Sprintf("n=%d timed=%d mean=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f",
+		h.N(), h.Timed(), h.Mean(), h.Percentile(50), h.Percentile(95), h.Percentile(99), h.Percentile(100))
 }
 
 // Ratio formats a/b as both a fraction and a percentage, guarding b = 0.

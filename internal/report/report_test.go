@@ -95,6 +95,49 @@ func TestHistogramInterleavedAddQuery(t *testing.T) {
 	}
 }
 
+func TestHistogramSkipAndMerge(t *testing.T) {
+	var a, b Histogram
+	a.Add(10)
+	a.Skip()
+	a.Skip()
+	b.Add(30)
+	b.Skip()
+	if a.N() != 3 || a.Timed() != 1 {
+		t.Errorf("a: N = %d, Timed = %d, want 3, 1", a.N(), a.Timed())
+	}
+	a.Merge(&b)
+	if a.N() != 5 || a.Timed() != 2 {
+		t.Errorf("merged: N = %d, Timed = %d, want 5, 2", a.N(), a.Timed())
+	}
+	// Mean and Percentile read the timed values only; N × Mean is the
+	// estimated sum over all five observations.
+	if a.Mean() != 20 {
+		t.Errorf("mean = %v, want 20", a.Mean())
+	}
+	if a.Percentile(0) != 10 || a.Percentile(100) != 30 || a.Percentile(50) != 10 {
+		t.Errorf("p0/p50/p100 = %v/%v/%v, want 10/10/30", a.Percentile(0), a.Percentile(50), a.Percentile(100))
+	}
+	if s := a.Summary(); !strings.Contains(s, "n=5 timed=2 ") {
+		t.Errorf("summary %q lacks the count and the timed count", s)
+	}
+}
+
+func TestHistogramAllSkipped(t *testing.T) {
+	var h Histogram
+	for range 4 {
+		h.Skip()
+	}
+	if h.N() != 4 || h.Timed() != 0 {
+		t.Errorf("N = %d, Timed = %d, want 4, 0", h.N(), h.Timed())
+	}
+	if h.Mean() != 0 || h.Percentile(99) != 0 {
+		t.Errorf("mean/p99 = %v/%v, want 0/0", h.Mean(), h.Percentile(99))
+	}
+	if s := h.Summary(); !strings.HasPrefix(s, "n=4 timed=0 mean=0.000") {
+		t.Errorf("summary = %q", s)
+	}
+}
+
 func TestRatio(t *testing.T) {
 	if Ratio(1, 4) != "1/4 (25.0%)" {
 		t.Errorf("ratio = %q", Ratio(1, 4))

@@ -11,7 +11,10 @@
 // waiting time, step cost (real backend work and/or the ExecTime knob) is
 // execution time. The user reads the clock only between stages and never
 // under a latch: every timestamp is a monotonic offset from the run's
-// epoch, and one stage's end is the next one's start.
+// epoch, and one stage's end is the next one's start. Only a sampled one
+// transaction in samplePeriod times its stages; every other one reads the
+// clock at its start, at its end and around each park, and counts its
+// stages without timing them.
 //
 // A grant carries no run-global sequence number. Its position in its
 // shard's log is its order, and project merges the logs at the end of the
@@ -99,13 +102,6 @@ type txState struct {
 	committed atomic.Bool // final step granted, or served by the snapshot path
 }
 
-// userMetrics is one user goroutine's private histograms, merged into the
-// run's Metrics after the users have joined.
-type userMetrics struct {
-	wait, sched, exec, latency report.Histogram
-	_                          [64]byte
-}
-
 // terminal is one user goroutine's private state.
 type terminal struct {
 	id  int
@@ -115,8 +111,12 @@ type terminal struct {
 	// gets exactly one verdict (the deadlock breaker's is that one too) and
 	// the user reads it before its next request.
 	reply chan verdict
+	// smp picks the timed transactions; timed is the running one's pick.
+	smp   sampler
+	timed bool
 	// mark is when the running stage began, as an offset from the run's
-	// epoch: the end of the stage before it.
+	// epoch: the end of the stage before it. An untimed transaction keeps it
+	// only for a parked request, from when the request parked.
 	mark time.Duration
 }
 
@@ -160,20 +160,7 @@ type shardedRun struct {
 func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, users, maxRestarts int) (*Metrics, *shardedRun, error) {
 	m := &Metrics{}
 	n := sys.NumTxs()
-	// Histogram storage is reserved per user, outside the allocation meter
-	// like the merge below: half again a user's even share of the samples,
-	// so recording allocates nothing unless the job split is badly skewed
-	// (then: amortized growth, a cold path).
-	um := make([]userMetrics, users)
-	steps, jobs := sys.StepCount()/users*3/2+16, n/users*3/2+16
-	for i := range um {
-		um[i].wait.Grow(steps)
-		um[i].sched.Grow(steps)
-		um[i].latency.Grow(jobs)
-		if cfg.Backend != nil {
-			um[i].exec.Grow(steps)
-		}
-	}
+	um := newUserMetrics(sys, users, cfg.Backend != nil)
 	var am report.AllocMeter
 	am.Start()
 	cs.Begin(sys)
@@ -266,8 +253,9 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 		wg.Add(1)
 		go func(user int) {
 			defer wg.Done()
+			seed := cfg.Seed + int64(user)*7919
 			t := &terminal{id: user, um: &um[user], reply: make(chan verdict, 1),
-				rng: rand.New(rand.NewSource(cfg.Seed + int64(user)*7919))}
+				rng: rand.New(rand.NewSource(seed)), smp: newSampler(seed)}
 			<-gate
 			r.runUser(t)
 		}(u)
@@ -307,12 +295,7 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 		m.Throughput = float64(m.Committed) / m.Elapsed.Seconds()
 	}
 	fillAllocStats(m, &am)
-	for i := range um {
-		m.WaitNs.Merge(&um[i].wait)
-		m.SchedNs.Merge(&um[i].sched)
-		m.ExecNs.Merge(&um[i].exec)
-		m.TxLatencyNs.Merge(&um[i].latency)
-	}
+	mergeUserMetrics(m, um)
 	fillSnapshotStats(m, cfg.Backend)
 	fillDurableStats(m, cfg.Backend)
 	return m, r, nil
@@ -320,6 +303,8 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 
 // clock reads the time since the run's epoch. Since reads only the
 // monotonic clock; time.Now reads the wall clock as well.
+//
+//optcc:hotpath
 func (r *shardedRun) clock() time.Duration { return time.Since(r.epoch) }
 
 // runUser is one terminal: it claims jobs from the cursor and runs each to
@@ -331,6 +316,7 @@ func (r *shardedRun) runUser(t *terminal) {
 		if tx >= len(r.txs) {
 			return
 		}
+		t.timed = t.smp.next()
 		start := r.clock()
 		t.mark = start
 		steps := r.sys.Txs[tx].Steps
@@ -350,7 +336,9 @@ func (r *shardedRun) runUser(t *terminal) {
 		} else {
 			for r.attempt(tx, steps, t) && int(r.txs[tx].restarts.Load()) < r.maxRestarts {
 				time.Sleep(time.Duration(t.rng.Int63n(int64(50 * time.Microsecond))))
-				t.mark = r.clock()
+				if t.timed {
+					t.mark = r.clock()
+				}
 			}
 		}
 		t.um.latency.Add(float64(r.clock() - start))
@@ -365,27 +353,34 @@ func (r *shardedRun) runUser(t *terminal) {
 func (r *shardedRun) think(t *terminal) {
 	if r.cfg.ThinkTime > 0 {
 		time.Sleep(time.Duration(t.rng.Int63n(int64(r.cfg.ThinkTime) + 1)))
-		t.mark = r.clock()
+		if t.timed {
+			t.mark = r.clock()
+		}
 	}
 }
 
 // attempt runs one attempt of tx — every step decided, executed and, after
 // the last one, committed — and reports whether it was aborted and should
-// restart. The clock is read once after each decision and once after each
-// backend apply, each reading closing one stage and opening the next.
+// restart. A timed transaction reads the clock once after each decision and
+// once after each backend apply, each reading closing one stage and opening
+// the next; an untimed one reads it only when a parked request wakes.
 func (r *shardedRun) attempt(tx int, steps []core.Step, t *terminal) (restart bool) {
 	for idx := range steps {
 		r.think(t)
-		v := r.request(r.shards[r.cs.ShardOf(steps[idx].Var)], tx, idx, t.reply)
+		v := r.request(r.shards[r.cs.ShardOf(steps[idx].Var)], tx, idx, t)
 		// Read off the latch: a parked request's wait ends when its user
 		// wakes, an unparked one's decision when request returns.
-		now := r.clock()
-		if v.parked {
-			t.um.wait.Add(float64(now - t.mark))
+		if v.parked || t.timed {
+			now := r.clock()
+			if v.parked {
+				t.um.wait.Add(float64(now - t.mark))
+			} else {
+				t.um.sched.Add(float64(now - t.mark))
+			}
+			t.mark = now
 		} else {
-			t.um.sched.Add(float64(now - t.mark))
+			t.um.sched.Skip()
 		}
-		t.mark = now
 		if v.aborted {
 			return true
 		}
@@ -405,13 +400,19 @@ func (r *shardedRun) attempt(tx int, steps []core.Step, t *terminal) (restart bo
 				}
 				return false
 			}
-			now = r.clock()
-			t.um.exec.Add(float64(now - t.mark))
-			t.mark = now
+			if t.timed {
+				now := r.clock()
+				t.um.exec.Add(float64(now - t.mark))
+				t.mark = now
+			} else {
+				t.um.exec.Skip()
+			}
 		}
 		if r.cfg.ExecTime > 0 {
 			time.Sleep(r.cfg.ExecTime)
-			t.mark = r.clock()
+			if t.timed {
+				t.mark = r.clock()
+			}
 		}
 		if v.lastGranted {
 			r.commit(tx)
@@ -451,10 +452,11 @@ func (r *shardedRun) release(txs []int) {
 }
 
 // request decides one step on the calling user's goroutine under the
-// shard's latch, parking it when the scheduler says Delay.
+// shard's latch, parking it when the scheduler says Delay. An untimed
+// transaction's parked request starts its wait when it blocks.
 //
 //optcc:hotpath
-func (r *shardedRun) request(ss *shardState, tx, idx int, reply chan verdict) verdict {
+func (r *shardedRun) request(ss *shardState, tx, idx int, t *terminal) verdict {
 	ss.mu.Lock()
 	v, decided, kick := r.decide(ss, tx, idx)
 	if !decided {
@@ -462,7 +464,7 @@ func (r *shardedRun) request(ss *shardState, tx, idx int, reply chan verdict) ve
 		// release that slipped in between the Delay and the registration
 		// read nParked == 0 and woke nobody.
 		//cclint:ignore hotpath the parked list grows only on the Delay path, amortized
-		ss.parked = append(ss.parked, request{tx: tx, idx: idx, reply: reply})
+		ss.parked = append(ss.parked, request{tx: tx, idx: idx, reply: t.reply})
 		ss.nParked.Add(1)
 		var again bool
 		v, decided, again = r.decide(ss, tx, idx)
@@ -480,7 +482,10 @@ func (r *shardedRun) request(ss *shardState, tx, idx int, reply chan verdict) ve
 	if !decided {
 		//cclint:ignore hotpath the request is parked; the user blocks next
 		r.maybeBreak()
-		v = <-reply
+		if !t.timed {
+			t.mark = r.clock()
+		}
+		v = <-t.reply
 	}
 	return v
 }

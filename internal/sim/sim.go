@@ -31,9 +31,9 @@
 // The steady-state request→grant→execute→commit cycle is allocation-free
 // (DESIGN.md "Memory discipline", enforced by TestHotPathAllocCeilings):
 // each user goroutine reuses one verdict reply channel for all its
-// requests, the histograms (per user on the concurrent engine) and the
-// granted-step logs (per shard there) are presized to the run's expected
-// sample counts, the deadlock breaker reuses its stuck list, and commit flows
+// requests, the histograms (per user) and the concurrent engine's
+// granted-step logs (per shard) are presized to the run's expected sample
+// counts, the deadlock breaker reuses its stuck list, and commit flows
 // through pooled lock-table state (and, on a syncing backend, the
 // group-commit lanes' double-buffered queues). The allocations that
 // remain in the drivers are deliberately confined to cold paths: restart
@@ -106,14 +106,21 @@ type Metrics struct {
 	// the concurrent engine on a memory backend or none, and the
 	// centralized runtime — both are zero.
 	CommitGroups, GroupCommits int
-	// WaitNs records per-request waiting time (delay until grant/abort).
+	// WaitNs records per-request waiting time (delay until grant/abort)
+	// of every request that parked. A request of a sampled transaction
+	// waits from when it was issued, any other from when it parked.
 	WaitNs report.Histogram
-	// SchedNs records per-request scheduling time (queueing + decision).
+	// SchedNs records per-request scheduling time (queueing + decision) of
+	// every request that did not park. Only the sampled one transaction in
+	// samplePeriod per user is timed; the others' requests are counted
+	// (N) without a value, so N × Mean estimates the stage's total.
 	SchedNs report.Histogram
 	// ExecNs records per-step execution time: the backend apply work
 	// (empty when no backend is configured; ExecTime sleeps are excluded).
+	// It is sampled like SchedNs.
 	ExecNs report.Histogram
-	// TxLatencyNs records per-job total latency, restarts included.
+	// TxLatencyNs records per-job total latency, restarts included, of
+	// every job.
 	TxLatencyNs report.Histogram
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
@@ -190,12 +197,14 @@ func Instantiate(template *core.System, jobs int) *core.System {
 	return inst.Normalize()
 }
 
-// request is one step arrival sent to the scheduler goroutine.
+// request is one step arrival sent to the scheduler goroutine. timed marks
+// a request of a sampled transaction, whose decision the scheduler
+// goroutine timestamps.
 type request struct {
-	tx      int
-	idx     int
-	arrived time.Time
-	reply   chan verdict
+	tx    int
+	idx   int
+	timed bool
+	reply chan verdict
 }
 
 type verdict struct {
@@ -206,16 +215,17 @@ type verdict struct {
 	// lastGranted reports the grant completed the transaction's final
 	// step: the user goroutine executes it and then drives the commit.
 	lastGranted bool
-	// decided is when the central scheduler goroutine decided. The
-	// concurrent engine leaves it zero: its users read the clock
-	// themselves once the verdict is in hand.
-	decided time.Time
+	// decided is when the central scheduler goroutine decided a timed or
+	// parked request, and since when it parked a parked one, both offsets
+	// from the run's epoch. The concurrent engine leaves them zero: its
+	// users read the clock themselves once the verdict is in hand.
+	decided, since time.Duration
 }
 
-// parked is a delayed request awaiting retry.
+// parked is a delayed request awaiting retry; since is when it parked.
 type parked struct {
 	req   request
-	since time.Time
+	since time.Duration
 }
 
 // failure reports a backend apply that failed on a user goroutine: the
@@ -253,21 +263,26 @@ func (e *runErrors) get() error {
 }
 
 // applyStep executes a granted step's real work on a central-engine user
-// goroutine: the backend apply (timed into exec under mu) plus the optional
-// ExecTime extra cost. It reports whether the step succeeded, with
-// applyBackend's contract on failure.
+// goroutine: the backend apply (timed into exec when the transaction is
+// timed, counted otherwise) plus the optional ExecTime extra cost. It
+// reports whether the step succeeded, with applyBackend's contract on
+// failure.
 //
 //optcc:hotpath
-func applyStep(cfg *Config, tx, idx int, exec *report.Histogram, mu *sync.Mutex, errs *runErrors) bool {
+func applyStep(cfg *Config, tx, idx int, timed bool, exec *report.Histogram, epoch time.Time, errs *runErrors) bool {
 	if cfg.Backend != nil {
-		start := time.Now()
+		var start time.Duration
+		if timed {
+			start = time.Since(epoch)
+		}
 		if !applyBackend(cfg, tx, idx, errs) {
 			return false
 		}
-		d := float64(time.Since(start))
-		mu.Lock()
-		exec.Add(d)
-		mu.Unlock()
+		if timed {
+			exec.Add(float64(time.Since(epoch) - start))
+		} else {
+			exec.Skip()
+		}
 	}
 	if cfg.ExecTime > 0 {
 		time.Sleep(cfg.ExecTime)
@@ -344,11 +359,15 @@ func run(cfg Config) (*Metrics, *shardedRun, error) {
 // scheduler goroutine of Section 6.
 func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics, error) {
 	m := &Metrics{}
-	presizeMetrics(m, sys, cfg.Backend != nil)
+	um := newUserMetrics(sys, users, cfg.Backend != nil)
 	var am report.AllocMeter
 	am.Start()
-	var mu sync.Mutex // guards metrics and sched state below
+	var mu sync.Mutex // guards the counters in m and sched state below
 	var errs runErrors
+	// epoch is the run's start, set before the first job is handed out;
+	// every timestamp is a monotonic offset from it.
+	var epoch time.Time
+	clock := func() time.Duration { return time.Since(epoch) }
 
 	sched := cfg.Sched
 	sched.Begin(sys)
@@ -384,7 +403,7 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics,
 	failCh := make(chan failure)
 	done := make(chan struct{})
 
-	grantOne := func(r request, now time.Time) verdict {
+	grantOne := func(r request) verdict {
 		output = append(output, online.Event{Step: core.StepID{Tx: r.tx, Idx: r.idx}, Attempt: attempts[r.tx]})
 		last := r.idx == len(sys.Txs[r.tx].Steps)-1
 		if last {
@@ -392,7 +411,7 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics,
 			committing[r.tx] = true
 			delete(inFlight, r.tx)
 		}
-		return verdict{decided: now, lastGranted: last}
+		return verdict{lastGranted: last}
 	}
 
 	abortOne := func(tx int) {
@@ -415,28 +434,34 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics,
 		}
 	}
 
-	// tryRequest decides one request; returns (verdict, decided).
+	// tryRequest decides one request; returns (verdict, decided). The
+	// caller timestamps the verdict.
 	tryRequest := func(r request) (verdict, bool) {
 		if wounded[r.tx] {
 			delete(wounded, r.tx)
 			abortOne(r.tx)
-			return verdict{aborted: true, decided: time.Now()}, true
+			return verdict{aborted: true}, true
 		}
 		inFlight[r.tx] = true
 		d := sched.Try(core.StepID{Tx: r.tx, Idx: r.idx})
 		collectWounds()
-		now := time.Now()
 		switch d {
 		case online.Grant:
 			// A transaction wounded by its own request's side effects is
 			// honored on its next request, not this grant.
-			return grantOne(r, now), true
+			return grantOne(r), true
 		case online.AbortTx:
 			abortOne(r.tx)
-			return verdict{aborted: true, decided: now}, true
+			return verdict{aborted: true}, true
 		default:
 			return verdict{}, false
 		}
+	}
+
+	// unparkReply answers a parked request; every parked wait is timed.
+	unparkReply := func(p parked, v verdict) {
+		v.parked, v.decided, v.since = true, clock(), p.since
+		p.req.reply <- v
 	}
 
 	retryParked := func() {
@@ -447,14 +472,12 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics,
 				if wounded[p.req.tx] {
 					delete(wounded, p.req.tx)
 					abortOne(p.req.tx)
-					p.req.reply <- verdict{aborted: true, parked: true, decided: time.Now()}
+					unparkReply(p, verdict{aborted: true})
 					progressed = true
 					continue
 				}
 				if v, decided := tryRequest(p.req); decided {
-					v.decided = time.Now()
-					v.parked = true
-					p.req.reply <- v
+					unparkReply(p, v)
 					progressed = true
 				} else {
 					kept = append(kept, p)
@@ -482,17 +505,17 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics,
 		}
 		m.DeadlockBreaks++
 		kept := waiting[:0]
-		var victimReply chan verdict
+		var vp parked
 		for _, p := range waiting {
-			if p.req.tx == victim && victimReply == nil {
-				victimReply = p.req.reply
+			if p.req.tx == victim && vp.req.reply == nil {
+				vp = p
 				continue
 			}
 			kept = append(kept, p)
 		}
 		waiting = kept
 		abortOne(victim)
-		victimReply <- verdict{aborted: true, parked: true, decided: time.Now()}
+		unparkReply(vp, verdict{aborted: true})
 		retryParked()
 	}
 
@@ -508,7 +531,8 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics,
 	// Scheduler goroutine: the single centralized scheduler of Section 6. It
 	// handles one arrival per select — a step request, a commit or a failed
 	// apply — and decides it on its own, then re-offers the parked requests
-	// and checks for deadlock.
+	// and checks for deadlock. It reads the clock only for a timed request's
+	// decision and for a parked request's park and unpark.
 	// schedWG joins the scheduler before Run returns: every sender has
 	// exited by the time done is closed (wg.Wait above the close), so the
 	// scheduler drains nothing after the join starts and Wait is bounded.
@@ -524,9 +548,12 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics,
 			case r := <-reqCh:
 				mu.Lock()
 				if v, decided := tryRequest(r); decided {
+					if r.timed {
+						v.decided = clock()
+					}
 					r.reply <- v
 				} else {
-					waiting = append(waiting, parked{req: r, since: time.Now()})
+					waiting = append(waiting, parked{req: r, since: clock()})
 				}
 				retryParked()
 				checkDeadlock()
@@ -562,9 +589,10 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics,
 	jobCh := make(chan int)
 	for u := 0; u < users; u++ {
 		wg.Add(1)
-		go func(user int) {
+		go func(user int, um *userMetrics) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(user)*7919))
+			seed := cfg.Seed + int64(user)*7919
+			rng, smp := rand.New(rand.NewSource(seed)), newSampler(seed)
 			// reply and ack are this user's reusable one-shot channels:
 			// every request gets exactly one verdict and the user reads it
 			// before issuing the next request, so one buffered channel per
@@ -573,7 +601,8 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics,
 			reply := make(chan verdict, 1)
 			ack := make(chan struct{}, 1)
 			for tx := range jobCh {
-				txStart := time.Now()
+				timed := smp.next()
+				txStart := clock()
 				for {
 					restart, failed := false, false
 					steps := len(sys.Txs[tx].Steps)
@@ -581,21 +610,27 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics,
 						if cfg.ThinkTime > 0 {
 							time.Sleep(time.Duration(rng.Int63n(int64(cfg.ThinkTime) + 1)))
 						}
-						sent := time.Now()
-						reqCh <- request{tx: tx, idx: idx, arrived: sent, reply: reply}
-						v := <-reply
-						mu.Lock()
-						if v.parked {
-							m.WaitNs.Add(float64(v.decided.Sub(sent)))
-						} else {
-							m.SchedNs.Add(float64(v.decided.Sub(sent)))
+						var sent time.Duration
+						if timed {
+							sent = clock()
 						}
-						mu.Unlock()
+						reqCh <- request{tx: tx, idx: idx, timed: timed, reply: reply}
+						v := <-reply
+						switch {
+						case v.parked && timed:
+							um.wait.Add(float64(v.decided - sent))
+						case v.parked:
+							um.wait.Add(float64(v.decided - v.since))
+						case timed:
+							um.sched.Add(float64(v.decided - sent))
+						default:
+							um.sched.Skip()
+						}
 						if v.aborted {
 							restart = true
 							break
 						}
-						if !applyStep(&cfg, tx, idx, &m.ExecNs, &mu, &errs) {
+						if !applyStep(&cfg, tx, idx, timed, &um.exec, epoch, &errs) {
 							// Failed execution: abort through the scheduler
 							// and stop this transaction for good — no later
 							// steps, no commit. Run surfaces the recorded
@@ -634,14 +669,12 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics,
 					// Randomized backoff before restarting.
 					time.Sleep(time.Duration(rng.Int63n(int64(50 * time.Microsecond))))
 				}
-				mu.Lock()
-				m.TxLatencyNs.Add(float64(time.Since(txStart)))
-				mu.Unlock()
+				um.latency.Add(float64(clock() - txStart))
 			}
-		}(u)
+		}(u, &um[u])
 	}
 
-	start := time.Now()
+	epoch = time.Now()
 	for tx := 0; tx < sys.NumTxs(); tx++ {
 		jobCh <- tx
 	}
@@ -649,7 +682,7 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics,
 	wg.Wait()
 	close(done)
 	schedWG.Wait()
-	m.Elapsed = time.Since(start)
+	m.Elapsed = clock()
 	if err := errs.get(); err != nil {
 		return nil, err
 	}
@@ -669,6 +702,7 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics,
 	}
 	m.Output = projectFinal(output, committed)
 	fillAllocStats(m, &am)
+	mergeUserMetrics(m, um)
 	fillSnapshotStats(m, cfg.Backend)
 	fillDurableStats(m, cfg.Backend)
 	return m, nil
@@ -710,21 +744,6 @@ func durableErr(be storage.Backend) error {
 		}
 	}
 	return nil
-}
-
-// presizeMetrics reserves the histograms' expected steady-state sample
-// counts — one wait-or-sched sample per request, one latency sample per
-// job, one exec sample per applied step — so recording a sample never
-// allocates on a conflict-free run (restarts overflow into amortized
-// growth, a cold path).
-func presizeMetrics(m *Metrics, sys *core.System, backend bool) {
-	steps := sys.StepCount()
-	m.WaitNs.Grow(steps)
-	m.SchedNs.Grow(steps)
-	m.TxLatencyNs.Grow(sys.NumTxs())
-	if backend {
-		m.ExecNs.Grow(steps)
-	}
 }
 
 // fillAllocStats closes the run's allocation meter into the metrics.
