@@ -432,7 +432,7 @@ func walFootprint(dir string) (files int, bytes int64, err error) {
 // ordering. Both commit through the same write-buffered log — uncommitted
 // writes never reach it, which is what makes the non-strict scheduler
 // recoverable too. fsync=always syncs inside every commit; fsync=group
-// defers to the group-commit pipeline, one fsync per drained lane group;
+// defers to the group-commit pipeline, one fsync per drained group;
 // fsync=never leaves flushing to the OS (crash may lose commits, never
 // tear them).
 //

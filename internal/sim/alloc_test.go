@@ -66,6 +66,36 @@ func poolBench(vars int, mk func() online.Scheduler, mkBackend func() storage.Ba
 
 func noopBackend() storage.Backend { return storage.NewNoop() }
 
+// freeSyncFS writes real files but completes every flush at once, so the
+// durable path is measured without the device's fsync latency.
+type freeSyncFS struct{ storage.OSFS }
+
+type freeSyncFile struct{ storage.File }
+
+func (freeSyncFile) Sync() error { return nil }
+
+func (fs freeSyncFS) Create(name string) (storage.File, error) {
+	f, err := fs.OSFS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return freeSyncFile{f}, nil
+}
+
+// diskBench is hotPathBench on the durable backend: a Disk under group
+// fsync on freeSyncFS with no background checkpointer, so the stripes, the
+// commit-record append and the group-commit pipeline are what is counted.
+func diskBench(b *testing.B) {
+	d, err := storage.NewDisk(storage.Config{Dir: b.TempDir(), FS: freeSyncFS{}, Fsync: storage.FsyncGroup})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	hotPathBench(func() online.Scheduler {
+		return online.NewConcurrentStrict2PL(lockmgr.Detect, 4)
+	}, func() storage.Backend { return d })(b)
+}
+
 func kvRecycleBackend() storage.Backend {
 	return storage.NewKV(storage.Config{Shards: 4, ValueSize: 256, Recycle: true})
 }
@@ -118,6 +148,12 @@ func snapshotBench(b *testing.B) {
 //   - mv-snapshot-kv: read-only transactions through the multiversion
 //     snapshot path perform ZERO allocations — acquire, chain-walk reads
 //     and release touch no lock and build nothing on the heap.
+//   - sharded-2pl-disk: sharded strict 2PL on the durable backend, through
+//     the group-commit pipeline, measures 0 — contexts recycle through
+//     their stripe's free list, the commit record encodes into a reused
+//     buffer and the queue is double-buffered. The ceiling of 1 leaves
+//     one allocation of collision-path headroom, below the three
+//     (context, locals, write set) an unpooled context costs.
 //   - csgt-noop: the natively concurrent SGT: ZERO — zero-conflict grants
 //     take the lock-free path, marks and source scratch are amortized
 //     per-entry slices, and a colliding grant edges on the sequential
@@ -158,6 +194,7 @@ var hotPathCases = []struct {
 		return online.NewMutexed(online.NewStrict2PL(lockmgr.Detect))
 	}, kvRecycleBackend)},
 	{"mv-snapshot-kv", 0, snapshotBench},
+	{"sharded-2pl-disk", 1, diskBench},
 	{"csgt-noop", 0, hotPathBench(func() online.Scheduler {
 		return online.NewConcurrentSGTAborting(4)
 	}, noopBackend)},

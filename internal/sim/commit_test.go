@@ -42,7 +42,7 @@ func TestBatchedHotShard(t *testing.T) {
 }
 
 // TestGroupCommitPipelineUsed: with a backend that syncs, commits must flow
-// through the group-commit pipeline (undo logs discarded on lanes, one sync
+// through the group-commit pipeline (backend commits on the driver, one sync
 // and one lock release per group), every transaction must still commit
 // exactly once, and the committed state must be the committed replay.
 func TestGroupCommitPipelineUsed(t *testing.T) {
@@ -74,7 +74,7 @@ func TestGroupCommitPipelineUsed(t *testing.T) {
 }
 
 // TestInlineCommitWithoutSyncer: a backend with nothing to sync — KV, Noop
-// or none at all — gets no commit lanes. Every transaction commits inline
+// or none at all — gets no commit pipeline. Every transaction commits inline
 // on its user goroutine, exactly once on the backend, and on KV the
 // committed state is the committed replay. The hot shard parks requests,
 // so the inline release must wake them too.
@@ -101,7 +101,7 @@ func TestInlineCommitWithoutSyncer(t *testing.T) {
 				t.Fatalf("committed %d of %d", m.Committed, jobs)
 			}
 			if m.CommitGroups != 0 || m.GroupCommits != 0 {
-				t.Fatalf("%d commits in %d lane groups without a syncing backend", m.GroupCommits, m.CommitGroups)
+				t.Fatalf("%d commits in %d groups without a syncing backend", m.GroupCommits, m.CommitGroups)
 			}
 			if be == nil {
 				return
@@ -155,7 +155,7 @@ func (b *commitCountingBackend) checkOnce(t *testing.T, jobs int) {
 
 // syncCountingBackend is a commitCountingBackend that syncs
 // (storage.GroupSyncer), counting the syncs: a memory backend the engine
-// commits through the group-commit lanes.
+// commits through the group-commit pipeline.
 type syncCountingBackend struct {
 	*commitCountingBackend
 	syncs atomic.Int64

@@ -2,7 +2,7 @@ package sim
 
 // Coverage for the natively concurrent timestamp-ordering scheduler driven
 // by the real dispatch runtime, plus the commit path through the
-// group-commit lanes.
+// group-commit pipeline.
 // CI runs this file under -race -count=5 in the concurrency stress job.
 
 import (
@@ -85,7 +85,7 @@ func TestConcurrentTOContendedSerializable(t *testing.T) {
 
 // TestUnbatchedCommitsThroughLanes: on a backend that syncs (a Disk under
 // group fsync) the concurrent engine commits through the group-commit
-// lanes, so lock release is asynchronous. The pipeline must process every
+// pipeline, so lock release is asynchronous. The pipeline must process every
 // commit exactly once and preserve the replay invariant.
 func TestUnbatchedCommitsThroughLanes(t *testing.T) {
 	const jobs = 24

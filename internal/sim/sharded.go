@@ -43,9 +43,9 @@
 // A finishing transaction commits inline on its user goroutine: backend
 // Commit, scheduler Commit, one kickParked. Only a backend that syncs
 // (storage.GroupSyncer) gets a storage.GroupCommitter: finishing
-// transactions enqueue into its lanes, and a lane's driver commits a whole
-// group under one sync and releases the group's scheduler locks in one
-// sweep (async lock release — commit processing leaves the follower's
+// transactions enqueue into its one queue, and the queue's driver commits
+// a whole group under one sync and releases the group's scheduler locks in
+// one sweep (async lock release — commit processing leaves the follower's
 // goroutine entirely). That is commit batching; decisions are never
 // batched: a fresh request and every parked retry are each offered to the
 // scheduler on their own through decide.
@@ -203,17 +203,17 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 		r.shards[i] = &shardState{log: make([]grant, 0, perShard[i])}
 	}
 
-	// Group commit, for a backend that syncs (storage.GroupSyncer): lanes
-	// exist to amortize one sync over a group. Finishing users enqueue into
-	// a per-lane commit pipeline; the lane's driver (the first committer to
-	// find it idle — a live user goroutine, so no wakeup handoff) commits a
-	// whole group on the backend while its locks are still held, syncs once,
-	// then runs release for the group. Lanes partition by transaction id,
-	// NOT by shard (a transaction's locks may span shards); the shard count
-	// is only borrowed as a concurrency heuristic for how many lanes to run.
-	// Every other backend commits inline (commit).
+	// Group commit, for a backend that syncs (storage.GroupSyncer): the
+	// pipeline exists to amortize one sync over a group. Finishing users
+	// enqueue into its one queue; the driver (the first committer to find
+	// it idle — a live user goroutine, so no wakeup handoff) commits a whole
+	// group on the backend while its locks are still held, syncs once, then
+	// runs release for the group. One queue, not one per shard: the syncs
+	// serialize in the backend anyway, and every extra driver only splits
+	// the group the others are forming. Every other backend commits inline
+	// (commit).
 	if _, ok := cfg.Backend.(storage.GroupSyncer); ok {
-		r.gc = storage.NewGroupCommitter(cfg.Backend, cs.NumShards(), r.release)
+		r.gc = storage.NewGroupCommitter(cfg.Backend, r.release)
 		// A failed sync fails the whole group: record it as the run error;
 		// release still runs so locks free and the run drains.
 		r.gc.OnFail(func(txs []int, err error) {
@@ -422,10 +422,10 @@ func (r *shardedRun) attempt(tx int, steps []core.Step, t *terminal) (restart bo
 }
 
 // commit commits tx once its final step has executed. A syncing backend
-// commits through the group-commit lanes, which amortize one sync over a
-// group. Any other backend has nothing to amortize, so the user commits
-// inline: an idle lane's singleton group was exactly this, plus a mutex, a
-// CAS and a callback.
+// commits through the group-commit pipeline, which amortizes one sync over
+// a group. Any other backend has nothing to amortize, so the user commits
+// inline: an idle pipeline's singleton group was exactly this, plus a
+// mutex, a CAS and a callback.
 func (r *shardedRun) commit(tx int) {
 	if r.gc != nil {
 		r.gc.Enqueue(tx)
@@ -441,7 +441,8 @@ func (r *shardedRun) commit(tx int) {
 // Order matters: the backend discarded the undo logs while the locks were
 // still held; now the scheduler releases the locks, then parked requests
 // are re-offered, and only then may the breaker resume (committing). It
-// runs on the committing user, or on a lane's driver for a whole group.
+// runs on the committing user, or on the pipeline's driver for a whole
+// group.
 func (r *shardedRun) release(txs []int) {
 	for _, tx := range txs {
 		r.cs.Commit(tx)
@@ -537,7 +538,7 @@ func (r *shardedRun) admit(tx int) bool {
 
 // granted logs a grant under ss's latch. The grant of a final step only
 // marks the transaction committed; the commit itself runs later, on the
-// user goroutine (or its commit lane).
+// user goroutine (or the group-commit driver).
 //
 //optcc:hotpath
 func (r *shardedRun) granted(ss *shardState, tx, idx int) verdict {

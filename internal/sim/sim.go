@@ -35,7 +35,7 @@
 // granted-step logs (per shard) are presized to the run's expected sample
 // counts, the deadlock breaker reuses its stuck list, and commit flows
 // through pooled lock-table state (and, on a syncing backend, the
-// group-commit lanes' double-buffered queues). The allocations that
+// group-commit pipeline's double-buffered queue). The allocations that
 // remain in the drivers are deliberately confined to cold paths: restart
 // bookkeeping after an abort, the failure path's error wrapping, and
 // end-of-run projection/reporting.

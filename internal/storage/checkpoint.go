@@ -49,8 +49,6 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"optcc/internal/core"
 )
 
 // errCkptSuperseded is returned by checkpointOnce when a Reset bumped the
@@ -190,10 +188,7 @@ func (d *Disk) checkpointOnce() error {
 	aoff := d.activeBytes
 	d.ckptSeq++
 	cseq := d.ckptSeq
-	db := make(core.DB, len(d.table))
-	for v, val := range d.table {
-		db[v] = val
-	}
+	db := d.tab.Load().snapshotLocked()
 	d.sinceCkpt = 0
 	d.mu.Unlock()
 

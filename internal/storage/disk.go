@@ -113,10 +113,143 @@ type DurableBackend interface {
 	DurabilityStats() DurabilityStats
 }
 
-// diskCtx is a transaction's execution context on the disk backend.
+// diskCtx is a transaction's execution context on the disk backend. Contexts
+// are recycled through their stripe's free list, so a warm store allocates
+// none per transaction.
 type diskCtx struct {
 	locals []core.Value
 	writes []walWrite // the deferred write set, in order
+}
+
+// diskCell is one variable's committed value. Cells change only under
+// Disk.mu, in commit order; a step reads one with a single atomic load.
+type diskCell struct{ val atomic.Int64 }
+
+// diskTable is the committed state: one cell per variable. cells is built
+// whole by Reset and by recovery and never mutated afterwards, so lookups
+// need no lock. A variable whose first write comes from a commit gets its
+// cell in extra, created under Disk.mu.
+type diskTable struct {
+	cells map[core.Var]*diskCell
+	extra sync.Map // core.Var -> *diskCell
+}
+
+func newDiskTable(db map[core.Var]core.Value) *diskTable {
+	t := &diskTable{cells: make(map[core.Var]*diskCell, len(db))}
+	backing := make([]diskCell, len(db))
+	i := 0
+	for v, val := range db {
+		c := &backing[i]
+		i++
+		c.val.Store(int64(val))
+		t.cells[v] = c
+	}
+	return t
+}
+
+// cell returns v's cell, or nil when v has never been committed.
+func (t *diskTable) cell(v core.Var) *diskCell {
+	if c, ok := t.cells[v]; ok {
+		return c
+	}
+	if c, ok := t.extra.Load(v); ok {
+		return c.(*diskCell)
+	}
+	return nil
+}
+
+// load returns v's committed value (zero for an absent variable).
+func (t *diskTable) load(v core.Var) core.Value {
+	if c := t.cell(v); c != nil {
+		return core.Value(c.val.Load())
+	}
+	return 0
+}
+
+// storeLocked publishes a committed write; the caller holds Disk.mu.
+func (t *diskTable) storeLocked(v core.Var, val core.Value) {
+	c := t.cell(v)
+	if c == nil {
+		c = &diskCell{}
+		t.extra.Store(v, c)
+	}
+	c.val.Store(int64(val))
+}
+
+// eachLocked visits every committed variable until fn returns false. Under
+// Disk.mu no cell changes, so the visit is an exact cut of the log.
+func (t *diskTable) eachLocked(fn func(v core.Var, val core.Value) bool) {
+	for v, c := range t.cells {
+		if !fn(v, core.Value(c.val.Load())) {
+			return
+		}
+	}
+	t.extra.Range(func(k, c any) bool {
+		return fn(k.(core.Var), core.Value(c.(*diskCell).val.Load()))
+	})
+}
+
+// snapshotLocked copies the committed state; the caller holds Disk.mu.
+func (t *diskTable) snapshotLocked() core.DB {
+	db := make(core.DB, len(t.cells))
+	t.eachLocked(func(v core.Var, val core.Value) bool {
+		db[v] = val
+		return true
+	})
+	return db
+}
+
+// diskStripes is the number of transaction-context stripes: enough that
+// the engine's users rarely meet on one.
+const diskStripes = 64
+
+// diskStripe maps the transactions whose id falls in it to their contexts,
+// and counts their steps, under its own mutex. A stripe lock is a leaf: it
+// is never held together with Disk.mu or another stripe.
+type diskStripe struct {
+	mu        sync.Mutex
+	ctx       map[int]*diskCtx
+	free      []*diskCtx
+	reads     int64
+	writes    int64
+	rollbacks int64
+	_         [64]byte // keep neighbouring stripes off one cache line
+}
+
+// ctxOfLocked returns tx's context, drawing a recycled one on first use.
+func (s *diskStripe) ctxOfLocked(tx int) *diskCtx {
+	c := s.ctx[tx]
+	if c == nil {
+		if n := len(s.free); n > 0 {
+			c = s.free[n-1]
+			s.free = s.free[:n-1]
+		} else {
+			c = &diskCtx{}
+		}
+		s.ctx[tx] = c
+	}
+	return c
+}
+
+// recycleLocked returns a finished context to the free list.
+func (s *diskStripe) recycleLocked(c *diskCtx) {
+	c.locals = c.locals[:0]
+	c.writes = c.writes[:0]
+	s.free = append(s.free, c)
+}
+
+// get reads v for c's transaction: its own buffered write if any, else the
+// committed value. A nil c (a transaction with no context yet) reads the
+// committed value.
+func (c *diskCtx) get(t *diskTable, v core.Var) core.Value {
+	if c != nil {
+		for i := len(c.writes) - 1; i >= 0; i-- {
+			if c.writes[i].v == v {
+				return c.writes[i].val
+			}
+		}
+	}
+	return t.load(v)
 }
 
 // Disk is the durable backend: a log-structured store whose only on-disk
@@ -134,11 +267,23 @@ type diskCtx struct {
 // undoes one — which is what makes every scheduler recoverable, the
 // non-strict ones (TO/OCC/SGT/mv) included.
 //
-// Concurrency: in-memory operations and log appends serialize on one
-// mutex; the fsync behind GroupSync runs OFF that mutex (serialized by its
-// own syncMu), so execution — appends included — proceeds while a group's
-// fsync is in flight. That is what lets commit groups form: commits that
-// arrive during a lane's fsync pile up and are covered by one later sync.
+// Concurrency: a step takes no store-wide lock. Committed values live in
+// per-variable atomic cells (diskTable) and a transaction's context in a
+// stripe keyed by its id (diskStripe), so ApplyStep, Get, Put, Rollback and
+// a read-only Commit take only their stripe's mutex. d.mu is the log
+// mutex: a commit appends its record and then stores its write set under
+// it, and checkpoint capture, publish and retirement, segment rolls,
+// Reset, State and Scan take it too. Because every cell store happens
+// under mu, log order is apply order and a capture under mu is an exact
+// cut at its anchor; because a step reads one variable and each cell
+// changes in commit order, a read racing a commit equals the same read
+// just before or just after it. The sticky error is mirrored in an atomic
+// flag so a step can check it without locking.
+//
+// The fsync behind GroupSync runs OFF mu (serialized by its own syncMu),
+// so execution — appends included — proceeds while a group's fsync is in
+// flight. That is what lets commit groups form: commits that arrive during
+// the GroupCommitter's fsync pile up and are covered by one later sync.
 // FsyncAlways deliberately keeps its per-commit sync under the mutex — the
 // committing transaction must be durable before Commit returns, and paying
 // that latency inline is exactly the cost the policy exists to measure.
@@ -159,9 +304,14 @@ type Disk struct {
 	// under mu and must not touch syncMu).
 	syncMu sync.Mutex
 
-	mu     sync.Mutex
-	table  map[core.Var]core.Value
-	ctx    map[int]*diskCtx
+	// tab is the committed state, swapped whole by Reset and recovery.
+	tab atomic.Pointer[diskTable]
+	// stripes hold the per-transaction contexts, keyed by tx id.
+	stripes [diskStripes]diskStripe
+	// poisoned mirrors err != nil for the lock-free step path.
+	poisoned atomic.Bool
+
+	mu     sync.Mutex // the log mutex
 	enc    walEncoder
 	seq    int         // active segment number
 	active File        // active segment, nil before Reset/OpenDisk
@@ -197,9 +347,6 @@ type Disk struct {
 	ckptFailures  atomic.Int64
 	ckptBytes     atomic.Int64
 	segsRetired   atomic.Int64
-	reads         atomic.Int64
-	writes        atomic.Int64
-	rollbacks     atomic.Int64
 }
 
 // sealedSeg is a rolled segment kept open until Close or retirement.
@@ -256,8 +403,10 @@ func NewDisk(cfg Config) (*Disk, error) {
 		ckptThresh: int64(cfg.CheckpointBytes),
 		ckptStop:   make(chan struct{}),
 		ckptKick:   make(chan struct{}, 1),
-		table:      make(map[core.Var]core.Value),
-		ctx:        make(map[int]*diskCtx),
+	}
+	d.tab.Store(newDiskTable(nil))
+	for i := range d.stripes {
+		d.stripes[i].ctx = make(map[int]*diskCtx)
 	}
 	if d.ckptThresh > 0 {
 		d.ckptRunning = true
@@ -285,6 +434,7 @@ func segName(seq int) string { return fmt.Sprintf("seg-%08d.wal", seq) }
 func (d *Disk) poisonLocked(err error) {
 	if d.err == nil {
 		d.err = err
+		d.poisoned.Store(true)
 	}
 	if d.lock != nil {
 		d.lock.Close()
@@ -297,6 +447,7 @@ func (d *Disk) poisonLocked(err error) {
 // snapshot is synced before Reset returns so the baseline itself is
 // durable.
 func (d *Disk) Reset(init core.DB) {
+	d.resetStripes()
 	d.mu.Lock()
 	d.resetLocked(init)
 	// A degraded run leaves the background loop dead (sticky store error or
@@ -335,12 +486,9 @@ func (d *Disk) resetLocked(init core.DB) {
 			return
 		}
 	}
-	d.table = make(map[core.Var]core.Value, len(init))
-	for v, val := range init {
-		d.table[v] = val
-	}
-	d.ctx = make(map[int]*diskCtx)
+	d.tab.Store(newDiskTable(init))
 	d.err = nil
+	d.poisoned.Store(false)
 	d.seq = 1
 	d.activeBytes = 0
 	d.dirty = false
@@ -355,9 +503,6 @@ func (d *Disk) resetLocked(init core.DB) {
 	d.ckptFailures.Store(0)
 	d.ckptBytes.Store(0)
 	d.segsRetired.Store(0)
-	d.reads.Store(0)
-	d.writes.Store(0)
-	d.rollbacks.Store(0)
 	// WALTruncated and RecoveryNs survive Reset: they describe the open
 	// that produced this store, which a Reset does not re-do.
 	f, err := d.fs.Create(segPath(d.dir, segName(d.seq)))
@@ -403,6 +548,7 @@ func (d *Disk) writeLocked(frame []byte) error {
 	}
 	if d.active == nil {
 		d.err = fmt.Errorf("storage: disk backend used before Reset/OpenDisk")
+		d.poisoned.Store(true)
 		return d.err
 	}
 	if d.activeBytes >= d.segBytes {
@@ -454,79 +600,84 @@ func (d *Disk) syncLocked() error {
 	return nil
 }
 
-// ctxOfLocked returns tx's context, creating it on first use.
-func (d *Disk) ctxOfLocked(tx int) *diskCtx {
-	c := d.ctx[tx]
-	if c == nil {
-		c = &diskCtx{}
-		d.ctx[tx] = c
-	}
-	return c
-}
-
-// getLocked reads v for tx: its own buffered write if any, else the table.
-func (d *Disk) getLocked(c *diskCtx, v core.Var) core.Value {
-	d.reads.Add(1)
-	if c != nil {
-		for i := len(c.writes) - 1; i >= 0; i-- {
-			if c.writes[i].v == v {
-				return c.writes[i].val
-			}
+// resetStripes drops every transaction context and zeroes the step
+// counters. Reset calls it before taking mu: a stripe lock is never held
+// together with the log mutex.
+func (d *Disk) resetStripes() {
+	for i := range d.stripes {
+		s := &d.stripes[i]
+		s.mu.Lock()
+		for tx, c := range s.ctx {
+			delete(s.ctx, tx)
+			s.recycleLocked(c)
 		}
+		s.reads, s.writes, s.rollbacks = 0, 0, 0
+		s.mu.Unlock()
 	}
-	return d.table[v]
 }
 
-// putLocked stores scalar as v in tx's write set; nothing reaches the table
-// or the log before Commit.
-func (d *Disk) putLocked(c *diskCtx, v core.Var, scalar core.Value) {
-	d.writes.Add(1)
-	c.writes = append(c.writes, walWrite{v: v, val: scalar})
+// stripe returns the stripe holding tx's context.
+func (d *Disk) stripe(tx int) *diskStripe {
+	return &d.stripes[uint(tx)%diskStripes]
+}
+
+// context returns tx's context, creating it when create is set (nil
+// otherwise), and counts the step's reads and writes. The stripe lock
+// covers only the lookup: a context is used by its own transaction alone
+// (the package's transaction discipline), so the step itself runs
+// unlocked.
+func (d *Disk) context(tx int, create bool, reads, writes int64) *diskCtx {
+	s := d.stripe(tx)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.reads += reads
+	s.writes += writes
+	if create {
+		return s.ctxOfLocked(tx)
+	}
+	return s.ctx[tx]
 }
 
 // Get implements Backend.
 func (d *Disk) Get(tx int, v core.Var) core.Value {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.getLocked(d.ctx[tx], v)
+	return d.context(tx, false, 1, 0).get(d.tab.Load(), v)
 }
 
-// Put implements Backend.
+// Put implements Backend: scalar joins tx's write set; nothing reaches the
+// table or the log before Commit.
 func (d *Disk) Put(tx int, v core.Var, scalar core.Value) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.putLocked(d.ctxOfLocked(tx), v, scalar)
+	c := d.context(tx, true, 0, 1)
+	c.writes = append(c.writes, walWrite{v: v, val: scalar})
 }
 
 // Scan implements Backend.
 func (d *Disk) Scan(fn func(v core.Var, scalar core.Value) bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for v, val := range d.table {
-		if !fn(v, val) {
-			return
-		}
-	}
+	d.tab.Load().eachLocked(fn)
 }
 
 // ApplyStep implements Backend with the paper's step semantics (see
 // Backend); a sticky durability error fails every subsequent step, which
-// is how a poisoned store surfaces as the run error.
+// is how a poisoned store surfaces as the run error. It takes only tx's
+// stripe lock, for the context lookup: the read is one table lookup and
+// one atomic load.
 func (d *Disk) ApplyStep(tx int, step core.Step) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.err != nil {
-		return d.err
+	if d.poisoned.Load() {
+		return d.Err()
 	}
-	c := d.ctxOfLocked(tx)
-	c.locals = append(c.locals, d.getLocked(c, step.Var))
-	if step.Kind == core.Read {
-		return nil
+	var writes int64
+	if step.Kind != core.Read {
+		if step.Fn == nil {
+			return fmt.Errorf("storage: step on %s has no interpretation", step.Var)
+		}
+		writes = 1
 	}
-	if step.Fn == nil {
-		return fmt.Errorf("storage: step on %s has no interpretation", step.Var)
+	c := d.context(tx, true, 1, writes)
+	c.locals = append(c.locals, c.get(d.tab.Load(), step.Var))
+	if step.Kind != core.Read {
+		c.writes = append(c.writes, walWrite{v: step.Var, val: step.Fn(c.locals)})
 	}
-	d.putLocked(c, step.Var, step.Fn(c.locals))
 	return nil
 }
 
@@ -534,20 +685,44 @@ func (d *Disk) ApplyStep(tx int, step core.Step) error {
 // logs the write set, which is applied only after the append succeeded
 // (atomic — a failed append commits nothing, and the error is sticky:
 // Err). Under FsyncAlways the log is synced before Commit returns; under
-// FsyncGroup durability arrives at the next GroupSync.
+// FsyncGroup durability arrives at the next GroupSync. A read-only
+// transaction has nothing to log and never takes the log mutex.
 func (d *Disk) Commit(tx int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	c := d.ctx[tx]
-	delete(d.ctx, tx)
-	if d.err != nil || c == nil || len(c.writes) == 0 {
-		return // poisoned, or read-only: nothing to make durable
-	}
-	if err := d.appendLocked(d.enc.encodeCommit(tx, c.writes)); err != nil {
+	s := d.stripe(tx)
+	s.mu.Lock()
+	c := s.ctx[tx]
+	if c == nil {
+		s.mu.Unlock()
 		return
 	}
-	for _, w := range c.writes {
-		d.table[w.v] = w.val
+	delete(s.ctx, tx)
+	if len(c.writes) == 0 {
+		s.recycleLocked(c)
+		s.mu.Unlock()
+		return
+	}
+	s.mu.Unlock()
+	d.commitWrites(tx, c.writes)
+	s.mu.Lock()
+	s.recycleLocked(c)
+	s.mu.Unlock()
+}
+
+// commitWrites appends tx's commit record and then publishes its write set,
+// both under the log mutex, so log order is apply order. A poisoned store
+// appends nothing.
+func (d *Disk) commitWrites(tx int, writes []walWrite) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.err != nil {
+		return
+	}
+	if err := d.appendLocked(d.enc.encodeCommit(tx, writes)); err != nil {
+		return
+	}
+	t := d.tab.Load()
+	for _, w := range writes {
+		t.storeLocked(w.v, w.val)
 	}
 	if d.policy == FsyncAlways {
 		d.syncLocked()
@@ -557,11 +732,13 @@ func (d *Disk) Commit(tx int) {
 // Rollback implements Backend: it discards the write set, which never
 // reached the table or the log.
 func (d *Disk) Rollback(tx int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.ctx[tx]; ok {
-		delete(d.ctx, tx)
-		d.rollbacks.Add(1)
+	s := d.stripe(tx)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if c, ok := s.ctx[tx]; ok {
+		delete(s.ctx, tx)
+		s.recycleLocked(c)
+		s.rollbacks++
 	}
 }
 
@@ -569,11 +746,7 @@ func (d *Disk) Rollback(tx int) {
 func (d *Disk) State() core.DB {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make(core.DB, len(d.table))
-	for v, val := range d.table {
-		out[v] = val
-	}
-	return out
+	return d.tab.Load().snapshotLocked()
 }
 
 // GroupSync implements GroupSyncer: under FsyncGroup (and FsyncAlways,
@@ -687,9 +860,14 @@ func (d *Disk) DurabilityStats() DurabilityStats {
 // Stats reports the backend's physical work in the shared Stats shape
 // (payload counters stay zero: the disk backend models scalars only).
 func (d *Disk) Stats() Stats {
-	return Stats{
-		Reads:     d.reads.Load(),
-		Writes:    d.writes.Load(),
-		Rollbacks: d.rollbacks.Load(),
+	var st Stats
+	for i := range d.stripes {
+		s := &d.stripes[i]
+		s.mu.Lock()
+		st.Reads += s.reads
+		st.Writes += s.writes
+		st.Rollbacks += s.rollbacks
+		s.mu.Unlock()
 	}
+	return st
 }

@@ -8,35 +8,43 @@ import (
 
 // GroupCommitter is the storage layer's group-commit pipeline: it coalesces
 // concurrent Commit calls into groups in the classic leader/follower style.
-// A finishing transaction enqueues into its lane and the first enqueuer to
-// find the lane idle becomes the lane's driver: it swaps out the whole
+// A finishing transaction enqueues into the one queue and the first
+// enqueuer to find it idle becomes the driver: it swaps out the whole
 // accumulated queue and processes it as one group — (1) committing each
-// member on the backend, discarding undo logs while the scheduler's locks
-// are still held, preserving strictness, then (2) invoking the release
-// callback once with the whole group, which is where the runtime releases
-// scheduler locks and re-offers parked requests in a single sweep.
-// Followers that enqueue while a driver is active return immediately: their
-// commit and lock release happen on the driver (the ROADMAP's async lock
-// release), and the driver keeps draining until its lane is empty, so every
-// follower is picked up. No background goroutine and no wakeup handoff is
-// involved — on a loaded machine the driver is already running, which is
-// exactly what makes the pattern cheap where a dedicated commit thread
-// would add a scheduling hop per group.
+// member on the backend while the scheduler's locks are still held,
+// preserving strictness, then (2) invoking the release callback once with
+// the whole group, which is where the runtime releases scheduler locks and
+// re-offers parked requests in a single sweep. Followers that enqueue
+// while a driver is active return immediately: their commit and lock
+// release happen on the driver (the ROADMAP's async lock release), and the
+// driver keeps draining until the queue is empty, so every follower is
+// picked up. No background goroutine and no wakeup handoff is involved —
+// on a loaded machine the driver is already running, which is exactly
+// what makes the pattern cheap where a dedicated commit thread would add a
+// scheduling hop per group.
 //
 // What a group amortizes is the backend's sync (GroupSyncer): one per
 // group instead of one per commit. A backend with nothing to sync gains
-// nothing from a lane, and the runtime commits on it inline instead.
+// nothing from the pipeline, and the runtime commits on it inline instead.
+// There is one queue because the backend's syncs serialize anyway: a
+// second driver would only split the group the first one is forming.
 //
-// Transactions are partitioned across lanes by id; a transaction's Enqueue
-// must follow its last granted step (the usual per-transaction discipline —
-// nothing else may act for it concurrently).
+// A transaction's Enqueue must follow its last granted step (the usual
+// per-transaction discipline — nothing else may act for it concurrently).
 type GroupCommitter struct {
 	be      Backend
 	syncer  GroupSyncer // non-nil iff be implements GroupSyncer
 	yield   bool        // yield before sealing a group (amortizable syncs)
 	release func(txs []int)
 	onFail  func(txs []int, err error)
-	lanes   []*commitLane
+
+	// mu guards the queue. queue and free are a double buffer — the driver
+	// swaps them on every group so enqueues append into retained capacity
+	// and the steady-state pipeline allocates nothing per group.
+	mu      sync.Mutex
+	queue   []int
+	free    []int
+	driving atomic.Bool
 
 	groups atomic.Int64 // groups processed
 	txs    atomic.Int64 // transactions committed through the pipeline
@@ -46,24 +54,10 @@ type GroupCommitter struct {
 	err   error // first GroupSync failure
 }
 
-// commitLane is one pipeline partition: a queue plus the driver flag of the
-// leader/follower protocol. queue and free are a double buffer — the driver
-// swaps them on every group so enqueues append into retained capacity and
-// the steady-state pipeline allocates nothing per group.
-type commitLane struct {
-	mu      sync.Mutex
-	queue   []int
-	free    []int
-	driving atomic.Bool
-}
-
-// NewGroupCommitter returns a pipeline with the given lane count (minimum
-// 1) over be. The release callback receives every enqueued transaction
-// exactly once, in per-lane groups; a nil release is a no-op.
-func NewGroupCommitter(be Backend, lanes int, release func(txs []int)) *GroupCommitter {
-	if lanes < 1 {
-		lanes = 1
-	}
+// NewGroupCommitter returns a pipeline over be. The release callback
+// receives every enqueued transaction exactly once, in groups; a nil
+// release is a no-op.
+func NewGroupCommitter(be Backend, release func(txs []int)) *GroupCommitter {
 	g := &GroupCommitter{be: be, release: release}
 	if s, ok := be.(GroupSyncer); ok {
 		g.syncer = s
@@ -74,14 +68,8 @@ func NewGroupCommitter(be Backend, lanes int, release func(txs []int)) *GroupCom
 			g.yield = true
 		}
 	}
-	for i := 0; i < lanes; i++ {
-		g.lanes = append(g.lanes, &commitLane{})
-	}
 	return g
 }
-
-// Lanes returns the pipeline's lane count.
-func (g *GroupCommitter) Lanes() int { return len(g.lanes) }
 
 // OnFail registers the durability-failure callback: when the backend's
 // GroupSync errors after a group was committed, fn receives every
@@ -104,46 +92,45 @@ func (g *GroupCommitter) Err() error {
 // failed.
 func (g *GroupCommitter) Failed() int64 { return g.failed.Load() }
 
-// Enqueue submits tx for commit. If tx's lane has no driver, the caller
+// Enqueue submits tx for commit. If the pipeline has no driver, the caller
 // becomes it and processes the accumulated group (possibly including other
 // transactions) before returning; otherwise the call returns immediately
 // and the active driver commits tx. Either way, every enqueued transaction
 // is fully processed by the time all Enqueue calls have returned.
 func (g *GroupCommitter) Enqueue(tx int) {
-	l := g.lanes[tx%len(g.lanes)]
-	l.mu.Lock()
-	l.queue = append(l.queue, tx)
-	l.mu.Unlock()
-	g.drive(l)
+	g.mu.Lock()
+	g.queue = append(g.queue, tx)
+	g.mu.Unlock()
+	g.drive()
 }
 
-// drive elects the caller lane driver if the lane is idle and drains it.
+// drive elects the caller driver if the pipeline is idle and drains it.
 // After standing down it re-checks the queue: a follower may have enqueued
 // between the driver's last empty swap and the flag clearing, and that
 // follower's own drive call may have already returned — someone must pick
 // the orphan up, and the re-check loop is that someone.
-func (g *GroupCommitter) drive(l *commitLane) {
+func (g *GroupCommitter) drive() {
 	for {
-		if !l.driving.CompareAndSwap(false, true) {
+		if !g.driving.CompareAndSwap(false, true) {
 			return // an active driver will drain the queue, our tx included
 		}
-		g.drain(l)
-		l.driving.Store(false)
-		l.mu.Lock()
-		more := len(l.queue) > 0
-		l.mu.Unlock()
+		g.drain()
+		g.driving.Store(false)
+		g.mu.Lock()
+		more := len(g.queue) > 0
+		g.mu.Unlock()
 		if !more {
 			return
 		}
 	}
 }
 
-// drain processes the lane queue group by group until it is empty. Each
-// swap of the queue under the lane mutex is one group: everything that
-// accumulated while the previous group was committing. The swap trades the
-// queue for the lane's spare buffer (and hands the drained group back as
-// the next spare), so a warm lane commits whole groups without allocating.
-func (g *GroupCommitter) drain(l *commitLane) {
+// drain processes the queue group by group until it is empty. Each swap of
+// the queue under the mutex is one group: everything that accumulated while
+// the previous group was committing. The swap trades the queue for the
+// spare buffer (and hands the drained group back as the next spare), so a
+// warm pipeline commits whole groups without allocating.
+func (g *GroupCommitter) drain() {
 	for {
 		// When the group sync is the cost being amortized, give runnable
 		// peers one scheduling turn to reach Enqueue before the group is
@@ -155,24 +142,24 @@ func (g *GroupCommitter) drain(l *commitLane) {
 		if g.yield {
 			runtime.Gosched()
 		}
-		l.mu.Lock()
-		group := l.queue
-		l.queue = l.free[:0]
-		l.free = nil
-		l.mu.Unlock()
+		g.mu.Lock()
+		group := g.queue
+		g.queue = g.free[:0]
+		g.free = nil
+		g.mu.Unlock()
 		if len(group) == 0 {
-			l.mu.Lock()
-			l.free = group
-			l.mu.Unlock()
+			g.mu.Lock()
+			g.free = group
+			g.mu.Unlock()
 			return
 		}
 		for _, tx := range group {
 			g.be.Commit(tx)
 		}
 		// Durable backends get exactly one fsync per group, here — the
-		// whole point of coalescing commits into lanes. A failure is a
-		// failure of every member: the group's commit records share the
-		// sync, so none of them is durable, and OnFail reports them all.
+		// whole point of coalescing commits. A failure is a failure of
+		// every member: the group's commit records share the sync, so none
+		// of them is durable, and OnFail reports them all.
 		if g.syncer != nil {
 			if err := g.syncer.GroupSync(); err != nil {
 				g.errMu.Lock()
@@ -194,9 +181,9 @@ func (g *GroupCommitter) drain(l *commitLane) {
 		}
 		g.groups.Add(1)
 		g.txs.Add(int64(len(group)))
-		l.mu.Lock()
-		l.free = group[:0]
-		l.mu.Unlock()
+		g.mu.Lock()
+		g.free = group[:0]
+		g.mu.Unlock()
 	}
 }
 
@@ -204,11 +191,7 @@ func (g *GroupCommitter) drain(l *commitLane) {
 // enqueued transaction is already processed once all Enqueue calls have
 // returned, so this is a defensive sweep; it must not run concurrently
 // with Enqueue.
-func (g *GroupCommitter) Close() {
-	for _, l := range g.lanes {
-		g.drive(l)
-	}
-}
+func (g *GroupCommitter) Close() { g.drive() }
 
 // Stats reports the pipeline's work so far: groups processed and
 // transactions committed. txs/groups is the mean group size — the

@@ -169,11 +169,7 @@ func OpenDisk(cfg Config) (*Disk, error) {
 	if err != nil {
 		return fail(fmt.Errorf("storage: recovery snapshot: %w", err))
 	}
-	db := make(core.DB, len(table))
-	for v, val := range table {
-		db[v] = val
-	}
-	frame := d.enc.encodeSnapshot(db)
+	frame := d.enc.encodeSnapshot(table)
 	if _, err := f.Write(frame); err != nil {
 		f.Close()
 		return fail(fmt.Errorf("storage: recovery snapshot write: %w", err))
@@ -205,7 +201,7 @@ func OpenDisk(cfg Config) (*Disk, error) {
 	}
 	d.active = active
 	d.activeBytes = 0
-	d.table = table
+	d.tab.Store(newDiskTable(table))
 	if truncated {
 		d.walTruncated.Add(1)
 	}

@@ -434,7 +434,7 @@ func (g *gateSyncer) GroupSync() error {
 }
 
 // TestGroupCommitFsyncFailure is the silent-durability-loss regression
-// test: when a lane's group fsync fails, EVERY member of that group —
+// test: when a group's fsync fails, EVERY member of that group —
 // leader and followers alike — must be reported failed through OnFail,
 // and the release callback must still run so the runtime can free locks.
 func TestGroupCommitFsyncFailure(t *testing.T) {
@@ -443,7 +443,7 @@ func TestGroupCommitFsyncFailure(t *testing.T) {
 	var failed, released [][]int
 	errBoom := errors.New("fsync: boom")
 
-	gc := NewGroupCommitter(gs, 1, func(txs []int) {
+	gc := NewGroupCommitter(gs, func(txs []int) {
 		mu.Lock()
 		released = append(released, append([]int(nil), txs...))
 		mu.Unlock()
@@ -459,7 +459,7 @@ func TestGroupCommitFsyncFailure(t *testing.T) {
 
 	done := make(chan struct{})
 	go func() {
-		gc.Enqueue(1) // becomes the lane driver, blocks in GroupSync
+		gc.Enqueue(1) // becomes the driver, blocks in GroupSync
 		close(done)
 	}()
 	<-gs.entered  // driver committed tx 1, now inside the group fsync
@@ -503,7 +503,7 @@ func TestGroupCommitFsyncFailureDisk(t *testing.T) {
 	applyTx(t, d, 7, []walWrite{{v: "x", val: 9}})
 
 	var failed []int
-	gc := NewGroupCommitter(d, 1, nil)
+	gc := NewGroupCommitter(d, nil)
 	gc.OnFail(func(txs []int, err error) {
 		if !errors.Is(err, ErrInjected) {
 			t.Errorf("OnFail error = %v, want ErrInjected", err)

@@ -236,8 +236,9 @@ fi
 # torture env var, the concurrent engine's run-global grant stamp and its
 # every-commit-through-a-lane rule, and decision batching (the central
 # loop's adaptive intake coalescing, the batched parked retry and ccsim's
-# -batch flag), and the engine's clock read around every stage of every
-# step are gone; nothing that documents or drives the current tree
+# -batch flag), the engine's clock read around every stage of every
+# step, and the group committer's lanes partitioned by transaction id are
+# gone; nothing that documents or drives the current tree
 # may name them.
 for f in README.md DESIGN.md doc.go cmd/*/main.go Makefile internal/report/report.go .claude/skills/verify/SKILL.md; do
   [ -f "$f" ] || continue
@@ -246,7 +247,8 @@ for f in README.md DESIGN.md doc.go cmd/*/main.go Makefile internal/report/repor
       'BenchmarkShardedVsCentral' 'BenchmarkNativeVsMutexed' \
       'Config.Buffered' 'Buffered:' 'redo+undo' 'eager redo' 'disk(buffered)' 'OPTCC_TORTURE_BUFFERED' \
       'merged by stamp' 'stamped from one' 'every commit flows through' \
-      'batchSizer' 'decideBatch' 'intake coalescing' '2 + 2k times'; do
+      'batchSizer' 'decideBatch' 'intake coalescing' '2 + 2k times' \
+      'group-commit lanes' 'partitioned across lanes'; do
     if grep -qF -- "$stale" "$f"; then
       echo "check-docs: $f still names the removed '$stale'"
       fail=1
