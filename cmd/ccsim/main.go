@@ -283,6 +283,7 @@ func main() {
 	fmt.Printf("committed      %d\n", m.Committed)
 	fmt.Printf("aborts         %d\n", m.Aborts)
 	fmt.Printf("deadlockBreaks %d\n", m.DeadlockBreaks)
+	fmt.Printf("yields         %d\n", m.Yields)
 	if m.CommitGroups > 0 {
 		fmt.Printf("groupCommit    %d groups, mean size %.2f\n", m.CommitGroups, m.GroupSize())
 	}

@@ -6,6 +6,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -130,5 +131,110 @@ func TestLatchOrderingUsersFarAboveShards(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRunStateCensus pins the two rules read off the users' state words:
+// mustYield at a job end and stalled for the deadlock breaker.
+func TestRunStateCensus(t *testing.T) {
+	const (
+		I = stateIdle
+		R = stateRunning
+		W = stateWaiting
+		P = stateParked
+	)
+	slots := func(states []int32) []userSlot {
+		us := make([]userSlot, len(states))
+		for i, st := range states {
+			us[i].state.Store(st)
+		}
+		return us
+	}
+	yields := []struct {
+		name        string
+		states      []int32
+		self, procs int
+		want        bool
+	}{
+		{"another waiting", []int32{R, W, I, I}, 0, 2, true},
+		{"another parked", []int32{R, I, P, I}, 0, 2, true},
+		{"procs others busy", []int32{I, R, R, I}, 0, 2, true},
+		{"more than procs others busy", []int32{I, R, R, R, I}, 0, 2, true},
+		{"fewer than procs others busy", []int32{I, R, I, I}, 0, 2, false},
+		{"self not counted", []int32{W, R, I}, 0, 2, false},
+		{"self busy, others idle", []int32{I, I, R}, 2, 1, false},
+		{"one proc, one other busy", []int32{I, I, R}, 0, 1, true},
+		{"users fit on procs, another parked", []int32{R, P}, 0, 2, false},
+		{"users fit on procs, all busy", []int32{R, R, R, R}, 0, 4, false},
+	}
+	for _, c := range yields {
+		if got := mustYield(slots(c.states), c.self, c.procs); got != c.want {
+			t.Errorf("mustYield %s (%v, self %d, procs %d) = %v, want %v", c.name, c.states, c.self, c.procs, got, c.want)
+		}
+	}
+	stalls := []struct {
+		name     string
+		states   []int32
+		wantBusy int
+		want     bool
+	}{
+		{"no users", nil, 0, false},
+		{"all idle", []int32{I, I}, 0, false},
+		{"every busy user parked", []int32{P, I, P}, 2, true},
+		{"one parked, rest idle", []int32{I, P, I}, 1, true},
+		{"running committer", []int32{P, R, P}, 3, false},
+		{"backing off", []int32{P, W}, 2, false},
+	}
+	for _, c := range stalls {
+		busy, all := stalled(slots(c.states))
+		if busy != c.wantBusy || all != c.want {
+			t.Errorf("stalled %s (%v) = %d, %v, want %d, %v", c.name, c.states, busy, all, c.wantBusy, c.want)
+		}
+	}
+}
+
+// TestBreakerNoWakeupDependsOnWatchdog switches the watchdog tick off (one
+// hour) and runs the cross pattern under detection-based 2PL with more
+// users than processors: every deadlock must be broken by the signal of the
+// user that parked last or of the one whose job end left only parked users
+// with a job, or a run hangs.
+func TestBreakerNoWakeupDependsOnWatchdog(t *testing.T) {
+	defer func(d time.Duration) { watchdogPeriod = d }(watchdogPeriod)
+	watchdogPeriod = time.Hour
+	const jobs, runs = 32, 4
+	users := max(8, 2*runtime.GOMAXPROCS(0))
+	inst := Instantiate(workload.Cross(), jobs)
+	breaks := 0
+	for run := 0; run < runs; run++ {
+		m := runOrHang(t, Config{System: inst, Sched: online.NewConcurrentStrict2PL(lockmgr.Detect, 4),
+			Users: users, Seed: int64(run), ExecTime: 20 * time.Microsecond}, 30*time.Second)
+		if m.Committed != jobs {
+			t.Fatalf("run %d: committed %d of %d (aborts=%d breaks=%d)", run, m.Committed, jobs, m.Aborts, m.DeadlockBreaks)
+		}
+		breaks += m.DeadlockBreaks
+	}
+	if breaks == 0 {
+		t.Fatalf("no deadlock in %d runs; the breaker was not exercised", runs)
+	}
+}
+
+// TestYieldsCounted: users that fit on the processors never yield, and 48
+// wound-wait users on the hot shard do. Their steps sleep 20 µs of
+// ExecTime, so on any processor count some user is mid-transaction and
+// parks or waits while another ends a job.
+func TestYieldsCounted(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	m := runOrHang(t, Config{System: Instantiate(workload.HotShard(), 96),
+		Sched: online.NewConcurrentStrict2PL(lockmgr.WoundWait, 4), Users: procs, Seed: 1}, 30*time.Second)
+	if m.Yields != 0 {
+		t.Fatalf("%d yields with %d users on %d processors", m.Yields, procs, procs)
+	}
+	users := max(48, 2*procs)
+	be := storage.NewKV(storage.Config{Shards: 4, ValueSize: 32})
+	m = runOrHang(t, Config{System: Instantiate(workload.HotShard(), 96),
+		Sched: online.NewConcurrentStrict2PL(lockmgr.WoundWait, 4), Backend: be, Users: users, Seed: 1,
+		ExecTime: 20 * time.Microsecond}, 30*time.Second)
+	if m.Yields == 0 {
+		t.Fatalf("no yield with %d users on %d processors (parked waits: %d)", users, procs, m.WaitNs.N())
 	}
 }

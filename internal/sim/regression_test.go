@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"optcc/internal/core"
 	"optcc/internal/lockmgr"
@@ -26,12 +27,14 @@ import (
 // exhaust their budget with a rolled-back final attempt. (240 jobs, not a
 // dozen: on the run-to-completion engine a transaction is shorter than a
 // processor wake-up, so a dozen jobs are over before a second processor
-// joins and nothing ever conflicts.) Output must then
-// contain exactly the committed transactions — whole and final-attempt only
-// — and replaying it must reproduce the committed backend state. Whether a
-// seed exhausts a budget depends on the interleaving, so seeds run until
-// one has, at least minSeeds and at most maxSeeds of them, and every
-// invariant is checked on every seed. The batch8 row sets the deprecated
+// joins and nothing ever conflicts. Each step also sleeps 20 µs of
+// ExecTime, so steps interleave even on one processor, where a user that
+// never blocks would otherwise run its transactions back to back.) Output
+// must then contain exactly the committed transactions — whole and
+// final-attempt only — and replaying it must reproduce the committed
+// backend state. Whether a seed exhausts a budget depends on the
+// interleaving, so seeds run until one has, at least minSeeds and at most
+// maxSeeds of them, and every invariant is checked on every seed. The batch8 row sets the deprecated
 // Config.Batch, which the engines ignore, and must behave like the row
 // without it.
 func TestOutputOnlyCommittedOnBudgetExhaustion(t *testing.T) {
@@ -54,6 +57,7 @@ func TestOutputOnlyCommittedOnBudgetExhaustion(t *testing.T) {
 				m, err := Run(Config{
 					System: inst, Sched: cfg.mk(), Backend: be,
 					Users: 6, Seed: seed, MaxRestarts: 1, Batch: cfg.batch,
+					ExecTime: 20 * time.Microsecond,
 				})
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)

@@ -54,10 +54,12 @@ func (s *sampler) draw() uint64 {
 	return z ^ z>>31
 }
 
-// userMetrics is one user goroutine's private histograms, merged into the
-// run's Metrics after the users have joined, so recording takes no lock.
+// userMetrics is one user goroutine's private histograms and yield count,
+// merged into the run's Metrics after the users have joined, so recording
+// takes no lock.
 type userMetrics struct {
 	wait, sched, exec, latency report.Histogram
+	yields                     int
 	_                          [64]byte
 }
 
@@ -89,5 +91,6 @@ func mergeUserMetrics(m *Metrics, um []userMetrics) {
 		m.SchedNs.Merge(&um[i].sched)
 		m.ExecNs.Merge(&um[i].exec)
 		m.TxLatencyNs.Merge(&um[i].latency)
+		m.Yields += um[i].yields
 	}
 }

@@ -34,11 +34,18 @@
 //
 // Aborts roll the backend back *before* the scheduler releases the
 // victim's locks (the victim is always parked or between its own requests
-// when aborted, so its rollback races with nothing of its own). A deadlock
-// breaker — triggered when every in-flight transaction is parked — picks a
-// victim through the scheduler's global waits-for view; it holds off while
-// any commit is in flight, because that commit is guaranteed to arrive and
-// may unblock the waiters for free.
+// when aborted, so its rollback races with nothing of its own).
+//
+// Each user keeps one run-state word that only it writes: idle (no job),
+// running, waiting (on a contended latch or in the back-off sleep) or
+// parked (from registration until its verdict arrives). Two rules read the
+// words. A deadlock breaker fires when every user with a job is parked and
+// picks a victim through the scheduler's global waits-for view; a commit in
+// flight always has a running user (the inline committer, or the group
+// commit's driver until its drain ends), so the breaker holds off while one
+// may still unblock the waiters for free. And with more users than
+// processors, a user hands its processor on at job end only when another
+// user may be runnable mid-transaction but not running (see mustYield).
 //
 // A finishing transaction commits inline on its user goroutine: backend
 // Commit, scheduler Commit, one kickParked. Only a backend that syncs
@@ -92,21 +99,88 @@ type grant struct {
 }
 
 // txState is a transaction's run state. restarts (the aborts so far, which
-// numbers the current attempt), inFlight and committed change only on
-// behalf of the transaction itself (its one outstanding request, its abort,
-// its commit); wounded is set by whoever observes the wound.
+// numbers the current attempt) and committed change only on behalf of the
+// transaction itself (its one outstanding request, its abort, its commit);
+// wounded is set by whoever observes the wound.
 type txState struct {
 	restarts  atomic.Int32
-	inFlight  atomic.Bool // started, neither committed nor aborted
 	wounded   atomic.Bool // abort at its next request
 	committed atomic.Bool // final step granted, or served by the snapshot path
 }
 
+// A user's run state, the word in its userSlot.
+const (
+	stateIdle    int32 = iota // no job
+	stateRunning              // has a job
+	stateWaiting              // has a job; blocked on a contended latch or sleeping its back-off
+	stateParked               // has a job; its request is parked until the verdict arrives
+)
+
+// userSlot is one user's run state on a cache line of its own: only the
+// user writes it, at least twice per job, and the others read it at their
+// job ends.
+type userSlot struct {
+	state atomic.Int32
+	_     [60]byte
+}
+
+// mustYield reports whether user self hands its processor on at the end of
+// a job. A run-to-completion user never blocks on an uncontended run, and a
+// user it wakes waits in its processor's run queue, so without a yield the
+// woken user would run only at the Go scheduler's 10 ms preemption tick.
+// Never when the users fit on the procs processors. Otherwise yield when
+// another user waits or is parked (it may have been woken already), or
+// when at least procs other users have a job: then every other processor
+// may be running one, and a woken user may be queued behind them. With
+// fewer, some processor runs a non-user goroutine or none, and an idle
+// processor steals the queued user. A user blocked inside a scheduler or
+// backend mutex still counts as having a job, so it needs no state of its
+// own.
+func mustYield(users []userSlot, self, procs int) bool {
+	if len(users) <= procs {
+		return false
+	}
+	busy := 0
+	for i := range users {
+		if i == self {
+			continue
+		}
+		switch users[i].state.Load() {
+		case stateIdle:
+		case stateRunning:
+			if busy++; busy >= procs {
+				return true
+			}
+		default:
+			return true
+		}
+	}
+	return false
+}
+
+// stalled counts the users with a job and reports whether all of them are
+// parked: then no commit is in flight and no request will be offered again
+// unless the breaker aborts one.
+func stalled(users []userSlot) (busy int, all bool) {
+	parked := 0
+	for i := range users {
+		switch users[i].state.Load() {
+		case stateIdle:
+			continue
+		case stateParked:
+			parked++
+		}
+		busy++
+	}
+	return busy, busy > 0 && parked == busy
+}
+
 // terminal is one user goroutine's private state.
 type terminal struct {
-	id  int
-	um  *userMetrics
-	rng *rand.Rand
+	id   int
+	slot *userSlot
+	um   *userMetrics
+	rng  *rand.Rand
 	// reply is the user's reusable verdict channel: a request that parks
 	// gets exactly one verdict (the deadlock breaker's is that one too) and
 	// the user reads it before its next request.
@@ -130,13 +204,8 @@ type shardedRun struct {
 	gc          *storage.GroupCommitter
 	epoch       time.Time // the run's start; timestamps are offsets from it
 	maxRestarts int
-	// yield makes users hand their processor on between transactions. A
-	// run-to-completion user never blocks on an uncontended run, so with
-	// more users than processors the Go scheduler would rotate them only at
-	// its 10 ms preemption tick, and a latch contender that slept would
-	// wait that long to run again; yielding rotates the terminals at
-	// transaction granularity instead.
-	yield bool
+	procs       int        // GOMAXPROCS at the run's start
+	users       []userSlot // indexed by terminal id
 
 	shards []*shardState
 	txs    []txState
@@ -144,11 +213,8 @@ type shardedRun struct {
 	// the path is off).
 	roTx []bool
 
-	nextJob atomic.Int64 // job cursor: users claim the next transaction
-	// inFlight counts the transactions in flight; committing those whose
-	// final step is granted but whose locks are not released yet.
-	inFlight, committing atomic.Int64
-	aborts, breaks       atomic.Int64
+	nextJob        atomic.Int64 // job cursor: users claim the next transaction
+	aborts, breaks atomic.Int64
 
 	breakCh chan struct{}
 	stuck   []int // the breaker goroutine's scratch
@@ -161,12 +227,14 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 	m := &Metrics{}
 	n := sys.NumTxs()
 	um := newUserMetrics(sys, users, cfg.Backend != nil)
+	slots := make([]userSlot, users)
 	var am report.AllocMeter
 	am.Start()
 	cs.Begin(sys)
 
 	r := &shardedRun{cfg: &cfg, cs: cs, sys: sys, maxRestarts: maxRestarts,
-		yield: users > runtime.GOMAXPROCS(0), txs: make([]txState, n), breakCh: make(chan struct{}, 1)}
+		procs: runtime.GOMAXPROCS(0), users: slots,
+		txs: make([]txState, n), breakCh: make(chan struct{}, 1)}
 
 	// Read-only fast path: when the scheduler's semantics allow it
 	// (online.SnapshotSource) and the backend keeps version chains
@@ -254,7 +322,7 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 		go func(user int) {
 			defer wg.Done()
 			seed := cfg.Seed + int64(user)*7919
-			t := &terminal{id: user, um: &um[user], reply: make(chan verdict, 1),
+			t := &terminal{id: user, slot: &r.users[user], um: &um[user], reply: make(chan verdict, 1),
 				rng: rand.New(rand.NewSource(seed)), smp: newSampler(seed)}
 			<-gate
 			r.runUser(t)
@@ -308,7 +376,9 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 func (r *shardedRun) clock() time.Duration { return time.Since(r.epoch) }
 
 // runUser is one terminal: it claims jobs from the cursor and runs each to
-// completion — decide, execute, commit — on this goroutine.
+// completion — decide, execute, commit — on this goroutine. At each job end
+// it goes idle, wakes the breaker if that left only parked users with a
+// job, and yields if mustYield says so.
 func (r *shardedRun) runUser(t *terminal) {
 	cfg := r.cfg
 	for {
@@ -316,6 +386,7 @@ func (r *shardedRun) runUser(t *terminal) {
 		if tx >= len(r.txs) {
 			return
 		}
+		t.slot.state.Store(stateRunning)
 		t.timed = t.smp.next()
 		start := r.clock()
 		t.mark = start
@@ -335,14 +406,19 @@ func (r *shardedRun) runUser(t *terminal) {
 			r.txs[tx].committed.Store(true)
 		} else {
 			for r.attempt(tx, steps, t) && int(r.txs[tx].restarts.Load()) < r.maxRestarts {
+				t.slot.state.Store(stateWaiting)
 				time.Sleep(time.Duration(t.rng.Int63n(int64(50 * time.Microsecond))))
+				t.slot.state.Store(stateRunning)
 				if t.timed {
 					t.mark = r.clock()
 				}
 			}
 		}
 		t.um.latency.Add(float64(r.clock() - start))
-		if r.yield {
+		t.slot.state.Store(stateIdle)
+		r.maybeBreak()
+		if mustYield(r.users, t.id, r.procs) {
+			t.um.yields++
 			runtime.Gosched()
 		}
 	}
@@ -395,9 +471,6 @@ func (r *shardedRun) attempt(tx int, steps []core.Step, t *terminal) (restart bo
 				}
 				r.abortTx(tx)
 				r.kickParked()
-				if v.lastGranted {
-					r.committing.Add(-1)
-				}
 				return false
 			}
 			if t.timed {
@@ -440,25 +513,29 @@ func (r *shardedRun) commit(tx int) {
 // release finishes the commit of txs after the backend has committed them.
 // Order matters: the backend discarded the undo logs while the locks were
 // still held; now the scheduler releases the locks, then parked requests
-// are re-offered, and only then may the breaker resume (committing). It
-// runs on the committing user, or on the pipeline's driver for a whole
-// group.
+// are re-offered. It runs on the committing user, or on the pipeline's
+// driver for a whole group; either is mid-job until it returns, so the
+// breaker holds off until then.
 func (r *shardedRun) release(txs []int) {
 	for _, tx := range txs {
 		r.cs.Commit(tx)
 	}
 	r.kickParked()
-	r.committing.Add(-int64(len(txs)))
-	r.maybeBreak()
 }
 
 // request decides one step on the calling user's goroutine under the
-// shard's latch, parking it when the scheduler says Delay. An untimed
-// transaction's parked request starts its wait when it blocks.
+// shard's latch, parking it when the scheduler says Delay. The user is
+// waiting while the latch is contended and parked from registration until
+// its verdict arrives. An untimed transaction's parked request starts its
+// wait when it blocks.
 //
 //optcc:hotpath
 func (r *shardedRun) request(ss *shardState, tx, idx int, t *terminal) verdict {
-	ss.mu.Lock()
+	if !ss.mu.TryLock() {
+		t.slot.state.Store(stateWaiting)
+		ss.mu.Lock()
+		t.slot.state.Store(stateRunning)
+	}
 	v, decided, kick := r.decide(ss, tx, idx)
 	if !decided {
 		// Register, then re-offer once inside the same latch hold: a
@@ -467,12 +544,14 @@ func (r *shardedRun) request(ss *shardState, tx, idx int, t *terminal) verdict {
 		//cclint:ignore hotpath the parked list grows only on the Delay path, amortized
 		ss.parked = append(ss.parked, request{tx: tx, idx: idx, reply: t.reply})
 		ss.nParked.Add(1)
+		t.slot.state.Store(stateParked)
 		var again bool
 		v, decided, again = r.decide(ss, tx, idx)
 		kick = kick || again
 		if decided {
 			ss.parked = ss.parked[:len(ss.parked)-1]
 			ss.nParked.Add(-1)
+			t.slot.state.Store(stateRunning)
 		}
 	}
 	ss.mu.Unlock()
@@ -487,6 +566,7 @@ func (r *shardedRun) request(ss *shardState, tx, idx int, t *terminal) verdict {
 			t.mark = r.clock()
 		}
 		v = <-t.reply
+		t.slot.state.Store(stateRunning)
 	}
 	return v
 }
@@ -517,8 +597,7 @@ func (r *shardedRun) decide(ss *shardState, tx, idx int) (v verdict, decided, ki
 	return verdict{}, false, kick
 }
 
-// admit aborts tx instead of offering its request when a wound is pending;
-// otherwise it marks the transaction in flight.
+// admit aborts tx instead of offering its request when a wound is pending.
 //
 //optcc:hotpath
 func (r *shardedRun) admit(tx int) bool {
@@ -528,10 +607,6 @@ func (r *shardedRun) admit(tx int) bool {
 		//cclint:ignore hotpath abort path
 		r.abortTx(tx)
 		return false
-	}
-	if !st.inFlight.Load() {
-		st.inFlight.Store(true)
-		r.inFlight.Add(1)
 	}
 	return true
 }
@@ -545,10 +620,7 @@ func (r *shardedRun) granted(ss *shardState, tx, idx int) verdict {
 	st := &r.txs[tx]
 	last := idx == len(r.sys.Txs[tx].Steps)-1
 	if last {
-		r.committing.Add(1)
 		st.committed.Store(true)
-		st.inFlight.Store(false)
-		r.inFlight.Add(-1)
 	}
 	//cclint:ignore hotpath presized to the shard's conflict-free request count; restarts overflow into amortized growth
 	ss.log = append(ss.log, grant{tx: int32(tx), idx: int32(idx), attempt: st.restarts.Load()})
@@ -585,11 +657,7 @@ func (r *shardedRun) abortTx(tx int) {
 		r.cfg.Backend.Rollback(tx)
 	}
 	r.cs.Abort(tx)
-	st := &r.txs[tx]
-	st.restarts.Add(1)
-	if st.inFlight.Swap(false) {
-		r.inFlight.Add(-1)
-	}
+	r.txs[tx].restarts.Add(1)
 	r.aborts.Add(1)
 }
 
@@ -637,11 +705,14 @@ func (r *shardedRun) parkedTotal() (n int64) {
 	return n
 }
 
-// maybeBreak wakes the breaker when every in-flight transaction may be
-// parked. Called after whatever can make that true: a request parking, a
-// commit group retiring.
+// maybeBreak wakes the breaker when every user with a job may be parked.
+// Called after whatever can make that true: a request parking, a job
+// ending.
 func (r *shardedRun) maybeBreak() {
-	if p := r.parkedTotal(); p > 0 && p >= r.inFlight.Load() {
+	if r.parkedTotal() == 0 {
+		return
+	}
+	if _, all := stalled(r.users); all {
 		select {
 		case r.breakCh <- struct{}{}:
 		default:
@@ -649,20 +720,16 @@ func (r *shardedRun) maybeBreak() {
 	}
 }
 
-// tryBreak aborts a victim when every in-flight transaction is parked. It
-// runs on the breaker goroutine only and must stay cheap when there is no
-// deadlock: atomic prechecks gate it, its scratch is reused, and latches
-// are taken one at a time. A transaction has at most one outstanding
-// request, so the parked lists never name one twice, and a parked
-// transaction is in flight — the run is stuck exactly when the lists hold
-// as many transactions as are in flight. The shard-by-shard snapshot can go
-// stale if a request unparks mid-scan; the worst case is one spurious
-// victim abort, which the restart machinery absorbs.
+// tryBreak aborts a victim when every user with a job is parked. It runs on
+// the breaker goroutine only and must stay cheap when there is no deadlock:
+// the state words gate it, its scratch is reused, and latches are taken one
+// at a time. A user has at most one outstanding request and is parked while
+// it is registered, so the run is stuck exactly when the parked lists hold
+// as many requests as there are users with a job. The shard-by-shard
+// snapshot can go stale if a request unparks mid-scan; the worst case is
+// one spurious victim abort, which the restart machinery absorbs.
 func (r *shardedRun) tryBreak() {
-	if r.committing.Load() > 0 {
-		return // a pending commit will kick and may unblock everything
-	}
-	if flying := r.inFlight.Load(); flying == 0 || r.parkedTotal() < flying {
+	if _, all := stalled(r.users); !all {
 		return
 	}
 	r.stuck = r.stuck[:0]
@@ -675,7 +742,7 @@ func (r *shardedRun) tryBreak() {
 			ss.mu.Unlock()
 		}
 	}
-	if len(r.stuck) == 0 || int64(len(r.stuck)) < r.inFlight.Load() {
+	if busy, all := stalled(r.users); !all || len(r.stuck) < busy {
 		return
 	}
 	victim, ok := r.cs.Victim(r.stuck)
@@ -702,7 +769,10 @@ func (r *shardedRun) unpark(tx int) chan verdict {
 		ss.mu.Lock()
 		for i, p := range ss.parked {
 			if p.tx == tx {
-				ss.parked = append(ss.parked[:i], ss.parked[i+1:]...)
+				last := len(ss.parked) - 1
+				copy(ss.parked[i:], ss.parked[i+1:])
+				ss.parked[last] = request{} // drop the stale reply channel
+				ss.parked = ss.parked[:last]
 				ss.nParked.Add(-1)
 				ss.mu.Unlock()
 				return p.reply

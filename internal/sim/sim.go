@@ -99,6 +99,11 @@ type Metrics struct {
 	// DeadlockBreaks counts victims chosen when every in-flight
 	// transaction was blocked.
 	DeadlockBreaks int
+	// Yields counts the job ends at which a user of the concurrent engine
+	// handed its processor on (runtime.Gosched) because another user might
+	// be runnable mid-transaction but not running. It is zero on the
+	// central engine and whenever users do not outnumber GOMAXPROCS.
+	Yields int
 	// CommitGroups and GroupCommits report the group-commit pipeline's
 	// coalescing: groups processed and transactions committed through
 	// them. Only the concurrent engine on a backend that syncs

@@ -237,9 +237,10 @@ fi
 # every-commit-through-a-lane rule, and decision batching (the central
 # loop's adaptive intake coalescing, the batched parked retry and ccsim's
 # -batch flag), the engine's clock read around every stage of every
-# step, and the group committer's lanes partitioned by transaction id are
-# gone; nothing that documents or drives the current tree
-# may name them.
+# step, the group committer's lanes partitioned by transaction id, and the
+# concurrent engine's run-global in-flight/committing counters with its
+# unconditional yield at every job end are gone; nothing that documents or
+# drives the current tree may name them.
 for f in README.md DESIGN.md doc.go cmd/*/main.go Makefile internal/report/report.go .claude/skills/verify/SKILL.md; do
   [ -f "$f" ] || continue
   for stale in 'railstripes' 'NewSharded(' 'Sharded combinator' 'ordering rail' 'benchdiff' 'bench-json' 'BENCH_PR' \
@@ -248,7 +249,8 @@ for f in README.md DESIGN.md doc.go cmd/*/main.go Makefile internal/report/repor
       'Config.Buffered' 'Buffered:' 'redo+undo' 'eager redo' 'disk(buffered)' 'OPTCC_TORTURE_BUFFERED' \
       'merged by stamp' 'stamped from one' 'every commit flows through' \
       'batchSizer' 'decideBatch' 'intake coalescing' '2 + 2k times' \
-      'group-commit lanes' 'partitioned across lanes'; do
+      'group-commit lanes' 'partitioned across lanes' \
+      'run-global `inFlight`/`committing`' 'yields (`runtime.Gosched`) between'; do
     if grep -qF -- "$stale" "$f"; then
       echo "check-docs: $f still names the removed '$stale'"
       fail=1
