@@ -227,7 +227,13 @@ func checkHotpathCall(pass *analysis.Pass, report func(token.Pos, string, ...any
 	}
 	checkCallArgs(pass, report, c, callee)
 
-	if pass.Shared.HotpathFuncs[callee] {
+	// A call to a generic function or method resolves to an instance; the
+	// annotation sits on its origin, the declaration in the source.
+	annotated := callee
+	if fn, ok := callee.(*types.Func); ok {
+		annotated = fn.Origin()
+	}
+	if pass.Shared.HotpathFuncs[annotated] {
 		return
 	}
 	if fn, ok := callee.(*types.Func); ok {

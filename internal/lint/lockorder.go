@@ -23,8 +23,8 @@ import (
 //     mid-fsync), and a transaction-context stripe (diskStripe.mu) is a
 //     leaf held alone: never together with Disk.mu, another stripe or any
 //     other tracked lock; kvShard.freeMu never nests with itself (the
-//     *Locked naming convention), and GroupCommitter.mu is taken before
-//     GroupCommitter.errMu, never after.
+//     *Locked naming convention), and GroupCommitter.mu is never taken
+//     recursively.
 //   - sim: the shard decision latch (shardState.mu) is outermost across
 //     every domain — a scheduler decision runs under it, so lock-table
 //     shard mutexes, the SGT graph mutex, Mutexed.mu and the group-commit
@@ -73,18 +73,17 @@ type lockClass struct {
 
 // lockClasses is the hierarchy under enforcement, keyed by OwnerType.field.
 var lockClasses = map[string]*lockClass{
-	"sgtGraph.mu":          {key: "sgtGraph.mu", domain: "sgtgraph", rank: 10},
-	"tableShard.mu":        {key: "tableShard.mu", domain: "lockmgr", rank: 10, multi: true},
-	"fastSet.mu":           {key: "fastSet.mu", domain: "lockmgr", rank: 20, multi: true},
-	"Disk.ckptMu":          {key: "Disk.ckptMu", domain: "disk", rank: 5},
-	"Disk.syncMu":          {key: "Disk.syncMu", domain: "disk", rank: 10},
-	"Disk.mu":              {key: "Disk.mu", domain: "disk", rank: 20},
-	"diskStripe.mu":        {key: "diskStripe.mu", domain: "disk", rank: 30, multi: true, leaf: true},
-	"GroupCommitter.mu":    {key: "GroupCommitter.mu", domain: "groupcommit", rank: 10},
-	"GroupCommitter.errMu": {key: "GroupCommitter.errMu", domain: "groupcommit", rank: 20},
-	"kvShard.freeMu":       {key: "kvShard.freeMu", domain: "kv", rank: 10, multi: true},
-	"Mutexed.mu":           {key: "Mutexed.mu", domain: "online", rank: 10},
-	"shardState.mu":        {key: "shardState.mu", domain: "latch", rank: 10, multi: true, outermost: true},
+	"sgtGraph.mu":       {key: "sgtGraph.mu", domain: "sgtgraph", rank: 10},
+	"tableShard.mu":     {key: "tableShard.mu", domain: "lockmgr", rank: 10, multi: true},
+	"fastSet.mu":        {key: "fastSet.mu", domain: "lockmgr", rank: 20, multi: true},
+	"Disk.ckptMu":       {key: "Disk.ckptMu", domain: "disk", rank: 5},
+	"Disk.syncMu":       {key: "Disk.syncMu", domain: "disk", rank: 10},
+	"Disk.mu":           {key: "Disk.mu", domain: "disk", rank: 20},
+	"diskStripe.mu":     {key: "diskStripe.mu", domain: "disk", rank: 30, multi: true, leaf: true},
+	"GroupCommitter.mu": {key: "GroupCommitter.mu", domain: "groupcommit", rank: 10},
+	"kvShard.freeMu":    {key: "kvShard.freeMu", domain: "kv", rank: 10, multi: true},
+	"Mutexed.mu":        {key: "Mutexed.mu", domain: "online", rank: 10},
+	"shardState.mu":     {key: "shardState.mu", domain: "latch", rank: 10, multi: true, outermost: true},
 }
 
 // lockCallKind classifies a call as a Lock or Unlock on a tracked class.

@@ -83,3 +83,21 @@ func mapLiteral() {
 	m := map[string]int{} // want "map literal allocates"
 	_ = m
 }
+
+// box is generic; its get is not annotated, so calling it through an
+// instance from a hot path must still report.
+type box[T any] struct{ v T }
+
+func (b *box[T]) get() T { return b.v }
+
+//optcc:hotpath
+func callsUnannotatedGeneric(b *box[int]) int {
+	return b.get() // want "hotpath\.box\.get: callee is neither //optcc:hotpath-annotated nor allowlisted"
+}
+
+func first[T any](xs []T) T { return xs[0] }
+
+//optcc:hotpath
+func callsUnannotatedGenericFunc(xs []int) int {
+	return first(xs) // want "hotpath\.first: callee is neither"
+}

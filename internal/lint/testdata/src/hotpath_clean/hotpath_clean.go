@@ -84,3 +84,21 @@ func justified(xs []int, x int) []int {
 	//cclint:ignore hotpath cold warm-up path; steady state never grows the slice
 	return append(xs, x)
 }
+
+// table is generic; its annotated methods and function are found through
+// the instance's origin.
+type table[T any] struct{ slots map[string]*T }
+
+//optcc:hotpath
+func (t *table[T]) slot(v string) *T { return t.slots[v] }
+
+//optcc:hotpath
+func (t *table[T]) lookup(v string) *T { return t.slot(v) }
+
+//optcc:hotpath
+func firstOf[T any](xs []T) T { return xs[0] }
+
+//optcc:hotpath
+func callsAnnotatedGeneric(t *table[shard], xs []int64) int64 {
+	return t.lookup("x").count.Load() + firstOf(xs)
+}

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"optcc/internal/core"
+	"optcc/internal/vartab"
 )
 
 // ShardedTable is a concurrent lock table: variables are hash-partitioned
@@ -38,10 +39,10 @@ type ShardedTable struct {
 	policy Policy
 	shards []tableShard
 	clock  atomic.Int64
-	// declared holds the fast slots of the variables named to Declare, one
-	// immutable map per shard over a single slab: a declared variable's
-	// slot is one map read, no boxing, no allocation.
-	declared []map[core.Var]*fastSlot
+	// vars holds every variable's fast slot. The variables named to
+	// Declare sit in its immutable map, so a declared variable's slot is
+	// one map read, no boxing, no allocation.
+	vars *vartab.Table[fastSlot]
 	// birthArr, fastArr and touched are the flat per-transaction state for
 	// ids reserved with Reserve: a birth timestamp slot (0 = unset), a
 	// fast-path lock set, and a bitset of the shards whose Table may hold
@@ -53,7 +54,6 @@ type ShardedTable struct {
 	touched  []atomic.Uint64
 	words    int
 	birth    sync.Map // TxID → int64 (unreserved ids)
-	slots    sync.Map // core.Var → *fastSlot (undeclared variables)
 	fast     sync.Map // TxID → *fastSet (unreserved ids)
 }
 
@@ -148,7 +148,12 @@ func NewShardedTable(policy Policy, shards int) *ShardedTable {
 	if shards < 1 {
 		shards = 1
 	}
-	st := &ShardedTable{policy: policy, shards: make([]tableShard, shards), words: (shards + 63) / 64}
+	st := &ShardedTable{
+		policy: policy,
+		shards: make([]tableShard, shards),
+		vars:   vartab.New[fastSlot](nil),
+		words:  (shards + 63) / 64,
+	}
 	for i := range st.shards {
 		st.shards[i].t = NewTable(policy)
 	}
@@ -174,24 +179,13 @@ func (s *ShardedTable) Reserve(n int) {
 	}
 }
 
-// Declare builds the fast slots of vars up front: per-shard immutable maps
-// over one slab, duplicates folded, so looking up a declared variable's
-// slot is one lock-free map read. Variables outside the declared set keep
-// working through the sync.Map fallback. Call it once, before the table is
-// driven (ConcurrentStrict2PL calls it from Begin with the system's
-// variables).
-func (s *ShardedTable) Declare(vars []core.Var) {
-	s.declared = make([]map[core.Var]*fastSlot, len(s.shards))
-	for i := range s.declared {
-		s.declared[i] = map[core.Var]*fastSlot{}
-	}
-	slab := make([]fastSlot, len(vars))
-	for i, v := range vars {
-		if m := s.declared[s.ShardOf(v)]; m[v] == nil {
-			m[v] = &slab[i]
-		}
-	}
-}
+// Declare builds the fast slots of vars up front (internal/vartab: one
+// immutable map over one slab, duplicates folded), so looking up a
+// declared variable's slot is one lock-free map read. Variables outside
+// the declared set keep working through vartab's fallback. Call it once,
+// before the table is driven (ConcurrentStrict2PL calls it from Begin with
+// the system's variables).
+func (s *ShardedTable) Declare(vars []core.Var) { s.vars = vartab.New[fastSlot](vars) }
 
 // reserved reports whether tx falls in the Reserve range.
 //
@@ -209,8 +203,8 @@ func (s *ShardedTable) ShardOf(v core.Var) int { return ShardOfVar(v, len(s.shar
 // ShardOfVar hash-partitions a variable across n shards: inlined FNV-1a so
 // the hot paths (every Acquire/Release and every latch lookup) allocate
 // nothing. This is THE partition function — every natively concurrent
-// scheduler in online, tstable and the KV backend use it too, so latch,
-// lock-shard, timestamp-shard and storage-shard ownership always agree.
+// scheduler in online and the KV backend use it too, so latch, lock-shard
+// and storage-shard ownership always agree.
 //
 //optcc:hotpath
 func ShardOfVar(v core.Var, n int) int {
@@ -298,25 +292,6 @@ func (s *ShardedTable) lockedShards(tx TxID, fn func(si int, t *Table)) {
 			visit(wi*64 + bits.TrailingZeros64(b))
 		}
 	}
-}
-
-// slot returns v's fast slot: the declared one, else the sync.Map
-// fallback's (created on first touch).
-//
-//optcc:hotpath
-func (s *ShardedTable) slot(v core.Var) *fastSlot {
-	if s.declared != nil {
-		if sl, ok := s.declared[ShardOfVar(v, len(s.shards))][v]; ok {
-			return sl
-		}
-	}
-	//cclint:ignore hotpath undeclared-variable fallback; ConcurrentStrict2PL declares the system's variables up front
-	if sl, ok := s.slots.Load(v); ok {
-		return sl.(*fastSlot)
-	}
-	//cclint:ignore hotpath undeclared-variable fallback; first-touch slot creation happens once per variable, not per request
-	sl, _ := s.slots.LoadOrStore(v, &fastSlot{})
-	return sl.(*fastSlot)
 }
 
 //optcc:hotpath
@@ -409,7 +384,7 @@ func (s *ShardedTable) Acquire(tx TxID, v core.Var, m Mode) Result {
 	if s.birthOf(tx) == 0 {
 		s.Register(tx)
 	}
-	sl := s.slot(v)
+	sl := s.vars.Slot(v)
 	if r, ok := s.tryFast(tx, sl, v, m); ok {
 		return r
 	}
@@ -452,7 +427,7 @@ func (s *ShardedTable) AcquireBatchInto(out []Result, reqs []BatchReq) []Result 
 	out = out[:0]
 	held := -1
 	for _, r := range reqs {
-		sl := s.slot(r.Var)
+		sl := s.vars.Slot(r.Var)
 		if res, ok := s.tryFast(r.Tx, sl, r.Var, r.Mode); ok {
 			out = append(out, res)
 			continue
@@ -479,7 +454,7 @@ func (s *ShardedTable) AcquireBatchInto(out []Result, reqs []BatchReq) []Result 
 // consequence (always nil on the fast path: an uncontended variable has no
 // waiters by construction).
 func (s *ShardedTable) Release(tx TxID, v core.Var) []Grant {
-	sl := s.slot(v)
+	sl := s.vars.Slot(v)
 	if sl.state.CompareAndSwap(encTx(tx), 0) {
 		s.dropFast(tx, v)
 		return nil
@@ -513,7 +488,7 @@ func (s *ShardedTable) ReleaseAll(tx TxID) []Grant {
 			// If the CAS fails the variable was escalated and the hold
 			// adopted into its shard Table, which the escalation entered
 			// tx into first; the sweep below releases it.
-			s.slot(v).state.CompareAndSwap(encTx(tx), 0)
+			s.vars.Slot(v).state.CompareAndSwap(encTx(tx), 0)
 		})
 		fs.mu.Unlock()
 	}
@@ -526,7 +501,7 @@ func (s *ShardedTable) ReleaseAll(tx TxID) []Grant {
 
 // HeldBy returns the current holders of v with their modes.
 func (s *ShardedTable) HeldBy(v core.Var) map[TxID]Mode {
-	if st := s.slot(v).state.Load(); st > 0 {
+	if st := s.vars.Slot(v).state.Load(); st > 0 {
 		return map[TxID]Mode{decTx(st): Exclusive}
 	}
 	sh := &s.shards[s.ShardOf(v)]
@@ -538,7 +513,7 @@ func (s *ShardedTable) HeldBy(v core.Var) map[TxID]Mode {
 // QueueLen returns the number of waiters on v (zero while v is in the fast
 // regime: contention is what ends it).
 func (s *ShardedTable) QueueLen(v core.Var) int {
-	if s.slot(v).state.Load() != escalated {
+	if s.vars.Slot(v).state.Load() != escalated {
 		return 0
 	}
 	sh := &s.shards[s.ShardOf(v)]
@@ -647,14 +622,7 @@ func (s *ShardedTable) Invariant() error {
 		}
 		return true
 	}
-	for _, m := range s.declared {
-		for v, sl := range m {
-			if !check(v, sl) {
-				return bad
-			}
-		}
-	}
-	s.slots.Range(func(k, v any) bool { return check(k.(core.Var), v.(*fastSlot)) })
+	s.vars.Range(check)
 	return bad
 }
 

@@ -7,6 +7,7 @@ import (
 	"optcc/internal/conflict"
 	"optcc/internal/core"
 	"optcc/internal/tstable"
+	"optcc/internal/vartab"
 )
 
 // coccPhase values packed into ConcurrentOCC.phase below the epoch bits.
@@ -116,7 +117,7 @@ type ConcurrentOCC struct {
 	sys     *core.System
 	clock   atomic.Int64
 	commits *tstable.Table // per-variable last committed write epoch
-	wmarks  *occMarks
+	wmarks  *vartab.Table[occEntry]
 	txs     []coccTx
 	phase   []atomic.Int64 // epoch<<2 | coccPhase
 	vepoch  []atomic.Int64 // validation epoch, published before occValidating
@@ -142,7 +143,7 @@ func (s *ConcurrentOCC) Begin(sys *core.System) {
 	s.clock.Store(0)
 	if sys == s.sys && s.commits != nil && len(s.txs) == sys.NumTxs() {
 		s.commits.Reset()
-		s.wmarks.reset()
+		s.wmarks.Range(resetOCCEntry)
 		for i := range s.phase {
 			s.phase[i].Store(0)
 			s.vepoch[i].Store(0)
@@ -155,7 +156,7 @@ func (s *ConcurrentOCC) Begin(sys *core.System) {
 	s.sys = sys
 	n := sys.NumTxs()
 	s.commits = tstable.New(sys.Vars(), s.shards)
-	s.wmarks = newOCCMarks(sys.Vars(), s.shards)
+	s.wmarks = vartab.New[occEntry](sys.Vars())
 	s.phase = make([]atomic.Int64, n)
 	s.vepoch = make([]atomic.Int64, n)
 	s.txs = make([]coccTx, n)
@@ -194,7 +195,7 @@ func (s *ConcurrentOCC) mark(st *coccTx, step core.Step, stamp int64, tx int, ep
 	}
 	if conflict.Writes(step.Kind) && a.wstamp == 0 {
 		a.wstamp = stamp
-		s.publishWriter(s.wmarks.entry(step.Var), tx, epoch, stamp)
+		s.publishWriter(s.wmarks.Slot(step.Var), tx, epoch, stamp)
 	}
 }
 
@@ -318,7 +319,7 @@ func (s *ConcurrentOCC) checkVar(tx int, v core.Var, rt int64, isRead bool, vE, 
 	if s.commits.Entry(v).WriteTS() > start {
 		return false
 	}
-	list := s.wmarks.entry(v).writers.Load()
+	list := s.wmarks.Slot(v).writers.Load()
 	if list == nil {
 		return true
 	}

@@ -5,6 +5,7 @@ import (
 
 	"optcc/internal/conflict"
 	"optcc/internal/core"
+	"optcc/internal/vartab"
 )
 
 // containsNode is slices.Contains for sgtNode lists without the generic
@@ -55,7 +56,7 @@ type ConcurrentSGT struct {
 	shards       int
 
 	sys   *core.System
-	marks *sgtMarks
+	marks *vartab.Table[sgtEntry]
 	graph *sgtGraph
 }
 
@@ -89,12 +90,12 @@ func (s *ConcurrentSGT) Name() string {
 // marks table and graph via reset instead of rebuilding them.
 func (s *ConcurrentSGT) Begin(sys *core.System) {
 	if sys == s.sys && s.marks != nil && len(s.graph.state) == sys.NumTxs() {
-		s.marks.reset()
+		s.marks.Range(resetSGTEntry)
 		s.graph.reset()
 		return
 	}
 	s.sys = sys
-	s.marks = newSGTMarks(sys.Vars(), s.shards)
+	s.marks = vartab.New[sgtEntry](sys.Vars())
 	s.graph = newSGTGraph(sys.NumTxs())
 }
 
@@ -143,7 +144,7 @@ func (s *ConcurrentSGT) record(list []sgtNode, me sgtNode) []sgtNode {
 func (s *ConcurrentSGT) Try(id core.StepID) Decision {
 	me := s.graph.node(id.Tx)
 	step := s.sys.Step(id)
-	e := s.marks.entry(step.Var)
+	e := s.marks.Slot(step.Var)
 	src := e.srcBuf[:0]
 	// A write conflicts with every live reader and writer; a pure read
 	// only with writers (conflict.Conflicts on a shared variable).

@@ -143,8 +143,7 @@ func TestConcurrentSGTParallelDrive(t *testing.T) {
 
 // TestConcurrentSGTReplaySerializable re-runs the CSR acceptance property
 // on contended random histories through the replay harness, both cycle
-// modes, across shard counts — the mark tables are sharded as widely as
-// the scheduler, so the sweep covers one mark shard (1), fewer shards than
+// modes, across shard counts — one latch shard (1), fewer shards than
 // variables and more shards than variables: whatever the graph completes
 // must be conflict-serializable. The CI stress job repeats this under
 // -race.

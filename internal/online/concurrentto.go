@@ -12,8 +12,8 @@ import (
 // ConcurrentTO is natively concurrent timestamp ordering: the TO scheduler
 // rebuilt for the sharded runtime with a lock-free hot path. Where
 // Mutexed(TO) runs the single-threaded TO behind one mutex, ConcurrentTO
-// needs none — its whole state is a sharded atomic timestamp table
-// (internal/tstable, partitioned on lockmgr.ShardOfVar) and an atomic
+// needs none — its whole state is an atomic timestamp table
+// (internal/tstable, one immutable map) and an atomic
 // transaction-timestamp clock, so Try takes no mutex on any path.
 //
 // Why no cross-shard ordering structure: TO decides every conflict by the

@@ -1,21 +1,17 @@
 package online
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"optcc/internal/core"
 )
 
-// This file holds the per-variable mark tables behind the natively
-// concurrent SGT and OCC schedulers — siblings of internal/tstable's
-// timestamp table, with the same layout discipline: the variable set is
-// fixed per run, so the tables pre-build immutable per-shard maps from
-// variable to a heap-allocated entry (lookups are pure reads, no lock, no
-// sync.Map on the hot path), partitioned with the engine's single
-// partition function so table layout agrees with the latch partition.
-// Variables outside the declared set (none in normal operation) fall back
-// to a sync.Map so the tables degrade safely instead of panicking.
+// This file holds the per-variable mark entries behind the natively
+// concurrent SGT and OCC schedulers. Each scheduler keeps its entries in
+// an internal/vartab table built from the run's declared variables, like
+// internal/tstable's timestamps: finding a variable's entry is one
+// lock-free read of an immutable map, and an undeclared variable falls
+// back to vartab's sync.Map.
 //
 // What the entries hold differs per scheduler, and so does who may touch
 // them:
@@ -43,59 +39,12 @@ type sgtEntry struct {
 	srcBuf  []sgtNode // source-collection scratch, reused across Trys
 }
 
-// sgtMarks is the sharded variable→sgtEntry table.
-type sgtMarks struct {
-	shards []map[core.Var]*sgtEntry
-	extra  sync.Map // core.Var → *sgtEntry, for undeclared variables only
-}
-
-func newSGTMarks(vars []core.Var, shards int) *sgtMarks {
-	if shards < 1 {
-		shards = 1
-	}
-	t := &sgtMarks{shards: make([]map[core.Var]*sgtEntry, shards)}
-	for i := range t.shards {
-		t.shards[i] = map[core.Var]*sgtEntry{}
-	}
-	for _, v := range vars {
-		t.shards[shardOfVar(v, shards)][v] = &sgtEntry{}
-	}
-	return t
-}
-
-// entry returns the mark entry of v, creating a fallback entry if v was
-// not declared at construction. The declared-variable path is one
-// immutable map lookup.
-//
-//optcc:hotpath
-func (t *sgtMarks) entry(v core.Var) *sgtEntry {
-	if e, ok := t.shards[shardOfVar(v, len(t.shards))][v]; ok {
-		return e
-	}
-	//cclint:ignore hotpath undeclared-variable fallback; unreachable when the run declares its variable set
-	if e, ok := t.extra.Load(v); ok {
-		return e.(*sgtEntry)
-	}
-	//cclint:ignore hotpath undeclared-variable fallback; unreachable when the run declares its variable set
-	e, _ := t.extra.LoadOrStore(v, &sgtEntry{})
-	return e.(*sgtEntry)
-}
-
-// reset empties every mark list, preserving entry layout and slice
-// capacity. Only safe between runs (Begin), when nothing is being decided.
-func (t *sgtMarks) reset() {
-	for _, m := range t.shards {
-		for _, e := range m {
-			e.readers = e.readers[:0]
-			e.writers = e.writers[:0]
-		}
-	}
-	t.extra.Range(func(_, v any) bool {
-		e := v.(*sgtEntry)
-		e.readers = e.readers[:0]
-		e.writers = e.writers[:0]
-		return true
-	})
+// resetSGTEntry empties an entry's mark lists, keeping their capacity.
+// Only safe between runs (Begin), when nothing is being decided.
+func resetSGTEntry(_ core.Var, e *sgtEntry) bool {
+	e.readers = e.readers[:0]
+	e.writers = e.writers[:0]
+	return true
 }
 
 // occWriterMark records one incarnation's first write of a variable: who,
@@ -111,53 +60,9 @@ type occEntry struct {
 	writers atomic.Pointer[[]occWriterMark]
 }
 
-// occMarks is the sharded variable→occEntry table.
-type occMarks struct {
-	shards []map[core.Var]*occEntry
-	extra  sync.Map // core.Var → *occEntry, for undeclared variables only
-}
-
-func newOCCMarks(vars []core.Var, shards int) *occMarks {
-	if shards < 1 {
-		shards = 1
-	}
-	t := &occMarks{shards: make([]map[core.Var]*occEntry, shards)}
-	for i := range t.shards {
-		t.shards[i] = map[core.Var]*occEntry{}
-	}
-	for _, v := range vars {
-		t.shards[shardOfVar(v, shards)][v] = &occEntry{}
-	}
-	return t
-}
-
-// entry returns the mark entry of v, creating a fallback entry if v was
-// not declared at construction. The declared-variable path is one
-// immutable map lookup.
-//
-//optcc:hotpath
-func (t *occMarks) entry(v core.Var) *occEntry {
-	if e, ok := t.shards[shardOfVar(v, len(t.shards))][v]; ok {
-		return e
-	}
-	//cclint:ignore hotpath undeclared-variable fallback; unreachable when the run declares its variable set
-	if e, ok := t.extra.Load(v); ok {
-		return e.(*occEntry)
-	}
-	//cclint:ignore hotpath undeclared-variable fallback; unreachable when the run declares its variable set
-	e, _ := t.extra.LoadOrStore(v, &occEntry{})
-	return e.(*occEntry)
-}
-
-// reset drops every writer-mark list. Only safe between runs (Begin).
-func (t *occMarks) reset() {
-	for _, m := range t.shards {
-		for _, e := range m {
-			e.writers.Store(nil)
-		}
-	}
-	t.extra.Range(func(_, v any) bool {
-		v.(*occEntry).writers.Store(nil)
-		return true
-	})
+// resetOCCEntry drops an entry's writer-mark list. Only safe between runs
+// (Begin).
+func resetOCCEntry(_ core.Var, e *occEntry) bool {
+	e.writers.Store(nil)
+	return true
 }

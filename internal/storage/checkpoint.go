@@ -188,7 +188,7 @@ func (d *Disk) checkpointOnce() error {
 	aoff := d.activeBytes
 	d.ckptSeq++
 	cseq := d.ckptSeq
-	db := d.tab.Load().snapshotLocked()
+	db := snapshotLocked(d.tab.Load())
 	d.sinceCkpt = 0
 	d.mu.Unlock()
 

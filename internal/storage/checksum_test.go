@@ -59,7 +59,7 @@ func TestKVChecksumCatchesBitFlips(t *testing.T) {
 			kv := NewKV(Config{Shards: 1, ValueSize: size, SnapshotSlots: 1})
 			kv.Reset(core.DB{"x": 0})
 			commitInc(t, kv, 1, "x") // x=1 through newVersion's copy path
-			p := kv.chainOf("x", false).head.Load().rec.Payload
+			p := kv.vars.Lookup("x").head.Load().rec.Payload
 			type place struct {
 				name string
 				off  int

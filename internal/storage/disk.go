@@ -2,11 +2,14 @@ package storage
 
 import (
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"optcc/internal/core"
+	"optcc/internal/vartab"
 )
 
 // FsyncPolicy is when the disk backend forces its log to stable storage.
@@ -125,74 +128,31 @@ type diskCtx struct {
 // Disk.mu, in commit order; a step reads one with a single atomic load.
 type diskCell struct{ val atomic.Int64 }
 
-// diskTable is the committed state: one cell per variable. cells is built
-// whole by Reset and by recovery and never mutated afterwards, so lookups
+// diskTable is the committed state: one cell per variable, in an
+// internal/vartab table built whole by Reset and by recovery, so lookups
 // need no lock. A variable whose first write comes from a commit gets its
-// cell in extra, created under Disk.mu.
-type diskTable struct {
-	cells map[core.Var]*diskCell
-	extra sync.Map // core.Var -> *diskCell
-}
+// cell from the table's fallback, created under Disk.mu.
+type diskTable = vartab.Table[diskCell]
 
 func newDiskTable(db map[core.Var]core.Value) *diskTable {
-	t := &diskTable{cells: make(map[core.Var]*diskCell, len(db))}
-	backing := make([]diskCell, len(db))
-	i := 0
+	t := vartab.New[diskCell](slices.Collect(maps.Keys(db)))
 	for v, val := range db {
-		c := &backing[i]
-		i++
-		c.val.Store(int64(val))
-		t.cells[v] = c
+		t.Slot(v).val.Store(int64(val))
 	}
 	return t
 }
 
-// cell returns v's cell, or nil when v has never been committed.
-func (t *diskTable) cell(v core.Var) *diskCell {
-	if c, ok := t.cells[v]; ok {
-		return c
-	}
-	if c, ok := t.extra.Load(v); ok {
-		return c.(*diskCell)
-	}
-	return nil
+// eachLocked visits every committed variable of t until fn returns false;
+// the caller holds Disk.mu. Under it no cell changes, so the visit is an
+// exact cut of the log.
+func eachLocked(t *diskTable, fn func(v core.Var, val core.Value) bool) {
+	t.Range(func(v core.Var, c *diskCell) bool { return fn(v, core.Value(c.val.Load())) })
 }
 
-// load returns v's committed value (zero for an absent variable).
-func (t *diskTable) load(v core.Var) core.Value {
-	if c := t.cell(v); c != nil {
-		return core.Value(c.val.Load())
-	}
-	return 0
-}
-
-// storeLocked publishes a committed write; the caller holds Disk.mu.
-func (t *diskTable) storeLocked(v core.Var, val core.Value) {
-	c := t.cell(v)
-	if c == nil {
-		c = &diskCell{}
-		t.extra.Store(v, c)
-	}
-	c.val.Store(int64(val))
-}
-
-// eachLocked visits every committed variable until fn returns false. Under
-// Disk.mu no cell changes, so the visit is an exact cut of the log.
-func (t *diskTable) eachLocked(fn func(v core.Var, val core.Value) bool) {
-	for v, c := range t.cells {
-		if !fn(v, core.Value(c.val.Load())) {
-			return
-		}
-	}
-	t.extra.Range(func(k, c any) bool {
-		return fn(k.(core.Var), core.Value(c.(*diskCell).val.Load()))
-	})
-}
-
-// snapshotLocked copies the committed state; the caller holds Disk.mu.
-func (t *diskTable) snapshotLocked() core.DB {
-	db := make(core.DB, len(t.cells))
-	t.eachLocked(func(v core.Var, val core.Value) bool {
+// snapshotLocked copies t's committed state; the caller holds Disk.mu.
+func snapshotLocked(t *diskTable) core.DB {
+	db := make(core.DB, t.Declared())
+	eachLocked(t, func(v core.Var, val core.Value) bool {
 		db[v] = val
 		return true
 	})
@@ -249,7 +209,10 @@ func (c *diskCtx) get(t *diskTable, v core.Var) core.Value {
 			}
 		}
 	}
-	return t.load(v)
+	if cell := t.Lookup(v); cell != nil {
+		return core.Value(cell.val.Load())
+	}
+	return 0
 }
 
 // Disk is the durable backend: a log-structured store whose only on-disk
@@ -654,7 +617,7 @@ func (d *Disk) Put(tx int, v core.Var, scalar core.Value) {
 func (d *Disk) Scan(fn func(v core.Var, scalar core.Value) bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.tab.Load().eachLocked(fn)
+	eachLocked(d.tab.Load(), fn)
 }
 
 // ApplyStep implements Backend with the paper's step semantics (see
@@ -722,7 +685,7 @@ func (d *Disk) commitWrites(tx int, writes []walWrite) {
 	}
 	t := d.tab.Load()
 	for _, w := range writes {
-		t.storeLocked(w.v, w.val)
+		t.Slot(w.v).val.Store(int64(w.val))
 	}
 	if d.policy == FsyncAlways {
 		d.syncLocked()
@@ -746,7 +709,7 @@ func (d *Disk) Rollback(tx int) {
 func (d *Disk) State() core.DB {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.tab.Load().snapshotLocked()
+	return snapshotLocked(d.tab.Load())
 }
 
 // GroupSync implements GroupSyncer: under FsyncGroup (and FsyncAlways,

@@ -48,10 +48,6 @@ type GroupCommitter struct {
 
 	groups atomic.Int64 // groups processed
 	txs    atomic.Int64 // transactions committed through the pipeline
-	failed atomic.Int64 // transactions in groups whose GroupSync failed
-
-	errMu sync.Mutex
-	err   error // first GroupSync failure
 }
 
 // NewGroupCommitter returns a pipeline over be. The release callback
@@ -79,18 +75,6 @@ func NewGroupCommitter(be Backend, release func(txs []int)) *GroupCommitter {
 // may be reported durable (this replaces drain's former silent-success
 // assumption). Must be set before the first Enqueue.
 func (g *GroupCommitter) OnFail(fn func(txs []int, err error)) { g.onFail = fn }
-
-// Err returns the first GroupSync failure, if any — the no-callback way
-// to check a drained pipeline for silent durability loss.
-func (g *GroupCommitter) Err() error {
-	g.errMu.Lock()
-	defer g.errMu.Unlock()
-	return g.err
-}
-
-// Failed returns the number of transactions in groups whose GroupSync
-// failed.
-func (g *GroupCommitter) Failed() int64 { return g.failed.Load() }
 
 // Enqueue submits tx for commit. If the pipeline has no driver, the caller
 // becomes it and processes the accumulated group (possibly including other
@@ -161,21 +145,13 @@ func (g *GroupCommitter) drain() {
 		// every member: the group's commit records share the sync, so none
 		// of them is durable, and OnFail reports them all.
 		if g.syncer != nil {
-			if err := g.syncer.GroupSync(); err != nil {
-				g.errMu.Lock()
-				if g.err == nil {
-					g.err = err
-				}
-				g.errMu.Unlock()
-				g.failed.Add(int64(len(group)))
-				if g.onFail != nil {
-					g.onFail(group, err)
-				}
+			if err := g.syncer.GroupSync(); err != nil && g.onFail != nil {
+				g.onFail(group, err)
 			}
 		}
 		// Release always runs, even for a failed group: the runtime must
 		// still free scheduler locks and unpark users — the failure is
-		// surfaced through OnFail/Err, not by wedging the pipeline.
+		// surfaced through OnFail, not by wedging the pipeline.
 		if g.release != nil {
 			g.release(group)
 		}

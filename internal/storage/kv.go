@@ -3,13 +3,16 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"optcc/internal/core"
 	"optcc/internal/lockmgr"
+	"optcc/internal/vartab"
 )
 
 // Record is one stored value: the paper's int64 scalar plus an opaque
@@ -56,9 +59,9 @@ type version struct {
 func uncommittedMark(tx int) int64 { return -int64(tx) - 1 }
 
 // chain is one variable's version list: just the CAS-installed head.
-// Chains are created once per variable (at Reset for declared variables,
-// through the extra map for stragglers) and never removed, so looking one
-// up is a pure read of an immutable map.
+// Chains live in an internal/vartab table, created once per variable (at
+// Reset for declared variables, through vartab's fallback for stragglers)
+// and never removed, so looking one up is a pure read of an immutable map.
 type chain struct{ head atomic.Pointer[version] }
 
 // Stats counts the physical work a backend performed since Reset.
@@ -81,7 +84,8 @@ type Stats struct {
 
 // Config parameterizes the in-memory KV backend.
 type Config struct {
-	// Shards is the number of map partitions; variables are placed with
+	// Shards is the number of KV shards, each with its own payload
+	// freelists and retired-version queue; variables are placed with
 	// lockmgr.ShardOfVar, the same partition function as the sharded lock
 	// table and the runtime's decision latches, so storage, locks and
 	// latches always agree on ownership (minimum 1).
@@ -154,13 +158,11 @@ type retiredVer struct {
 	at   int64    // the superseding commit timestamp
 }
 
-// kvShard is one map partition: its immutable variable→chain map, the
-// shard's size-classed payload freelists, and the retired-version queue
-// feeding them (sharding GC state with the data keeps collection contention
-// as partitioned as the writes themselves).
+// kvShard is one shard's GC state: its size-classed payload freelists and
+// the retired-version queue feeding them (sharding GC state like the
+// writes keeps collection contention as partitioned as the writes
+// themselves).
 type kvShard struct {
-	data map[core.Var]*chain // immutable after Reset
-
 	freeMu  sync.Mutex
 	free    [numClasses][][]byte
 	retired []retiredVer
@@ -304,8 +306,8 @@ type readerSlot struct {
 	_     [40]byte
 }
 
-// KV is the sharded in-memory implementation of Backend: per-shard
-// immutable variable→chain maps partitioned exactly like
+// KV is the sharded in-memory implementation of Backend: one immutable
+// variable→chain table (internal/vartab), GC state sharded exactly like
 // lockmgr.ShardedTable, timestamp-stamped version chains with CAS head
 // install, per-transaction undo logs for abort rollback, and a pinned
 // snapshot-read path that takes no lock of any kind. See the package
@@ -314,7 +316,7 @@ type readerSlot struct {
 type KV struct {
 	cfg    Config
 	shards []kvShard
-	extra  sync.Map // core.Var → *chain, for undeclared variables only
+	vars   *vartab.Table[chain]
 
 	// commitSeq hands out commit timestamps; snapClock publishes them in
 	// order once a commit's versions are fully stamped, so a snapshot at
@@ -352,11 +354,9 @@ func NewKV(cfg Config) *KV {
 	kv := &KV{
 		cfg:    cfg,
 		shards: make([]kvShard, cfg.Shards),
+		vars:   vartab.New[chain](nil),
 		slots:  make([]readerSlot, cfg.SnapshotSlots),
 		ctx:    map[int]*txCtx{},
-	}
-	for i := range kv.shards {
-		kv.shards[i].data = map[core.Var]*chain{}
 	}
 	for i := range kv.slots {
 		kv.slots[i].ts.Store(-1)
@@ -367,34 +367,12 @@ func NewKV(cfg Config) *KV {
 // Name implements Backend.
 func (kv *KV) Name() string { return fmt.Sprintf("kv(%d)", len(kv.shards)) }
 
-// NumShards returns the map partition count.
+// NumShards returns the shard count.
 func (kv *KV) NumShards() int { return len(kv.shards) }
 
 //optcc:hotpath
 func (kv *KV) shard(v core.Var) *kvShard {
 	return &kv.shards[lockmgr.ShardOfVar(v, len(kv.shards))]
-}
-
-// chainOf returns v's version chain with one immutable map lookup (the
-// lock-free fast path for every variable declared at Reset). Undeclared
-// variables fall back to the extra sync.Map; with create false a fully
-// unknown variable returns nil.
-//
-//optcc:hotpath
-func (kv *KV) chainOf(v core.Var, create bool) *chain {
-	if ch, ok := kv.shard(v).data[v]; ok {
-		return ch
-	}
-	//cclint:ignore hotpath undeclared-variable fallback; Reset declares every variable the experiments touch
-	if e, ok := kv.extra.Load(v); ok {
-		return e.(*chain)
-	}
-	if !create {
-		return nil
-	}
-	//cclint:ignore hotpath undeclared-variable fallback; Reset declares every variable the experiments touch
-	e, _ := kv.extra.LoadOrStore(v, &chain{})
-	return e.(*chain)
 }
 
 // checksum is the XOR fold of a payload; recomputed on every read so a read
@@ -468,10 +446,9 @@ func (kv *KV) newVersion(sh *kvShard, size int, scalar core.Value, prev *version
 // Reset implements Backend: drop everything and load init, one chain with
 // one begin=0 version per variable with its configured payload size.
 func (kv *KV) Reset(init core.DB) {
-	perShard := len(init)/len(kv.shards) + 1
+	kv.vars = vartab.New[chain](slices.Collect(maps.Keys(init)))
 	for i := range kv.shards {
 		sh := &kv.shards[i]
-		sh.data = make(map[core.Var]*chain, perShard)
 		sh.freeMu.Lock()
 		for j := range sh.retired {
 			sh.retired[j] = retiredVer{}
@@ -479,10 +456,6 @@ func (kv *KV) Reset(init core.DB) {
 		sh.retired = sh.retired[:0]
 		sh.freeMu.Unlock()
 	}
-	kv.extra.Range(func(k, _ any) bool {
-		kv.extra.Delete(k)
-		return true
-	})
 	kv.ctxMu.Lock()
 	kv.ctx = map[int]*txCtx{}
 	kv.ctxMu.Unlock()
@@ -501,11 +474,7 @@ func (kv *KV) Reset(init core.DB) {
 	kv.rollbacks.Store(0)
 	kv.versionsGCed.Store(0)
 	for v, val := range init {
-		sh := kv.shard(v)
-		ver := kv.newVersion(sh, kv.cfg.ValueSize, val, nil, 0)
-		ch := &chain{}
-		ch.head.Store(ver)
-		sh.data[v] = ch
+		kv.vars.Slot(v).head.Store(kv.newVersion(kv.shard(v), kv.cfg.ValueSize, val, nil, 0))
 	}
 }
 
@@ -548,7 +517,7 @@ func (kv *KV) releaseCtx(c *txCtx) {
 //
 //optcc:hotpath
 func (kv *KV) Get(tx int, v core.Var) core.Value {
-	ch := kv.chainOf(v, false)
+	ch := kv.vars.Lookup(v)
 	if ch == nil {
 		return 0
 	}
@@ -586,7 +555,7 @@ func (kv *KV) Put(tx int, v core.Var, scalar core.Value) {
 // put is Put for a caller already holding tx's context c (ApplyStep), so a
 // write step looks the context up once.
 func (kv *KV) put(c *txCtx, tx int, v core.Var, scalar core.Value) {
-	ch := kv.chainOf(v, true)
+	ch := kv.vars.Slot(v)
 	sh := kv.shard(v)
 	size := kv.cfg.ValueSize
 	mark := uncommittedMark(tx)
@@ -603,23 +572,14 @@ func (kv *KV) put(c *txCtx, tx int, v core.Var, scalar core.Value) {
 	}
 }
 
-// Scan implements Backend: visit every chain head's scalar, shard by shard
-// then the extra map, without taking any lock (the maps are immutable and
-// heads are atomic). The view is not a consistent cut while writers are
-// active; State after quiescence is.
+// Scan implements Backend: visit every chain head's scalar without taking
+// any lock (the table's map is immutable and heads are atomic). The view
+// is not a consistent cut while writers are active; State after
+// quiescence is.
 func (kv *KV) Scan(fn func(v core.Var, scalar core.Value) bool) {
-	for i := range kv.shards {
-		for v, ch := range kv.shards[i].data {
-			if ver := ch.head.Load(); ver != nil {
-				if !fn(v, ver.rec.Scalar) {
-					return
-				}
-			}
-		}
-	}
-	kv.extra.Range(func(k, val any) bool {
-		if ver := val.(*chain).head.Load(); ver != nil {
-			return fn(k.(core.Var), ver.rec.Scalar)
+	kv.vars.Range(func(v core.Var, ch *chain) bool {
+		if ver := ch.head.Load(); ver != nil {
+			return fn(v, ver.rec.Scalar)
 		}
 		return true
 	})
@@ -698,7 +658,7 @@ func (kv *KV) Rollback(tx int) {
 	}
 	for i := len(c.undo) - 1; i >= 0; i-- {
 		u := c.undo[i]
-		ch := kv.chainOf(u.v, false)
+		ch := kv.vars.Lookup(u.v)
 		if ch == nil {
 			continue
 		}
@@ -725,31 +685,17 @@ func (kv *KV) State() core.DB {
 // comparisons in tests and tools.
 func (kv *KV) Snapshot() map[core.Var]Record {
 	out := map[core.Var]Record{}
-	kv.scanHeads(func(v core.Var, ver *version) {
-		out[v] = Record{
-			Scalar:  ver.rec.Scalar,
-			Payload: append([]byte(nil), ver.rec.Payload...),
-			Sum:     ver.rec.Sum,
-		}
-	})
-	return out
-}
-
-// scanHeads visits every non-empty chain head.
-func (kv *KV) scanHeads(fn func(v core.Var, ver *version)) {
-	for i := range kv.shards {
-		for v, ch := range kv.shards[i].data {
-			if ver := ch.head.Load(); ver != nil {
-				fn(v, ver)
+	kv.vars.Range(func(v core.Var, ch *chain) bool {
+		if ver := ch.head.Load(); ver != nil {
+			out[v] = Record{
+				Scalar:  ver.rec.Scalar,
+				Payload: append([]byte(nil), ver.rec.Payload...),
+				Sum:     ver.rec.Sum,
 			}
-		}
-	}
-	kv.extra.Range(func(k, val any) bool {
-		if ver := val.(*chain).head.Load(); ver != nil {
-			fn(k.(core.Var), ver)
 		}
 		return true
 	})
+	return out
 }
 
 // SnapshotSlots implements SnapshotBackend.
@@ -789,7 +735,7 @@ func (kv *KV) SnapshotRelease(slot int) {
 // minimum active snapshot. The slot indexes the reader's local counters
 // only; visibility comes from snap.
 func (kv *KV) SnapshotRead(slot int, v core.Var, snap int64) core.Value {
-	ch := kv.chainOf(v, false)
+	ch := kv.vars.Lookup(v)
 	if ch == nil {
 		return 0
 	}

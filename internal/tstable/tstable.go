@@ -1,5 +1,7 @@
-// Package tstable provides the sharded atomic timestamp table behind the
-// natively concurrent timestamp-ordering scheduler (online.ConcurrentTO).
+// Package tstable provides the atomic timestamp table behind the natively
+// concurrent timestamp-ordering scheduler (online.ConcurrentTO), and the
+// commit stamps of online.ConcurrentOCC and the write claims of
+// online.ConcurrentMV.
 //
 // Timestamp ordering needs two counters per variable — the largest
 // timestamp that ever read it and the largest that ever wrote it — and its
@@ -8,31 +10,22 @@
 // serialization; this table makes them safe for the concurrent runtime
 // without any mutex:
 //
-//   - The variable set is fixed per run (transaction systems declare their
-//     variables), so New pre-builds one plain map per shard from variable
-//     to a heap-allocated Entry and never mutates the maps afterwards.
-//     Lookups are pure reads of immutable maps — no lock, no sync.Map
-//     overhead on the hot path. Reset zeroes the timestamps so a table can
-//     be reused across runs over the same variable set.
+//   - Entries live in an internal/vartab table built once from the run's
+//     declared variables: finding one is a lock-free read of one immutable
+//     map, and an undeclared variable falls back to vartab's sync.Map.
+//     Reset zeroes the timestamps so a table can be reused across runs
+//     over the same variable set.
 //   - An Entry's read/write timestamps are atomics updated by a CAS
 //     max-loop (MaxRead/MaxWrite): concurrent updaters race forward only,
 //     so per-variable timestamps are monotonically non-decreasing — the
 //     invariant every TO argument rests on.
-//   - Shards are partitioned with lockmgr.ShardOfVar, the engine's single
-//     partition function, so the table's layout agrees with the latch
-//     partition and lock/storage ownership. (With immutable maps the shards
-//     are a layout nicety, not a synchronization domain.)
-//
-// Variables outside the declared set (none in normal operation) fall back
-// to a sync.Map so the table degrades safely instead of panicking.
 package tstable
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"optcc/internal/core"
-	"optcc/internal/lockmgr"
+	"optcc/internal/vartab"
 )
 
 // Entry holds one variable's timestamp pair. The zero value (both
@@ -84,62 +77,29 @@ func maxUpdate(a *atomic.Int64, ts int64) {
 	}
 }
 
-// Table is the sharded timestamp table. Construct with New; the zero value
-// is unusable.
-type Table struct {
-	shards []map[core.Var]*Entry
-	extra  sync.Map // core.Var → *Entry, for undeclared variables only
-}
+// Table is the timestamp table. Construct with New; the zero value is
+// unusable.
+type Table struct{ tab *vartab.Table[Entry] }
 
-// New builds a table for the given variable set, partitioned across the
-// given shard count (minimum 1). All timestamps start at zero.
+// New builds a table for the given variable set. All timestamps start at
+// zero. The shards argument is ignored — the table is one map, not a
+// partition — and stays only because the bench module still passes it.
 func New(vars []core.Var, shards int) *Table {
-	if shards < 1 {
-		shards = 1
-	}
-	t := &Table{shards: make([]map[core.Var]*Entry, shards)}
-	for i := range t.shards {
-		t.shards[i] = map[core.Var]*Entry{}
-	}
-	for _, v := range vars {
-		t.shards[lockmgr.ShardOfVar(v, shards)][v] = &Entry{}
-	}
-	return t
+	return &Table{tab: vartab.New[Entry](vars)}
 }
-
-// NumShards returns the shard count.
-func (t *Table) NumShards() int { return len(t.shards) }
 
 // Entry returns the timestamp entry of v, creating a fallback entry if v
 // was not declared at construction. The declared-variable path is
 // lock-free: one immutable map lookup.
 //
 //optcc:hotpath
-func (t *Table) Entry(v core.Var) *Entry {
-	if e, ok := t.shards[lockmgr.ShardOfVar(v, len(t.shards))][v]; ok {
-		return e
-	}
-	//cclint:ignore hotpath undeclared-variable fallback; unreachable when the run declares its variable set
-	if e, ok := t.extra.Load(v); ok {
-		return e.(*Entry)
-	}
-	//cclint:ignore hotpath undeclared-variable fallback; unreachable when the run declares its variable set
-	e, _ := t.extra.LoadOrStore(v, &Entry{})
-	return e.(*Entry)
-}
+func (t *Table) Entry(v core.Var) *Entry { return t.tab.Slot(v) }
 
 // Reset zeroes every timestamp (declared and fallback entries), preserving
 // the entry layout. Not safe for use concurrently with Entry updates; call
 // it between runs, as Begin does.
 func (t *Table) Reset() {
-	for _, m := range t.shards {
-		for _, e := range m {
-			e.read.Store(0)
-			e.write.Store(0)
-		}
-	}
-	t.extra.Range(func(_, v any) bool {
-		e := v.(*Entry)
+	t.tab.Range(func(_ core.Var, e *Entry) bool {
 		e.read.Store(0)
 		e.write.Store(0)
 		return true

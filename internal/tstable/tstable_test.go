@@ -1,12 +1,10 @@
 package tstable
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
 	"optcc/internal/core"
-	"optcc/internal/lockmgr"
 )
 
 func TestBasicMaxUpdate(t *testing.T) {
@@ -30,18 +28,6 @@ func TestBasicMaxUpdate(t *testing.T) {
 	}
 }
 
-func TestFallbackEntry(t *testing.T) {
-	tab := New([]core.Var{"x"}, 2)
-	e := tab.Entry("undeclared")
-	e.MaxWrite(9)
-	if tab.Entry("undeclared") != e {
-		t.Fatal("fallback entry not stable")
-	}
-	if tab.Entry("undeclared").WriteTS() != 9 {
-		t.Fatal("fallback entry lost its timestamp")
-	}
-}
-
 func TestReset(t *testing.T) {
 	tab := New([]core.Var{"x"}, 1)
 	tab.Entry("x").MaxRead(4)
@@ -49,23 +35,6 @@ func TestReset(t *testing.T) {
 	tab.Reset()
 	if tab.Entry("x").ReadTS() != 0 || tab.Entry("zz").WriteTS() != 0 {
 		t.Fatal("Reset left timestamps behind")
-	}
-}
-
-func TestShardLayoutMatchesPartition(t *testing.T) {
-	vars := make([]core.Var, 64)
-	for i := range vars {
-		vars[i] = core.Var(fmt.Sprintf("v%d", i))
-	}
-	tab := New(vars, 8)
-	if tab.NumShards() != 8 {
-		t.Fatalf("NumShards = %d", tab.NumShards())
-	}
-	for _, v := range vars {
-		sh := lockmgr.ShardOfVar(v, 8)
-		if _, ok := tab.shards[sh][v]; !ok {
-			t.Fatalf("%s not in shard %d", v, sh)
-		}
 	}
 }
 

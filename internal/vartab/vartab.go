@@ -1,0 +1,89 @@
+// Package vartab is the engine's one per-variable table: every scheduler
+// and store that keeps a record per variable finds it here.
+//
+// The variable set is fixed per run (a transaction system declares its
+// variables), so New builds one immutable map from variable to a slot in a
+// single slab and never mutates it afterwards. Finding a declared
+// variable's slot is one lock-free read of that map: no mutex, no sync.Map,
+// no allocation, and no partition hash before the map hashes the name.
+// Variables outside the declared set (none in normal operation) fall back
+// to a sync.Map, so a table degrades safely instead of panicking.
+//
+// What a slot holds, and who may write it, is its user's business: the
+// table hands out stable pointers and nothing else.
+package vartab
+
+import (
+	"sync"
+
+	"optcc/internal/core"
+)
+
+// Table maps variables to stable *T slots. Construct with New; the zero
+// value is unusable.
+type Table[T any] struct {
+	declared map[core.Var]*T
+	late     sync.Map // core.Var → *T, variables first touched after New
+}
+
+// New builds a table whose declared slots are zero Ts in one slab, one per
+// distinct variable of vars (duplicates fold to one slot).
+func New[T any](vars []core.Var) *Table[T] {
+	t := &Table[T]{declared: make(map[core.Var]*T, len(vars))}
+	slab := make([]T, len(vars))
+	for i, v := range vars {
+		if t.declared[v] == nil {
+			t.declared[v] = &slab[i]
+		}
+	}
+	return t
+}
+
+// Slot returns v's slot, creating a zero one on the first touch of an
+// undeclared variable. Concurrent first touches agree on one slot.
+//
+//optcc:hotpath
+func (t *Table[T]) Slot(v core.Var) *T { return t.find(v, true) }
+
+// Lookup returns v's slot, or nil when v is undeclared and was never
+// given one by Slot. It creates nothing.
+//
+//optcc:hotpath
+func (t *Table[T]) Lookup(v core.Var) *T { return t.find(v, false) }
+
+//optcc:hotpath
+func (t *Table[T]) find(v core.Var, create bool) *T {
+	if p, ok := t.declared[v]; ok {
+		return p
+	}
+	//cclint:ignore hotpath undeclared-variable fallback; unreachable when the run declares its variable set
+	return t.fallback(v, create)
+}
+
+// fallback finds (or, with create, makes) an undeclared variable's slot.
+func (t *Table[T]) fallback(v core.Var, create bool) *T {
+	if p, ok := t.late.Load(v); ok {
+		return p.(*T)
+	}
+	if !create {
+		return nil
+	}
+	p, _ := t.late.LoadOrStore(v, new(T))
+	return p.(*T)
+}
+
+// Declared returns the number of distinct declared variables, a size hint
+// for a copy of the table; fallback slots are not counted.
+func (t *Table[T]) Declared() int { return len(t.declared) }
+
+// Range visits every slot, declared and fallback, once each, until fn
+// returns false. It takes no lock; a slot created concurrently may or may
+// not be visited.
+func (t *Table[T]) Range(fn func(v core.Var, p *T) bool) {
+	for v, p := range t.declared {
+		if !fn(v, p) {
+			return
+		}
+	}
+	t.late.Range(func(k, p any) bool { return fn(k.(core.Var), p.(*T)) })
+}

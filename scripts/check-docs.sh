@@ -239,8 +239,10 @@ fi
 # -batch flag), the engine's clock read around every stage of every
 # step, the group committer's lanes partitioned by transaction id, and the
 # concurrent engine's run-global in-flight/committing counters with its
-# unconditional yield at every job end are gone; nothing that documents or
-# drives the current tree may name them.
+# unconditional yield at every job end, and the per-shard variable maps
+# (one immutable map per shard in each per-variable table, now one
+# internal/vartab map) are gone; nothing that documents or drives the
+# current tree may name them.
 for f in README.md DESIGN.md doc.go cmd/*/main.go Makefile internal/report/report.go .claude/skills/verify/SKILL.md; do
   [ -f "$f" ] || continue
   for stale in 'railstripes' 'NewSharded(' 'Sharded combinator' 'ordering rail' 'benchdiff' 'bench-json' 'BENCH_PR' \
@@ -250,7 +252,8 @@ for f in README.md DESIGN.md doc.go cmd/*/main.go Makefile internal/report/repor
       'merged by stamp' 'stamped from one' 'every commit flows through' \
       'batchSizer' 'decideBatch' 'intake coalescing' '2 + 2k times' \
       'group-commit lanes' 'partitioned across lanes' \
-      'run-global `inFlight`/`committing`' 'yields (`runtime.Gosched`) between'; do
+      'run-global `inFlight`/`committing`' 'yields (`runtime.Gosched`) between' \
+      'one plain map per shard' 'immutable per-shard maps'; do
     if grep -qF -- "$stale" "$f"; then
       echo "check-docs: $f still names the removed '$stale'"
       fail=1
