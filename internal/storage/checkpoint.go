@@ -8,12 +8,16 @@ package storage
 // to this log's record algebra:
 //
 //  1. Capture (fuzzy, under d.mu, O(table) copy — commits proceed the
-//     moment the mutex drops): copy the table and note the anchor —
-//     (segment aseq, byte offset aoff) of the active segment. Because every
+//     moment the mutex drops): flush the staged log records, so the anchor
+//     is a real file offset, then note the anchor — (segment aseq, byte
+//     offset aoff) of the active segment — and copy the table's (variable,
+//     value) pairs into a slice the next capture reuses. Because every
 //     table mutation and its commit-record append happen together under
 //     d.mu, the capture equals the replay of the log prefix [.., aseq:aoff)
 //     exactly. Transactions in flight need nothing: their writes are still
-//     in their own buffers, in neither the table nor the log.
+//     in their own buffers, in neither the table nor the log. The snapshot
+//     record is encoded from the slice off the mutex, so a warm store's
+//     capture builds no map and allocates nothing.
 //  2. Write the checkpoint file ckpt-N.ckpt with the established tmp →
 //     sync → rename protocol: a header marker record (anchor) and one
 //     snapshot record (the table). Same framing and checksums as the WAL,
@@ -168,36 +172,53 @@ func (d *Disk) Checkpoint() error {
 	}
 }
 
-func (d *Disk) checkpointOnce() error {
-	// Step 1: fuzzy capture under d.mu. The anchor (aseq, aoff) names the
-	// exact log position the copied state equals; everything the store
-	// appends after the unlock lands at or beyond it and will be replayed
-	// by recovery on top of the checkpoint.
+// ckptAnchor is what a capture notes besides the table copy: the store
+// generation, the checkpoint's file number and the log position the copy
+// equals.
+type ckptAnchor struct {
+	gen  int64
+	cseq int
+	aseq int
+	aoff int64
+}
+
+// capture is checkpoint step 1; the caller holds ckptMu. Under d.mu it
+// flushes the staged records, notes the anchor and copies the table into
+// d.ckptCells.
+// The anchor (aseq, aoff) names the exact log position the copied state
+// equals; everything the store appends after the unlock lands at or beyond
+// it and will be replayed by recovery on top of the checkpoint.
+func (d *Disk) capture() (ckptAnchor, error) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.err != nil {
-		err := d.err
-		d.mu.Unlock()
-		return err
+		return ckptAnchor{}, d.err
 	}
 	if d.active == nil {
-		d.mu.Unlock()
-		return fmt.Errorf("storage: checkpoint before Reset/OpenDisk")
+		return ckptAnchor{}, fmt.Errorf("storage: checkpoint before Reset/OpenDisk")
 	}
-	gen := d.ckptGen
-	aseq := d.seq
-	aoff := d.activeBytes
+	if err := d.flushLocked(); err != nil {
+		return ckptAnchor{}, err
+	}
 	d.ckptSeq++
-	cseq := d.ckptSeq
-	db := snapshotLocked(d.tab.Load())
+	a := ckptAnchor{gen: d.ckptGen, cseq: d.ckptSeq, aseq: d.seq, aoff: d.activeBytes}
+	d.ckptCells = appendCellsLocked(d.ckptCells[:0], d.tab.Load())
 	d.sinceCkpt = 0
-	d.mu.Unlock()
+	return a, nil
+}
+
+func (d *Disk) checkpointOnce() error {
+	a, err := d.capture()
+	if err != nil {
+		return err
+	}
 
 	// Step 2: write the checkpoint file off-mutex, tmp → sync. Separate
 	// frames per record keep the fault injector's granularity: every write
 	// is its own crash point. d.enc belongs to the append path (under mu);
-	// this uses its own encoder.
-	var enc walEncoder
-	tmp := segPath(d.dir, ckptName(cseq)+ckptTmpExt)
+	// this uses d.ckptEnc, under ckptMu.
+	enc := &d.ckptEnc
+	tmp := segPath(d.dir, ckptName(a.cseq)+ckptTmpExt)
 	f, err := d.fs.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("storage: checkpoint create: %w", err)
@@ -208,9 +229,9 @@ func (d *Disk) checkpointOnce() error {
 		written += int64(n)
 		return werr
 	}
-	werr := write(enc.encodeCkpt(cseq, aseq, aoff))
+	werr := write(enc.encodeCkpt(a.cseq, a.aseq, a.aoff))
 	if werr == nil {
-		werr = write(enc.encodeSnapshot(db))
+		werr = write(enc.encodeSnapshot(d.ckptCells))
 	}
 	if werr == nil {
 		werr = f.Sync()
@@ -224,13 +245,13 @@ func (d *Disk) checkpointOnce() error {
 
 	// Step 3: publish the file and append its durable marker; nothing is
 	// unlinked before the marker is on disk.
-	if err := d.publish(gen, tmp, cseq, aseq, aoff); err != nil {
+	if err := d.publish(a, tmp); err != nil {
 		return err
 	}
 
 	// Step 4: retire. Only now — marker durably synced — may segments
 	// wholly behind the anchor disappear.
-	return d.retire(gen, aseq, cseq)
+	return d.retire(a)
 }
 
 // publish is checkpoint step 3, one critical section under mu: rename the
@@ -244,20 +265,20 @@ func (d *Disk) checkpointOnce() error {
 // already have unlinked it, or it may have been created after the sweep.
 // Renaming under mu is also what keeps Reset's sweep (under mu too) from
 // listing a file that then vanishes before its unlink.
-func (d *Disk) publish(gen int64, tmp string, cseq, aseq int, aoff int64) error {
+func (d *Disk) publish(a ckptAnchor, tmp string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.err != nil {
 		return d.err
 	}
-	if d.ckptGen != gen {
+	if d.ckptGen != a.gen {
 		d.fs.Remove(tmp) // best-effort, like retire's GC: the name is garbage either way
 		return errCkptSuperseded
 	}
-	if err := d.fs.Rename(tmp, segPath(d.dir, ckptName(cseq))); err != nil {
+	if err := d.fs.Rename(tmp, segPath(d.dir, ckptName(a.cseq))); err != nil {
 		return fmt.Errorf("storage: checkpoint rename: %w", err)
 	}
-	if err := d.appendLocked(d.enc.encodeCkpt(cseq, aseq, aoff)); err != nil {
+	if err := d.appendLocked(d.enc.encodeCkpt(a.cseq, a.aseq, a.aoff)); err != nil {
 		return err
 	}
 	return d.syncLocked()
@@ -278,7 +299,7 @@ func (d *Disk) publish(gen int64, tmp string, cseq, aseq int, aoff int64) error 
 // the duration of a few Removes, once per checkpoint — like publish's
 // rename, a deliberate exception to the "no I/O under mu" rule, bought for
 // Reset/poison atomicity.
-func (d *Disk) retire(gen int64, aseq, cseq int) error {
+func (d *Disk) retire(a ckptAnchor) error {
 	d.syncMu.Lock()
 	defer d.syncMu.Unlock()
 	d.mu.Lock()
@@ -286,12 +307,12 @@ func (d *Disk) retire(gen int64, aseq, cseq int) error {
 	if d.err != nil {
 		return d.err // poisoned stores perform no unlinks
 	}
-	if d.ckptGen != gen {
+	if d.ckptGen != a.gen {
 		return errCkptSuperseded
 	}
 	keep := d.sealed[:0]
 	for _, s := range d.sealed {
-		if s.seq < aseq {
+		if s.seq < a.aseq {
 			s.f.Close()
 		} else {
 			keep = append(keep, s)
@@ -306,7 +327,7 @@ func (d *Disk) retire(gen int64, aseq, cseq int) error {
 		var seq int
 		switch {
 		case strings.HasPrefix(n, "seg-") && strings.HasSuffix(n, ".wal"):
-			if _, err := fmt.Sscanf(n, "seg-%d.wal", &seq); err != nil || seq >= aseq {
+			if _, err := fmt.Sscanf(n, "seg-%d.wal", &seq); err != nil || seq >= a.aseq {
 				continue // the anchor segment and everything after must stay
 			}
 			if err := d.fs.Remove(segPath(d.dir, n)); err != nil {
@@ -319,7 +340,7 @@ func (d *Disk) retire(gen int64, aseq, cseq int) error {
 			// regardless, and the compaction at OpenDisk sweeps stragglers.
 			trimmed := strings.TrimSuffix(n, ckptTmpExt)
 			if _, err := fmt.Sscanf(trimmed, "ckpt-%d.ckpt", &seq); err == nil &&
-				(seq < cseq || (n != trimmed && seq <= cseq)) {
+				(seq < a.cseq || (n != trimmed && seq <= a.cseq)) {
 				d.fs.Remove(segPath(d.dir, n))
 			}
 		}

@@ -13,8 +13,10 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -912,6 +914,68 @@ func TestCheckpointConcurrentCommits(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		if got := recovered[core.Var(fmt.Sprintf("w%d", w))]; got != iters {
 			t.Fatalf("w%d = %d after recovery, want %d", w, got, iters)
+		}
+	}
+}
+
+// ckptBenchDB is a 4096-variable initial database for the capture tests.
+func ckptBenchDB() core.DB {
+	db := make(core.DB, 4096)
+	for i := 0; i < 4096; i++ {
+		db[core.Var(fmt.Sprintf("v%04d", i))] = core.Value(i)
+	}
+	return db
+}
+
+// TestCheckpointCaptureAllocs: after the first capture has sized the reused
+// table copy and the checkpoint encoder, a capture — flush, anchor, table
+// copy under the log mutex — and the snapshot record encoded from it
+// allocate nothing.
+func TestCheckpointCaptureAllocs(t *testing.T) {
+	d, err := NewDisk(Config{Dir: t.TempDir(), Fsync: FsyncGroup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.Reset(ckptBenchDB())
+	d.ckptMu.Lock()
+	defer d.ckptMu.Unlock()
+	capture := func() {
+		if _, err := d.capture(); err != nil {
+			t.Fatal(err)
+		}
+		d.ckptEnc.encodeSnapshot(d.ckptCells)
+	}
+	capture()
+	if got := testing.AllocsPerRun(20, capture); got != 0 {
+		t.Fatalf("a warm checkpoint capture allocates %.1f times, want 0", got)
+	}
+	if len(d.ckptCells) != 4096 {
+		t.Fatalf("capture copied %d cells, want 4096", len(d.ckptCells))
+	}
+}
+
+// BenchmarkDiskCheckpoint is the checkpointer's per-layer number: one whole
+// checkpoint (capture, checkpoint file, marker, retirement) of a
+// 4096-variable store after a few commits.
+func BenchmarkDiskCheckpoint(b *testing.B) {
+	d, err := NewDisk(Config{Dir: b.TempDir(), Fsync: FsyncGroup})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	db := ckptBenchDB()
+	vars := slices.Collect(maps.Keys(db))
+	d.Reset(db)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for tx := 0; tx < 4; tx++ {
+			d.Put(tx, vars[(i*4+tx)%len(vars)], core.Value(i))
+			d.Commit(tx)
+		}
+		if err := d.Checkpoint(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

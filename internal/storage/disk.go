@@ -149,6 +149,17 @@ func eachLocked(t *diskTable, fn func(v core.Var, val core.Value) bool) {
 	t.Range(func(v core.Var, c *diskCell) bool { return fn(v, core.Value(c.val.Load())) })
 }
 
+// appendCellsLocked appends t's committed (variable, value) pairs to dst
+// and returns it; the caller holds Disk.mu. A checkpoint capture reuses
+// one dst, so copying a warm store's table allocates nothing.
+func appendCellsLocked(dst []walWrite, t *diskTable) []walWrite {
+	eachLocked(t, func(v core.Var, val core.Value) bool {
+		dst = append(dst, walWrite{v: v, val: val})
+		return true
+	})
+	return dst
+}
+
 // snapshotLocked copies t's committed state; the caller holds Disk.mu.
 func snapshotLocked(t *diskTable) core.DB {
 	db := make(core.DB, t.Declared())
@@ -234,22 +245,32 @@ func (c *diskCtx) get(t *diskTable, v core.Var) core.Value {
 // per-variable atomic cells (diskTable) and a transaction's context in a
 // stripe keyed by its id (diskStripe), so ApplyStep, Get, Put, Rollback and
 // a read-only Commit take only their stripe's mutex. d.mu is the log
-// mutex: a commit appends its record and then stores its write set under
-// it, and checkpoint capture, publish and retirement, segment rolls,
-// Reset, State and Scan take it too. Because every cell store happens
-// under mu, log order is apply order and a capture under mu is an exact
-// cut at its anchor; because a step reads one variable and each cell
-// changes in commit order, a read racing a commit equals the same read
-// just before or just after it. The sticky error is mirrored in an atomic
-// flag so a step can check it without locking.
+// mutex: a commit stages its record in the log buffer and then stores its
+// write set under it, and checkpoint capture, publish and retirement,
+// segment rolls, Reset, State and Scan take it too. Because every cell
+// store happens under mu, log order is apply order and a capture under mu
+// is an exact cut at its anchor; because a step reads one variable and
+// each cell changes in commit order, a read racing a commit equals the
+// same read just before or just after it. The sticky error is mirrored in
+// an atomic flag so a step can check it without locking.
+//
+// Staged records reach the active segment in one write per commit group:
+// flushLocked writes the whole log buffer at GroupSync, at every sync
+// under mu (segment roll, Reset, checkpoint publish, Close), at checkpoint
+// capture, and under FsyncAlways at every commit. A staged commit is
+// applied in memory but lost on a process crash before the flush — under
+// FsyncGroup it is not durable before its GroupSync either way — and a
+// failed flush poisons the store, failing its whole group like a failed
+// fsync. The segment roll bounds the buffer.
 //
 // The fsync behind GroupSync runs OFF mu (serialized by its own syncMu),
 // so execution — appends included — proceeds while a group's fsync is in
 // flight. That is what lets commit groups form: commits that arrive during
 // the GroupCommitter's fsync pile up and are covered by one later sync.
-// FsyncAlways deliberately keeps its per-commit sync under the mutex — the
-// committing transaction must be durable before Commit returns, and paying
-// that latency inline is exactly the cost the policy exists to measure.
+// FsyncAlways deliberately keeps its per-commit write and sync under the
+// mutex — the committing transaction must be durable before Commit
+// returns, and paying that latency inline is exactly the cost the policy
+// exists to measure.
 type Disk struct {
 	fs       FS
 	dir      string
@@ -282,7 +303,8 @@ type Disk struct {
 	// retirement (a concurrent GroupSync may hold a captured handle
 	// mid-fsync; closing it under the roll would race the sync — retirement
 	// closes them under syncMu, which excludes any in-flight group fsync)
-	activeBytes int64    // bytes appended to the active segment
+	logBuf      []byte   // framed records staged since the last flushLocked
+	activeBytes int64    // bytes appended to the active segment, staged included
 	dirty       bool     // appended since the last successful sync
 	err         error    // sticky durability error
 	lock        *os.File // exclusive data-dir lock (flock), nil once released
@@ -299,6 +321,11 @@ type Disk struct {
 	ckptKick    chan struct{}
 	ckptWG      sync.WaitGroup
 	ckptOnce    sync.Once // stops the background loop exactly once
+
+	// ckptCells and ckptEnc are the capture's reused table copy and the
+	// checkpoint file's encoder, both under ckptMu.
+	ckptCells []walWrite
+	ckptEnc   walEncoder
 
 	fsyncs        atomic.Int64
 	walBytes      atomic.Int64
@@ -453,6 +480,7 @@ func (d *Disk) resetLocked(init core.DB) {
 	d.err = nil
 	d.poisoned.Store(false)
 	d.seq = 1
+	d.logBuf = d.logBuf[:0]
 	d.activeBytes = 0
 	d.dirty = false
 	d.ckptGen++ // abandon any in-flight checkpoint of the old incarnation
@@ -478,7 +506,7 @@ func (d *Disk) resetLocked(init core.DB) {
 	// growth: like OpenDisk's compaction snapshot it does not count toward
 	// CheckpointBytes, or a large initial database would kick a checkpoint
 	// that only re-copies the table just written.
-	if err := d.writeLocked(d.enc.encodeSnapshot(init)); err != nil {
+	if err := d.writeLocked(d.enc.encodeSnapshot(dbWrites(init))); err != nil {
 		return
 	}
 	d.syncLocked()
@@ -501,10 +529,11 @@ func (d *Disk) appendLocked(frame []byte) error {
 	return nil
 }
 
-// writeLocked writes one framed record to the active segment, rolling to a
-// new segment first when the active one is full. On failure the error is
-// sticky: memory was not modified by the caller yet (callers append before
-// applying), so the log remains the truth.
+// writeLocked stages one framed record in the log buffer, rolling to a new
+// segment first when the active one is full. Only the roll does I/O; on
+// its failure the error is sticky, and memory was not modified by the
+// caller yet (callers append before applying), so the log remains the
+// truth.
 func (d *Disk) writeLocked(frame []byte) error {
 	if d.err != nil {
 		return d.err
@@ -515,10 +544,12 @@ func (d *Disk) writeLocked(frame []byte) error {
 		return d.err
 	}
 	if d.activeBytes >= d.segBytes {
-		// Seal the active segment: sync it so only the newest segment can
-		// ever hold a torn tail, then start the next one. The sealed file
-		// stays open until Close or checkpoint retirement — a concurrent
-		// GroupSync may be fsyncing a captured handle to it right now.
+		// Seal the active segment: flush and sync it so only the newest
+		// segment can ever hold a torn tail, then start the next one (so
+		// the staged bytes never exceed one segment plus one record). The
+		// sealed file stays open until Close or checkpoint retirement — a
+		// concurrent GroupSync may be fsyncing a captured handle to it
+		// right now.
 		if err := d.syncLocked(); err != nil {
 			return err
 		}
@@ -532,23 +563,37 @@ func (d *Disk) writeLocked(frame []byte) error {
 		d.active = f
 		d.activeBytes = 0
 	}
-	n, err := d.active.Write(frame)
-	d.walBytes.Add(int64(n))
-	d.activeBytes += int64(n)
-	if n > 0 {
-		d.dirty = true
+	d.logBuf = append(d.logBuf, frame...)
+	d.walBytes.Add(int64(len(frame)))
+	d.activeBytes += int64(len(frame))
+	d.dirty = true
+	return nil
+}
+
+// flushLocked writes every staged record to the active segment with one
+// Write. A failed or short write poisons the store: the records it carried
+// were applied in memory but may be torn on disk, so the log can no longer
+// be trusted to match memory.
+func (d *Disk) flushLocked() error {
+	if d.err != nil {
+		return d.err
 	}
+	if len(d.logBuf) == 0 {
+		return nil
+	}
+	_, err := d.active.Write(d.logBuf)
+	d.logBuf = d.logBuf[:0]
 	if err != nil {
 		d.poisonLocked(err)
 	}
 	return err
 }
 
-// syncLocked forces the active segment to stable storage if anything was
-// appended since the last sync.
+// syncLocked flushes the log buffer and forces the active segment to
+// stable storage if anything was appended since the last sync.
 func (d *Disk) syncLocked() error {
-	if d.err != nil {
-		return d.err
+	if err := d.flushLocked(); err != nil {
+		return err
 	}
 	if !d.dirty || d.active == nil {
 		return nil
@@ -645,10 +690,11 @@ func (d *Disk) ApplyStep(tx int, step core.Step) error {
 }
 
 // Commit implements Backend. The commit record is the durability point: it
-// logs the write set, which is applied only after the append succeeded
-// (atomic — a failed append commits nothing, and the error is sticky:
-// Err). Under FsyncAlways the log is synced before Commit returns; under
-// FsyncGroup durability arrives at the next GroupSync. A read-only
+// logs the write set, which is applied once the record is staged. Under
+// FsyncAlways the record is written and synced before Commit returns, and
+// a failed write commits nothing (the error is sticky: Err); under
+// FsyncGroup the record reaches the file, and durability arrives, at the
+// next GroupSync, whose failure fails the whole group. A read-only
 // transaction has nothing to log and never takes the log mutex.
 func (d *Disk) Commit(tx int) {
 	s := d.stripe(tx)
@@ -671,9 +717,10 @@ func (d *Disk) Commit(tx int) {
 	s.mu.Unlock()
 }
 
-// commitWrites appends tx's commit record and then publishes its write set,
-// both under the log mutex, so log order is apply order. A poisoned store
-// appends nothing.
+// commitWrites stages tx's commit record and then publishes its write set,
+// both under the log mutex, so log order is apply order. Under FsyncAlways
+// the record is written before the cells change. A poisoned store appends
+// nothing.
 func (d *Disk) commitWrites(tx int, writes []walWrite) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -681,6 +728,9 @@ func (d *Disk) commitWrites(tx int, writes []walWrite) {
 		return
 	}
 	if err := d.appendLocked(d.enc.encodeCommit(tx, writes)); err != nil {
+		return
+	}
+	if d.policy == FsyncAlways && d.flushLocked() != nil {
 		return
 	}
 	t := d.tab.Load()
@@ -712,24 +762,27 @@ func (d *Disk) State() core.DB {
 	return snapshotLocked(d.tab.Load())
 }
 
-// GroupSync implements GroupSyncer: under FsyncGroup (and FsyncAlways,
-// where it is a clean-log no-op) force the log down; under FsyncNever do
-// nothing. The GroupCommitter calls this once per drained group.
+// GroupSync implements GroupSyncer: under every policy it writes the
+// staged records with one write (flushLocked); under FsyncGroup (and
+// FsyncAlways, where it is a clean-log no-op) it then forces the log down.
+// The GroupCommitter calls this once per drained group, so a group costs
+// one write and, under FsyncGroup, one fsync. A failed write poisons the
+// store and fails the group exactly as a failed fsync does.
 //
 // The fsync itself runs outside d.mu, so appends — and with them the whole
 // execution hot path — proceed while it is in flight; that concurrency is
 // what grows commit groups. Correctness: every record of the drained group
-// was appended before this call, so each sits either in a sealed segment
-// (synced at roll time, under d.mu) or in the active segment captured
-// here. A record appended after the capture re-marks the log dirty and is
-// covered by the next sync; callers piggybacking on a sync that already
-// covered their records see a clean log and skip the fsync entirely.
+// was staged before this call, so each sits either in a sealed segment
+// (flushed and synced at roll time, under d.mu) or in the active segment,
+// flushed and captured here. A record appended after the capture re-marks
+// the log dirty and is covered by the next sync; callers piggybacking on a
+// sync that already covered their records see a clean log and skip the
+// fsync entirely.
 func (d *Disk) GroupSync() error {
 	d.syncMu.Lock()
 	defer d.syncMu.Unlock()
 	d.mu.Lock()
-	if d.policy == FsyncNever || d.err != nil || !d.dirty || d.active == nil {
-		err := d.err
+	if err := d.flushLocked(); err != nil || d.policy == FsyncNever || !d.dirty || d.active == nil {
 		d.mu.Unlock()
 		return err
 	}
@@ -751,8 +804,8 @@ func (d *Disk) GroupSync() error {
 // fsyncs — true only under FsyncGroup (under FsyncAlways every commit
 // already synced inline; under FsyncNever there is nothing to sync). The
 // GroupCommitter uses it to decide whether giving runnable peers a chance
-// to join a group before sealing it can pay for itself. The policy is
-// immutable after construction, so no lock is needed.
+// to join the next group, when the queue runs empty, can pay for itself.
+// The policy is immutable after construction, so no lock is needed.
 func (d *Disk) SyncCoalesces() bool { return d.policy == FsyncGroup }
 
 // Err returns the sticky durability error, if any.

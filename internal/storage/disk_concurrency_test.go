@@ -219,38 +219,72 @@ func TestDiskConcurrentStepsCheckpointRecovery(t *testing.T) {
 	t.Logf("%d checkpoints, %d segments retired, %d State() samples", ds.Checkpoints, ds.SegmentsRetired, samples.Load())
 }
 
-// TestDiskPoisonedStepsAndCommit: once an injected fault fails a commit
-// record's append, the store is poisoned — a step returns the sticky error
-// without touching the log mutex, and a commit of writes buffered before
-// the fault appends nothing and changes nothing.
+// TestDiskPoisonedStepsAndCommit: once an injected fault fails a log
+// write, the store is poisoned — a step returns the sticky error without
+// touching the log mutex, a later commit of writes buffered before the
+// fault stages nothing and changes nothing, and recovery finds the state
+// before the failed write. Under FsyncGroup the failed write is the one
+// GroupSync makes for the group of commits 1 and 2, so both fail together;
+// under FsyncAlways it is commit 1's own record, and a failed commit-record
+// write changes nothing in memory.
 func TestDiskPoisonedStepsAndCommit(t *testing.T) {
-	efs := NewErrFS(OSFS{})
-	d, err := NewDisk(Config{Dir: t.TempDir(), FS: efs, Fsync: FsyncGroup})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	d.Reset(core.DB{"x": 1, "y": 2})
-	applyTx(t, d, 1, []walWrite{{v: "x", val: 10}})
-	applyTx(t, d, 2, []walWrite{{v: "y", val: 20}})
+	init := core.DB{"x": 1, "y": 2}
+	for _, policy := range []FsyncPolicy{FsyncGroup, FsyncAlways} {
+		t.Run(policy.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			efs := NewErrFS(OSFS{})
+			d, err := NewDisk(Config{Dir: dir, FS: efs, Fsync: policy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			d.Reset(init)
+			applyTx(t, d, 1, []walWrite{{v: "x", val: 10}})
+			applyTx(t, d, 2, []walWrite{{v: "y", val: 20}})
+			applyTx(t, d, 4, []walWrite{{v: "x", val: 40}})
 
-	efs.FailAt(efs.Ops() + 1) // tx 1's commit-record write
-	d.Commit(1)
-	sticky := d.Err()
-	if !errors.Is(sticky, ErrInjected) {
-		t.Fatalf("Err() = %v after the failed append, want ErrInjected", sticky)
-	}
-	walBytes := d.DurabilityStats().WALBytes
-	step := core.Step{Var: "x", Kind: core.Write, Fn: func([]core.Value) core.Value { return 99 }}
-	if err := d.ApplyStep(3, step); err != sticky {
-		t.Fatalf("ApplyStep on a poisoned store = %v, want the sticky %v", err, sticky)
-	}
-	d.Commit(2)
-	if got := d.DurabilityStats().WALBytes; got != walBytes {
-		t.Fatalf("Commit on a poisoned store appended %d bytes", got-walBytes)
-	}
-	if got, want := d.State(), (core.DB{"x": 1, "y": 2}); !got.Equal(want) {
-		t.Fatalf("state after the failed commit and a poisoned one = %v, want %v", got, want)
+			var sticky error
+			if policy == FsyncGroup {
+				d.Commit(1)
+				d.Commit(2)
+				efs.FailAt(efs.Ops() + 1) // the group's one write
+				sticky = d.GroupSync()
+			} else {
+				efs.FailAt(efs.Ops() + 1) // tx 1's commit-record write
+				d.Commit(1)
+				sticky = d.Err()
+				if got := d.State(); !got.Equal(init) {
+					t.Fatalf("state after the failed commit-record write = %v, want %v", got, init)
+				}
+			}
+			if !errors.Is(sticky, ErrInjected) {
+				t.Fatalf("failed write reported %v, want ErrInjected", sticky)
+			}
+			if err := d.Err(); err != sticky {
+				t.Fatalf("Err() = %v, want the sticky %v", err, sticky)
+			}
+			step := core.Step{Var: "x", Kind: core.Write, Fn: func([]core.Value) core.Value { return 99 }}
+			if err := d.ApplyStep(3, step); err != sticky {
+				t.Fatalf("ApplyStep on a poisoned store = %v, want the sticky %v", err, sticky)
+			}
+			walBytes, before := d.DurabilityStats().WALBytes, d.State()
+			d.Commit(4)
+			if got := d.DurabilityStats().WALBytes; got != walBytes {
+				t.Fatalf("Commit on a poisoned store staged %d bytes", got-walBytes)
+			}
+			if got := d.State(); !got.Equal(before) {
+				t.Fatalf("Commit on a poisoned store changed state %v to %v", before, got)
+			}
+			d.Close()
+			r, err := OpenDisk(Config{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if got := r.State(); !got.Equal(init) {
+				t.Fatalf("recovered %v after the failed write, want %v", got, init)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,10 @@ package storage
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"optcc/internal/core"
@@ -14,7 +17,7 @@ func TestWALRoundTrip(t *testing.T) {
 	var enc walEncoder
 	var log []byte
 	log = append(log, enc.encodeCommit(5, []walWrite{{v: "a", val: -2}, {v: "b", val: 1 << 40}})...)
-	log = append(log, enc.encodeSnapshot(core.DB{"x": 9, "y": -1})...)
+	log = append(log, enc.encodeSnapshot(dbWrites(core.DB{"x": 9, "y": -1}))...)
 	log = append(log, enc.encodeCkpt(3, 7, 1<<20)...)
 
 	var recs []walRec
@@ -282,6 +285,120 @@ func TestDiskFsyncPolicies(t *testing.T) {
 		t.Errorf("never: %d fsyncs, want 0", got)
 	}
 	d.Close()
+}
+
+// TestDiskOneWritePerGroup pins where staged records reach the file. N
+// commits and a GroupSync cost one write and one sync under FsyncGroup,
+// one write and no sync under FsyncNever, and N of each under FsyncAlways.
+// A checkpoint's anchor equals the anchor segment's file size when the
+// checkpoint file is created, right after the capture, so the anchor is a
+// real file offset. A segment sealed by a roll holds every record staged
+// before the roll.
+func TestDiskOneWritePerGroup(t *testing.T) {
+	const n = 5
+	for _, tc := range []struct {
+		policy        FsyncPolicy
+		writes, syncs int64
+	}{{FsyncGroup, 1, 1}, {FsyncNever, 1, 0}, {FsyncAlways, n, n}} {
+		efs := NewErrFS(OSFS{})
+		d, err := NewDisk(Config{Dir: t.TempDir(), FS: efs, Fsync: tc.policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Reset(core.DB{"x": 0})
+		ops, fsyncs := efs.Ops(), d.DurabilityStats().Fsyncs
+		for i := 0; i < n; i++ {
+			applyTx(t, d, i, []walWrite{{v: "x", val: core.Value(i)}})
+			d.Commit(i)
+		}
+		if err := d.GroupSync(); err != nil {
+			t.Fatal(err)
+		}
+		syncs := d.DurabilityStats().Fsyncs - fsyncs
+		if writes := efs.Ops() - ops - syncs; writes != tc.writes || syncs != tc.syncs {
+			t.Errorf("%v: %d commits and a GroupSync made %d writes and %d syncs, want %d and %d",
+				tc.policy, n, writes, syncs, tc.writes, tc.syncs)
+		}
+		d.Close()
+	}
+
+	t.Run("anchor", func(t *testing.T) {
+		dir := t.TempDir()
+		afs := &anchorFS{FS: OSFS{}, seg: filepath.Join(dir, segName(1)), size: -1}
+		d, err := NewDisk(Config{Dir: dir, FS: afs, Fsync: FsyncGroup})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		d.Reset(core.DB{"x": 0})
+		for i := 0; i < 3; i++ {
+			applyTx(t, d, i, []walWrite{{v: "x", val: core.Value(i + 1)}})
+			d.Commit(i) // staged: no GroupSync before the checkpoint
+		}
+		if err := d.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		img, ok := loadCheckpoint(OSFS{}, dir, ckptName(1))
+		if !ok {
+			t.Fatal("checkpoint file unreadable")
+		}
+		if img.aseq != 1 || img.aoff != afs.size {
+			t.Fatalf("checkpoint anchored at seg %d offset %d; segment 1 held %d bytes at capture",
+				img.aseq, img.aoff, afs.size)
+		}
+		if img.table["x"] != 3 {
+			t.Fatalf("checkpoint captured x=%d, want 3", img.table["x"])
+		}
+	})
+
+	t.Run("roll", func(t *testing.T) {
+		dir := t.TempDir()
+		d, err := NewDisk(Config{Dir: dir, Fsync: FsyncGroup, SegmentBytes: 128})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		d.Reset(core.DB{})
+		before := 0 // commits staged before the first roll
+		for i := 0; d.seq == 1; i++ {
+			applyTx(t, d, i, []walWrite{{v: "x", val: core.Value(i)}})
+			d.Commit(i)
+			if d.seq == 1 {
+				before++
+			}
+		}
+		data, err := os.ReadFile(filepath.Join(dir, segName(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		commits := 0
+		valid, clean := walScan(data, func(r walRec) {
+			if r.kind == walCommit {
+				commits++
+			}
+		})
+		if !clean || valid != len(data) || commits != before {
+			t.Fatalf("sealed segment scans %d of %d bytes (clean %v) with %d commits, want all %d staged before the roll",
+				valid, len(data), clean, commits, before)
+		}
+	})
+}
+
+// anchorFS records the size of the file seg when a checkpoint file is
+// created: the moment between a checkpoint's capture and its publish.
+type anchorFS struct {
+	FS
+	seg  string
+	size int64
+}
+
+func (a *anchorFS) Create(name string) (File, error) {
+	if strings.HasPrefix(filepath.Base(name), ckptPrefix) {
+		if fi, err := os.Stat(a.seg); err == nil {
+			a.size = fi.Size()
+		}
+	}
+	return a.FS.Create(name)
 }
 
 // TestParseFsyncPolicy covers the CLI mapping both ways.

@@ -34,7 +34,7 @@ import (
 type GroupCommitter struct {
 	be      Backend
 	syncer  GroupSyncer // non-nil iff be implements GroupSyncer
-	yield   bool        // yield before sealing a group (amortizable syncs)
+	yield   bool        // yield once when the queue runs empty (amortizable syncs)
 	release func(txs []int)
 	onFail  func(txs []int, err error)
 
@@ -114,29 +114,35 @@ func (g *GroupCommitter) drive() {
 // the previous group was committing. The swap trades the queue for the
 // spare buffer (and hands the drained group back as the next spare), so a
 // warm pipeline commits whole groups without allocating.
+//
+// Whatever is queued is sealed at once. When the group sync is the cost
+// being amortized and the queue is found empty, the driver gives runnable
+// peers one scheduling turn to reach Enqueue and re-checks once before
+// standing down. Without that the grouping depends on the Go runtime
+// handing the P to other goroutines *during* the driver's fsync syscall —
+// which it does promptly on a busy multicore box but may not do at all on
+// a single-CPU one (sysmon's retake interval can exceed the whole fsync),
+// collapsing every group to size 1. Yielding before every group instead
+// delays a group that is already queued, and yielding once before the
+// first group raised tx p99 at GOMAXPROCS=1 (DESIGN.md "Fsync policies and
+// the group-commit queue" has the numbers).
 func (g *GroupCommitter) drain() {
-	for {
-		// When the group sync is the cost being amortized, give runnable
-		// peers one scheduling turn to reach Enqueue before the group is
-		// sealed. Without this the grouping depends on the Go runtime
-		// handing the P to other goroutines *during* the driver's fsync
-		// syscall — which it does promptly on a busy multicore box but may
-		// not do at all on a single-CPU one (sysmon's retake interval can
-		// exceed the whole fsync), collapsing every group to size 1.
-		if g.yield {
-			runtime.Gosched()
-		}
+	for yielded := false; ; {
 		g.mu.Lock()
+		if len(g.queue) == 0 {
+			g.mu.Unlock()
+			if !g.yield || yielded {
+				return
+			}
+			runtime.Gosched()
+			yielded = true
+			continue
+		}
 		group := g.queue
 		g.queue = g.free[:0]
 		g.free = nil
 		g.mu.Unlock()
-		if len(group) == 0 {
-			g.mu.Lock()
-			g.free = group
-			g.mu.Unlock()
-			return
-		}
+		yielded = false
 		for _, tx := range group {
 			g.be.Commit(tx)
 		}

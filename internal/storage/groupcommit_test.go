@@ -7,6 +7,7 @@ package storage
 // -race.
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -195,6 +196,45 @@ func TestGroupCommitterOneQueueGroups(t *testing.T) {
 	}
 }
 
+// TestGroupCommitterGroupsOnOneProc: on one processor, four workers each
+// enqueue a transaction and wait for its release before enqueuing the next.
+// Groups form only because the driver, finding the queue empty, yields one
+// turn to the peers it just released before standing down; without that
+// yield one worker runs all its commits as groups of one before the next
+// is ever scheduled.
+func TestGroupCommitterGroupsOnOneProc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const workers, perWorker = 4, 200
+	var done [workers]chan struct{}
+	for w := range done {
+		done[w] = make(chan struct{}, 1)
+	}
+	gc := NewGroupCommitter(syncNoop{}, func(txs []int) {
+		for _, tx := range txs {
+			done[tx/perWorker] <- struct{}{}
+		}
+	})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				gc.Enqueue(w*perWorker + i)
+				<-done[w]
+			}
+		}(w)
+	}
+	wg.Wait()
+	groups, txs := gc.Stats()
+	if txs != workers*perWorker {
+		t.Fatalf("committed %d of %d transactions", txs, workers*perWorker)
+	}
+	if mean := float64(txs) / float64(groups); mean <= 1 {
+		t.Fatalf("mean group size %.2f on one processor, want > 1", mean)
+	}
+}
+
 // recordingBackend is a minimal Backend stub for pipeline-order tests.
 type recordingBackend struct {
 	onCommit func(tx int)
@@ -211,7 +251,7 @@ func (r *recordingBackend) Rollback(int)                             {}
 func (r *recordingBackend) State() core.DB                           { return core.DB{} }
 
 // syncNoop is a memory-only backend that claims amortizable syncs, so the
-// pipeline runs exactly as on a durable store, pre-seal yield included,
+// pipeline runs exactly as on a durable store, empty-queue yield included,
 // with nothing but the pipeline to measure.
 type syncNoop struct{ Noop }
 

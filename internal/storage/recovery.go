@@ -169,7 +169,7 @@ func OpenDisk(cfg Config) (*Disk, error) {
 	if err != nil {
 		return fail(fmt.Errorf("storage: recovery snapshot: %w", err))
 	}
-	frame := d.enc.encodeSnapshot(table)
+	frame := d.enc.encodeSnapshot(dbWrites(table))
 	if _, err := f.Write(frame); err != nil {
 		f.Close()
 		return fail(fmt.Errorf("storage: recovery snapshot write: %w", err))

@@ -84,6 +84,55 @@ func runTortureWorkload(d *Disk, sys *core.System) (synced []int) {
 	return synced
 }
 
+// tortureGroupSize is how many transactions the group torture mode
+// commits per GroupSync.
+const tortureGroupSize = 3
+
+// runGroupTortureWorkload drives the system's transactions serially against
+// d (FsyncGroup) in groups of tortureGroupSize, with one GroupSync after
+// each group, and returns the members of every group whose GroupSync
+// returned nil — the must-survive set. A group's records reach the file in
+// that GroupSync's one write, so a fault there fails the whole group. It
+// stops at the first fault.
+func runGroupTortureWorkload(d *Disk, sys *core.System) (synced []int) {
+	for start := 0; start < len(sys.Txs); start += tortureGroupSize {
+		end := min(start+tortureGroupSize, len(sys.Txs))
+		for tx := start; tx < end; tx++ {
+			for _, step := range sys.Txs[tx].Steps {
+				if err := d.ApplyStep(tx, step); err != nil {
+					d.Rollback(tx)
+					return synced
+				}
+			}
+			d.Commit(tx)
+		}
+		if d.GroupSync() != nil {
+			return synced
+		}
+		for tx := start; tx < end; tx++ {
+			synced = append(synced, tx)
+		}
+	}
+	return synced
+}
+
+// tortureMode is one way to drive the torture workload: a fsync policy,
+// the runner that returns the must-survive set under it, and how many
+// transactions share one log write. "buffered" commits one transaction at
+// a time under FsyncAlways; "group" commits in groups under FsyncGroup, one
+// write and one sync per group.
+type tortureMode struct {
+	name     string
+	policy   FsyncPolicy
+	run      func(d *Disk, sys *core.System) []int
+	perWrite int
+}
+
+var tortureModes = []tortureMode{
+	{name: "buffered", policy: FsyncAlways, run: runTortureWorkload, perWrite: 1},
+	{name: "group", policy: FsyncGroup, run: runGroupTortureWorkload, perWrite: tortureGroupSize},
+}
+
 // checkRecovered opens dir with the real filesystem and asserts the full
 // recovery invariant. synced is the must-survive set; label names the
 // failing injection point. Returns the recovered committed set.
@@ -163,17 +212,17 @@ func checkRecovered(t *testing.T, label, dir string, sys *core.System, synced []
 	return committed
 }
 
-// tortureOps runs the workload fault-free on an ErrFS and returns the
-// total countable operations — the size of the injection-point space.
-func tortureOps(t *testing.T, sys *core.System) int64 {
+// tortureOps runs the workload fault-free on an ErrFS in mode m and returns
+// the total countable operations — the size of the injection-point space.
+func tortureOps(t *testing.T, m tortureMode, sys *core.System) int64 {
 	t.Helper()
 	efs := NewErrFS(OSFS{})
-	d, err := NewDisk(Config{Dir: t.TempDir(), FS: efs, Fsync: FsyncAlways})
+	d, err := NewDisk(Config{Dir: t.TempDir(), FS: efs, Fsync: m.policy})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.Reset(tortureInit)
-	if got := len(runTortureWorkload(d, sys)); got != len(sys.Txs) {
+	if got := len(m.run(d, sys)); got != len(sys.Txs) {
 		t.Fatalf("fault-free run committed %d of %d", got, len(sys.Txs))
 	}
 	d.Close()
@@ -183,60 +232,66 @@ func tortureOps(t *testing.T, sys *core.System) int64 {
 // TestCrashRecoveryEveryInjectionPoint is the exhaustive sweep: for every
 // operation index the workload performs, crash there (all later ops fail
 // with ErrCrashed, the crashing write persisting only a torn prefix) and
-// assert the recovery invariant. The sweep runs as subtest "buffered", the
-// disk's one execution mode.
+// assert the recovery invariant. The sweep runs once per torture mode:
+// subtest "buffered" commits one transaction per write and sync, subtest
+// "group" three per GroupSync, whose one write a crash may tear after any
+// whole record.
 func TestCrashRecoveryEveryInjectionPoint(t *testing.T) {
-	t.Run("buffered", func(t *testing.T) {
-		sys := tortureSystem(10)
-		total := tortureOps(t, sys)
-		if total < int64(len(sys.Txs)) {
-			t.Fatalf("suspiciously few injection points: %d", total)
-		}
-		for k := int64(1); k <= total; k++ {
-			dir := t.TempDir()
-			efs := NewErrFS(OSFS{})
-			d, err := NewDisk(Config{Dir: dir, FS: efs, Fsync: FsyncAlways})
-			if err != nil {
-				t.Fatal(err)
+	for _, m := range tortureModes {
+		t.Run(m.name, func(t *testing.T) {
+			sys := tortureSystem(10)
+			total := tortureOps(t, m, sys)
+			if total < int64(len(sys.Txs)/m.perWrite) {
+				t.Fatalf("suspiciously few injection points: %d", total)
 			}
-			efs.CrashAt(k)
-			d.Reset(tortureInit)
-			synced := runTortureWorkload(d, sys)
-			// No Close: the process "died". Recover from the real files.
-			checkRecovered(t, fmt.Sprintf("crash@%d", k), dir, sys, synced)
-		}
-	})
+			for k := int64(1); k <= total; k++ {
+				dir := t.TempDir()
+				efs := NewErrFS(OSFS{})
+				d, err := NewDisk(Config{Dir: dir, FS: efs, Fsync: m.policy})
+				if err != nil {
+					t.Fatal(err)
+				}
+				efs.CrashAt(k)
+				d.Reset(tortureInit)
+				synced := m.run(d, sys)
+				// No Close: the process "died". Recover from the real files.
+				checkRecovered(t, fmt.Sprintf("crash@%d", k), dir, sys, synced)
+			}
+		})
+	}
 }
 
 // TestTransientFaultRecovery sweeps the one-shot injection points: a
 // failed write/sync (FailAt) and a torn write (ShortWriteAt). The store
 // poisons itself — the workload stops — and recovery must still be exact:
-// nothing synced is lost, nothing torn is admitted. The sweep runs as
-// subtest "buffered", the disk's one execution mode.
+// nothing synced is lost, nothing torn is admitted. The sweep runs once
+// per torture mode, like TestCrashRecoveryEveryInjectionPoint.
 func TestTransientFaultRecovery(t *testing.T) {
-	t.Run("buffered", func(t *testing.T) {
-		sys := tortureSystem(10)
-		total := tortureOps(t, sys)
-		for k := int64(1); k <= total; k += 3 { // sample a third of the space
-			for _, fault := range []string{"fail", "short"} {
-				dir := t.TempDir()
-				efs := NewErrFS(OSFS{})
-				d, err := NewDisk(Config{Dir: dir, FS: efs, Fsync: FsyncAlways})
-				if err != nil {
-					t.Fatal(err)
+	for _, m := range tortureModes {
+		t.Run(m.name, func(t *testing.T) {
+			sys := tortureSystem(10)
+			total := tortureOps(t, m, sys)
+			for k := int64(1); k <= total; k += 3 { // sample a third of the space
+				for _, fault := range []string{"fail", "short"} {
+					dir := t.TempDir()
+					efs := NewErrFS(OSFS{})
+					d, err := NewDisk(Config{Dir: dir, FS: efs, Fsync: m.policy})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fault == "fail" {
+						efs.FailAt(k)
+					} else {
+						efs.ShortWriteAt(k)
+					}
+					d.Reset(tortureInit)
+					synced := m.run(d, sys)
+					d.Close()
+					checkRecovered(t, fmt.Sprintf("%s@%d", fault, k), dir, sys, synced)
 				}
-				if fault == "fail" {
-					efs.FailAt(k)
-				} else {
-					efs.ShortWriteAt(k)
-				}
-				d.Reset(tortureInit)
-				synced := runTortureWorkload(d, sys)
-				d.Close()
-				checkRecovered(t, fmt.Sprintf("%s@%d", fault, k), dir, sys, synced)
 			}
-		}
-	})
+		})
+	}
 }
 
 // TestWALTornTailRecovery truncates the tail of the active segment after a

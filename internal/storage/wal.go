@@ -123,16 +123,26 @@ func (e *walEncoder) encodeCkpt(ckpt, aseq int, aoff int64) []byte {
 	return e.seal()
 }
 
-// encodeSnapshot frames a full-state checkpoint.
-func (e *walEncoder) encodeSnapshot(state core.DB) []byte {
+// encodeSnapshot frames a full-state image: every (variable, value) pair
+// of state, in the slice's order.
+func (e *walEncoder) encodeSnapshot(state []walWrite) []byte {
 	e.reset()
 	e.buf = append(e.buf, walSnapshot)
 	e.putUvarint(uint64(len(state)))
-	for v, val := range state {
-		e.putVar(v)
-		e.putVarint(int64(val))
+	for _, w := range state {
+		e.putVar(w.v)
+		e.putVarint(int64(w.val))
 	}
 	return e.seal()
+}
+
+// dbWrites lists db's pairs for encodeSnapshot, in map order.
+func dbWrites(db core.DB) []walWrite {
+	ws := make([]walWrite, 0, len(db))
+	for v, val := range db {
+		ws = append(ws, walWrite{v: v, val: val})
+	}
+	return ws
 }
 
 // walDecode parses one record payload (the bytes after the frame header).

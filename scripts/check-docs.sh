@@ -241,8 +241,9 @@ fi
 # concurrent engine's run-global in-flight/committing counters with its
 # unconditional yield at every job end, and the per-shard variable maps
 # (one immutable map per shard in each per-variable table, now one
-# internal/vartab map) are gone; nothing that documents or drives the
-# current tree may name them.
+# internal/vartab map) and the group committer's yield before every group
+# (it now yields only when the queue runs empty) are gone; nothing that
+# documents or drives the current tree may name them.
 for f in README.md DESIGN.md doc.go cmd/*/main.go Makefile internal/report/report.go .claude/skills/verify/SKILL.md; do
   [ -f "$f" ] || continue
   for stale in 'railstripes' 'NewSharded(' 'Sharded combinator' 'ordering rail' 'benchdiff' 'bench-json' 'BENCH_PR' \
@@ -253,7 +254,7 @@ for f in README.md DESIGN.md doc.go cmd/*/main.go Makefile internal/report/repor
       'batchSizer' 'decideBatch' 'intake coalescing' '2 + 2k times' \
       'group-commit lanes' 'partitioned across lanes' \
       'run-global `inFlight`/`committing`' 'yields (`runtime.Gosched`) between' \
-      'one plain map per shard' 'immutable per-shard maps'; do
+      'one plain map per shard' 'immutable per-shard maps' 'before sealing each group'; do
     if grep -qF -- "$stale" "$f"; then
       echo "check-docs: $f still names the removed '$stale'"
       fail=1
