@@ -1,7 +1,7 @@
 package optcc
 
 // One benchmark per experiment of DESIGN.md's index (theorems T1–T4,
-// figures F1–F5, measurements E1–E15), plus per-layer micro-benchmarks.
+// figures F1–F5, measurements E1–E7), plus per-layer micro-benchmarks.
 // End-to-end throughput is bench/'s job, not this file's. Run with:
 //
 //	go test -run '^$' -bench=. -benchmem

@@ -1,8 +1,9 @@
 // Command ccbench runs the paper-reproduction experiments (T1–T4 theorems,
-// F1–F5 figures, E1–E7, E9 and E11–E15 measurements) and prints their
-// tables. Each experiment runs once at a fixed scale and fails if its
-// self-check does; throughput and latency numbers come from bench/, not
-// from here.
+// F1–F5 figures, E1–E7 measurements) and prints their tables. Each
+// experiment runs once at a fixed scale and fails if its self-check does;
+// throughput and latency numbers come from bench/, not from here. The
+// engine's state==replay, schedule-CSR and recovered==replay checks are
+// tests in internal/sim and internal/storage, through internal/check.
 //
 // Usage:
 //
@@ -13,9 +14,9 @@
 // Profiling and allocation measurement (the perf workflow behind the
 // zero-allocation hot path, DESIGN.md "Memory discipline"):
 //
-//	ccbench -exp E12 -cpuprofile cpu.pprof   # CPU profile of the cell
-//	ccbench -exp E12 -memprofile mem.pprof   # heap profile at exit
-//	ccbench -exp E9,E11,E12 -allocstats      # per-experiment allocator pressure
+//	ccbench -exp E4 -cpuprofile cpu.pprof   # CPU profile of the cell
+//	ccbench -exp E4 -memprofile mem.pprof   # heap profile at exit
+//	ccbench -exp E4,E7 -allocstats          # per-experiment allocator pressure
 package main
 
 import (

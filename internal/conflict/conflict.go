@@ -13,6 +13,7 @@ package conflict
 
 import (
 	"fmt"
+	"slices"
 
 	"optcc/internal/core"
 )
@@ -94,6 +95,42 @@ func (g *Graph) Edges() [][2]int {
 func (g *Graph) HasCycle() bool {
 	_, ok := g.TopoOrder()
 	return !ok
+}
+
+// Cycle returns the nodes of one directed cycle in edge order — each node
+// has an edge to the next, the last to the first — or nil if the graph is
+// acyclic. No node repeats. The depth-first search starts from the
+// smallest index and tries successors in index order, so the cycle is
+// deterministic.
+func (g *Graph) Cycle() []int {
+	state := make([]byte, g.n) // 0 unseen, 1 on the DFS stack, 2 done
+	var stack []int
+	var walk func(i int) []int
+	walk = func(i int) []int {
+		state[i] = 1
+		stack = append(stack, i)
+		for j := 0; j < g.n; j++ {
+			if !g.adj[i][j] || state[j] == 2 {
+				continue
+			}
+			if state[j] == 1 {
+				return slices.Clone(stack[slices.Index(stack, j):])
+			}
+			if c := walk(j); c != nil {
+				return c
+			}
+		}
+		stack, state[i] = stack[:len(stack)-1], 2
+		return nil
+	}
+	for i := 0; i < g.n; i++ {
+		if state[i] == 0 {
+			if c := walk(i); c != nil {
+				return c
+			}
+		}
+	}
+	return nil
 }
 
 // TopoOrder returns a topological order of the nodes and true, or nil and

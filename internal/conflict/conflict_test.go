@@ -2,6 +2,7 @@ package conflict
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"optcc/internal/core"
@@ -71,6 +72,9 @@ func TestLostUpdateCycle(t *testing.T) {
 	if !g.HasCycle() {
 		t.Error("lost-update graph acyclic")
 	}
+	if c := g.Cycle(); !slices.Equal(c, []int{0, 1}) {
+		t.Errorf("Cycle() = %v, want [0 1]", c)
+	}
 	ok, _, err := Serializable(sys, h)
 	if err != nil {
 		t.Fatal(err)
@@ -121,6 +125,13 @@ func TestTopoOrderDeterministic(t *testing.T) {
 	if !g.HasCycle() {
 		t.Error("HasCycle false on cyclic graph")
 	}
+	if c := g.Cycle(); !slices.Equal(c, []int{0, 2}) {
+		t.Errorf("Cycle() = %v, want [0 2]", c)
+	}
+	g.AddEdge(1, 0)
+	if c := g.Cycle(); !slices.Equal(c, []int{0, 2}) {
+		t.Errorf("Cycle() with a tail = %v, want [0 2]", c)
+	}
 }
 
 func TestSelfLoopIgnored(t *testing.T) {
@@ -129,7 +140,7 @@ func TestSelfLoopIgnored(t *testing.T) {
 	if g.HasEdge(1, 1) {
 		t.Error("self-loop stored")
 	}
-	if g.HasCycle() {
+	if g.HasCycle() || g.Cycle() != nil {
 		t.Error("self-loop created cycle")
 	}
 	if g.N() != 2 {

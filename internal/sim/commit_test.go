@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"optcc/internal/check"
 	"optcc/internal/core"
 	"optcc/internal/lockmgr"
 	"optcc/internal/online"
@@ -35,7 +36,7 @@ func TestBatchedHotShard(t *testing.T) {
 			t.Run(fmt.Sprintf("batch%d/seed%d", batch, seed), func(t *testing.T) {
 				checkReplayInvariant(t, "2pl-sharded4/woundwait",
 					func() online.Scheduler { return online.NewConcurrentStrict2PL(lockmgr.WoundWait, 4) },
-					hotShardSystem(), 16, 8, 64, seed, batch)
+					hotShardSystem(), 16, 8, storage.Config{ValueSize: 64}, seed, batch)
 			})
 		}
 	}
@@ -70,7 +71,9 @@ func TestGroupCommitPipelineUsed(t *testing.T) {
 		t.Errorf("%d syncs for %d groups", syncs, m.CommitGroups)
 	}
 	be.checkOnce(t, jobs)
-	checkReplay(t, inst, m, be.State())
+	if err := check.Replay(inst, m.Output, be.State()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestInlineCommitWithoutSyncer: a backend with nothing to sync — KV, Noop
@@ -108,21 +111,11 @@ func TestInlineCommitWithoutSyncer(t *testing.T) {
 			}
 			be.checkOnce(t, jobs)
 			if c.name == "kv" {
-				checkReplay(t, inst, m, be.State())
+				if err := check.Replay(inst, m.Output, be.State()); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
-	}
-}
-
-// checkReplay requires state to equal the replay of the run's Output.
-func checkReplay(t *testing.T, inst *core.System, m *Metrics, state core.DB) {
-	t.Helper()
-	replay, err := core.Exec(inst, m.Output, inst.InitialStates()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !state.Equal(replay) {
-		t.Fatal("backend state diverged from committed replay")
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"optcc/internal/conflict"
+	"optcc/internal/check"
 	"optcc/internal/core"
 	"optcc/internal/lockmgr"
 	"optcc/internal/online"
@@ -34,9 +34,10 @@ func concurrentSchedulers() []online.ConcurrentScheduler {
 // TestShardedDispatchCompletes: every concurrent scheduler must commit all
 // jobs under the per-shard decision latches, with a serializable output.
 func TestShardedDispatchCompletes(t *testing.T) {
+	const seed = 99
 	inst := Instantiate(workload.Banking(), 12)
 	for _, cs := range concurrentSchedulers() {
-		m, err := Run(Config{System: inst, Sched: cs, Users: 6, Seed: 99})
+		m, err := Run(Config{System: inst, Sched: cs, Users: 6, Seed: seed})
 		if err != nil {
 			t.Fatalf("%s: %v", cs.Name(), err)
 		}
@@ -46,12 +47,8 @@ func TestShardedDispatchCompletes(t *testing.T) {
 		if !m.Output.Legal(inst.Format()) {
 			t.Fatalf("%s output illegal", cs.Name())
 		}
-		csr, _, err := conflict.Serializable(inst, m.Output)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !csr {
-			t.Errorf("%s produced non-serializable output", cs.Name())
+		if err := check.CSR(inst, m.Output); err != nil {
+			t.Errorf("%s seed %d: %v", cs.Name(), seed, err)
 		}
 	}
 }
@@ -100,12 +97,8 @@ func TestShardedDispatchDeadlockProne(t *testing.T) {
 		if m.Committed != 10 {
 			t.Fatalf("seed %d: committed %d of 10", seed, m.Committed)
 		}
-		csr, _, err := conflict.Serializable(inst, m.Output)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !csr {
-			t.Errorf("seed %d: non-serializable output", seed)
+		if err := check.CSR(inst, m.Output); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
 		}
 	}
 }

@@ -8,8 +8,10 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"optcc/internal/check"
 	"optcc/internal/core"
 	"optcc/internal/lockmgr"
 	"optcc/internal/online"
@@ -17,11 +19,13 @@ import (
 	"optcc/internal/workload"
 )
 
-// runDurable runs the configuration on a fresh disk backend in dir and
-// requires every job to commit. Returns the backend and the run metrics.
-func runDurable(t *testing.T, name string, dir string, cfg Config, fsync storage.FsyncPolicy) (*storage.Disk, *Metrics) {
+// runDurable runs the configuration on a fresh disk backend (disk, in dir)
+// and requires every job to commit. Returns the backend and the run
+// metrics.
+func runDurable(t *testing.T, name string, dir string, cfg Config, disk storage.Config) (*storage.Disk, *Metrics) {
 	t.Helper()
-	be, err := storage.NewDisk(storage.Config{Dir: dir, Fsync: fsync})
+	disk.Dir = dir
+	be, err := storage.NewDisk(disk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,9 +40,9 @@ func runDurable(t *testing.T, name string, dir string, cfg Config, fsync storage
 	return be, m
 }
 
-// checkRecovers closes be, recovers dir with OpenDisk, and requires the
-// recovered state to equal want with nothing truncated.
-func checkRecovers(t *testing.T, name string, be *storage.Disk, dir string, want core.DB) {
+// recovered closes be, recovers dir with OpenDisk, requires a clean log
+// (nothing truncated) and returns the recovered state.
+func recovered(t *testing.T, name string, be *storage.Disk, dir string) core.DB {
 	t.Helper()
 	if err := be.Close(); err != nil {
 		t.Fatalf("%s: close: %v", name, err)
@@ -48,40 +52,43 @@ func checkRecovers(t *testing.T, name string, be *storage.Disk, dir string, want
 		t.Fatalf("%s: recovery: %v", name, err)
 	}
 	defer r.Close()
-	if got := r.State(); !got.Equal(want) {
-		t.Fatalf("%s: recovered state != expected\n  recovered %v\n  expected  %v", name, got, want)
-	}
 	if ds := r.DurabilityStats(); ds.WALTruncated != 0 {
 		t.Fatalf("%s: clean shutdown recovered with WALTruncated=%d", name, ds.WALTruncated)
 	}
+	return r.State()
 }
 
 // checkDurableReplay runs the configuration on a fresh disk backend,
 // checks the replay invariant against the live state, then closes the
 // store, recovers it with OpenDisk, and checks the invariant again on the
-// recovered state. Returns the run metrics.
-func checkDurableReplay(t *testing.T, name string, mk func() online.Scheduler, template *core.System, jobs, users int, seed int64, batch int, fsync storage.FsyncPolicy) *Metrics {
+// recovered state. Returns the run metrics and the closed store's
+// durability stats.
+func checkDurableReplay(t *testing.T, name string, mk func() online.Scheduler, template *core.System, jobs, users int, seed int64, batch int, disk storage.Config) (*Metrics, storage.DurabilityStats) {
 	t.Helper()
 	inst := Instantiate(template, jobs)
 	dir := t.TempDir()
-	be, m := runDurable(t, name, dir, Config{System: inst, Sched: mk(), Users: users, Seed: seed, Batch: batch}, fsync)
-	replay, err := core.Exec(inst, m.Output, inst.InitialStates()[0])
-	if err != nil {
-		t.Fatalf("%s: replay: %v", name, err)
+	be, m := runDurable(t, name, dir, Config{System: inst, Sched: mk(), Users: users, Seed: seed, Batch: batch}, disk)
+	if err := check.Replay(inst, m.Output, be.State()); err != nil {
+		t.Fatalf("%s seed %d: live: %v", name, seed, err)
 	}
-	if live := be.State(); !live.Equal(replay) {
-		t.Fatalf("%s: live disk state != committed replay\n  live   %v\n  replay %v", name, live, replay)
+	if err := check.Replay(inst, m.Output, recovered(t, name, be, dir)); err != nil {
+		t.Fatalf("%s seed %d: recovered: %v", name, seed, err)
 	}
-	checkRecovers(t, name, be, dir, replay)
-	return m
+	return m, be.DurabilityStats()
 }
 
 // TestDiskBackendReplayAndRecovery: serial, strict 2PL and the natively
 // concurrent (non-strict) TO scheduler on the disk backend, across both
 // runtimes and all three fsync policies — the committed replay must match
-// the live state AND the recovered state. Config.Batch is ignored, so the
-// batch1 and batch8 rows are two runs of one configuration; they keep
-// their names until the field goes.
+// the live state AND the recovered state. Group commit must pay for
+// itself: on the /disjoint rows (128 conflict-free jobs, 16 users)
+// fsync=group issues fewer fsyncs than fsync=always, per scheduler; on
+// banking's conflicts commits serialize and the counts may tie. The
+// checkpointed row arms the background checkpointer with small segments,
+// so recovery starts from a checkpoint and the log tail; it must have
+// checkpointed and stayed healthy. Config.Batch is ignored, so the batch1
+// and batch8 rows are two runs of one configuration; they keep their names
+// until the field goes.
 func TestDiskBackendReplayAndRecovery(t *testing.T) {
 	scheds := []struct {
 		name        string
@@ -89,29 +96,52 @@ func TestDiskBackendReplayAndRecovery(t *testing.T) {
 		template    *core.System
 		jobs, users int
 		seed        int64
+		disk        storage.Config // Fsync is set per row
 	}{
-		{"central/serial", func() online.Scheduler { return online.NewSerial() }, workload.Banking(), 12, 6, 42},
-		{"central/2pl-woundwait", func() online.Scheduler { return online.NewStrict2PL(lockmgr.WoundWait) }, workload.Banking(), 12, 6, 42},
-		{"2pl-sharded4/woundwait", func() online.Scheduler { return online.NewConcurrentStrict2PL(lockmgr.WoundWait, 4) }, workload.Banking(), 12, 6, 42},
+		{"central/serial", func() online.Scheduler { return online.NewSerial() }, workload.Banking(), 12, 6, 42, storage.Config{}},
+		{"central/2pl-woundwait", func() online.Scheduler { return online.NewStrict2PL(lockmgr.WoundWait) }, workload.Banking(), 12, 6, 42, storage.Config{}},
+		{"2pl-sharded4/woundwait", func() online.Scheduler { return online.NewConcurrentStrict2PL(lockmgr.WoundWait, 4) }, workload.Banking(), 12, 6, 42, storage.Config{}},
 		// TO grants writes without holding readers off them until commit,
 		// so under conflicts its buffered reads may legitimately differ
 		// from the granted-order replay; it runs the conflict-free workload.
-		{"cto4", func() online.Scheduler { return online.NewConcurrentTO(4) }, workload.Disjoint(16, 2), 16, 8, 7},
+		{"cto4", func() online.Scheduler { return online.NewConcurrentTO(4) }, workload.Disjoint(16, 2), 16, 8, 7, storage.Config{}},
+		{"2pl-sharded4/disjoint", func() online.Scheduler { return online.NewConcurrentStrict2PL(lockmgr.WoundWait, 4) }, workload.Disjoint(128, 3), 128, 16, 1979, storage.Config{}},
+		{"cto4/disjoint", func() online.Scheduler { return online.NewConcurrentTO(4) }, workload.Disjoint(128, 3), 128, 16, 1979, storage.Config{}},
+		{"2pl-sharded4/checkpointed", func() online.Scheduler { return online.NewConcurrentStrict2PL(lockmgr.WoundWait, 4) },
+			workload.Disjoint(512, 3), 512, 16, 1979, storage.Config{SegmentBytes: 4096, CheckpointBytes: 4096}},
 	}
+	fsyncs := map[string]map[storage.FsyncPolicy]int64{}
 	for _, fsync := range []storage.FsyncPolicy{storage.FsyncAlways, storage.FsyncGroup, storage.FsyncNever} {
 		for _, batch := range []int{1, 8} {
 			for _, sc := range scheds {
 				name := fmt.Sprintf("%s/fsync-%s/batch%d", sc.name, fsync, batch)
 				t.Run(name, func(t *testing.T) {
-					m := checkDurableReplay(t, name, sc.mk, sc.template, sc.jobs, sc.users, sc.seed, batch, fsync)
+					disk := sc.disk
+					disk.Fsync = fsync
+					m, ds := checkDurableReplay(t, name, sc.mk, sc.template, sc.jobs, sc.users, sc.seed, batch, disk)
 					if fsync != storage.FsyncNever && m.Fsyncs == 0 {
 						t.Errorf("%s: no fsyncs recorded in metrics", name)
 					}
 					if m.WALBytes == 0 {
 						t.Errorf("%s: no WAL bytes recorded in metrics", name)
 					}
+					if disk.CheckpointBytes > 0 && (ds.Checkpoints == 0 || ds.CheckpointerOff) {
+						t.Errorf("%s: %d checkpoints, checkpointer off=%v", name, ds.Checkpoints, ds.CheckpointerOff)
+					}
+					key := fmt.Sprintf("%s/batch%d", sc.name, batch)
+					if fsyncs[key] == nil {
+						fsyncs[key] = map[storage.FsyncPolicy]int64{}
+					}
+					fsyncs[key][fsync] = m.Fsyncs
 				})
 			}
+		}
+	}
+	for key, n := range fsyncs {
+		always, okAlways := n[storage.FsyncAlways]
+		group, okGroup := n[storage.FsyncGroup]
+		if okAlways && okGroup && strings.Contains(key, "/disjoint/") && group >= always {
+			t.Errorf("%s: fsync=group issued %d fsyncs, not fewer than fsync=always's %d", key, group, always)
 		}
 	}
 }
@@ -131,8 +161,11 @@ func TestDiskBufferedNonStrictRecovery(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			be, _ := runDurable(t, name, dir, Config{System: Instantiate(template, jobs), Sched: online.NewConcurrentTO(4),
-				Users: 16, Seed: 11, Batch: batch, MaxRestarts: 10000}, storage.FsyncGroup)
-			checkRecovers(t, name, be, dir, be.State())
+				Users: 16, Seed: 11, Batch: batch, MaxRestarts: 10000}, storage.Config{Fsync: storage.FsyncGroup})
+			live := be.State()
+			if got := recovered(t, name, be, dir); !got.Equal(live) {
+				t.Fatalf("%s: recovered state != live\n  recovered %v\n  live      %v", name, got, live)
+			}
 		})
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"optcc/internal/conflict"
+	"optcc/internal/check"
 	"optcc/internal/core"
 	"optcc/internal/lockmgr"
 	"optcc/internal/online"
@@ -72,12 +72,8 @@ func TestLatchNoWakeupDependsOnWatchdog(t *testing.T) {
 		if m.Committed != jobs {
 			t.Fatalf("run %d: committed %d of %d (aborts=%d breaks=%d)", run, m.Committed, jobs, m.Aborts, m.DeadlockBreaks)
 		}
-		replay, err := core.Exec(inst, m.Output, inst.InitialStates()[0])
-		if err != nil {
-			t.Fatalf("run %d: replay: %v", run, err)
-		}
-		if !be.State().Equal(replay) {
-			t.Fatalf("run %d: backend state diverged from committed replay", run)
+		if err := check.Replay(inst, m.Output, be.State()); err != nil {
+			t.Fatalf("run %d (seed %d): %v", run, run, err)
 		}
 	}
 }
@@ -110,15 +106,11 @@ func TestLatchOrderingUsersFarAboveShards(t *testing.T) {
 				if !m.Output.Legal(c.sys.Format()) {
 					t.Fatal("output is not a legal schedule")
 				}
-				if csr, _, err := conflict.Serializable(c.sys, m.Output); err != nil || !csr {
-					t.Fatalf("output not conflict-serializable (err=%v)", err)
+				if err := check.CSR(c.sys, m.Output); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
 				}
-				replay, err := core.Exec(c.sys, m.Output, c.sys.InitialStates()[0])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !be.State().Equal(replay) {
-					t.Fatal("backend state diverged from committed replay")
+				if err := check.Replay(c.sys, m.Output, be.State()); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
 				}
 				requests, steps := m.SchedNs.N()+m.WaitNs.N(), c.sys.StepCount()
 				// An aborted attempt issued at most three requests; with no

@@ -8,7 +8,7 @@ package sim
 import (
 	"testing"
 
-	"optcc/internal/conflict"
+	"optcc/internal/check"
 	"optcc/internal/core"
 	"optcc/internal/online"
 	"optcc/internal/storage"
@@ -34,17 +34,17 @@ func readOnlyTxs(sys *core.System) []int {
 	return out
 }
 
-// TestConcurrentMVReadMostlyStateMatchesReplay is the tentpole's
-// self-check, the one E12 repeats per cell: the read-mostly workload under
-// mv must commit everything, serve every read-only transaction's steps
+// TestConcurrentMVReadMostlyStateMatchesReplay: the read-mostly workload
+// under mv, from half to nearly all readers, must commit everything, serve every read-only transaction's steps
 // through the snapshot path (they never enter the grant machinery, so they
 // produce no Output events), keep the committed schedule
 // conflict-serializable, and leave the backend state equal to the serial
 // replay of the committed schedule — writers are pure increments executed
 // strictly under held claims, so the write-set invariant is exact.
+// check.Replay closes the schedule over the snapshot-served readers.
 func TestConcurrentMVReadMostlyStateMatchesReplay(t *testing.T) {
-	const jobs = 32
-	for _, readFrac := range []float64{0.5, 0.9} {
+	const jobs, seed = 32, 17
+	for _, readFrac := range []float64{0.5, 0.9, 0.99} {
 		template := workload.ReadMostly(workload.ReadMostlyConfig{
 			Jobs: jobs, Steps: 3, ReadFrac: readFrac, Vars: 16, HotFrac: 0.8, HotVars: 3,
 		}, 23)
@@ -52,7 +52,7 @@ func TestConcurrentMVReadMostlyStateMatchesReplay(t *testing.T) {
 		ro := readOnlyTxs(inst)
 		be := storage.NewKV(storage.Config{Shards: 4, ValueSize: 128})
 		m, err := Run(Config{System: inst, Sched: online.NewConcurrentMV(4),
-			Backend: be, Users: 8, Seed: 17, MaxRestarts: 10000})
+			Backend: be, Users: 8, Seed: seed, MaxRestarts: 10000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,28 +73,11 @@ func TestConcurrentMVReadMostlyStateMatchesReplay(t *testing.T) {
 				}
 			}
 		}
-		csr, _, err := conflict.Serializable(inst, m.Output)
-		if err != nil {
-			t.Fatal(err)
+		if err := check.CSR(inst, m.Output); err != nil {
+			t.Fatalf("readfrac=%v seed %d: %v", readFrac, seed, err)
 		}
-		if !csr {
-			t.Fatalf("readfrac=%v: non-serializable committed schedule", readFrac)
-		}
-		// core.Exec needs a complete schedule; the snapshot-served read-only
-		// transactions are absent from Output, so append their (all-Read,
-		// state-neutral) steps to close it.
-		full := append([]core.StepID{}, m.Output...)
-		for _, tx := range ro {
-			for idx := range inst.Txs[tx].Steps {
-				full = append(full, core.StepID{Tx: tx, Idx: idx})
-			}
-		}
-		replay, err := core.Exec(inst, full, inst.InitialStates()[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !be.State().Equal(replay) {
-			t.Fatalf("readfrac=%v: backend state diverged from committed replay", readFrac)
+		if err := check.Replay(inst, m.Output, be.State()); err != nil {
+			t.Fatalf("readfrac=%v seed %d: %v", readFrac, seed, err)
 		}
 	}
 }
@@ -121,11 +104,7 @@ func TestSnapshotFastPathGate(t *testing.T) {
 	if m.SnapshotReads != 0 {
 		t.Fatalf("fast path engaged with %d snapshot reads despite 2 slots for 4 users", m.SnapshotReads)
 	}
-	replay, err := core.Exec(inst, m.Output, inst.InitialStates()[0])
-	if err != nil {
+	if err := check.Replay(inst, m.Output, be.State()); err != nil {
 		t.Fatal(err)
-	}
-	if !be.State().Equal(replay) {
-		t.Fatal("backend state diverged from committed replay")
 	}
 }

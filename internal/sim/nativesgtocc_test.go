@@ -9,7 +9,7 @@ package sim
 import (
 	"testing"
 
-	"optcc/internal/conflict"
+	"optcc/internal/check"
 	"optcc/internal/core"
 	"optcc/internal/online"
 	"optcc/internal/storage"
@@ -20,26 +20,31 @@ import (
 // decision latches with real storage on the conflict-free multi-shard
 // workload. Every grant takes the zero-conflict lock-free path, every
 // commit retires an edgeless singleton; the committed backend state must
-// equal the committed replay.
+// equal the committed replay. The single-threaded SGT under Mutexed is
+// held to the same check.
 func TestConcurrentSGTDisjointStateMatchesReplay(t *testing.T) {
-	const jobs = 24
-	for _, shards := range []int{1, 4} {
+	checkDisjointReplay(t, online.NewConcurrentSGTAborting(1), online.NewConcurrentSGTAborting(4),
+		online.NewMutexed(online.NewSGTAborting()))
+}
+
+// checkDisjointReplay runs each scheduler on the conflict-free
+// multi-shard workload over a KV of its own shard count and requires the
+// committed backend state to equal the committed replay.
+func checkDisjointReplay(t *testing.T, scheds ...online.ConcurrentScheduler) {
+	t.Helper()
+	const jobs, seed = 24, 42
+	for _, sched := range scheds {
 		inst := Instantiate(workload.Disjoint(jobs, 3), jobs)
-		be := storage.NewKV(storage.Config{Shards: shards, ValueSize: 128})
-		m, err := Run(Config{System: inst, Sched: online.NewConcurrentSGTAborting(shards),
-			Backend: be, Users: 8, Seed: 42})
+		be := storage.NewKV(storage.Config{Shards: sched.NumShards(), ValueSize: 128})
+		m, err := Run(Config{System: inst, Sched: sched, Backend: be, Users: 8, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if m.Committed != jobs {
-			t.Fatalf("shards=%d: committed %d of %d", shards, m.Committed, jobs)
+			t.Fatalf("%s: committed %d of %d", sched.Name(), m.Committed, jobs)
 		}
-		replay, err := core.Exec(inst, m.Output, inst.InitialStates()[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !be.State().Equal(replay) {
-			t.Fatalf("shards=%d: backend state diverged from committed replay", shards)
+		if err := check.Replay(inst, m.Output, be.State()); err != nil {
+			t.Errorf("%s seed %d: %v", sched.Name(), seed, err)
 		}
 	}
 }
@@ -54,8 +59,10 @@ func TestConcurrentSGTDisjointStateMatchesReplay(t *testing.T) {
 // conflict-serializable: the concurrent edge set equals the sequential
 // SGT's, so acyclicity of the shared graph is exactly CSR of the committed
 // log, exercised concurrently. Output must also keep the shard logs'
-// per-variable order (checkMerge).
+// per-variable order (checkMerge). The single-threaded SGT under Mutexed
+// is held to the same check.
 func TestConcurrentSGTContendedSerializable(t *testing.T) {
+	const seed = 11
 	templates := []*core.System{
 		workload.Random(workload.RandomConfig{
 			NumTxs: 24, MinSteps: 3, MaxSteps: 3, NumVars: 6, Hotspot: 1}, 7),
@@ -63,24 +70,18 @@ func TestConcurrentSGTContendedSerializable(t *testing.T) {
 	}
 	for _, template := range templates {
 		jobs := template.NumTxs()
-		for _, shards := range []int{1, 4} {
-			for _, abort := range []bool{false, true} {
-				var sched online.Scheduler = online.NewConcurrentSGT(shards)
-				if abort {
-					sched = online.NewConcurrentSGTAborting(shards)
-				}
-				inst := Instantiate(template, jobs)
-				m := runMerged(t, Config{System: inst, Sched: sched, Users: 8, Seed: 11, MaxRestarts: 10000})
-				if m.Committed != jobs {
-					t.Fatalf("%s on %s: committed %d of %d", sched.Name(), template.Name, m.Committed, jobs)
-				}
-				csr, _, err := conflict.Serializable(inst, m.Output)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !csr {
-					t.Fatalf("%s on %s: non-serializable committed schedule", sched.Name(), template.Name)
-				}
+		for _, sched := range []online.Scheduler{
+			online.NewConcurrentSGT(1), online.NewConcurrentSGTAborting(1),
+			online.NewConcurrentSGT(4), online.NewConcurrentSGTAborting(4),
+			online.NewMutexed(online.NewSGTAborting()),
+		} {
+			inst := Instantiate(template, jobs)
+			m := runMerged(t, Config{System: inst, Sched: sched, Users: 8, Seed: seed, MaxRestarts: 10000})
+			if m.Committed != jobs {
+				t.Fatalf("%s on %s: committed %d of %d", sched.Name(), template.Name, m.Committed, jobs)
+			}
+			if err := check.CSR(inst, m.Output); err != nil {
+				t.Errorf("%s on %s seed %d: %v", sched.Name(), template.Name, seed, err)
 			}
 		}
 	}
@@ -88,28 +89,10 @@ func TestConcurrentSGTContendedSerializable(t *testing.T) {
 
 // TestConcurrentOCCDisjointStateMatchesReplay: native OCC under the shard
 // decision latches with real storage on the conflict-free multi-shard
-// workload — the all-lock-free regime the epoch validation is built for.
+// workload — the all-lock-free regime the epoch validation is built for —
+// beside the single-threaded OCC under Mutexed.
 func TestConcurrentOCCDisjointStateMatchesReplay(t *testing.T) {
-	const jobs = 24
-	for _, shards := range []int{1, 4} {
-		inst := Instantiate(workload.Disjoint(jobs, 3), jobs)
-		be := storage.NewKV(storage.Config{Shards: shards, ValueSize: 128})
-		m, err := Run(Config{System: inst, Sched: online.NewConcurrentOCC(shards),
-			Backend: be, Users: 8, Seed: 42})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Committed != jobs {
-			t.Fatalf("shards=%d: committed %d of %d", shards, m.Committed, jobs)
-		}
-		replay, err := core.Exec(inst, m.Output, inst.InitialStates()[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !be.State().Equal(replay) {
-			t.Fatalf("shards=%d: backend state diverged from committed replay", shards)
-		}
-	}
+	checkDisjointReplay(t, online.NewConcurrentOCC(1), online.NewConcurrentOCC(4), online.NewMutexed(online.NewOCC()))
 }
 
 // TestConcurrentOCCContendedSerializable: native OCC under real conflicts
@@ -118,21 +101,20 @@ func TestConcurrentOCCDisjointStateMatchesReplay(t *testing.T) {
 // conflict-serializable — committed transactions are serialized by their
 // validation epochs, exercised with genuinely concurrent validators.
 // Output must also keep the shard logs' per-variable order (checkMerge).
+// The single-threaded OCC under Mutexed is held to the same check. A
+// failure prints the cycle and the seed.
 func TestConcurrentOCCContendedSerializable(t *testing.T) {
-	const jobs = 24
+	const jobs, seed = 24, 11
 	template := workload.Random(workload.RandomConfig{
 		NumTxs: jobs, MinSteps: 3, MaxSteps: 3, NumVars: 6, Hotspot: 1}, 7)
-	inst := Instantiate(template, jobs)
-	m := runMerged(t, Config{System: inst, Sched: online.NewConcurrentOCC(4),
-		Users: 8, Seed: 11, MaxRestarts: 10000})
-	if m.Committed != jobs {
-		t.Fatalf("committed %d of %d", m.Committed, jobs)
-	}
-	csr, _, err := conflict.Serializable(inst, m.Output)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !csr {
-		t.Fatal("non-serializable committed schedule under concurrent backward validation")
+	for _, sched := range []online.ConcurrentScheduler{online.NewConcurrentOCC(4), online.NewMutexed(online.NewOCC())} {
+		inst := Instantiate(template, jobs)
+		m := runMerged(t, Config{System: inst, Sched: sched, Users: 8, Seed: seed, MaxRestarts: 10000})
+		if m.Committed != jobs {
+			t.Fatalf("%s: committed %d of %d", sched.Name(), m.Committed, jobs)
+		}
+		if err := check.CSR(inst, m.Output); err != nil {
+			t.Errorf("%s seed %d: %v", sched.Name(), seed, err)
+		}
 	}
 }

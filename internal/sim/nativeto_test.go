@@ -8,7 +8,7 @@ package sim
 import (
 	"testing"
 
-	"optcc/internal/conflict"
+	"optcc/internal/check"
 	"optcc/internal/core"
 	"optcc/internal/lockmgr"
 	"optcc/internal/online"
@@ -20,65 +20,53 @@ import (
 // decision latches with real storage on the conflict-free multi-shard
 // workload. With no cross-transaction conflicts the committed backend
 // state must equal the committed replay even for a non-strict scheduler,
-// so this is a true end-to-end self-check of the lock-free hot path.
+// so this is a true end-to-end self-check of the lock-free hot path. The
+// paper's single-threaded TO under Mutexed (one shard whatever the count)
+// is held to the same check.
 func TestConcurrentTODisjointStateMatchesReplay(t *testing.T) {
-	const jobs = 24
-	for _, shards := range []int{1, 4} {
-		inst := Instantiate(workload.Disjoint(jobs, 3), jobs)
-		be := storage.NewKV(storage.Config{Shards: shards, ValueSize: 128})
-		m, err := Run(Config{System: inst, Sched: online.NewConcurrentTO(shards),
-			Backend: be, Users: 8, Seed: 42})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Committed != jobs {
-			t.Fatalf("shards=%d: committed %d of %d", shards, m.Committed, jobs)
-		}
-		replay, err := core.Exec(inst, m.Output, inst.InitialStates()[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !be.State().Equal(replay) {
-			t.Fatalf("shards=%d: backend state diverged from committed replay", shards)
-		}
-	}
+	checkDisjointReplay(t, online.NewConcurrentTO(1), online.NewConcurrentTO(4), online.NewMutexed(online.NewTO()))
 }
 
 // TestConcurrentTOContendedSerializable: native TO under real conflicts
-// (hotspot workload, many users) must still commit everything, and in
-// basic mode the committed schedule must be conflict-serializable — the
-// timestamp-order composition argument, exercised concurrently.
+// (the hotspot and read-mostly workloads, many users) must still commit
+// everything, and in basic mode the committed schedule must be
+// conflict-serializable — the timestamp-order composition argument,
+// exercised concurrently; the single-threaded TO under Mutexed is held to
+// the same check.
 // Thomas mode is exempt from the CSR check by design: the Thomas write
 // rule grants an obsolete blind write as a no-op, which still appears in
 // the granted-step log, so the log's conflict graph may legitimately show
 // a timestamp inversion on the dead write (the classical sense in which
 // TWR exceeds CSR).
 func TestConcurrentTOContendedSerializable(t *testing.T) {
-	const jobs = 24
-	template := workload.Random(workload.RandomConfig{
-		NumTxs: jobs, MinSteps: 3, MaxSteps: 3, NumVars: 6, Hotspot: 1}, 7)
-	for _, thomas := range []bool{false, true} {
-		sched := online.NewConcurrentTO(4)
-		if thomas {
-			sched = online.NewConcurrentTOThomas(4)
-		}
-		inst := Instantiate(template, jobs)
-		m, err := Run(Config{System: inst, Sched: sched, Users: 8, Seed: 11, MaxRestarts: 10000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Committed != jobs {
-			t.Fatalf("thomas=%v: committed %d of %d", thomas, m.Committed, jobs)
-		}
-		if thomas {
-			continue
-		}
-		csr, _, err := conflict.Serializable(inst, m.Output)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !csr {
-			t.Fatal("non-serializable committed schedule under basic timestamp ordering")
+	const jobs, seed = 24, 11
+	for _, template := range []*core.System{
+		workload.Random(workload.RandomConfig{NumTxs: jobs, MinSteps: 3, MaxSteps: 3, NumVars: 6, Hotspot: 1}, 7),
+		workload.ReadMostly(workload.ReadMostlyConfig{Jobs: jobs, Steps: 4, ReadFrac: 0.9, Vars: 32, HotFrac: 0.9, HotVars: 2}, 1979),
+	} {
+		for _, c := range []struct {
+			sched  online.ConcurrentScheduler
+			thomas bool
+		}{
+			{online.NewConcurrentTO(1), false},
+			{online.NewConcurrentTO(4), false},
+			{online.NewConcurrentTOThomas(4), true},
+			{online.NewMutexed(online.NewTO()), false},
+		} {
+			inst := Instantiate(template, jobs)
+			m, err := Run(Config{System: inst, Sched: c.sched, Users: 8, Seed: seed, MaxRestarts: 10000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Committed != jobs {
+				t.Fatalf("%s on %s: committed %d of %d", c.sched.Name(), template.Name, m.Committed, jobs)
+			}
+			if c.thomas {
+				continue
+			}
+			if err := check.CSR(inst, m.Output); err != nil {
+				t.Errorf("%s on %s seed %d: %v", c.sched.Name(), template.Name, seed, err)
+			}
 		}
 	}
 }
@@ -109,11 +97,7 @@ func TestUnbatchedCommitsThroughLanes(t *testing.T) {
 	if m.CommitGroups < 1 || m.CommitGroups > jobs {
 		t.Fatalf("implausible group count %d", m.CommitGroups)
 	}
-	replay, err := core.Exec(inst, m.Output, inst.InitialStates()[0])
-	if err != nil {
+	if err := check.Replay(inst, m.Output, be.State()); err != nil {
 		t.Fatal(err)
-	}
-	if !be.State().Equal(replay) {
-		t.Fatal("backend state diverged from committed replay")
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"optcc/internal/conflict"
+	"optcc/internal/check"
 	"optcc/internal/core"
 	"optcc/internal/lockmgr"
 	"optcc/internal/online"
@@ -45,11 +45,12 @@ func TestInstantiate(t *testing.T) {
 func TestAllSchedulersCompleteUnderContention(t *testing.T) {
 	inst := Instantiate(workload.Cross(), 8)
 	for _, sched := range schedulers() {
+		const seed = 42
 		m, err := Run(Config{
 			System: inst,
 			Sched:  sched,
 			Users:  4,
-			Seed:   42,
+			Seed:   seed,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", sched.Name(), err)
@@ -60,12 +61,8 @@ func TestAllSchedulersCompleteUnderContention(t *testing.T) {
 		if !m.Output.Legal(inst.Format()) {
 			t.Fatalf("%s output illegal: %v", sched.Name(), m.Output)
 		}
-		csr, _, err := conflict.Serializable(inst, m.Output)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !csr {
-			t.Errorf("%s produced non-serializable output", sched.Name())
+		if err := check.CSR(inst, m.Output); err != nil {
+			t.Errorf("%s seed %d: %v", sched.Name(), seed, err)
 		}
 	}
 }
@@ -191,19 +188,16 @@ func TestSingleUserNoContention(t *testing.T) {
 func TestBankingWorkloadUnderSimulation(t *testing.T) {
 	inst := Instantiate(workload.Banking(), 9)
 	for _, sched := range []online.Scheduler{online.NewStrict2PL(lockmgr.WoundWait), online.NewSGTAborting()} {
-		m, err := Run(Config{System: inst, Sched: sched, Users: 3, Seed: 5})
+		const seed = 5
+		m, err := Run(Config{System: inst, Sched: sched, Users: 3, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if m.Committed != 9 {
 			t.Fatalf("%s committed %d of 9", sched.Name(), m.Committed)
 		}
-		csr, _, err := conflict.Serializable(inst, m.Output)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !csr {
-			t.Errorf("%s: banking output not serializable", sched.Name())
+		if err := check.CSR(inst, m.Output); err != nil {
+			t.Errorf("%s seed %d: banking: %v", sched.Name(), seed, err)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"testing"
 
+	"optcc/internal/check"
 	"optcc/internal/core"
 	"optcc/internal/lockmgr"
 	"optcc/internal/online"
@@ -47,18 +48,19 @@ func strictSchedulers() []struct {
 	}
 }
 
-// checkReplayInvariant runs the configuration with a fresh KV backend and
-// fails unless all jobs commit and the backend state equals the serial
-// replay of the committed schedule. batch only sets the ignored
-// Config.Batch; it goes with the field.
-func checkReplayInvariant(t *testing.T, name string, mk func() online.Scheduler, template *core.System, jobs, users, valueSize int, seed int64, batch int) *Metrics {
+// checkReplayInvariant runs the configuration with a fresh KV backend
+// (kv with the scheduler's shard count) and fails unless all jobs commit
+// and the backend state equals the serial replay of the committed
+// schedule. batch only sets the ignored Config.Batch; it goes with the
+// field.
+func checkReplayInvariant(t *testing.T, name string, mk func() online.Scheduler, template *core.System, jobs, users int, kv storage.Config, seed int64, batch int) *Metrics {
 	t.Helper()
 	inst := Instantiate(template, jobs)
-	shards := 1
+	kv.Shards = 1
 	if cs, ok := mk().(online.ConcurrentScheduler); ok {
-		shards = cs.NumShards()
+		kv.Shards = cs.NumShards()
 	}
-	be := storage.NewKV(storage.Config{Shards: shards, ValueSize: valueSize})
+	be := storage.NewKV(kv)
 	m, err := Run(Config{System: inst, Sched: mk(), Backend: be, Users: users, Seed: seed, Batch: batch})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
@@ -66,12 +68,8 @@ func checkReplayInvariant(t *testing.T, name string, mk func() online.Scheduler,
 	if m.Committed != jobs {
 		t.Fatalf("%s committed %d of %d (aborts=%d breaks=%d)", name, m.Committed, jobs, m.Aborts, m.DeadlockBreaks)
 	}
-	replay, err := core.Exec(inst, m.Output, inst.InitialStates()[0])
-	if err != nil {
-		t.Fatalf("%s: replay: %v", name, err)
-	}
-	if got := be.State(); !got.Equal(replay) {
-		t.Fatalf("%s: backend state diverged from committed replay:\n  backend %v\n  replay  %v", name, got, replay)
+	if err := check.Replay(inst, m.Output, be.State()); err != nil {
+		t.Fatalf("%s seed %d: %v", name, seed, err)
 	}
 	return m
 }
@@ -80,25 +78,37 @@ func checkReplayInvariant(t *testing.T, name string, mk func() online.Scheduler,
 // every strict scheduler — central and sharded — a run over real storage
 // leaves the backend in exactly the state of serially replaying the
 // committed schedule, on workloads spanning low contention, interpreted
-// banking transfers, and a deadlock-prone cross pattern.
+// banking transfers, and a deadlock-prone cross pattern, plus uniform and
+// skewed random access at 64 B and 4 KiB values with payload recycling on
+// (sound for strict executions: storage.Config.Recycle), and the
+// read-mostly mix mv is measured on.
 // Config.Batch is ignored, so the batch1 and batch8 rows are two runs of
 // one configuration; they keep their names until the field goes.
 func TestBackendStateMatchesCommittedReplay(t *testing.T) {
+	uniform := workload.Random(workload.RandomConfig{NumTxs: 24, MinSteps: 3, MaxSteps: 3, NumVars: 96}, 1979)
+	skewed := workload.Random(workload.RandomConfig{NumTxs: 24, MinSteps: 3, MaxSteps: 3, NumVars: 6, Hotspot: 1}, 1979)
 	templates := []struct {
 		name     string
 		template *core.System
 		jobs     int
 		users    int
+		kv       storage.Config
 	}{
-		{"banking", workload.Banking(), 12, 6},
-		{"cross", workload.Cross(), 10, 5},
-		{"random", workload.Random(workload.RandomConfig{NumTxs: 8, MinSteps: 2, MaxSteps: 3, NumVars: 6, Hotspot: 1}, 7), 16, 8},
+		{"banking", workload.Banking(), 12, 6, storage.Config{ValueSize: 128}},
+		{"cross", workload.Cross(), 10, 5, storage.Config{ValueSize: 128}},
+		{"random", workload.Random(workload.RandomConfig{NumTxs: 8, MinSteps: 2, MaxSteps: 3, NumVars: 6, Hotspot: 1}, 7), 16, 8, storage.Config{ValueSize: 128}},
+		{"uniform-64B", uniform, 24, 8, storage.Config{ValueSize: 64, Recycle: true}},
+		{"uniform-4KiB", uniform, 24, 8, storage.Config{ValueSize: 4096, Recycle: true}},
+		{"skewed-64B", skewed, 24, 8, storage.Config{ValueSize: 64, Recycle: true}},
+		{"skewed-4KiB", skewed, 24, 8, storage.Config{ValueSize: 4096, Recycle: true}},
+		{"readmostly", workload.ReadMostly(workload.ReadMostlyConfig{
+			Jobs: 24, Steps: 4, ReadFrac: 0.9, Vars: 32, HotFrac: 0.9, HotVars: 2}, 1979), 24, 8, storage.Config{ValueSize: 256}},
 	}
 	for _, batch := range []int{1, 8} {
 		for _, cfg := range strictSchedulers() {
 			for _, w := range templates {
 				t.Run(fmt.Sprintf("batch%d/%s/%s", batch, cfg.name, w.name), func(t *testing.T) {
-					checkReplayInvariant(t, cfg.name, cfg.mk, w.template, w.jobs, w.users, 128, 42, batch)
+					checkReplayInvariant(t, cfg.name, cfg.mk, w.template, w.jobs, w.users, w.kv, 42, batch)
 				})
 			}
 		}
@@ -131,7 +141,7 @@ func TestBackendAbortRollbackUnderContention(t *testing.T) {
 			{"2pl-sharded4/nowait", func() online.Scheduler { return online.NewConcurrentStrict2PL(lockmgr.NoWait, 4) }},
 			{"2pl-sharded4/woundwait", func() online.Scheduler { return online.NewConcurrentStrict2PL(lockmgr.WoundWait, 4) }},
 		} {
-			m := checkReplayInvariant(t, cfg.name, cfg.mk, hot, 16, 8, 64, seed, 0)
+			m := checkReplayInvariant(t, cfg.name, cfg.mk, hot, 16, 8, storage.Config{ValueSize: 64}, seed, 0)
 			if m.Aborts > 0 {
 				anyAborts = true
 			}
@@ -179,7 +189,7 @@ func TestBackendSweepValueSizes(t *testing.T) {
 		t.Run(fmt.Sprintf("%dB", size), func(t *testing.T) {
 			checkReplayInvariant(t, "2pl-sharded4/woundwait",
 				func() online.Scheduler { return online.NewConcurrentStrict2PL(lockmgr.WoundWait, 4) },
-				workload.Banking(), 12, 6, size, 11, 0)
+				workload.Banking(), 12, 6, storage.Config{ValueSize: size}, 11, 0)
 		})
 	}
 }

@@ -344,7 +344,9 @@ func waitStats(t *testing.T, d *Disk, what string, cond func(DurabilityStats) bo
 
 // TestCheckpointBackgroundThreshold pins the background trigger: crossing
 // CheckpointBytes of appended WAL wakes the checkpointer without any
-// explicit call, and the footprint stays bounded while commits continue.
+// explicit call, and the footprint stays bounded while commits continue —
+// after Close it is smaller on disk than the same commits leave with the
+// checkpointer off (CheckpointBytes 0, the control).
 func TestCheckpointBackgroundThreshold(t *testing.T) {
 	dir := t.TempDir()
 	d, err := NewDisk(Config{Dir: dir, Fsync: FsyncAlways, SegmentBytes: 1024, CheckpointBytes: 4096})
@@ -366,6 +368,7 @@ func TestCheckpointBackgroundThreshold(t *testing.T) {
 	}
 	live := d.State()
 	d.Close()
+	checkpointed := footprint(t, dir)
 	r, err := OpenDisk(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -374,6 +377,40 @@ func TestCheckpointBackgroundThreshold(t *testing.T) {
 	if !r.State().Equal(live) {
 		t.Fatalf("recovered state diverged from live state")
 	}
+
+	controlDir := t.TempDir()
+	c, err := NewDisk(Config{Dir: controlDir, Fsync: FsyncAlways, SegmentBytes: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Reset(tortureInit)
+	fillDisk(t, c, fillDisk(t, c, 0, 16*1024), 16*1024)
+	c.Close()
+	if control := footprint(t, controlDir); checkpointed >= control {
+		t.Fatalf("checkpointed footprint %dB not below the unchecked control's %dB", checkpointed, control)
+	}
+}
+
+// footprint sums the sizes of a store's files in dir — segments and
+// checkpoint files; the advisory lock file holds no state.
+func footprint(t *testing.T, dir string) int64 {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, e := range ents {
+		if e.Name() == lockFileName {
+			continue
+		}
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += info.Size()
+	}
+	return n
 }
 
 // TestCheckpointBaselineIsNotGrowth: the snapshot that opens a log —

@@ -219,9 +219,10 @@ func HotShardDisjoint(jobs, shards int) *core.System {
 // shard of any partition, so the decisions spread over every latch while
 // the lock table, the timestamp table and the serialization graph see zero
 // conflicts. This is the workload where a scheduler's per-step overhead is
-// the whole cost — experiments E11/E15 and BenchmarkNativeVsMutexed use it
-// to compare each natively concurrent scheduler against its sequential
-// original under Mutexed.
+// the whole cost, and where a non-strict scheduler's committed state must
+// still equal the committed replay — the internal/sim tests run each
+// natively concurrent scheduler on it beside its sequential original
+// under Mutexed.
 func Disjoint(jobs, steps int) *core.System {
 	if steps < 1 {
 		steps = 1
@@ -428,8 +429,8 @@ func (c *ReadMostlyConfig) defaults() {
 	}
 }
 
-// ReadMostly generates the read-fraction sweep workload (experiment E12
-// and the -readfrac flag): a seeded mix of read-only transactions (all
+// ReadMostly generates the read-fraction sweep workload (the mv tests,
+// bench's readmostly-mv-kv and ccsim's -readfrac flag): a seeded mix of read-only transactions (all
 // steps Read) and writer transactions (all steps increment Updates), with
 // optional hot-set skew so writers collide. Read-only transactions are
 // what the multiversion runtime serves from snapshots; writers being pure

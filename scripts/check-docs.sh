@@ -28,31 +28,31 @@ for doc in README.md DESIGN.md; do
   done
 done
 
-# The native-TO surface must stay documented: experiment E11 and the cto
-# scheduler in both docs.
-for doc in README.md DESIGN.md; do
-  if ! grep -q 'E11' "$doc"; then
-    echo "check-docs: $doc does not document experiment E11"
+# owns TEST FILE: the test that owns a surface's engine property (state
+# == replay, schedule CSR, recovered == replay through internal/check)
+# must still exist in its file.
+owns() {
+  if ! grep -q "^func $1(" "$2"; then
+    echo "check-docs: $2 lost $1, the test that owns a documented engine property"
     fail=1
   fi
+}
+
+# The native-TO surface must stay documented and checked: the cto
+# scheduler in both docs and its replay and CSR tests.
+for doc in README.md DESIGN.md; do
   if ! grep -q 'cto' "$doc"; then
     echo "check-docs: $doc does not document the cto scheduler"
     fail=1
   fi
 done
-if ! grep -q 'E11' internal/experiments/experiments.go; then
-  echo "check-docs: experiments registry lost E11"
-  fail=1
-fi
+owns TestConcurrentTODisjointStateMatchesReplay internal/sim/nativeto_test.go
+owns TestConcurrentTOContendedSerializable internal/sim/nativeto_test.go
 
-# The multiversion surface must stay documented: experiment E12, the mv
-# scheduler, the -readfrac flag and DESIGN.md's storage section covering
-# visibility and GC safety.
+# The multiversion surface must stay documented and checked: the mv
+# scheduler, the -readfrac flag, DESIGN.md's storage section covering
+# visibility and GC safety, and mv's replay test.
 for doc in README.md DESIGN.md; do
-  if ! grep -q 'E12' "$doc"; then
-    echo "check-docs: $doc does not document experiment E12"
-    fail=1
-  fi
   if ! grep -qe '-readfrac' "$doc"; then
     echo "check-docs: $doc does not document the -readfrac flag"
     fail=1
@@ -66,23 +66,17 @@ if ! grep -q '"readfrac"' cmd/ccsim/main.go; then
   echo "check-docs: cmd/ccsim/main.go lost its -readfrac flag"
   fail=1
 fi
-if ! grep -q 'E12' internal/experiments/experiments.go; then
-  echo "check-docs: experiments registry lost E12"
-  fail=1
-fi
+owns TestConcurrentMVReadMostlyStateMatchesReplay internal/sim/mv_test.go
 if ! grep -q 'Multiversion storage' DESIGN.md; then
   echo "check-docs: DESIGN.md lost its Multiversion storage section"
   fail=1
 fi
 
-# The durability surface must stay documented: experiment E13, the disk
-# backend, the -fsync flag and DESIGN.md's Durability section covering the
-# log format, recovery and the fault-injection catalogue.
+# The durability surface must stay documented and checked: the disk
+# backend, the -fsync flag, DESIGN.md's Durability section covering the
+# log format, recovery and the fault-injection catalogue, and the
+# live == replay == recovered test.
 for doc in README.md DESIGN.md; do
-  if ! grep -q 'E13' "$doc"; then
-    echo "check-docs: $doc does not document experiment E13"
-    fail=1
-  fi
   if ! grep -qe '-fsync' "$doc"; then
     echo "check-docs: $doc does not document the -fsync flag"
     fail=1
@@ -96,10 +90,7 @@ if ! grep -q '"fsync"' cmd/ccsim/main.go; then
   echo "check-docs: cmd/ccsim/main.go lost its -fsync flag"
   fail=1
 fi
-if ! grep -q 'E13' internal/experiments/experiments.go; then
-  echo "check-docs: experiments registry lost E13"
-  fail=1
-fi
+owns TestDiskBackendReplayAndRecovery internal/sim/durable_test.go
 if ! grep -q 'disk' internal/storage/storage.go; then
   echo "check-docs: storage registry lost the disk backend"
   fail=1
@@ -172,14 +163,10 @@ for a in lockorder hotpath recycle atomiconly gojoin; do
   fi
 done
 
-# The checkpointing surface must stay documented: experiment E14, the
-# ccsim -checkpoint flag and DESIGN.md's Checkpointing section
-# covering the marker protocol and segment retirement.
+# The checkpointing surface must stay documented and checked: the ccsim
+# -checkpoint flag, DESIGN.md's Checkpointing section covering the marker
+# protocol and segment retirement, and the background-checkpointer test.
 for doc in README.md DESIGN.md; do
-  if ! grep -q 'E14' "$doc"; then
-    echo "check-docs: $doc does not document experiment E14"
-    fail=1
-  fi
   if ! grep -qe '-checkpoint' "$doc"; then
     echo "check-docs: $doc does not document the -checkpoint flag"
     fail=1
@@ -189,23 +176,17 @@ if ! grep -q '"checkpoint"' cmd/ccsim/main.go; then
   echo "check-docs: cmd/ccsim/main.go lost its -checkpoint flag"
   fail=1
 fi
-if ! grep -q 'E14' internal/experiments/experiments.go; then
-  echo "check-docs: experiments registry lost E14"
-  fail=1
-fi
+owns TestCheckpointBackgroundThreshold internal/storage/checkpoint_test.go
 if ! grep -q 'Checkpointing' DESIGN.md; then
   echo "check-docs: DESIGN.md lost its Checkpointing section"
   fail=1
 fi
 
-# The native SGT/OCC surface must stay documented: experiment E15, the
-# csgt/cocc schedulers in both docs and the ccsim scheduler surface, and
-# DESIGN.md's section on the one-mutex SGT graph + epoch validation invariants.
+# The native SGT/OCC surface must stay documented and checked: the
+# csgt/cocc schedulers in both docs and the ccsim scheduler surface,
+# DESIGN.md's section on the one-mutex SGT graph + epoch validation
+# invariants, and their replay and CSR tests.
 for doc in README.md DESIGN.md; do
-  if ! grep -q 'E15' "$doc"; then
-    echo "check-docs: $doc does not document experiment E15"
-    fail=1
-  fi
   if ! grep -q 'csgt' "$doc"; then
     echo "check-docs: $doc does not document the csgt scheduler"
     fail=1
@@ -219,10 +200,10 @@ if ! grep -q 'csgt' cmd/ccsim/main.go || ! grep -q 'cocc' cmd/ccsim/main.go; the
   echo "check-docs: cmd/ccsim/main.go lost its csgt/cocc schedulers"
   fail=1
 fi
-if ! grep -q 'E15' internal/experiments/experiments.go; then
-  echo "check-docs: experiments registry lost E15"
-  fail=1
-fi
+for tst in TestConcurrentSGTDisjointStateMatchesReplay TestConcurrentSGTContendedSerializable \
+    TestConcurrentOCCDisjointStateMatchesReplay TestConcurrentOCCContendedSerializable; do
+  owns "$tst" internal/sim/nativesgtocc_test.go
+done
 if ! grep -q 'Native SGT and OCC' DESIGN.md; then
   echo "check-docs: DESIGN.md lost its Native SGT and OCC section"
   fail=1
@@ -242,8 +223,9 @@ fi
 # unconditional yield at every job end, and the per-shard variable maps
 # (one immutable map per shard in each per-variable table, now one
 # internal/vartab map) and the group committer's yield before every group
-# (it now yields only when the queue runs empty) are gone; nothing that
-# documents or drives the current tree may name them.
+# (it now yields only when the queue runs empty), and the engine
+# self-check cells E9 and E11–E15 (now tests that call internal/check) are
+# gone; nothing that documents or drives the current tree may name them.
 for f in README.md DESIGN.md doc.go cmd/*/main.go Makefile internal/report/report.go .claude/skills/verify/SKILL.md; do
   [ -f "$f" ] || continue
   for stale in 'railstripes' 'NewSharded(' 'Sharded combinator' 'ordering rail' 'benchdiff' 'bench-json' 'BENCH_PR' \
@@ -254,7 +236,10 @@ for f in README.md DESIGN.md doc.go cmd/*/main.go Makefile internal/report/repor
       'batchSizer' 'decideBatch' 'intake coalescing' '2 + 2k times' \
       'group-commit lanes' 'partitioned across lanes' \
       'run-global `inFlight`/`committing`' 'yields (`runtime.Gosched`) between' \
-      'one plain map per shard' 'immutable per-shard maps' 'before sealing each group'; do
+      'one plain map per shard' 'immutable per-shard maps' 'before sealing each group' \
+      'E9StorageBackend' 'E11NativeTimestampOrdering' 'E12MultiversionReadScaling' 'E13DurableCommit' \
+      'E14CheckpointedWAL' 'E15NativeSGTOCC' 'nativeVsMutexedTables' 'ccbench -exp E11' \
+      '-exp E9' '-exp E12' '-exp E13' '-exp E14' '-exp E15' 'E11–E15'; do
     if grep -qF -- "$stale" "$f"; then
       echo "check-docs: $f still names the removed '$stale'"
       fail=1
