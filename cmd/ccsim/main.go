@@ -51,7 +51,8 @@
 // Every run ends with the history oracle (internal/check): a "schedule
 // CSR" line, with the cycle and its conflicting steps on a violation, and
 // with a backend a "state==replay" line naming the first variable that
-// differs. Neither changes the exit status.
+// differs ("n/a" with -backend noop, which keeps no state). Neither changes
+// the exit status.
 //
 // -backend kv executes every granted step against the sharded in-memory
 // storage backend (payload size -valuesize) instead of only sleeping -exec:
@@ -325,7 +326,9 @@ func main() {
 		}
 	}
 	fmt.Printf("schedule CSR   %s (guaranteed except under the Thomas write rule)\n", verdict(check.CSR(inst, m.Output)))
-	if be != nil {
+	if _, stateless := be.(storage.Noop); stateless {
+		fmt.Printf("state==replay  n/a (the noop backend keeps no state)\n")
+	} else if be != nil {
 		fmt.Printf("state==replay  %s (guaranteed for serial, the strict-2PL family and mv write sets)\n",
 			verdict(check.Replay(inst, m.Output, be.State())))
 	}

@@ -167,7 +167,7 @@ func Replay(sys *core.System, out core.Schedule, state core.DB) error {
 				Detail: fmt.Sprintf("T%d has %d of its %d steps in the committed schedule", tx+1, n, len(steps))}
 		}
 	}
-	replay, err := core.Exec(sys, full, sys.InitialStates()[0])
+	replay, err := core.Exec(sys, full, sys.InitialState())
 	if err != nil {
 		return fmt.Errorf("check: replay: %w", err)
 	}

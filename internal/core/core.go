@@ -20,8 +20,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // Var names a global variable of a transaction system. Variables are
@@ -170,23 +173,36 @@ type IC struct {
 	Initials func() []DB
 }
 
-// TrivialIC accepts every state; its only initial state is the given one.
-// It models "no integrity constraints" (every schedule is correct).
+// TrivialIC accepts every state; its only initial state is the given one
+// (System.InitialStates copies it and adds a zero for every variable it
+// omits). It models "no integrity constraints" (every schedule is
+// correct).
 func TrivialIC(init DB) *IC {
 	return &IC{
 		Name:     "trivial",
 		Check:    func(DB) bool { return true },
-		Initials: func() []DB { return []DB{init.Clone()} },
+		Initials: func() []DB { return []DB{init} },
 	}
 }
 
 // System is a transaction system: transactions plus integrity constraints.
+//
+// A System is a fixed input, as in the paper: it must not change after its
+// first run (or its first Vars or InitialState call). What depends only on
+// it — the variable set and the first initial state — is computed once
+// and shared by every later caller, and the natively concurrent schedulers
+// reuse their per-variable tables when Begin sees the same System again.
+// A System holds atomics, so it is passed by pointer, never copied.
 type System struct {
 	Name string
 	Txs  []Transaction
 	// IC holds the integrity constraints. A nil IC behaves like a trivial
 	// constraint with a single all-zero initial state.
 	IC *IC
+
+	// vars and init memoize Vars and InitialState; nil until first use.
+	vars atomic.Pointer[[]Var]
+	init atomic.Pointer[DB]
 }
 
 // Format returns the n-tuple (m1..mn) of transaction lengths.
@@ -216,7 +232,20 @@ func (s *System) StepCount() int {
 func (s *System) Step(id StepID) Step { return s.Txs[id.Tx].Steps[id.Idx] }
 
 // Vars returns the sorted set of global variable names used by the system.
+// It is computed on the first call and shared by every later one: the
+// slice is read-only, and a repeated call allocates nothing. Concurrent
+// first calls are safe and agree on one slice.
 func (s *System) Vars() []Var {
+	if p := s.vars.Load(); p != nil {
+		return *p
+	}
+	vars := s.collectVars()
+	s.vars.CompareAndSwap(nil, &vars)
+	return *s.vars.Load()
+}
+
+// collectVars computes the sorted variable set afresh.
+func (s *System) collectVars() []Var {
 	seen := map[Var]bool{}
 	for i := range s.Txs {
 		for j := range s.Txs[i].Steps {
@@ -227,7 +256,7 @@ func (s *System) Vars() []Var {
 	for v := range seen {
 		vars = append(vars, v)
 	}
-	sort.Slice(vars, func(a, b int) bool { return vars[a] < vars[b] })
+	slices.Sort(vars)
 	return vars
 }
 
@@ -248,24 +277,23 @@ func (s *System) Accessors(v Var) []int {
 
 // Normalize fills in derived fields: canonical function-symbol names for
 // steps that lack one, default transaction names, and a trivial IC if none
-// is set. It returns the receiver for chaining.
+// is set (its initial state is all-zero: InitialStates adds the zeros). It
+// returns the receiver for chaining.
 func (s *System) Normalize() *System {
 	for i := range s.Txs {
-		if s.Txs[i].Name == "" {
-			s.Txs[i].Name = fmt.Sprintf("T%d", i+1)
+		tx := &s.Txs[i]
+		num := strconv.Itoa(i + 1)
+		if tx.Name == "" {
+			tx.Name = "T" + num
 		}
-		for j := range s.Txs[i].Steps {
-			if s.Txs[i].Steps[j].FnName == "" {
-				s.Txs[i].Steps[j].FnName = fmt.Sprintf("f%d%d", i+1, j+1)
+		for j := range tx.Steps {
+			if tx.Steps[j].FnName == "" {
+				tx.Steps[j].FnName = "f" + num + strconv.Itoa(j+1)
 			}
 		}
 	}
 	if s.IC == nil {
-		init := DB{}
-		for _, v := range s.Vars() {
-			init[v] = 0
-		}
-		s.IC = TrivialIC(init)
+		s.IC = TrivialIC(DB{})
 	}
 	return s
 }
@@ -326,28 +354,48 @@ func (s *System) String() string {
 }
 
 // InitialStates returns the consistent initial states supplied by the IC.
-// Each returned state is an independent copy extended with zero entries for
-// any system variable the generator omitted.
+// Each returned state is an independent copy, owned by the caller,
+// extended with zero entries for any system variable the generator
+// omitted. A caller that only reads the first state should use
+// InitialState, which builds it once per System.
 func (s *System) InitialStates() []DB {
+	vars := s.Vars()
 	if s.IC == nil || s.IC.Initials == nil {
-		init := DB{}
-		for _, v := range s.Vars() {
-			init[v] = 0
-		}
-		return []DB{init}
+		return []DB{withZeros(nil, vars)}
 	}
 	gens := s.IC.Initials()
 	out := make([]DB, 0, len(gens))
 	for _, g := range gens {
-		c := g.Clone()
-		for _, v := range s.Vars() {
-			if _, ok := c[v]; !ok {
-				c[v] = 0
-			}
-		}
-		out = append(out, c)
+		out = append(out, withZeros(g, vars))
 	}
 	return out
+}
+
+// withZeros returns a copy of g with a zero entry for every variable of
+// vars that g omits.
+func withZeros(g DB, vars []Var) DB {
+	c := make(DB, max(len(g), len(vars)))
+	for _, v := range vars {
+		c[v] = 0
+	}
+	for v, x := range g {
+		c[v] = x
+	}
+	return c
+}
+
+// InitialState returns the first of InitialStates, built on the first call
+// and shared by every later one: the run set-up loads it into a backend on
+// every run. The state is read-only; a caller that needs to modify one
+// takes a copy (Clone, or InitialStates). Concurrent first calls are safe
+// and agree on one state.
+func (s *System) InitialState() DB {
+	if p := s.init.Load(); p != nil {
+		return *p
+	}
+	db := s.InitialStates()[0]
+	s.init.CompareAndSwap(nil, &db)
+	return *s.init.Load()
 }
 
 // Consistent reports whether the state satisfies the integrity constraints.

@@ -82,6 +82,21 @@ func TestNormalizeAssignsNames(t *testing.T) {
 	if sys.IC == nil {
 		t.Fatal("Normalize did not install a trivial IC")
 	}
+	// Multi-digit indices keep the canonical 1-based names, and given
+	// names stay.
+	many := &System{}
+	for i := 0; i < 12; i++ {
+		many.Txs = append(many.Txs, Transaction{Steps: []Step{{Var: "x", Kind: Read}, {Var: "x", Kind: Read}, {Var: "x", Kind: Read}}})
+	}
+	many.Txs[0].Name = "keep"
+	many.Txs[0].Steps[1].FnName = "g"
+	many.Normalize()
+	if many.Txs[0].Name != "keep" || many.Txs[0].Steps[1].FnName != "g" {
+		t.Fatal("Normalize overwrote a given name")
+	}
+	if tx := many.Txs[11]; tx.Name != "T12" || tx.Steps[2].FnName != "f123" {
+		t.Fatalf("T12's names = %q, %q; want T12, f123", tx.Name, tx.Steps[2].FnName)
+	}
 }
 
 func TestSerialExecutionPreservesIC(t *testing.T) {
@@ -378,6 +393,13 @@ func TestTrivialICAndInitialStates(t *testing.T) {
 	}
 	if !sys.Consistent(DB{"x": 99}) {
 		t.Error("trivial IC rejected a state")
+	}
+	// Normalize's trivial IC and a nil IC both start every variable at 0.
+	noIC := &System{Txs: sys.Txs}
+	for _, s := range []*System{sys, noIC} {
+		if got := s.InitialState(); !got.Equal(DB{"x": 0, "y": 0}) || len(got) != 2 {
+			t.Errorf("InitialState = %v, want every variable at zero", got)
+		}
 	}
 }
 

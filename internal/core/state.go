@@ -21,12 +21,7 @@ type State struct {
 // init) for the system. The initial database is cloned; missing variables
 // default to zero.
 func NewState(sys *System, init DB) *State {
-	g := init.Clone()
-	for _, v := range sys.Vars() {
-		if _, ok := g[v]; !ok {
-			g[v] = 0
-		}
-	}
+	g := withZeros(init, sys.Vars())
 	locals := make([][]Value, len(sys.Txs))
 	for i := range sys.Txs {
 		locals[i] = make([]Value, 0, len(sys.Txs[i].Steps))
@@ -129,12 +124,7 @@ func ExecPrefix(sys *System, h Schedule, init DB) (*State, error) {
 // (indices into sys.Txs, possibly with repetitions or omissions, as in the
 // paper's weak-serializability definition) and returns the final state.
 func ExecSerialOrder(sys *System, order []int, init DB) (DB, error) {
-	g := init.Clone()
-	for _, v := range sys.Vars() {
-		if _, ok := g[v]; !ok {
-			g[v] = 0
-		}
-	}
+	g := withZeros(init, sys.Vars())
 	for _, ti := range order {
 		if ti < 0 || ti >= len(sys.Txs) {
 			return nil, fmt.Errorf("serial order references transaction %d of %d", ti, len(sys.Txs))

@@ -187,6 +187,36 @@ func (s *ShardedTable) Reserve(n int) {
 // the system's variables).
 func (s *ShardedTable) Declare(vars []core.Var) { s.vars = vartab.New[fastSlot](vars) }
 
+// Reset returns the table to its just-declared state, keeping its
+// variable slots and per-transaction arrays: every lock, queue, birth and
+// fast hold is dropped, every variable's slot is free and back in the
+// fast regime, the birth clock restarts, and unreserved ids' entries are
+// dropped. Not safe for use concurrently with any other method; call it
+// between runs (ConcurrentStrict2PL.Begin does when it sees the same
+// system again).
+func (s *ShardedTable) Reset() {
+	s.clock.Store(0)
+	for i := range s.shards {
+		s.shards[i].t = NewTable(s.policy)
+	}
+	s.vars.Range(func(_ core.Var, sl *fastSlot) bool {
+		sl.state.Store(0)
+		return true
+	})
+	for i := range s.birthArr {
+		s.birthArr[i].Store(0)
+		fs := &s.fastArr[i]
+		fs.mu.Lock()
+		fs.drain(func(core.Var) {})
+		fs.mu.Unlock()
+	}
+	for i := range s.touched {
+		s.touched[i].Store(0)
+	}
+	s.birth.Clear()
+	s.fast.Clear()
+}
+
 // reserved reports whether tx falls in the Reserve range.
 //
 //optcc:hotpath

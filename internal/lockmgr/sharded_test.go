@@ -356,3 +356,75 @@ func TestShardedTouchedSetBeyond64Shards(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestShardedResetReturnsToDeclaredState leaves a table with escalated
+// and fast-held variables, a queued waiter, wounds, births, touched bits
+// and an unreserved id, then resets it: it must keep its slots and decide
+// like a freshly declared table.
+func TestShardedResetReturnsToDeclaredState(t *testing.T) {
+	tab := NewShardedTable(WoundWait, 4)
+	tab.Reserve(3)
+	tab.Declare([]core.Var{"x", "y", "z"})
+	for tx := TxID(0); tx < 3; tx++ {
+		tab.Register(tx)
+	}
+	slot := tab.vars.Slot("x")
+	tab.Acquire(1, "x", Exclusive)
+	if r := tab.Acquire(0, "x", Shared); r.Status != Waiting || len(r.Wounded) != 1 {
+		t.Fatalf("setup: wound-wait on x: %+v", r)
+	}
+	tab.Acquire(2, "y", Exclusive)
+	tab.Acquire(7, "z", Shared) // unreserved: registered with every shard
+	tab.Acquire(7, "late", Exclusive)
+
+	tab.Reset()
+	if tab.vars.Slot("x") != slot {
+		t.Fatal("Reset rebuilt the declared slots")
+	}
+	for _, v := range []core.Var{"x", "y", "z", "late"} {
+		if st := tab.vars.Slot(v).state.Load(); st != 0 {
+			t.Fatalf("%s: fast slot state %d after Reset, want 0 (free, fast regime)", v, st)
+		}
+		if h := tab.HeldBy(v); len(h) != 0 || tab.QueueLen(v) != 0 {
+			t.Fatalf("%s: held %v, %d queued after Reset", v, h, tab.QueueLen(v))
+		}
+	}
+	for tx := TxID(0); tx < 3; tx++ {
+		if b := tab.birthOf(tx); b != 0 {
+			t.Fatalf("tx %d keeps birth %d after Reset", tx, b)
+		}
+		if fs := &tab.fastArr[tx]; fs.n != 0 || len(fs.over) != 0 {
+			t.Fatalf("tx %d keeps %d fast holds after Reset", tx, fs.n)
+		}
+		if w := tab.touched[int(tx)*tab.words].Load(); w != 0 {
+			t.Fatalf("tx %d keeps touched shards %b after Reset", tx, w)
+		}
+	}
+	if tab.birthOf(7) != 0 || tab.fastSetIfAny(7) != nil {
+		t.Fatal("Reset kept the unreserved id's birth or fast set")
+	}
+	for i := range tab.shards {
+		if st := tab.shards[i].t; len(st.held) != 0 || len(st.birth) != 0 || len(st.locks) != 0 {
+			t.Fatalf("shard %d keeps state after Reset: held %v, births %v", i, st.held, st.birth)
+		}
+	}
+	if len(tab.WaitsFor()) != 0 {
+		t.Fatalf("waits-for after Reset: %v", tab.WaitsFor())
+	}
+	if c := tab.clock.Load(); c != 0 {
+		t.Fatalf("birth clock at %d after Reset, want 0", c)
+	}
+
+	// Births restart at 1: tx 2, registered first now, is the oldest.
+	tab.Register(2)
+	tab.Register(0)
+	if r := tab.Acquire(0, "x", Exclusive); r.Status != Granted || tab.vars.Slot("x").state.Load() != encTx(0) {
+		t.Fatalf("x after Reset: %+v, slot %d; want a fast-path grant", r, tab.vars.Slot("x").state.Load())
+	}
+	if r := tab.Acquire(2, "x", Exclusive); r.Status != Waiting || len(r.Wounded) != 1 || r.Wounded[0] != 0 {
+		t.Fatalf("older tx 2 against tx 0 after Reset: %+v, want a wound", r)
+	}
+	if err := tab.Invariant(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -58,17 +58,22 @@ func (s *ConcurrentStrict2PL) Name() string {
 	return fmt.Sprintf("2pl-sharded(%d)/%s", s.shards, s.policy)
 }
 
-// Begin implements Scheduler.
+// Begin implements Scheduler. Re-beginning over the same system resets
+// the lock table in place instead of rebuilding it.
 func (s *ConcurrentStrict2PL) Begin(sys *core.System) {
-	s.sys = sys
-	s.table = lockmgr.NewShardedTable(s.policy, s.shards)
-	// Reserve flat per-transaction table state, declare every variable's
-	// fast slot and assign every birth up front: the steady-state
-	// Acquire/ReleaseAll cycle then never touches a sync.Map, and an
-	// uncontended step is one map read and one CAS.
-	s.table.Reserve(sys.NumTxs())
-	s.table.Declare(sys.Vars())
-	s.scratch = make([]batchScratch, s.shards)
+	if sys == s.sys && s.table != nil {
+		s.table.Reset()
+	} else {
+		s.sys = sys
+		s.table = lockmgr.NewShardedTable(s.policy, s.shards)
+		// Reserve flat per-transaction table state, declare every
+		// variable's fast slot and assign every birth up front: the
+		// steady-state Acquire/ReleaseAll cycle then never touches a
+		// sync.Map, and an uncontended step is one map read and one CAS.
+		s.table.Reserve(sys.NumTxs())
+		s.table.Declare(sys.Vars())
+		s.scratch = make([]batchScratch, s.shards)
+	}
 	s.mu.Lock()
 	s.wounded = nil
 	s.mu.Unlock()

@@ -3,6 +3,7 @@ package online
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -97,6 +98,39 @@ func TestConcurrent2PLReplayEquivalence(t *testing.T) {
 					}
 					return true
 				})
+			}
+		}
+	}
+}
+
+// TestConcurrent2PLReBeginMatchesFresh: re-beginning over the same system
+// resets the lock table in place, and the reset table decides every
+// history exactly as a freshly built one: same output, delays and aborts.
+// Replay re-begins the reused scheduler once per history, after histories
+// that left variables escalated and transactions wounded.
+func TestConcurrent2PLReBeginMatchesFresh(t *testing.T) {
+	for _, sys := range []*core.System{workload.Cross(), workload.Banking()} {
+		for _, policy := range []lockmgr.Policy{lockmgr.Detect, lockmgr.WaitDie, lockmgr.WoundWait} {
+			reused := NewConcurrentStrict2PL(policy, 4)
+			reused.Begin(sys)
+			table := reused.table
+			schedule.Enumerate(sys.Format(), func(h core.Schedule) bool {
+				got, gerr := Replay(sys, reused, h, 0)
+				want, werr := Replay(sys, NewConcurrentStrict2PL(policy, 4), h, 0)
+				if reused.table != table {
+					t.Fatalf("%v on %s: Begin over the same system rebuilt the lock table", policy, sys.Name)
+				}
+				if (gerr == nil) != (werr == nil) {
+					t.Fatalf("%v on %s: completion mismatch on %v: %v vs %v", policy, sys.Name, h, gerr, werr)
+				}
+				if gerr == nil && (!slices.Equal(got.Output, want.Output) || got.Delays != want.Delays || got.Aborts != want.Aborts) {
+					t.Fatalf("%v on %s, history %v: re-begun table decided %v (%d delays, %d aborts), fresh %v (%d, %d)",
+						policy, sys.Name, h, got.Output, got.Delays, got.Aborts, want.Output, want.Delays, want.Aborts)
+				}
+				return true
+			})
+			if reused.Begin(workload.Chain()); reused.table == table {
+				t.Fatalf("%v: Begin over another system kept the old lock table", policy)
 			}
 		}
 	}

@@ -66,8 +66,8 @@ type wsEntry struct {
 // shard-latch acquisitions. Write claims are held to commit, so writes
 // execute strictly (no transaction overwrites or — via the read rule —
 // reads an uncommitted value), which is what makes the committed write-set
-// state equal the serial replay of the committed schedule (E12's
-// self-check).
+// state equal the serial replay of the committed schedule
+// (TestConcurrentMVReadMostlyStateMatchesReplay in internal/sim checks it).
 type ConcurrentMV struct {
 	base
 	shards int

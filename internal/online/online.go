@@ -166,7 +166,7 @@ func ReplayOn(sys *core.System, sched Scheduler, h core.Schedule, maxRestarts in
 		if !sys.Executable() {
 			return nil, fmt.Errorf("online: backend replay needs an executable system")
 		}
-		be.Reset(sys.InitialStates()[0])
+		be.Reset(sys.InitialState())
 	}
 	sched.Begin(sys)
 	format := sys.Format()

@@ -24,7 +24,7 @@
 // Any internal/online.Scheduler can be plugged in, so the experiments
 // compare the waiting time induced by schedulers with poorer or richer
 // fixpoint sets (E4), deadlock-handling policies (E7), structured versus
-// unstructured locking (E6), and real storage execution (E9).
+// unstructured locking (E6), and real storage execution.
 //
 // # Memory discipline
 //
@@ -44,6 +44,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"time"
 
@@ -193,11 +194,10 @@ func (m *Metrics) GroupSize() float64 {
 // through the template's transactions. Instance i runs template transaction
 // i mod n under the name "<template>#<i>".
 func Instantiate(template *core.System, jobs int) *core.System {
-	inst := &core.System{Name: template.Name + "-inst", IC: template.IC}
-	for i := 0; i < jobs; i++ {
+	inst := &core.System{Name: template.Name + "-inst", IC: template.IC, Txs: make([]core.Transaction, max(jobs, 0))}
+	for i := range inst.Txs {
 		src := template.Txs[i%len(template.Txs)]
-		tx := core.Transaction{Name: fmt.Sprintf("%s#%d", src.Name, i), Steps: src.Steps}
-		inst.Txs = append(inst.Txs, tx)
+		inst.Txs[i] = core.Transaction{Name: src.Name + "#" + strconv.Itoa(i), Steps: src.Steps}
 	}
 	return inst.Normalize()
 }
@@ -343,7 +343,7 @@ func run(cfg Config) (*Metrics, *shardedRun, error) {
 		if !sys.Executable() {
 			return nil, nil, fmt.Errorf("sim: backend execution needs an executable system (every non-Read step interpreted)")
 		}
-		cfg.Backend.Reset(sys.InitialStates()[0])
+		cfg.Backend.Reset(sys.InitialState())
 	}
 	users := cfg.Users
 	if users <= 0 || users > sys.NumTxs() {

@@ -67,8 +67,8 @@ type GroupSyncer interface {
 }
 
 // DurabilityStats are the durable backend's counters, surfaced into
-// sim.Metrics (Fsyncs, WALBytes, RecoveryNs, checkpoint counters) and the
-// E13/E14 tables.
+// sim.Metrics (Fsyncs, WALBytes, RecoveryNs, checkpoint counters) and
+// ccsim's durability line.
 type DurabilityStats struct {
 	// Fsyncs counts successful syncs of the log.
 	Fsyncs int64
@@ -134,8 +134,15 @@ type diskCell struct{ val atomic.Int64 }
 // cell from the table's fallback, created under Disk.mu.
 type diskTable = vartab.Table[diskCell]
 
-func newDiskTable(db map[core.Var]core.Value) *diskTable {
-	t := vartab.New[diskCell](slices.Collect(maps.Keys(db)))
+// loadDiskTable returns a table holding db: t itself, its cells
+// overwritten in place, when t has exactly db's variables (Reset before
+// every run over one system), otherwise a new table. Overwriting is safe
+// because no transaction is live during Reset and the caller holds
+// Disk.mu, which every capture of the table takes.
+func loadDiskTable(t *diskTable, db map[core.Var]core.Value) *diskTable {
+	if t == nil || !t.SameVars(db) {
+		t = vartab.New[diskCell](slices.Collect(maps.Keys(db)))
+	}
 	for v, val := range db {
 		t.Slot(v).val.Store(int64(val))
 	}
@@ -394,7 +401,7 @@ func NewDisk(cfg Config) (*Disk, error) {
 		ckptStop:   make(chan struct{}),
 		ckptKick:   make(chan struct{}, 1),
 	}
-	d.tab.Store(newDiskTable(nil))
+	d.tab.Store(loadDiskTable(nil, nil))
 	for i := range d.stripes {
 		d.stripes[i].ctx = make(map[int]*diskCtx)
 	}
@@ -476,7 +483,7 @@ func (d *Disk) resetLocked(init core.DB) {
 			return
 		}
 	}
-	d.tab.Store(newDiskTable(init))
+	d.tab.Store(loadDiskTable(d.tab.Load(), init))
 	d.err = nil
 	d.poisoned.Store(false)
 	d.seq = 1

@@ -428,25 +428,64 @@ func (kv *KV) newVersion(sh *kvShard, size int, scalar core.Value, prev *version
 	if prev != nil && len(prev.rec.Payload) == size {
 		copy(p, prev.rec.Payload)
 	} else {
-		// p[i] = byte(i): every period starts at a multiple of 256.
-		for n := 0; n < len(p); {
-			n += copy(p[n:], fillPeriod[:])
-		}
+		fillFresh(p)
 	}
-	u := uint64(scalar)
-	for i := 0; i < 8 && i < len(p); i++ {
-		p[i] = byte(u >> (8 * i))
-	}
+	stampScalar(p, scalar)
 	ver := &version{rec: Record{Scalar: scalar, Payload: p, Sum: checksum(p)}}
 	ver.begin.Store(mark)
 	ver.next.Store(prev)
 	return ver
 }
 
+// fillFresh overwrites p with the fresh-payload pattern p[i] = byte(i).
+// After the first period it doubles the filled prefix, which stays a
+// whole number of 256-byte periods, so a 4 KiB payload takes five copies.
+func fillFresh(p []byte) {
+	for n := copy(p, fillPeriod[:]); n < len(p); {
+		n += copy(p[n:], p[:n])
+	}
+}
+
+// stampScalar writes scalar into the first 8 bytes of p, little-endian.
+func stampScalar(p []byte, scalar core.Value) {
+	u := uint64(scalar)
+	for i := 0; i < 8 && i < len(p); i++ {
+		p[i] = byte(u >> (8 * i))
+	}
+}
+
+// initialVersion returns the begin=0 version Reset loads for scalar: old
+// itself, rewritten in place with a fresh payload in its own buffer, when
+// old is a chain head of the configured size; otherwise a new version.
+// Rewriting drops old's older versions. It is safe only because no
+// transaction or snapshot is live during Reset: nothing can be reading
+// old's record.
+func (kv *KV) initialVersion(sh *kvShard, old *version, scalar core.Value) *version {
+	size := kv.cfg.ValueSize
+	if old == nil || len(old.rec.Payload) != size {
+		return kv.newVersion(sh, size, scalar, nil, 0)
+	}
+	p := old.rec.Payload
+	fillFresh(p)
+	stampScalar(p, scalar)
+	old.rec = Record{Scalar: scalar, Payload: p, Sum: checksum(p)}
+	old.begin.Store(0)
+	old.end.Store(0)
+	old.next.Store(nil)
+	return old
+}
+
 // Reset implements Backend: drop everything and load init, one chain with
-// one begin=0 version per variable with its configured payload size.
+// one begin=0 version per variable with its configured payload size. When
+// init has the same variables as the current table (a runtime resetting
+// the store before every run over one system), the table is kept and each
+// chain's head is rewritten in place (initialVersion), so a repeated
+// Reset allocates no table and no payload. No transaction or snapshot may
+// be live during Reset (Backend.Reset); init is only read.
 func (kv *KV) Reset(init core.DB) {
-	kv.vars = vartab.New[chain](slices.Collect(maps.Keys(init)))
+	if !kv.vars.SameVars(init) {
+		kv.vars = vartab.New[chain](slices.Collect(maps.Keys(init)))
+	}
 	for i := range kv.shards {
 		sh := &kv.shards[i]
 		sh.freeMu.Lock()
@@ -474,7 +513,8 @@ func (kv *KV) Reset(init core.DB) {
 	kv.rollbacks.Store(0)
 	kv.versionsGCed.Store(0)
 	for v, val := range init {
-		kv.vars.Slot(v).head.Store(kv.newVersion(kv.shard(v), kv.cfg.ValueSize, val, nil, 0))
+		ch := kv.vars.Slot(v)
+		ch.head.Store(kv.initialVersion(kv.shard(v), ch.head.Load(), val))
 	}
 }
 

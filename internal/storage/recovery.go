@@ -201,7 +201,7 @@ func OpenDisk(cfg Config) (*Disk, error) {
 	}
 	d.active = active
 	d.activeBytes = 0
-	d.tab.Store(newDiskTable(table))
+	d.tab.Store(loadDiskTable(nil, table))
 	if truncated {
 		d.walTruncated.Add(1)
 	}

@@ -60,7 +60,11 @@ import (
 type Backend interface {
 	// Name identifies the backend.
 	Name() string
-	// Reset discards all state and loads the initial database.
+	// Reset discards all state and loads the initial database. It reads
+	// init and never modifies or retains it: the runtime passes the
+	// System's shared initial state (core.System.InitialState). No
+	// transaction or snapshot may be live during Reset, so a store may
+	// rebuild its tables in place.
 	Reset(init core.DB)
 	// Get returns the scalar value of v, reading (and checksum-verifying)
 	// the full payload. The tx argument is recorded for read-set extensions;

@@ -76,6 +76,30 @@ func (t *Table[T]) fallback(v core.Var, create bool) *T {
 // for a copy of the table; fallback slots are not counted.
 func (t *Table[T]) Declared() int { return len(t.declared) }
 
+// SameVars reports whether t's slots are exactly the variables of db:
+// every one declared, no other declared, and no fallback slot. A store
+// whose table has the same variables as the state it is reset to
+// overwrites the slots in place instead of building a new table.
+func (t *Table[T]) SameVars(db core.DB) bool {
+	if len(t.declared) != len(db) {
+		return false
+	}
+	late := false
+	t.late.Range(func(_, _ any) bool {
+		late = true
+		return false
+	})
+	if late {
+		return false
+	}
+	for v := range db {
+		if _, ok := t.declared[v]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // Range visits every slot, declared and fallback, once each, until fn
 // returns false. It takes no lock; a slot created concurrently may or may
 // not be visited.

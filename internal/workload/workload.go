@@ -13,6 +13,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"optcc/internal/core"
 	"optcc/internal/lockmgr"
@@ -227,15 +228,15 @@ func Disjoint(jobs, steps int) *core.System {
 	if steps < 1 {
 		steps = 1
 	}
-	sys := &core.System{Name: fmt.Sprintf("disjoint-%dx%d", jobs, steps)}
+	sys := &core.System{Name: fmt.Sprintf("disjoint-%dx%d", jobs, steps), Txs: make([]core.Transaction, max(jobs, 0))}
 	inc := func(l []core.Value) core.Value { return last(l) + 1 }
-	for i := 0; i < jobs; i++ {
-		name := core.Var(fmt.Sprintf("d%d", i))
-		tx := core.Transaction{}
-		for s := 0; s < steps; s++ {
-			tx.Steps = append(tx.Steps, core.Step{Var: name, Kind: core.Update, Fn: inc})
+	for i := range sys.Txs {
+		name := core.Var("d" + strconv.Itoa(i))
+		tx := &sys.Txs[i]
+		tx.Steps = make([]core.Step, steps)
+		for s := range tx.Steps {
+			tx.Steps[s] = core.Step{Var: name, Kind: core.Update, Fn: inc}
 		}
-		sys.Txs = append(sys.Txs, tx)
 	}
 	return sys.Normalize()
 }
@@ -325,29 +326,30 @@ func (c *RandomConfig) defaults() {
 func Random(cfg RandomConfig, seed int64) *core.System {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(seed))
+	names := varNames(cfg.NumVars)
+	// Weighted by 1/(rank+1)^Hotspot.
+	weights := make([]float64, cfg.NumVars)
+	total := 0.0
+	for i := range weights {
+		w := 1.0
+		for k := 0.0; k < cfg.Hotspot; k++ {
+			w /= float64(i + 1)
+		}
+		weights[i] = w
+		total += w
+	}
 	pickVar := func() core.Var {
 		if cfg.Hotspot <= 0 {
-			return core.Var(fmt.Sprintf("v%d", rng.Intn(cfg.NumVars)))
-		}
-		// Weighted by 1/(rank+1)^Hotspot.
-		weights := make([]float64, cfg.NumVars)
-		total := 0.0
-		for i := range weights {
-			w := 1.0
-			for k := 0.0; k < cfg.Hotspot; k++ {
-				w /= float64(i + 1)
-			}
-			weights[i] = w
-			total += w
+			return names[rng.Intn(cfg.NumVars)]
 		}
 		r := rng.Float64() * total
 		for i, w := range weights {
 			if r < w {
-				return core.Var(fmt.Sprintf("v%d", i))
+				return names[i]
 			}
 			r -= w
 		}
-		return core.Var(fmt.Sprintf("v%d", cfg.NumVars-1))
+		return names[cfg.NumVars-1]
 	}
 	txs := make([]core.Transaction, cfg.NumTxs)
 	for i := range txs {
@@ -440,11 +442,12 @@ func (c *ReadMostlyConfig) defaults() {
 func ReadMostly(cfg ReadMostlyConfig, seed int64) *core.System {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(seed))
+	names := varNames(cfg.Vars)
 	pickVar := func() core.Var {
 		if cfg.HotFrac > 0 && rng.Float64() < cfg.HotFrac {
-			return core.Var(fmt.Sprintf("v%d", rng.Intn(cfg.HotVars)))
+			return names[rng.Intn(cfg.HotVars)]
 		}
-		return core.Var(fmt.Sprintf("v%d", rng.Intn(cfg.Vars)))
+		return names[rng.Intn(cfg.Vars)]
 	}
 	inc := func(l []core.Value) core.Value { return last(l) + 1 }
 	readers := int(float64(cfg.Jobs)*cfg.ReadFrac + 0.5)
@@ -467,6 +470,16 @@ func ReadMostly(cfg ReadMostlyConfig, seed int64) *core.System {
 		Name: fmt.Sprintf("readmostly-%.2f-%d", cfg.ReadFrac, seed),
 		Txs:  txs,
 	}).Normalize()
+}
+
+// varNames returns the pool variables v0..v<n-1>, named once so a
+// generator drawing from the pool shares their strings.
+func varNames(n int) []core.Var {
+	names := make([]core.Var, n)
+	for i := range names {
+		names[i] = core.Var("v" + strconv.Itoa(i))
+	}
+	return names
 }
 
 // NodeVar names node i of the implicit binary tree used by the

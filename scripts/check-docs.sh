@@ -225,9 +225,23 @@ fi
 # internal/vartab map) and the group committer's yield before every group
 # (it now yields only when the queue runs empty), and the engine
 # self-check cells E9 and E11–E15 (now tests that call internal/check) are
-# gone; nothing that documents or drives the current tree may name them.
+# gone; nothing that documents or drives the current tree may name them:
+# not the docs and commands, and not a non-test Go file under internal/,
+# whose comments must not cite a deleted cell either (E8–E15 by id; the
+# pattern cannot match the live cells E1–E7).
+files=()
 for f in README.md DESIGN.md doc.go cmd/*/main.go Makefile internal/report/report.go .claude/skills/verify/SKILL.md; do
   [ -f "$f" ] || continue
+  files+=("$f")
+done
+while IFS= read -r f; do
+  files+=("$f")
+done < <(find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | sort)
+for f in "${files[@]}"; do
+  if grep -qE '\bE(8|9|1[0-5])\b' "$f"; then
+    echo "check-docs: $f still cites a deleted experiment cell: $(grep -noE '\bE(8|9|1[0-5])\b' "$f" | head -1)"
+    fail=1
+  fi
   for stale in 'railstripes' 'NewSharded(' 'Sharded combinator' 'ordering rail' 'benchdiff' 'bench-json' 'BENCH_PR' \
       'E8Config' 'E10Config' 'E8Quick' 'ccbench -md' 'EXPERIMENTS.md' '-exp E8' '-exp E10' \
       'BenchmarkShardedVsCentral' 'BenchmarkNativeVsMutexed' \
