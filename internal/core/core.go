@@ -188,11 +188,13 @@ func TrivialIC(init DB) *IC {
 // System is a transaction system: transactions plus integrity constraints.
 //
 // A System is a fixed input, as in the paper: it must not change after its
-// first run (or its first Vars or InitialState call). What depends only on
-// it — the variable set and the first initial state — is computed once
-// and shared by every later caller, and the natively concurrent schedulers
-// reuse their per-variable tables when Begin sees the same System again.
-// A System holds atomics, so it is passed by pointer, never copied.
+// first run (or its first Vars, VarIDs, Validate, Executable or
+// InitialState call). What depends only on it — the variable set, each
+// step's variable number, the two validity verdicts and the first initial
+// state — is computed once and shared by every later caller, and the
+// natively concurrent schedulers reuse their per-variable tables when
+// Begin sees the same System again. A System holds atomics, so it is
+// passed by pointer, never copied.
 type System struct {
 	Name string
 	Txs  []Transaction
@@ -200,9 +202,20 @@ type System struct {
 	// constraint with a single all-zero initial state.
 	IC *IC
 
-	// vars and init memoize Vars and InitialState; nil until first use.
-	vars atomic.Pointer[[]Var]
-	init atomic.Pointer[DB]
+	// steps and init memoize the step walk and InitialState; nil until
+	// first use.
+	steps atomic.Pointer[stepMemo]
+	init  atomic.Pointer[DB]
+}
+
+// stepMemo is everything one walk over a System's steps computes: the
+// sorted variable set, each step's variable number (its index in vars),
+// Validate's error and Executable's verdict.
+type stepMemo struct {
+	vars []Var
+	ids  [][]int32
+	err  error
+	exec bool
 }
 
 // Format returns the n-tuple (m1..mn) of transaction lengths.
@@ -235,29 +248,81 @@ func (s *System) Step(id StepID) Step { return s.Txs[id.Tx].Steps[id.Idx] }
 // It is computed on the first call and shared by every later one: the
 // slice is read-only, and a repeated call allocates nothing. Concurrent
 // first calls are safe and agree on one slice.
-func (s *System) Vars() []Var {
-	if p := s.vars.Load(); p != nil {
-		return *p
+func (s *System) Vars() []Var { return s.memo().vars }
+
+// VarIDs returns every step's variable number: VarIDs()[i][j] is the
+// index in Vars of Txs[i].Steps[j].Var. A per-variable table laid out in
+// Vars order finds a step's entry by this index, without hashing the
+// name. It is built in the same walk as Vars and shared the same way: the
+// slices are read-only, and a repeated call allocates nothing.
+func (s *System) VarIDs() [][]int32 { return s.memo().ids }
+
+// memo returns the step memo, walking the steps on the first call.
+func (s *System) memo() *stepMemo {
+	if p := s.steps.Load(); p != nil {
+		return p
 	}
-	vars := s.collectVars()
-	s.vars.CompareAndSwap(nil, &vars)
-	return *s.vars.Load()
+	s.steps.CompareAndSwap(nil, s.walkSteps())
+	return s.steps.Load()
 }
 
-// collectVars computes the sorted variable set afresh.
-func (s *System) collectVars() []Var {
-	seen := map[Var]bool{}
+// walkSteps computes the step memo afresh in one walk over the steps:
+// each variable is numbered when first seen and the first structural
+// error is kept. The variables are then sorted and the numbers renamed to
+// sorted positions.
+func (s *System) walkSteps() *stepMemo {
+	m := &stepMemo{ids: make([][]int32, len(s.Txs)), exec: true}
+	if len(s.Txs) == 0 {
+		m.err = fmt.Errorf("system %q: no transactions", s.Name)
+	}
+	type seenVar struct {
+		v  Var
+		id int32 // first-seen number
+	}
+	num := map[Var]int32{}
+	var seen []seenVar
+	slab := make([]int32, s.StepCount())
 	for i := range s.Txs {
-		for j := range s.Txs[i].Steps {
-			seen[s.Txs[i].Steps[j].Var] = true
+		steps := s.Txs[i].Steps
+		ids := slab[:len(steps):len(steps)]
+		slab = slab[len(steps):]
+		m.ids[i] = ids
+		if len(steps) == 0 && m.err == nil {
+			m.err = fmt.Errorf("system %q: transaction %d is empty", s.Name, i+1)
+		}
+		for j := range steps {
+			st := &steps[j]
+			id, ok := num[st.Var]
+			if !ok {
+				id = int32(len(seen))
+				num[st.Var] = id
+				seen = append(seen, seenVar{st.Var, id})
+			}
+			ids[j] = id
+			if m.err == nil && st.Var == "" {
+				m.err = fmt.Errorf("system %q: step T%d%d has no variable", s.Name, i+1, j+1)
+			}
+			if m.err == nil && !st.Kind.Valid() {
+				m.err = fmt.Errorf("system %q: step T%d%d has invalid kind %d", s.Name, i+1, j+1, int(st.Kind))
+			}
+			if st.Kind != Read && st.Fn == nil {
+				m.exec = false
+			}
 		}
 	}
-	vars := make([]Var, 0, len(seen))
-	for v := range seen {
-		vars = append(vars, v)
+	slices.SortFunc(seen, func(a, b seenVar) int { return strings.Compare(string(a.v), string(b.v)) })
+	m.vars = make([]Var, len(seen))
+	rank := make([]int32, len(seen))
+	for k, sv := range seen {
+		m.vars[k] = sv.v
+		rank[sv.id] = int32(k)
 	}
-	slices.Sort(vars)
-	return vars
+	for i := range m.ids {
+		for j, id := range m.ids[i] {
+			m.ids[i][j] = rank[id]
+		}
+	}
+	return m
 }
 
 // Readers returns the transactions (indices) containing at least one step
@@ -300,43 +365,14 @@ func (s *System) Normalize() *System {
 
 // Validate checks structural well-formedness: at least one transaction,
 // every transaction non-empty, every step names a variable and a valid
-// kind, and every non-Read step of an executable system has an
-// interpretation.
-func (s *System) Validate() error {
-	if len(s.Txs) == 0 {
-		return fmt.Errorf("system %q: no transactions", s.Name)
-	}
-	for i := range s.Txs {
-		t := &s.Txs[i]
-		if len(t.Steps) == 0 {
-			return fmt.Errorf("system %q: transaction %d is empty", s.Name, i+1)
-		}
-		for j := range t.Steps {
-			st := &t.Steps[j]
-			if st.Var == "" {
-				return fmt.Errorf("system %q: step T%d%d has no variable", s.Name, i+1, j+1)
-			}
-			if !st.Kind.Valid() {
-				return fmt.Errorf("system %q: step T%d%d has invalid kind %d", s.Name, i+1, j+1, int(st.Kind))
-			}
-		}
-	}
-	return nil
-}
+// kind. The verdict is computed in the walk that builds Vars and shared
+// by every later call.
+func (s *System) Validate() error { return s.memo().err }
 
 // Executable reports whether every step has a concrete interpretation (Read
-// steps are always executable: identity is implied).
-func (s *System) Executable() bool {
-	for i := range s.Txs {
-		for j := range s.Txs[i].Steps {
-			st := s.Txs[i].Steps[j]
-			if st.Kind != Read && st.Fn == nil {
-				return false
-			}
-		}
-	}
-	return true
-}
+// steps are always executable: identity is implied). Like Validate, it
+// reads the step memo.
+func (s *System) Executable() bool { return s.memo().exec }
 
 // String renders the system's syntax, one transaction per line.
 func (s *System) String() string {

@@ -41,8 +41,72 @@ func TestVarsMemoized(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { sys.Vars() }); n != 0 {
 		t.Fatalf("a repeated Vars allocates %.0f times", n)
 	}
-	if fresh := sys.collectVars(); !slices.Equal(first, fresh) {
+	if fresh := sys.walkSteps().vars; !slices.Equal(first, fresh) {
 		t.Fatalf("memoized Vars %v differs from a fresh computation %v", first, fresh)
+	}
+}
+
+func TestVarIDsMemoized(t *testing.T) {
+	sys := memoSystem()
+	ids := sys.VarIDs()
+	want := [][]int32{{2, 2, 0}, {1, 0}}
+	if !reflect.DeepEqual(ids, want) {
+		t.Fatalf("VarIDs = %v, want %v", ids, want)
+	}
+	if again := sys.VarIDs(); &again[0][0] != &ids[0][0] {
+		t.Fatal("a repeated VarIDs built new slices")
+	}
+	if n := testing.AllocsPerRun(100, func() { sys.VarIDs() }); n != 0 {
+		t.Fatalf("a repeated VarIDs allocates %.0f times", n)
+	}
+	if fresh := sys.walkSteps().ids; !reflect.DeepEqual(ids, fresh) {
+		t.Fatalf("memoized VarIDs %v differs from a fresh computation %v", ids, fresh)
+	}
+}
+
+// TestValidityMemoized checks that the memoized Validate and Executable
+// verdicts equal a fresh walk's on valid, invalid and non-executable
+// systems, and that the error names the first fault in step order.
+func TestValidityMemoized(t *testing.T) {
+	inc := func(l []Value) Value { return l[len(l)-1] + 1 }
+	cases := []struct {
+		name    string
+		sys     *System
+		wantErr string
+		exec    bool
+	}{
+		{"valid", memoSystem(), "", true},
+		{"no-txs", &System{Name: "none"}, `system "none": no transactions`, true},
+		{"empty-tx", &System{Name: "e", Txs: []Transaction{{Steps: []Step{{Var: "x", Kind: Read}}}, {}}},
+			`system "e": transaction 2 is empty`, true},
+		{"no-var", &System{Name: "v", Txs: []Transaction{{Steps: []Step{{Var: "x", Kind: Read}, {Kind: Update, Fn: inc}, {Var: "y", Kind: StepKind(9)}}}}},
+			`system "v": step T12 has no variable`, false},
+		{"bad-kind", &System{Name: "k", Txs: []Transaction{{Steps: []Step{{Var: "x", Kind: StepKind(7), Fn: inc}}}}},
+			`system "k": step T11 has invalid kind 7`, true},
+		{"syntactic", &System{Name: "s", Txs: []Transaction{{Steps: []Step{{Var: "x", Kind: Read}, {Var: "x", Kind: Write}}}}},
+			"", false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err, exec := c.sys.Validate(), c.sys.Executable()
+			fresh := c.sys.walkSteps()
+			if (err == nil) != (fresh.err == nil) || (err != nil && err.Error() != fresh.err.Error()) {
+				t.Fatalf("memoized Validate %v, fresh walk %v", err, fresh.err)
+			}
+			if exec != fresh.exec {
+				t.Fatalf("memoized Executable %v, fresh walk %v", exec, fresh.exec)
+			}
+			got := ""
+			if err != nil {
+				got = err.Error()
+			}
+			if got != c.wantErr || exec != c.exec {
+				t.Fatalf("Validate %q, Executable %v; want %q, %v", got, exec, c.wantErr, c.exec)
+			}
+			if n := testing.AllocsPerRun(100, func() { _, _ = c.sys.Validate(), c.sys.Executable() }); n != 0 {
+				t.Fatalf("a repeated Validate/Executable allocates %.0f times", n)
+			}
+		})
 	}
 }
 
@@ -73,12 +137,14 @@ func TestInitialStateMemoized(t *testing.T) {
 }
 
 // TestSystemMemoConcurrentFirstCalls has 8 goroutines make the first
-// Vars and InitialState calls on a fresh System: they must agree on one
-// slice and one state. Run under -race in the CI stress job.
+// Vars, VarIDs and InitialState calls on a fresh System: they must agree
+// on one slice, one numbering and one state. Run under -race in the CI
+// stress job.
 func TestSystemMemoConcurrentFirstCalls(t *testing.T) {
 	const workers = 8
 	sys := memoSystem()
 	vars := make([][]Var, workers)
+	ids := make([][][]int32, workers)
 	inits := make([]DB, workers)
 	var start, wg sync.WaitGroup
 	start.Add(1)
@@ -87,10 +153,13 @@ func TestSystemMemoConcurrentFirstCalls(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			start.Wait()
-			if w%2 == 0 {
-				vars[w], inits[w] = sys.Vars(), sys.InitialState()
-			} else {
-				inits[w], vars[w] = sys.InitialState(), sys.Vars()
+			switch w % 3 {
+			case 0:
+				vars[w], ids[w], inits[w] = sys.Vars(), sys.VarIDs(), sys.InitialState()
+			case 1:
+				inits[w], vars[w], ids[w] = sys.InitialState(), sys.Vars(), sys.VarIDs()
+			default:
+				ids[w], inits[w], vars[w] = sys.VarIDs(), sys.InitialState(), sys.Vars()
 			}
 		}(w)
 	}
@@ -100,11 +169,15 @@ func TestSystemMemoConcurrentFirstCalls(t *testing.T) {
 		if &vars[w][0] != &vars[0][0] {
 			t.Fatalf("goroutine %d got a different Vars slice", w)
 		}
+		if &ids[w][0][0] != &ids[0][0][0] {
+			t.Fatalf("goroutine %d got a different VarIDs numbering", w)
+		}
 		if mapID(inits[w]) != mapID(inits[0]) {
 			t.Fatalf("goroutine %d got a different InitialState", w)
 		}
 	}
-	if !slices.Equal(vars[0], []Var{"a", "m", "z"}) || !inits[0].Equal(DB{"a": 1, "m": 0, "z": 2}) {
-		t.Fatalf("concurrent first calls computed %v, %v", vars[0], inits[0])
+	if !slices.Equal(vars[0], []Var{"a", "m", "z"}) || !inits[0].Equal(DB{"a": 1, "m": 0, "z": 2}) ||
+		!reflect.DeepEqual(ids[0], [][]int32{{2, 2, 0}, {1, 0}}) {
+		t.Fatalf("concurrent first calls computed %v, %v, %v", vars[0], ids[0], inits[0])
 	}
 }

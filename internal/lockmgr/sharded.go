@@ -40,8 +40,9 @@ type ShardedTable struct {
 	shards []tableShard
 	clock  atomic.Int64
 	// vars holds every variable's fast slot. The variables named to
-	// Declare sit in its immutable map, so a declared variable's slot is
-	// one map read, no boxing, no allocation.
+	// Declare sit in its slab in that order (AcquireAt finds one by its
+	// number, one slice index) and in its immutable map (Acquire finds one
+	// by name, one map read); neither boxes or allocates.
 	vars *vartab.Table[fastSlot]
 	// birthArr, fastArr and touched are the flat per-transaction state for
 	// ids reserved with Reserve: a birth timestamp slot (0 = unset), a
@@ -65,8 +66,14 @@ type tableShard struct {
 // fastSlot is the lock-free fast-path state of one variable.
 // state encodings: 0 = free (fast regime), tx+1 = exclusively held by tx
 // (fast regime), escalated = permanently in the shard Table's slow path.
+// A declared slot also knows its variable's name and shard (set by
+// Declare, read-only afterwards), so a request by number reaches the
+// shard Table without hashing the name; an undeclared slot leaves them
+// zero and its callers pass the name.
 type fastSlot struct {
 	state atomic.Int64
+	v     core.Var
+	shard int32
 }
 
 const escalated = -1
@@ -77,67 +84,68 @@ func encTx(tx TxID) int64 { return int64(tx) + 1 }
 //optcc:hotpath
 func decTx(st int64) TxID { return TxID(st - 1) }
 
-// fastSet tracks the variables a transaction holds via the fast path, so
-// ReleaseAll can find them. The first few variables live in an inline
-// array — transactions rarely fast-hold more — so the steady-state
-// add/remove/drain cycle allocates nothing; the overflow slice keeps its
-// capacity across a transaction's attempts.
+// fastSet tracks the slots a transaction holds via the fast path, so
+// ReleaseAll can free them without finding them again. The first few
+// slots live in an inline array — transactions rarely fast-hold more — so
+// the steady-state add/remove/drain cycle allocates nothing; the overflow
+// slice keeps its capacity across a transaction's attempts.
 type fastSet struct {
 	mu   sync.Mutex
 	n    int
-	arr  [4]core.Var
-	over []core.Var
+	arr  [4]*fastSlot
+	over []*fastSlot
 }
 
-// add records a fast-held variable. Caller holds fs.mu. Callers never add
-// a variable twice: the fast path adds only on a winning CAS, and a
-// reentrant grant returns before reaching here.
+// add records a fast-held slot. Caller holds fs.mu. Callers never add a
+// slot twice: the fast path adds only on a winning CAS, and a reentrant
+// grant returns before reaching here.
 //
 //optcc:hotpath
-func (fs *fastSet) add(v core.Var) {
+func (fs *fastSet) add(sl *fastSlot) {
 	if fs.n < len(fs.arr) {
-		fs.arr[fs.n] = v
+		fs.arr[fs.n] = sl
 		fs.n++
 		return
 	}
 	//cclint:ignore hotpath overflow beyond the inline array is the rare many-locks case; capacity is kept across attempts
-	fs.over = append(fs.over, v)
+	fs.over = append(fs.over, sl)
 }
 
-// remove drops one occurrence of v (a no-op if absent). Caller holds fs.mu.
+// remove drops one occurrence of sl (a no-op if absent). Caller holds
+// fs.mu.
 //
 //optcc:hotpath
-func (fs *fastSet) remove(v core.Var) {
+func (fs *fastSet) remove(sl *fastSlot) {
 	for i := 0; i < fs.n; i++ {
-		if fs.arr[i] == v {
+		if fs.arr[i] == sl {
 			fs.n--
 			fs.arr[i] = fs.arr[fs.n]
-			fs.arr[fs.n] = ""
+			fs.arr[fs.n] = nil
 			return
 		}
 	}
 	for i, o := range fs.over {
-		if o == v {
+		if o == sl {
 			last := len(fs.over) - 1
 			fs.over[i] = fs.over[last]
-			fs.over[last] = ""
+			fs.over[last] = nil
 			fs.over = fs.over[:last]
 			return
 		}
 	}
 }
 
-// drain visits every tracked variable and empties the set, releasing the
-// string references but keeping the overflow capacity. Caller holds fs.mu.
-func (fs *fastSet) drain(fn func(v core.Var)) {
+// drain visits every tracked slot and empties the set, keeping the
+// overflow capacity. Caller holds fs.mu.
+func (fs *fastSet) drain(fn func(sl *fastSlot)) {
 	for i := 0; i < fs.n; i++ {
 		fn(fs.arr[i])
-		fs.arr[i] = ""
+		fs.arr[i] = nil
 	}
 	fs.n = 0
 	for i, o := range fs.over {
 		fn(o)
-		fs.over[i] = ""
+		fs.over[i] = nil
 	}
 	fs.over = fs.over[:0]
 }
@@ -180,12 +188,19 @@ func (s *ShardedTable) Reserve(n int) {
 }
 
 // Declare builds the fast slots of vars up front (internal/vartab: one
-// immutable map over one slab, duplicates folded), so looking up a
-// declared variable's slot is one lock-free map read. Variables outside
-// the declared set keep working through vartab's fallback. Call it once,
-// before the table is driven (ConcurrentStrict2PL calls it from Begin with
-// the system's variables).
-func (s *ShardedTable) Declare(vars []core.Var) { s.vars = vartab.New[fastSlot](vars) }
+// slab in vars order under one immutable map, duplicates folded), each
+// knowing its name and shard, so finding a declared variable's slot is one
+// slice index by its position in vars (AcquireAt) or one lock-free map
+// read by name (Acquire). Variables outside the declared set keep working
+// through vartab's fallback. Call it once, before the table is driven
+// (ConcurrentStrict2PL calls it from Begin with the system's Vars).
+func (s *ShardedTable) Declare(vars []core.Var) {
+	s.vars = vartab.New[fastSlot](vars)
+	for i, v := range vars {
+		sl := s.vars.At(int32(i))
+		sl.v, sl.shard = v, int32(s.ShardOf(v))
+	}
+}
 
 // Reset returns the table to its just-declared state, keeping its
 // variable slots and per-transaction arrays: every lock, queue, birth and
@@ -207,7 +222,7 @@ func (s *ShardedTable) Reset() {
 		s.birthArr[i].Store(0)
 		fs := &s.fastArr[i]
 		fs.mu.Lock()
-		fs.drain(func(core.Var) {})
+		fs.drain(func(*fastSlot) {})
 		fs.mu.Unlock()
 	}
 	for i := range s.touched {
@@ -392,7 +407,7 @@ func (s *ShardedTable) escalate(sl *fastSlot, si int, v core.Var) {
 // batched and unbatched lock managers cannot drift apart.
 //
 //optcc:hotpath
-func (s *ShardedTable) tryFast(tx TxID, sl *fastSlot, v core.Var, m Mode) (Result, bool) {
+func (s *ShardedTable) tryFast(tx TxID, sl *fastSlot, m Mode) (Result, bool) {
 	st := sl.state.Load()
 	if st == encTx(tx) {
 		return Result{Status: Granted}, true
@@ -400,7 +415,7 @@ func (s *ShardedTable) tryFast(tx TxID, sl *fastSlot, v core.Var, m Mode) (Resul
 	if m == Exclusive && st == 0 && sl.state.CompareAndSwap(0, encTx(tx)) {
 		fs := s.fastSetOf(tx)
 		fs.mu.Lock()
-		fs.add(v)
+		fs.add(sl)
 		fs.mu.Unlock()
 		return Result{Status: Granted}, true
 	}
@@ -411,14 +426,41 @@ func (s *ShardedTable) tryFast(tx TxID, sl *fastSlot, v core.Var, m Mode) (Resul
 // variable still in the fast regime are a single CAS; everything else goes
 // through the owning shard's Table under its mutex.
 func (s *ShardedTable) Acquire(tx TxID, v core.Var, m Mode) Result {
+	return s.acquire(tx, s.vars.Slot(v), v, -1, m)
+}
+
+// AcquireAt is Acquire of vars[i], for the vars named to Declare: the
+// slot is one slice index, and a request that needs the shard Table takes
+// the variable's name and shard from the slot instead of hashing it.
+//
+//optcc:hotpath
+func (s *ShardedTable) AcquireAt(tx TxID, i int32, m Mode) Result {
+	sl := s.vars.At(i)
+	return s.acquire(tx, sl, sl.v, int(sl.shard), m)
+}
+
+// acquire is Acquire on v's slot sl; si is v's shard, or -1 to hash v for
+// it when the request needs the shard Table.
+//
+//optcc:hotpath
+func (s *ShardedTable) acquire(tx TxID, sl *fastSlot, v core.Var, si int, m Mode) Result {
 	if s.birthOf(tx) == 0 {
+		//cclint:ignore hotpath first request of an unregistered id; ConcurrentStrict2PL registers every id in Begin
 		s.Register(tx)
 	}
-	sl := s.vars.Slot(v)
-	if r, ok := s.tryFast(tx, sl, v, m); ok {
+	if r, ok := s.tryFast(tx, sl, m); ok {
 		return r
 	}
-	si := s.ShardOf(v)
+	if si < 0 {
+		si = ShardOfVar(v, len(s.shards))
+	}
+	//cclint:ignore hotpath the slow path: the shard Table under its mutex
+	return s.acquireSlow(tx, sl, v, si, m)
+}
+
+// acquireSlow decides a request the fast path could not grant in shard
+// si's Table, under the shard mutex.
+func (s *ShardedTable) acquireSlow(tx TxID, sl *fastSlot, v core.Var, si int, m Mode) Result {
 	sh := &s.shards[si]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -458,7 +500,7 @@ func (s *ShardedTable) AcquireBatchInto(out []Result, reqs []BatchReq) []Result 
 	held := -1
 	for _, r := range reqs {
 		sl := s.vars.Slot(r.Var)
-		if res, ok := s.tryFast(r.Tx, sl, r.Var, r.Mode); ok {
+		if res, ok := s.tryFast(r.Tx, sl, r.Mode); ok {
 			out = append(out, res)
 			continue
 		}
@@ -486,10 +528,10 @@ func (s *ShardedTable) AcquireBatchInto(out []Result, reqs []BatchReq) []Result 
 func (s *ShardedTable) Release(tx TxID, v core.Var) []Grant {
 	sl := s.vars.Slot(v)
 	if sl.state.CompareAndSwap(encTx(tx), 0) {
-		s.dropFast(tx, v)
+		s.dropFast(tx, sl)
 		return nil
 	}
-	s.dropFast(tx, v)
+	s.dropFast(tx, sl)
 	sh := &s.shards[s.ShardOf(v)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -497,10 +539,10 @@ func (s *ShardedTable) Release(tx TxID, v core.Var) []Grant {
 }
 
 //optcc:hotpath
-func (s *ShardedTable) dropFast(tx TxID, v core.Var) {
+func (s *ShardedTable) dropFast(tx TxID, sl *fastSlot) {
 	if fs := s.fastSetIfAny(tx); fs != nil {
 		fs.mu.Lock()
-		fs.remove(v)
+		fs.remove(sl)
 		fs.mu.Unlock()
 	}
 }
@@ -514,11 +556,11 @@ func (s *ShardedTable) dropFast(tx TxID, v core.Var) {
 func (s *ShardedTable) ReleaseAll(tx TxID) []Grant {
 	if fs := s.fastSetIfAny(tx); fs != nil {
 		fs.mu.Lock()
-		fs.drain(func(v core.Var) {
+		fs.drain(func(sl *fastSlot) {
 			// If the CAS fails the variable was escalated and the hold
 			// adopted into its shard Table, which the escalation entered
 			// tx into first; the sweep below releases it.
-			s.vars.Slot(v).state.CompareAndSwap(encTx(tx), 0)
+			sl.state.CompareAndSwap(encTx(tx), 0)
 		})
 		fs.mu.Unlock()
 	}
@@ -604,7 +646,7 @@ func (s *ShardedTable) Forget(tx TxID) {
 	if s.reserved(tx) {
 		fs := &s.fastArr[tx]
 		fs.mu.Lock()
-		fs.drain(func(core.Var) {})
+		fs.drain(func(*fastSlot) {})
 		fs.mu.Unlock()
 	} else {
 		s.fast.Delete(tx)

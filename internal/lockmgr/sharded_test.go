@@ -428,3 +428,64 @@ func TestShardedResetReturnsToDeclaredState(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestShardedAcquireAtMatchesAcquire drives AcquireAt — the by-number path
+// whose slot knows its name and shard — through the fast path, a
+// reentrant grant, the slow path (a shared lock, then a conflicting
+// request that escalates a fast hold) and ReleaseAll, and checks each
+// state against the name-keyed view.
+func TestShardedAcquireAtMatchesAcquire(t *testing.T) {
+	vars := []core.Var{"a", "b", "c", "d"}
+	tab := NewShardedTable(WoundWait, 4)
+	tab.Reserve(2)
+	tab.Declare(vars)
+	tab.Register(0)
+	tab.Register(1)
+	for i, v := range vars {
+		if sl := tab.vars.At(int32(i)); sl != tab.vars.Slot(v) || sl.v != v || int(sl.shard) != tab.ShardOf(v) {
+			t.Fatalf("slot %d: name %q shard %d, want %q %d", i, sl.v, sl.shard, v, tab.ShardOf(v))
+		}
+	}
+	if r := tab.AcquireAt(0, 0, Exclusive); r.Status != Granted {
+		t.Fatalf("fast X on a: %+v", r)
+	}
+	if r := tab.AcquireAt(0, 0, Shared); r.Status != Granted {
+		t.Fatalf("reentrant S on a: %+v", r)
+	}
+	if r := tab.AcquireAt(0, 1, Shared); r.Status != Granted {
+		t.Fatalf("slow S on b: %+v", r)
+	}
+	if m, ok := tab.HeldBy("b")[0]; !ok || m != Shared || tab.vars.At(1).state.Load() != escalated {
+		t.Fatalf("b: held %v, slot state %d", tab.HeldBy("b"), tab.vars.At(1).state.Load())
+	}
+	// The younger tx 1 waits for a: the fast hold is adopted into a's shard.
+	if r := tab.AcquireAt(1, 0, Exclusive); r.Status != Waiting {
+		t.Fatalf("conflicting X on a: %+v", r)
+	}
+	if tab.QueueLen("a") != 1 {
+		t.Fatalf("a: %d queued, want 1", tab.QueueLen("a"))
+	}
+	if err := tab.Invariant(); err != nil {
+		t.Fatal(err)
+	}
+	grants := tab.ReleaseAll(0)
+	if len(grants) != 1 || grants[0].Tx != 1 || grants[0].Var != "a" {
+		t.Fatalf("ReleaseAll(0) granted %+v, want tx 1 on a", grants)
+	}
+	tab.Forget(0)
+	if r := tab.AcquireAt(1, 2, Exclusive); r.Status != Granted {
+		t.Fatalf("fast X on c: %+v", r)
+	}
+	tab.ReleaseAll(1)
+	for _, v := range vars {
+		if h := tab.HeldBy(v); len(h) != 0 {
+			t.Fatalf("%s still held by %v", v, h)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		tab.AcquireAt(0, 3, Exclusive)
+		tab.ReleaseAll(0)
+	}); n != 0 {
+		t.Fatalf("an uncontended AcquireAt/ReleaseAll cycle allocates %.0f times", n)
+	}
+}

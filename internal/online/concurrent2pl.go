@@ -25,6 +25,7 @@ type ConcurrentStrict2PL struct {
 	shards int
 
 	sys   *core.System
+	ids   [][]int32 // sys.VarIDs(): each step's position in the declared variables
 	table *lockmgr.ShardedTable
 
 	// scratch holds one reusable TryBatch buffer set per shard. Concurrent
@@ -65,11 +66,13 @@ func (s *ConcurrentStrict2PL) Begin(sys *core.System) {
 		s.table.Reset()
 	} else {
 		s.sys = sys
+		s.ids = sys.VarIDs()
 		s.table = lockmgr.NewShardedTable(s.policy, s.shards)
 		// Reserve flat per-transaction table state, declare every
 		// variable's fast slot and assign every birth up front: the
 		// steady-state Acquire/ReleaseAll cycle then never touches a
-		// sync.Map, and an uncontended step is one map read and one CAS.
+		// sync.Map, and an uncontended step is one slice index by the
+		// step's variable number and one CAS.
 		s.table.Reserve(sys.NumTxs())
 		s.table.Declare(sys.Vars())
 		s.scratch = make([]batchScratch, s.shards)
@@ -88,8 +91,8 @@ func (s *ConcurrentStrict2PL) Begin(sys *core.System) {
 // A lock tx already holds strongly enough is granted by the table itself
 // (the fast slot's reentrant check, or Table.Acquire's holder check).
 func (s *ConcurrentStrict2PL) Try(id core.StepID) Decision {
-	step := s.sys.Step(id)
-	r := s.table.Acquire(lockmgr.TxID(id.Tx), step.Var, lockMode(step.Kind))
+	kind := s.sys.Txs[id.Tx].Steps[id.Idx].Kind
+	r := s.table.AcquireAt(lockmgr.TxID(id.Tx), s.ids[id.Tx][id.Idx], lockMode(kind))
 	if len(r.Wounded) > 0 {
 		s.mu.Lock()
 		for _, w := range r.Wounded {

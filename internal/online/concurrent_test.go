@@ -136,6 +136,54 @@ func TestConcurrent2PLReBeginMatchesFresh(t *testing.T) {
 	}
 }
 
+// reBeginSystems returns two systems of one format whose steps number
+// their variables differently, so a scheduler that kept one system's
+// variable numbers (VarIDs) while deciding the other's steps would find
+// the wrong entries, or none.
+func reBeginSystems() (a, b *core.System) {
+	inc := func(l []core.Value) core.Value { return l[len(l)-1] + 1 }
+	tx := func(steps ...core.Step) core.Transaction { return core.Transaction{Steps: steps} }
+	r := func(v core.Var) core.Step { return core.Step{Var: v, Kind: core.Read} }
+	w := func(v core.Var) core.Step { return core.Step{Var: v, Kind: core.Write, Fn: inc} }
+	u := func(v core.Var) core.Step { return core.Step{Var: v, Kind: core.Update, Fn: inc} }
+	// A's first two transactions touch one variable each; B's cross on p
+	// and q, so its history T11 T21 T12 T22 is not serializable. Read
+	// through the other system's numbers, each looks like the other.
+	a = (&core.System{Name: "A", Txs: []core.Transaction{
+		tx(u("x"), r("x")), tx(w("y"), u("y")), tx(r("z"), u("x"))}}).Normalize()
+	b = (&core.System{Name: "B", Txs: []core.Transaction{
+		tx(u("p"), u("q")), tx(u("q"), w("p")), tx(r("r"), w("r"))}}).Normalize()
+	return a, b
+}
+
+// TestNativeReBeginABAMatchesFresh re-begins each native scheduler over
+// systems A, B, A — every history of each, so Begin also reuses its tables
+// within a system — and requires every history to be decided exactly as a
+// fresh scheduler decides it. A scheduler that kept A's variable numbers
+// or tables into B (or B's back into A) fails it.
+func TestNativeReBeginABAMatchesFresh(t *testing.T) {
+	a, b := reBeginSystems()
+	for _, c := range nativeCases() {
+		t.Run(c.name, func(t *testing.T) {
+			reused := c.factory()
+			for _, sys := range []*core.System{a, b, a} {
+				schedule.Enumerate(sys.Format(), func(h core.Schedule) bool {
+					got, gerr := Replay(sys, reused, h, 0)
+					want, werr := Replay(sys, c.factory(), h, 0)
+					if (gerr == nil) != (werr == nil) {
+						t.Fatalf("%s: completion mismatch on %v: %v vs %v", sys.Name, h, gerr, werr)
+					}
+					if gerr == nil && (!slices.Equal(got.Output, want.Output) || got.Delays != want.Delays || got.Aborts != want.Aborts) {
+						t.Fatalf("%s, history %v: re-begun scheduler decided %v (%d delays, %d aborts), fresh %v (%d, %d)",
+							sys.Name, h, got.Output, got.Delays, got.Aborts, want.Output, want.Delays, want.Aborts)
+					}
+					return !t.Failed()
+				})
+			}
+		})
+	}
+}
+
 // TestShardedRoutingAndNames covers the partition plumbing of the two ends
 // of the ConcurrentScheduler contract: a natively sharded scheduler spreads
 // variables over its shards, Mutexed is one shard.

@@ -73,6 +73,7 @@ type ConcurrentMV struct {
 	shards int
 
 	sys   *core.System
+	ids   [][]int32 // sys.VarIDs(): each step's index into table
 	table *tstable.Table
 	clock atomic.Int64
 	ts    []atomic.Int64 // per-transaction timestamp; 0 = unassigned
@@ -107,14 +108,15 @@ func (s *ConcurrentMV) Begin(sys *core.System) {
 		return
 	}
 	s.sys = sys
+	s.ids = sys.VarIDs()
 	s.ts = make([]atomic.Int64, sys.NumTxs())
 	s.ws = make([][]wsEntry, sys.NumTxs())
 	s.table = tstable.New(sys.Vars(), s.shards)
 }
 
-// Try implements Scheduler. Lock-free: one immutable map lookup plus
-// atomic loads and CASes; it never returns Delay — every conflict is
-// resolved by aborting the requester.
+// Try implements Scheduler. Lock-free: one slice index by the step's
+// variable number plus atomic loads and CASes; it never returns Delay —
+// every conflict is resolved by aborting the requester.
 func (s *ConcurrentMV) Try(id core.StepID) Decision {
 	ts := s.ts[id.Tx].Load()
 	if ts == 0 {
@@ -122,7 +124,7 @@ func (s *ConcurrentMV) Try(id core.StepID) Decision {
 		s.ts[id.Tx].Store(ts)
 	}
 	step := s.sys.Step(id)
-	e := s.table.Entry(step.Var)
+	e := s.table.At(s.ids[id.Tx][id.Idx])
 	if conflict.Reads(step.Kind) {
 		w := e.WriteTS()
 		if w < 0 && w != -ts {

@@ -26,7 +26,7 @@ const (
 // First write, because the check on the other side asks whether any
 // write precedes the reader's last read.
 type coccAccess struct {
-	v      core.Var
+	v      int32 // the variable's number (core.System.VarIDs)
 	rstamp int64
 	wstamp int64
 }
@@ -42,11 +42,11 @@ type coccTx struct {
 	acc   []coccAccess
 }
 
-// access returns the footprint entry of v, appending a fresh one if the
-// incarnation has not touched v yet.
+// access returns the footprint entry of variable number v, appending a
+// fresh one if the incarnation has not touched v yet.
 //
 //optcc:hotpath
-func (st *coccTx) access(v core.Var) *coccAccess {
+func (st *coccTx) access(v int32) *coccAccess {
 	for i := range st.acc {
 		if st.acc[i].v == v {
 			return &st.acc[i]
@@ -57,10 +57,10 @@ func (st *coccTx) access(v core.Var) *coccAccess {
 	return &st.acc[len(st.acc)-1]
 }
 
-// lookup returns the footprint entry of v, or nil.
+// lookup returns the footprint entry of variable number v, or nil.
 //
 //optcc:hotpath
-func (st *coccTx) lookup(v core.Var) *coccAccess {
+func (st *coccTx) lookup(v int32) *coccAccess {
 	for i := range st.acc {
 		if st.acc[i].v == v {
 			return &st.acc[i]
@@ -115,6 +115,7 @@ type ConcurrentOCC struct {
 	shards int
 
 	sys     *core.System
+	ids     [][]int32 // sys.VarIDs(): each step's index into commits and wmarks
 	clock   atomic.Int64
 	commits *tstable.Table // per-variable last committed write epoch
 	wmarks  *vartab.Table[occEntry]
@@ -154,6 +155,7 @@ func (s *ConcurrentOCC) Begin(sys *core.System) {
 		return
 	}
 	s.sys = sys
+	s.ids = sys.VarIDs()
 	n := sys.NumTxs()
 	s.commits = tstable.New(sys.Vars(), s.shards)
 	s.wmarks = vartab.New[occEntry](sys.Vars())
@@ -183,19 +185,19 @@ func (s *ConcurrentOCC) resetTx(tx int) {
 	st.acc = st.acc[:0]
 }
 
-// mark records the step's first access of its variable in the private
-// footprint and, for writes, publishes the writer mark for cross-shard
-// validators. Runs under the variable's shard latch.
+// mark records the step's first access of its variable (number v) in the
+// private footprint and, for writes, publishes the writer mark for
+// cross-shard validators. Runs under the variable's shard latch.
 //
 //optcc:hotpath
-func (s *ConcurrentOCC) mark(st *coccTx, step core.Step, stamp int64, tx int, epoch int64) {
-	a := st.access(step.Var)
-	if conflict.Reads(step.Kind) {
+func (s *ConcurrentOCC) mark(st *coccTx, kind core.StepKind, v int32, stamp int64, tx int, epoch int64) {
+	a := st.access(v)
+	if conflict.Reads(kind) {
 		a.rstamp = stamp // last read (see coccAccess)
 	}
-	if conflict.Writes(step.Kind) && a.wstamp == 0 {
+	if conflict.Writes(kind) && a.wstamp == 0 {
 		a.wstamp = stamp
-		s.publishWriter(s.wmarks.Slot(step.Var), tx, epoch, stamp)
+		s.publishWriter(s.wmarks.At(v), tx, epoch, stamp)
 	}
 }
 
@@ -249,9 +251,9 @@ func (s *ConcurrentOCC) Try(id core.StepID) Decision {
 		st.start = s.clock.Load()
 		s.phase[tx].Store(epoch<<2 | occActive)
 	}
-	step := s.sys.Step(id)
-	if id.Idx != len(s.sys.Txs[tx].Steps)-1 {
-		s.mark(st, step, s.clock.Add(1), tx, epoch)
+	kind, v := s.sys.Txs[tx].Steps[id.Idx].Kind, s.ids[tx][id.Idx]
+	if id.Idx != len(s.ids[tx])-1 {
+		s.mark(st, kind, v, s.clock.Add(1), tx, epoch)
 		return Grant
 	}
 	// Validation epoch: unique and monotone with entry order, published
@@ -259,7 +261,7 @@ func (s *ConcurrentOCC) Try(id core.StepID) Decision {
 	vE := s.clock.Add(1)
 	s.vepoch[tx].Store(vE)
 	s.phase[tx].Store(epoch<<2 | occValidating)
-	if !s.validate(tx, st, step, vE) {
+	if !s.validate(tx, st, kind, v, vE) {
 		s.phase[tx].Store(epoch<<2 | occActive)
 		return AbortTx
 	}
@@ -267,11 +269,11 @@ func (s *ConcurrentOCC) Try(id core.StepID) Decision {
 	// final step's marks first (a concurrent validator must see this write
 	// until the commit stamps cover it), then the commit stamps, then the
 	// committed phase.
-	s.mark(st, step, vE, tx, epoch)
+	s.mark(st, kind, v, vE, tx, epoch)
 	commitTS := s.clock.Add(1)
 	for i := range st.acc {
 		if st.acc[i].wstamp > 0 {
-			s.commits.Entry(st.acc[i].v).MaxWrite(commitTS)
+			s.commits.At(st.acc[i].v).MaxWrite(commitTS)
 		}
 	}
 	s.phase[tx].Store(epoch<<2 | occCommitted)
@@ -280,14 +282,15 @@ func (s *ConcurrentOCC) Try(id core.StepID) Decision {
 }
 
 // validate runs backward validation for tx's current incarnation with the
-// final step included prospectively at stamp vE, mirroring the sequential
+// final step (kind on variable number v) included prospectively at stamp
+// vE, mirroring the sequential
 // OCC's three checks (see tsocc.go): (a) backward r/w and (c) backward
 // w/w via the per-variable commit stamps, (b) dirty reads via the live
 // writer marks — plus the concurrent-only tie-break against peers already
 // validating with a smaller epoch.
 //
 //optcc:hotpath
-func (s *ConcurrentOCC) validate(tx int, st *coccTx, step core.Step, vE int64) bool {
+func (s *ConcurrentOCC) validate(tx int, st *coccTx, kind core.StepKind, v int32, vE int64) bool {
 	for i := range st.acc {
 		a := &st.acc[i]
 		// An entry both read and written is covered by the read-side check:
@@ -300,26 +303,27 @@ func (s *ConcurrentOCC) validate(tx int, st *coccTx, step core.Step, vE int64) b
 	// with rt = vE — even of a variable read before — because it is the
 	// incarnation's last read of it; a final write of an untouched
 	// variable gets the commit probe and the validating tie-break.
-	if conflict.Reads(step.Kind) {
-		return s.checkVar(tx, step.Var, vE, true, vE, st.start)
+	if conflict.Reads(kind) {
+		return s.checkVar(tx, v, vE, true, vE, st.start)
 	}
-	if st.lookup(step.Var) == nil {
-		return s.checkVar(tx, step.Var, vE, false, vE, st.start)
+	if st.lookup(v) == nil {
+		return s.checkVar(tx, v, vE, false, vE, st.start)
 	}
 	return true
 }
 
-// checkVar validates one variable of the footprint: the commit-stamp
-// probe, then the writer-mark scan. rt is the first-read stamp (only
-// meaningful when isRead).
+// checkVar validates one variable (number v) of the footprint: the
+// commit-stamp probe, then the writer-mark scan. rt is the first-read
+// stamp (only meaningful when isRead).
 //
 //optcc:hotpath
-func (s *ConcurrentOCC) checkVar(tx int, v core.Var, rt int64, isRead bool, vE, start int64) bool {
+func (s *ConcurrentOCC) checkVar(tx int, v int32, rt int64, isRead bool, vE, start int64) bool {
+	commit := s.commits.At(v)
 	// (a)/(c): a transaction that committed during my lifetime wrote v.
-	if s.commits.Entry(v).WriteTS() > start {
+	if commit.WriteTS() > start {
 		return false
 	}
-	list := s.wmarks.Slot(v).writers.Load()
+	list := s.wmarks.At(v).writers.Load()
 	if list == nil {
 		return true
 	}
@@ -335,7 +339,7 @@ func (s *ConcurrentOCC) checkVar(tx int, v core.Var, rt int64, isRead bool, vE, 
 		case occCommitted:
 			// Committed after the probe above; its stamps were published
 			// before the committed phase, so re-probe.
-			if s.commits.Entry(v).WriteTS() > start {
+			if commit.WriteTS() > start {
 				return false
 			}
 		case occValidating:

@@ -56,6 +56,7 @@ type ConcurrentSGT struct {
 	shards       int
 
 	sys   *core.System
+	ids   [][]int32 // sys.VarIDs(): each step's index into marks
 	marks *vartab.Table[sgtEntry]
 	graph *sgtGraph
 }
@@ -95,6 +96,7 @@ func (s *ConcurrentSGT) Begin(sys *core.System) {
 		return
 	}
 	s.sys = sys
+	s.ids = sys.VarIDs()
 	s.marks = vartab.New[sgtEntry](sys.Vars())
 	s.graph = newSGTGraph(sys.NumTxs())
 }
@@ -144,7 +146,7 @@ func (s *ConcurrentSGT) record(list []sgtNode, me sgtNode) []sgtNode {
 func (s *ConcurrentSGT) Try(id core.StepID) Decision {
 	me := s.graph.node(id.Tx)
 	step := s.sys.Step(id)
-	e := s.marks.Slot(step.Var)
+	e := s.marks.At(s.ids[id.Tx][id.Idx])
 	src := e.srcBuf[:0]
 	// A write conflicts with every live reader and writer; a pure read
 	// only with writers (conflict.Conflicts on a shared variable).

@@ -13,7 +13,7 @@ import (
 // rebuilt for the sharded runtime with a lock-free hot path. Where
 // Mutexed(TO) runs the single-threaded TO behind one mutex, ConcurrentTO
 // needs none — its whole state is an atomic timestamp table
-// (internal/tstable, one immutable map) and an atomic
+// (internal/tstable, indexed by variable number) and an atomic
 // transaction-timestamp clock, so Try takes no mutex on any path.
 //
 // Why no cross-shard ordering structure: TO decides every conflict by the
@@ -45,6 +45,7 @@ type ConcurrentTO struct {
 	shards int
 
 	sys   *core.System
+	ids   [][]int32 // sys.VarIDs(): each step's index into table
 	table *tstable.Table
 	clock atomic.Int64
 	ts    []atomic.Int64 // per-transaction timestamp; 0 = unassigned
@@ -88,12 +89,13 @@ func (s *ConcurrentTO) Begin(sys *core.System) {
 		return
 	}
 	s.sys = sys
+	s.ids = sys.VarIDs()
 	s.ts = make([]atomic.Int64, sys.NumTxs())
 	s.table = tstable.New(sys.Vars(), s.shards)
 }
 
-// Try implements Scheduler. Lock-free: one immutable map lookup plus
-// atomic loads and CAS max-updates.
+// Try implements Scheduler. Lock-free: one slice index by the step's
+// variable number plus atomic loads and CAS max-updates.
 //
 //optcc:hotpath
 func (s *ConcurrentTO) Try(id core.StepID) Decision {
@@ -103,7 +105,7 @@ func (s *ConcurrentTO) Try(id core.StepID) Decision {
 		s.ts[id.Tx].Store(ts)
 	}
 	step := s.sys.Step(id)
-	e := s.table.Entry(step.Var)
+	e := s.table.At(s.ids[id.Tx][id.Idx])
 	if conflict.Reads(step.Kind) && ts < e.WriteTS() {
 		return AbortTx
 	}

@@ -8,10 +8,9 @@ import (
 
 // This file holds the per-variable mark entries behind the natively
 // concurrent SGT and OCC schedulers. Each scheduler keeps its entries in
-// an internal/vartab table built from the run's declared variables, like
-// internal/tstable's timestamps: finding a variable's entry is one
-// lock-free read of an immutable map, and an undeclared variable falls
-// back to vartab's sync.Map.
+// an internal/vartab table built from the System's variables (Vars), like
+// internal/tstable's timestamps: finding a step's entry is one slice index
+// by its variable number (VarIDs), taken without any lock.
 //
 // What the entries hold differs per scheduler, and so does who may touch
 // them:

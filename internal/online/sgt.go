@@ -61,26 +61,21 @@ func (s *SGT) Name() string {
 	return "sgt/delay"
 }
 
-// Begin implements Scheduler: it numbers the variables, builds the step
-// slab and sizes the per-transaction nodes.
+// Begin implements Scheduler: it builds the step slab from the system's
+// variable numbers (VarIDs) and sizes the per-transaction nodes.
 func (s *SGT) Begin(sys *core.System) {
 	n := sys.NumTxs()
-	vars := map[core.Var]int32{}
+	ids := sys.VarIDs()
 	s.first = make([]int, n+1)
 	s.steps = make([]sgtStep, 0, sys.StepCount())
 	for i := range sys.Txs {
 		s.first[i] = len(s.steps)
-		for _, st := range sys.Txs[i].Steps {
-			v, ok := vars[st.Var]
-			if !ok {
-				v = int32(len(vars))
-				vars[st.Var] = v
-			}
-			s.steps = append(s.steps, sgtStep{v: v, writes: conflict.Writes(st.Kind)})
+		for j, st := range sys.Txs[i].Steps {
+			s.steps = append(s.steps, sgtStep{v: ids[i][j], writes: conflict.Writes(st.Kind)})
 		}
 	}
 	s.first[n] = len(s.steps)
-	s.byVar = make([][]sgtRec, len(vars))
+	s.byVar = make([][]sgtRec, len(sys.Vars()))
 	s.init(n)
 }
 

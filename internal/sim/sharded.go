@@ -208,12 +208,24 @@ type shardedRun struct {
 	users       []userSlot // indexed by terminal id
 
 	shards []*shardState
-	txs    []txState
+	// latch is each variable's decision latch, indexed by its number
+	// (core.System.VarIDs): ids[tx][idx] picks a step's latch without
+	// hashing its name.
+	latch []*shardState
+	ids   [][]int32
+	txs   []txState
 	// roTx marks the transactions the read-only fast path serves (nil when
 	// the path is off).
 	roTx []bool
 
-	nextJob        atomic.Int64 // job cursor: users claim the next transaction
+	// nextJob is the job cursor: users claim the next transaction. Every
+	// claim writes it, so it has a cache line of its own; next to the
+	// slice headers every step reads, each claim would evict them from the
+	// other processors.
+	_       [56]byte
+	nextJob atomic.Int64
+	_       [56]byte
+
 	aborts, breaks atomic.Int64
 
 	breakCh chan struct{}
@@ -256,19 +268,31 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 		}
 	}
 
-	// Each shard's grant log is presized to the conflict-free request count
-	// of its variables; restarts overflow into amortized growth (cold path).
+	// Each variable's shard is looked up once per run, by name; from here
+	// on a step finds its latch by its variable number. Each shard's grant
+	// log is presized to the conflict-free request count of its variables;
+	// restarts overflow into amortized growth (cold path).
+	vars := sys.Vars()
+	varShard := make([]int32, len(vars))
+	for i, v := range vars {
+		varShard[i] = int32(cs.ShardOf(v))
+	}
+	r.ids = sys.VarIDs()
 	perShard := make([]int, cs.NumShards())
-	for tx := range sys.Txs {
+	for tx, ids := range r.ids {
 		if r.roTx == nil || !r.roTx[tx] {
-			for _, st := range sys.Txs[tx].Steps {
-				perShard[cs.ShardOf(st.Var)]++
+			for _, id := range ids {
+				perShard[varShard[id]]++
 			}
 		}
 	}
 	r.shards = make([]*shardState, len(perShard))
 	for i := range r.shards {
 		r.shards[i] = &shardState{log: make([]grant, 0, perShard[i])}
+	}
+	r.latch = make([]*shardState, len(vars))
+	for i, si := range varShard {
+		r.latch[i] = r.shards[si]
 	}
 
 	// Group commit, for a backend that syncs (storage.GroupSyncer): the
@@ -405,7 +429,7 @@ func (r *shardedRun) runUser(t *terminal) {
 			r.sb.SnapshotRelease(t.id)
 			r.txs[tx].committed.Store(true)
 		} else {
-			for r.attempt(tx, steps, t) && int(r.txs[tx].restarts.Load()) < r.maxRestarts {
+			for r.attempt(tx, t) && int(r.txs[tx].restarts.Load()) < r.maxRestarts {
 				t.slot.state.Store(stateWaiting)
 				time.Sleep(time.Duration(t.rng.Int63n(int64(50 * time.Microsecond))))
 				t.slot.state.Store(stateRunning)
@@ -440,10 +464,10 @@ func (r *shardedRun) think(t *terminal) {
 // restart. A timed transaction reads the clock once after each decision and
 // once after each backend apply, each reading closing one stage and opening
 // the next; an untimed one reads it only when a parked request wakes.
-func (r *shardedRun) attempt(tx int, steps []core.Step, t *terminal) (restart bool) {
-	for idx := range steps {
+func (r *shardedRun) attempt(tx int, t *terminal) (restart bool) {
+	for idx, id := range r.ids[tx] {
 		r.think(t)
-		v := r.request(r.shards[r.cs.ShardOf(steps[idx].Var)], tx, idx, t)
+		v := r.request(r.latch[id], tx, idx, t)
 		// Read off the latch: a parked request's wait ends when its user
 		// wakes, an unparked one's decision when request returns.
 		if v.parked || t.timed {

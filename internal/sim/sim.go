@@ -336,6 +336,7 @@ func run(cfg Config) (*Metrics, *shardedRun, error) {
 	if sys == nil || sys.NumTxs() == 0 {
 		return nil, nil, fmt.Errorf("sim: empty system")
 	}
+	// Both verdicts are memoized on the System: a re-run walks no step.
 	if err := sys.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -343,7 +344,13 @@ func run(cfg Config) (*Metrics, *shardedRun, error) {
 		if !sys.Executable() {
 			return nil, nil, fmt.Errorf("sim: backend execution needs an executable system (every non-Read step interpreted)")
 		}
-		cfg.Backend.Reset(sys.InitialState())
+		if _, keepsNoState := cfg.Backend.(storage.Noop); keepsNoState {
+			// The noop backend ignores the state it is reset to: do not
+			// build one for it.
+			cfg.Backend.Reset(nil)
+		} else {
+			cfg.Backend.Reset(sys.InitialState())
+		}
 	}
 	users := cfg.Users
 	if users <= 0 || users > sys.NumTxs() {

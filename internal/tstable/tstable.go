@@ -11,10 +11,11 @@
 // without any mutex:
 //
 //   - Entries live in an internal/vartab table built once from the run's
-//     declared variables: finding one is a lock-free read of one immutable
-//     map, and an undeclared variable falls back to vartab's sync.Map.
-//     Reset zeroes the timestamps so a table can be reused across runs
-//     over the same variable set.
+//     declared variables: the schedulers find one by variable number (At,
+//     one slice index), a caller holding only a name by one lock-free read
+//     of an immutable map (Entry), and an undeclared variable falls back
+//     to vartab's sync.Map. Reset zeroes the timestamps so a table can be
+//     reused across runs over the same variable set.
 //   - An Entry's read/write timestamps are atomics updated by a CAS
 //     max-loop (MaxRead/MaxWrite): concurrent updaters race forward only,
 //     so per-variable timestamps are monotonically non-decreasing — the
@@ -82,7 +83,7 @@ func maxUpdate(a *atomic.Int64, ts int64) {
 type Table struct{ tab *vartab.Table[Entry] }
 
 // New builds a table for the given variable set. All timestamps start at
-// zero. The shards argument is ignored — the table is one map, not a
+// zero. The shards argument is ignored — the table is one slab, not a
 // partition — and stays only because the bench module still passes it.
 func New(vars []core.Var, shards int) *Table {
 	return &Table{tab: vartab.New[Entry](vars)}
@@ -94,6 +95,13 @@ func New(vars []core.Var, shards int) *Table {
 //
 //optcc:hotpath
 func (t *Table) Entry(v core.Var) *Entry { return t.tab.Slot(v) }
+
+// At returns the entry of vars[i], for the distinct vars the table was
+// built from (core.System.Vars; i is a core.System.VarIDs number): one
+// slice index, no hash.
+//
+//optcc:hotpath
+func (t *Table) At(i int32) *Entry { return t.tab.At(i) }
 
 // Reset zeroes every timestamp (declared and fallback entries), preserving
 // the entry layout. Not safe for use concurrently with Entry updates; call

@@ -26,6 +26,9 @@ func TestBasicMaxUpdate(t *testing.T) {
 	if tab.Entry("y") == e {
 		t.Fatal("distinct variables share an entry")
 	}
+	if tab.At(0) != e || tab.At(1) != tab.Entry("y") {
+		t.Fatal("At(i) is not the entry of the i-th declared variable")
+	}
 }
 
 func TestReset(t *testing.T) {

@@ -2,12 +2,15 @@
 // and store that keeps a record per variable finds it here.
 //
 // The variable set is fixed per run (a transaction system declares its
-// variables), so New builds one immutable map from variable to a slot in a
-// single slab and never mutates it afterwards. Finding a declared
-// variable's slot is one lock-free read of that map: no mutex, no sync.Map,
-// no allocation, and no partition hash before the map hashes the name.
-// Variables outside the declared set (none in normal operation) fall back
-// to a sync.Map, so a table degrades safely instead of panicking.
+// variables), so New lays one slot per declared variable out in a single
+// slab, in the order given, and builds one immutable map from variable to
+// slot; neither changes afterwards. A caller that numbers its variables
+// the way the table was built (core.System.VarIDs numbers them in Vars
+// order) finds a slot with At: one slice index, no hash. Finding a slot
+// by name (Slot, Lookup) is one lock-free read of the map: no mutex, no
+// sync.Map, no allocation. Variables outside the declared set (none in
+// normal operation) fall back to a sync.Map, so a table degrades safely
+// instead of panicking.
 //
 // What a slot holds, and who may write it, is its user's business: the
 // table hands out stable pointers and nothing else.
@@ -22,22 +25,30 @@ import (
 // Table maps variables to stable *T slots. Construct with New; the zero
 // value is unusable.
 type Table[T any] struct {
+	vars     []core.Var // the declared variables, as given to New
+	slab     []T        // their slots, in the same order
 	declared map[core.Var]*T
 	late     sync.Map // core.Var → *T, variables first touched after New
 }
 
 // New builds a table whose declared slots are zero Ts in one slab, one per
-// distinct variable of vars (duplicates fold to one slot).
+// distinct variable of vars (duplicates fold to one slot). The table keeps
+// vars, which must not change afterwards.
 func New[T any](vars []core.Var) *Table[T] {
-	t := &Table[T]{declared: make(map[core.Var]*T, len(vars))}
-	slab := make([]T, len(vars))
+	t := &Table[T]{vars: vars, slab: make([]T, len(vars)), declared: make(map[core.Var]*T, len(vars))}
 	for i, v := range vars {
 		if t.declared[v] == nil {
-			t.declared[v] = &slab[i]
+			t.declared[v] = &t.slab[i]
 		}
 	}
 	return t
 }
+
+// At returns the slot of vars[i], for the vars the table was built from.
+// When vars are distinct (core.System.Vars is), At(i) is Slot(vars[i]).
+//
+//optcc:hotpath
+func (t *Table[T]) At(i int32) *T { return &t.slab[i] }
 
 // Slot returns v's slot, creating a zero one on the first touch of an
 // undeclared variable. Concurrent first touches agree on one slot.
@@ -100,11 +111,16 @@ func (t *Table[T]) SameVars(db core.DB) bool {
 	return true
 }
 
-// Range visits every slot, declared and fallback, once each, until fn
-// returns false. It takes no lock; a slot created concurrently may or may
-// not be visited.
+// Range visits every slot, declared (in slab order) and fallback, once
+// each, until fn returns false. It takes no lock; a slot created
+// concurrently may or may not be visited.
 func (t *Table[T]) Range(fn func(v core.Var, p *T) bool) {
-	for v, p := range t.declared {
+	dups := len(t.declared) != len(t.slab)
+	for i, v := range t.vars {
+		p := &t.slab[i]
+		if dups && t.declared[v] != p {
+			continue // a repeated variable's unused slot
+		}
 		if !fn(v, p) {
 			return
 		}

@@ -24,6 +24,21 @@ func TestDeclaredSlotsStableAndDistinct(t *testing.T) {
 	}
 }
 
+// TestAtIsSlotByNumber checks that At(i) is the slot Slot finds by name
+// for every variable of a distinct list, and that it allocates nothing.
+func TestAtIsSlotByNumber(t *testing.T) {
+	vars := []core.Var{"a", "b", "c", "d10", "d9"}
+	tab := New[counter](vars)
+	for i, v := range vars {
+		if tab.At(int32(i)) != tab.Slot(v) {
+			t.Fatalf("At(%d) is not Slot(%q)", i, v)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { tab.At(3).n.Add(1) }); n != 0 {
+		t.Fatalf("At allocates %.0f times", n)
+	}
+}
+
 func TestFallbackEntry(t *testing.T) {
 	tab := New[counter]([]core.Var{"x"})
 	e := tab.Slot("undeclared")
