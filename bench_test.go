@@ -9,6 +9,7 @@ package optcc
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"optcc/internal/conflict"
@@ -307,4 +308,57 @@ func BenchmarkDiskBackendCommit(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkBackendContextPath measures a backend's per-transaction context
+// path under concurrency: every parallel worker runs three update steps
+// and a commit per iteration on three variables of its own, each
+// transaction under a number no other worker uses (a worker cycles
+// through a window of its own), so what the workers share is the store,
+// not a transaction or a record. The disk backend runs under FsyncNever,
+// so no fsync is in the loop.
+func BenchmarkBackendContextPath(b *testing.B) {
+	const window, maxWorkers = 1024, 256
+	steps := make([]core.Step, 3*maxWorkers)
+	db := core.DB{}
+	for i := range steps {
+		v := core.Var(fmt.Sprintf("v%d", i))
+		steps[i] = core.Step{Var: v, Kind: core.Update,
+			Fn: func(l []core.Value) core.Value { return l[len(l)-1] + 1 }}
+		db[v] = 0
+	}
+	run := func(b *testing.B, be storage.Backend) {
+		be.Reset(db)
+		var workers atomic.Int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			w := int(workers.Add(1) - 1)
+			if w >= maxWorkers {
+				b.Errorf("more than %d parallel workers", maxWorkers)
+				return
+			}
+			for i := 0; pb.Next(); i++ {
+				tx := w*window + i%window
+				for k := 0; k < 3; k++ {
+					if err := be.ApplyStep(tx, steps[3*w+k]); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+				be.Commit(tx)
+			}
+		})
+	}
+	b.Run("kv", func(b *testing.B) {
+		run(b, storage.NewKV(storage.Config{Shards: 4, ValueSize: 256, Recycle: true}))
+	})
+	b.Run("disk", func(b *testing.B) {
+		d, err := storage.NewDisk(storage.Config{Dir: b.TempDir(), Fsync: storage.FsyncNever})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer d.Close()
+		run(b, d)
+	})
 }

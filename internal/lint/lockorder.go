@@ -20,10 +20,8 @@ import (
 //   - storage: Disk.ckptMu (whole-checkpoint serialization) is outermost,
 //     Disk.syncMu is never taken under the log mutex Disk.mu (the
 //     off-mutex group fsync exists precisely so appends can proceed
-//     mid-fsync), and a transaction-context stripe (diskStripe.mu) is a
-//     leaf held alone: never together with Disk.mu, another stripe or any
-//     other tracked lock; kvShard.freeMu never nests with itself (the
-//     *Locked naming convention), and GroupCommitter.mu is never taken
+//     mid-fsync); kvShard.freeMu never nests with itself (the *Locked
+//     naming convention), and GroupCommitter.mu is never taken
 //     recursively.
 //   - sim: the shard decision latch (shardState.mu) is outermost across
 //     every domain — a scheduler decision runs under it, so lock-table
@@ -58,17 +56,13 @@ type lockClass struct {
 	// while every held same-domain lock has a strictly smaller rank
 	// (smaller = outer, larger = inner).
 	rank int
-	// multi marks classes with many instances (per-shard, per-stripe).
+	// multi marks classes with many instances (per-shard, per-transaction).
 	// Acquiring a second instance while one is held is a violation.
 	multi bool
 	// outermost puts the class above every other class of every domain: it
 	// may not be acquired while any tracked lock is held, and a call that
 	// may acquire another instance while one is held is a violation too.
 	outermost bool
-	// leaf marks a class held alone: no tracked lock may be acquired while
-	// it is held, and it may not be acquired while another lock of its
-	// domain is held.
-	leaf bool
 }
 
 // lockClasses is the hierarchy under enforcement, keyed by OwnerType.field.
@@ -79,7 +73,6 @@ var lockClasses = map[string]*lockClass{
 	"Disk.ckptMu":       {key: "Disk.ckptMu", domain: "disk", rank: 5},
 	"Disk.syncMu":       {key: "Disk.syncMu", domain: "disk", rank: 10},
 	"Disk.mu":           {key: "Disk.mu", domain: "disk", rank: 20},
-	"diskStripe.mu":     {key: "diskStripe.mu", domain: "disk", rank: 30, multi: true, leaf: true},
 	"GroupCommitter.mu": {key: "GroupCommitter.mu", domain: "groupcommit", rank: 10},
 	"kvShard.freeMu":    {key: "kvShard.freeMu", domain: "kv", rank: 10, multi: true},
 	"Mutexed.mu":        {key: "Mutexed.mu", domain: "online", rank: 10},
@@ -281,22 +274,6 @@ func scanLockOrder(pass *analysis.Pass, body *ast.BlockStmt) {
 
 	checkAcquire := func(n ast.Node, cls *lockClass, viaCall string) {
 		for _, h := range held {
-			if h.class.leaf && h.class != cls {
-				if viaCall != "" {
-					report(n, "call to %s may acquire %s while %s is held; %s is a leaf", viaCall, cls.key, h.class.key, h.class.key)
-				} else {
-					report(n, "%s acquired while %s is held; %s is a leaf", cls.key, h.class.key, h.class.key)
-				}
-				continue
-			}
-			if cls.leaf && h.class != cls && h.class.domain == cls.domain {
-				if viaCall != "" {
-					report(n, "call to %s may acquire %s while %s is held; %s is never held together with another %s lock", viaCall, cls.key, h.class.key, cls.key, cls.domain)
-				} else {
-					report(n, "%s acquired while %s is held; %s is never held together with another %s lock", cls.key, h.class.key, cls.key, cls.domain)
-				}
-				continue
-			}
 			if h.class.domain != cls.domain {
 				if cls.outermost && viaCall != "" {
 					report(n, "call to %s may acquire %s while %s is held; the shard latch is outermost", viaCall, cls.key, h.class.key)

@@ -56,51 +56,9 @@ func (s *shardedTable) lockAll(order []int) {
 }
 
 type Disk struct {
-	syncMu  sync.Mutex
-	mu      sync.Mutex
-	stripes [4]diskStripe
-	n       int
-}
-
-type diskStripe struct {
-	mu sync.Mutex
-	n  int
-}
-
-// stripeUnderLog takes a context stripe under the log mutex: a stripe is a
-// leaf never held together with Disk.mu.
-func (d *Disk) stripeUnderLog(tx int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.stripes[tx%4].mu.Lock() // want "diskStripe.mu acquired while Disk.mu is held"
-	d.stripes[tx%4].n++
-	d.stripes[tx%4].mu.Unlock()
-}
-
-// logUnderStripe appends under a stripe lock: nothing is acquired under a
-// leaf.
-func (d *Disk) logUnderStripe(tx int) {
-	s := &d.stripes[tx%4]
-	s.mu.Lock()
-	d.mu.Lock() // want "Disk.mu acquired while diskStripe.mu is held; diskStripe.mu is a leaf"
-	d.n++
-	d.mu.Unlock()
-	s.mu.Unlock()
-}
-
-// helperLocksLog exists to hide the log mutex behind a call.
-func (d *Disk) helperLocksLog() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.n++
-}
-
-// commitUnderStripe reaches the log mutex through a call under a stripe.
-func (d *Disk) commitUnderStripe(tx int) {
-	s := &d.stripes[tx%4]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d.helperLocksLog() // want "call to helperLocksLog may acquire Disk.mu while diskStripe.mu is held"
+	syncMu sync.Mutex
+	mu     sync.Mutex
+	n      int
 }
 
 // syncUnderBackend takes the group-sync mutex under the backend mutex; the

@@ -37,40 +37,9 @@ func (s *shardedTable) retryLoop(i int) {
 }
 
 type Disk struct {
-	syncMu  sync.Mutex
-	mu      sync.Mutex
-	stripes [4]diskStripe
-	n       int
-}
-
-type diskStripe struct {
-	mu sync.Mutex
-	n  int
-}
-
-// commit is the stripe discipline: take the transaction's stripe, release
-// it, append under the log mutex, then take the stripe again to recycle.
-func (d *Disk) commit(tx int) {
-	s := &d.stripes[tx%4]
-	s.mu.Lock()
-	n := s.n
-	s.mu.Unlock()
-	d.mu.Lock()
-	d.n += n
-	d.mu.Unlock()
-	s.mu.Lock()
-	s.n = 0
-	s.mu.Unlock()
-}
-
-// stats visits every stripe, releasing each before the next.
-func (d *Disk) stats() (n int) {
-	for i := range d.stripes {
-		d.stripes[i].mu.Lock()
-		n += d.stripes[i].n
-		d.stripes[i].mu.Unlock()
-	}
-	return n
+	syncMu sync.Mutex
+	mu     sync.Mutex
+	n      int
 }
 
 // groupSync is the documented order: syncMu outside, mu inside, and mu is

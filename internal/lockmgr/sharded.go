@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"optcc/internal/core"
+	"optcc/internal/txtab"
 	"optcc/internal/vartab"
 )
 
@@ -29,12 +30,12 @@ import (
 // must not overlap with each other (the same per-transaction discipline the
 // schedulers and simulator already follow).
 //
-// A reserved transaction (Reserve) enters a shard's Table lazily: it is
-// registered there, and its bit set in its touched-shard set, the first
-// time it reaches that shard's slow path — its own slow-path Acquire or
-// the escalation that adopts its fast hold. ReleaseAll and Forget then
-// lock only the shards in that set, so a transaction whose every lock took
-// the fast path commits without taking a shard mutex.
+// A transaction enters a shard's Table lazily: it is registered there,
+// and its bit set in its touched-shard set, the first time it reaches that
+// shard's slow path — its own slow-path Acquire or the escalation that
+// adopts its fast hold. ReleaseAll and Forget then lock only the shards in
+// that set, so a transaction whose every lock took the fast path commits
+// without taking a shard mutex.
 type ShardedTable struct {
 	policy Policy
 	shards []tableShard
@@ -44,18 +45,30 @@ type ShardedTable struct {
 	// number, one slice index) and in its immutable map (Acquire finds one
 	// by name, one map read); neither boxes or allocates.
 	vars *vartab.Table[fastSlot]
-	// birthArr, fastArr and touched are the flat per-transaction state for
-	// ids reserved with Reserve: a birth timestamp slot (0 = unset), a
-	// fast-path lock set, and a bitset of the shards whose Table may hold
-	// state for the id (words uint64s per id), indexed directly — no
-	// sync.Map entry allocation per transaction. Ids outside the reserved
-	// range fall back to the sync.Maps below.
-	birthArr []atomic.Int64
-	fastArr  []fastSet
-	touched  []atomic.Uint64
-	words    int
-	birth    sync.Map // TxID → int64 (unreserved ids)
-	fast     sync.Map // TxID → *fastSet (unreserved ids)
+	// txs holds every transaction's state (internal/txtab), found by its
+	// id with one atomic load and two indexes.
+	txs *txtab.Table[txState]
+}
+
+// txState is one transaction's table state: its birth timestamp (0 =
+// unset; timestamps start at 1), its fast-path lock set, and the bitset of
+// the shards whose Table may hold state for it (one bit per shard, the
+// words of a chunk of slots in one backing array).
+type txState struct {
+	birth   atomic.Int64
+	fast    fastSet
+	touched []atomic.Uint64
+}
+
+// touchedBit locates bit si of ts's touched-shard set.
+func (ts *txState) touchedBit(si int) (*atomic.Uint64, uint64) {
+	return &ts.touched[si/64], uint64(1) << (si % 64)
+}
+
+// touches reports whether shard si is in ts's touched-shard set.
+func (ts *txState) touches(si int) bool {
+	w, bit := ts.touchedBit(si)
+	return w.Load()&bit != 0
 }
 
 type tableShard struct {
@@ -156,11 +169,17 @@ func NewShardedTable(policy Policy, shards int) *ShardedTable {
 	if shards < 1 {
 		shards = 1
 	}
+	words := (shards + 63) / 64
 	st := &ShardedTable{
 		policy: policy,
 		shards: make([]tableShard, shards),
 		vars:   vartab.New[fastSlot](nil),
-		words:  (shards + 63) / 64,
+		txs: txtab.New(func(slots []txState) {
+			bits := make([]atomic.Uint64, len(slots)*words)
+			for i := range slots {
+				slots[i].touched = bits[i*words : (i+1)*words : (i+1)*words]
+			}
+		}),
 	}
 	for i := range st.shards {
 		st.shards[i].t = NewTable(policy)
@@ -171,21 +190,12 @@ func NewShardedTable(policy Policy, shards int) *ShardedTable {
 // Policy returns the table's deadlock policy.
 func (s *ShardedTable) Policy() Policy { return s.policy }
 
-// Reserve preallocates flat per-transaction state for transaction ids
-// [0, n): birth timestamps, fast-path lock sets and touched-shard sets live
-// in arrays instead of sync.Maps, so registering, fast-locking and
-// releasing a reserved id allocates nothing, and a reserved id is entered
-// into a shard's Table only when it first needs that shard's slow path.
-// Call it once, before the table is driven concurrently
+// Reserve creates the state of transaction ids [0, n) up front, so no
+// transaction of a system of n pays the first touch of its slot's chunk.
+// It is a pre-size only: any other id gets its state on first use
 // (ConcurrentStrict2PL calls it from Begin with the system's transaction
-// count); ids outside the range keep working through the sync.Map fallback.
-func (s *ShardedTable) Reserve(n int) {
-	if n > len(s.birthArr) {
-		s.birthArr = make([]atomic.Int64, n)
-		s.fastArr = make([]fastSet, n)
-		s.touched = make([]atomic.Uint64, n*s.words)
-	}
-}
+// count).
+func (s *ShardedTable) Reserve(n int) { s.txs.Grow(n) }
 
 // Declare builds the fast slots of vars up front (internal/vartab: one
 // slab in vars order under one immutable map, duplicates folded), each
@@ -203,12 +213,11 @@ func (s *ShardedTable) Declare(vars []core.Var) {
 }
 
 // Reset returns the table to its just-declared state, keeping its
-// variable slots and per-transaction arrays: every lock, queue, birth and
-// fast hold is dropped, every variable's slot is free and back in the
-// fast regime, the birth clock restarts, and unreserved ids' entries are
-// dropped. Not safe for use concurrently with any other method; call it
-// between runs (ConcurrentStrict2PL.Begin does when it sees the same
-// system again).
+// variable and transaction slots: every lock, queue, birth, fast hold and
+// touched shard is dropped, every variable's slot is free and back in the
+// fast regime, and the birth clock restarts. Not safe for use
+// concurrently with any other method; call it between runs
+// (ConcurrentStrict2PL.Begin does when it sees the same system again).
 func (s *ShardedTable) Reset() {
 	s.clock.Store(0)
 	for i := range s.shards {
@@ -218,25 +227,16 @@ func (s *ShardedTable) Reset() {
 		sl.state.Store(0)
 		return true
 	})
-	for i := range s.birthArr {
-		s.birthArr[i].Store(0)
-		fs := &s.fastArr[i]
-		fs.mu.Lock()
-		fs.drain(func(*fastSlot) {})
-		fs.mu.Unlock()
-	}
-	for i := range s.touched {
-		s.touched[i].Store(0)
-	}
-	s.birth.Clear()
-	s.fast.Clear()
-}
-
-// reserved reports whether tx falls in the Reserve range.
-//
-//optcc:hotpath
-func (s *ShardedTable) reserved(tx TxID) bool {
-	return tx >= 0 && int(tx) < len(s.birthArr)
+	s.txs.Range(func(_ int, ts *txState) bool {
+		ts.birth.Store(0)
+		ts.fast.mu.Lock()
+		ts.fast.drain(func(*fastSlot) {})
+		ts.fast.mu.Unlock()
+		for i := range ts.touched {
+			ts.touched[i].Store(0)
+		}
+		return true
+	})
 }
 
 // NumShards returns the shard count.
@@ -265,108 +265,56 @@ func ShardOfVar(v core.Var, n int) int {
 }
 
 // Register assigns the transaction its birth timestamp from the global
-// clock. An unreserved id is also registered with every shard; a reserved
-// id is registered with a shard when it first enters that shard's slow
-// path (enter). Re-registering keeps the original timestamp, preserving
-// wound-wait/wait-die progress guarantees.
+// clock; it is registered with a shard when it first enters that shard's
+// slow path (enter). Re-registering keeps the original timestamp,
+// preserving wound-wait/wait-die progress guarantees.
 func (s *ShardedTable) Register(tx TxID) {
-	if s.reserved(tx) {
-		// Timestamps start at 1, so 0 is an unambiguous "unset"; the CAS
-		// keeps the first registration's timestamp under races.
-		if s.birthArr[tx].Load() == 0 {
-			s.birthArr[tx].CompareAndSwap(0, s.clock.Add(1))
-		}
-		return
-	}
-	birth := s.birthOf(tx)
-	if birth == 0 {
-		b, _ := s.birth.LoadOrStore(tx, s.clock.Add(1))
-		birth = b.(int64)
-	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.t.RegisterAt(tx, birth)
-		sh.mu.Unlock()
+	s.register(s.state(tx))
+}
+
+// register stamps ts's birth unless it has one; the CAS keeps the first
+// registration's timestamp under races.
+//
+//optcc:hotpath
+func (s *ShardedTable) register(ts *txState) {
+	if ts.birth.Load() == 0 {
+		ts.birth.CompareAndSwap(0, s.clock.Add(1))
 	}
 }
 
-// enter makes shard si's Table ready to hold state for tx: a reserved id
-// is registered there with its global birth and gets bit si of its
-// touched-shard set. Caller holds shard si's mutex. Unreserved ids were
-// registered with every shard by Register.
+// state returns tx's state, creating it on first use.
+//
+//optcc:hotpath
+func (s *ShardedTable) state(tx TxID) *txState { return s.txs.Slot(int(tx)) }
+
+// enter makes shard si's Table ready to hold state for tx: tx is
+// registered there with its global birth and gets bit si of its
+// touched-shard set. Caller holds shard si's mutex.
 func (s *ShardedTable) enter(si int, tx TxID) {
-	if !s.reserved(tx) {
+	ts := s.state(tx)
+	if ts.touches(si) {
 		return
 	}
-	w, bit := s.touchedBit(tx, si)
-	if w.Load()&bit != 0 {
-		return
-	}
-	s.shards[si].t.RegisterAt(tx, s.birthArr[tx].Load())
+	s.shards[si].t.RegisterAt(tx, ts.birth.Load())
+	w, bit := ts.touchedBit(si)
 	// Other bits of the word change concurrently (escalations enter tx
 	// under other shards' mutexes), hence the CAS loop.
 	for old := w.Load(); !w.CompareAndSwap(old, old|bit); old = w.Load() {
 	}
 }
 
-// touchedBit locates bit si of reserved tx's touched-shard set.
-func (s *ShardedTable) touchedBit(tx TxID, si int) (*atomic.Uint64, uint64) {
-	return &s.touched[int(tx)*s.words+si/64], uint64(1) << (si % 64)
-}
-
-// lockedShards calls fn, under each shard's mutex, for every shard whose
-// Table may hold state for tx: the touched-shard set of a reserved id,
-// every shard for an unreserved one.
-func (s *ShardedTable) lockedShards(tx TxID, fn func(si int, t *Table)) {
-	visit := func(si int) {
-		sh := &s.shards[si]
-		sh.mu.Lock()
-		fn(si, sh.t)
-		sh.mu.Unlock()
-	}
-	if !s.reserved(tx) {
-		for si := range s.shards {
-			visit(si)
-		}
-		return
-	}
-	set := s.touched[int(tx)*s.words : int(tx+1)*s.words]
-	for wi := range set {
-		for b := set[wi].Load(); b != 0; b &= b - 1 {
-			visit(wi*64 + bits.TrailingZeros64(b))
+// lockedShards calls fn, under each shard's mutex, for every shard in
+// ts's touched-shard set: every shard whose Table may hold state for it.
+func (s *ShardedTable) lockedShards(ts *txState, fn func(si int, t *Table)) {
+	for wi := range ts.touched {
+		for b := ts.touched[wi].Load(); b != 0; b &= b - 1 {
+			si := wi*64 + bits.TrailingZeros64(b)
+			sh := &s.shards[si]
+			sh.mu.Lock()
+			fn(si, sh.t)
+			sh.mu.Unlock()
 		}
 	}
-}
-
-//optcc:hotpath
-func (s *ShardedTable) fastSetOf(tx TxID) *fastSet {
-	if s.reserved(tx) {
-		return &s.fastArr[tx]
-	}
-	//cclint:ignore hotpath unreserved-id fallback; ConcurrentStrict2PL reserves every id up front
-	if fs, ok := s.fast.Load(tx); ok {
-		return fs.(*fastSet)
-	}
-	//cclint:ignore hotpath unreserved-id fallback; ConcurrentStrict2PL reserves every id up front
-	fs, _ := s.fast.LoadOrStore(tx, &fastSet{})
-	return fs.(*fastSet)
-}
-
-// fastSetIfAny is fastSetOf without the create-on-miss: release paths use
-// it so releasing for a transaction that never fast-locked allocates
-// nothing.
-//
-//optcc:hotpath
-func (s *ShardedTable) fastSetIfAny(tx TxID) *fastSet {
-	if s.reserved(tx) {
-		return &s.fastArr[tx]
-	}
-	//cclint:ignore hotpath unreserved-id fallback; ConcurrentStrict2PL reserves every id up front
-	if fs, ok := s.fast.Load(tx); ok {
-		return fs.(*fastSet)
-	}
-	return nil
 }
 
 // escalate moves v out of the fast regime into shard si's Table. Caller
@@ -407,16 +355,15 @@ func (s *ShardedTable) escalate(sl *fastSlot, si int, v core.Var) {
 // batched and unbatched lock managers cannot drift apart.
 //
 //optcc:hotpath
-func (s *ShardedTable) tryFast(tx TxID, sl *fastSlot, m Mode) (Result, bool) {
+func tryFast(tx TxID, ts *txState, sl *fastSlot, m Mode) (Result, bool) {
 	st := sl.state.Load()
 	if st == encTx(tx) {
 		return Result{Status: Granted}, true
 	}
 	if m == Exclusive && st == 0 && sl.state.CompareAndSwap(0, encTx(tx)) {
-		fs := s.fastSetOf(tx)
-		fs.mu.Lock()
-		fs.add(sl)
-		fs.mu.Unlock()
+		ts.fast.mu.Lock()
+		ts.fast.add(sl)
+		ts.fast.mu.Unlock()
 		return Result{Status: Granted}, true
 	}
 	return Result{}, false
@@ -444,11 +391,9 @@ func (s *ShardedTable) AcquireAt(tx TxID, i int32, m Mode) Result {
 //
 //optcc:hotpath
 func (s *ShardedTable) acquire(tx TxID, sl *fastSlot, v core.Var, si int, m Mode) Result {
-	if s.birthOf(tx) == 0 {
-		//cclint:ignore hotpath first request of an unregistered id; ConcurrentStrict2PL registers every id in Begin
-		s.Register(tx)
-	}
-	if r, ok := s.tryFast(tx, sl, m); ok {
+	ts := s.state(tx)
+	s.register(ts)
+	if r, ok := tryFast(tx, ts, sl, m); ok {
 		return r
 	}
 	if si < 0 {
@@ -489,18 +434,13 @@ type BatchReq struct {
 // Its callers are online.ConcurrentStrict2PL.TryBatch and, outside this
 // module, only the bench module's lock-table probe.
 func (s *ShardedTable) AcquireBatchInto(out []Result, reqs []BatchReq) []Result {
-	// Register up front: registering an unreserved id takes every shard
-	// mutex, so it must not run while the decide loop below holds one.
-	for _, r := range reqs {
-		if s.birthOf(r.Tx) == 0 {
-			s.Register(r.Tx)
-		}
-	}
 	out = out[:0]
 	held := -1
 	for _, r := range reqs {
+		ts := s.state(r.Tx)
+		s.register(ts)
 		sl := s.vars.Slot(r.Var)
-		if res, ok := s.tryFast(r.Tx, sl, r.Mode); ok {
+		if res, ok := tryFast(r.Tx, ts, sl, r.Mode); ok {
 			out = append(out, res)
 			continue
 		}
@@ -540,10 +480,10 @@ func (s *ShardedTable) Release(tx TxID, v core.Var) []Grant {
 
 //optcc:hotpath
 func (s *ShardedTable) dropFast(tx TxID, sl *fastSlot) {
-	if fs := s.fastSetIfAny(tx); fs != nil {
-		fs.mu.Lock()
-		fs.remove(sl)
-		fs.mu.Unlock()
+	if ts := s.txs.Lookup(int(tx)); ts != nil {
+		ts.fast.mu.Lock()
+		ts.fast.remove(sl)
+		ts.fast.mu.Unlock()
 	}
 }
 
@@ -554,18 +494,20 @@ func (s *ShardedTable) dropFast(tx TxID, sl *fastSlot) {
 // release is allocation-free, and takes no shard mutex when every lock
 // took the fast path).
 func (s *ShardedTable) ReleaseAll(tx TxID) []Grant {
-	if fs := s.fastSetIfAny(tx); fs != nil {
-		fs.mu.Lock()
-		fs.drain(func(sl *fastSlot) {
-			// If the CAS fails the variable was escalated and the hold
-			// adopted into its shard Table, which the escalation entered
-			// tx into first; the sweep below releases it.
-			sl.state.CompareAndSwap(encTx(tx), 0)
-		})
-		fs.mu.Unlock()
+	ts := s.txs.Lookup(int(tx))
+	if ts == nil {
+		return nil
 	}
+	ts.fast.mu.Lock()
+	ts.fast.drain(func(sl *fastSlot) {
+		// If the CAS fails the variable was escalated and the hold
+		// adopted into its shard Table, which the escalation entered tx
+		// into first; the sweep below releases it.
+		sl.state.CompareAndSwap(encTx(tx), 0)
+	})
+	ts.fast.mu.Unlock()
 	var grants []Grant
-	s.lockedShards(tx, func(_ int, t *Table) {
+	s.lockedShards(ts, func(_ int, t *Table) {
 		grants = append(grants, t.ReleaseAll(tx)...)
 	})
 	return grants
@@ -626,45 +568,37 @@ func (s *ShardedTable) ChooseVictim(cycle []TxID) TxID {
 	return victim
 }
 
-//optcc:hotpath
 func (s *ShardedTable) birthOf(tx TxID) int64 {
-	if s.reserved(tx) {
-		return s.birthArr[tx].Load()
-	}
-	//cclint:ignore hotpath unreserved-id fallback; ConcurrentStrict2PL reserves every id up front
-	if b, ok := s.birth.Load(tx); ok {
-		return b.(int64)
+	if ts := s.txs.Lookup(int(tx)); ts != nil {
+		return ts.birth.Load()
 	}
 	return 0
 }
 
 // Forget removes per-transaction bookkeeping after everything is released;
-// the birth timestamp is retained so restarts keep their age. A reserved
-// id's fast set is cleared in place (its storage is reused on restart) and
-// its touched-shard set emptied; unreserved ids drop their sync.Map entry.
+// the birth timestamp is retained so restarts keep their age. The fast set
+// is cleared in place (its storage is reused on restart) and the
+// touched-shard set emptied.
 func (s *ShardedTable) Forget(tx TxID) {
-	if s.reserved(tx) {
-		fs := &s.fastArr[tx]
-		fs.mu.Lock()
-		fs.drain(func(*fastSlot) {})
-		fs.mu.Unlock()
-	} else {
-		s.fast.Delete(tx)
+	ts := s.txs.Lookup(int(tx))
+	if ts == nil {
+		return
 	}
-	s.lockedShards(tx, func(si int, t *Table) {
+	ts.fast.mu.Lock()
+	ts.fast.drain(func(*fastSlot) {})
+	ts.fast.mu.Unlock()
+	s.lockedShards(ts, func(si int, t *Table) {
 		t.Forget(tx)
-		if s.reserved(tx) {
-			w, bit := s.touchedBit(tx, si)
-			for old := w.Load(); !w.CompareAndSwap(old, old&^bit); old = w.Load() {
-			}
+		w, bit := ts.touchedBit(si)
+		for old := w.Load(); !w.CompareAndSwap(old, old&^bit); old = w.Load() {
 		}
 	})
 }
 
 // Invariant checks every shard's safety invariants plus the fast path's —
 // a fast-held variable, declared or not, must not also have holders in its
-// shard Table — and the touched-shard sets': a reserved transaction with
-// held or queued state in a shard's Table has that shard's bit set.
+// shard Table — and the touched-shard sets': a transaction with held or
+// queued state in a shard's Table has that shard's bit set.
 func (s *ShardedTable) Invariant() error {
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -699,15 +633,12 @@ func (s *ShardedTable) Invariant() error {
 }
 
 // touchedInvariant checks shard si's Table against the touched-shard sets:
-// every reserved transaction with a held map or a queued request there
-// must have bit si set. Caller holds shard si's mutex.
+// every transaction with a held map or a queued request there must have
+// bit si set. Caller holds shard si's mutex.
 func (s *ShardedTable) touchedInvariant(si int) error {
 	t := s.shards[si].t
 	check := func(tx TxID) error {
-		if !s.reserved(tx) {
-			return nil
-		}
-		if w, bit := s.touchedBit(tx, si); w.Load()&bit == 0 {
+		if ts := s.txs.Lookup(int(tx)); ts == nil || !ts.touches(si) {
 			return fmt.Errorf("sharded table: tx %d has state in shard %d but not its touched bit", tx, si)
 		}
 		return nil

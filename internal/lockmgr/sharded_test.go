@@ -148,11 +148,11 @@ func TestShardedWoundWaitAcrossShards(t *testing.T) {
 // TestShardedTableConcurrentHammer drives the table from many goroutines
 // (one per transaction, no-wait policy so no goroutine ever blocks another
 // indefinitely) over a mix of private variables (fast path) and a hot set
-// (escalation, queues, aborts). It runs twice. "unreserved" uses
-// unreserved ids and undeclared variables (the sync.Map fallbacks, every
-// shard visited on release), one private variable per transaction.
-// "reserved-declared" uses reserved ids and declared variables (lazy shard
-// entry, touched-shard sets) and a fresh private variable per round, and
+// (escalation, queues, aborts). It runs twice. "unreserved" uses ids the
+// table was not pre-sized for and undeclared variables (transaction state
+// made on first use, concurrently; vartab's fallback), one private
+// variable per transaction. "reserved-declared" uses reserved ids and
+// declared variables and a fresh private variable per round, and
 // transactions sometimes request Shared on the private variable a peer is
 // using right now, so escalation adopts fast holds while their owners
 // release them. Run with -race this is the concurrency safety net for the
@@ -272,7 +272,7 @@ func TestShardedReservedLazyEntry(t *testing.T) {
 	tab.Declare([]core.Var{"x", "y", "x"})
 	tab.Register(0) // older
 	tab.Register(1)
-	touched := func(tx TxID) uint64 { return tab.touched[int(tx)*tab.words].Load() }
+	touched := func(tx TxID) uint64 { return tab.state(tx).touched[0].Load() }
 	tab.Acquire(1, "x", Exclusive)
 	tab.Acquire(1, "y", Exclusive)
 	if got := touched(1); got != 0 {
@@ -347,8 +347,8 @@ func TestShardedTouchedSetBeyond64Shards(t *testing.T) {
 			t.Fatalf("%s (shard %d) still held by %v", v, tab.ShardOf(v), held)
 		}
 	}
-	for w := 0; w < tab.words; w++ {
-		if b := tab.touched[w].Load(); b != 0 {
+	for w := range tab.state(0).touched {
+		if b := tab.state(0).touched[w].Load(); b != 0 {
 			t.Fatalf("tx 0 touched word %d = %b after Forget", w, b)
 		}
 	}
@@ -359,8 +359,8 @@ func TestShardedTouchedSetBeyond64Shards(t *testing.T) {
 
 // TestShardedResetReturnsToDeclaredState leaves a table with escalated
 // and fast-held variables, a queued waiter, wounds, births, touched bits
-// and an unreserved id, then resets it: it must keep its slots and decide
-// like a freshly declared table.
+// and an id beyond the Reserve range, then resets it: it must keep its
+// slots and decide like a freshly declared table.
 func TestShardedResetReturnsToDeclaredState(t *testing.T) {
 	tab := NewShardedTable(WoundWait, 4)
 	tab.Reserve(3)
@@ -374,7 +374,7 @@ func TestShardedResetReturnsToDeclaredState(t *testing.T) {
 		t.Fatalf("setup: wound-wait on x: %+v", r)
 	}
 	tab.Acquire(2, "y", Exclusive)
-	tab.Acquire(7, "z", Shared) // unreserved: registered with every shard
+	tab.Acquire(7, "z", Shared) // beyond the Reserve range: its slot is made on first use
 	tab.Acquire(7, "late", Exclusive)
 
 	tab.Reset()
@@ -393,15 +393,15 @@ func TestShardedResetReturnsToDeclaredState(t *testing.T) {
 		if b := tab.birthOf(tx); b != 0 {
 			t.Fatalf("tx %d keeps birth %d after Reset", tx, b)
 		}
-		if fs := &tab.fastArr[tx]; fs.n != 0 || len(fs.over) != 0 {
+		if fs := &tab.state(tx).fast; fs.n != 0 || len(fs.over) != 0 {
 			t.Fatalf("tx %d keeps %d fast holds after Reset", tx, fs.n)
 		}
-		if w := tab.touched[int(tx)*tab.words].Load(); w != 0 {
+		if w := tab.state(tx).touched[0].Load(); w != 0 {
 			t.Fatalf("tx %d keeps touched shards %b after Reset", tx, w)
 		}
 	}
-	if tab.birthOf(7) != 0 || tab.fastSetIfAny(7) != nil {
-		t.Fatal("Reset kept the unreserved id's birth or fast set")
+	if fs := &tab.state(7).fast; tab.birthOf(7) != 0 || fs.n != 0 || tab.state(7).touched[0].Load() != 0 {
+		t.Fatal("Reset kept tx 7's birth, fast holds or touched shards")
 	}
 	for i := range tab.shards {
 		if st := tab.shards[i].t; len(st.held) != 0 || len(st.birth) != 0 || len(st.locks) != 0 {

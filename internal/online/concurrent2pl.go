@@ -68,11 +68,11 @@ func (s *ConcurrentStrict2PL) Begin(sys *core.System) {
 		s.sys = sys
 		s.ids = sys.VarIDs()
 		s.table = lockmgr.NewShardedTable(s.policy, s.shards)
-		// Reserve flat per-transaction table state, declare every
+		// Pre-size the per-transaction table state, declare every
 		// variable's fast slot and assign every birth up front: the
-		// steady-state Acquire/ReleaseAll cycle then never touches a
-		// sync.Map, and an uncontended step is one slice index by the
-		// step's variable number and one CAS.
+		// steady-state Acquire/ReleaseAll cycle then creates nothing, and
+		// an uncontended step is one slice index by the step's variable
+		// number and one CAS.
 		s.table.Reserve(sys.NumTxs())
 		s.table.Declare(sys.Vars())
 		s.scratch = make([]batchScratch, s.shards)
@@ -80,8 +80,8 @@ func (s *ConcurrentStrict2PL) Begin(sys *core.System) {
 	s.mu.Lock()
 	s.wounded = nil
 	s.mu.Unlock()
-	// Births in id order. Registering a reserved id only stamps its birth;
-	// it enters a shard's table when it first needs that shard's slow path.
+	// Births in id order. Registering only stamps a birth; a transaction
+	// enters a shard's table when it first needs that shard's slow path.
 	for tx := 0; tx < sys.NumTxs(); tx++ {
 		s.table.Register(lockmgr.TxID(tx))
 	}

@@ -83,8 +83,9 @@ func (fs freeSyncFS) Create(name string) (storage.File, error) {
 }
 
 // diskBench is hotPathBench on the durable backend: a Disk under group
-// fsync on freeSyncFS with no background checkpointer, so the stripes, the
-// commit-record append and the group-commit pipeline are what is counted.
+// fsync on freeSyncFS with no background checkpointer, so the transaction
+// contexts, the commit-record append and the group-commit pipeline are
+// what is counted.
 func diskBench(b *testing.B) {
 	d, err := storage.NewDisk(storage.Config{Dir: b.TempDir(), FS: freeSyncFS{}, Fsync: storage.FsyncGroup})
 	if err != nil {
@@ -149,11 +150,13 @@ func snapshotBench(b *testing.B) {
 //     snapshot path perform ZERO allocations — acquire, chain-walk reads
 //     and release touch no lock and build nothing on the heap.
 //   - sharded-2pl-disk: sharded strict 2PL on the durable backend, through
-//     the group-commit pipeline, measures 0 — contexts recycle through
-//     their stripe's free list, the commit record encodes into a reused
-//     buffer and the queue is double-buffered. The ceiling of 1 leaves
-//     one allocation of collision-path headroom, below the three
-//     (context, locals, write set) an unpooled context costs.
+//     the group-commit pipeline, measures 0 — every transaction number
+//     is fresh, but its context is a slot of a 256-slot txtab chunk whose
+//     locals and write set start in inline arrays, the commit record
+//     encodes into a reused buffer and the queue is double-buffered. The
+//     ceiling of 1 leaves one allocation of collision-path headroom,
+//     below the two (locals, write set) a context without inline
+//     buffers costs.
 //   - csgt-noop: the natively concurrent SGT: ZERO — zero-conflict grants
 //     take the lock-free path, marks and source scratch are amortized
 //     per-entry slices, and a colliding grant edges on the sequential

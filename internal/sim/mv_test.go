@@ -6,7 +6,9 @@ package sim
 // concurrency stress job.
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"optcc/internal/check"
 	"optcc/internal/core"
@@ -103,6 +105,45 @@ func TestSnapshotFastPathGate(t *testing.T) {
 	}
 	if m.SnapshotReads != 0 {
 		t.Fatalf("fast path engaged with %d snapshot reads despite 2 slots for 4 users", m.SnapshotReads)
+	}
+	if err := check.Replay(inst, m.Output, be.State()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentMVCrossedBlindWrites runs crossed blind-write pairs under
+// mv: pair i's T_a is W(a_i) W(b_i) and its T_b is W(b_i) W(a_i), so two
+// overlapping partners each write a variable the other wrote first. No
+// step reads, so only first-writer-wins stands between them and the
+// cycle T_a → T_b → T_a; the think time between steps makes the partners
+// overlap. The committed schedule must be conflict-serializable and the
+// store must equal its serial replay.
+func TestConcurrentMVCrossedBlindWrites(t *testing.T) {
+	const pairs, jobs = 4, 64
+	template := &core.System{Name: "crossed-blind-writes"}
+	for i := 0; i < pairs; i++ {
+		a, b := core.Var(fmt.Sprintf("a%d", i)), core.Var(fmt.Sprintf("b%d", i))
+		for k, order := range [2][2]core.Var{{a, b}, {b, a}} {
+			add := core.Value(k + 1) // T_a adds 1, T_b adds 2: replay sees who wrote last
+			w := func(l []core.Value) core.Value { return l[len(l)-1] + add }
+			template.Txs = append(template.Txs, core.Transaction{Steps: []core.Step{
+				{Var: order[0], Kind: core.Write, Fn: w},
+				{Var: order[1], Kind: core.Write, Fn: w},
+			}})
+		}
+	}
+	inst := Instantiate(template.Normalize(), jobs)
+	be := storage.NewKV(storage.Config{Shards: 4})
+	m, err := Run(Config{System: inst, Sched: online.NewConcurrentMV(4), Backend: be,
+		Users: 8, Seed: 5, ThinkTime: 20 * time.Microsecond, MaxRestarts: 100000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Committed != jobs {
+		t.Fatalf("committed %d of %d", m.Committed, jobs)
+	}
+	if err := check.CSR(inst, m.Output); err != nil {
+		t.Fatal(err)
 	}
 	if err := check.Replay(inst, m.Output, be.State()); err != nil {
 		t.Fatal(err)

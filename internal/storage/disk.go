@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"optcc/internal/core"
+	"optcc/internal/txtab"
 	"optcc/internal/vartab"
 )
 
@@ -116,13 +117,28 @@ type DurableBackend interface {
 	DurabilityStats() DurabilityStats
 }
 
-// diskCtx is a transaction's execution context on the disk backend. Contexts
-// are recycled through their stripe's free list, so a warm store allocates
-// none per transaction.
-type diskCtx struct {
-	locals []core.Value
-	writes []walWrite // the deferred write set, in order
+// diskTx is a transaction's slot in the disk backend's internal/txtab
+// table: its locals, its deferred write set in order, and its own step
+// counters, which Stats sums. Only the transaction's own steps and its
+// commit touch it, so nothing in it is locked or atomic.
+type diskTx struct {
+	locals   []core.Value
+	writes   []walWrite
+	localBuf [txInline]core.Value
+	writeBuf [txInline]walWrite
+
+	reads, nwrites, rollbacks int64
 }
+
+// newDiskTxs points each new slot's buffers at its inline arrays.
+func newDiskTxs(slots []diskTx) {
+	for i := range slots {
+		slots[i].locals, slots[i].writes = slots[i].localBuf[:0], slots[i].writeBuf[:0]
+	}
+}
+
+// finish empties c for the transaction's next attempt.
+func (c *diskTx) finish() { c.locals, c.writes = c.locals[:0], c.writes[:0] }
 
 // diskCell is one variable's committed value. Cells change only under
 // Disk.mu, in commit order; a step reads one with a single atomic load.
@@ -177,54 +193,13 @@ func snapshotLocked(t *diskTable) core.DB {
 	return db
 }
 
-// diskStripes is the number of transaction-context stripes: enough that
-// the engine's users rarely meet on one.
-const diskStripes = 64
-
-// diskStripe maps the transactions whose id falls in it to their contexts,
-// and counts their steps, under its own mutex. A stripe lock is a leaf: it
-// is never held together with Disk.mu or another stripe.
-type diskStripe struct {
-	mu        sync.Mutex
-	ctx       map[int]*diskCtx
-	free      []*diskCtx
-	reads     int64
-	writes    int64
-	rollbacks int64
-	_         [64]byte // keep neighbouring stripes off one cache line
-}
-
-// ctxOfLocked returns tx's context, drawing a recycled one on first use.
-func (s *diskStripe) ctxOfLocked(tx int) *diskCtx {
-	c := s.ctx[tx]
-	if c == nil {
-		if n := len(s.free); n > 0 {
-			c = s.free[n-1]
-			s.free = s.free[:n-1]
-		} else {
-			c = &diskCtx{}
-		}
-		s.ctx[tx] = c
-	}
-	return c
-}
-
-// recycleLocked returns a finished context to the free list.
-func (s *diskStripe) recycleLocked(c *diskCtx) {
-	c.locals = c.locals[:0]
-	c.writes = c.writes[:0]
-	s.free = append(s.free, c)
-}
-
-// get reads v for c's transaction: its own buffered write if any, else the
-// committed value. A nil c (a transaction with no context yet) reads the
-// committed value.
-func (c *diskCtx) get(t *diskTable, v core.Var) core.Value {
-	if c != nil {
-		for i := len(c.writes) - 1; i >= 0; i-- {
-			if c.writes[i].v == v {
-				return c.writes[i].val
-			}
+// get reads v for c's transaction, counting the read: its own buffered
+// write if any, else the committed value.
+func (c *diskTx) get(t *diskTable, v core.Var) core.Value {
+	c.reads++
+	for i := len(c.writes) - 1; i >= 0; i-- {
+		if c.writes[i].v == v {
+			return c.writes[i].val
 		}
 	}
 	if cell := t.Lookup(v); cell != nil {
@@ -248,10 +223,10 @@ func (c *diskCtx) get(t *diskTable, v core.Var) core.Value {
 // undoes one — which is what makes every scheduler recoverable, the
 // non-strict ones (TO/OCC/SGT/mv) included.
 //
-// Concurrency: a step takes no store-wide lock. Committed values live in
-// per-variable atomic cells (diskTable) and a transaction's context in a
-// stripe keyed by its id (diskStripe), so ApplyStep, Get, Put, Rollback and
-// a read-only Commit take only their stripe's mutex. d.mu is the log
+// Concurrency: a step takes no lock. Committed values live in
+// per-variable atomic cells (diskTable) and a transaction's context in its
+// slot of a transaction→slot table (internal/txtab), so ApplyStep, Get,
+// Put, Rollback and a read-only Commit are lock-free. d.mu is the log
 // mutex: a commit stages its record in the log buffer and then stores its
 // write set under it, and checkpoint capture, publish and retirement,
 // segment rolls, Reset, State and Scan take it too. Because every cell
@@ -297,8 +272,10 @@ type Disk struct {
 
 	// tab is the committed state, swapped whole by Reset and recovery.
 	tab atomic.Pointer[diskTable]
-	// stripes hold the per-transaction contexts, keyed by tx id.
-	stripes [diskStripes]diskStripe
+	// txs holds every transaction's context, found by its number with no
+	// lock; a slot keeps its buffers' capacity across transactions and
+	// runs, so a warm store allocates none per transaction.
+	txs *txtab.Table[diskTx]
 	// poisoned mirrors err != nil for the lock-free step path.
 	poisoned atomic.Bool
 
@@ -400,11 +377,9 @@ func NewDisk(cfg Config) (*Disk, error) {
 		ckptThresh: int64(cfg.CheckpointBytes),
 		ckptStop:   make(chan struct{}),
 		ckptKick:   make(chan struct{}, 1),
+		txs:        txtab.New(newDiskTxs),
 	}
 	d.tab.Store(loadDiskTable(nil, nil))
-	for i := range d.stripes {
-		d.stripes[i].ctx = make(map[int]*diskCtx)
-	}
 	if d.ckptThresh > 0 {
 		d.ckptRunning = true
 		d.ckptWG.Add(1)
@@ -444,7 +419,11 @@ func (d *Disk) poisonLocked(err error) {
 // snapshot is synced before Reset returns so the baseline itself is
 // durable.
 func (d *Disk) Reset(init core.DB) {
-	d.resetStripes()
+	d.txs.Range(func(_ int, c *diskTx) bool {
+		c.finish()
+		c.reads, c.nwrites, c.rollbacks = 0, 0, 0
+		return true
+	})
 	d.mu.Lock()
 	d.resetLocked(init)
 	// A degraded run leaves the background loop dead (sticky store error or
@@ -615,53 +594,16 @@ func (d *Disk) syncLocked() error {
 	return nil
 }
 
-// resetStripes drops every transaction context and zeroes the step
-// counters. Reset calls it before taking mu: a stripe lock is never held
-// together with the log mutex.
-func (d *Disk) resetStripes() {
-	for i := range d.stripes {
-		s := &d.stripes[i]
-		s.mu.Lock()
-		for tx, c := range s.ctx {
-			delete(s.ctx, tx)
-			s.recycleLocked(c)
-		}
-		s.reads, s.writes, s.rollbacks = 0, 0, 0
-		s.mu.Unlock()
-	}
-}
-
-// stripe returns the stripe holding tx's context.
-func (d *Disk) stripe(tx int) *diskStripe {
-	return &d.stripes[uint(tx)%diskStripes]
-}
-
-// context returns tx's context, creating it when create is set (nil
-// otherwise), and counts the step's reads and writes. The stripe lock
-// covers only the lookup: a context is used by its own transaction alone
-// (the package's transaction discipline), so the step itself runs
-// unlocked.
-func (d *Disk) context(tx int, create bool, reads, writes int64) *diskCtx {
-	s := d.stripe(tx)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reads += reads
-	s.writes += writes
-	if create {
-		return s.ctxOfLocked(tx)
-	}
-	return s.ctx[tx]
-}
-
 // Get implements Backend.
 func (d *Disk) Get(tx int, v core.Var) core.Value {
-	return d.context(tx, false, 1, 0).get(d.tab.Load(), v)
+	return d.txs.Slot(tx).get(d.tab.Load(), v)
 }
 
 // Put implements Backend: scalar joins tx's write set; nothing reaches the
 // table or the log before Commit.
 func (d *Disk) Put(tx int, v core.Var, scalar core.Value) {
-	c := d.context(tx, true, 0, 1)
+	c := d.txs.Slot(tx)
+	c.nwrites++
 	c.writes = append(c.writes, walWrite{v: v, val: scalar})
 }
 
@@ -674,23 +616,19 @@ func (d *Disk) Scan(fn func(v core.Var, scalar core.Value) bool) {
 
 // ApplyStep implements Backend with the paper's step semantics (see
 // Backend); a sticky durability error fails every subsequent step, which
-// is how a poisoned store surfaces as the run error. It takes only tx's
-// stripe lock, for the context lookup: the read is one table lookup and
-// one atomic load.
+// is how a poisoned store surfaces as the run error. It takes no lock: the
+// context is one table lookup, the read one more and one atomic load.
 func (d *Disk) ApplyStep(tx int, step core.Step) error {
 	if d.poisoned.Load() {
 		return d.Err()
 	}
-	var writes int64
-	if step.Kind != core.Read {
-		if step.Fn == nil {
-			return fmt.Errorf("storage: step on %s has no interpretation", step.Var)
-		}
-		writes = 1
+	if step.Kind != core.Read && step.Fn == nil {
+		return fmt.Errorf("storage: step on %s has no interpretation", step.Var)
 	}
-	c := d.context(tx, true, 1, writes)
+	c := d.txs.Slot(tx)
 	c.locals = append(c.locals, c.get(d.tab.Load(), step.Var))
 	if step.Kind != core.Read {
+		c.nwrites++
 		c.writes = append(c.writes, walWrite{v: step.Var, val: step.Fn(c.locals)})
 	}
 	return nil
@@ -704,24 +642,14 @@ func (d *Disk) ApplyStep(tx int, step core.Step) error {
 // next GroupSync, whose failure fails the whole group. A read-only
 // transaction has nothing to log and never takes the log mutex.
 func (d *Disk) Commit(tx int) {
-	s := d.stripe(tx)
-	s.mu.Lock()
-	c := s.ctx[tx]
+	c := d.txs.Lookup(tx)
 	if c == nil {
-		s.mu.Unlock()
 		return
 	}
-	delete(s.ctx, tx)
-	if len(c.writes) == 0 {
-		s.recycleLocked(c)
-		s.mu.Unlock()
-		return
+	if len(c.writes) > 0 {
+		d.commitWrites(tx, c.writes)
 	}
-	s.mu.Unlock()
-	d.commitWrites(tx, c.writes)
-	s.mu.Lock()
-	s.recycleLocked(c)
-	s.mu.Unlock()
+	c.finish()
 }
 
 // commitWrites stages tx's commit record and then publishes its write set,
@@ -752,14 +680,14 @@ func (d *Disk) commitWrites(tx int, writes []walWrite) {
 // Rollback implements Backend: it discards the write set, which never
 // reached the table or the log.
 func (d *Disk) Rollback(tx int) {
-	s := d.stripe(tx)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c, ok := s.ctx[tx]; ok {
-		delete(s.ctx, tx)
-		s.recycleLocked(c)
-		s.rollbacks++
+	c := d.txs.Lookup(tx)
+	if c == nil {
+		return
 	}
+	if len(c.locals) > 0 || len(c.writes) > 0 {
+		c.rollbacks++
+	}
+	c.finish()
 }
 
 // State implements Backend.
@@ -881,16 +809,16 @@ func (d *Disk) DurabilityStats() DurabilityStats {
 }
 
 // Stats reports the backend's physical work in the shared Stats shape
-// (payload counters stay zero: the disk backend models scalars only).
+// (payload counters stay zero: the disk backend models scalars only). It
+// sums the transactions' own counters, so it reads a quiescent store:
+// call it after the run, not during one.
 func (d *Disk) Stats() Stats {
 	var st Stats
-	for i := range d.stripes {
-		s := &d.stripes[i]
-		s.mu.Lock()
-		st.Reads += s.reads
-		st.Writes += s.writes
-		st.Rollbacks += s.rollbacks
-		s.mu.Unlock()
-	}
+	d.txs.Range(func(_ int, c *diskTx) bool {
+		st.Reads += c.reads
+		st.Writes += c.nwrites
+		st.Rollbacks += c.rollbacks
+		return true
+	})
 	return st
 }

@@ -12,6 +12,7 @@ import (
 
 	"optcc/internal/core"
 	"optcc/internal/lockmgr"
+	"optcc/internal/txtab"
 	"optcc/internal/vartab"
 )
 
@@ -281,11 +282,39 @@ func (sh *kvShard) collect(kv *KV, minActive int64) {
 	sh.freeMu.Unlock()
 }
 
-// txCtx is a transaction's execution context: the paper's local variables
-// t_i1..t_ij and the undo log of installed versions.
-type txCtx struct {
-	locals []core.Value
-	undo   []undoRec
+// txInline is how many locals and logged writes a transaction keeps inside
+// its own slot: a transaction of up to txInline steps needs no buffer of
+// its own, and a longer one grows its buffers once (the slot keeps their
+// capacity for its next attempt and the next run).
+const txInline = 4
+
+// kvTx is a transaction's slot in the store's internal/txtab table: the
+// paper's local variables t_i1..t_ij, the undo log of installed versions,
+// and the transaction's own step counters, which Stats sums. Only the
+// transaction's own steps touch it (the package's transaction
+// discipline), so nothing in it is locked or atomic.
+type kvTx struct {
+	locals   []core.Value
+	undo     []undoRec
+	localBuf [txInline]core.Value
+	undoBuf  [txInline]undoRec
+
+	reads, writes, bytesRead, bytesWritten, rollbacks int64
+}
+
+// newKVTxs points each new slot's buffers at its inline arrays.
+func newKVTxs(slots []kvTx) {
+	for i := range slots {
+		slots[i].locals, slots[i].undo = slots[i].localBuf[:0], slots[i].undoBuf[:0]
+	}
+}
+
+// finish empties c for the transaction's next attempt, dropping the undo
+// log's version references so a finished transaction pins no version.
+func (c *kvTx) finish() {
+	c.locals = c.locals[:0]
+	clear(c.undo)
+	c.undo = c.undo[:0]
 }
 
 // undoRec remembers one installed version and the head it displaced (nil:
@@ -309,7 +338,8 @@ type readerSlot struct {
 // KV is the sharded in-memory implementation of Backend: one immutable
 // variable→chain table (internal/vartab), GC state sharded exactly like
 // lockmgr.ShardedTable, timestamp-stamped version chains with CAS head
-// install, per-transaction undo logs for abort rollback, and a pinned
+// install, per-transaction undo logs for abort rollback in one
+// transaction→slot table (internal/txtab), and a pinned
 // snapshot-read path that takes no lock of any kind. See the package
 // comment for the concurrency contract and the replay invariant, and
 // DESIGN.md "Multiversion storage" for visibility and GC safety.
@@ -329,15 +359,12 @@ type KV struct {
 	slots      []readerSlot
 	activePins atomic.Int64
 
-	ctxMu sync.Mutex
-	ctx   map[int]*txCtx
-	// ctxPool recycles transaction contexts (locals and undo slices keep
-	// their capacity), so a warmed-up commit/restart cycle allocates no
-	// per-transaction bookkeeping.
-	ctxPool sync.Pool
+	// txs holds every transaction's context, found by its number with no
+	// lock; a slot keeps its buffers' capacity across transactions and
+	// runs, so a warm store allocates no per-transaction bookkeeping.
+	txs *txtab.Table[kvTx]
 
-	reads, writes, bytesRead, bytesWritten, rollbacks atomic.Int64
-	versionsGCed                                      atomic.Int64
+	versionsGCed atomic.Int64
 }
 
 var _ Backend = (*KV)(nil)
@@ -356,7 +383,7 @@ func NewKV(cfg Config) *KV {
 		shards: make([]kvShard, cfg.Shards),
 		vars:   vartab.New[chain](nil),
 		slots:  make([]readerSlot, cfg.SnapshotSlots),
-		ctx:    map[int]*txCtx{},
+		txs:    txtab.New(newKVTxs),
 	}
 	for i := range kv.slots {
 		kv.slots[i].ts.Store(-1)
@@ -495,9 +522,11 @@ func (kv *KV) Reset(init core.DB) {
 		sh.retired = sh.retired[:0]
 		sh.freeMu.Unlock()
 	}
-	kv.ctxMu.Lock()
-	kv.ctx = map[int]*txCtx{}
-	kv.ctxMu.Unlock()
+	kv.txs.Range(func(_ int, c *kvTx) bool {
+		c.finish()
+		c.reads, c.writes, c.bytesRead, c.bytesWritten, c.rollbacks = 0, 0, 0, 0, 0
+		return true
+	})
 	kv.commitSeq.Store(0)
 	kv.snapClock.Store(0)
 	kv.activePins.Store(0)
@@ -506,44 +535,11 @@ func (kv *KV) Reset(init core.DB) {
 		kv.slots[i].reads.Store(0)
 		kv.slots[i].bytes.Store(0)
 	}
-	kv.reads.Store(0)
-	kv.writes.Store(0)
-	kv.bytesRead.Store(0)
-	kv.bytesWritten.Store(0)
-	kv.rollbacks.Store(0)
 	kv.versionsGCed.Store(0)
 	for v, val := range init {
 		ch := kv.vars.Slot(v)
 		ch.head.Store(kv.initialVersion(kv.shard(v), ch.head.Load(), val))
 	}
-}
-
-// ctxOf returns tx's execution context, drawing a recycled one from the
-// pool on first use.
-func (kv *KV) ctxOf(tx int) *txCtx {
-	kv.ctxMu.Lock()
-	defer kv.ctxMu.Unlock()
-	c := kv.ctx[tx]
-	if c == nil {
-		if p, ok := kv.ctxPool.Get().(*txCtx); ok {
-			c = p
-		} else {
-			c = &txCtx{}
-		}
-		kv.ctx[tx] = c
-	}
-	return c
-}
-
-// releaseCtx clears a finished context (dropping version references so the
-// pool does not pin them) and returns it to the pool.
-func (kv *KV) releaseCtx(c *txCtx) {
-	c.locals = c.locals[:0]
-	for i := range c.undo {
-		c.undo[i] = undoRec{}
-	}
-	c.undo = c.undo[:0]
-	kv.ctxPool.Put(c)
 }
 
 // Get implements Backend: walk tx's chain view lock-free and return the
@@ -557,6 +553,13 @@ func (kv *KV) releaseCtx(c *txCtx) {
 //
 //optcc:hotpath
 func (kv *KV) Get(tx int, v core.Var) core.Value {
+	return kv.get(kv.txs.Slot(tx), tx, v)
+}
+
+// get is Get for a caller already holding tx's context c (ApplyStep).
+//
+//optcc:hotpath
+func (kv *KV) get(c *kvTx, tx int, v core.Var) core.Value {
 	ch := kv.vars.Lookup(v)
 	if ch == nil {
 		return 0
@@ -568,8 +571,8 @@ func (kv *KV) Get(tx int, v core.Var) core.Value {
 			if b < 0 && b != mark {
 				continue // another transaction's uncommitted version
 			}
-			kv.reads.Add(1)
-			kv.bytesRead.Add(int64(len(ver.rec.Payload)))
+			c.reads++
+			c.bytesRead += int64(len(ver.rec.Payload))
 			if checksum(ver.rec.Payload) != ver.rec.Sum {
 				//cclint:ignore hotpath corruption panic is the failure path; it never executes on a healthy run
 				panic(fmt.Sprintf("storage: payload corruption on %s", v))
@@ -589,12 +592,12 @@ func (kv *KV) Get(tx int, v core.Var) core.Value {
 // install race (concurrent writers — non-strict schedulers only) recycles
 // the speculative buffer and rebuilds against the new head.
 func (kv *KV) Put(tx int, v core.Var, scalar core.Value) {
-	kv.put(kv.ctxOf(tx), tx, v, scalar)
+	kv.put(kv.txs.Slot(tx), tx, v, scalar)
 }
 
 // put is Put for a caller already holding tx's context c (ApplyStep), so a
 // write step looks the context up once.
-func (kv *KV) put(c *txCtx, tx int, v core.Var, scalar core.Value) {
+func (kv *KV) put(c *kvTx, tx int, v core.Var, scalar core.Value) {
 	ch := kv.vars.Slot(v)
 	sh := kv.shard(v)
 	size := kv.cfg.ValueSize
@@ -603,8 +606,8 @@ func (kv *KV) put(c *txCtx, tx int, v core.Var, scalar core.Value) {
 		prev := ch.head.Load()
 		ver := kv.newVersion(sh, size, scalar, prev, mark)
 		if ch.head.CompareAndSwap(prev, ver) {
-			kv.writes.Add(1)
-			kv.bytesWritten.Add(int64(len(ver.rec.Payload)))
+			c.writes++
+			c.bytesWritten += int64(len(ver.rec.Payload))
 			c.undo = append(c.undo, undoRec{v: v, ver: ver, prev: prev})
 			return
 		}
@@ -627,8 +630,8 @@ func (kv *KV) Scan(fn func(v core.Var, scalar core.Value) bool) {
 
 // ApplyStep implements Backend with the paper's step semantics.
 func (kv *KV) ApplyStep(tx int, step core.Step) error {
-	c := kv.ctxOf(tx)
-	val := kv.Get(tx, step.Var)
+	c := kv.txs.Slot(tx)
+	val := kv.get(c, tx, step.Var)
 	c.locals = append(c.locals, val)
 	if step.Kind == core.Read {
 		return nil // write-back is the identity on t_ij
@@ -647,10 +650,7 @@ func (kv *KV) ApplyStep(tx int, step core.Step) error {
 // the GC up to the minimum active snapshot. A transaction that wrote
 // nothing takes no timestamp.
 func (kv *KV) Commit(tx int) {
-	kv.ctxMu.Lock()
-	c := kv.ctx[tx]
-	delete(kv.ctx, tx)
-	kv.ctxMu.Unlock()
+	c := kv.txs.Lookup(tx)
 	if c == nil {
 		return
 	}
@@ -675,7 +675,7 @@ func (kv *KV) Commit(tx int) {
 			}
 		}
 	}
-	kv.releaseCtx(c)
+	c.finish()
 }
 
 // Rollback implements Backend: replay tx's undo log in reverse, restoring
@@ -686,15 +686,12 @@ func (kv *KV) Commit(tx int) {
 // Get skips other transactions' uncommitted versions — returns its payload
 // buffer to the shard freelist.
 func (kv *KV) Rollback(tx int) {
-	kv.ctxMu.Lock()
-	c := kv.ctx[tx]
-	delete(kv.ctx, tx)
-	kv.ctxMu.Unlock()
+	c := kv.txs.Lookup(tx)
 	if c == nil {
 		return
 	}
 	if len(c.undo) > 0 {
-		kv.rollbacks.Add(1)
+		c.rollbacks++
 	}
 	for i := len(c.undo) - 1; i >= 0; i-- {
 		u := c.undo[i]
@@ -708,7 +705,7 @@ func (kv *KV) Rollback(tx int) {
 			kv.shard(u.v).putBuf(dying.rec.Payload)
 		}
 	}
-	kv.releaseCtx(c)
+	c.finish()
 }
 
 // State implements Backend.
@@ -829,19 +826,21 @@ func (kv *KV) minActiveSnapshot() int64 {
 	return min
 }
 
-// Stats returns the physical work counters since Reset.
+// Stats returns the physical work counters since Reset. It sums the
+// transactions' own counters, so it reads a quiescent store: call it
+// after the run, not during one.
 func (kv *KV) Stats() Stats {
-	var snapBytes int64
+	st := Stats{SnapshotReads: kv.SnapshotReads(), VersionsGCed: kv.versionsGCed.Load()}
 	for i := range kv.slots {
-		snapBytes += kv.slots[i].bytes.Load()
+		st.BytesRead += kv.slots[i].bytes.Load()
 	}
-	return Stats{
-		Reads:         kv.reads.Load(),
-		Writes:        kv.writes.Load(),
-		BytesRead:     kv.bytesRead.Load() + snapBytes,
-		BytesWritten:  kv.bytesWritten.Load(),
-		Rollbacks:     kv.rollbacks.Load(),
-		SnapshotReads: kv.SnapshotReads(),
-		VersionsGCed:  kv.versionsGCed.Load(),
-	}
+	kv.txs.Range(func(_ int, c *kvTx) bool {
+		st.Reads += c.reads
+		st.Writes += c.writes
+		st.BytesRead += c.bytesRead
+		st.BytesWritten += c.bytesWritten
+		st.Rollbacks += c.rollbacks
+		return true
+	})
+	return st
 }

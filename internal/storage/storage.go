@@ -17,7 +17,11 @@
 // transactions may be fully concurrent. In the runtime this holds by
 // construction — a transaction's steps execute sequentially on its user
 // goroutine, and rollback is only invoked while the transaction is parked
-// or between its requests.
+// or between its requests. Calls for one transaction made on different
+// goroutines (a commit through the group-commit queue, the rollback of a
+// parked victim by the user that aborts it under the latch) are ordered
+// by a happens-before edge, so both stores keep a transaction's context
+// in its slot of an internal/txtab table and touch it without a lock.
 //
 // # The replay invariant
 //
@@ -55,8 +59,9 @@ import (
 // Backend is the storage engine the runtime executes granted steps against.
 // See the package comment for the concurrency contract and the replay
 // invariant. The tx argument is the transaction index of the system under
-// execution; it keys the per-transaction undo log and local-variable
-// context.
+// execution, non-negative; it keys the per-transaction undo log and
+// local-variable context, and a store's memory for contexts grows with the
+// largest index it sees.
 type Backend interface {
 	// Name identifies the backend.
 	Name() string

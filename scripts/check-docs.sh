@@ -224,7 +224,10 @@ fi
 # (one immutable map per shard in each per-variable table, now one
 # internal/vartab map) and the group committer's yield before every group
 # (it now yields only when the queue runs empty), and the engine
-# self-check cells E9 and E11–E15 (now tests that call internal/check) are
+# self-check cells E9 and E11–E15 (now tests that call internal/check), and
+# the hand-rolled per-transaction stores (the KV's context map, mutex and
+# pool, the disk backend's context stripes, the lock table's flat reserved
+# arrays and its sync.Map fallbacks; all now internal/txtab slots) are
 # gone; nothing that documents or drives the current tree may name them:
 # not the docs and commands, and not a non-test Go file under internal/,
 # whose comments must not cite a deleted cell either (E8–E15 by id; the
@@ -253,7 +256,9 @@ for f in "${files[@]}"; do
       'one plain map per shard' 'immutable per-shard maps' 'before sealing each group' \
       'E9StorageBackend' 'E11NativeTimestampOrdering' 'E12MultiversionReadScaling' 'E13DurableCommit' \
       'E14CheckpointedWAL' 'E15NativeSGTOCC' 'nativeVsMutexedTables' 'ccbench -exp E11' \
-      '-exp E9' '-exp E12' '-exp E13' '-exp E14' '-exp E15' 'E11–E15'; do
+      '-exp E9' '-exp E12' '-exp E13' '-exp E14' '-exp E15' 'E11–E15' \
+      'diskStripe' 'ctxOfLocked' 'recycleLocked' 'resetStripes' 'diskCtx' 'txCtx' 'ctxOf(' \
+      'ctxPool' 'ctxMu' 'releaseCtx' 'birthArr' 'fastArr' 'fastSetOf' 'fastSetIfAny'; do
     if grep -qF -- "$stale" "$f"; then
       echo "check-docs: $f still names the removed '$stale'"
       fail=1
