@@ -39,7 +39,6 @@ import (
 type ShardedTable struct {
 	policy Policy
 	shards []tableShard
-	clock  atomic.Int64
 	// vars holds every variable's fast slot. The variables named to
 	// Declare sit in its slab in that order (AcquireAt finds one by its
 	// number, one slice index) and in its immutable map (Acquire finds one
@@ -48,6 +47,13 @@ type ShardedTable struct {
 	// txs holds every transaction's state (internal/txtab), found by its
 	// id with one atomic load and two indexes.
 	txs *txtab.Table[txState]
+
+	// clock is the birth clock, written by every registration; it sits on
+	// a cache line of its own, away from the fields above that every
+	// request reads.
+	_     [txtab.LineSize - 8]byte
+	clock atomic.Int64
+	_     [txtab.LineSize - 8]byte
 }
 
 // txState is one transaction's table state: its birth timestamp (0 =

@@ -3,11 +3,13 @@ package lockmgr
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"optcc/internal/core"
+	"optcc/internal/txtab"
 )
 
 func TestShardedFastPathExclusive(t *testing.T) {
@@ -487,5 +489,13 @@ func TestShardedAcquireAtMatchesAcquire(t *testing.T) {
 		tab.ReleaseAll(0)
 	}); n != 0 {
 		t.Fatalf("an uncontended AcquireAt/ReleaseAll cycle allocates %.0f times", n)
+	}
+}
+
+// TestBirthClockAloneOnLine: the birth clock every registration writes
+// keeps a cache line of its own, away from the fields every request reads.
+func TestBirthClockAloneOnLine(t *testing.T) {
+	if err := txtab.AloneOnLine(reflect.TypeFor[ShardedTable](), "clock"); err != nil {
+		t.Fatal(err)
 	}
 }

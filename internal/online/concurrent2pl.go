@@ -3,6 +3,7 @@ package online
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"optcc/internal/core"
 	"optcc/internal/lockmgr"
@@ -34,6 +35,10 @@ type ConcurrentStrict2PL struct {
 	// private scratch — the batch path allocates nothing in steady state.
 	scratch []batchScratch
 
+	// The wound mailbox. pending counts the wounds in it, so that Wounded,
+	// which the engine calls after every decision, takes no mutex while it
+	// is empty: every Try reads the word, only a wound writes it.
+	pending atomic.Int32
 	mu      sync.Mutex // guards wounded
 	wounded []int
 }
@@ -79,6 +84,7 @@ func (s *ConcurrentStrict2PL) Begin(sys *core.System) {
 	}
 	s.mu.Lock()
 	s.wounded = nil
+	s.pending.Store(0)
 	s.mu.Unlock()
 	// Births in id order. Registering only stamps a birth; a transaction
 	// enters a shard's table when it first needs that shard's slow path.
@@ -98,6 +104,7 @@ func (s *ConcurrentStrict2PL) Try(id core.StepID) Decision {
 		for _, w := range r.Wounded {
 			s.wounded = append(s.wounded, int(w))
 		}
+		s.pending.Store(int32(len(s.wounded)))
 		s.mu.Unlock()
 	}
 	switch r.Status {
@@ -144,6 +151,7 @@ func (s *ConcurrentStrict2PL) TryBatch(ids []core.StepID) []Decision {
 	if len(wounded) > 0 {
 		s.mu.Lock()
 		s.wounded = append(s.wounded, wounded...)
+		s.pending.Store(int32(len(s.wounded)))
 		s.mu.Unlock()
 	}
 	return sc.out
@@ -170,12 +178,21 @@ func (s *ConcurrentStrict2PL) Victim(stuck []int) (int, bool) {
 	return 0, false
 }
 
-// Wounded implements Scheduler.
+// Wounded implements Scheduler. An empty mailbox costs one atomic load.
+// A wound posted by the caller's own Try is always seen (the count is
+// stored before that Try returns); one posted concurrently by another
+// transaction's Try is collected by this call or a later one.
+//
+//optcc:hotpath
 func (s *ConcurrentStrict2PL) Wounded() []int {
+	if s.pending.Load() == 0 {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	w := s.wounded
 	s.wounded = nil
+	s.pending.Store(0)
 	return w
 }
 

@@ -3,6 +3,7 @@ package online
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"optcc/internal/core"
 	"optcc/internal/lockmgr"
 	"optcc/internal/schedule"
+	"optcc/internal/txtab"
 	"optcc/internal/workload"
 )
 
@@ -273,4 +275,19 @@ func TestConcurrent2PLParallelDrive(t *testing.T) {
 		}(tx)
 	}
 	wg.Wait()
+}
+
+// TestClocksAloneOnLine: every native's run-global clock, written by
+// transactions on every processor, keeps a cache line of its own, away
+// from the fields every Try reads.
+func TestClocksAloneOnLine(t *testing.T) {
+	for _, typ := range []reflect.Type{
+		reflect.TypeFor[ConcurrentTO](),
+		reflect.TypeFor[ConcurrentMV](),
+		reflect.TypeFor[ConcurrentOCC](),
+	} {
+		if err := txtab.AloneOnLine(typ, "clock"); err != nil {
+			t.Error(err)
+		}
+	}
 }

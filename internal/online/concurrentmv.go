@@ -7,6 +7,7 @@ import (
 	"optcc/internal/conflict"
 	"optcc/internal/core"
 	"optcc/internal/tstable"
+	"optcc/internal/txtab"
 )
 
 // SnapshotSource is implemented by schedulers whose semantics let the
@@ -75,9 +76,21 @@ type ConcurrentMV struct {
 	sys   *core.System
 	ids   [][]int32 // sys.VarIDs(): each step's index into table
 	table *tstable.Table
+	txs   txtab.Dense[mvTx]
+
+	// clock is written by every transaction's first Try; it sits on a
+	// cache line of its own, away from the fields above that every Try
+	// reads.
+	_     [txtab.LineSize - 8]byte
 	clock atomic.Int64
-	ts    []atomic.Int64 // per-transaction timestamp; 0 = unassigned
-	ws    [][]wsEntry    // per-transaction write claims, released at commit/abort
+	_     [txtab.LineSize - 8]byte
+}
+
+// mvTx is one transaction's scheduler state: its timestamp (0 =
+// unassigned) and the write claims it holds, released at commit or abort.
+type mvTx struct {
+	ts atomic.Int64
+	ws []wsEntry
 }
 
 // NewConcurrentMV returns a natively concurrent multiversion/optimistic
@@ -101,16 +114,15 @@ func (s *ConcurrentMV) Begin(sys *core.System) {
 	s.clock.Store(0)
 	if sys == s.sys && s.table != nil {
 		s.table.Reset()
-		for i := range s.ts {
-			s.ts[i].Store(0)
-			s.ws[i] = s.ws[i][:0]
-		}
+		s.txs.Range(func(_ int, st *mvTx) {
+			st.ts.Store(0)
+			st.ws = st.ws[:0]
+		})
 		return
 	}
 	s.sys = sys
 	s.ids = sys.VarIDs()
-	s.ts = make([]atomic.Int64, sys.NumTxs())
-	s.ws = make([][]wsEntry, sys.NumTxs())
+	s.txs = txtab.NewDense[mvTx](sys.NumTxs())
 	s.table = tstable.New(sys.Vars(), s.shards)
 }
 
@@ -118,10 +130,11 @@ func (s *ConcurrentMV) Begin(sys *core.System) {
 // variable number plus atomic loads and CASes; it never returns Delay —
 // every conflict is resolved by aborting the requester.
 func (s *ConcurrentMV) Try(id core.StepID) Decision {
-	ts := s.ts[id.Tx].Load()
+	st := s.txs.At(id.Tx)
+	ts := st.ts.Load()
 	if ts == 0 {
 		ts = s.clock.Add(1)
-		s.ts[id.Tx].Store(ts)
+		st.ts.Store(ts)
 	}
 	step := s.sys.Step(id)
 	e := s.table.At(s.ids[id.Tx][id.Idx])
@@ -150,7 +163,7 @@ func (s *ConcurrentMV) Try(id core.StepID) Decision {
 				return AbortTx // committed by a younger writer
 			}
 			if e.CASWrite(w, -ts) {
-				s.ws[id.Tx] = append(s.ws[id.Tx], wsEntry{e: e, prev: w})
+				st.ws = append(st.ws, wsEntry{e: e, prev: w})
 				break
 			}
 		}
@@ -175,25 +188,27 @@ func (s *ConcurrentMV) TryBatch(ids []core.StepID) []Decision {
 // transaction's own timestamp, which becomes the variable's committed
 // write timestamp.
 func (s *ConcurrentMV) Commit(tx int) {
-	ts := s.ts[tx].Load()
-	for _, w := range s.ws[tx] {
+	st := s.txs.At(tx)
+	ts := st.ts.Load()
+	for _, w := range st.ws {
 		w.e.CASWrite(-ts, ts)
 	}
-	s.ws[tx] = s.ws[tx][:0]
+	st.ws = st.ws[:0]
 }
 
 // Abort implements Scheduler: restore each claimed entry's previous
 // committed write timestamp and restart the transaction with a fresh
 // (strictly later) timestamp, which guarantees progress.
 func (s *ConcurrentMV) Abort(tx int) {
-	ts := s.ts[tx].Load()
+	st := s.txs.At(tx)
+	ts := st.ts.Load()
 	if ts != 0 {
-		for _, w := range s.ws[tx] {
+		for _, w := range st.ws {
 			w.e.CASWrite(-ts, w.prev)
 		}
 	}
-	s.ws[tx] = s.ws[tx][:0]
-	s.ts[tx].Store(0)
+	st.ws = st.ws[:0]
+	st.ts.Store(0)
 }
 
 // NumShards implements ConcurrentScheduler.

@@ -7,6 +7,7 @@ import (
 	"optcc/internal/conflict"
 	"optcc/internal/core"
 	"optcc/internal/tstable"
+	"optcc/internal/txtab"
 	"optcc/internal/vartab"
 )
 
@@ -31,15 +32,20 @@ type coccAccess struct {
 	wstamp int64
 }
 
-// coccTx is one transaction's private footprint. Per-transaction scheduler
-// calls never overlap (ConcurrentScheduler contract), so the access list
-// is owner-only with no synchronization. A transaction touches at most
-// len(Steps) distinct variables, so Begin carves each list out of one
-// shared slab at exactly that capacity — footprint recording never
+// coccTx is one transaction's state: its private footprint and its
+// published phase and validation epoch. Per-transaction scheduler calls
+// never overlap (ConcurrentScheduler contract), so start and the access
+// list are owner-only with no synchronization; validators read the other
+// two atomically. A transaction touches at most len(Steps) distinct
+// variables, so Begin carves each list out of one shared slab at exactly
+// that capacity, in the table's memory order so that neighbouring
+// transactions' lists are apart too — footprint recording never
 // allocates, and lookups are linear scans of a handful of entries.
 type coccTx struct {
-	start int64 // clock at first Try; -1 = unassigned
-	acc   []coccAccess
+	start  int64 // clock at first Try; -1 = unassigned
+	acc    []coccAccess
+	phase  atomic.Int64 // epoch<<2 | coccPhase
+	vepoch atomic.Int64 // validation epoch, published before occValidating
 }
 
 // access returns the footprint entry of variable number v, appending a
@@ -85,11 +91,11 @@ func (st *coccTx) lookup(v int32) *coccAccess {
 //     under the variable's shard latch and read lock-free by
 //     validators: the dirty-read check (did I read a variable an active
 //     transaction had written?) scans the live marks of my read set.
-//   - per-transaction phase/epoch atomics. Commit publishing is ordered —
-//     write stamps first, committed phase last — so a validator that
-//     observes the committed phase finds the stamps already in place, and
-//     one that observes a stale active phase conservatively aborts via the
-//     dirty check.
+//   - per-transaction phase/epoch atomics (coccTx). Commit publishing
+//     is ordered — write stamps first, committed phase last — so a
+//     validator that observes the committed phase finds the stamps
+//     already in place, and one that observes a stale active phase
+//     conservatively aborts via the dirty check.
 //
 // Concurrent validations are serialized by a validation epoch drawn from
 // the shared atomic clock: a transaction publishes its epoch and a
@@ -115,13 +121,16 @@ type ConcurrentOCC struct {
 	shards int
 
 	sys     *core.System
-	ids     [][]int32 // sys.VarIDs(): each step's index into commits and wmarks
-	clock   atomic.Int64
+	ids     [][]int32      // sys.VarIDs(): each step's index into commits and wmarks
 	commits *tstable.Table // per-variable last committed write epoch
 	wmarks  *vartab.Table[occEntry]
-	txs     []coccTx
-	phase   []atomic.Int64 // epoch<<2 | coccPhase
-	vepoch  []atomic.Int64 // validation epoch, published before occValidating
+	txs     txtab.Dense[coccTx]
+
+	// clock is written by every Try; it sits on a cache line of its own,
+	// away from the fields above that every Try reads.
+	_     [txtab.LineSize - 8]byte
+	clock atomic.Int64
+	_     [txtab.LineSize - 8]byte
 }
 
 // NewConcurrentOCC returns a natively concurrent optimistic scheduler
@@ -142,45 +151,39 @@ func (s *ConcurrentOCC) Name() string {
 // the tables via reset instead of rebuilding their maps.
 func (s *ConcurrentOCC) Begin(sys *core.System) {
 	s.clock.Store(0)
-	if sys == s.sys && s.commits != nil && len(s.txs) == sys.NumTxs() {
+	if sys == s.sys && s.commits != nil && s.txs.Len() == sys.NumTxs() {
 		s.commits.Reset()
 		s.wmarks.Range(resetOCCEntry)
-		for i := range s.phase {
-			s.phase[i].Store(0)
-			s.vepoch[i].Store(0)
-		}
-		for i := range s.txs {
-			s.resetTx(i)
-		}
+		s.txs.Range(func(_ int, st *coccTx) {
+			st.phase.Store(0)
+			st.vepoch.Store(0)
+			st.reset()
+		})
 		return
 	}
 	s.sys = sys
 	s.ids = sys.VarIDs()
-	n := sys.NumTxs()
 	s.commits = tstable.New(sys.Vars(), s.shards)
 	s.wmarks = vartab.New[occEntry](sys.Vars())
-	s.phase = make([]atomic.Int64, n)
-	s.vepoch = make([]atomic.Int64, n)
-	s.txs = make([]coccTx, n)
+	s.txs = txtab.NewDense[coccTx](sys.NumTxs())
 	total := 0
 	for i := range sys.Txs {
 		total += len(sys.Txs[i].Steps)
 	}
 	slab := make([]coccAccess, total)
 	off := 0
-	for i := range s.txs {
-		k := len(sys.Txs[i].Steps)
-		s.txs[i] = coccTx{start: -1, acc: slab[off : off : off+k]}
+	s.txs.Range(func(tx int, st *coccTx) {
+		k := len(sys.Txs[tx].Steps)
+		st.start, st.acc = -1, slab[off:off:off+k]
 		off += k
-	}
+	})
 }
 
-// resetTx clears a transaction's private footprint for its next
+// reset clears a transaction's private footprint for its next
 // incarnation. The phase/epoch atomics are managed by the caller.
 //
 //optcc:hotpath
-func (s *ConcurrentOCC) resetTx(tx int) {
-	st := &s.txs[tx]
+func (st *coccTx) reset() {
 	st.start = -1
 	st.acc = st.acc[:0]
 }
@@ -222,7 +225,7 @@ func (s *ConcurrentOCC) publishWriter(e *occEntry, tx int, epoch int64, stamp in
 			if m.tx == tx {
 				continue // superseded by this incarnation
 			}
-			p := s.phase[m.tx].Load()
+			p := s.txs.At(m.tx).phase.Load()
 			if p>>2 != int64(m.epoch) || p&3 == occCommitted {
 				continue
 			}
@@ -245,11 +248,11 @@ func (s *ConcurrentOCC) publishWriter(e *occEntry, tx int, epoch int64, stamp in
 //optcc:hotpath
 func (s *ConcurrentOCC) Try(id core.StepID) Decision {
 	tx := id.Tx
-	st := &s.txs[tx]
-	epoch := s.phase[tx].Load() >> 2
+	st := s.txs.At(tx)
+	epoch := st.phase.Load() >> 2
 	if st.start < 0 {
 		st.start = s.clock.Load()
-		s.phase[tx].Store(epoch<<2 | occActive)
+		st.phase.Store(epoch<<2 | occActive)
 	}
 	kind, v := s.sys.Txs[tx].Steps[id.Idx].Kind, s.ids[tx][id.Idx]
 	if id.Idx != len(s.ids[tx])-1 {
@@ -259,10 +262,10 @@ func (s *ConcurrentOCC) Try(id core.StepID) Decision {
 	// Validation epoch: unique and monotone with entry order, published
 	// before the validating phase so later validators always see us.
 	vE := s.clock.Add(1)
-	s.vepoch[tx].Store(vE)
-	s.phase[tx].Store(epoch<<2 | occValidating)
+	st.vepoch.Store(vE)
+	st.phase.Store(epoch<<2 | occValidating)
 	if !s.validate(tx, st, kind, v, vE) {
-		s.phase[tx].Store(epoch<<2 | occActive)
+		st.phase.Store(epoch<<2 | occActive)
 		return AbortTx
 	}
 	// Commit point, atomic with the validating grant (see tsocc.go): the
@@ -276,8 +279,8 @@ func (s *ConcurrentOCC) Try(id core.StepID) Decision {
 			s.commits.At(st.acc[i].v).MaxWrite(commitTS)
 		}
 	}
-	s.phase[tx].Store(epoch<<2 | occCommitted)
-	s.resetTx(tx)
+	st.phase.Store(epoch<<2 | occCommitted)
+	st.reset()
 	return Grant
 }
 
@@ -331,7 +334,8 @@ func (s *ConcurrentOCC) checkVar(tx int, v int32, rt int64, isRead bool, vE, sta
 		if m.tx == tx {
 			continue
 		}
-		p := s.phase[m.tx].Load()
+		peer := s.txs.At(m.tx)
+		p := peer.phase.Load()
 		if p>>2 != int64(m.epoch) {
 			continue // a dead incarnation's mark
 		}
@@ -343,7 +347,7 @@ func (s *ConcurrentOCC) checkVar(tx int, v int32, rt int64, isRead bool, vE, sta
 				return false
 			}
 		case occValidating:
-			if s.vepoch[m.tx].Load() < vE {
+			if peer.vepoch.Load() < vE {
 				// Entered validation before me and wrote something in my
 				// footprint: treat as committed-pending.
 				return false
@@ -380,9 +384,10 @@ func (s *ConcurrentOCC) Commit(tx int) {}
 // Abort implements Scheduler: a fresh epoch retires every mark of the old
 // incarnation at once.
 func (s *ConcurrentOCC) Abort(tx int) {
-	epoch := s.phase[tx].Load() >> 2
-	s.phase[tx].Store((epoch + 1) << 2) // fresh epoch, idle
-	s.resetTx(tx)
+	st := s.txs.At(tx)
+	epoch := st.phase.Load() >> 2
+	st.phase.Store((epoch + 1) << 2) // fresh epoch, idle
+	st.reset()
 }
 
 // NumShards implements ConcurrentScheduler.

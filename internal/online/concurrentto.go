@@ -7,6 +7,7 @@ import (
 	"optcc/internal/conflict"
 	"optcc/internal/core"
 	"optcc/internal/tstable"
+	"optcc/internal/txtab"
 )
 
 // ConcurrentTO is natively concurrent timestamp ordering: the TO scheduler
@@ -47,8 +48,14 @@ type ConcurrentTO struct {
 	sys   *core.System
 	ids   [][]int32 // sys.VarIDs(): each step's index into table
 	table *tstable.Table
+	ts    txtab.Dense[atomic.Int64] // per-transaction timestamp; 0 = unassigned
+
+	// clock is written by every transaction's first Try; it sits on a
+	// cache line of its own, away from the fields above that every Try
+	// reads.
+	_     [txtab.LineSize - 8]byte
 	clock atomic.Int64
-	ts    []atomic.Int64 // per-transaction timestamp; 0 = unassigned
+	_     [txtab.LineSize - 8]byte
 }
 
 // NewConcurrentTO returns a natively concurrent basic-TO scheduler over
@@ -83,14 +90,12 @@ func (s *ConcurrentTO) Begin(sys *core.System) {
 	s.clock.Store(0)
 	if sys == s.sys && s.table != nil {
 		s.table.Reset()
-		for i := range s.ts {
-			s.ts[i].Store(0)
-		}
+		s.ts.Range(func(_ int, ts *atomic.Int64) { ts.Store(0) })
 		return
 	}
 	s.sys = sys
 	s.ids = sys.VarIDs()
-	s.ts = make([]atomic.Int64, sys.NumTxs())
+	s.ts = txtab.NewDense[atomic.Int64](sys.NumTxs())
 	s.table = tstable.New(sys.Vars(), s.shards)
 }
 
@@ -99,10 +104,11 @@ func (s *ConcurrentTO) Begin(sys *core.System) {
 //
 //optcc:hotpath
 func (s *ConcurrentTO) Try(id core.StepID) Decision {
-	ts := s.ts[id.Tx].Load()
+	slot := s.ts.At(id.Tx)
+	ts := slot.Load()
 	if ts == 0 {
 		ts = s.clock.Add(1)
-		s.ts[id.Tx].Store(ts)
+		slot.Store(ts)
 	}
 	step := s.sys.Step(id)
 	e := s.table.At(s.ids[id.Tx][id.Idx])
@@ -145,7 +151,7 @@ func (s *ConcurrentTO) Commit(tx int) {}
 
 // Abort implements Scheduler: the transaction restarts with a fresh
 // (strictly later) timestamp, which guarantees progress.
-func (s *ConcurrentTO) Abort(tx int) { s.ts[tx].Store(0) }
+func (s *ConcurrentTO) Abort(tx int) { s.ts.At(tx).Store(0) }
 
 // NumShards implements ConcurrentScheduler.
 func (s *ConcurrentTO) NumShards() int { return s.shards }

@@ -1,10 +1,13 @@
 package online
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 
 	"optcc/internal/core"
 	"optcc/internal/lockmgr"
+	"optcc/internal/txtab"
 	"optcc/internal/workload"
 )
 
@@ -73,5 +76,77 @@ func BenchmarkNativeTry(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// benchLatch is one shard's decision mutex, a line apart from the next
+// shard's as in the engine.
+type benchLatch struct {
+	mu sync.Mutex
+	_  [txtab.LineSize - 8]byte
+}
+
+// BenchmarkNativeTryParallel is BenchmarkNativeTry with the engine's
+// concurrency around it: P = GOMAXPROCS goroutines, each Try (and the
+// Wounded poll after it) under its step's shard mutex, as the engine's
+// decision latch takes it, and each transaction's Commit on its own
+// goroutine after its last step, outside the mutex. Goroutine g drives
+// transactions g, g+P, g+2P, … of Disjoint(36000,3), so neighbouring
+// transactions' scheduler state is written from different processors, as
+// the engine's job cursor hands them out. Every step is granted: the
+// variables are disjoint. b.N counts Trys; after each pass over the
+// system the scheduler is re-begun outside the timer.
+func BenchmarkNativeTryParallel(b *testing.B) {
+	sys := workload.Disjoint(36000, 3)
+	const steps = 3
+	procs := runtime.GOMAXPROCS(0)
+	ids, vars := sys.VarIDs(), sys.Vars()
+	for _, c := range nativeCases() {
+		b.Run("disjoint36k/"+c.name, func(b *testing.B) {
+			s := c.factory().(ConcurrentScheduler)
+			latches := make([]benchLatch, s.NumShards())
+			latchOf := make([]*sync.Mutex, len(vars))
+			for i, v := range vars {
+				latchOf[i] = &latches[s.ShardOf(v)].mu
+			}
+			s.Begin(sys)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for left := b.N; left > 0; {
+				m := min(sys.NumTxs(), (left+steps-1)/steps)
+				left -= m * steps
+				var wg sync.WaitGroup
+				failed := make(chan string, procs) // each goroutine sends at most once
+				for g := range procs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for tx := g; tx < m; tx += procs {
+							for idx := range steps {
+								mu := latchOf[ids[tx][idx]]
+								mu.Lock()
+								d := s.Try(core.StepID{Tx: tx, Idx: idx})
+								s.Wounded()
+								mu.Unlock()
+								if d != Grant {
+									failed <- d.String()
+									return
+								}
+							}
+							s.Commit(tx)
+						}
+					}()
+				}
+				wg.Wait()
+				select {
+				case d := <-failed:
+					b.Fatalf("%s on a conflict-free parallel drive", d)
+				default:
+				}
+				b.StopTimer()
+				s.Begin(sys)
+				b.StartTimer()
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"optcc/internal/lockmgr"
 	"optcc/internal/online"
 	"optcc/internal/storage"
+	"optcc/internal/txtab"
 	"optcc/internal/workload"
 )
 
@@ -228,5 +230,13 @@ func TestYieldsCounted(t *testing.T) {
 		ExecTime: 20 * time.Microsecond}, 30*time.Second)
 	if m.Yields == 0 {
 		t.Fatalf("no yield with %d users on %d processors (parked waits: %d)", users, procs, m.WaitNs.N())
+	}
+}
+
+// TestJobCursorAloneOnLine: the job cursor every claim writes keeps a
+// cache line of its own, away from the run fields every step reads.
+func TestJobCursorAloneOnLine(t *testing.T) {
+	if err := txtab.AloneOnLine(reflect.TypeFor[shardedRun](), "nextJob"); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"optcc/internal/core"
+	"optcc/internal/txtab"
 )
 
 // checkMerge checks out against r's shard logs restricted to committed
@@ -25,7 +26,7 @@ func checkMerge(r *shardedRun, out core.Schedule) error {
 	n := 0
 	for _, ss := range r.shards {
 		for _, g := range ss.log {
-			if st := &r.txs[g.tx]; !st.committed.Load() || g.attempt != st.restarts.Load() {
+			if st := r.txs.At(int(g.tx)); !st.committed.Load() || g.attempt != st.restarts.Load() {
 				continue
 			}
 			id := core.StepID{Tx: int(g.tx), Idx: int(g.idx)}
@@ -94,16 +95,16 @@ func TestProjectMergeOrders(t *testing.T) {
 		{Steps: []core.Step{step("c"), step("a")}},
 		{Steps: []core.Step{step("a"), step("b")}},
 	}}
-	r := &shardedRun{sys: sys, txs: make([]txState, len(sys.Txs)), shards: []*shardState{
+	r := &shardedRun{sys: sys, txs: txtab.NewDense[txState](len(sys.Txs)), shards: []*shardState{
 		{log: []grant{{tx: 1, idx: 0}, {tx: 4, idx: 0}, {tx: 2, idx: 2}, {tx: 3, idx: 1, attempt: 1}}},
 		{log: []grant{{tx: 2, idx: 0}, {tx: 2, idx: 1}, {tx: 1, idx: 1}, {tx: 4, idx: 1}}},
 		{log: []grant{{tx: 3, idx: 0}, {tx: 1, idx: 2}, {tx: 3, idx: 0, attempt: 1}}},
 	}}
 	for _, tx := range []int{1, 2, 3} {
-		r.txs[tx].committed.Store(true)
+		r.txs.At(tx).committed.Store(true)
 	}
-	r.txs[3].restarts.Store(1)
-	r.txs[4].restarts.Store(1)
+	r.txs.At(3).restarts.Store(1)
+	r.txs.At(4).restarts.Store(1)
 	out, err := r.project()
 	if err != nil {
 		t.Fatal(err)
@@ -155,14 +156,14 @@ func TestProjectMergeStuck(t *testing.T) {
 			{Steps: []core.Step{step("a"), step("b")}},
 			{Steps: []core.Step{step("b"), step("a")}},
 		}},
-		txs: make([]txState, 2),
+		txs: txtab.NewDense[txState](2),
 		shards: []*shardState{
 			{log: []grant{{tx: 1, idx: 1}, {tx: 0, idx: 0}}},
 			{log: []grant{{tx: 0, idx: 1}, {tx: 1, idx: 0}}},
 		},
 	}
-	r.txs[0].committed.Store(true)
-	r.txs[1].committed.Store(true)
+	r.txs.At(0).committed.Store(true)
+	r.txs.At(1).committed.Store(true)
 	out, err := r.project()
 	if err == nil {
 		t.Fatalf("stuck logs merged into %v", out)

@@ -3,6 +3,7 @@ package sim
 import (
 	"optcc/internal/core"
 	"optcc/internal/report"
+	"optcc/internal/txtab"
 )
 
 // samplePeriod is the stage-timing sample: each user times the per-step
@@ -60,7 +61,7 @@ func (s *sampler) draw() uint64 {
 type userMetrics struct {
 	wait, sched, exec, latency report.Histogram
 	yields                     int
-	_                          [64]byte
+	_                          [txtab.LineSize]byte
 }
 
 // newUserMetrics reserves each user's histograms, outside the allocation

@@ -71,6 +71,7 @@ import (
 	"optcc/internal/online"
 	"optcc/internal/report"
 	"optcc/internal/storage"
+	"optcc/internal/txtab"
 )
 
 // watchdogPeriod is the breaker goroutine's tick. Tests raise it to prove
@@ -84,7 +85,7 @@ var watchdogPeriod = 250 * time.Microsecond
 // the latch next to it changes hands.
 type shardState struct {
 	nParked atomic.Int32
-	_       [60]byte
+	_       [txtab.LineSize - 4]byte
 
 	mu     sync.Mutex // the decision latch
 	parked []request
@@ -101,7 +102,10 @@ type grant struct {
 // txState is a transaction's run state. restarts (the aborts so far, which
 // numbers the current attempt) and committed change only on behalf of the
 // transaction itself (its one outstanding request, its abort, its commit);
-// wounded is set by whoever observes the wound.
+// wounded is set by whoever observes the wound. Every request reads its
+// own transaction's state and the job cursor hands neighbouring
+// transactions to different users, so the run keeps the states in an
+// interleaved internal/txtab.Dense: neighbours never share a cache line.
 type txState struct {
 	restarts  atomic.Int32
 	wounded   atomic.Bool // abort at its next request
@@ -121,7 +125,7 @@ const (
 // job ends.
 type userSlot struct {
 	state atomic.Int32
-	_     [60]byte
+	_     [txtab.LineSize - 4]byte
 }
 
 // mustYield reports whether user self hands its processor on at the end of
@@ -213,7 +217,7 @@ type shardedRun struct {
 	// hashing its name.
 	latch []*shardState
 	ids   [][]int32
-	txs   []txState
+	txs   txtab.Dense[txState]
 	// roTx marks the transactions the read-only fast path serves (nil when
 	// the path is off).
 	roTx []bool
@@ -222,9 +226,9 @@ type shardedRun struct {
 	// claim writes it, so it has a cache line of its own; next to the
 	// slice headers every step reads, each claim would evict them from the
 	// other processors.
-	_       [56]byte
+	_       [txtab.LineSize - 8]byte
 	nextJob atomic.Int64
-	_       [56]byte
+	_       [txtab.LineSize - 8]byte
 
 	aborts, breaks atomic.Int64
 
@@ -246,7 +250,7 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 
 	r := &shardedRun{cfg: &cfg, cs: cs, sys: sys, maxRestarts: maxRestarts,
 		procs: runtime.GOMAXPROCS(0), users: slots,
-		txs: make([]txState, n), breakCh: make(chan struct{}, 1)}
+		txs: txtab.NewDense[txState](n), breakCh: make(chan struct{}, 1)}
 
 	// Read-only fast path: when the scheduler's semantics allow it
 	// (online.SnapshotSource) and the backend keeps version chains
@@ -373,11 +377,11 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 		return nil, nil, err
 	}
 
-	for tx := range r.txs {
-		if r.txs[tx].committed.Load() {
+	r.txs.Range(func(_ int, st *txState) {
+		if st.committed.Load() {
 			m.Committed++
 		}
-	}
+	})
 	m.Aborts, m.DeadlockBreaks = int(r.aborts.Load()), int(r.breaks.Load())
 	var err error
 	if m.Output, err = r.project(); err != nil {
@@ -407,7 +411,7 @@ func (r *shardedRun) runUser(t *terminal) {
 	cfg := r.cfg
 	for {
 		tx := int(r.nextJob.Add(1)) - 1
-		if tx >= len(r.txs) {
+		if tx >= r.txs.Len() {
 			return
 		}
 		t.slot.state.Store(stateRunning)
@@ -427,9 +431,9 @@ func (r *shardedRun) runUser(t *terminal) {
 				}
 			}
 			r.sb.SnapshotRelease(t.id)
-			r.txs[tx].committed.Store(true)
+			r.txs.At(tx).committed.Store(true)
 		} else {
-			for r.attempt(tx, t) && int(r.txs[tx].restarts.Load()) < r.maxRestarts {
+			for r.attempt(tx, t) && int(r.txs.At(tx).restarts.Load()) < r.maxRestarts {
 				t.slot.state.Store(stateWaiting)
 				time.Sleep(time.Duration(t.rng.Int63n(int64(50 * time.Microsecond))))
 				t.slot.state.Store(stateRunning)
@@ -491,7 +495,7 @@ func (r *shardedRun) attempt(tx int, t *terminal) (restart bool) {
 				// back, release locks — and stop this transaction for
 				// good. Run surfaces the recorded error.
 				if v.lastGranted {
-					r.txs[tx].committed.Store(false)
+					r.txs.At(tx).committed.Store(false)
 				}
 				r.abortTx(tx)
 				r.kickParked()
@@ -602,7 +606,8 @@ func (r *shardedRun) request(ss *shardState, tx, idx int, t *terminal) verdict {
 //
 //optcc:hotpath
 func (r *shardedRun) decide(ss *shardState, tx, idx int) (v verdict, decided, kick bool) {
-	if !r.admit(tx) {
+	st := r.txs.At(tx)
+	if !r.admit(st, tx) {
 		return verdict{aborted: true}, true, true
 	}
 	//cclint:ignore hotpath the scheduler decision is the measured work itself
@@ -612,7 +617,7 @@ func (r *shardedRun) decide(ss *shardState, tx, idx int) (v verdict, decided, ki
 	case online.Grant:
 		// A transaction wounded by its own request's side effects is
 		// honoured on its next request, not this grant.
-		return r.granted(ss, tx, idx), true, kick
+		return r.granted(ss, st, tx, idx), true, kick
 	case online.AbortTx:
 		//cclint:ignore hotpath abort path
 		r.abortTx(tx)
@@ -621,11 +626,11 @@ func (r *shardedRun) decide(ss *shardState, tx, idx int) (v verdict, decided, ki
 	return verdict{}, false, kick
 }
 
-// admit aborts tx instead of offering its request when a wound is pending.
+// admit aborts tx, whose run state is st, instead of offering its request
+// when a wound is pending.
 //
 //optcc:hotpath
-func (r *shardedRun) admit(tx int) bool {
-	st := &r.txs[tx]
+func (r *shardedRun) admit(st *txState, tx int) bool {
 	if st.wounded.Load() {
 		st.wounded.Store(false)
 		//cclint:ignore hotpath abort path
@@ -640,8 +645,7 @@ func (r *shardedRun) admit(tx int) bool {
 // user goroutine (or the group-commit driver).
 //
 //optcc:hotpath
-func (r *shardedRun) granted(ss *shardState, tx, idx int) verdict {
-	st := &r.txs[tx]
+func (r *shardedRun) granted(ss *shardState, st *txState, tx, idx int) verdict {
 	last := idx == len(r.sys.Txs[tx].Steps)-1
 	if last {
 		st.committed.Store(true)
@@ -661,10 +665,10 @@ func (r *shardedRun) granted(ss *shardState, tx, idx int) verdict {
 func (r *shardedRun) collectWounds() (fresh bool) {
 	//cclint:ignore hotpath scheduler call; nil on the schedulers that never wound
 	for _, w := range r.cs.Wounded() {
-		if w < 0 || w >= len(r.txs) {
+		if w < 0 || w >= r.txs.Len() {
 			continue
 		}
-		if st := &r.txs[w]; !st.committed.Load() && !st.wounded.Load() && st.wounded.CompareAndSwap(false, true) {
+		if st := r.txs.At(w); !st.committed.Load() && !st.wounded.Load() && st.wounded.CompareAndSwap(false, true) {
 			fresh = true
 		}
 	}
@@ -681,7 +685,7 @@ func (r *shardedRun) abortTx(tx int) {
 		r.cfg.Backend.Rollback(tx)
 	}
 	r.cs.Abort(tx)
-	r.txs[tx].restarts.Add(1)
+	r.txs.At(tx).restarts.Add(1)
 	r.aborts.Add(1)
 }
 
@@ -822,7 +826,7 @@ func (r *shardedRun) unpark(tx int) chan verdict {
 // engine invariant violation, returned as an error naming the stuck heads.
 func (r *shardedRun) project() (core.Schedule, error) {
 	final := func(g grant) bool {
-		st := &r.txs[g.tx]
+		st := r.txs.At(int(g.tx))
 		return st.committed.Load() && g.attempt == st.restarts.Load()
 	}
 	n := 0
@@ -834,7 +838,7 @@ func (r *shardedRun) project() (core.Schedule, error) {
 		}
 	}
 	h := make(core.Schedule, 0, n)
-	next := make([]int32, len(r.txs)) // each transaction's next step index
+	next := make([]int32, r.txs.Len()) // each transaction's next step index
 	heads := make([]int, len(r.shards))
 	for progress := true; progress; {
 		progress = false

@@ -332,7 +332,7 @@ type readerSlot struct {
 	ts    atomic.Int64
 	reads atomic.Int64
 	bytes atomic.Int64
-	_     [40]byte
+	_     [txtab.LineSize - 24]byte
 }
 
 // KV is the sharded in-memory implementation of Backend: one immutable

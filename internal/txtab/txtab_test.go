@@ -1,9 +1,11 @@
 package txtab
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 type counter struct{ n atomic.Int64 }
@@ -149,5 +151,121 @@ func TestInitPreparesEachChunkOnce(t *testing.T) {
 	tab.Slot(3 * chunkSize)
 	if chunks != 4 {
 		t.Fatalf("a new chunk was set up %d times", chunks-3)
+	}
+}
+
+// txSlot is a slot the size of the engine's smallest per-transaction
+// state (sim's run state, a scheduler's timestamp).
+type txSlot struct{ a, b int32 }
+
+// apart reports whether two slots of size bytes at p and q leave at least
+// a whole line between them, so no cache line holds bytes of both
+// whatever the alignment.
+func apart(p, q unsafe.Pointer, size uintptr) bool {
+	a, b := uintptr(p), uintptr(q)
+	if a > b {
+		a, b = b, a
+	}
+	return b-a >= size+LineSize
+}
+
+// checkLayout checks that slot is a bijection from [0, n) onto distinct
+// slots and that transactions fewer than Spread apart sit at least a
+// line apart.
+func checkLayout[T any](t *testing.T, name string, n int, slot func(tx int) *T) {
+	t.Helper()
+	size := unsafe.Sizeof(*new(T))
+	seen := make(map[*T]int, n)
+	for tx := 0; tx < n; tx++ {
+		p := slot(tx)
+		if prev, dup := seen[p]; dup {
+			t.Fatalf("%s n=%d: transactions %d and %d share a slot", name, n, prev, tx)
+		}
+		seen[p] = tx
+		for d := 1; d < Spread && tx+d < n; d++ {
+			if !apart(unsafe.Pointer(p), unsafe.Pointer(slot(tx+d)), size) {
+				t.Fatalf("%s n=%d: transactions %d and %d sit %d bytes apart, want a %d-byte line between them",
+					name, n, tx, tx+d, uintptr(unsafe.Pointer(slot(tx+d)))-uintptr(unsafe.Pointer(p)), LineSize)
+			}
+		}
+	}
+}
+
+// TestLayoutKeepsNeighboursApart checks both tables' interleaving over
+// sizes around a chunk and a Spread boundary and at bench's disjoint
+// size: every transaction gets its own slot, neighbours fewer than Spread
+// apart never share a cache line, and Dense of a real size costs no more
+// than a plain array.
+func TestLayoutKeepsNeighboursApart(t *testing.T) {
+	for _, n := range []int{1, 7, 8, 9, 255, 256, 257, 36000} {
+		d := NewDense[txSlot](n)
+		if d.Len() != n {
+			t.Fatalf("Dense n=%d: Len %d", n, d.Len())
+		}
+		checkLayout(t, "Dense", n, d.At)
+		visits := 0
+		d.Range(func(tx int, p *txSlot) {
+			if p != d.At(tx) {
+				t.Fatalf("Dense n=%d: Range gave tx %d a slot At does not", n, tx)
+			}
+			visits++
+		})
+		if visits != n {
+			t.Fatalf("Dense n=%d: Range visited %d slots", n, visits)
+		}
+		var tab Table[txSlot]
+		checkLayout(t, "Table", n, tab.Slot)
+		var wide Table[counter]
+		checkLayout(t, "Table[counter]", n, wide.Slot)
+	}
+	d := NewDense[txSlot](36000)
+	if start, end := d.At(0), &d.rows[Spread-1][len(d.rows[Spread-1])-1]; uintptr(unsafe.Pointer(end))-uintptr(unsafe.Pointer(start)) != 35999*unsafe.Sizeof(txSlot{}) {
+		t.Fatal("Dense of 36000 spans more than 36000 slots")
+	}
+	for _, tx := range []int{-1, 9, 15, 16, 79, 80} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("At(%d) on a table of 9 did not panic", tx)
+				}
+			}()
+			d := NewDense[txSlot](9)
+			d.At(tx)
+		}()
+	}
+}
+
+// TestAloneOnLine checks the padded-word checker on a padded word, a word
+// with a field added beside it inside the padding's reach, and a word
+// with no trailing pad.
+func TestAloneOnLine(t *testing.T) {
+	type padded struct {
+		hot   *int
+		_     [LineSize - 8]byte
+		clock atomic.Int64
+		_     [LineSize - 8]byte
+	}
+	type crowded struct {
+		hot   *int
+		_     [LineSize - 8]byte
+		clock atomic.Int64
+		added int32
+		_     [LineSize - 8]byte
+	}
+	type open struct {
+		hot   *int
+		_     [LineSize - 8]byte
+		clock atomic.Int64
+	}
+	if err := AloneOnLine(reflect.TypeFor[padded](), "clock"); err != nil {
+		t.Fatal(err)
+	}
+	for _, typ := range []reflect.Type{reflect.TypeFor[crowded](), reflect.TypeFor[open]()} {
+		if AloneOnLine(typ, "clock") == nil {
+			t.Fatalf("%v: a clock that can share its line passed", typ)
+		}
+	}
+	if AloneOnLine(reflect.TypeFor[padded](), "missing") == nil {
+		t.Fatal("a missing field passed")
 	}
 }
