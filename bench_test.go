@@ -9,6 +9,7 @@ package optcc
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -317,6 +318,15 @@ func BenchmarkDiskBackendCommit(b *testing.B) {
 // through a window of its own), so what the workers share is the store,
 // not a transaction or a record. The disk backend runs under FsyncNever,
 // so no fsync is in the loop.
+//
+// The rows kv and disk drive a small unbound store. The rows below them
+// run at the Bench v2 workloads' scale: Disjoint(n, 3) transactions (three
+// updates of one variable each) over a Disk of 18,000 variables, as in
+// durable-2pl-disk, and over a KV of 16,384 4 KiB records (recycling on),
+// the table of readmostly-mv-kv. Each runs bound to the System (steps find
+// their record by variable number, as under sim.Run) and by name (the
+// store never bound), and worker w of the GOMAXPROCS workers sweeps every
+// GOMAXPROCS-th transaction, so the steps touch the whole table.
 func BenchmarkBackendContextPath(b *testing.B) {
 	const window, maxWorkers = 1024, 256
 	steps := make([]core.Step, 3*maxWorkers)
@@ -361,4 +371,51 @@ func BenchmarkBackendContextPath(b *testing.B) {
 		defer d.Close()
 		run(b, d)
 	})
+
+	runSystem := func(b *testing.B, be storage.Backend, sys *core.System, bind bool) {
+		if bind {
+			be.(storage.Binder).Bind(sys)
+		}
+		be.Reset(sys.InitialState())
+		procs := runtime.GOMAXPROCS(0)
+		per := sys.NumTxs() / procs
+		var workers atomic.Int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			w := int(workers.Add(1) - 1)
+			if w >= procs {
+				b.Errorf("more than GOMAXPROCS (%d) parallel workers", procs)
+				return
+			}
+			for i := 0; pb.Next(); i++ {
+				tx := w + procs*(i%per)
+				for _, st := range sys.Txs[tx].Steps {
+					if err := be.ApplyStep(tx, st); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+				be.Commit(tx)
+			}
+		})
+	}
+	kvSys, diskSys := workload.Disjoint(16384, 3), workload.Disjoint(18000, 3)
+	for _, bind := range []bool{true, false} {
+		path := "by-name"
+		if bind {
+			path = "bound"
+		}
+		b.Run("kv-16384x4KiB/"+path, func(b *testing.B) {
+			runSystem(b, storage.NewKV(storage.Config{Shards: 4, ValueSize: 4096, Recycle: true}), kvSys, bind)
+		})
+		b.Run("disk-18000/"+path, func(b *testing.B) {
+			d, err := storage.NewDisk(storage.Config{Dir: b.TempDir(), Fsync: storage.FsyncNever})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer d.Close()
+			runSystem(b, d, diskSys, bind)
+		})
+	}
 }

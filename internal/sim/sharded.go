@@ -423,9 +423,10 @@ func (r *shardedRun) runUser(t *terminal) {
 			// Read-only fast path: one pinned snapshot, every step a
 			// lock-free chain walk, nothing shared but atomics.
 			snap := r.sb.SnapshotAcquire(t.id)
+			ids := r.ids[tx]
 			for i := range steps {
 				r.think(t)
-				r.sb.SnapshotRead(t.id, steps[i].Var, snap)
+				r.sb.SnapshotReadAt(t.id, ids[i], steps[i].Var, snap)
 				if cfg.ExecTime > 0 {
 					time.Sleep(cfg.ExecTime)
 				}

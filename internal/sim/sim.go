@@ -349,6 +349,11 @@ func run(cfg Config) (*Metrics, *shardedRun, error) {
 			// build one for it.
 			cfg.Backend.Reset(nil)
 		} else {
+			// A store that can find records by variable number learns the
+			// System's numbering before it lays its table out.
+			if b, ok := cfg.Backend.(storage.Binder); ok {
+				b.Bind(sys)
+			}
 			cfg.Backend.Reset(sys.InitialState())
 		}
 	}

@@ -127,7 +127,7 @@ type diskTx struct {
 	localBuf [txInline]core.Value
 	writeBuf [txInline]walWrite
 
-	reads, nwrites, rollbacks int64
+	reads, nwrites, rollbacks, byName int64
 }
 
 // newDiskTxs points each new slot's buffers at its inline arrays.
@@ -152,16 +152,18 @@ type diskTable = vartab.Table[diskCell]
 
 // loadDiskTable returns a table holding db: t itself, its cells
 // overwritten in place, when t has exactly db's variables (Reset before
-// every run over one system), otherwise a new table. Overwriting is safe
-// because no transaction is live during Reset and the caller holds
-// Disk.mu, which every capture of the table takes.
-func loadDiskTable(t *diskTable, db map[core.Var]core.Value) *diskTable {
+// every run over one system), otherwise a new table laid out in sorted
+// variable order (core.System.Vars order, so a bound step's number indexes
+// it). Overwriting is safe because no transaction is live during Reset and
+// the caller holds Disk.mu, which every capture of the table takes.
+func loadDiskTable(t *diskTable, db core.DB) *diskTable {
 	if t == nil || !t.SameVars(db) {
-		t = vartab.New[diskCell](slices.Collect(maps.Keys(db)))
+		t = vartab.New[diskCell](slices.Sorted(maps.Keys(db)))
 	}
-	for v, val := range db {
-		t.Slot(v).val.Store(int64(val))
-	}
+	t.Range(func(v core.Var, c *diskCell) bool {
+		c.val.Store(int64(db[v]))
+		return true
+	})
 	return t
 }
 
@@ -193,16 +195,21 @@ func snapshotLocked(t *diskTable) core.DB {
 	return db
 }
 
-// get reads v for c's transaction, counting the read: its own buffered
-// write if any, else the committed value.
-func (c *diskTx) get(t *diskTable, v core.Var) core.Value {
+// get reads v, whose committed cell is cell (nil: v has none yet), for
+// c's transaction, counting the read: its own buffered write if any, else
+// the committed value. A buffered write that found its cell matches by
+// cell, since a variable's cell is its own for the table's life; one
+// buffered by name (Put) matches by name.
+//
+//optcc:hotpath
+func (c *diskTx) get(cell *diskCell, v core.Var) core.Value {
 	c.reads++
 	for i := len(c.writes) - 1; i >= 0; i-- {
-		if c.writes[i].v == v {
-			return c.writes[i].val
+		if w := &c.writes[i]; w.cell == cell && cell != nil || w.cell == nil && w.v == v {
+			return w.val
 		}
 	}
-	if cell := t.Lookup(v); cell != nil {
+	if cell != nil {
 		return core.Value(cell.val.Load())
 	}
 	return 0
@@ -272,6 +279,9 @@ type Disk struct {
 
 	// tab is the committed state, swapped whole by Reset and recovery.
 	tab atomic.Pointer[diskTable]
+	// bound is the System the store runs (Bind): a step finds its cell
+	// by the variable number the System gives it.
+	bound binding
 	// txs holds every transaction's context, found by its number with no
 	// lock; a slot keeps its buffers' capacity across transactions and
 	// runs, so a warm store allocates none per transaction.
@@ -287,11 +297,12 @@ type Disk struct {
 	// retirement (a concurrent GroupSync may hold a captured handle
 	// mid-fsync; closing it under the roll would race the sync — retirement
 	// closes them under syncMu, which excludes any in-flight group fsync)
-	logBuf      []byte   // framed records staged since the last flushLocked
-	activeBytes int64    // bytes appended to the active segment, staged included
-	dirty       bool     // appended since the last successful sync
-	err         error    // sticky durability error
-	lock        *os.File // exclusive data-dir lock (flock), nil once released
+	logBuf      []byte     // framed records staged since the last flushLocked
+	resetCells  []walWrite // Reset's baseline image, reused
+	activeBytes int64      // bytes appended to the active segment, staged included
+	dirty       bool       // appended since the last successful sync
+	err         error      // sticky durability error
+	lock        *os.File   // exclusive data-dir lock (flock), nil once released
 
 	// Checkpointer state (checkpoint.go), all under mu.
 	ckptThresh  int64 // WAL bytes between checkpoints (0 = no background loop)
@@ -391,6 +402,9 @@ func NewDisk(cfg Config) (*Disk, error) {
 // Name implements Backend.
 func (d *Disk) Name() string { return "disk" }
 
+// Bind implements Binder.
+func (d *Disk) Bind(sys *core.System) { d.bound.bind(sys) }
+
 // Dir returns the backing directory.
 func (d *Disk) Dir() string { return d.dir }
 
@@ -421,7 +435,7 @@ func (d *Disk) poisonLocked(err error) {
 func (d *Disk) Reset(init core.DB) {
 	d.txs.Range(func(_ int, c *diskTx) bool {
 		c.finish()
-		c.reads, c.nwrites, c.rollbacks = 0, 0, 0
+		c.reads, c.nwrites, c.rollbacks, c.byName = 0, 0, 0, 0
 		return true
 	})
 	d.mu.Lock()
@@ -462,7 +476,8 @@ func (d *Disk) resetLocked(init core.DB) {
 			return
 		}
 	}
-	d.tab.Store(loadDiskTable(d.tab.Load(), init))
+	t := loadDiskTable(d.tab.Load(), init)
+	d.tab.Store(t)
 	d.err = nil
 	d.poisoned.Store(false)
 	d.seq = 1
@@ -492,7 +507,8 @@ func (d *Disk) resetLocked(init core.DB) {
 	// growth: like OpenDisk's compaction snapshot it does not count toward
 	// CheckpointBytes, or a large initial database would kick a checkpoint
 	// that only re-copies the table just written.
-	if err := d.writeLocked(d.enc.encodeSnapshot(dbWrites(init))); err != nil {
+	d.resetCells = appendCellsLocked(d.resetCells[:0], t)
+	if err := d.writeLocked(d.enc.encodeSnapshot(d.resetCells)); err != nil {
 		return
 	}
 	d.syncLocked()
@@ -596,7 +612,7 @@ func (d *Disk) syncLocked() error {
 
 // Get implements Backend.
 func (d *Disk) Get(tx int, v core.Var) core.Value {
-	return d.txs.Slot(tx).get(d.tab.Load(), v)
+	return d.txs.Slot(tx).get(d.tab.Load().Lookup(v), v)
 }
 
 // Put implements Backend: scalar joins tx's write set; nothing reaches the
@@ -617,7 +633,10 @@ func (d *Disk) Scan(fn func(v core.Var, scalar core.Value) bool) {
 // ApplyStep implements Backend with the paper's step semantics (see
 // Backend); a sticky durability error fails every subsequent step, which
 // is how a poisoned store surfaces as the run error. It takes no lock: the
-// context is one table lookup, the read one more and one atomic load.
+// context is one table lookup, the read one more and one atomic load. A
+// bound store finds the step's cell by its variable number (see Backend),
+// and the write carries the cell to Commit; any other step hashes the
+// name.
 func (d *Disk) ApplyStep(tx int, step core.Step) error {
 	if d.poisoned.Load() {
 		return d.Err()
@@ -626,10 +645,16 @@ func (d *Disk) ApplyStep(tx int, step core.Step) error {
 		return fmt.Errorf("storage: step on %s has no interpretation", step.Var)
 	}
 	c := d.txs.Slot(tx)
-	c.locals = append(c.locals, c.get(d.tab.Load(), step.Var))
+	t := d.tab.Load()
+	cell := t.AtVar(d.bound.stepID(tx, len(c.locals)), step.Var)
+	if cell == nil {
+		c.byName++
+		cell = t.Lookup(step.Var)
+	}
+	c.locals = append(c.locals, c.get(cell, step.Var))
 	if step.Kind != core.Read {
 		c.nwrites++
-		c.writes = append(c.writes, walWrite{v: step.Var, val: step.Fn(c.locals)})
+		c.writes = append(c.writes, walWrite{v: step.Var, val: step.Fn(c.locals), cell: cell})
 	}
 	return nil
 }
@@ -670,7 +695,11 @@ func (d *Disk) commitWrites(tx int, writes []walWrite) {
 	}
 	t := d.tab.Load()
 	for _, w := range writes {
-		t.Slot(w.v).val.Store(int64(w.val))
+		cell := w.cell
+		if cell == nil {
+			cell = t.Slot(w.v) // buffered by name, or a variable the table lacks
+		}
+		cell.val.Store(int64(w.val))
 	}
 	if d.policy == FsyncAlways {
 		d.syncLocked()
@@ -818,6 +847,7 @@ func (d *Disk) Stats() Stats {
 		st.Reads += c.reads
 		st.Writes += c.nwrites
 		st.Rollbacks += c.rollbacks
+		st.ByName += c.byName
 		return true
 	})
 	return st

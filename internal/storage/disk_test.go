@@ -17,7 +17,7 @@ func TestWALRoundTrip(t *testing.T) {
 	var enc walEncoder
 	var log []byte
 	log = append(log, enc.encodeCommit(5, []walWrite{{v: "a", val: -2}, {v: "b", val: 1 << 40}})...)
-	log = append(log, enc.encodeSnapshot(dbWrites(core.DB{"x": 9, "y": -1}))...)
+	log = append(log, enc.encodeSnapshot([]walWrite{{v: "x", val: 9}, {v: "y", val: -1}})...)
 	log = append(log, enc.encodeCkpt(3, 7, 1<<20)...)
 
 	var recs []walRec

@@ -59,11 +59,19 @@ type version struct {
 //optcc:hotpath
 func uncommittedMark(tx int) int64 { return -int64(tx) - 1 }
 
-// chain is one variable's version list: just the CAS-installed head.
-// Chains live in an internal/vartab table, created once per variable (at
-// Reset for declared variables, through vartab's fallback for stragglers)
-// and never removed, so looking one up is a pure read of an immutable map.
-type chain struct{ head atomic.Pointer[version] }
+// chain is one variable's version list: the CAS-installed head, and the
+// shard the variable's versions are recycled and collected in. Chains live
+// in an internal/vartab table, created once per variable (at Reset for
+// declared variables, through vartab's fallback for stragglers) and never
+// removed, so looking one up is a pure read of an immutable map, or one
+// index by the variable's number.
+type chain struct {
+	head atomic.Pointer[version]
+	// sh is the variable's shard (lockmgr.ShardOfVar), set when Reset lays
+	// the table out; nil on a fallback chain, whose shard the name path
+	// finds by hashing.
+	sh *kvShard
+}
 
 // Stats counts the physical work a backend performed since Reset.
 type Stats struct {
@@ -81,6 +89,12 @@ type Stats struct {
 	// unlinked once no snapshot could see them (their payloads return to
 	// the freelists when Recycle is on).
 	VersionsGCed int64
+	// ByName counts the steps (ApplyStep) and numbered snapshot reads
+	// (SnapshotReadAt) that found their record by name because the number
+	// did not name it: every step of an unbound store, none of a store
+	// bound to the System it runs. The name-keyed calls (Get, Put,
+	// SnapshotRead) are not counted.
+	ByName int64
 }
 
 // Config parameterizes the in-memory KV backend.
@@ -299,7 +313,7 @@ type kvTx struct {
 	localBuf [txInline]core.Value
 	undoBuf  [txInline]undoRec
 
-	reads, writes, bytesRead, bytesWritten, rollbacks int64
+	reads, writes, bytesRead, bytesWritten, rollbacks, byName int64
 }
 
 // newKVTxs points each new slot's buffers at its inline arrays.
@@ -317,10 +331,13 @@ func (c *kvTx) finish() {
 	c.undo = c.undo[:0]
 }
 
-// undoRec remembers one installed version and the head it displaced (nil:
-// the variable was absent, so rollback empties the chain).
+// undoRec remembers one installed version, the head it displaced (nil:
+// the variable was absent, so rollback empties the chain), and the chain
+// and shard the write found, so commit and rollback find them again
+// without the variable's name.
 type undoRec struct {
-	v    core.Var
+	ch   *chain
+	sh   *kvShard
 	ver  *version
 	prev *version
 }
@@ -329,10 +346,11 @@ type undoRec struct {
 // to a cache line so concurrent readers on adjacent slots do not
 // false-share. ts == -1 means the slot is unpinned.
 type readerSlot struct {
-	ts    atomic.Int64
-	reads atomic.Int64
-	bytes atomic.Int64
-	_     [txtab.LineSize - 24]byte
+	ts     atomic.Int64
+	reads  atomic.Int64
+	bytes  atomic.Int64
+	byName atomic.Int64 // SnapshotReadAt calls whose number missed
+	_      [txtab.LineSize - 32]byte
 }
 
 // KV is the sharded in-memory implementation of Backend: one immutable
@@ -347,6 +365,9 @@ type KV struct {
 	cfg    Config
 	shards []kvShard
 	vars   *vartab.Table[chain]
+	// bound is the System the store runs (Bind): a step finds its chain
+	// by the variable number the System gives it.
+	bound binding
 
 	// commitSeq hands out commit timestamps; snapClock publishes them in
 	// order once a commit's versions are fully stamped, so a snapshot at
@@ -397,10 +418,16 @@ func (kv *KV) Name() string { return fmt.Sprintf("kv(%d)", len(kv.shards)) }
 // NumShards returns the shard count.
 func (kv *KV) NumShards() int { return len(kv.shards) }
 
+// shard finds v's shard by hashing its name: the name path's, and
+// Reset's once per declared variable (chain.sh).
+//
 //optcc:hotpath
 func (kv *KV) shard(v core.Var) *kvShard {
 	return &kv.shards[lockmgr.ShardOfVar(v, len(kv.shards))]
 }
+
+// Bind implements Binder.
+func (kv *KV) Bind(sys *core.System) { kv.bound.bind(sys) }
 
 // checksum is the XOR fold of a payload; recomputed on every read so a read
 // touches every byte, the way a real engine's page checksum does. It folds
@@ -503,15 +530,21 @@ func (kv *KV) initialVersion(sh *kvShard, old *version, scalar core.Value) *vers
 }
 
 // Reset implements Backend: drop everything and load init, one chain with
-// one begin=0 version per variable with its configured payload size. When
-// init has the same variables as the current table (a runtime resetting
-// the store before every run over one system), the table is kept and each
-// chain's head is rewritten in place (initialVersion), so a repeated
-// Reset allocates no table and no payload. No transaction or snapshot may
-// be live during Reset (Backend.Reset); init is only read.
+// one begin=0 version per variable with its configured payload size, laid
+// out in sorted variable order (core.System.Vars order, so a bound step's
+// number indexes the table). When init has the same variables as the
+// current table (a runtime resetting the store before every run over one
+// system), the table is kept and each chain's head is rewritten in place
+// (initialVersion), so a repeated Reset allocates no table and no payload.
+// No transaction or snapshot may be live during Reset (Backend.Reset);
+// init is only read.
 func (kv *KV) Reset(init core.DB) {
 	if !kv.vars.SameVars(init) {
-		kv.vars = vartab.New[chain](slices.Collect(maps.Keys(init)))
+		kv.vars = vartab.New[chain](slices.Sorted(maps.Keys(init)))
+		kv.vars.Range(func(v core.Var, ch *chain) bool {
+			ch.sh = kv.shard(v)
+			return true
+		})
 	}
 	for i := range kv.shards {
 		sh := &kv.shards[i]
@@ -524,7 +557,7 @@ func (kv *KV) Reset(init core.DB) {
 	}
 	kv.txs.Range(func(_ int, c *kvTx) bool {
 		c.finish()
-		c.reads, c.writes, c.bytesRead, c.bytesWritten, c.rollbacks = 0, 0, 0, 0, 0
+		c.reads, c.writes, c.bytesRead, c.bytesWritten, c.rollbacks, c.byName = 0, 0, 0, 0, 0, 0
 		return true
 	})
 	kv.commitSeq.Store(0)
@@ -534,12 +567,13 @@ func (kv *KV) Reset(init core.DB) {
 		kv.slots[i].ts.Store(-1)
 		kv.slots[i].reads.Store(0)
 		kv.slots[i].bytes.Store(0)
+		kv.slots[i].byName.Store(0)
 	}
 	kv.versionsGCed.Store(0)
-	for v, val := range init {
-		ch := kv.vars.Slot(v)
-		ch.head.Store(kv.initialVersion(kv.shard(v), ch.head.Load(), val))
-	}
+	kv.vars.Range(func(v core.Var, ch *chain) bool {
+		ch.head.Store(kv.initialVersion(ch.sh, ch.head.Load(), init[v]))
+		return true
+	})
 }
 
 // Get implements Backend: walk tx's chain view lock-free and return the
@@ -553,14 +587,14 @@ func (kv *KV) Reset(init core.DB) {
 //
 //optcc:hotpath
 func (kv *KV) Get(tx int, v core.Var) core.Value {
-	return kv.get(kv.txs.Slot(tx), tx, v)
+	return kv.get(kv.txs.Slot(tx), tx, kv.vars.Lookup(v), v)
 }
 
-// get is Get for a caller already holding tx's context c (ApplyStep).
+// get is Get for a caller already holding tx's context c and v's chain
+// ch (nil: v has none, and reads 0).
 //
 //optcc:hotpath
-func (kv *KV) get(c *kvTx, tx int, v core.Var) core.Value {
-	ch := kv.vars.Lookup(v)
+func (kv *KV) get(c *kvTx, tx int, ch *chain, v core.Var) core.Value {
 	if ch == nil {
 		return 0
 	}
@@ -592,14 +626,13 @@ func (kv *KV) get(c *kvTx, tx int, v core.Var) core.Value {
 // install race (concurrent writers — non-strict schedulers only) recycles
 // the speculative buffer and rebuilds against the new head.
 func (kv *KV) Put(tx int, v core.Var, scalar core.Value) {
-	kv.put(kv.txs.Slot(tx), tx, v, scalar)
+	kv.put(kv.txs.Slot(tx), tx, kv.vars.Slot(v), kv.shard(v), scalar)
 }
 
-// put is Put for a caller already holding tx's context c (ApplyStep), so a
-// write step looks the context up once.
-func (kv *KV) put(c *kvTx, tx int, v core.Var, scalar core.Value) {
-	ch := kv.vars.Slot(v)
-	sh := kv.shard(v)
+// put is Put for a caller already holding tx's context c and the chain ch
+// and shard sh of the variable written, so a write step looks each up
+// once.
+func (kv *KV) put(c *kvTx, tx int, ch *chain, sh *kvShard, scalar core.Value) {
 	size := kv.cfg.ValueSize
 	mark := uncommittedMark(tx)
 	for {
@@ -608,7 +641,7 @@ func (kv *KV) put(c *kvTx, tx int, v core.Var, scalar core.Value) {
 		if ch.head.CompareAndSwap(prev, ver) {
 			c.writes++
 			c.bytesWritten += int64(len(ver.rec.Payload))
-			c.undo = append(c.undo, undoRec{v: v, ver: ver, prev: prev})
+			c.undo = append(c.undo, undoRec{ch: ch, sh: sh, ver: ver, prev: prev})
 			return
 		}
 		sh.putBuf(ver.rec.Payload)
@@ -628,10 +661,20 @@ func (kv *KV) Scan(fn func(v core.Var, scalar core.Value) bool) {
 	})
 }
 
-// ApplyStep implements Backend with the paper's step semantics.
+// ApplyStep implements Backend with the paper's step semantics. A bound
+// store reaches the step's chain, and with it the shard, by the step's
+// variable number (see Backend); any other step hashes the name.
 func (kv *KV) ApplyStep(tx int, step core.Step) error {
 	c := kv.txs.Slot(tx)
-	val := kv.get(c, tx, step.Var)
+	ch := kv.vars.AtVar(kv.bound.stepID(tx, len(c.locals)), step.Var)
+	var sh *kvShard
+	if ch != nil {
+		sh = ch.sh
+	} else {
+		c.byName++
+		ch = kv.vars.Lookup(step.Var)
+	}
+	val := kv.get(c, tx, ch, step.Var)
 	c.locals = append(c.locals, val)
 	if step.Kind == core.Read {
 		return nil // write-back is the identity on t_ij
@@ -639,7 +682,10 @@ func (kv *KV) ApplyStep(tx int, step core.Step) error {
 	if step.Fn == nil {
 		return fmt.Errorf("storage: step on %s has no interpretation", step.Var)
 	}
-	kv.put(c, tx, step.Var, step.Fn(c.locals))
+	if sh == nil {
+		ch, sh = kv.vars.Slot(step.Var), kv.shard(step.Var)
+	}
+	kv.put(c, tx, ch, sh, step.Fn(c.locals))
 	return nil
 }
 
@@ -647,8 +693,9 @@ func (kv *KV) ApplyStep(tx int, step core.Step) error {
 // commit timestamp (begin on each new version, end on each displaced one),
 // publish the timestamp in commit order — snapshots only admit timestamps
 // whose commits are fully stamped — retire the displaced versions, and run
-// the GC up to the minimum active snapshot. A transaction that wrote
-// nothing takes no timestamp.
+// the GC up to the minimum active snapshot, once in each shard the
+// transaction retired a version into. A transaction that wrote nothing
+// takes no timestamp.
 func (kv *KV) Commit(tx int) {
 	c := kv.txs.Lookup(tx)
 	if c == nil {
@@ -660,7 +707,7 @@ func (kv *KV) Commit(tx int) {
 			u.ver.begin.Store(ts)
 			if u.prev != nil {
 				u.prev.end.Store(ts)
-				kv.shard(u.v).retire(u.prev, u.ver, ts)
+				u.sh.retire(u.prev, u.ver, ts)
 			}
 		}
 		// Publish in commit order: a reader pinning snapClock == ts sees
@@ -669,13 +716,26 @@ func (kv *KV) Commit(tx int) {
 			runtime.Gosched()
 		}
 		min := kv.minActiveSnapshot()
-		for _, u := range c.undo {
-			if u.prev != nil {
-				kv.shard(u.v).collect(kv, min)
+		for i, u := range c.undo {
+			if u.prev != nil && !retiredBefore(c.undo, i) {
+				u.sh.collect(kv, min)
 			}
 		}
 	}
 	c.finish()
+}
+
+// retiredBefore reports whether an undo record before undo[i] retired a
+// version into undo[i]'s shard, which Commit has collected then already.
+//
+//optcc:hotpath
+func retiredBefore(undo []undoRec, i int) bool {
+	for _, u := range undo[:i] {
+		if u.prev != nil && u.sh == undo[i].sh {
+			return true
+		}
+	}
+	return false
 }
 
 // Rollback implements Backend: replay tx's undo log in reverse, restoring
@@ -695,14 +755,10 @@ func (kv *KV) Rollback(tx int) {
 	}
 	for i := len(c.undo) - 1; i >= 0; i-- {
 		u := c.undo[i]
-		ch := kv.vars.Lookup(u.v)
-		if ch == nil {
-			continue
-		}
-		dying := ch.head.Load()
-		ch.head.Store(u.prev)
+		dying := u.ch.head.Load()
+		u.ch.head.Store(u.prev)
 		if kv.cfg.Recycle && dying == u.ver {
-			kv.shard(u.v).putBuf(dying.rec.Payload)
+			u.sh.putBuf(dying.rec.Payload)
 		}
 	}
 	c.finish()
@@ -772,7 +828,28 @@ func (kv *KV) SnapshotRelease(slot int) {
 // minimum active snapshot. The slot indexes the reader's local counters
 // only; visibility comes from snap.
 func (kv *KV) SnapshotRead(slot int, v core.Var, snap int64) core.Value {
-	ch := kv.vars.Lookup(v)
+	return kv.snapshotRead(slot, kv.vars.Lookup(v), v, snap)
+}
+
+// SnapshotReadAt implements SnapshotBackend: SnapshotRead reaching v's
+// chain by its number id when the table holds v there, and by name
+// otherwise.
+//
+//optcc:hotpath
+func (kv *KV) SnapshotReadAt(slot int, id int32, v core.Var, snap int64) core.Value {
+	ch := kv.vars.AtVar(id, v)
+	if ch == nil {
+		kv.slots[slot].byName.Add(1)
+		ch = kv.vars.Lookup(v)
+	}
+	return kv.snapshotRead(slot, ch, v, snap)
+}
+
+// snapshotRead is SnapshotRead of v through its chain ch (nil: v has
+// none, and reads 0).
+//
+//optcc:hotpath
+func (kv *KV) snapshotRead(slot int, ch *chain, v core.Var, snap int64) core.Value {
 	if ch == nil {
 		return 0
 	}
@@ -788,6 +865,7 @@ func (kv *KV) SnapshotRead(slot int, v core.Var, snap int64) core.Value {
 		sl.reads.Add(1)
 		sl.bytes.Add(int64(len(ver.rec.Payload)))
 		if checksum(ver.rec.Payload) != ver.rec.Sum {
+			//cclint:ignore hotpath corruption panic is the failure path; it never executes on a healthy run
 			panic(fmt.Sprintf("storage: payload corruption on %s (snapshot %d)", v, snap))
 		}
 		return ver.rec.Scalar
@@ -833,6 +911,7 @@ func (kv *KV) Stats() Stats {
 	st := Stats{SnapshotReads: kv.SnapshotReads(), VersionsGCed: kv.versionsGCed.Load()}
 	for i := range kv.slots {
 		st.BytesRead += kv.slots[i].bytes.Load()
+		st.ByName += kv.slots[i].byName.Load()
 	}
 	kv.txs.Range(func(_ int, c *kvTx) bool {
 		st.Reads += c.reads
@@ -840,6 +919,7 @@ func (kv *KV) Stats() Stats {
 		st.BytesRead += c.bytesRead
 		st.BytesWritten += c.bytesWritten
 		st.Rollbacks += c.rollbacks
+		st.ByName += c.byName
 		return true
 	})
 	return st

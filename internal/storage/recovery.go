@@ -169,7 +169,8 @@ func OpenDisk(cfg Config) (*Disk, error) {
 	if err != nil {
 		return fail(fmt.Errorf("storage: recovery snapshot: %w", err))
 	}
-	frame := d.enc.encodeSnapshot(dbWrites(table))
+	tab := loadDiskTable(nil, table)
+	frame := d.enc.encodeSnapshot(appendCellsLocked(nil, tab))
 	if _, err := f.Write(frame); err != nil {
 		f.Close()
 		return fail(fmt.Errorf("storage: recovery snapshot write: %w", err))
@@ -201,7 +202,7 @@ func OpenDisk(cfg Config) (*Disk, error) {
 	}
 	d.active = active
 	d.activeBytes = 0
-	d.tab.Store(loadDiskTable(nil, table))
+	d.tab.Store(tab)
 	if truncated {
 		d.walTruncated.Add(1)
 	}

@@ -62,6 +62,15 @@ import (
 // execution, non-negative; it keys the per-transaction undo log and
 // local-variable context, and a store's memory for contexts grows with the
 // largest index it sees.
+//
+// A store that also implements Binder finds a step's record by its
+// variable number instead of hashing the name. The runtime binds it to the
+// System before every Reset; ApplyStep then takes the number from the
+// bound System's VarIDs at the transaction's step index, which is its
+// count of locals, and uses it only where the store's own table names the
+// step's variable at that number. Every other call (Get, Put, a step of
+// another System, a store never bound) finds the record by name, so the
+// binding changes how fast a record is found, never which one.
 type Backend interface {
 	// Name identifies the backend.
 	Name() string
@@ -124,11 +133,55 @@ type SnapshotBackend interface {
 	// holds pinned via slot): the newest version committed at or before
 	// snap, checksum-verified, with no lock taken.
 	SnapshotRead(slot int, v core.Var, snap int64) core.Value
+	// SnapshotReadAt is SnapshotRead for a caller that knows v's number
+	// in the System it runs (core.System.VarIDs): the store reaches v's
+	// record by id when its table holds v there, and by name otherwise.
+	SnapshotReadAt(slot int, id int32, v core.Var, snap int64) core.Value
 	// SnapshotReads reports reads served through the snapshot path.
 	SnapshotReads() int64
 	// VersionsGCed reports superseded versions the store unlinked (and,
 	// with recycling on, returned to its freelists).
 	VersionsGCed() int64
+}
+
+// Binder is the optional extension of Backend for a store that finds a
+// step's record by its variable number (see Backend). The runtime calls
+// Bind before Reset, once per run, with no transaction live; a store
+// recognises the System it is already bound to by pointer, so a re-run
+// costs nothing; Bind(nil) unbinds. Implemented by *KV and *Disk.
+type Binder interface {
+	Backend
+	Bind(sys *core.System)
+}
+
+// binding is a store's tie to the System it runs: the System and its step
+// numbering (nil when unbound). It is set only while no transaction is
+// live, so the step path reads it without synchronization.
+type binding struct {
+	sys *core.System
+	ids [][]int32
+}
+
+// bind ties b to sys (nil unbinds).
+func (b *binding) bind(sys *core.System) {
+	if sys == b.sys {
+		return
+	}
+	b.sys, b.ids = sys, nil
+	if sys != nil {
+		b.ids = sys.VarIDs()
+	}
+}
+
+// stepID returns the variable number of tx's n-th step in the bound
+// System, or -1 when there is no such step.
+//
+//optcc:hotpath
+func (b *binding) stepID(tx, n int) int32 {
+	if uint(tx) < uint(len(b.ids)) && uint(n) < uint(len(b.ids[tx])) {
+		return b.ids[tx][n]
+	}
+	return -1
 }
 
 // New builds a backend by name with the given configuration. It is the one

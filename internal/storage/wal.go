@@ -48,10 +48,13 @@ const walHeaderSize = 8
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // walWrite is one (variable, value) pair inside a commit or snapshot
-// record.
+// record. In a transaction's write buffer it also holds the committed cell
+// the write lands in, when its step found it (Disk.ApplyStep); the log
+// carries the name only.
 type walWrite struct {
-	v   core.Var
-	val core.Value
+	v    core.Var
+	val  core.Value
+	cell *diskCell // nil: found by name at commit
 }
 
 // walRec is a decoded record.
@@ -134,15 +137,6 @@ func (e *walEncoder) encodeSnapshot(state []walWrite) []byte {
 		e.putVarint(int64(w.val))
 	}
 	return e.seal()
-}
-
-// dbWrites lists db's pairs for encodeSnapshot, in map order.
-func dbWrites(db core.DB) []walWrite {
-	ws := make([]walWrite, 0, len(db))
-	for v, val := range db {
-		ws = append(ws, walWrite{v: v, val: val})
-	}
-	return ws
 }
 
 // walDecode parses one record payload (the bytes after the frame header).

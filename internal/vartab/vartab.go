@@ -6,7 +6,9 @@
 // slab, in the order given, and builds one immutable map from variable to
 // slot; neither changes afterwards. A caller that numbers its variables
 // the way the table was built (core.System.VarIDs numbers them in Vars
-// order) finds a slot with At: one slice index, no hash. Finding a slot
+// order) finds a slot with At: one slice index, no hash; one that is not
+// sure its number matches the table checks it with AtVar, which compares
+// the name at that number instead of hashing it. Finding a slot
 // by name (Slot, Lookup) is one lock-free read of the map: no mutex, no
 // sync.Map, no allocation. Variables outside the declared set (none in
 // normal operation) fall back to a sync.Map, so a table degrades safely
@@ -27,6 +29,7 @@ import (
 type Table[T any] struct {
 	vars     []core.Var // the declared variables, as given to New
 	slab     []T        // their slots, in the same order
+	dups     bool       // vars repeats a variable, so vars[i] need not own slab[i]
 	declared map[core.Var]*T
 	late     sync.Map // core.Var → *T, variables first touched after New
 }
@@ -41,6 +44,7 @@ func New[T any](vars []core.Var) *Table[T] {
 			t.declared[v] = &t.slab[i]
 		}
 	}
+	t.dups = len(t.declared) != len(vars)
 	return t
 }
 
@@ -49,6 +53,20 @@ func New[T any](vars []core.Var) *Table[T] {
 //
 //optcc:hotpath
 func (t *Table[T]) At(i int32) *T { return &t.slab[i] }
+
+// AtVar returns the slot of vars[i] when vars[i] is v, and nil when i is
+// out of range, names another variable, or the table was built from
+// repeated variables. It is At for a caller whose number may belong to
+// another numbering: one index and one string comparison, which ends at
+// the pointer check when both names share their bytes, and never a hash.
+//
+//optcc:hotpath
+func (t *Table[T]) AtVar(i int32, v core.Var) *T {
+	if uint(i) >= uint(len(t.vars)) || t.vars[i] != v || t.dups {
+		return nil
+	}
+	return &t.slab[i]
+}
 
 // Slot returns v's slot, creating a zero one on the first touch of an
 // undeclared variable. Concurrent first touches agree on one slot.
@@ -115,10 +133,9 @@ func (t *Table[T]) SameVars(db core.DB) bool {
 // each, until fn returns false. It takes no lock; a slot created
 // concurrently may or may not be visited.
 func (t *Table[T]) Range(fn func(v core.Var, p *T) bool) {
-	dups := len(t.declared) != len(t.slab)
 	for i, v := range t.vars {
 		p := &t.slab[i]
-		if dups && t.declared[v] != p {
+		if t.dups && t.declared[v] != p {
 			continue // a repeated variable's unused slot
 		}
 		if !fn(v, p) {

@@ -39,6 +39,38 @@ func TestAtIsSlotByNumber(t *testing.T) {
 	}
 }
 
+// TestAtVarChecksTheName checks that AtVar is At when the number names
+// the variable, and nil for a number out of range, a number naming another
+// variable, or a table built from repeated variables.
+func TestAtVarChecksTheName(t *testing.T) {
+	vars := []core.Var{"a", "b", "c"}
+	tab := New[counter](vars)
+	for i, v := range vars {
+		if tab.AtVar(int32(i), v) != tab.At(int32(i)) {
+			t.Fatalf("AtVar(%d, %q) is not At(%d)", i, v, i)
+		}
+		// A name equal to vars[i] in other bytes matches as well.
+		if tab.AtVar(int32(i), core.Var(string([]byte(v)))) != tab.At(int32(i)) {
+			t.Fatalf("AtVar(%d) rejects a copy of %q", i, v)
+		}
+	}
+	for _, c := range []struct {
+		i int32
+		v core.Var
+	}{{1, "a"}, {-1, "a"}, {3, "a"}, {0, "late"}} {
+		if tab.AtVar(c.i, c.v) != nil {
+			t.Fatalf("AtVar(%d, %q) found a slot", c.i, c.v)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { tab.AtVar(2, "c").n.Add(1) }); n != 0 {
+		t.Fatalf("AtVar allocates %.0f times", n)
+	}
+	dup := New[counter]([]core.Var{"x", "x"})
+	if dup.AtVar(0, "x") != nil || dup.AtVar(1, "x") != nil {
+		t.Fatal("AtVar trusts a number in a table with repeated variables")
+	}
+}
+
 func TestFallbackEntry(t *testing.T) {
 	tab := New[counter]([]core.Var{"x"})
 	e := tab.Slot("undeclared")
