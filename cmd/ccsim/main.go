@@ -245,18 +245,13 @@ func main() {
 		if s < 1 {
 			s = 1
 		}
-		// Payload-buffer recycling is only sound under strict execution
-		// (storage.Config.Recycle), so enable it exactly for the strict
-		// scheduler family — mv's read-write transactions use unpinned
-		// chain reads, so it stays off there too.
-		strict := *sc == "serial" || strings.HasPrefix(*sc, "2pl")
 		policy, err := storage.ParseFsyncPolicy(*fsync)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ccsim: %v\n", err)
 			os.Exit(2)
 		}
 		be, err = storage.New(*backend, storage.Config{
-			Shards: s, ValueSize: *valueSize, Recycle: strict,
+			Shards: s, ValueSize: *valueSize,
 			Dir: *dir, Fsync: policy, CheckpointBytes: *ckpt,
 		})
 		if err != nil {
@@ -296,6 +291,7 @@ func main() {
 	}
 	fmt.Printf("elapsed        %v\n", m.Elapsed)
 	fmt.Printf("throughput     %.0f tx/s\n", m.Throughput)
+	fmt.Printf("memory         allocs/tx=%.2f allocKB=%.0f gcCycles=%d\n", m.AllocsPerTx, float64(m.AllocBytes)/1024, m.GCCycles)
 	fmt.Printf("scheduling     %s\n", nsSummary(m.SchedNs.Summary()))
 	fmt.Printf("waiting        %s\n", nsSummary(m.WaitNs.Summary()))
 	fmt.Printf("tx latency     %s\n", nsSummary(m.TxLatencyNs.Summary()))

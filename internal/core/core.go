@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"sort"
 	"strconv"
@@ -205,7 +206,14 @@ type System struct {
 	// steps and init memoize the step walk and InitialState; nil until
 	// first use.
 	steps atomic.Pointer[stepMemo]
-	init  atomic.Pointer[DB]
+	init  atomic.Pointer[initMemo]
+}
+
+// initMemo is InitialState's memo: the state, and its values in Vars order
+// when the state holds exactly the System's variables (nil otherwise).
+type initMemo struct {
+	db   DB
+	vals []Value
 }
 
 // stepMemo is everything one walk over a System's steps computes: the
@@ -425,13 +433,35 @@ func withZeros(g DB, vars []Var) DB {
 // every run. The state is read-only; a caller that needs to modify one
 // takes a copy (Clone, or InitialStates). Concurrent first calls are safe
 // and agree on one state.
-func (s *System) InitialState() DB {
-	if p := s.init.Load(); p != nil {
-		return *p
+func (s *System) InitialState() DB { return s.initMemo().db }
+
+// InitialValues returns db's values in Vars order when db is the state
+// InitialState shares (the same map, not an equal one) and holds no
+// variable outside Vars, and nil otherwise. A store laid out in Vars order
+// loads the shared state by number with it, hashing no name. The slice is
+// read-only and shared like the state.
+func (s *System) InitialValues(db DB) []Value {
+	m := s.initMemo()
+	if m.vals == nil || reflect.ValueOf(db).UnsafePointer() != reflect.ValueOf(m.db).UnsafePointer() {
+		return nil
 	}
-	db := s.InitialStates()[0]
-	s.init.CompareAndSwap(nil, &db)
-	return *s.init.Load()
+	return m.vals
+}
+
+// initMemo returns the InitialState memo, building it on the first call.
+func (s *System) initMemo() *initMemo {
+	if p := s.init.Load(); p != nil {
+		return p
+	}
+	m := &initMemo{db: s.InitialStates()[0]}
+	if vars := s.Vars(); len(m.db) == len(vars) {
+		m.vals = make([]Value, len(vars))
+		for i, v := range vars {
+			m.vals[i] = m.db[v]
+		}
+	}
+	s.init.CompareAndSwap(nil, m)
+	return s.init.Load()
 }
 
 // Consistent reports whether the state satisfies the integrity constraints.

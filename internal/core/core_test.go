@@ -437,3 +437,22 @@ func containsStr(s, sub string) bool {
 		return false
 	})()
 }
+
+// TestInitialValuesOnlyForTheSharedState: InitialValues gives the shared
+// initial state's values in Vars order, and nil for an equal copy.
+func TestInitialValuesOnlyForTheSharedState(t *testing.T) {
+	s := &System{Name: "iv", Txs: []Transaction{{Steps: []Step{{Var: "b", Kind: Read}, {Var: "a", Kind: Read}}}},
+		IC: &IC{Initials: func() []DB { return []DB{{"a": 3, "b": 4}} }}}
+	vals := s.InitialValues(s.InitialState())
+	if len(vals) != 2 || vals[0] != 3 || vals[1] != 4 {
+		t.Fatalf("InitialValues = %v, want [3 4] in Vars order %v", vals, s.Vars())
+	}
+	if s.InitialValues(s.InitialState().Clone()) != nil {
+		t.Fatal("InitialValues accepted a copy of the shared state")
+	}
+	extra := &System{Name: "extra", Txs: s.Txs,
+		IC: &IC{Initials: func() []DB { return []DB{{"a": 3, "b": 4, "c": 5}} }}}
+	if extra.InitialValues(extra.InitialState()) != nil {
+		t.Fatal("InitialValues accepted a state holding a variable outside Vars")
+	}
+}

@@ -17,7 +17,8 @@ import (
 // exist to catch at read time; this analyzer catches it at review time).
 //
 // A release point is a call to (*sync.Pool).Put or to any function
-// annotated //optcc:release (the storage freelist's putBuf/putBufLocked).
+// annotated //optcc:release (the storage freelist's freeLocked, which takes a
+// whole version header: its fields are as dead as a payload's bytes).
 // After a release, the analyzer flags, within the same function in source
 // order: any further read or write through the released expression (or a
 // longer selector path rooted at it), and any second release of the same

@@ -51,3 +51,43 @@ func aliasThroughChain(fl *freelist, v *version) int {
 	fl.putBuf(v.payload)
 	return len(v.payload) // want "use of released buffer"
 }
+
+// header is a pooled record header: a release hands the whole struct,
+// payload and all, back through a pointer.
+type header struct {
+	next *header
+	rec  version
+}
+
+type headerList struct {
+	mu   sync.Mutex
+	free *header
+}
+
+// freeLocked returns a dead header to the freelist.
+//
+//optcc:release
+func (hl *headerList) freeLocked(h *header) {
+	h.next = hl.free
+	hl.free = h
+}
+
+func useAfterHeaderFree(hl *headerList, h *header) byte {
+	hl.freeLocked(h)
+	return h.rec.sum // want "use of released buffer"
+}
+
+func writeAfterHeaderFree(hl *headerList, h *header) {
+	hl.freeLocked(h)
+	h.rec.payload[0] = 1 // want "use of released buffer"
+}
+
+type retired struct {
+	ver *header
+	at  int64
+}
+
+func doubleHeaderFree(hl *headerList, r retired) {
+	hl.freeLocked(r.ver)
+	hl.freeLocked(r.ver) // want "double release"
+}

@@ -52,3 +52,46 @@ func unrelatedBuffers(fl *freelist, dead, live []byte) byte {
 	fl.putBuf(dead)
 	return live[0]
 }
+
+// header is a pooled record header released through a pointer.
+type header struct {
+	next *header
+	rec  version
+}
+
+type headerList struct {
+	free *header
+}
+
+//optcc:release
+func (hl *headerList) freeLocked(h *header) {
+	h.next = hl.free
+	hl.free = h
+}
+
+type retired struct {
+	ver *header
+	at  int64
+}
+
+// freeEachLast frees a queue's headers, reading each entry only before
+// its release; the loop variable is a fresh entry every iteration.
+func freeEachLast(hl *headerList, queue []retired, horizon int64) int {
+	n := 0
+	for _, r := range queue {
+		if r.at > horizon {
+			continue
+		}
+		n += len(r.ver.rec.payload)
+		hl.freeLocked(r.ver)
+	}
+	return n
+}
+
+// popAfterFree takes a header back off the list after freeing another.
+func popAfterFree(hl *headerList, dead *header) *header {
+	hl.freeLocked(dead)
+	h := hl.free
+	hl.free = h.next
+	return h
+}

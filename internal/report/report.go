@@ -254,7 +254,8 @@ func Ratio(a, b int) string {
 }
 
 // AllocMeter measures the allocator pressure of a region of code: heap
-// objects and bytes allocated between Start and Delta, from the
+// objects and bytes allocated, and garbage-collection cycles completed,
+// between Start and Delta (GCCycles), from the
 // runtime/metrics allocation counters (no stop-the-world, unlike
 // runtime.ReadMemStats — the simulator meters every run, including
 // sub-millisecond ones, so the read must be nearly free). The counters are
@@ -263,25 +264,33 @@ func Ratio(a, b int) string {
 // AllocBytes/AllocsPerTx metrics, ccbench -allocstats), not a proof; the
 // proof lives in the AllocsPerOp ceilings of TestHotPathAllocCeilings.
 type AllocMeter struct {
-	objects, bytes uint64
+	objects, bytes, cycles uint64
 }
 
-func readAllocCounters() (objects, bytes uint64) {
-	samples := [2]metrics.Sample{
+func readAllocCounters() (objects, bytes, cycles uint64) {
+	samples := [3]metrics.Sample{
 		{Name: "/gc/heap/allocs:objects"},
 		{Name: "/gc/heap/allocs:bytes"},
+		{Name: "/gc/cycles/total:gc-cycles"},
 	}
 	metrics.Read(samples[:])
-	return samples[0].Value.Uint64(), samples[1].Value.Uint64()
+	return samples[0].Value.Uint64(), samples[1].Value.Uint64(), samples[2].Value.Uint64()
 }
 
 // Start snapshots the allocator counters.
 func (a *AllocMeter) Start() {
-	a.objects, a.bytes = readAllocCounters()
+	a.objects, a.bytes, a.cycles = readAllocCounters()
 }
 
 // Delta returns heap objects and bytes allocated since Start.
 func (a *AllocMeter) Delta() (allocs, bytes int64) {
-	objects, byteCount := readAllocCounters()
+	objects, byteCount, _ := readAllocCounters()
 	return int64(objects - a.objects), int64(byteCount - a.bytes)
+}
+
+// GCCycles returns the garbage-collection cycles completed since Start,
+// forced ones (runtime.GC) included.
+func (a *AllocMeter) GCCycles() int64 {
+	_, _, cycles := readAllocCounters()
+	return int64(cycles - a.cycles)
 }

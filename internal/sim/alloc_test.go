@@ -97,8 +97,33 @@ func diskBench(b *testing.B) {
 	}, func() storage.Backend { return d })(b)
 }
 
-func kvRecycleBackend() storage.Backend {
-	return storage.NewKV(storage.Config{Shards: 4, ValueSize: 256, Recycle: true})
+func kvBackend() storage.Backend {
+	return storage.NewKV(storage.Config{Shards: 4, ValueSize: 256})
+}
+
+// mvWritersBench is hotPathBench's op under mv on a read-mostly mix with
+// writers over 4 KiB records (bench's readmostly-mv-kv shape): read-only
+// transactions ride pinned snapshots while first-writer-wins writers
+// supersede versions that the store reclaims and reuses under them.
+func mvWritersBench(b *testing.B) {
+	template := workload.ReadMostly(workload.ReadMostlyConfig{
+		Jobs: hotPathVars, Steps: 3, ReadFrac: 0.9, Vars: hotPathVars, HotFrac: 0.5, HotVars: 16,
+	}, 1)
+	inst := Instantiate(template, b.N)
+	be := storage.NewKV(storage.Config{Shards: 4, ValueSize: 4096})
+	sched := online.NewConcurrentMV(4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	m, err := Run(Config{System: inst, Sched: sched, Backend: be, Users: 4, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if m.Committed != b.N {
+		b.Fatalf("committed %d of %d", m.Committed, b.N)
+	}
+	if b.N >= hotPathVars && m.VersionGCed == 0 {
+		b.Fatalf("no superseded version was collected in %d transactions", b.N)
+	}
 }
 
 // snapshotBench measures the read-only snapshot fast path: every
@@ -143,9 +168,14 @@ func snapshotBench(b *testing.B) {
 //   - sharded-2pl-fresh-noop: the same scheduler with every transaction on
 //     a variable of its own: ZERO — every variable's fast slot is declared
 //     at Begin, so a first touch creates nothing.
-//   - mutexed-kv: real storage with payload recycling measures 3 — one
-//     immutable Record struct per write step; the payload bytes
-//     themselves are pooled. Ceiling 8 leaves restart headroom.
+//   - mutexed-kv, sharded-2pl-kv: real storage under strict 2PL, Mutexed
+//     and natively sharded, 256 B records: ZERO — a write takes a
+//     version, header and payload, off its shard's freelist, and a
+//     commit's reclamation hands the displaced one back.
+//   - mv-writers-kv: first-writer-wins writers beside pinned snapshot
+//     readers on 4 KiB records: ZERO — superseded and rolled-back
+//     versions are reclaimed under the readers' announcements and
+//     reused.
 //   - mv-snapshot-kv: read-only transactions through the multiversion
 //     snapshot path perform ZERO allocations — acquire, chain-walk reads
 //     and release touch no lock and build nothing on the heap.
@@ -193,9 +223,13 @@ var hotPathCases = []struct {
 	{"sharded-2pl-fresh-noop", 0, poolBench(0, func() online.Scheduler {
 		return online.NewConcurrentStrict2PL(lockmgr.Detect, 4)
 	}, noopBackend)},
-	{"mutexed-kv", 8, hotPathBench(func() online.Scheduler {
+	{"mutexed-kv", 0, hotPathBench(func() online.Scheduler {
 		return online.NewMutexed(online.NewStrict2PL(lockmgr.Detect))
-	}, kvRecycleBackend)},
+	}, kvBackend)},
+	{"sharded-2pl-kv", 0, hotPathBench(func() online.Scheduler {
+		return online.NewConcurrentStrict2PL(lockmgr.Detect, 4)
+	}, kvBackend)},
+	{"mv-writers-kv", 0, mvWritersBench},
 	{"mv-snapshot-kv", 0, snapshotBench},
 	{"sharded-2pl-disk", 1, diskBench},
 	{"csgt-noop", 0, hotPathBench(func() online.Scheduler {

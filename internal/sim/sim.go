@@ -142,6 +142,10 @@ type Metrics struct {
 	// ceilings live in TestHotPathAllocCeilings.
 	AllocBytes  int64
 	AllocsPerTx float64
+	// GCCycles is the garbage-collection cycles completed during the run
+	// (runtime/metrics /gc/cycles/total:gc-cycles, through the same
+	// meter, and process-global like it).
+	GCCycles int64
 	// SnapshotReads counts reads served through the storage snapshot path:
 	// the read-only fast path that bypasses the grant machinery entirely
 	// when the scheduler is a SnapshotSource and the backend a
@@ -767,6 +771,7 @@ func durableErr(be storage.Backend) error {
 func fillAllocStats(m *Metrics, am *report.AllocMeter) {
 	allocs, bytes := am.Delta()
 	m.AllocBytes = bytes
+	m.GCCycles = am.GCCycles()
 	if m.Committed > 0 {
 		m.AllocsPerTx = float64(allocs) / float64(m.Committed)
 	}

@@ -154,10 +154,23 @@ type diskTable = vartab.Table[diskCell]
 // overwritten in place, when t has exactly db's variables (Reset before
 // every run over one system), otherwise a new table laid out in sorted
 // variable order (core.System.Vars order, so a bound step's number indexes
-// it). Overwriting is safe because no transaction is live during Reset and
-// the caller holds Disk.mu, which every capture of the table takes.
-func loadDiskTable(t *diskTable, db core.DB) *diskTable {
-	if t == nil || !t.SameVars(db) {
+// it). When db is the shared initial state of the System b binds, the
+// table is laid out from that System's variables and loaded by number,
+// hashing no name. Overwriting is safe because no transaction is live
+// during Reset and the caller holds Disk.mu, which every capture of the
+// table takes. b may be nil.
+func loadDiskTable(t *diskTable, db core.DB, b *binding) *diskTable {
+	vars, vals := b.layout(db)
+	switch {
+	case vals != nil:
+		if t == nil || !t.LaidOut(vars) {
+			t = vartab.New[diskCell](vars)
+		}
+		for i, x := range vals {
+			t.At(int32(i)).val.Store(int64(x))
+		}
+		return t
+	case t == nil || !t.SameVars(db):
 		t = vartab.New[diskCell](slices.Sorted(maps.Keys(db)))
 	}
 	t.Range(func(v core.Var, c *diskCell) bool {
@@ -390,7 +403,7 @@ func NewDisk(cfg Config) (*Disk, error) {
 		ckptKick:   make(chan struct{}, 1),
 		txs:        txtab.New(newDiskTxs),
 	}
-	d.tab.Store(loadDiskTable(nil, nil))
+	d.tab.Store(loadDiskTable(nil, nil, nil))
 	if d.ckptThresh > 0 {
 		d.ckptRunning = true
 		d.ckptWG.Add(1)
@@ -476,7 +489,7 @@ func (d *Disk) resetLocked(init core.DB) {
 			return
 		}
 	}
-	t := loadDiskTable(d.tab.Load(), init)
+	t := loadDiskTable(d.tab.Load(), init, &d.bound)
 	d.tab.Store(t)
 	d.err = nil
 	d.poisoned.Store(false)

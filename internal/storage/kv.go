@@ -1,10 +1,11 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"maps"
-	"math/bits"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -36,6 +37,11 @@ type Record struct {
 // walks toward older ones. Writers install a fresh head with CAS; nothing
 // in a chain is ever mutated in place except the begin/end stamps (set once
 // each, at commit) and the GC's unlink of an unreachable older suffix.
+//
+// Versions are the store's own memory: a version no reader can reach any
+// more goes back, payload buffer and all, to its shard's freelist, and the
+// next write there reuses both (kvShard). On the freelist, next links the
+// free versions.
 type version struct {
 	rec Record
 	// begin is the commit timestamp from which the version is visible
@@ -59,19 +65,44 @@ type version struct {
 //optcc:hotpath
 func uncommittedMark(tx int) int64 { return -int64(tx) - 1 }
 
-// chain is one variable's version list: the CAS-installed head, and the
-// shard the variable's versions are recycled and collected in. Chains live
-// in an internal/vartab table, created once per variable (at Reset for
-// declared variables, through vartab's fallback for stragglers) and never
-// removed, so looking one up is a pure read of an immutable map, or one
-// index by the variable's number.
+// abortedMark is the begin stamp of a rolled-back write left in its chain
+// because another write lies above it: negative like an uncommitted mark,
+// but no transaction's, so every reader skips it.
+const abortedMark = math.MinInt64
+
+// chain is one variable's version list: the CAS-installed head, the count
+// of unpinned accesses walking it, and the shard the variable's versions
+// are recycled and collected in. Chains live in an internal/vartab table,
+// created once per variable (at Reset for declared variables, through
+// vartab's fallback for stragglers) and never removed, so looking one up is
+// a pure read of an immutable map, or one index by the variable's number.
+// A chain has a cache line of its own: walkers of neighbouring variables
+// write their counts without sharing one.
 type chain struct {
 	head atomic.Pointer[version]
+	// walkers counts the unpinned accesses (Get, Put, Scan) between their
+	// load of head and their last use of a version they reached from it:
+	// each announces itself here first. A version that left the chain is
+	// reused only once it reads 0 after the version left (kvShard.collect),
+	// so no unpinned access is ever under a reused buffer.
+	walkers atomic.Int32
 	// sh is the variable's shard (lockmgr.ShardOfVar), set when Reset lays
 	// the table out; nil on a fallback chain, whose shard the name path
 	// finds by hashing.
 	sh *kvShard
+	_  [txtab.LineSize - 24]byte
 }
+
+// walk announces an unpinned access to c; the caller calls leave when it
+// no longer uses any version it reached.
+//
+//optcc:hotpath
+func (c *chain) walk() { c.walkers.Add(1) }
+
+// leave retracts walk.
+//
+//optcc:hotpath
+func (c *chain) leave() { c.walkers.Add(-1) }
 
 // Stats counts the physical work a backend performed since Reset.
 type Stats struct {
@@ -86,8 +117,8 @@ type Stats struct {
 	// path (SnapshotRead), outside Reads.
 	SnapshotReads int64
 	// VersionsGCed counts superseded versions the garbage collector
-	// unlinked once no snapshot could see them (their payloads return to
-	// the freelists when Recycle is on).
+	// unlinked once no snapshot could see them (each returns to its
+	// shard's freelist once no unpinned access can hold it either).
 	VersionsGCed int64
 	// ByName counts the steps (ApplyStep) and numbered snapshot reads
 	// (SnapshotReadAt) that found their record by name because the number
@@ -99,8 +130,8 @@ type Stats struct {
 
 // Config parameterizes the in-memory KV backend.
 type Config struct {
-	// Shards is the number of KV shards, each with its own payload
-	// freelists and retired-version queue; variables are placed with
+	// Shards is the number of KV shards, each with its own version
+	// freelist and retired-version queue; variables are placed with
 	// lockmgr.ShardOfVar, the same partition function as the sharded lock
 	// table and the runtime's decision latches, so storage, locks and
 	// latches always agree on ownership (minimum 1).
@@ -108,22 +139,11 @@ type Config struct {
 	// ValueSize is the payload size in bytes for every record (0 keeps
 	// records scalar-only).
 	ValueSize int
-	// Recycle returns dead payload buffers to the per-shard size-classed
-	// freelists: superseded versions are recycled by the GC once no pinned
-	// snapshot can see them, and a Rollback recycles the dying write it
-	// removes from the chain, so a warmed-up run's Put path allocates no
-	// payload bytes at all.
+	// Recycle is ignored: the KV store always recycles its versions, under
+	// every scheduler (DESIGN.md "Multiversion storage").
 	//
-	// Aliasing rule (DESIGN.md "Memory discipline" and "Multiversion
-	// storage"): Recycle is sound when every reader of a record is either
-	// (a) covered by strict execution — no transaction reads or overwrites
-	// a value written by an uncommitted transaction, as under serial and
-	// the strict 2PL family — or (b) a snapshot reader holding a pin
-	// (SnapshotAcquire), which the GC's minimum-active-snapshot horizon
-	// respects. Under a non-strict scheduler (SGT-style, TO, OCC, MV) an
-	// unpinned Get may still be checksumming a version when a concurrent
-	// commit supersedes and collects it — leave Recycle off there, as the
-	// runtime does.
+	// Deprecated: recycling is always on; the field is kept so existing
+	// configurations compile.
 	Recycle bool
 	// SnapshotSlots is the number of concurrent snapshot pins the store
 	// supports (0 = defaultSnapshotSlots). Each reader of the snapshot
@@ -162,138 +182,141 @@ type Config struct {
 // comfortably above the experiments' largest user counts.
 const defaultSnapshotSlots = 256
 
-// retiredVer is a superseded version awaiting garbage collection: it may be
-// collected — its older suffix unlinked and, with Recycle, its payload
-// returned to the freelists — once every snapshot that could still see it
-// (any snapshot older than at, the superseding commit's timestamp) has been
-// released.
+// retiredVer is a version that left, or will leave, its chain and waits to
+// be reused. It is reused once no reader can hold it: every pinned snapshot
+// is at least at (the GC horizon, KV.minActiveSnapshot), and then no
+// unpinned access walks its chain (chain.walkers) after it was unlinked.
 type retiredVer struct {
-	ver  *version // the superseded version; at == ver.end
-	succ *version // its superseder, whose next pointer the unlink clears
-	at   int64    // the superseding commit timestamp
+	ver *version // the version to reuse
+	// succ is ver's superseder, whose next pointer the unlink clears; nil
+	// once unlinked, and for a rolled-back write, which Rollback unlinked.
+	succ *version
+	ch   *chain // the chain ver left
+	// at is the horizon ver waits for: the superseding commit's timestamp,
+	// or for a rolled-back write one past the clock read after its unlink,
+	// so only snapshots pinned after the unlink pass it.
+	at int64
 }
 
-// kvShard is one shard's GC state: its size-classed payload freelists and
-// the retired-version queue feeding them (sharding GC state like the
-// writes keeps collection contention as partitioned as the writes
-// themselves).
+// kvShard is one shard's version memory: its freelist of reusable versions
+// (each keeping its payload buffer) and the retired-version queue feeding
+// it. Sharding it like the writes keeps collection contention as
+// partitioned as the writes themselves. Every version of a KV has one
+// payload size, so one freelist serves every write.
 type kvShard struct {
-	freeMu  sync.Mutex
-	free    [numClasses][][]byte
+	mu      sync.Mutex
+	free    *version // reusable versions, linked through next
+	nfree   int
 	retired []retiredVer
 }
 
-// numClasses bounds the power-of-two size classes of the payload
-// freelists: class c holds buffers of capacity 1<<c, up to 8 MiB. Larger
-// payloads fall back to the allocator.
-const numClasses = 24
+// carveBytes bounds one batch of versions a freelist miss carves: a run's
+// warm-up allocates two objects per batch, not two per write.
+const carveBytes = 64 << 10
 
-// classFree caps each per-shard, per-class freelist so a burst of aborts
-// cannot pin an unbounded amount of dead payload memory.
-const classFree = 256
-
-// classOf returns the size class whose buffers hold size bytes, or -1 when
-// the size is out of the classed range.
+// getVersion pops a reusable version with a payload of size bytes from the
+// shard's freelist, carving a batch when it is empty. Its contents are
+// stale; the caller overwrites every field and payload byte.
 //
 //optcc:hotpath
-func classOf(size int) int {
-	if size <= 0 || size > 1<<(numClasses-1) {
-		return -1
+func (sh *kvShard) getVersion(size int) *version {
+	sh.mu.Lock()
+	if sh.free == nil {
+		//cclint:ignore hotpath an empty freelist is the warm-up path; steady state pops a recycled version
+		sh.carveLocked(size, max(1, min(64, carveBytes/max(size, 1))))
 	}
-	c := bits.Len(uint(size - 1))
-	return c
+	ver := sh.free
+	sh.free = ver.next.Load()
+	sh.nfree--
+	sh.mu.Unlock()
+	return ver
 }
 
-// getBuf returns a payload buffer of the given size from the shard's
-// freelist, or a fresh one with class-rounded capacity so it can be
-// recycled later.
-//
-//optcc:hotpath
-func (sh *kvShard) getBuf(size int) []byte {
-	c := classOf(size)
-	if c < 0 {
-		//cclint:ignore hotpath out-of-class payloads (>8 MiB) fall back to the allocator by design
-		return make([]byte, size)
-	}
-	sh.freeMu.Lock()
-	if n := len(sh.free[c]); n > 0 {
-		p := sh.free[c][n-1]
-		sh.free[c][n-1] = nil
-		sh.free[c] = sh.free[c][:n-1]
-		sh.freeMu.Unlock()
-		return p[:size]
-	}
-	sh.freeMu.Unlock()
-	//cclint:ignore hotpath freelist miss is the warm-up path; steady state hits the freelist
-	return make([]byte, size, 1<<c)
-}
-
-// putBuf returns a dead payload buffer to the shard's freelist. Buffers
-// whose capacity is not an exact class size (or whose class is full) are
-// dropped to the garbage collector.
+// freeLocked returns a version no reader can hold to the freelist; the
+// caller holds mu.
 //
 //optcc:hotpath
 //optcc:release
-func (sh *kvShard) putBuf(p []byte) {
-	sh.freeMu.Lock()
-	sh.putBufLocked(p)
-	sh.freeMu.Unlock()
+func (sh *kvShard) freeLocked(ver *version) {
+	ver.next.Store(sh.free)
+	sh.free = ver
+	sh.nfree++
 }
 
-// putBufLocked is putBuf for callers already holding freeMu.
-//
-//optcc:hotpath
-//optcc:release
-func (sh *kvShard) putBufLocked(p []byte) {
-	if cap(p) == 0 {
-		return
-	}
-	c := bits.Len(uint(cap(p)) - 1)
-	if c >= numClasses || cap(p) != 1<<c {
-		return
-	}
-	if len(sh.free[c]) < classFree {
-		//cclint:ignore hotpath freelist append is bounded by classFree and reuses capacity after warm-up
-		sh.free[c] = append(sh.free[c], p[:cap(p)])
+// carveLocked adds n versions with payloads of size bytes to the freelist,
+// from one slab of headers and one payload arena; the caller holds mu.
+func (sh *kvShard) carveLocked(size, n int) {
+	vs := make([]version, n)
+	arena := make([]byte, n*size)
+	for i := range vs {
+		vs[i].rec.Payload = arena[i*size : (i+1)*size : (i+1)*size]
+		sh.freeLocked(&vs[i])
 	}
 }
 
-// retire queues a superseded version for collection once no snapshot can
-// see it.
-func (sh *kvShard) retire(ver, succ *version, at int64) {
-	sh.freeMu.Lock()
-	sh.retired = append(sh.retired, retiredVer{ver: ver, succ: succ, at: at})
-	sh.freeMu.Unlock()
+// retire queues a version that left, or will leave, its chain for reuse.
+func (sh *kvShard) retire(r retiredVer) {
+	sh.mu.Lock()
+	sh.retired = append(sh.retired, r)
+	sh.mu.Unlock()
 }
 
-// collect garbage-collects the shard's retired versions that no snapshot
-// can reach: every version superseded at or before minActive is invisible
-// to all pinned snapshots (their timestamps are >= minActive) and to every
-// future one (the published clock is >= minActive), so its older suffix is
-// unlinked from the chain and its payload returns to the freelist when
-// Recycle is on. The unlink is safe against concurrent readers: a walker
-// only dereferences a version's next after rejecting it, and the superseder
-// (begin == at <= minActive <= any pinned snapshot) is always accepted
-// first — see DESIGN.md "Multiversion storage" for the full argument.
-func (sh *kvShard) collect(kv *KV, minActive int64) {
-	sh.freeMu.Lock()
+// collect moves the shard's retired versions that no reader can hold to
+// the freelist. First every version superseded at or before horizon is
+// unlinked from its chain: it is invisible to every pinned snapshot (their
+// timestamps are >= horizon) and to every future one (the published clock
+// is >= horizon), and a walker only dereferences a version's next after
+// rejecting it, while the superseder (begin == at <= horizon) is always
+// accepted first. Then each retired version past the horizon whose chain
+// has no walker is free: a walker that reached it announced itself before
+// the unlink and is still counted, and one announcing later cannot reach
+// it. A version whose chain has a walker waits for a later collect. The
+// two passes keep a version freed in this pass from being unlinked through
+// later — its next then links the freelist. See DESIGN.md "Multiversion
+// storage" for the full argument.
+func (sh *kvShard) collect(kv *KV, horizon int64) {
+	sh.mu.Lock()
+	for i := range sh.retired {
+		if r := &sh.retired[i]; r.at <= horizon && r.succ != nil {
+			r.succ.next.Store(nil)
+			r.succ = nil
+			kv.versionsGCed.Add(1)
+		}
+	}
 	kept := sh.retired[:0]
 	for _, r := range sh.retired {
-		if r.at > minActive {
+		if r.at > horizon || r.ch.walkers.Load() != 0 {
 			kept = append(kept, r)
 			continue
 		}
-		r.succ.next.Store(nil)
-		if kv.cfg.Recycle {
-			sh.putBufLocked(r.ver.rec.Payload)
-		}
-		kv.versionsGCed.Add(1)
+		sh.freeLocked(r.ver)
 	}
-	for i := len(kept); i < len(sh.retired); i++ {
-		sh.retired[i] = retiredVer{} // drop version refs
-	}
+	clear(sh.retired[len(kept):]) // drop version refs
 	sh.retired = kept
-	sh.freeMu.Unlock()
+	sh.mu.Unlock()
+}
+
+// reclaimAll frees every retired version; Reset calls it with no reader
+// live, so none can hold one. A retired version is never a chain head, and
+// Reset cuts every chain below its head.
+func (sh *kvShard) reclaimAll() {
+	sh.mu.Lock()
+	for _, r := range sh.retired {
+		sh.freeLocked(r.ver)
+	}
+	clear(sh.retired)
+	sh.retired = sh.retired[:0]
+	sh.mu.Unlock()
+}
+
+// reserve makes the freelist hold at least n versions with payloads of
+// size bytes, carving the shortfall in one batch.
+func (sh *kvShard) reserve(n, size int) {
+	sh.mu.Lock()
+	if n > sh.nfree {
+		sh.carveLocked(size, n-sh.nfree)
+	}
+	sh.mu.Unlock()
 }
 
 // txInline is how many locals and logged writes a transaction keeps inside
@@ -375,10 +398,10 @@ type KV struct {
 	commitSeq atomic.Int64
 	snapClock atomic.Int64
 
-	// slots are the snapshot pins; activePins counts pinned slots so the
-	// GC's horizon scan is one atomic load when the snapshot path is idle.
-	slots      []readerSlot
-	activePins atomic.Int64
+	// slots are the snapshot pins; pinHigh is one past the highest slot
+	// ever pinned since Reset, where the GC's horizon scan stops.
+	slots   []readerSlot
+	pinHigh atomic.Int32
 
 	// txs holds every transaction's context, found by its number with no
 	// lock; a slot keeps its buffers' capacity across transactions and
@@ -386,6 +409,11 @@ type KV struct {
 	txs *txtab.Table[kvTx]
 
 	versionsGCed atomic.Int64
+
+	// tailSum is the checksum of the fresh-payload pattern past the 8
+	// stamped bytes: a Reset that stamps a clean payload computes the new
+	// checksum from the stamp alone.
+	tailSum byte
 }
 
 var _ Backend = (*KV)(nil)
@@ -408,6 +436,9 @@ func NewKV(cfg Config) *KV {
 	}
 	for i := range kv.slots {
 		kv.slots[i].ts.Store(-1)
+	}
+	for i := stampBytes; i < cfg.ValueSize; i++ {
+		kv.tailSum ^= byte(i) // checksum is the XOR of the bytes
 	}
 	return kv
 }
@@ -469,64 +500,96 @@ var fillPeriod = func() (f [256]byte) {
 	return f
 }()
 
-// newVersion builds an immutable version stamped begin=mark: prev's payload
-// is copied (or a fresh deterministic fill when prev is nil or resized),
-// the scalar is stamped into the first 8 bytes, and the checksum is
-// computed. The buffer comes from the shard freelist; a recycled buffer may
-// hold stale bytes, so both branches overwrite all size bytes. The copy
-// from prev is validated by the caller's CAS install: if prev was
-// superseded (and possibly collected) mid-copy, the CAS fails and the
-// garbage copy is discarded.
-func (kv *KV) newVersion(sh *kvShard, size int, scalar core.Value, prev *version, mark int64) *version {
-	p := sh.getBuf(size)
-	if prev != nil && len(prev.rec.Payload) == size {
+// build makes ver, a version off the freelist, the version tx writes over
+// prev, stamped begin=mark: prev's payload is copied (or the fresh fill
+// when prev is nil), the scalar is stamped into the first 8 bytes, and the
+// checksum is computed. Every field and payload byte is overwritten, since
+// a reused version holds stale ones. The caller announced itself on prev's
+// chain, so prev cannot be reused under the copy.
+//
+//optcc:hotpath
+func build(ver, prev *version, scalar core.Value, mark int64) {
+	p := ver.rec.Payload
+	if prev != nil {
 		copy(p, prev.rec.Payload)
 	} else {
 		fillFresh(p)
 	}
 	stampScalar(p, scalar)
-	ver := &version{rec: Record{Scalar: scalar, Payload: p, Sum: checksum(p)}}
+	ver.rec.Scalar, ver.rec.Sum = scalar, checksum(p)
 	ver.begin.Store(mark)
+	ver.end.Store(0)
 	ver.next.Store(prev)
-	return ver
 }
 
 // fillFresh overwrites p with the fresh-payload pattern p[i] = byte(i).
 // After the first period it doubles the filled prefix, which stays a
 // whole number of 256-byte periods, so a 4 KiB payload takes five copies.
+//
+//optcc:hotpath
 func fillFresh(p []byte) {
 	for n := copy(p, fillPeriod[:]); n < len(p); {
 		n += copy(p[n:], p[:n])
 	}
 }
 
+// stampBytes is how many leading payload bytes carry the scalar.
+const stampBytes = 8
+
 // stampScalar writes scalar into the first 8 bytes of p, little-endian.
+//
+//optcc:hotpath
 func stampScalar(p []byte, scalar core.Value) {
 	u := uint64(scalar)
-	for i := 0; i < 8 && i < len(p); i++ {
+	for i := 0; i < stampBytes && i < len(p); i++ {
 		p[i] = byte(u >> (8 * i))
 	}
 }
 
-// initialVersion returns the begin=0 version Reset loads for scalar: old
-// itself, rewritten in place with a fresh payload in its own buffer, when
-// old is a chain head of the configured size; otherwise a new version.
-// Rewriting drops old's older versions. It is safe only because no
-// transaction or snapshot is live during Reset: nothing can be reading
-// old's record.
-func (kv *KV) initialVersion(sh *kvShard, old *version, scalar core.Value) *version {
-	size := kv.cfg.ValueSize
-	if old == nil || len(old.rec.Payload) != size {
-		return kv.newVersion(sh, size, scalar, nil, 0)
+// isFresh reports whether p holds the fresh-payload pattern past its
+// stamped bytes, comparing a 256-byte period at a time.
+func isFresh(p []byte) bool {
+	if len(p) <= stampBytes {
+		return true
 	}
-	p := old.rec.Payload
-	fillFresh(p)
+	n := min(len(p), len(fillPeriod))
+	if !bytes.Equal(p[stampBytes:n], fillPeriod[stampBytes:n]) {
+		return false
+	}
+	for ; n < len(p); n += len(fillPeriod) {
+		end := min(len(p), n+len(fillPeriod))
+		if !bytes.Equal(p[n:end], fillPeriod[:end-n]) {
+			return false
+		}
+	}
+	return true
+}
+
+// loadHead makes the begin=0 version of scalar ch's whole chain. The head
+// is reused in place, never a new version: a head the last Reset left
+// (begin 0 — no write since replaced it, or a rollback restored it) still
+// holds the fresh pattern unless damaged, so its payload is verified, a
+// read, and refilled only when damaged; any other head was written since,
+// so its payload is refilled. Either way only the scalar is stamped anew.
+// Cutting the head's next drops its older versions, whose retired ones
+// Reset has freed already. Safe only because no transaction or snapshot is
+// live during Reset: nothing can be reading the head's record.
+func (kv *KV) loadHead(ch *chain, scalar core.Value) {
+	h := ch.head.Load()
+	switch {
+	case h == nil:
+		h = ch.sh.getVersion(kv.cfg.ValueSize)
+		fillFresh(h.rec.Payload)
+	case h.begin.Load() != 0 || !isFresh(h.rec.Payload):
+		fillFresh(h.rec.Payload)
+	}
+	p := h.rec.Payload
 	stampScalar(p, scalar)
-	old.rec = Record{Scalar: scalar, Payload: p, Sum: checksum(p)}
-	old.begin.Store(0)
-	old.end.Store(0)
-	old.next.Store(nil)
-	return old
+	h.rec.Scalar, h.rec.Sum = scalar, checksum(p[:min(stampBytes, len(p))])^kv.tailSum
+	h.begin.Store(0)
+	h.end.Store(0)
+	h.next.Store(nil)
+	ch.head.Store(h)
 }
 
 // Reset implements Backend: drop everything and load init, one chain with
@@ -534,26 +597,25 @@ func (kv *KV) initialVersion(sh *kvShard, old *version, scalar core.Value) *vers
 // out in sorted variable order (core.System.Vars order, so a bound step's
 // number indexes the table). When init has the same variables as the
 // current table (a runtime resetting the store before every run over one
-// system), the table is kept and each chain's head is rewritten in place
-// (initialVersion), so a repeated Reset allocates no table and no payload.
-// No transaction or snapshot may be live during Reset (Backend.Reset);
-// init is only read.
+// system), the table is kept and each chain's head is reused in place
+// (loadHead), so a repeated Reset allocates nothing and rewrites only the
+// payloads written since the last one. A store bound to a System and reset
+// to that System's shared initial state loads it by variable number,
+// hashing no name. Every retired version, and a replaced table's heads,
+// go back to the freelists; the first Reset carves its versions from one
+// slab and one payload arena per shard. No transaction or snapshot may be
+// live during Reset (Backend.Reset); init is only read.
 func (kv *KV) Reset(init core.DB) {
-	if !kv.vars.SameVars(init) {
-		kv.vars = vartab.New[chain](slices.Sorted(maps.Keys(init)))
-		kv.vars.Range(func(v core.Var, ch *chain) bool {
-			ch.sh = kv.shard(v)
-			return true
-		})
-	}
 	for i := range kv.shards {
-		sh := &kv.shards[i]
-		sh.freeMu.Lock()
-		for j := range sh.retired {
-			sh.retired[j] = retiredVer{}
-		}
-		sh.retired = sh.retired[:0]
-		sh.freeMu.Unlock()
+		kv.shards[i].reclaimAll()
+	}
+	vars, vals := kv.bound.layout(init)
+	switch {
+	case vals != nil && kv.vars.LaidOut(vars): // the table is this System's
+	case vals != nil:
+		kv.relayout(vars)
+	case !kv.vars.SameVars(init):
+		kv.relayout(slices.Sorted(maps.Keys(init)))
 	}
 	kv.txs.Range(func(_ int, c *kvTx) bool {
 		c.finish()
@@ -562,7 +624,7 @@ func (kv *KV) Reset(init core.DB) {
 	})
 	kv.commitSeq.Store(0)
 	kv.snapClock.Store(0)
-	kv.activePins.Store(0)
+	kv.pinHigh.Store(0)
 	for i := range kv.slots {
 		kv.slots[i].ts.Store(-1)
 		kv.slots[i].reads.Store(0)
@@ -570,20 +632,55 @@ func (kv *KV) Reset(init core.DB) {
 		kv.slots[i].byName.Store(0)
 	}
 	kv.versionsGCed.Store(0)
+	i := 0
 	kv.vars.Range(func(v core.Var, ch *chain) bool {
-		ch.head.Store(kv.initialVersion(ch.sh, ch.head.Load(), init[v]))
+		x := core.Value(0)
+		if vals != nil {
+			x = vals[i]
+		} else {
+			x = init[v]
+		}
+		i++
+		kv.loadHead(ch, x)
 		return true
 	})
+}
+
+// relayout replaces the table with one over vars, in that order: the old
+// table's heads go back to their shards' freelists, and each shard's
+// freelist is topped up to its share of the new chains in one carve.
+func (kv *KV) relayout(vars []core.Var) {
+	kv.vars.Range(func(v core.Var, ch *chain) bool {
+		if h := ch.head.Load(); h != nil {
+			sh := kv.shard(v)
+			sh.mu.Lock()
+			sh.freeLocked(h)
+			sh.mu.Unlock()
+		}
+		return true
+	})
+	kv.vars = vartab.New[chain](vars)
+	need := make([]int, len(kv.shards))
+	kv.vars.Range(func(v core.Var, ch *chain) bool {
+		i := lockmgr.ShardOfVar(v, len(kv.shards))
+		ch.sh = &kv.shards[i]
+		need[i]++
+		return true
+	})
+	for i := range kv.shards {
+		kv.shards[i].reserve(need[i], kv.cfg.ValueSize)
+	}
 }
 
 // Get implements Backend: walk tx's chain view lock-free and return the
 // newest version that is either committed or tx's own uncommitted write
 // (read-your-writes). Another transaction's uncommitted version is skipped
-// without being checksummed, so a concurrent rollback recycling it never
-// races a reader's checksum. The walk retries from a fresh head if a
-// concurrent GC unlink cuts it short — possible only for unpinned readers
-// racing a supersede, where any committed successor is an acceptable
-// answer.
+// without being checksummed. The read announces itself on the chain
+// (chain.walk) before it loads the head, so no version it reaches is
+// reused before its checksum is done. The walk retries from a fresh head
+// if a concurrent GC unlink cuts it short — possible only when a version
+// the walk skipped as uncommitted commits and is superseded meanwhile,
+// where any committed successor is an acceptable answer.
 //
 //optcc:hotpath
 func (kv *KV) Get(tx int, v core.Var) core.Value {
@@ -598,6 +695,16 @@ func (kv *KV) get(c *kvTx, tx int, ch *chain, v core.Var) core.Value {
 	if ch == nil {
 		return 0
 	}
+	ch.walk()
+	x := kv.read(c, tx, ch, v)
+	ch.leave()
+	return x
+}
+
+// read is get's walk, for a caller announced on ch.
+//
+//optcc:hotpath
+func (kv *KV) read(c *kvTx, tx int, ch *chain, v core.Var) core.Value {
 	mark := uncommittedMark(tx)
 	for attempt := 0; attempt < 4; attempt++ {
 		for ver := ch.head.Load(); ver != nil; ver = ver.next.Load() {
@@ -620,44 +727,55 @@ func (kv *KV) get(c *kvTx, tx int, ch *chain, v core.Var) core.Value {
 	return 0
 }
 
-// Put implements Backend: build the copy-on-write version outside any
-// critical section and CAS-install it as the chain head, stamped with tx's
-// uncommitted mark; the displaced head goes to tx's undo log. A lost
-// install race (concurrent writers — non-strict schedulers only) recycles
-// the speculative buffer and rebuilds against the new head.
+// Put implements Backend: build the copy-on-write version in a version off
+// the shard's freelist, outside any critical section, and CAS-install it as
+// the chain head, stamped with tx's uncommitted mark; the displaced head
+// goes to tx's undo log. A lost install race (concurrent writers —
+// non-strict schedulers only) rebuilds the same version against the new
+// head.
 func (kv *KV) Put(tx int, v core.Var, scalar core.Value) {
 	kv.put(kv.txs.Slot(tx), tx, kv.vars.Slot(v), kv.shard(v), scalar)
 }
 
 // put is Put for a caller already holding tx's context c and the chain ch
 // and shard sh of the variable written, so a write step looks each up
-// once.
+// once. The write announces itself on the chain like a read: prev must not
+// be reused under the copy, nor come back as the head before the CAS.
+//
+//optcc:hotpath
 func (kv *KV) put(c *kvTx, tx int, ch *chain, sh *kvShard, scalar core.Value) {
-	size := kv.cfg.ValueSize
+	ver := sh.getVersion(kv.cfg.ValueSize)
 	mark := uncommittedMark(tx)
+	ch.walk()
+	prev := ch.head.Load()
 	for {
-		prev := ch.head.Load()
-		ver := kv.newVersion(sh, size, scalar, prev, mark)
+		build(ver, prev, scalar, mark)
 		if ch.head.CompareAndSwap(prev, ver) {
-			c.writes++
-			c.bytesWritten += int64(len(ver.rec.Payload))
-			c.undo = append(c.undo, undoRec{ch: ch, sh: sh, ver: ver, prev: prev})
-			return
+			break
 		}
-		sh.putBuf(ver.rec.Payload)
+		prev = ch.head.Load()
 	}
+	ch.leave()
+	c.writes++
+	c.bytesWritten += int64(len(ver.rec.Payload))
+	//cclint:ignore hotpath the undo log starts inline and keeps any capacity it grows
+	c.undo = append(c.undo, undoRec{ch: ch, sh: sh, ver: ver, prev: prev})
 }
 
 // Scan implements Backend: visit every chain head's scalar without taking
-// any lock (the table's map is immutable and heads are atomic). The view
-// is not a consistent cut while writers are active; State after
-// quiescence is.
+// any lock (the table's map is immutable and heads are atomic; each head
+// is read announced, like a Get). The view is not a consistent cut while
+// writers are active; State after quiescence is.
 func (kv *KV) Scan(fn func(v core.Var, scalar core.Value) bool) {
 	kv.vars.Range(func(v core.Var, ch *chain) bool {
-		if ver := ch.head.Load(); ver != nil {
-			return fn(v, ver.rec.Scalar)
+		ch.walk()
+		ver := ch.head.Load()
+		var x core.Value
+		if ver != nil {
+			x = ver.rec.Scalar
 		}
-		return true
+		ch.leave()
+		return ver == nil || fn(v, x)
 	})
 }
 
@@ -705,9 +823,17 @@ func (kv *KV) Commit(tx int) {
 		ts := kv.commitSeq.Add(1)
 		for _, u := range c.undo {
 			u.ver.begin.Store(ts)
-			if u.prev != nil {
-				u.prev.end.Store(ts)
-				u.sh.retire(u.prev, u.ver, ts)
+			if u.prev == nil {
+				continue
+			}
+			u.prev.end.Store(ts)
+			// Only a version committed by the time tx commits is retired:
+			// its writer is done with it (this transaction's own earlier
+			// write, stamped ts just above, included). An uncommitted one —
+			// a non-strict scheduler let tx write over it — still belongs
+			// to its writer's undo log and is left to the Go GC.
+			if b := u.prev.begin.Load(); b >= 0 && b <= ts {
+				u.sh.retire(retiredVer{ver: u.prev, succ: u.ver, ch: u.ch, at: ts})
 			}
 		}
 		// Publish in commit order: a reader pinning snapClock == ts sees
@@ -740,11 +866,16 @@ func retiredBefore(undo []undoRec, i int) bool {
 
 // Rollback implements Backend: replay tx's undo log in reverse, restoring
 // each displaced chain head (byte-identical — versions are immutable), then
-// drop the context so the restart begins with fresh locals. With Recycle
-// on, a dying write still at its chain head — a version only this
-// transaction could read, since its begin mark admits no snapshot and
-// Get skips other transactions' uncommitted versions — returns its payload
-// buffer to the shard freelist.
+// drop the context so the restart begins with fresh locals. A dying write
+// is unlinked only while it is still its chain's head, and is then retired
+// for reuse: a walker or a pinned snapshot may have reached it before the
+// unlink (and skipped it — its begin mark admits no snapshot and Get skips
+// other transactions' uncommitted versions), so it waits like a superseded
+// version, for the horizon to pass the clock read after the unlink and for
+// its chain's walkers to drain. A dying write another transaction already
+// wrote over — a non-strict scheduler let it — stays in the chain under
+// the abortedMark, which every reader skips, restart included; restoring
+// the head under it would relink versions a commit may since have retired.
 func (kv *KV) Rollback(tx int) {
 	c := kv.txs.Lookup(tx)
 	if c == nil {
@@ -755,10 +886,10 @@ func (kv *KV) Rollback(tx int) {
 	}
 	for i := len(c.undo) - 1; i >= 0; i-- {
 		u := c.undo[i]
-		dying := u.ch.head.Load()
-		u.ch.head.Store(u.prev)
-		if kv.cfg.Recycle && dying == u.ver {
-			u.sh.putBuf(dying.rec.Payload)
+		if u.ch.head.CompareAndSwap(u.ver, u.prev) {
+			u.sh.retire(retiredVer{ver: u.ver, ch: u.ch, at: kv.snapClock.Load() + 1})
+		} else {
+			u.ver.begin.Store(abortedMark)
 		}
 	}
 	c.finish()
@@ -779,6 +910,7 @@ func (kv *KV) State() core.DB {
 func (kv *KV) Snapshot() map[core.Var]Record {
 	out := map[core.Var]Record{}
 	kv.vars.Range(func(v core.Var, ch *chain) bool {
+		ch.walk()
 		if ver := ch.head.Load(); ver != nil {
 			out[v] = Record{
 				Scalar:  ver.rec.Scalar,
@@ -786,6 +918,7 @@ func (kv *KV) Snapshot() map[core.Var]Record {
 				Sum:     ver.rec.Sum,
 			}
 		}
+		ch.leave()
 		return true
 	})
 	return out
@@ -796,14 +929,22 @@ func (kv *KV) SnapshotSlots() int { return len(kv.slots) }
 
 // SnapshotAcquire implements SnapshotBackend: pin the given reader slot to
 // the current published commit clock and return the snapshot timestamp.
-// The store-then-revalidate loop closes the race with a concurrent GC
-// horizon scan: the GC loads the clock before scanning the pins, so a pin
-// whose revalidation saw an unchanged clock is either observed by the scan
-// or at least as new as the horizon the GC used. Lock-free and
-// allocation-free: two atomic loads and a store on the uncontended path.
+// The slot first raises the high-water mark the GC's scan stops at, if it
+// lies beyond it. The store-then-revalidate loop closes the race with a
+// concurrent GC horizon scan: the GC loads the clock before the mark and
+// the pins, so a pin whose revalidation saw an unchanged clock is either
+// observed by the scan or at least as new as the horizon the GC used.
+// Lock-free and allocation-free: three atomic loads and a store on the
+// uncontended path, none of them a write to a line another user writes.
+//
+//optcc:hotpath
 func (kv *KV) SnapshotAcquire(slot int) int64 {
 	sl := &kv.slots[slot]
-	kv.activePins.Add(1)
+	for n := kv.pinHigh.Load(); int(n) <= slot; n = kv.pinHigh.Load() {
+		if kv.pinHigh.CompareAndSwap(n, int32(slot+1)) {
+			break
+		}
+	}
 	for {
 		s := kv.snapClock.Load()
 		sl.ts.Store(s)
@@ -814,9 +955,10 @@ func (kv *KV) SnapshotAcquire(slot int) int64 {
 }
 
 // SnapshotRelease implements SnapshotBackend: unpin the slot.
+//
+//optcc:hotpath
 func (kv *KV) SnapshotRelease(slot int) {
 	kv.slots[slot].ts.Store(-1)
-	kv.activePins.Add(-1)
 }
 
 // SnapshotRead implements SnapshotBackend: return v's value as of the
@@ -889,14 +1031,14 @@ func (kv *KV) SnapshotReads() int64 {
 // minActiveSnapshot returns the GC horizon: the oldest snapshot any reader
 // has pinned, or the published commit clock when none is pinned (every
 // future snapshot will be at least that new). The clock is loaded before
-// the pins are scanned — the ordering SnapshotAcquire's revalidation pairs
-// with. When the snapshot path is idle the scan is one extra atomic load.
+// the high-water mark and the pins — the ordering SnapshotAcquire's
+// revalidation pairs with — and the scan covers only the slots below the
+// mark: the users' own, when the runtime pins slot = user.
+//
+//optcc:hotpath
 func (kv *KV) minActiveSnapshot() int64 {
 	min := kv.snapClock.Load()
-	if kv.activePins.Load() == 0 {
-		return min
-	}
-	for i := range kv.slots {
+	for i, n := 0, int(kv.pinHigh.Load()); i < n; i++ {
 		if s := kv.slots[i].ts.Load(); s >= 0 && s < min {
 			min = s
 		}

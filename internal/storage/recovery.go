@@ -169,7 +169,7 @@ func OpenDisk(cfg Config) (*Disk, error) {
 	if err != nil {
 		return fail(fmt.Errorf("storage: recovery snapshot: %w", err))
 	}
-	tab := loadDiskTable(nil, table)
+	tab := loadDiskTable(nil, table, nil)
 	frame := d.enc.encodeSnapshot(appendCellsLocked(nil, tab))
 	if _, err := f.Write(frame); err != nil {
 		f.Close()

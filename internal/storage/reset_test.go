@@ -148,3 +148,40 @@ func TestDiskResetReusesTable(t *testing.T) {
 		t.Fatalf("recovered state = %v, want %v", got, init)
 	}
 }
+
+// TestBoundResetLoadsByNumber: a store bound to a System and reset to that
+// System's shared initial state lays its table out from the System's own
+// variable slice and loads it by number; a Reset to a different map over
+// the same variables still loads that map's values, and a Reset back to
+// the shared state loads the shared values again.
+func TestBoundResetLoadsByNumber(t *testing.T) {
+	sys := bindSystem()
+	shared := sys.InitialState()
+	other := core.DB{}
+	for i, v := range sys.Vars() {
+		other[v] = core.Value(100 + i)
+	}
+	kv, d := newBindStores(t)
+	for _, be := range []Binder{kv, d} {
+		be.Bind(sys)
+		for _, init := range []core.DB{shared, other, shared, other} {
+			be.Reset(init)
+			if got := be.State(); !dbEqual(got, init) {
+				t.Fatalf("%s: state after Reset = %v, want %v", be.Name(), got, init)
+			}
+		}
+	}
+	kv.Reset(shared)
+	if !kv.vars.LaidOut(sys.Vars()) {
+		t.Fatal("KV: a bound Reset to the shared state did not lay the table out from the System's variables")
+	}
+	d.Reset(shared)
+	if !d.tab.Load().LaidOut(sys.Vars()) {
+		t.Fatal("Disk: a bound Reset to the shared state did not lay the table out from the System's variables")
+	}
+	fresh := NewKV(Config{Shards: 4, ValueSize: 64})
+	fresh.Reset(shared)
+	if err := sameRecords(kv.Snapshot(), fresh.Snapshot()); err != nil {
+		t.Fatalf("bound KV records differ from an unbound load: %v", err)
+	}
+}

@@ -139,8 +139,8 @@ type SnapshotBackend interface {
 	SnapshotReadAt(slot int, id int32, v core.Var, snap int64) core.Value
 	// SnapshotReads reports reads served through the snapshot path.
 	SnapshotReads() int64
-	// VersionsGCed reports superseded versions the store unlinked (and,
-	// with recycling on, returned to its freelists).
+	// VersionsGCed reports superseded versions the store unlinked from
+	// their chains (each then returns to the store's freelists).
 	VersionsGCed() int64
 }
 
@@ -171,6 +171,20 @@ func (b *binding) bind(sys *core.System) {
 	if sys != nil {
 		b.ids = sys.VarIDs()
 	}
+}
+
+// layout returns the bound System's variables and init's values in their
+// order when init is that System's shared initial state
+// (core.System.InitialValues), so Reset can lay its table out and load it
+// by number; nil, nil otherwise (b may be nil).
+func (b *binding) layout(init core.DB) ([]core.Var, []core.Value) {
+	if b == nil || b.sys == nil {
+		return nil, nil
+	}
+	if vals := b.sys.InitialValues(init); vals != nil {
+		return b.sys.Vars(), vals
+	}
+	return nil, nil
 }
 
 // stepID returns the variable number of tx's n-th step in the bound

@@ -110,15 +110,7 @@ func (t *Table[T]) Declared() int { return len(t.declared) }
 // whose table has the same variables as the state it is reset to
 // overwrites the slots in place instead of building a new table.
 func (t *Table[T]) SameVars(db core.DB) bool {
-	if len(t.declared) != len(db) {
-		return false
-	}
-	late := false
-	t.late.Range(func(_, _ any) bool {
-		late = true
-		return false
-	})
-	if late {
+	if len(t.declared) != len(db) || t.hasLate() {
 		return false
 	}
 	for v := range db {
@@ -127,6 +119,24 @@ func (t *Table[T]) SameVars(db core.DB) bool {
 		}
 	}
 	return true
+}
+
+// LaidOut reports whether t was built by New from this very slice (the
+// same backing array, not an equal one) of distinct variables and has no
+// fallback slot, so slot i is vars[i]'s. A store bound to a System checks
+// it against the System's shared Vars to skip SameVars' hashing.
+func (t *Table[T]) LaidOut(vars []core.Var) bool {
+	return len(t.vars) == len(vars) && (len(vars) == 0 || &t.vars[0] == &vars[0]) && !t.dups && !t.hasLate()
+}
+
+// hasLate reports whether any variable has a fallback slot.
+func (t *Table[T]) hasLate() bool {
+	late := false
+	t.late.Range(func(_, _ any) bool {
+		late = true
+		return false
+	})
+	return late
 }
 
 // Range visits every slot, declared (in slab order) and fallback, once
