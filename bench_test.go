@@ -316,17 +316,19 @@ func BenchmarkDiskBackendCommit(b *testing.B) {
 // and a commit per iteration on three variables of its own, each
 // transaction under a number no other worker uses (a worker cycles
 // through a window of its own), so what the workers share is the store,
-// not a transaction or a record. The disk backend runs under FsyncNever,
-// so no fsync is in the loop.
+// not a transaction or a record. The row kv-hot-read instead reads one
+// variable three times, the same one in every worker. The disk backend
+// runs under FsyncNever, so no fsync is in the loop.
 //
-// The rows kv and disk drive a small unbound store. The rows below them
-// run at the Bench v2 workloads' scale: Disjoint(n, 3) transactions (three
-// updates of one variable each) over a Disk of 18,000 variables, as in
-// durable-2pl-disk, and over a KV of 16,384 4 KiB records (recycling on),
-// the table of readmostly-mv-kv. Each runs bound to the System (steps find
-// their record by variable number, as under sim.Run) and by name (the
-// store never bound), and worker w of the GOMAXPROCS workers sweeps every
-// GOMAXPROCS-th transaction, so the steps touch the whole table.
+// The rows kv, kv-hot-read and disk drive a small unbound store. The rows
+// below them run at the Bench v2 workloads' scale: Disjoint(n, 3)
+// transactions (three updates of one variable each) over a Disk of 18,000
+// variables, as in durable-2pl-disk, and over a KV of 16,384 4 KiB
+// records, the table of readmostly-mv-kv. Each runs bound to the System
+// (steps find their record by variable number, as under sim.Run) and by
+// name (the store never bound), and worker w of the GOMAXPROCS workers
+// sweeps every GOMAXPROCS-th transaction, so the steps touch the whole
+// table.
 func BenchmarkBackendContextPath(b *testing.B) {
 	const window, maxWorkers = 1024, 256
 	steps := make([]core.Step, 3*maxWorkers)
@@ -337,7 +339,8 @@ func BenchmarkBackendContextPath(b *testing.B) {
 			Fn: func(l []core.Value) core.Value { return l[len(l)-1] + 1 }}
 		db[v] = 0
 	}
-	run := func(b *testing.B, be storage.Backend) {
+	own := func(w, k int) core.Step { return steps[3*w+k] }
+	run := func(b *testing.B, be storage.Backend, step func(w, k int) core.Step) {
 		be.Reset(db)
 		var workers atomic.Int64
 		b.ReportAllocs()
@@ -351,7 +354,7 @@ func BenchmarkBackendContextPath(b *testing.B) {
 			for i := 0; pb.Next(); i++ {
 				tx := w*window + i%window
 				for k := 0; k < 3; k++ {
-					if err := be.ApplyStep(tx, steps[3*w+k]); err != nil {
+					if err := be.ApplyStep(tx, step(w, k)); err != nil {
 						b.Error(err)
 						return
 					}
@@ -361,7 +364,14 @@ func BenchmarkBackendContextPath(b *testing.B) {
 		})
 	}
 	b.Run("kv", func(b *testing.B) {
-		run(b, storage.NewKV(storage.Config{Shards: 4, ValueSize: 256, Recycle: true}))
+		run(b, storage.NewKV(storage.Config{Shards: 4, ValueSize: 256}), own)
+	})
+	// The shared-lock holders of a hot variable under strict 2PL: every
+	// worker reads the same record.
+	hot := core.Step{Var: steps[0].Var, Kind: core.Read}
+	b.Run("kv-hot-read", func(b *testing.B) {
+		run(b, storage.NewKV(storage.Config{Shards: 4, ValueSize: 256}),
+			func(int, int) core.Step { return hot })
 	})
 	b.Run("disk", func(b *testing.B) {
 		d, err := storage.NewDisk(storage.Config{Dir: b.TempDir(), Fsync: storage.FsyncNever})
@@ -369,7 +379,7 @@ func BenchmarkBackendContextPath(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer d.Close()
-		run(b, d)
+		run(b, d, own)
 	})
 
 	runSystem := func(b *testing.B, be storage.Backend, sys *core.System, bind bool) {
@@ -407,7 +417,7 @@ func BenchmarkBackendContextPath(b *testing.B) {
 			path = "bound"
 		}
 		b.Run("kv-16384x4KiB/"+path, func(b *testing.B) {
-			runSystem(b, storage.NewKV(storage.Config{Shards: 4, ValueSize: 4096, Recycle: true}), kvSys, bind)
+			runSystem(b, storage.NewKV(storage.Config{Shards: 4, ValueSize: 4096}), kvSys, bind)
 		})
 		b.Run("disk-18000/"+path, func(b *testing.B) {
 			d, err := storage.NewDisk(storage.Config{Dir: b.TempDir(), Fsync: storage.FsyncNever})

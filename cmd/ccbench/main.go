@@ -108,7 +108,7 @@ func main() {
 			os.Exit(1)
 		}
 		if *allocFlag {
-			allocs, bytes := am.Delta()
+			allocs, bytes, _ := am.Delta()
 			allocTable.AddRow(e.ID, allocs, float64(bytes)/(1<<20))
 		}
 		fmt.Println(res.String())

@@ -255,7 +255,7 @@ func Ratio(a, b int) string {
 
 // AllocMeter measures the allocator pressure of a region of code: heap
 // objects and bytes allocated, and garbage-collection cycles completed,
-// between Start and Delta (GCCycles), from the
+// between Start and Delta, from the
 // runtime/metrics allocation counters (no stop-the-world, unlike
 // runtime.ReadMemStats — the simulator meters every run, including
 // sub-millisecond ones, so the read must be nearly free). The counters are
@@ -282,15 +282,10 @@ func (a *AllocMeter) Start() {
 	a.objects, a.bytes, a.cycles = readAllocCounters()
 }
 
-// Delta returns heap objects and bytes allocated since Start.
-func (a *AllocMeter) Delta() (allocs, bytes int64) {
-	objects, byteCount, _ := readAllocCounters()
-	return int64(objects - a.objects), int64(byteCount - a.bytes)
-}
-
-// GCCycles returns the garbage-collection cycles completed since Start,
-// forced ones (runtime.GC) included.
-func (a *AllocMeter) GCCycles() int64 {
-	_, _, cycles := readAllocCounters()
-	return int64(cycles - a.cycles)
+// Delta returns heap objects and bytes allocated and garbage-collection
+// cycles completed (forced ones, runtime.GC, included) since Start, all
+// three from one read.
+func (a *AllocMeter) Delta() (allocs, bytes, gcCycles int64) {
+	objects, byteCount, cycles := readAllocCounters()
+	return int64(objects - a.objects), int64(byteCount - a.bytes), int64(cycles - a.cycles)
 }

@@ -769,9 +769,8 @@ func durableErr(be storage.Backend) error {
 
 // fillAllocStats closes the run's allocation meter into the metrics.
 func fillAllocStats(m *Metrics, am *report.AllocMeter) {
-	allocs, bytes := am.Delta()
-	m.AllocBytes = bytes
-	m.GCCycles = am.GCCycles()
+	allocs, bytes, cycles := am.Delta()
+	m.AllocBytes, m.GCCycles = bytes, cycles
 	if m.Committed > 0 {
 		m.AllocsPerTx = float64(allocs) / float64(m.Committed)
 	}

@@ -70,39 +70,30 @@ func uncommittedMark(tx int) int64 { return -int64(tx) - 1 }
 // but no transaction's, so every reader skips it.
 const abortedMark = math.MinInt64
 
-// chain is one variable's version list: the CAS-installed head, the count
-// of unpinned accesses walking it, and the shard the variable's versions
-// are recycled and collected in. Chains live in an internal/vartab table,
-// created once per variable (at Reset for declared variables, through
-// vartab's fallback for stragglers) and never removed, so looking one up is
-// a pure read of an immutable map, or one index by the variable's number.
-// A chain has a cache line of its own: walkers of neighbouring variables
-// write their counts without sharing one.
+// chain is one variable's version list: the CAS-installed head and the
+// shard the variable's versions are recycled and collected in. Chains live
+// in an internal/vartab table, created once per variable (at Reset for
+// declared variables, through vartab's fallback for stragglers) and never
+// removed, so looking one up is a pure read of an immutable map, or one
+// index by the variable's number.
 type chain struct {
 	head atomic.Pointer[version]
-	// walkers counts the unpinned accesses (Get, Put, Scan) between their
-	// load of head and their last use of a version they reached from it:
-	// each announces itself here first. A version that left the chain is
-	// reused only once it reads 0 after the version left (kvShard.collect),
-	// so no unpinned access is ever under a reused buffer.
-	walkers atomic.Int32
 	// sh is the variable's shard (lockmgr.ShardOfVar), set when Reset lays
 	// the table out; nil on a fallback chain, whose shard the name path
 	// finds by hashing.
 	sh *kvShard
-	_  [txtab.LineSize - 24]byte
 }
 
-// walk announces an unpinned access to c; the caller calls leave when it
-// no longer uses any version it reached.
-//
-//optcc:hotpath
-func (c *chain) walk() { c.walkers.Add(1) }
-
-// leave retracts walk.
-//
-//optcc:hotpath
-func (c *chain) leave() { c.walkers.Add(-1) }
+// announcer is where an unpinned access (Get, Put, Scan) announces the
+// chain it walks, from before its load of the head to its last use of a
+// version it reached from it; nil while no access holds it (KV.enter). A
+// version that left its chain is reused only once no announcer names the
+// chain after the version left (kvShard.collect), so no unpinned access is
+// ever under a reused buffer.
+type announcer struct {
+	on atomic.Pointer[chain]
+	_  [txtab.LineSize - 8]byte
+}
 
 // Stats counts the physical work a backend performed since Reset.
 type Stats struct {
@@ -149,7 +140,8 @@ type Config struct {
 	// supports (0 = defaultSnapshotSlots). Each reader of the snapshot
 	// path owns one slot; the runtime maps user goroutines onto slots and
 	// falls back to the transactional path when it has more users than
-	// slots.
+	// slots. The store keeps as many announcers for the unpinned accesses
+	// in progress (KV.enter).
 	SnapshotSlots int
 
 	// The fields below configure the durable disk backend (disk.go) and
@@ -183,32 +175,54 @@ type Config struct {
 const defaultSnapshotSlots = 256
 
 // retiredVer is a version that left, or will leave, its chain and waits to
-// be reused. It is reused once no reader can hold it: every pinned snapshot
-// is at least at (the GC horizon, KV.minActiveSnapshot), and then no
-// unpinned access walks its chain (chain.walkers) after it was unlinked.
+// be reused. It is reused once no reader can hold it and its writer is done
+// with it: every pinned snapshot is at least at its horizon
+// (KV.minActiveSnapshot), it is unlinked, no announcer names its chain
+// after the unlink, and its begin stamp is final (committed at or below the
+// horizon, or aborted).
 type retiredVer struct {
 	ver *version // the version to reuse
-	// succ is ver's superseder, whose next pointer the unlink clears; nil
-	// once unlinked, and for a rolled-back write, which Rollback unlinked.
+	// succ is the committed version written over ver, whose next pointer
+	// the unlink clears; nil once unlinked, and for a write its own
+	// rollback unlinked.
 	succ *version
 	ch   *chain // the chain ver left
 	// at is the horizon ver waits for: the superseding commit's timestamp,
 	// or for a rolled-back write one past the clock read after its unlink,
 	// so only snapshots pinned after the unlink pass it.
 	at int64
+	// under is set when ver left its chain under a committed write rather
+	// than by its own rollback. If ver then turns out aborted, the version
+	// below it was written over by ver alone, so nobody else retires it:
+	// it leaves with ver.
+	under bool
 }
 
-// kvShard is one shard's version memory: its freelist of reusable versions
-// (each keeping its payload buffer) and the retired-version queue feeding
-// it. Sharding it like the writes keeps collection contention as
-// partitioned as the writes themselves. Every version of a KV has one
-// payload size, so one freelist serves every write.
+// kvShard is one shard's version memory: the slabs it carved, its
+// freelist of reusable versions (each keeping its payload buffer) and the
+// retired-version queue feeding it. Sharding it like the writes keeps
+// collection contention as partitioned as the writes themselves. Every
+// version of a KV has one payload size, so one freelist serves every
+// write.
 type kvShard struct {
 	mu      sync.Mutex
 	free    *version // reusable versions, linked through next
 	nfree   int
 	retired []retiredVer
+	// slabs are every version the shard ever carved, which Reset sweeps.
+	slabs  [][]version
+	carved int
+	// heads counts the shard's chains with no head while Reset lays them
+	// out.
+	heads int
 }
+
+// freeBatch is how many retired versions a shard queues before collect
+// frees any. Deciding a free reads every announcer taken since Reset, lines
+// the other processors' accesses write, so a shard pays that scan once a
+// batch, not once a commit; the versions a batch holds back are carved
+// once, in the warm-up.
+const freeBatch = 8
 
 // carveBytes bounds one batch of versions a freelist miss carves: a run's
 // warm-up allocates two objects per batch, not two per write.
@@ -252,6 +266,8 @@ func (sh *kvShard) carveLocked(size, n int) {
 		vs[i].rec.Payload = arena[i*size : (i+1)*size : (i+1)*size]
 		sh.freeLocked(&vs[i])
 	}
+	sh.slabs = append(sh.slabs, vs)
+	sh.carved += n
 }
 
 // retire queues a version that left, or will leave, its chain for reuse.
@@ -266,11 +282,18 @@ func (sh *kvShard) retire(r retiredVer) {
 // unlinked from its chain: it is invisible to every pinned snapshot (their
 // timestamps are >= horizon) and to every future one (the published clock
 // is >= horizon), and a walker only dereferences a version's next after
-// rejecting it, while the superseder (begin == at <= horizon) is always
-// accepted first. Then each retired version past the horizon whose chain
-// has no walker is free: a walker that reached it announced itself before
-// the unlink and is still counted, and one announcing later cannot reach
-// it. A version whose chain has a walker waits for a later collect. The
+// rejecting it, while the superseder (committed at at <= horizon) is
+// always accepted first. Then, once the shard has queued kv.freeBatch
+// versions, each unlinked version past the horizon is
+// free once its begin stamp is final and no announcer names its chain: a
+// walker that reached it announced itself before the unlink and is still
+// announced, and one announcing later cannot reach it. A version whose
+// writer is still live (a non-strict scheduler let another transaction
+// write over it) waits for its writer's commit or rollback; one committed
+// after the horizon waits for the horizon to pass its commit, by which
+// time its writer has retired what it wrote over. An aborted version that
+// left under a committed write frees the versions below it that only it
+// wrote over. A version still waiting is retried at a later collect. The
 // two passes keep a version freed in this pass from being unlinked through
 // later — its next then links the freelist. See DESIGN.md "Multiversion
 // storage" for the full argument.
@@ -283,39 +306,36 @@ func (sh *kvShard) collect(kv *KV, horizon int64) {
 			kv.versionsGCed.Add(1)
 		}
 	}
+	if len(sh.retired) < kv.freeBatch {
+		sh.mu.Unlock()
+		return
+	}
 	kept := sh.retired[:0]
 	for _, r := range sh.retired {
-		if r.at > horizon || r.ch.walkers.Load() != 0 {
+		b := r.ver.begin.Load()
+		if r.succ != nil || r.at > horizon || b > horizon || (b < 0 && b != abortedMark) || kv.announced(r.ch) {
 			kept = append(kept, r)
 			continue
 		}
-		sh.freeLocked(r.ver)
+		// An aborted version that left under a committed write takes the
+		// version below it along: cut off by the same unlink, announced
+		// on the same chain, written over by nobody else.
+		for ver := r.ver; ; {
+			below := ver.next.Load()
+			sh.freeLocked(ver)
+			if !r.under || b != abortedMark || below == nil {
+				break
+			}
+			if ver, b = below, below.begin.Load(); b > horizon || (b < 0 && b != abortedMark) {
+				// r's slot is consumed, so kept (no longer than the
+				// entries visited) overwrites none not yet visited.
+				kept = append(kept, retiredVer{ver: ver, ch: r.ch, at: r.at, under: true})
+				break
+			}
+		}
 	}
 	clear(sh.retired[len(kept):]) // drop version refs
 	sh.retired = kept
-	sh.mu.Unlock()
-}
-
-// reclaimAll frees every retired version; Reset calls it with no reader
-// live, so none can hold one. A retired version is never a chain head, and
-// Reset cuts every chain below its head.
-func (sh *kvShard) reclaimAll() {
-	sh.mu.Lock()
-	for _, r := range sh.retired {
-		sh.freeLocked(r.ver)
-	}
-	clear(sh.retired)
-	sh.retired = sh.retired[:0]
-	sh.mu.Unlock()
-}
-
-// reserve makes the freelist hold at least n versions with payloads of
-// size bytes, carving the shortfall in one batch.
-func (sh *kvShard) reserve(n, size int) {
-	sh.mu.Lock()
-	if n > sh.nfree {
-		sh.carveLocked(size, n-sh.nfree)
-	}
 	sh.mu.Unlock()
 }
 
@@ -352,6 +372,65 @@ func (c *kvTx) finish() {
 	c.locals = c.locals[:0]
 	clear(c.undo)
 	c.undo = c.undo[:0]
+}
+
+// enter announces tx's access to ch before the caller loads its head, and
+// returns the announcer it took for exit; the caller calls exit when it no
+// longer uses any version it reached. The access takes a free announcer by
+// CAS, probing from a hash of tx into the first annSpread of them: every
+// access of a transaction tries the same one first, so its steps write a
+// line of their own, while transactions live at once seldom try the same
+// one and collect's scan stays about as short as the processors are many.
+// The high-water mark collect's scan stops at rises before the caller
+// loads the head. When every announcer is taken, the access counts itself
+// in overflow instead, which holds back every shard's reclamation while it
+// lasts.
+//
+//optcc:hotpath
+func (kv *KV) enter(tx int, ch *chain) int {
+	n := len(kv.anns)
+	i := int(uint32(tx) * 0x9E3779B1 >> 16 % uint32(kv.annSpread))
+	for k := 0; k < n; k++ {
+		if a := &kv.anns[i]; a.on.Load() == nil && a.on.CompareAndSwap(nil, ch) {
+			for h := kv.annHigh.Load(); int(h) <= i; h = kv.annHigh.Load() {
+				if kv.annHigh.CompareAndSwap(h, int32(i+1)) {
+					break
+				}
+			}
+			return i
+		}
+		if i++; i == n {
+			i = 0
+		}
+	}
+	kv.overflow.Add(1)
+	return -1
+}
+
+// exit retracts enter, given the announcer it returned.
+//
+//optcc:hotpath
+func (kv *KV) exit(i int) {
+	if i < 0 {
+		kv.overflow.Add(-1)
+		return
+	}
+	kv.anns[i].on.Store(nil)
+}
+
+// announced reports whether an unpinned access may be walking ch: an
+// announcer names it, or an access without one is in progress. The caller
+// has made the unlink it asks about already.
+func (kv *KV) announced(ch *chain) bool {
+	if kv.overflow.Load() != 0 {
+		return true
+	}
+	for i, n := 0, int(kv.annHigh.Load()); i < n; i++ {
+		if kv.anns[i].on.Load() == ch {
+			return true
+		}
+	}
+	return false
 }
 
 // undoRec remembers one installed version, the head it displaced (nil:
@@ -394,26 +473,37 @@ type KV struct {
 
 	// commitSeq hands out commit timestamps; snapClock publishes them in
 	// order once a commit's versions are fully stamped, so a snapshot at
-	// snapClock never observes a half-stamped commit.
-	commitSeq atomic.Int64
-	snapClock atomic.Int64
+	// snapClock never observes a half-stamped commit. Every writer commit
+	// writes both, and versionsGCed, so the three sit on a cache line of
+	// their own, away from the fields around them that every access reads.
+	_            [txtab.LineSize - 8]byte
+	commitSeq    atomic.Int64
+	snapClock    atomic.Int64
+	versionsGCed atomic.Int64
+	_            [txtab.LineSize - 8]byte
 
 	// slots are the snapshot pins; pinHigh is one past the highest slot
 	// ever pinned since Reset, where the GC's horizon scan stops.
 	slots   []readerSlot
 	pinHigh atomic.Int32
 
+	// anns are the unpinned accesses' announcers (enter), as many as there
+	// are snapshot slots; an access probes from a hash of its transaction
+	// into the first annSpread. annHigh is one past the highest taken since
+	// Reset, where collect's scan stops. overflow counts the accesses in
+	// progress that found every announcer taken.
+	anns      []announcer
+	annSpread int
+	annHigh   atomic.Int32
+	overflow  atomic.Int32
+	// freeBatch is freeBatch; tests set 1 to see each version freed by
+	// the first commit that may free it.
+	freeBatch int
+
 	// txs holds every transaction's context, found by its number with no
 	// lock; a slot keeps its buffers' capacity across transactions and
 	// runs, so a warm store allocates no per-transaction bookkeeping.
 	txs *txtab.Table[kvTx]
-
-	versionsGCed atomic.Int64
-
-	// tailSum is the checksum of the fresh-payload pattern past the 8
-	// stamped bytes: a Reset that stamps a clean payload computes the new
-	// checksum from the stamp alone.
-	tailSum byte
 }
 
 var _ Backend = (*KV)(nil)
@@ -432,13 +522,13 @@ func NewKV(cfg Config) *KV {
 		shards: make([]kvShard, cfg.Shards),
 		vars:   vartab.New[chain](nil),
 		slots:  make([]readerSlot, cfg.SnapshotSlots),
+		anns:   make([]announcer, cfg.SnapshotSlots),
 		txs:    txtab.New(newKVTxs),
 	}
+	kv.annSpread = min(len(kv.anns), max(4, 2*runtime.GOMAXPROCS(0)))
+	kv.freeBatch = freeBatch
 	for i := range kv.slots {
 		kv.slots[i].ts.Store(-1)
-	}
-	for i := stampBytes; i < cfg.ValueSize; i++ {
-		kv.tailSum ^= byte(i) // checksum is the XOR of the bytes
 	}
 	return kv
 }
@@ -571,8 +661,8 @@ func isFresh(p []byte) bool {
 // holds the fresh pattern unless damaged, so its payload is verified, a
 // read, and refilled only when damaged; any other head was written since,
 // so its payload is refilled. Either way only the scalar is stamped anew.
-// Cutting the head's next drops its older versions, whose retired ones
-// Reset has freed already. Safe only because no transaction or snapshot is
+// Cutting the head's next drops its older versions, which sweep has put
+// back on the freelists. Safe only because no transaction or snapshot is
 // live during Reset: nothing can be reading the head's record.
 func (kv *KV) loadHead(ch *chain, scalar core.Value) {
 	h := ch.head.Load()
@@ -585,7 +675,7 @@ func (kv *KV) loadHead(ch *chain, scalar core.Value) {
 	}
 	p := h.rec.Payload
 	stampScalar(p, scalar)
-	h.rec.Scalar, h.rec.Sum = scalar, checksum(p[:min(stampBytes, len(p))])^kv.tailSum
+	h.rec.Scalar, h.rec.Sum = scalar, checksum(p)
 	h.begin.Store(0)
 	h.end.Store(0)
 	h.next.Store(nil)
@@ -601,14 +691,11 @@ func (kv *KV) loadHead(ch *chain, scalar core.Value) {
 // (loadHead), so a repeated Reset allocates nothing and rewrites only the
 // payloads written since the last one. A store bound to a System and reset
 // to that System's shared initial state loads it by variable number,
-// hashing no name. Every retired version, and a replaced table's heads,
-// go back to the freelists; the first Reset carves its versions from one
-// slab and one payload arena per shard. No transaction or snapshot may be
-// live during Reset (Backend.Reset); init is only read.
+// hashing no name. Every other version goes back to the freelists (sweep);
+// the first Reset carves its versions from one slab and one payload arena
+// per shard. No transaction or snapshot may be live during Reset
+// (Backend.Reset); init is only read.
 func (kv *KV) Reset(init core.DB) {
-	for i := range kv.shards {
-		kv.shards[i].reclaimAll()
-	}
 	vars, vals := kv.bound.layout(init)
 	switch {
 	case vals != nil && kv.vars.LaidOut(vars): // the table is this System's
@@ -622,6 +709,7 @@ func (kv *KV) Reset(init core.DB) {
 		c.reads, c.writes, c.bytesRead, c.bytesWritten, c.rollbacks, c.byName = 0, 0, 0, 0, 0, 0
 		return true
 	})
+	kv.annHigh.Store(0)
 	kv.commitSeq.Store(0)
 	kv.snapClock.Store(0)
 	kv.pinHigh.Store(0)
@@ -632,6 +720,7 @@ func (kv *KV) Reset(init core.DB) {
 		kv.slots[i].byName.Store(0)
 	}
 	kv.versionsGCed.Store(0)
+	kv.sweep()
 	i := 0
 	kv.vars.Range(func(v core.Var, ch *chain) bool {
 		x := core.Value(0)
@@ -646,41 +735,71 @@ func (kv *KV) Reset(init core.DB) {
 	})
 }
 
-// relayout replaces the table with one over vars, in that order: the old
-// table's heads go back to their shards' freelists, and each shard's
-// freelist is topped up to its share of the new chains in one carve.
+// relayout replaces the table with one over vars, in that order, and sets
+// each chain's shard. The old table's versions go back to the freelists
+// with every other non-head version (sweep).
 func (kv *KV) relayout(vars []core.Var) {
+	kv.vars = vartab.New[chain](vars)
 	kv.vars.Range(func(v core.Var, ch *chain) bool {
+		ch.sh = kv.shard(v)
+		return true
+	})
+}
+
+// sweep rebuilds every shard's freelist from the versions it carved: all
+// of them but the current table's chain heads, which Reset reloads in
+// place. So every version a round left anywhere — retired, still linked
+// below a head, or cut off with a chain's older suffix — comes back, and
+// none twice. Each shard's freelist is then topped up, in one carve, to
+// the chains it has no head for. Reset calls it with no reader live. A
+// mark in end (never negative on a live version) tells the heads apart.
+func (kv *KV) sweep() {
+	for i := range kv.shards {
+		sh := &kv.shards[i]
+		clear(sh.retired)
+		sh.retired = sh.retired[:0]
+		sh.heads = 0
+		for _, slab := range sh.slabs {
+			for j := range slab {
+				slab[j].end.Store(-1)
+			}
+		}
+	}
+	kv.vars.Range(func(_ core.Var, ch *chain) bool {
 		if h := ch.head.Load(); h != nil {
-			sh := kv.shard(v)
-			sh.mu.Lock()
-			sh.freeLocked(h)
-			sh.mu.Unlock()
+			h.end.Store(0)
+		} else {
+			ch.sh.heads++
 		}
 		return true
 	})
-	kv.vars = vartab.New[chain](vars)
-	need := make([]int, len(kv.shards))
-	kv.vars.Range(func(v core.Var, ch *chain) bool {
-		i := lockmgr.ShardOfVar(v, len(kv.shards))
-		ch.sh = &kv.shards[i]
-		need[i]++
-		return true
-	})
 	for i := range kv.shards {
-		kv.shards[i].reserve(need[i], kv.cfg.ValueSize)
+		sh := &kv.shards[i]
+		sh.mu.Lock()
+		sh.free, sh.nfree = nil, 0
+		for _, slab := range sh.slabs {
+			for j := range slab {
+				if slab[j].end.Load() < 0 {
+					sh.freeLocked(&slab[j])
+				}
+			}
+		}
+		if sh.heads > sh.nfree {
+			sh.carveLocked(kv.cfg.ValueSize, sh.heads-sh.nfree)
+		}
+		sh.mu.Unlock()
 	}
 }
 
 // Get implements Backend: walk tx's chain view lock-free and return the
 // newest version that is either committed or tx's own uncommitted write
 // (read-your-writes). Another transaction's uncommitted version is skipped
-// without being checksummed. The read announces itself on the chain
-// (chain.walk) before it loads the head, so no version it reaches is
-// reused before its checksum is done. The walk retries from a fresh head
-// if a concurrent GC unlink cuts it short — possible only when a version
-// the walk skipped as uncommitted commits and is superseded meanwhile,
-// where any committed successor is an acceptable answer.
+// without being checksummed. The read announces itself (enter) before it
+// loads the head, so no version it reaches is reused before its checksum
+// is done. The walk retries from a fresh head if a concurrent GC unlink
+// cuts it short — possible only when a version the walk skipped as
+// uncommitted commits and is superseded meanwhile, where any committed
+// successor is an acceptable answer.
 //
 //optcc:hotpath
 func (kv *KV) Get(tx int, v core.Var) core.Value {
@@ -695,9 +814,9 @@ func (kv *KV) get(c *kvTx, tx int, ch *chain, v core.Var) core.Value {
 	if ch == nil {
 		return 0
 	}
-	ch.walk()
+	a := kv.enter(tx, ch)
 	x := kv.read(c, tx, ch, v)
-	ch.leave()
+	kv.exit(a)
 	return x
 }
 
@@ -739,14 +858,22 @@ func (kv *KV) Put(tx int, v core.Var, scalar core.Value) {
 
 // put is Put for a caller already holding tx's context c and the chain ch
 // and shard sh of the variable written, so a write step looks each up
-// once. The write announces itself on the chain like a read: prev must not
-// be reused under the copy, nor come back as the head before the CAS.
+// once. The write announces itself like a read: prev must not be reused
+// under the copy, nor come back as the head before the CAS.
 //
 //optcc:hotpath
 func (kv *KV) put(c *kvTx, tx int, ch *chain, sh *kvShard, scalar core.Value) {
+	a := kv.enter(tx, ch)
+	kv.install(c, tx, ch, sh, scalar)
+	kv.exit(a)
+}
+
+// install is put's write, for a caller announced on ch.
+//
+//optcc:hotpath
+func (kv *KV) install(c *kvTx, tx int, ch *chain, sh *kvShard, scalar core.Value) {
 	ver := sh.getVersion(kv.cfg.ValueSize)
 	mark := uncommittedMark(tx)
-	ch.walk()
 	prev := ch.head.Load()
 	for {
 		build(ver, prev, scalar, mark)
@@ -755,7 +882,6 @@ func (kv *KV) put(c *kvTx, tx int, ch *chain, sh *kvShard, scalar core.Value) {
 		}
 		prev = ch.head.Load()
 	}
-	ch.leave()
 	c.writes++
 	c.bytesWritten += int64(len(ver.rec.Payload))
 	//cclint:ignore hotpath the undo log starts inline and keeps any capacity it grows
@@ -768,13 +894,13 @@ func (kv *KV) put(c *kvTx, tx int, ch *chain, sh *kvShard, scalar core.Value) {
 // writers are active; State after quiescence is.
 func (kv *KV) Scan(fn func(v core.Var, scalar core.Value) bool) {
 	kv.vars.Range(func(v core.Var, ch *chain) bool {
-		ch.walk()
+		a := kv.enter(0, ch)
 		ver := ch.head.Load()
 		var x core.Value
 		if ver != nil {
 			x = ver.rec.Scalar
 		}
-		ch.leave()
+		kv.exit(a)
 		return ver == nil || fn(v, x)
 	})
 }
@@ -792,6 +918,17 @@ func (kv *KV) ApplyStep(tx int, step core.Step) error {
 		c.byName++
 		ch = kv.vars.Lookup(step.Var)
 	}
+	if ch != nil && step.Kind != core.Read && step.Fn != nil {
+		// An update reads and writes its record under one announcement.
+		if sh == nil {
+			sh = kv.shard(step.Var)
+		}
+		a := kv.enter(tx, ch)
+		c.locals = append(c.locals, kv.read(c, tx, ch, step.Var))
+		kv.install(c, tx, ch, sh, step.Fn(c.locals))
+		kv.exit(a)
+		return nil
+	}
 	val := kv.get(c, tx, ch, step.Var)
 	c.locals = append(c.locals, val)
 	if step.Kind == core.Read {
@@ -800,10 +937,8 @@ func (kv *KV) ApplyStep(tx int, step core.Step) error {
 	if step.Fn == nil {
 		return fmt.Errorf("storage: step on %s has no interpretation", step.Var)
 	}
-	if sh == nil {
-		ch, sh = kv.vars.Slot(step.Var), kv.shard(step.Var)
-	}
-	kv.put(c, tx, ch, sh, step.Fn(c.locals))
+	// An update of a variable with no chain yet: Slot makes one.
+	kv.put(c, tx, kv.vars.Slot(step.Var), kv.shard(step.Var), step.Fn(c.locals))
 	return nil
 }
 
@@ -812,8 +947,10 @@ func (kv *KV) ApplyStep(tx int, step core.Step) error {
 // publish the timestamp in commit order — snapshots only admit timestamps
 // whose commits are fully stamped — retire the displaced versions, and run
 // the GC up to the minimum active snapshot, once in each shard the
-// transaction retired a version into. A transaction that wrote nothing
-// takes no timestamp.
+// transaction retired a version into. A displaced version another
+// transaction wrote and has not finished (a non-strict scheduler let tx
+// write over it) is retired too; collect waits for its writer. A
+// transaction that wrote nothing takes no timestamp.
 func (kv *KV) Commit(tx int) {
 	c := kv.txs.Lookup(tx)
 	if c == nil {
@@ -827,14 +964,7 @@ func (kv *KV) Commit(tx int) {
 				continue
 			}
 			u.prev.end.Store(ts)
-			// Only a version committed by the time tx commits is retired:
-			// its writer is done with it (this transaction's own earlier
-			// write, stamped ts just above, included). An uncommitted one —
-			// a non-strict scheduler let tx write over it — still belongs
-			// to its writer's undo log and is left to the Go GC.
-			if b := u.prev.begin.Load(); b >= 0 && b <= ts {
-				u.sh.retire(retiredVer{ver: u.prev, succ: u.ver, ch: u.ch, at: ts})
-			}
+			u.sh.retire(retiredVer{ver: u.prev, succ: u.ver, ch: u.ch, at: ts, under: true})
 		}
 		// Publish in commit order: a reader pinning snapClock == ts sees
 		// every version of every commit up to ts fully stamped.
@@ -866,16 +996,20 @@ func retiredBefore(undo []undoRec, i int) bool {
 
 // Rollback implements Backend: replay tx's undo log in reverse, restoring
 // each displaced chain head (byte-identical — versions are immutable), then
-// drop the context so the restart begins with fresh locals. A dying write
-// is unlinked only while it is still its chain's head, and is then retired
-// for reuse: a walker or a pinned snapshot may have reached it before the
-// unlink (and skipped it — its begin mark admits no snapshot and Get skips
-// other transactions' uncommitted versions), so it waits like a superseded
-// version, for the horizon to pass the clock read after the unlink and for
-// its chain's walkers to drain. A dying write another transaction already
-// wrote over — a non-strict scheduler let it — stays in the chain under
-// the abortedMark, which every reader skips, restart included; restoring
+// drop the context so the restart begins with fresh locals. Every dying
+// write is stamped with the abortedMark, which every reader skips, restart
+// included, and which tells collect its writer is done with it. A dying
+// write is unlinked only while it is still its chain's head, and is then
+// retired for reuse: a walker or a pinned snapshot may have reached it
+// before the unlink (and skipped it — its begin mark admits no snapshot
+// and Get skips other transactions' uncommitted versions), so it waits
+// like a superseded version, for the horizon to pass the clock read after
+// the unlink and for no announcer to name its chain. A dying write another
+// transaction already wrote over — a non-strict scheduler let it — stays
+// in the chain, and leaves it when the write over it commits; restoring
 // the head under it would relink versions a commit may since have retired.
+// The mark is stored after the unlink's CAS: once it is, collect may reuse
+// the version, which must then not be compared as the head.
 func (kv *KV) Rollback(tx int) {
 	c := kv.txs.Lookup(tx)
 	if c == nil {
@@ -886,10 +1020,10 @@ func (kv *KV) Rollback(tx int) {
 	}
 	for i := len(c.undo) - 1; i >= 0; i-- {
 		u := c.undo[i]
-		if u.ch.head.CompareAndSwap(u.ver, u.prev) {
+		unlinked := u.ch.head.CompareAndSwap(u.ver, u.prev)
+		u.ver.begin.Store(abortedMark)
+		if unlinked {
 			u.sh.retire(retiredVer{ver: u.ver, ch: u.ch, at: kv.snapClock.Load() + 1})
-		} else {
-			u.ver.begin.Store(abortedMark)
 		}
 	}
 	c.finish()
@@ -910,7 +1044,7 @@ func (kv *KV) State() core.DB {
 func (kv *KV) Snapshot() map[core.Var]Record {
 	out := map[core.Var]Record{}
 	kv.vars.Range(func(v core.Var, ch *chain) bool {
-		ch.walk()
+		a := kv.enter(0, ch)
 		if ver := ch.head.Load(); ver != nil {
 			out[v] = Record{
 				Scalar:  ver.rec.Scalar,
@@ -918,7 +1052,7 @@ func (kv *KV) Snapshot() map[core.Var]Record {
 				Sum:     ver.rec.Sum,
 			}
 		}
-		ch.leave()
+		kv.exit(a)
 		return true
 	})
 	return out

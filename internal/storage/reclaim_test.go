@@ -9,6 +9,7 @@ package storage
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -42,16 +43,256 @@ func onFreelist(kv *KV, ver *version) bool {
 	return false
 }
 
+// accounting checks that kv's versions are where they should be: none on a
+// freelist twice, none both free and reachable from a chain head or both
+// free and retired. With whole set, every version the shards carved is
+// reachable from a head or free, and nothing waits retired.
+func accounting(t *testing.T, kv *KV, whole bool) {
+	t.Helper()
+	free := map[*version]bool{}
+	carved := 0
+	for i := range kv.shards {
+		sh := &kv.shards[i]
+		carved += sh.carved
+		for f := sh.free; f != nil; f = f.next.Load() {
+			if free[f] {
+				t.Fatal("a version is on a freelist twice")
+			}
+			free[f] = true
+		}
+		for _, r := range sh.retired {
+			if free[r.ver] {
+				t.Fatal("a retired version is already free")
+			}
+		}
+		if whole && len(sh.retired) != 0 {
+			t.Fatalf("shard %d has %d retired versions waiting", i, len(sh.retired))
+		}
+	}
+	live := 0
+	kv.vars.Range(func(v core.Var, ch *chain) bool {
+		for ver := ch.head.Load(); ver != nil; ver = ver.next.Load() {
+			if free[ver] {
+				t.Fatalf("a free version is linked in %s's chain", v)
+			}
+			live++
+		}
+		return true
+	})
+	if whole && live+len(free) != carved {
+		t.Fatalf("%d linked + %d free versions, %d carved", live, len(free), carved)
+	}
+}
+
+// TestReclaimNonStrictWritesComeBack: the versions a non-strict
+// interleaving leaves behind come back without a Reset: a write another
+// transaction wrote over while it was uncommitted once its own writer
+// commits, a rolled-back write buried under another transaction's write
+// once that write commits, and the version below such a write with it.
+func TestReclaimNonStrictWritesComeBack(t *testing.T) {
+	kv := NewKV(Config{Shards: 1, ValueSize: 64})
+	kv.freeBatch = 1
+	kv.Reset(core.DB{"x": 0, "y": 0})
+	ch := kv.vars.Lookup("x")
+	drain := func(tx int) { // commits elsewhere in the shard collect
+		commitInc(t, kv, tx, "y")
+		commitInc(t, kv, tx+1, "y")
+	}
+
+	v0 := ch.head.Load()
+	mustApply(t, kv, 1, upd("x", inc)) // v1 over v0
+	v1 := ch.head.Load()
+	mustApply(t, kv, 2, upd("x", inc)) // v2 over the uncommitted v1
+	kv.Commit(2)
+	if onFreelist(kv, v1) {
+		t.Fatal("a version was freed while its writer was live")
+	}
+	kv.Commit(1)
+	drain(10)
+	if !onFreelist(kv, v1) || !onFreelist(kv, v0) {
+		t.Fatal("a write committed after the write over it did not come back, or the version under it")
+	}
+	accounting(t, kv, true)
+
+	v2 := ch.head.Load()
+	mustApply(t, kv, 3, upd("x", inc)) // v3 over v2
+	v3 := ch.head.Load()
+	mustApply(t, kv, 4, upd("x", inc)) // v4 over v3
+	kv.Rollback(3)                     // v3 stays buried under v4
+	if got := kv.Get(5, "x"); got != 1 {
+		t.Fatalf("x = %d with a buried rollback, want the committed 1", got)
+	}
+	kv.Commit(5)
+	kv.Commit(4)
+	drain(20)
+	if !onFreelist(kv, v3) || !onFreelist(kv, v2) {
+		t.Fatal("a buried rollback did not come back, or the version under it")
+	}
+	accounting(t, kv, true)
+
+	v4 := ch.head.Load()
+	mustApply(t, kv, 6, upd("x", inc)) // v6 over v4
+	v6 := ch.head.Load()
+	mustApply(t, kv, 7, upd("x", inc)) // v7 over the uncommitted v6
+	kv.Commit(7)
+	kv.Rollback(6) // v6 buried under a committed write
+	drain(30)
+	if !onFreelist(kv, v6) || !onFreelist(kv, v4) {
+		t.Fatal("a write rolled back under a committed one did not come back, or the version under it")
+	}
+	accounting(t, kv, true)
+	if got := kv.Get(40, "x"); got != 3 {
+		t.Fatalf("x = %d, want 3", got)
+	}
+}
+
+// TestReclaimNonStrictRoundsAccountForEveryVersion: random non-strict
+// rounds — transactions writing over each other's uncommitted versions,
+// committing and rolling back in any order, beside pinned snapshots —
+// never free a version twice or while it is linked, freeing in batches or
+// at every commit. With every commit freeing, a strict write and commit on
+// every variable afterwards brings every version back; a Reset on its own
+// always does. The rounds then carve nothing new.
+func TestReclaimNonStrictRoundsAccountForEveryVersion(t *testing.T) {
+	for _, batch := range []int{1, freeBatch} {
+		reclaimNonStrictRounds(t, batch)
+	}
+}
+
+func reclaimNonStrictRounds(t *testing.T, batch int) {
+	vars := []core.Var{"a", "b", "c", "d", "e"}
+	init := core.DB{}
+	for _, v := range vars {
+		init[v] = 0
+	}
+	kv := NewKV(Config{Shards: 2, ValueSize: 32, SnapshotSlots: 4})
+	kv.freeBatch = batch
+	round := func(seed int64, drain bool) {
+		rng := rand.New(rand.NewSource(seed))
+		kv.Reset(init)
+		const txs = 40
+		left := make([]int, txs) // steps each transaction has yet to take
+		for tx := range left {
+			left[tx] = 1 + rng.Intn(3)
+		}
+		live := txs
+		for live > 0 {
+			tx := rng.Intn(txs)
+			switch {
+			case left[tx] > 0:
+				mustApply(t, kv, tx, upd(vars[rng.Intn(len(vars))], inc))
+				left[tx]--
+				if left[tx] > 0 {
+					continue
+				}
+				left[tx] = -1 // written out: finish it later
+			case left[tx] == -1:
+				if rng.Intn(3) == 0 {
+					kv.Rollback(tx)
+				} else {
+					kv.Commit(tx)
+				}
+				left[tx] = -2
+				live--
+			default:
+				continue
+			}
+			if slot := rng.Intn(8); slot < 4 {
+				if kv.slots[slot].ts.Load() < 0 {
+					kv.SnapshotRead(slot, vars[rng.Intn(len(vars))], kv.SnapshotAcquire(slot))
+				} else {
+					kv.SnapshotRelease(slot)
+				}
+			}
+			accounting(t, kv, false)
+		}
+		for slot := 0; slot < 4; slot++ {
+			kv.SnapshotRelease(slot)
+		}
+		if drain {
+			for i, v := range vars {
+				commitInc(t, kv, txs+2*i, v)
+				commitInc(t, kv, txs+2*i+1, v)
+			}
+			accounting(t, kv, true)
+		}
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		round(seed, batch == 1 && seed%2 == 0)
+		kv.Reset(init)
+		accounting(t, kv, true)
+	}
+	carved := kv.shards[0].carved + kv.shards[1].carved
+	for seed := int64(0); seed < 200; seed++ {
+		round(seed, batch == 1 && seed%2 == 0)
+	}
+	if got := kv.shards[0].carved + kv.shards[1].carved; got != carved {
+		t.Fatalf("batch %d: repeated rounds carved %d versions, want the %d the first ones did", batch, got, carved)
+	}
+}
+
+// TestReclaimOverflowHoldsBack: an access that finds every announcer taken
+// holds back reclamation in every shard until it leaves.
+func TestReclaimOverflowHoldsBack(t *testing.T) {
+	kv := NewKV(Config{Shards: 1, ValueSize: 64, SnapshotSlots: 1})
+	kv.freeBatch = 1
+	kv.Reset(core.DB{"x": 0, "y": 0})
+	ch := kv.vars.Lookup("x")
+	old := ch.head.Load()
+	holder := kv.enter(8, kv.vars.Lookup("y")) // an access holds the only announcer
+	reader := kv.enter(9, ch)
+	if reader >= 0 {
+		t.Fatal("a second access took the only announcer")
+	}
+	kv.exit(holder)
+	commitInc(t, kv, 1, "x")
+	if onFreelist(kv, old) {
+		t.Fatal("a version was freed under an access without an announcer")
+	}
+	kv.exit(reader)
+	commitInc(t, kv, 2, "y")
+	if !onFreelist(kv, old) {
+		t.Fatal("the superseded version was not freed once the access left")
+	}
+}
+
+// TestReclaimFreesInBatches: a shard frees nothing until it has queued
+// freeBatch retired versions, and then frees them together.
+func TestReclaimFreesInBatches(t *testing.T) {
+	kv := NewKV(Config{Shards: 1, ValueSize: 64})
+	kv.Reset(core.DB{"x": 0})
+	ch := kv.vars.Lookup("x")
+	var old []*version
+	for tx := 1; tx < freeBatch; tx++ {
+		old = append(old, ch.head.Load())
+		commitInc(t, kv, tx, "x")
+	}
+	for _, ver := range old {
+		if onFreelist(kv, ver) {
+			t.Fatalf("a version was freed with %d of %d retired", len(old), freeBatch)
+		}
+	}
+	old = append(old, ch.head.Load())
+	commitInc(t, kv, freeBatch, "x")
+	for i, ver := range old {
+		if !onFreelist(kv, ver) {
+			t.Fatalf("retired version %d of a full batch was not freed", i)
+		}
+	}
+	accounting(t, kv, true)
+}
+
 // TestReclaimWaitsForWalkers: a superseded version whose chain has an
 // announced unpinned access stays off the freelist, though no snapshot is
 // pinned; once the access leaves, the next commit in the shard frees it.
 func TestReclaimWaitsForWalkers(t *testing.T) {
 	kv := NewKV(Config{Shards: 1, ValueSize: 64})
+	kv.freeBatch = 1
 	kv.Reset(core.DB{"x": 0, "y": 0})
 	ch := kv.vars.Lookup("x")
 	old := ch.head.Load()
 
-	ch.walk() // a Get on x between its head load and its checksum
+	reader := kv.enter(9, ch) // a Get on x between its head load and its checksum
 	commitInc(t, kv, 1, "x")
 	if ch.head.Load().next.Load() != nil {
 		t.Fatal("the superseded version was not unlinked")
@@ -59,7 +300,7 @@ func TestReclaimWaitsForWalkers(t *testing.T) {
 	if onFreelist(kv, old) {
 		t.Fatal("a version an announced reader may hold was freed")
 	}
-	ch.leave()
+	kv.exit(reader)
 	commitInc(t, kv, 2, "y")
 	if !onFreelist(kv, old) {
 		t.Fatal("the superseded version was not freed once its chain had no walker")
@@ -75,6 +316,7 @@ func TestReclaimWaitsForWalkers(t *testing.T) {
 // next write then takes a freed version instead of carving one.
 func TestReclaimRolledBackWaitsForPins(t *testing.T) {
 	kv := NewKV(Config{Shards: 1, ValueSize: 64, SnapshotSlots: 2})
+	kv.freeBatch = 1
 	kv.Reset(core.DB{"x": 0, "y": 0})
 	snap := kv.SnapshotAcquire(0)
 	mustApply(t, kv, 1, upd("x", inc))
@@ -193,6 +435,7 @@ func TestReclaimUnpinnedReadersRace(t *testing.T) {
 		stride  = 1 << 20 // variable i's values start at i*stride
 	)
 	kv := NewKV(Config{Shards: 1, ValueSize: 256})
+	kv.freeBatch = 1
 	init := core.DB{}
 	vars := make([]core.Var, writers)
 	for i := range vars {
