@@ -174,7 +174,7 @@ func snapshotBench(b *testing.B) {
 //     commit's reclamation hands the displaced one back.
 //   - mv-writers-kv: first-writer-wins writers beside pinned snapshot
 //     readers on 4 KiB records: ZERO — superseded and rolled-back
-//     versions are reclaimed under the readers' announcements and
+//     versions are reclaimed under the readers' and writers' pins and
 //     reused.
 //   - mv-snapshot-kv: read-only transactions through the multiversion
 //     snapshot path perform ZERO allocations — acquire, chain-walk reads

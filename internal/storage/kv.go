@@ -84,14 +84,11 @@ type chain struct {
 	sh *kvShard
 }
 
-// announcer is where an unpinned access (Get, Put, Scan) announces the
-// chain it walks, from before its load of the head to its last use of a
-// version it reached from it; nil while no access holds it (KV.enter). A
-// version that left its chain is reused only once no announcer names the
-// chain after the version left (kvShard.collect), so no unpinned access is
-// ever under a reused buffer.
-type announcer struct {
-	on atomic.Pointer[chain]
+// txPin is where a transaction pins the commit clock from its first store
+// access to its Commit or Rollback (KV.claim): -1 while no transaction holds
+// it. It holds back the GC horizon exactly as a snapshot pin does.
+type txPin struct {
+	ts atomic.Int64
 	_  [txtab.LineSize - 8]byte
 }
 
@@ -108,8 +105,8 @@ type Stats struct {
 	// path (SnapshotRead), outside Reads.
 	SnapshotReads int64
 	// VersionsGCed counts superseded versions the garbage collector
-	// unlinked once no snapshot could see them (each returns to its
-	// shard's freelist once no unpinned access can hold it either).
+	// unlinked once no reader could reach them (each then returns to its
+	// shard's freelist).
 	VersionsGCed int64
 	// ByName counts the steps (ApplyStep) and numbered snapshot reads
 	// (SnapshotReadAt) that found their record by name because the number
@@ -140,8 +137,8 @@ type Config struct {
 	// supports (0 = defaultSnapshotSlots). Each reader of the snapshot
 	// path owns one slot; the runtime maps user goroutines onto slots and
 	// falls back to the transactional path when it has more users than
-	// slots. The store keeps as many announcers for the unpinned accesses
-	// in progress (KV.enter).
+	// slots. The store keeps as many pins for the transactions live at
+	// once (KV.claim); while more are live, reclamation waits.
 	SnapshotSlots int
 
 	// The fields below configure the durable disk backend (disk.go) and
@@ -176,9 +173,8 @@ const defaultSnapshotSlots = 256
 
 // retiredVer is a version that left, or will leave, its chain and waits to
 // be reused. It is reused once no reader can hold it and its writer is done
-// with it: every pinned snapshot is at least at its horizon
-// (KV.minActiveSnapshot), it is unlinked, no announcer names its chain
-// after the unlink, and its begin stamp is final (committed at or below the
+// with it: every pin is at least at its horizon (KV.minActiveSnapshot), it
+// is unlinked, and its begin stamp is final (committed at or below the
 // horizon, or aborted).
 type retiredVer struct {
 	ver *version // the version to reuse
@@ -186,10 +182,9 @@ type retiredVer struct {
 	// the unlink clears; nil once unlinked, and for a write its own
 	// rollback unlinked.
 	succ *version
-	ch   *chain // the chain ver left
 	// at is the horizon ver waits for: the superseding commit's timestamp,
 	// or for a rolled-back write one past the clock read after its unlink,
-	// so only snapshots pinned after the unlink pass it.
+	// so only pins taken after the unlink pass it.
 	at int64
 	// under is set when ver left its chain under a committed write rather
 	// than by its own rollback. If ver then turns out aborted, the version
@@ -216,13 +211,6 @@ type kvShard struct {
 	// out.
 	heads int
 }
-
-// freeBatch is how many retired versions a shard queues before collect
-// frees any. Deciding a free reads every announcer taken since Reset, lines
-// the other processors' accesses write, so a shard pays that scan once a
-// batch, not once a commit; the versions a batch holds back are carved
-// once, in the warm-up.
-const freeBatch = 8
 
 // carveBytes bounds one batch of versions a freelist miss carves: a run's
 // warm-up allocates two objects per batch, not two per write.
@@ -279,24 +267,20 @@ func (sh *kvShard) retire(r retiredVer) {
 
 // collect moves the shard's retired versions that no reader can hold to
 // the freelist. First every version superseded at or before horizon is
-// unlinked from its chain: it is invisible to every pinned snapshot (their
-// timestamps are >= horizon) and to every future one (the published clock
-// is >= horizon), and a walker only dereferences a version's next after
-// rejecting it, while the superseder (committed at at <= horizon) is
-// always accepted first. Then, once the shard has queued kv.freeBatch
-// versions, each unlinked version past the horizon is
-// free once its begin stamp is final and no announcer names its chain: a
-// walker that reached it announced itself before the unlink and is still
-// announced, and one announcing later cannot reach it. A version whose
-// writer is still live (a non-strict scheduler let another transaction
-// write over it) waits for its writer's commit or rollback; one committed
-// after the horizon waits for the horizon to pass its commit, by which
-// time its writer has retired what it wrote over. An aborted version that
-// left under a committed write frees the versions below it that only it
-// wrote over. A version still waiting is retried at a later collect. The
-// two passes keep a version freed in this pass from being unlinked through
-// later — its next then links the freelist. See DESIGN.md "Multiversion
-// storage" for the full argument.
+// unlinked from its chain. No reader can step onto it: every live reader
+// holds a pin at or above the horizon, taken after the superseder's begin
+// stamp (at <= horizon) was published, so its walk accepts the superseder
+// first, and every later reader pins a clock at least as new. Then each
+// unlinked version whose horizon has passed is free once its begin stamp
+// is final. A version whose writer is still live (a non-strict scheduler
+// let another transaction write over it) waits for its writer's commit or
+// rollback; one committed after the horizon waits for the horizon to pass
+// its commit, by which time its writer has retired what it wrote over. An
+// aborted version that left under a committed write frees the versions
+// below it that only it wrote over. A version still waiting is retried at
+// a later collect. The two passes keep a version freed in this pass from
+// being unlinked through later — its next then links the freelist. See
+// DESIGN.md "Multiversion storage" for the full argument.
 func (sh *kvShard) collect(kv *KV, horizon int64) {
 	sh.mu.Lock()
 	for i := range sh.retired {
@@ -306,20 +290,16 @@ func (sh *kvShard) collect(kv *KV, horizon int64) {
 			kv.versionsGCed.Add(1)
 		}
 	}
-	if len(sh.retired) < kv.freeBatch {
-		sh.mu.Unlock()
-		return
-	}
 	kept := sh.retired[:0]
 	for _, r := range sh.retired {
 		b := r.ver.begin.Load()
-		if r.succ != nil || r.at > horizon || b > horizon || (b < 0 && b != abortedMark) || kv.announced(r.ch) {
+		if r.succ != nil || r.at > horizon || b > horizon || (b < 0 && b != abortedMark) {
 			kept = append(kept, r)
 			continue
 		}
 		// An aborted version that left under a committed write takes the
-		// version below it along: cut off by the same unlink, announced
-		// on the same chain, written over by nobody else.
+		// version below it along: cut off by the same unlink, written over
+		// by nobody else.
 		for ver := r.ver; ; {
 			below := ver.next.Load()
 			sh.freeLocked(ver)
@@ -329,7 +309,7 @@ func (sh *kvShard) collect(kv *KV, horizon int64) {
 			if ver, b = below, below.begin.Load(); b > horizon || (b < 0 && b != abortedMark) {
 				// r's slot is consumed, so kept (no longer than the
 				// entries visited) overwrites none not yet visited.
-				kept = append(kept, retiredVer{ver: ver, ch: r.ch, at: r.at, under: true})
+				kept = append(kept, retiredVer{ver: ver, at: r.at, under: true})
 				break
 			}
 		}
@@ -347,14 +327,17 @@ const txInline = 4
 
 // kvTx is a transaction's slot in the store's internal/txtab table: the
 // paper's local variables t_i1..t_ij, the undo log of installed versions,
-// and the transaction's own step counters, which Stats sums. Only the
-// transaction's own steps touch it (the package's transaction
-// discipline), so nothing in it is locked or atomic.
+// the pin it holds, and the transaction's own step counters, which Stats
+// sums. Only the transaction's own steps touch it (the package's
+// transaction discipline), so nothing in it is locked or atomic.
 type kvTx struct {
 	locals   []core.Value
 	undo     []undoRec
 	localBuf [txInline]core.Value
 	undoBuf  [txInline]undoRec
+	// pin is what KV.claim returned at the transaction's first access, 0
+	// before it.
+	pin int32
 
 	reads, writes, bytesRead, bytesWritten, rollbacks, byName int64
 }
@@ -367,37 +350,44 @@ func newKVTxs(slots []kvTx) {
 }
 
 // finish empties c for the transaction's next attempt, dropping the undo
-// log's version references so a finished transaction pins no version.
+// log's version references and the pin, which the caller has released.
 func (c *kvTx) finish() {
 	c.locals = c.locals[:0]
 	clear(c.undo)
 	c.undo = c.undo[:0]
+	c.pin = 0
 }
 
-// enter announces tx's access to ch before the caller loads its head, and
-// returns the announcer it took for exit; the caller calls exit when it no
-// longer uses any version it reached. The access takes a free announcer by
-// CAS, probing from a hash of tx into the first annSpread of them: every
-// access of a transaction tries the same one first, so its steps write a
-// line of their own, while transactions live at once seldom try the same
-// one and collect's scan stays about as short as the processors are many.
-// The high-water mark collect's scan stops at rises before the caller
-// loads the head. When every announcer is taken, the access counts itself
-// in overflow instead, which holds back every shard's reclamation while it
-// lasts.
+// hold pins the commit clock for tx, whose context is c, at its first
+// store access; the pin lasts until its Commit or Rollback. Every version
+// the transaction may reach from then on stays linked and off the
+// freelists (kvShard.collect), so no walk is cut short and no buffer is
+// reused under a checksum or a copy.
 //
 //optcc:hotpath
-func (kv *KV) enter(tx int, ch *chain) int {
-	n := len(kv.anns)
-	i := int(uint32(tx) * 0x9E3779B1 >> 16 % uint32(kv.annSpread))
+func (kv *KV) hold(c *kvTx, tx int) {
+	if c.pin == 0 {
+		c.pin = kv.claim(tx)
+	}
+}
+
+// claim takes a free transaction pin for tx by CAS and pins the commit
+// clock in it (pin); it returns the pin's index plus one. The CAS stores
+// 0, which can only hold the horizon further back until pin stores the
+// clock. It probes from a hash of tx into the first txSpread pins, so
+// transactions live at once seldom try the same one and the horizon scan
+// stays about as short as they are many. When every pin is taken, claim
+// counts tx in overflow instead, which holds the horizon at 0 until
+// unclaim, and returns -1.
+//
+//optcc:hotpath
+func (kv *KV) claim(tx int) int32 {
+	n := len(kv.txPins)
+	i := int(uint32(tx) * 0x9E3779B1 >> 16 % uint32(kv.txSpread))
 	for k := 0; k < n; k++ {
-		if a := &kv.anns[i]; a.on.Load() == nil && a.on.CompareAndSwap(nil, ch) {
-			for h := kv.annHigh.Load(); int(h) <= i; h = kv.annHigh.Load() {
-				if kv.annHigh.CompareAndSwap(h, int32(i+1)) {
-					break
-				}
-			}
-			return i
+		if p := &kv.txPins[i].ts; p.Load() < 0 && p.CompareAndSwap(-1, 0) {
+			kv.pin(p, &kv.txHigh, i)
+			return int32(i + 1)
 		}
 		if i++; i == n {
 			i = 0
@@ -407,30 +397,16 @@ func (kv *KV) enter(tx int, ch *chain) int {
 	return -1
 }
 
-// exit retracts enter, given the announcer it returned.
+// unclaim releases what claim returned (0: nothing).
 //
 //optcc:hotpath
-func (kv *KV) exit(i int) {
-	if i < 0 {
+func (kv *KV) unclaim(pin int32) {
+	switch {
+	case pin > 0:
+		kv.txPins[pin-1].ts.Store(-1)
+	case pin < 0:
 		kv.overflow.Add(-1)
-		return
 	}
-	kv.anns[i].on.Store(nil)
-}
-
-// announced reports whether an unpinned access may be walking ch: an
-// announcer names it, or an access without one is in progress. The caller
-// has made the unlink it asks about already.
-func (kv *KV) announced(ch *chain) bool {
-	if kv.overflow.Load() != 0 {
-		return true
-	}
-	for i, n := 0, int(kv.annHigh.Load()); i < n; i++ {
-		if kv.anns[i].on.Load() == ch {
-			return true
-		}
-	}
-	return false
 }
 
 // undoRec remembers one installed version, the head it displaced (nil:
@@ -487,18 +463,15 @@ type KV struct {
 	slots   []readerSlot
 	pinHigh atomic.Int32
 
-	// anns are the unpinned accesses' announcers (enter), as many as there
-	// are snapshot slots; an access probes from a hash of its transaction
-	// into the first annSpread. annHigh is one past the highest taken since
-	// Reset, where collect's scan stops. overflow counts the accesses in
-	// progress that found every announcer taken.
-	anns      []announcer
-	annSpread int
-	annHigh   atomic.Int32
-	overflow  atomic.Int32
-	// freeBatch is freeBatch; tests set 1 to see each version freed by
-	// the first commit that may free it.
-	freeBatch int
+	// txPins are the live transactions' pins (claim), as many as there are
+	// snapshot slots; a transaction probes from a hash of its number into
+	// the first txSpread. txHigh is one past the highest taken since Reset,
+	// where the horizon scan stops. overflow counts the live transactions
+	// that found every pin taken.
+	txPins   []txPin
+	txSpread int
+	txHigh   atomic.Int32
+	overflow atomic.Int32
 
 	// txs holds every transaction's context, found by its number with no
 	// lock; a slot keeps its buffers' capacity across transactions and
@@ -522,14 +495,11 @@ func NewKV(cfg Config) *KV {
 		shards: make([]kvShard, cfg.Shards),
 		vars:   vartab.New[chain](nil),
 		slots:  make([]readerSlot, cfg.SnapshotSlots),
-		anns:   make([]announcer, cfg.SnapshotSlots),
+		txPins: make([]txPin, cfg.SnapshotSlots),
 		txs:    txtab.New(newKVTxs),
 	}
-	kv.annSpread = min(len(kv.anns), max(4, 2*runtime.GOMAXPROCS(0)))
-	kv.freeBatch = freeBatch
-	for i := range kv.slots {
-		kv.slots[i].ts.Store(-1)
-	}
+	kv.txSpread = min(len(kv.txPins), max(4, 2*runtime.GOMAXPROCS(0)))
+	kv.unpinAll()
 	return kv
 }
 
@@ -594,8 +564,8 @@ var fillPeriod = func() (f [256]byte) {
 // prev, stamped begin=mark: prev's payload is copied (or the fresh fill
 // when prev is nil), the scalar is stamped into the first 8 bytes, and the
 // checksum is computed. Every field and payload byte is overwritten, since
-// a reused version holds stale ones. The caller announced itself on prev's
-// chain, so prev cannot be reused under the copy.
+// a reused version holds stale ones. The caller's transaction is pinned
+// (KV.hold), so prev cannot be reused under the copy.
 //
 //optcc:hotpath
 func build(ver, prev *version, scalar core.Value, mark int64) {
@@ -709,12 +679,10 @@ func (kv *KV) Reset(init core.DB) {
 		c.reads, c.writes, c.bytesRead, c.bytesWritten, c.rollbacks, c.byName = 0, 0, 0, 0, 0, 0
 		return true
 	})
-	kv.annHigh.Store(0)
 	kv.commitSeq.Store(0)
 	kv.snapClock.Store(0)
-	kv.pinHigh.Store(0)
+	kv.unpinAll()
 	for i := range kv.slots {
-		kv.slots[i].ts.Store(-1)
 		kv.slots[i].reads.Store(0)
 		kv.slots[i].bytes.Store(0)
 		kv.slots[i].byName.Store(0)
@@ -794,12 +762,9 @@ func (kv *KV) sweep() {
 // Get implements Backend: walk tx's chain view lock-free and return the
 // newest version that is either committed or tx's own uncommitted write
 // (read-your-writes). Another transaction's uncommitted version is skipped
-// without being checksummed. The read announces itself (enter) before it
-// loads the head, so no version it reaches is reused before its checksum
-// is done. The walk retries from a fresh head if a concurrent GC unlink
-// cuts it short — possible only when a version the walk skipped as
-// uncommitted commits and is superseded meanwhile, where any committed
-// successor is an acceptable answer.
+// without being checksummed. The read pins tx (hold) before it loads the
+// head, so no version it reaches is reused before its checksum is done, and
+// none it walks through is unlinked under it.
 //
 //optcc:hotpath
 func (kv *KV) Get(tx int, v core.Var) core.Value {
@@ -814,34 +779,20 @@ func (kv *KV) get(c *kvTx, tx int, ch *chain, v core.Var) core.Value {
 	if ch == nil {
 		return 0
 	}
-	a := kv.enter(tx, ch)
-	x := kv.read(c, tx, ch, v)
-	kv.exit(a)
-	return x
-}
-
-// read is get's walk, for a caller announced on ch.
-//
-//optcc:hotpath
-func (kv *KV) read(c *kvTx, tx int, ch *chain, v core.Var) core.Value {
+	kv.hold(c, tx)
 	mark := uncommittedMark(tx)
-	for attempt := 0; attempt < 4; attempt++ {
-		for ver := ch.head.Load(); ver != nil; ver = ver.next.Load() {
-			b := ver.begin.Load()
-			if b < 0 && b != mark {
-				continue // another transaction's uncommitted version
-			}
-			c.reads++
-			c.bytesRead += int64(len(ver.rec.Payload))
-			if checksum(ver.rec.Payload) != ver.rec.Sum {
-				//cclint:ignore hotpath corruption panic is the failure path; it never executes on a healthy run
-				panic(fmt.Sprintf("storage: payload corruption on %s", v))
-			}
-			return ver.rec.Scalar
+	for ver := ch.head.Load(); ver != nil; ver = ver.next.Load() {
+		b := ver.begin.Load()
+		if b < 0 && b != mark {
+			continue // another transaction's uncommitted version
 		}
-		if ch.head.Load() == nil {
-			break // variable genuinely absent
+		c.reads++
+		c.bytesRead += int64(len(ver.rec.Payload))
+		if checksum(ver.rec.Payload) != ver.rec.Sum {
+			//cclint:ignore hotpath corruption panic is the failure path; it never executes on a healthy run
+			panic(fmt.Sprintf("storage: payload corruption on %s", v))
 		}
+		return ver.rec.Scalar
 	}
 	return 0
 }
@@ -853,25 +804,21 @@ func (kv *KV) read(c *kvTx, tx int, ch *chain, v core.Var) core.Value {
 // non-strict schedulers only) rebuilds the same version against the new
 // head.
 func (kv *KV) Put(tx int, v core.Var, scalar core.Value) {
-	kv.put(kv.txs.Slot(tx), tx, kv.vars.Slot(v), kv.shard(v), scalar)
+	kv.put(kv.txs.Slot(tx), tx, kv.vars.Slot(v), v, scalar)
 }
 
-// put is Put for a caller already holding tx's context c and the chain ch
-// and shard sh of the variable written, so a write step looks each up
-// once. The write announces itself like a read: prev must not be reused
-// under the copy, nor come back as the head before the CAS.
+// put is Put for a caller already holding tx's context c and v's chain ch,
+// so a write step looks it up once. The write pins tx like a read: prev
+// must not be reused under the copy, nor come back as the head before the
+// CAS.
 //
 //optcc:hotpath
-func (kv *KV) put(c *kvTx, tx int, ch *chain, sh *kvShard, scalar core.Value) {
-	a := kv.enter(tx, ch)
-	kv.install(c, tx, ch, sh, scalar)
-	kv.exit(a)
-}
-
-// install is put's write, for a caller announced on ch.
-//
-//optcc:hotpath
-func (kv *KV) install(c *kvTx, tx int, ch *chain, sh *kvShard, scalar core.Value) {
+func (kv *KV) put(c *kvTx, tx int, ch *chain, v core.Var, scalar core.Value) {
+	kv.hold(c, tx)
+	sh := ch.sh
+	if sh == nil {
+		sh = kv.shard(v)
+	}
 	ver := sh.getVersion(kv.cfg.ValueSize)
 	mark := uncommittedMark(tx)
 	prev := ch.head.Load()
@@ -889,93 +836,82 @@ func (kv *KV) install(c *kvTx, tx int, ch *chain, sh *kvShard, scalar core.Value
 }
 
 // Scan implements Backend: visit every chain head's scalar without taking
-// any lock (the table's map is immutable and heads are atomic; each head
-// is read announced, like a Get). The view is not a consistent cut while
-// writers are active; State after quiescence is.
+// any lock (the table's map is immutable and heads are atomic), pinned
+// like a transaction for the whole visit. The view is not a consistent cut
+// while writers are active; State after quiescence is.
 func (kv *KV) Scan(fn func(v core.Var, scalar core.Value) bool) {
+	pin := kv.claim(0)
 	kv.vars.Range(func(v core.Var, ch *chain) bool {
-		a := kv.enter(0, ch)
 		ver := ch.head.Load()
-		var x core.Value
-		if ver != nil {
-			x = ver.rec.Scalar
-		}
-		kv.exit(a)
-		return ver == nil || fn(v, x)
+		return ver == nil || fn(v, ver.rec.Scalar)
 	})
+	kv.unclaim(pin)
 }
 
 // ApplyStep implements Backend with the paper's step semantics. A bound
-// store reaches the step's chain, and with it the shard, by the step's
-// variable number (see Backend); any other step hashes the name.
+// store reaches the step's chain by the step's variable number (see
+// Backend); any other step hashes the name.
 func (kv *KV) ApplyStep(tx int, step core.Step) error {
 	c := kv.txs.Slot(tx)
 	ch := kv.vars.AtVar(kv.bound.stepID(tx, len(c.locals)), step.Var)
-	var sh *kvShard
-	if ch != nil {
-		sh = ch.sh
-	} else {
+	if ch == nil {
 		c.byName++
 		ch = kv.vars.Lookup(step.Var)
 	}
-	if ch != nil && step.Kind != core.Read && step.Fn != nil {
-		// An update reads and writes its record under one announcement.
-		if sh == nil {
-			sh = kv.shard(step.Var)
-		}
-		a := kv.enter(tx, ch)
-		c.locals = append(c.locals, kv.read(c, tx, ch, step.Var))
-		kv.install(c, tx, ch, sh, step.Fn(c.locals))
-		kv.exit(a)
-		return nil
-	}
-	val := kv.get(c, tx, ch, step.Var)
-	c.locals = append(c.locals, val)
+	c.locals = append(c.locals, kv.get(c, tx, ch, step.Var))
 	if step.Kind == core.Read {
 		return nil // write-back is the identity on t_ij
 	}
 	if step.Fn == nil {
 		return fmt.Errorf("storage: step on %s has no interpretation", step.Var)
 	}
-	// An update of a variable with no chain yet: Slot makes one.
-	kv.put(c, tx, kv.vars.Slot(step.Var), kv.shard(step.Var), step.Fn(c.locals))
+	if ch == nil {
+		ch = kv.vars.Slot(step.Var) // an update of a variable with no chain yet
+	}
+	kv.put(c, tx, ch, step.Var, step.Fn(c.locals))
 	return nil
 }
 
 // Commit implements Backend: stamp tx's installed versions with one fresh
 // commit timestamp (begin on each new version, end on each displaced one),
 // publish the timestamp in commit order — snapshots only admit timestamps
-// whose commits are fully stamped — retire the displaced versions, and run
-// the GC up to the minimum active snapshot, once in each shard the
-// transaction retired a version into. A displaced version another
-// transaction wrote and has not finished (a non-strict scheduler let tx
-// write over it) is retired too; collect waits for its writer. A
-// transaction that wrote nothing takes no timestamp.
+// whose commits are fully stamped — retire the displaced versions, release
+// tx's pin, and run the GC up to the minimum active pin, once in each
+// shard the transaction retired a version into. The pin goes before the
+// horizon is read, so a commit frees what it wrote over when no other
+// reader holds it. A displaced version another transaction wrote and has
+// not finished (a non-strict scheduler let tx write over it) is retired
+// too; collect waits for its writer. A transaction that wrote nothing
+// takes no timestamp.
 func (kv *KV) Commit(tx int) {
 	c := kv.txs.Lookup(tx)
 	if c == nil {
 		return
 	}
-	if len(c.undo) > 0 {
-		ts := kv.commitSeq.Add(1)
-		for _, u := range c.undo {
-			u.ver.begin.Store(ts)
-			if u.prev == nil {
-				continue
-			}
-			u.prev.end.Store(ts)
-			u.sh.retire(retiredVer{ver: u.prev, succ: u.ver, ch: u.ch, at: ts, under: true})
+	if len(c.undo) == 0 {
+		kv.unclaim(c.pin)
+		c.finish()
+		return
+	}
+	ts := kv.commitSeq.Add(1)
+	for _, u := range c.undo {
+		u.ver.begin.Store(ts)
+		if u.prev == nil {
+			continue
 		}
-		// Publish in commit order: a reader pinning snapClock == ts sees
-		// every version of every commit up to ts fully stamped.
-		for !kv.snapClock.CompareAndSwap(ts-1, ts) {
-			runtime.Gosched()
-		}
-		min := kv.minActiveSnapshot()
-		for i, u := range c.undo {
-			if u.prev != nil && !retiredBefore(c.undo, i) {
-				u.sh.collect(kv, min)
-			}
+		u.prev.end.Store(ts)
+		u.sh.retire(retiredVer{ver: u.prev, succ: u.ver, at: ts, under: true})
+	}
+	// Publish in commit order: a reader pinning snapClock == ts sees
+	// every version of every commit up to ts fully stamped.
+	for !kv.snapClock.CompareAndSwap(ts-1, ts) {
+		runtime.Gosched()
+	}
+	kv.unclaim(c.pin)
+	min := kv.minActiveSnapshot()
+	for i, u := range c.undo {
+		if u.prev != nil && !retiredBefore(c.undo, i) {
+			u.sh.collect(kv, min)
 		}
 	}
 	c.finish()
@@ -996,18 +932,19 @@ func retiredBefore(undo []undoRec, i int) bool {
 
 // Rollback implements Backend: replay tx's undo log in reverse, restoring
 // each displaced chain head (byte-identical — versions are immutable), then
-// drop the context so the restart begins with fresh locals. Every dying
-// write is stamped with the abortedMark, which every reader skips, restart
-// included, and which tells collect its writer is done with it. A dying
-// write is unlinked only while it is still its chain's head, and is then
-// retired for reuse: a walker or a pinned snapshot may have reached it
-// before the unlink (and skipped it — its begin mark admits no snapshot
+// release tx's pin and drop the context so the restart begins with fresh
+// locals. Every dying write is stamped with the abortedMark, which every
+// reader skips, restart included, and which tells collect its writer is
+// done with it. A dying write is unlinked only while it is still its
+// chain's head, and is then retired for reuse: a reader may have reached
+// it before the unlink (and skipped it — its begin mark admits no snapshot
 // and Get skips other transactions' uncommitted versions), so it waits
 // like a superseded version, for the horizon to pass the clock read after
-// the unlink and for no announcer to name its chain. A dying write another
-// transaction already wrote over — a non-strict scheduler let it — stays
-// in the chain, and leaves it when the write over it commits; restoring
-// the head under it would relink versions a commit may since have retired.
+// the unlink, which every pin taken before the unlink holds back. A dying
+// write another transaction already wrote over — a non-strict scheduler
+// let it — stays in the chain, and leaves it when the write over it
+// commits; restoring the head under it would relink versions a commit may
+// since have retired.
 // The mark is stored after the unlink's CAS: once it is, collect may reuse
 // the version, which must then not be compared as the head.
 func (kv *KV) Rollback(tx int) {
@@ -1023,9 +960,10 @@ func (kv *KV) Rollback(tx int) {
 		unlinked := u.ch.head.CompareAndSwap(u.ver, u.prev)
 		u.ver.begin.Store(abortedMark)
 		if unlinked {
-			u.sh.retire(retiredVer{ver: u.ver, ch: u.ch, at: kv.snapClock.Load() + 1})
+			u.sh.retire(retiredVer{ver: u.ver, at: kv.snapClock.Load() + 1})
 		}
 	}
+	kv.unclaim(c.pin)
 	c.finish()
 }
 
@@ -1043,8 +981,8 @@ func (kv *KV) State() core.DB {
 // comparisons in tests and tools.
 func (kv *KV) Snapshot() map[core.Var]Record {
 	out := map[core.Var]Record{}
+	pin := kv.claim(0)
 	kv.vars.Range(func(v core.Var, ch *chain) bool {
-		a := kv.enter(0, ch)
 		if ver := ch.head.Load(); ver != nil {
 			out[v] = Record{
 				Scalar:  ver.rec.Scalar,
@@ -1052,9 +990,9 @@ func (kv *KV) Snapshot() map[core.Var]Record {
 				Sum:     ver.rec.Sum,
 			}
 		}
-		kv.exit(a)
 		return true
 	})
+	kv.unclaim(pin)
 	return out
 }
 
@@ -1063,25 +1001,32 @@ func (kv *KV) SnapshotSlots() int { return len(kv.slots) }
 
 // SnapshotAcquire implements SnapshotBackend: pin the given reader slot to
 // the current published commit clock and return the snapshot timestamp.
-// The slot first raises the high-water mark the GC's scan stops at, if it
-// lies beyond it. The store-then-revalidate loop closes the race with a
-// concurrent GC horizon scan: the GC loads the clock before the mark and
-// the pins, so a pin whose revalidation saw an unchanged clock is either
-// observed by the scan or at least as new as the horizon the GC used.
 // Lock-free and allocation-free: three atomic loads and a store on the
 // uncontended path, none of them a write to a line another user writes.
 //
 //optcc:hotpath
 func (kv *KV) SnapshotAcquire(slot int) int64 {
-	sl := &kv.slots[slot]
-	for n := kv.pinHigh.Load(); int(n) <= slot; n = kv.pinHigh.Load() {
-		if kv.pinHigh.CompareAndSwap(n, int32(slot+1)) {
+	return kv.pin(&kv.slots[slot].ts, &kv.pinHigh, slot)
+}
+
+// pin publishes the current commit clock in ts, the i-th of the pins a
+// horizon scan reads below high, and returns it. The pin first raises high
+// past i, if it lies below. The store-then-revalidate loop closes the race
+// with a concurrent horizon scan (minActiveSnapshot): the scan loads the
+// clock before the marks and the pins, so a pin whose revalidation saw an
+// unchanged clock is either observed by the scan or at least as new as
+// the horizon the scan returns.
+//
+//optcc:hotpath
+func (kv *KV) pin(ts *atomic.Int64, high *atomic.Int32, i int) int64 {
+	for n := high.Load(); int(n) <= i; n = high.Load() {
+		if high.CompareAndSwap(n, int32(i+1)) {
 			break
 		}
 	}
 	for {
 		s := kv.snapClock.Load()
-		sl.ts.Store(s)
+		ts.Store(s)
 		if kv.snapClock.Load() == s {
 			return s
 		}
@@ -1162,22 +1107,45 @@ func (kv *KV) SnapshotReads() int64 {
 	return n
 }
 
-// minActiveSnapshot returns the GC horizon: the oldest snapshot any reader
-// has pinned, or the published commit clock when none is pinned (every
-// future snapshot will be at least that new). The clock is loaded before
-// the high-water mark and the pins — the ordering SnapshotAcquire's
-// revalidation pairs with — and the scan covers only the slots below the
-// mark: the users' own, when the runtime pins slot = user.
+// minActiveSnapshot returns the GC horizon: the oldest clock any snapshot
+// reader or live transaction has pinned, or the published commit clock
+// when none is pinned (every future pin will be at least that new), or 0
+// while a live transaction found no pin (overflow). The clock is loaded
+// before overflow, the high-water marks and the pins — the ordering pin's
+// revalidation pairs with — and the scans cover only the pins below the
+// marks: the users' own, when the runtime pins slot = user.
 //
 //optcc:hotpath
 func (kv *KV) minActiveSnapshot() int64 {
 	min := kv.snapClock.Load()
+	if kv.overflow.Load() != 0 {
+		return 0
+	}
 	for i, n := 0, int(kv.pinHigh.Load()); i < n; i++ {
 		if s := kv.slots[i].ts.Load(); s >= 0 && s < min {
 			min = s
 		}
 	}
+	for i, n := 0, int(kv.txHigh.Load()); i < n; i++ {
+		if s := kv.txPins[i].ts.Load(); s >= 0 && s < min {
+			min = s
+		}
+	}
 	return min
+}
+
+// unpinAll releases every snapshot and transaction pin, for a store with
+// no reader live (NewKV, Reset).
+func (kv *KV) unpinAll() {
+	for i := range kv.slots {
+		kv.slots[i].ts.Store(-1)
+	}
+	for i := range kv.txPins {
+		kv.txPins[i].ts.Store(-1)
+	}
+	kv.pinHigh.Store(0)
+	kv.txHigh.Store(0)
+	kv.overflow.Store(0)
 }
 
 // Stats returns the physical work counters since Reset. It sums the

@@ -76,6 +76,7 @@ func TestVersionChainVisibility(t *testing.T) {
 	if got := kv.Get(3, "x"); got != 1 {
 		t.Fatalf("x after rollback = %d", got)
 	}
+	kv.Commit(3)
 
 	// Commit ts 2 retires the x=1 version; the pin at snapshot 1 keeps it
 	// alive, so nothing is collected yet.

@@ -2,14 +2,15 @@ package storage
 
 // Version reclamation: a version that leaves its chain goes back to its
 // shard's freelist, header and payload, only once no reader can hold it —
-// no pinned snapshot below its horizon and no unpinned access announced on
-// its chain. The deterministic tests hold each condition on its own; the
-// race test runs unpinned readers against committing writers with no lock
-// between them, the case a store without announcements gets wrong.
+// no pin, a snapshot's or a live transaction's, below its horizon. The
+// deterministic tests hold each case on its own; the race test runs
+// read-committed readers against committing writers with no lock between
+// them, the case a store that pins only snapshots gets wrong.
 
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -91,7 +92,6 @@ func accounting(t *testing.T, kv *KV, whole bool) {
 // once that write commits, and the version below such a write with it.
 func TestReclaimNonStrictWritesComeBack(t *testing.T) {
 	kv := NewKV(Config{Shards: 1, ValueSize: 64})
-	kv.freeBatch = 1
 	kv.Reset(core.DB{"x": 0, "y": 0})
 	ch := kv.vars.Lookup("x")
 	drain := func(tx int) { // commits elsewhere in the shard collect
@@ -149,24 +149,23 @@ func TestReclaimNonStrictWritesComeBack(t *testing.T) {
 // TestReclaimNonStrictRoundsAccountForEveryVersion: random non-strict
 // rounds — transactions writing over each other's uncommitted versions,
 // committing and rolling back in any order, beside pinned snapshots —
-// never free a version twice or while it is linked, freeing in batches or
-// at every commit. With every commit freeing, a strict write and commit on
-// every variable afterwards brings every version back; a Reset on its own
-// always does. The rounds then carve nothing new.
+// never free a version twice or while it is linked, with a pin for every
+// live transaction or with most of them overflowing four pins. A strict
+// write and commit on every variable afterwards brings every version back;
+// a Reset on its own always does. The rounds then carve nothing new.
 func TestReclaimNonStrictRoundsAccountForEveryVersion(t *testing.T) {
-	for _, batch := range []int{1, freeBatch} {
-		reclaimNonStrictRounds(t, batch)
+	for _, pins := range []int{4, 64} {
+		reclaimNonStrictRounds(t, pins)
 	}
 }
 
-func reclaimNonStrictRounds(t *testing.T, batch int) {
+func reclaimNonStrictRounds(t *testing.T, pins int) {
 	vars := []core.Var{"a", "b", "c", "d", "e"}
 	init := core.DB{}
 	for _, v := range vars {
 		init[v] = 0
 	}
-	kv := NewKV(Config{Shards: 2, ValueSize: 32, SnapshotSlots: 4})
-	kv.freeBatch = batch
+	kv := NewKV(Config{Shards: 2, ValueSize: 32, SnapshotSlots: pins})
 	round := func(seed int64, drain bool) {
 		rng := rand.New(rand.NewSource(seed))
 		kv.Reset(init)
@@ -218,95 +217,80 @@ func reclaimNonStrictRounds(t *testing.T, batch int) {
 		}
 	}
 	for seed := int64(0); seed < 200; seed++ {
-		round(seed, batch == 1 && seed%2 == 0)
+		round(seed, seed%2 == 0)
 		kv.Reset(init)
 		accounting(t, kv, true)
 	}
 	carved := kv.shards[0].carved + kv.shards[1].carved
 	for seed := int64(0); seed < 200; seed++ {
-		round(seed, batch == 1 && seed%2 == 0)
+		round(seed, seed%2 == 0)
 	}
 	if got := kv.shards[0].carved + kv.shards[1].carved; got != carved {
-		t.Fatalf("batch %d: repeated rounds carved %d versions, want the %d the first ones did", batch, got, carved)
+		t.Fatalf("%d pins: repeated rounds carved %d versions, want the %d the first ones did", pins, got, carved)
 	}
 }
 
-// TestReclaimOverflowHoldsBack: an access that finds every announcer taken
-// holds back reclamation in every shard until it leaves.
+// TestReclaimOverflowHoldsBack: a transaction that finds every pin taken
+// holds back reclamation in every shard, unlinking too, until it ends.
 func TestReclaimOverflowHoldsBack(t *testing.T) {
 	kv := NewKV(Config{Shards: 1, ValueSize: 64, SnapshotSlots: 1})
-	kv.freeBatch = 1
 	kv.Reset(core.DB{"x": 0, "y": 0})
 	ch := kv.vars.Lookup("x")
 	old := ch.head.Load()
-	holder := kv.enter(8, kv.vars.Lookup("y")) // an access holds the only announcer
-	reader := kv.enter(9, ch)
-	if reader >= 0 {
-		t.Fatal("a second access took the only announcer")
+	kv.Get(8, "y") // transaction 8 holds the only pin
+	kv.Get(9, "x")
+	if kv.txs.Lookup(9).pin >= 0 {
+		t.Fatal("a second transaction took the only pin")
 	}
-	kv.exit(holder)
+	kv.Commit(8)
 	commitInc(t, kv, 1, "x")
-	if onFreelist(kv, old) {
-		t.Fatal("a version was freed under an access without an announcer")
+	if ch.head.Load().next.Load() != old || onFreelist(kv, old) {
+		t.Fatal("a version was unlinked or freed under a transaction without a pin")
 	}
-	kv.exit(reader)
+	kv.Commit(9)
 	commitInc(t, kv, 2, "y")
 	if !onFreelist(kv, old) {
-		t.Fatal("the superseded version was not freed once the access left")
+		t.Fatal("the superseded version was not freed once the transaction ended")
 	}
 }
 
-// TestReclaimFreesInBatches: a shard frees nothing until it has queued
-// freeBatch retired versions, and then frees them together.
-func TestReclaimFreesInBatches(t *testing.T) {
-	kv := NewKV(Config{Shards: 1, ValueSize: 64})
-	kv.Reset(core.DB{"x": 0})
-	ch := kv.vars.Lookup("x")
-	var old []*version
-	for tx := 1; tx < freeBatch; tx++ {
-		old = append(old, ch.head.Load())
-		commitInc(t, kv, tx, "x")
-	}
-	for _, ver := range old {
-		if onFreelist(kv, ver) {
-			t.Fatalf("a version was freed with %d of %d retired", len(old), freeBatch)
-		}
-	}
-	old = append(old, ch.head.Load())
-	commitInc(t, kv, freeBatch, "x")
-	for i, ver := range old {
-		if !onFreelist(kv, ver) {
-			t.Fatalf("retired version %d of a full batch was not freed", i)
-		}
-	}
-	accounting(t, kv, true)
-}
+// TestReclaimWaitsForLiveTransactions: a live transaction holds what it
+// may reach. Once it has read x, the version a later commit writes over x
+// stays linked and off the freelist, though no snapshot is pinned; its
+// Commit releases it, and so does its Rollback. A commit with no other
+// reader live frees what it wrote over at once.
+func TestReclaimWaitsForLiveTransactions(t *testing.T) {
+	for _, end := range []string{"commit", "rollback"} {
+		kv := NewKV(Config{Shards: 1, ValueSize: 64})
+		kv.Reset(core.DB{"x": 0, "y": 0})
+		ch := kv.vars.Lookup("x")
+		old := ch.head.Load()
 
-// TestReclaimWaitsForWalkers: a superseded version whose chain has an
-// announced unpinned access stays off the freelist, though no snapshot is
-// pinned; once the access leaves, the next commit in the shard frees it.
-func TestReclaimWaitsForWalkers(t *testing.T) {
-	kv := NewKV(Config{Shards: 1, ValueSize: 64})
-	kv.freeBatch = 1
-	kv.Reset(core.DB{"x": 0, "y": 0})
-	ch := kv.vars.Lookup("x")
-	old := ch.head.Load()
-
-	reader := kv.enter(9, ch) // a Get on x between its head load and its checksum
-	commitInc(t, kv, 1, "x")
-	if ch.head.Load().next.Load() != nil {
-		t.Fatal("the superseded version was not unlinked")
-	}
-	if onFreelist(kv, old) {
-		t.Fatal("a version an announced reader may hold was freed")
-	}
-	kv.exit(reader)
-	commitInc(t, kv, 2, "y")
-	if !onFreelist(kv, old) {
-		t.Fatal("the superseded version was not freed once its chain had no walker")
-	}
-	if got := kv.Get(3, "x"); got != 1 {
-		t.Fatalf("x = %d, want 1", got)
+		if got := kv.Get(9, "x"); got != 0 {
+			t.Fatalf("x = %d, want 0", got)
+		}
+		commitInc(t, kv, 1, "x")
+		if ch.head.Load().next.Load() != old || onFreelist(kv, old) {
+			t.Fatalf("%s: a version a live transaction may reach was unlinked or freed", end)
+		}
+		if end == "commit" {
+			kv.Commit(9)
+		} else {
+			kv.Rollback(9)
+		}
+		commitInc(t, kv, 2, "y")
+		if ch.head.Load().next.Load() != nil || !onFreelist(kv, old) {
+			t.Fatalf("%s: the superseded version was not freed once the transaction ended", end)
+		}
+		mid := ch.head.Load()
+		commitInc(t, kv, 3, "x")
+		if !onFreelist(kv, mid) {
+			t.Fatalf("%s: a commit with no reader live kept what it wrote over", end)
+		}
+		accounting(t, kv, true)
+		if got := kv.Get(4, "x"); got != 2 {
+			t.Fatalf("x = %d, want 2", got)
+		}
 	}
 }
 
@@ -316,7 +300,6 @@ func TestReclaimWaitsForWalkers(t *testing.T) {
 // next write then takes a freed version instead of carving one.
 func TestReclaimRolledBackWaitsForPins(t *testing.T) {
 	kv := NewKV(Config{Shards: 1, ValueSize: 64, SnapshotSlots: 2})
-	kv.freeBatch = 1
 	kv.Reset(core.DB{"x": 0, "y": 0})
 	snap := kv.SnapshotAcquire(0)
 	mustApply(t, kv, 1, upd("x", inc))
@@ -420,13 +403,14 @@ func TestKVSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestReclaimUnpinnedReadersRace: unpinned Gets checksum every variable
-// with no lock while one writer per variable commits (and now and then
-// rolls back) superseding writes, all in one shard, so every commit's
-// reclamation hands versions straight to another writer's next Put. A
-// version freed under a reader shows up as a race report, a checksum
-// panic, or a value outside the variable's own range (a header reused for
-// another variable).
+// TestReclaimUnpinnedReadersRace: Gets outside any snapshot pin checksum
+// every variable with no lock while one writer per variable commits (and
+// now and then rolls back) superseding writes, all in one shard, so every
+// commit's reclamation hands versions straight to another writer's next
+// Put. Each reader ends its transaction after every pass, so reclamation
+// goes on, and yields after it. A version freed under a reader shows up
+// as a race report, a checksum panic, or a value outside the variable's
+// own range (a header reused for another variable).
 func TestReclaimUnpinnedReadersRace(t *testing.T) {
 	const (
 		writers = 6
@@ -435,7 +419,6 @@ func TestReclaimUnpinnedReadersRace(t *testing.T) {
 		stride  = 1 << 20 // variable i's values start at i*stride
 	)
 	kv := NewKV(Config{Shards: 1, ValueSize: 256})
-	kv.freeBatch = 1
 	init := core.DB{}
 	vars := make([]core.Var, writers)
 	for i := range vars {
@@ -486,6 +469,12 @@ func TestReclaimUnpinnedReadersRace(t *testing.T) {
 					}
 					last[i] = got
 				}
+				kv.Commit(writers + r)
+				// A reader descheduled while pinned holds back every
+				// shard's reclamation. Yield only unpinned, so on one
+				// processor the writers do not run out their rounds
+				// inside one reader's pin.
+				runtime.Gosched()
 			}
 		}(r)
 	}

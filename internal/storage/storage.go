@@ -71,6 +71,12 @@ import (
 // step's variable at that number. Every other call (Get, Put, a step of
 // another System, a store never bound) finds the record by name, so the
 // binding changes how fast a record is found, never which one.
+//
+// A transaction that touched a store ends with Commit or Rollback. The KV
+// store holds back the reclamation of superseded versions for a
+// transaction from its first access (Get, Put, ApplyStep) until then, so
+// a transaction left open keeps every version written over after its first
+// access. The runtime always ends a transaction.
 type Backend interface {
 	// Name identifies the backend.
 	Name() string
@@ -81,8 +87,9 @@ type Backend interface {
 	// rebuild its tables in place.
 	Reset(init core.DB)
 	// Get returns the scalar value of v, reading (and checksum-verifying)
-	// the full payload. The tx argument is recorded for read-set extensions;
-	// the in-memory KV does not use it.
+	// the full payload. The read belongs to transaction tx: both stores
+	// return tx's own uncommitted write of v if it has one, and the KV
+	// store holds back reclamation for tx until it ends.
 	Get(tx int, v core.Var) core.Value
 	// Put stores scalar as the new value of v under copy-on-write: a fresh
 	// record is built (payload copied, scalar stamped, checksum recomputed)
