@@ -23,12 +23,15 @@ import (
 //     mid-fsync); kvShard.freeMu never nests with itself (the *Locked
 //     naming convention), and GroupCommitter.mu is never taken
 //     recursively.
-//   - sim: the shard decision latch (shardState.mu) is outermost across
-//     every domain — a scheduler decision runs under it, so lock-table
-//     shard mutexes, the SGT graph mutex, Mutexed.mu and the group-commit
-//     queue all nest inside it, it is never taken while any tracked lock is
-//     held, and two latches are never held at once, not even through a
-//     call (decide → unlock → kick).
+//   - sim: the deadlock breaker's mutex (shardedRun.breakMu) is outermost
+//     of all — the breaker scans and kicks the latches under it, and a
+//     user takes it only after unlocking its latch. Below it the shard
+//     decision latch (shardState.mu) is outermost across every other
+//     domain — a scheduler decision runs under it, so lock-table shard
+//     mutexes, the SGT graph mutex, Mutexed.mu and the group-commit queue
+//     all nest inside it, it is never taken while any of those is held,
+//     and two latches are never held at once, not even through a call
+//     (decide → unlock → kick).
 //
 // The check is a source-order scan per function: Lock/RLock pushes the
 // receiver's lock class, Unlock/RUnlock pops it (a deferred unlock holds to
@@ -59,24 +62,26 @@ type lockClass struct {
 	// multi marks classes with many instances (per-shard, per-transaction).
 	// Acquiring a second instance while one is held is a violation.
 	multi bool
-	// outermost puts the class above every other class of every domain: it
-	// may not be acquired while any tracked lock is held, and a call that
-	// may acquire another instance while one is held is a violation too.
+	// outermost puts the class above every class of every other domain: it
+	// may not be acquired while any of those is held, and a call that may
+	// acquire another instance while one is held is a violation too.
+	// Within its own domain rank orders it as usual.
 	outermost bool
 }
 
 // lockClasses is the hierarchy under enforcement, keyed by OwnerType.field.
 var lockClasses = map[string]*lockClass{
-	"sgtGraph.mu":       {key: "sgtGraph.mu", domain: "sgtgraph", rank: 10},
-	"tableShard.mu":     {key: "tableShard.mu", domain: "lockmgr", rank: 10, multi: true},
-	"fastSet.mu":        {key: "fastSet.mu", domain: "lockmgr", rank: 20, multi: true},
-	"Disk.ckptMu":       {key: "Disk.ckptMu", domain: "disk", rank: 5},
-	"Disk.syncMu":       {key: "Disk.syncMu", domain: "disk", rank: 10},
-	"Disk.mu":           {key: "Disk.mu", domain: "disk", rank: 20},
-	"GroupCommitter.mu": {key: "GroupCommitter.mu", domain: "groupcommit", rank: 10},
-	"kvShard.freeMu":    {key: "kvShard.freeMu", domain: "kv", rank: 10, multi: true},
-	"Mutexed.mu":        {key: "Mutexed.mu", domain: "online", rank: 10},
-	"shardState.mu":     {key: "shardState.mu", domain: "latch", rank: 10, multi: true, outermost: true},
+	"sgtGraph.mu":        {key: "sgtGraph.mu", domain: "sgtgraph", rank: 10},
+	"tableShard.mu":      {key: "tableShard.mu", domain: "lockmgr", rank: 10, multi: true},
+	"fastSet.mu":         {key: "fastSet.mu", domain: "lockmgr", rank: 20, multi: true},
+	"Disk.ckptMu":        {key: "Disk.ckptMu", domain: "disk", rank: 5},
+	"Disk.syncMu":        {key: "Disk.syncMu", domain: "disk", rank: 10},
+	"Disk.mu":            {key: "Disk.mu", domain: "disk", rank: 20},
+	"GroupCommitter.mu":  {key: "GroupCommitter.mu", domain: "groupcommit", rank: 10},
+	"kvShard.freeMu":     {key: "kvShard.freeMu", domain: "kv", rank: 10, multi: true},
+	"Mutexed.mu":         {key: "Mutexed.mu", domain: "online", rank: 10},
+	"shardedRun.breakMu": {key: "shardedRun.breakMu", domain: "latch", rank: 5, outermost: true},
+	"shardState.mu":      {key: "shardState.mu", domain: "latch", rank: 10, multi: true, outermost: true},
 }
 
 // lockCallKind classifies a call as a Lock or Unlock on a tracked class.
@@ -276,9 +281,9 @@ func scanLockOrder(pass *analysis.Pass, body *ast.BlockStmt) {
 		for _, h := range held {
 			if h.class.domain != cls.domain {
 				if cls.outermost && viaCall != "" {
-					report(n, "call to %s may acquire %s while %s is held; the shard latch is outermost", viaCall, cls.key, h.class.key)
+					report(n, "call to %s may acquire %s while %s is held; %s is outermost", viaCall, cls.key, h.class.key, cls.key)
 				} else if cls.outermost {
-					report(n, "%s acquired while %s is held; the shard latch is outermost", cls.key, h.class.key)
+					report(n, "%s acquired while %s is held; %s is outermost", cls.key, h.class.key, cls.key)
 				}
 				continue
 			}

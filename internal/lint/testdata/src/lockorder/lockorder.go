@@ -162,3 +162,34 @@ func (r *run) kickUnderQueue(a int) {
 	r.retry(r.shards[a]) // want "call to retry may acquire shardState.mu while GroupCommitter.mu is held"
 	r.gc.mu.Unlock()
 }
+
+type shardedRun struct {
+	breakMu sync.Mutex
+	breaks  int
+	shards  []*shardState
+	sched   Mutexed
+}
+
+// maybeBreak takes the breaker's mutex.
+func (r *shardedRun) maybeBreak() {
+	r.breakMu.Lock()
+	r.breaks++
+	r.breakMu.Unlock()
+}
+
+// breakUnderLatch runs the breaker before unlocking the parking request's
+// latch; the breaker scans the latches under its mutex, so the two orders
+// would cross.
+func (r *shardedRun) breakUnderLatch(a int) {
+	r.shards[a].mu.Lock()
+	r.maybeBreak() // want "call to maybeBreak may acquire shardedRun.breakMu while shardState.mu is held"
+	r.shards[a].mu.Unlock()
+}
+
+// breakUnderScheduler takes the breaker's mutex inside the scheduler's.
+func (r *shardedRun) breakUnderScheduler() {
+	r.sched.mu.Lock()
+	r.breakMu.Lock() // want "shardedRun.breakMu acquired while Mutexed.mu is held; shardedRun.breakMu is outermost"
+	r.breakMu.Unlock()
+	r.sched.mu.Unlock()
+}

@@ -127,3 +127,21 @@ func (r *run) sweep() (n int) {
 	}
 	return n
 }
+
+type shardedRun struct {
+	breakMu sync.Mutex
+	run
+}
+
+// breakAfterUnlock is the documented breaker order: the parking request
+// unlocks its latch, then takes the breaker's mutex, which scans and kicks
+// the latches one at a time under it.
+func (r *shardedRun) breakAfterUnlock(a int) {
+	r.shards[a].mu.Lock()
+	r.shards[a].parked = append(r.shards[a].parked, a)
+	r.shards[a].mu.Unlock()
+	r.breakMu.Lock()
+	_ = r.sweep()
+	r.retry(r.shards[a])
+	r.breakMu.Unlock()
+}

@@ -32,6 +32,17 @@ type WaitsForProvider interface {
 	WaitsForTxs() map[int][]int
 }
 
+// GrantReleaser is implemented by schedulers whose Grant may release a lock
+// and so unblock a delayed request: TreeLock's lock coupling frees the
+// parent when it grants the child. The concurrent runtime (internal/sim)
+// asks once per run and then re-offers parked requests after every grant;
+// a scheduler that frees locks only in Commit and Abort does not implement
+// it, and its grants wake nobody.
+type GrantReleaser interface {
+	// ReleasesOnGrant reports that a Grant may release a lock.
+	ReleasesOnGrant() bool
+}
+
 // shardOfVar hash-partitions a variable across n shards. It is
 // lockmgr.ShardOfVar, the single partition function, so lock state and
 // dispatch always agree on ownership.
@@ -93,6 +104,13 @@ func (m *Mutexed) Wounded() []int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.inner.Wounded()
+}
+
+// ReleasesOnGrant implements GrantReleaser with the inner scheduler's
+// answer.
+func (m *Mutexed) ReleasesOnGrant() bool {
+	g, ok := m.inner.(GrantReleaser)
+	return ok && g.ReleasesOnGrant()
 }
 
 // NumShards implements ConcurrentScheduler.

@@ -71,6 +71,10 @@ func (s *TreeLock) releasePrev(id core.StepID) {
 	}
 }
 
+// ReleasesOnGrant implements GrantReleaser: a grant releases the previous
+// step's lock.
+func (s *TreeLock) ReleasesOnGrant() bool { return true }
+
 // Commit implements Scheduler.
 func (s *TreeLock) Commit(tx int) {
 	s.table.ReleaseAll(lockmgr.TxID(tx))

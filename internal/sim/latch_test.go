@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -50,14 +51,11 @@ func runOrHang(t *testing.T, cfg Config, limit time.Duration) *Metrics {
 	}
 }
 
-// TestLatchNoWakeupDependsOnWatchdog switches the watchdog tick off (one
-// hour) and hammers the lock-contended hot shard with far more users than
-// shards: every park must be woken by the commit, abort or wound that
-// unblocked it, or a run hangs. Wound-wait cannot deadlock, so the breaker
-// has nothing to do either.
-func TestLatchNoWakeupDependsOnWatchdog(t *testing.T) {
-	defer func(d time.Duration) { watchdogPeriod = d }(watchdogPeriod)
-	watchdogPeriod = time.Hour
+// TestLatchWakeupFromItsEvent hammers the lock-contended hot shard with far
+// more users than shards: every park must be woken by the commit, abort or
+// wound that unblocked it. Wound-wait cannot deadlock, so a run that needs
+// the breaker lost a wake-up; one that hangs lost the breaker too.
+func TestLatchWakeupFromItsEvent(t *testing.T) {
 	const jobs, users = 96, 48
 	runs := 200
 	if raceEnabled {
@@ -73,6 +71,9 @@ func TestLatchNoWakeupDependsOnWatchdog(t *testing.T) {
 			Backend: be, Users: users, Seed: int64(run)}, 30*time.Second)
 		if m.Committed != jobs {
 			t.Fatalf("run %d: committed %d of %d (aborts=%d breaks=%d)", run, m.Committed, jobs, m.Aborts, m.DeadlockBreaks)
+		}
+		if m.DeadlockBreaks != 0 {
+			t.Fatalf("run %d: %d deadlock breaks under wound-wait, which cannot deadlock: a parked request was not woken", run, m.DeadlockBreaks)
 		}
 		if err := check.Replay(inst, m.Output, be.State()); err != nil {
 			t.Fatalf("run %d (seed %d): %v", run, run, err)
@@ -187,14 +188,11 @@ func TestRunStateCensus(t *testing.T) {
 	}
 }
 
-// TestBreakerNoWakeupDependsOnWatchdog switches the watchdog tick off (one
-// hour) and runs the cross pattern under detection-based 2PL with more
-// users than processors: every deadlock must be broken by the signal of the
-// user that parked last or of the one whose job end left only parked users
+// TestBreakerRunsInline runs the cross pattern under detection-based 2PL
+// with more users than processors: every deadlock must be broken by the
+// user that parked last or by the one whose job end left only parked users
 // with a job, or a run hangs.
-func TestBreakerNoWakeupDependsOnWatchdog(t *testing.T) {
-	defer func(d time.Duration) { watchdogPeriod = d }(watchdogPeriod)
-	watchdogPeriod = time.Hour
+func TestBreakerRunsInline(t *testing.T) {
 	const jobs, runs = 32, 4
 	users := max(8, 2*runtime.GOMAXPROCS(0))
 	inst := Instantiate(workload.Cross(), jobs)
@@ -209,6 +207,43 @@ func TestBreakerNoWakeupDependsOnWatchdog(t *testing.T) {
 	}
 	if breaks == 0 {
 		t.Fatalf("no deadlock in %d runs; the breaker was not exercised", runs)
+	}
+}
+
+// TestGrantReleaseWakesWaiter: a tree-locking grant releases the parent's
+// lock, so it must re-offer the request parked on that lock at once, not
+// when the holder commits. Two users descend a PathWorkload, both from the
+// root; whichever takes the root first is the holder, and the other's first
+// grant must come before the holder's final one, on both engines.
+func TestGrantReleaseWakesWaiter(t *testing.T) {
+	const depth = 3
+	sys := workload.PathWorkload(depth, 2, 5)
+	engines := []struct {
+		name  string
+		sched func() online.Scheduler
+	}{
+		{"central", func() online.Scheduler { return online.NewTreeLock() }},
+		{"latch", func() online.Scheduler { return online.NewMutexed(online.NewTreeLock()) }},
+	}
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 3; seed++ {
+				m, err := Run(Config{System: sys, Sched: e.sched(), Users: 2, Seed: seed, ExecTime: 2 * time.Millisecond})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m.Committed != 2 || len(m.Output) != 2*depth {
+					t.Fatalf("seed %d: committed %d, output %v", seed, m.Committed, m.Output)
+				}
+				holder := m.Output[0].Tx
+				first := slices.Index(m.Output, core.StepID{Tx: 1 - holder})
+				final := slices.Index(m.Output, core.StepID{Tx: holder, Idx: depth - 1})
+				if first < 0 || first > final {
+					t.Fatalf("seed %d: the waiter's first grant at %d, the holder's final one at %d: the grant that released the root woke nobody (output %v)",
+						seed, first, final, m.Output)
+				}
+			}
+		})
 	}
 }
 

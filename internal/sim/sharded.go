@@ -21,16 +21,16 @@
 // run (see there).
 //
 // A Delay parks the request in the shard's parked list and the user blocks
-// on its own verdict channel. Nobody polls: whoever changes state another
-// request may wait on — a commit's release, an abort, a
-// fresh wound — re-offers the parked requests (kickParked) of exactly those
-// shards whose atomic parked counter is non-zero, one latch at a time and
-// never while holding another latch. A request registers (append and
-// counter++) before a final re-offer inside the same latch hold, pairing
-// with the releaser's "release, then read the counter": either the
-// re-offer sees the release or the releaser sees the registration, so no
-// wake-up is lost. A watchdog tick re-offers as well, but only against
-// goroutines starved on an oversubscribed machine, never as the mechanism.
+// on its own verdict channel. Nobody polls and no timer runs: whoever
+// changes state another request may wait on — a commit's release, an
+// abort, a fresh wound, and the grant of a scheduler whose grants release
+// locks (online.GrantReleaser) — re-offers the parked requests
+// (kickParked) of exactly those shards whose atomic parked counter is
+// non-zero, one latch at a time and never while holding another latch. A
+// request registers (append and counter++) before a final re-offer inside
+// the same latch hold, pairing with the releaser's "release, then read the
+// counter": either the re-offer sees the release or the releaser sees the
+// registration, so no wake-up is lost.
 //
 // Aborts roll the backend back *before* the scheduler releases the
 // victim's locks (the victim is always parked or between its own requests
@@ -39,11 +39,13 @@
 // Each user keeps one run-state word that only it writes: idle (no job),
 // running, waiting (on a contended latch or in the back-off sleep) or
 // parked (from registration until its verdict arrives). Two rules read the
-// words. A deadlock breaker fires when every user with a job is parked and
-// picks a victim through the scheduler's global waits-for view; a commit in
-// flight always has a running user (the inline committer, or the group
-// commit's driver until its drain ends), so the breaker holds off while one
-// may still unblock the waiters for free. And with more users than
+// words. The deadlock breaker runs on the user that completes a stall — the
+// one that parks last, or the one whose job end leaves only parked users
+// with a job — and picks a victim through the scheduler's global waits-for
+// view; a commit in flight always has a running user (the inline
+// committer, or the group commit's driver until its drain ends), so the
+// breaker holds off while one may still unblock the waiters for free. A
+// run starts no goroutine but its users. And with more users than
 // processors, a user hands its processor on at job end only when another
 // user may be runnable mid-transaction but not running (see mustYield).
 //
@@ -73,10 +75,6 @@ import (
 	"optcc/internal/storage"
 	"optcc/internal/txtab"
 )
-
-// watchdogPeriod is the breaker goroutine's tick. Tests raise it to prove
-// that no wake-up depends on the tick.
-var watchdogPeriod = 250 * time.Microsecond
 
 // shardState is one shard's decision latch and everything it guards: the
 // parked list and the shard's grant log. nParked mirrors len(parked) so
@@ -221,6 +219,9 @@ type shardedRun struct {
 	// roTx marks the transactions the read-only fast path serves (nil when
 	// the path is off).
 	roTx []bool
+	// grantKicks: the scheduler's grants may release locks
+	// (online.GrantReleaser), so every grant re-offers the parked requests.
+	grantKicks bool
 
 	// nextJob is the job cursor: users claim the next transaction. Every
 	// claim writes it, so it has a cache line of its own; next to the
@@ -232,8 +233,8 @@ type shardedRun struct {
 
 	aborts, breaks atomic.Int64
 
-	breakCh chan struct{}
-	stuck   []int // the breaker goroutine's scratch
+	breakMu sync.Mutex // serialises tryBreak; held outside every latch
+	stuck   []int      // tryBreak's scratch, under breakMu
 	errs    runErrors
 }
 
@@ -250,7 +251,10 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 
 	r := &shardedRun{cfg: &cfg, cs: cs, sys: sys, maxRestarts: maxRestarts,
 		procs: runtime.GOMAXPROCS(0), users: slots,
-		txs: txtab.NewDense[txState](n), breakCh: make(chan struct{}, 1)}
+		txs: txtab.NewDense[txState](n)}
+	if gr, ok := cs.(online.GrantReleaser); ok {
+		r.grantKicks = gr.ReleasesOnGrant()
+	}
 
 	// Read-only fast path: when the scheduler's semantics allow it
 	// (online.SnapshotSource) and the backend keeps version chains
@@ -317,34 +321,11 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 		})
 	}
 
-	// The breaker goroutine is joined before Run returns: machinery from
-	// this run must not bleed CPU into whatever the caller does next.
-	done := make(chan struct{})
-	var breakerWG, wg sync.WaitGroup
-	breakerWG.Add(1)
-	go func() {
-		defer breakerWG.Done()
-		ticker := time.NewTicker(watchdogPeriod)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-r.breakCh:
-				r.tryBreak()
-			case <-ticker.C:
-				if r.parkedTotal() > 0 {
-					r.kickParked()
-					r.tryBreak()
-				}
-			}
-		}
-	}()
-
 	// All terminals are live before the clock starts and the first job is
 	// claimed: a transaction is shorter than a goroutine start, so without
 	// the gate the first user would run a small job set alone.
 	gate := make(chan struct{})
+	var wg sync.WaitGroup
 	for u := range um {
 		wg.Add(1)
 		go func(user int) {
@@ -359,16 +340,14 @@ func runSharded(cfg Config, cs online.ConcurrentScheduler, sys *core.System, use
 	r.epoch = time.Now()
 	close(gate)
 	wg.Wait()
-	// Flush the commit pipeline before stopping the breaker: pending groups
-	// still need their undo logs discarded and locks released, and the
-	// metrics below must see a quiesced backend.
+	// Flush the commit pipeline: pending groups still need their undo logs
+	// discarded and locks released, and the metrics below must see a
+	// quiesced backend.
 	if r.gc != nil {
 		r.gc.Close()
 		groups, txs := r.gc.Stats()
 		m.CommitGroups, m.GroupCommits = int(groups), int(txs)
 	}
-	close(done)
-	breakerWG.Wait()
 	m.Elapsed = time.Since(r.epoch)
 	if err := r.errs.get(); err != nil {
 		return nil, nil, err
@@ -405,7 +384,7 @@ func (r *shardedRun) clock() time.Duration { return time.Since(r.epoch) }
 
 // runUser is one terminal: it claims jobs from the cursor and runs each to
 // completion — decide, execute, commit — on this goroutine. At each job end
-// it goes idle, wakes the breaker if that left only parked users with a
+// it goes idle, runs the breaker if that left only parked users with a
 // job, and yields if mustYield says so.
 func (r *shardedRun) runUser(t *terminal) {
 	cfg := r.cfg
@@ -585,7 +564,7 @@ func (r *shardedRun) request(ss *shardState, tx, idx int, t *terminal) verdict {
 	}
 	ss.mu.Unlock()
 	if kick {
-		//cclint:ignore hotpath only after an abort or a fresh wound
+		//cclint:ignore hotpath only after an abort, a fresh wound or a grant that may release
 		r.kickParked()
 	}
 	if !decided {
@@ -602,8 +581,9 @@ func (r *shardedRun) request(ss *shardState, tx, idx int, t *terminal) verdict {
 
 // decide offers one request to the scheduler; the caller holds ss's latch.
 // kick reports that state other parked requests may wait on has changed —
-// an abort released locks, or a fresh wound wants honouring — and the
-// caller must kickParked once it has unlocked.
+// an abort released locks, a fresh wound wants honouring, or a grant of a
+// scheduler whose grants release locks (grantKicks) may have freed one —
+// and the caller must kickParked once it has unlocked.
 //
 //optcc:hotpath
 func (r *shardedRun) decide(ss *shardState, tx, idx int) (v verdict, decided, kick bool) {
@@ -618,7 +598,7 @@ func (r *shardedRun) decide(ss *shardState, tx, idx int) (v verdict, decided, ki
 	case online.Grant:
 		// A transaction wounded by its own request's side effects is
 		// honoured on its next request, not this grant.
-		return r.granted(ss, st, tx, idx), true, kick
+		return r.granted(ss, st, tx, idx), true, kick || r.grantKicks
 	case online.AbortTx:
 		//cclint:ignore hotpath abort path
 		r.abortTx(tx)
@@ -691,8 +671,9 @@ func (r *shardedRun) abortTx(tx int) {
 }
 
 // kickParked re-offers the parked requests of every shard that has any,
-// one latch at a time, until a pass neither aborts nor wounds anybody
-// (grants take locks, they never free one). Callers hold no latch.
+// one latch at a time, until a pass neither aborts nor wounds anybody nor
+// grants under grantKicks (any other grant takes locks, it never frees
+// one). Callers hold no latch.
 func (r *shardedRun) kickParked() {
 	for again := true; again; {
 		again = false
@@ -734,25 +715,26 @@ func (r *shardedRun) parkedTotal() (n int64) {
 	return n
 }
 
-// maybeBreak wakes the breaker when every user with a job may be parked.
-// Called after whatever can make that true: a request parking, a job
-// ending.
+// maybeBreak runs the breaker when every user with a job may be parked.
+// Called, holding no latch, after whatever can make that true: a request
+// parking, a job ending. Of two users that complete a stall together, each
+// stores its own state word before reading the others', so at least one
+// sees the stall; the breaker mutex queues the other behind it.
 func (r *shardedRun) maybeBreak() {
 	if r.parkedTotal() == 0 {
 		return
 	}
 	if _, all := stalled(r.users); all {
-		select {
-		case r.breakCh <- struct{}{}:
-		default:
-		}
+		r.breakMu.Lock()
+		r.tryBreak()
+		r.breakMu.Unlock()
 	}
 }
 
-// tryBreak aborts a victim when every user with a job is parked. It runs on
-// the breaker goroutine only and must stay cheap when there is no deadlock:
-// the state words gate it, its scratch is reused, and latches are taken one
-// at a time. A user has at most one outstanding request and is parked while
+// tryBreak aborts a victim when every user with a job is parked. The caller
+// holds breakMu. It must stay cheap when there is no deadlock: the state
+// words gate it, its scratch is reused, and latches are taken one at a
+// time. A user has at most one outstanding request and is parked while
 // it is registered, so the run is stuck exactly when the parked lists hold
 // as many requests as there are users with a job. The shard-by-shard
 // snapshot can go stale if a request unparks mid-scan; the worst case is

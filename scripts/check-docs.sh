@@ -261,7 +261,8 @@ for f in "${files[@]}"; do
       'E14CheckpointedWAL' 'E15NativeSGTOCC' 'nativeVsMutexedTables' 'ccbench -exp E11' \
       '-exp E9' '-exp E12' '-exp E13' '-exp E14' '-exp E15' 'E11–E15' \
       'diskStripe' 'ctxOfLocked' 'recycleLocked' 'resetStripes' 'diskCtx' 'txCtx' 'ctxOf(' \
-      'ctxPool' 'ctxMu' 'releaseCtx' 'birthArr' 'fastArr' 'fastSetOf' 'fastSetIfAny'; do
+      'ctxPool' 'ctxMu' 'releaseCtx' 'birthArr' 'fastArr' 'fastSetOf' 'fastSetIfAny' \
+      'watchdogPeriod' 'watchdog tick'; do
     if grep -qF -- "$stale" "$f"; then
       echo "check-docs: $f still names the removed '$stale'"
       fail=1
