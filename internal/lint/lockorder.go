@@ -20,7 +20,7 @@ import (
 //   - storage: Disk.ckptMu (whole-checkpoint serialization) is outermost,
 //     Disk.syncMu is never taken under the log mutex Disk.mu (the
 //     off-mutex group fsync exists precisely so appends can proceed
-//     mid-fsync); kvShard.freeMu never nests with itself (the *Locked
+//     mid-fsync); kvShard.mu never nests with itself (the *Locked
 //     naming convention), and GroupCommitter.mu is never taken
 //     recursively.
 //   - sim: the deadlock breaker's mutex (shardedRun.breakMu) is outermost
@@ -78,7 +78,7 @@ var lockClasses = map[string]*lockClass{
 	"Disk.syncMu":        {key: "Disk.syncMu", domain: "disk", rank: 10},
 	"Disk.mu":            {key: "Disk.mu", domain: "disk", rank: 20},
 	"GroupCommitter.mu":  {key: "GroupCommitter.mu", domain: "groupcommit", rank: 10},
-	"kvShard.freeMu":     {key: "kvShard.freeMu", domain: "kv", rank: 10, multi: true},
+	"kvShard.mu":         {key: "kvShard.mu", domain: "kv", rank: 10, multi: true},
 	"Mutexed.mu":         {key: "Mutexed.mu", domain: "online", rank: 10},
 	"shardedRun.breakMu": {key: "shardedRun.breakMu", domain: "latch", rank: 5, outermost: true},
 	"shardState.mu":      {key: "shardState.mu", domain: "latch", rank: 10, multi: true, outermost: true},

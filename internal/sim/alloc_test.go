@@ -151,6 +151,27 @@ func snapshotBench(b *testing.B) {
 	}
 }
 
+// centralParkBench is the central goroutine's parked path: the sequential
+// SGT in delay-on-cycle mode over bench's 16-variable hotspot mix, where a
+// request that would close a cycle parks until a commit or a deadlock
+// break (retryParked, checkDeadlock, breakDeadlock) lets it through.
+func centralParkBench(b *testing.B) {
+	inst := workload.Random(workload.RandomConfig{NumTxs: b.N, MinSteps: 3, MaxSteps: 3, NumVars: 16, Hotspot: 1}, 1)
+	be, sched := noopBackend(), online.NewSGT()
+	b.ReportAllocs()
+	b.ResetTimer()
+	m, err := Run(Config{System: inst, Sched: sched, Backend: be, Users: 4, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if m.Committed != b.N {
+		b.Fatalf("committed %d of %d", m.Committed, b.N)
+	}
+	if b.N >= 1000 && m.DeadlockBreaks == 0 {
+		b.Fatalf("no deadlock was broken in %d transactions: the parked path went unmeasured", b.N)
+	}
+}
+
 // hotPathCases are the measured configurations and their enforced
 // ceilings (allocs per committed three-step transaction):
 //
@@ -203,6 +224,10 @@ func snapshotBench(b *testing.B) {
 //     per-transaction lists recycled through a spare pool, scratch sets are
 //     stamps on the nodes, and the per-step variable index is one
 //     Begin-time slab.
+//   - central-sgt-park-noop: the sequential SGT delaying on cycles on the
+//     central goroutine over the hotspot mix, which parks requests and
+//     breaks deadlocks: ZERO — the parked list and the breaker's victim
+//     scratch are reused, and the run state is per-transaction slices.
 var hotPathCases = []struct {
 	name    string
 	ceiling int64
@@ -244,6 +269,7 @@ var hotPathCases = []struct {
 	{"mutexed-sgt-noop", 0, hotPathBench(func() online.Scheduler {
 		return online.NewMutexed(online.NewSGTAborting())
 	}, noopBackend)},
+	{"central-sgt-park-noop", 0, centralParkBench},
 }
 
 // BenchmarkHotPathAllocs reports ns/op and allocs/op for every hot-path
@@ -270,6 +296,11 @@ func TestHotPathAllocCeilings(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			r := testing.Benchmark(c.bench)
+			// A benchmark that fails returns a zero result, which would
+			// read 0 allocs/op; testing.Benchmark discards its message.
+			if r.N == 0 {
+				t.Fatalf("%s: the benchmark failed; run -bench 'HotPathAllocs/%s' to see why", c.name, c.name)
+			}
 			if got := r.AllocsPerOp(); got > c.ceiling {
 				t.Errorf("%s: %d allocs per committed tx, ceiling %d (bytes/op %d, N %d)",
 					c.name, got, c.ceiling, r.AllocedBytesPerOp(), r.N)

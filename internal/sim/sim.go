@@ -33,8 +33,8 @@
 // each user goroutine reuses one verdict reply channel for all its
 // requests, the histograms (per user) and the concurrent engine's
 // granted-step logs (per shard) are presized to the run's expected sample
-// counts, the deadlock breaker reuses its stuck list, and commit flows
-// through pooled lock-table state (and, on a syncing backend, the
+// counts, each engine's deadlock breaker reuses its stuck list, and commit
+// flows through pooled lock-table state (and, on a syncing backend, the
 // group-commit pipeline's double-buffered queue). The allocations that
 // remain in the drivers are deliberately confined to cold paths: restart
 // bookkeeping after an abort, the failure path's error wrapping, and
@@ -237,19 +237,6 @@ type parked struct {
 	since time.Duration
 }
 
-// failure reports a backend apply that failed on a user goroutine: the
-// transaction must be aborted through the scheduler (rollback before lock
-// release) and stopped. last marks a failure on the final step, whose grant
-// already recorded the transaction as committed — that record must be
-// undone before the abort. ack is the reporting user's reusable
-// acknowledgement channel (capacity 1): the scheduler sends on it when the
-// abort is processed.
-type failure struct {
-	tx   int
-	last bool
-	ack  chan struct{}
-}
-
 // runErrors collects the first asynchronous error of a run (backend apply
 // failures on user goroutines).
 type runErrors struct {
@@ -376,6 +363,23 @@ func run(cfg Config) (*Metrics, *shardedRun, error) {
 	return m, nil, err
 }
 
+// arrivalKind tells the central scheduler goroutine what an arrival is.
+type arrivalKind uint8
+
+const (
+	stepArrival   arrivalKind = iota // a step request, answered on reply
+	commitArrival                    // the transaction executed its final step and committed in the backend
+	failArrival                      // a backend apply of step idx failed; reply acknowledges the abort
+)
+
+// arrival is one message to the central scheduler goroutine. Every user
+// sends on the one inbox, so arrivals are decided in the order they were
+// sent: a user's commit always lands before its next request.
+type arrival struct {
+	request
+	kind arrivalKind
+}
+
 // runCentral runs a plain online.Scheduler behind the single centralized
 // scheduler goroutine of Section 6.
 func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics, error) {
@@ -383,7 +387,6 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics,
 	um := newUserMetrics(sys, users, cfg.Backend != nil)
 	var am report.AllocMeter
 	am.Start()
-	var mu sync.Mutex // guards the counters in m and sched state below
 	var errs runErrors
 	// epoch is the run's start, set before the first job is handed out;
 	// every timestamp is a monotonic offset from it.
@@ -393,17 +396,24 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics,
 	sched := cfg.Sched
 	sched.Begin(sys)
 
+	// The scheduler goroutine owns every variable below until schedWG.Wait
+	// returns; no user reads them.
+	n := sys.NumTxs()
 	var (
-		waiting  []parked
-		inFlight = map[int]bool{} // started, not committed/aborted-pending
-		// committing holds transactions whose final step is granted but
-		// whose commit (lock release) has not been processed yet; the
-		// deadlock breaker must wait for them — their commit is guaranteed
-		// to arrive and may unblock everything.
-		committing = map[int]bool{}
-		wounded    = map[int]bool{}
-		attempts   = make([]int, sys.NumTxs())
-		committed  = make([]bool, sys.NumTxs())
+		waiting []parked
+		stuck   []int // breakDeadlock's scratch
+		// inFlight marks transactions started and neither committed nor
+		// aborted; wounded those to abort at their next request.
+		inFlight  = make([]bool, n)
+		wounded   = make([]bool, n)
+		nInFlight int
+		// nCommitting counts transactions whose final step is granted but
+		// whose commit (lock release) has not arrived yet; the deadlock
+		// breaker must wait for them — their commit is guaranteed to arrive
+		// and may unblock everything.
+		nCommitting int
+		attempts    = make([]int, n)
+		committed   = make([]bool, n)
 		// output is presized to the conflict-free request count; restarts
 		// overflow into amortized append growth (cold path).
 		output = make([]online.Event, 0, sys.StepCount())
@@ -412,25 +422,25 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics,
 		attempts[i] = 1
 	}
 
-	reqCh := make(chan request)
-	// commitCh carries finished transactions back to the scheduler
-	// goroutine: the user goroutine executes the final step (and the
-	// backend commit) first, then the scheduler releases locks. It has room
-	// for every transaction, so committing users never block on the
-	// scheduler.
-	commitCh := make(chan int, sys.NumTxs())
-	// failCh carries failed backend applies: the transaction aborts through
-	// the scheduler (rollback before lock release) and must not commit.
-	failCh := make(chan failure)
-	done := make(chan struct{})
+	// inbox is the scheduler goroutine's only input. A user has at most a
+	// commit and one request, or a commit and one failure, outstanding, so
+	// with room for two arrivals per user no sender ever blocks.
+	inbox := make(chan arrival, 2*users)
+
+	leave := func(tx int) {
+		if inFlight[tx] {
+			inFlight[tx] = false
+			nInFlight--
+		}
+	}
 
 	grantOne := func(r request) verdict {
 		output = append(output, online.Event{Step: core.StepID{Tx: r.tx, Idx: r.idx}, Attempt: attempts[r.tx]})
 		last := r.idx == len(sys.Txs[r.tx].Steps)-1
 		if last {
 			committed[r.tx] = true
-			committing[r.tx] = true
-			delete(inFlight, r.tx)
+			nCommitting++
+			leave(r.tx)
 		}
 		return verdict{lastGranted: last}
 	}
@@ -443,7 +453,7 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics,
 		}
 		sched.Abort(tx)
 		attempts[tx]++
-		delete(inFlight, tx)
+		leave(tx)
 		m.Aborts++
 	}
 
@@ -459,11 +469,14 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics,
 	// caller timestamps the verdict.
 	tryRequest := func(r request) (verdict, bool) {
 		if wounded[r.tx] {
-			delete(wounded, r.tx)
+			wounded[r.tx] = false
 			abortOne(r.tx)
 			return verdict{aborted: true}, true
 		}
-		inFlight[r.tx] = true
+		if !inFlight[r.tx] {
+			inFlight[r.tx] = true
+			nInFlight++
+		}
 		d := sched.Try(core.StepID{Tx: r.tx, Idx: r.idx})
 		collectWounds()
 		switch d {
@@ -490,13 +503,6 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics,
 			progressed := false
 			kept := waiting[:0]
 			for _, p := range waiting {
-				if wounded[p.req.tx] {
-					delete(wounded, p.req.tx)
-					abortOne(p.req.tx)
-					unparkReply(p, verdict{aborted: true})
-					progressed = true
-					continue
-				}
 				if v, decided := tryRequest(p.req); decided {
 					unparkReply(p, v)
 					progressed = true
@@ -513,12 +519,9 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics,
 
 	breakDeadlock := func() {
 		// All in-flight transactions parked: abort a victim.
-		var stuck []int
+		stuck = stuck[:0]
 		for _, p := range waiting {
 			stuck = append(stuck, p.req.tx)
-		}
-		if len(stuck) == 0 {
-			return
 		}
 		victim, ok := sched.Victim(stuck)
 		if !ok || !containsInt(stuck, victim) {
@@ -542,67 +545,54 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics,
 
 	// checkDeadlock breaks victims while every in-flight transaction is
 	// parked and no commit is pending (a pending commit always arrives and
-	// may unblock the waiters for free).
+	// may unblock the waiters for free). Every parked request belongs to an
+	// in-flight transaction, and a transaction has at most one request, so
+	// the two counts are equal exactly when all in-flight ones are parked.
 	checkDeadlock := func() {
-		for len(committing) == 0 && len(waiting) > 0 && len(waiting) >= len(inFlight) && allParked(waiting, inFlight) {
+		for nCommitting == 0 && len(waiting) > 0 && len(waiting) == nInFlight {
 			breakDeadlock()
 		}
 	}
 
 	// Scheduler goroutine: the single centralized scheduler of Section 6. It
-	// handles one arrival per select — a step request, a commit or a failed
-	// apply — and decides it on its own, then re-offers the parked requests
-	// and checks for deadlock. It reads the clock only for a timed request's
-	// decision and for a parked request's park and unpark.
-	// schedWG joins the scheduler before Run returns: every sender has
-	// exited by the time done is closed (wg.Wait above the close), so the
-	// scheduler drains nothing after the join starts and Wait is bounded.
-	// Without the join the goroutine could still be inside a mu-protected
-	// decision while Run's caller reads Metrics — the race gojoin exists to
-	// prevent.
+	// takes one arrival at a time off the inbox — a step request, a commit
+	// or a failed apply — and decides it on its own, then re-offers the
+	// parked requests and checks for deadlock. It reads the clock only for a
+	// timed request's decision and for a parked request's park and unpark.
+	// Run closes the inbox once every user has exited, so the goroutine
+	// drains what is left and returns; schedWG joins it before Run reads
+	// the state it owns.
 	var schedWG sync.WaitGroup
 	schedWG.Add(1)
 	go func() {
 		defer schedWG.Done()
-		for {
-			select {
-			case r := <-reqCh:
-				mu.Lock()
-				if v, decided := tryRequest(r); decided {
-					if r.timed {
+		for a := range inbox {
+			switch a.kind {
+			case stepArrival:
+				if v, decided := tryRequest(a.request); decided {
+					if a.timed {
 						v.decided = clock()
 					}
-					r.reply <- v
+					a.reply <- v
 				} else {
-					waiting = append(waiting, parked{req: r, since: clock()})
+					waiting = append(waiting, parked{req: a.request, since: clock()})
 				}
-				retryParked()
-				checkDeadlock()
-				mu.Unlock()
-			case tx := <-commitCh:
-				mu.Lock()
-				delete(committing, tx)
-				sched.Commit(tx)
-				retryParked()
-				checkDeadlock()
-				mu.Unlock()
-			case f := <-failCh:
-				mu.Lock()
-				if f.last {
+			case commitArrival:
+				nCommitting--
+				sched.Commit(a.tx)
+			case failArrival:
+				if a.idx == len(sys.Txs[a.tx].Steps)-1 {
 					// The final step's grant marked the transaction
 					// committed before its execution failed; undo that
 					// record — it must not commit.
-					committed[f.tx] = false
-					delete(committing, f.tx)
+					committed[a.tx] = false
+					nCommitting--
 				}
-				abortOne(f.tx)
-				retryParked()
-				checkDeadlock()
-				mu.Unlock()
-				f.ack <- struct{}{}
-			case <-done:
-				return
+				abortOne(a.tx)
+				a.reply <- verdict{aborted: true}
 			}
+			retryParked()
+			checkDeadlock()
 		}
 	}()
 
@@ -614,17 +604,18 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics,
 			defer wg.Done()
 			seed := cfg.Seed + int64(user)*7919
 			rng, smp := rand.New(rand.NewSource(seed)), newSampler(seed)
-			// reply and ack are this user's reusable one-shot channels:
-			// every request gets exactly one verdict and the user reads it
-			// before issuing the next request, so one buffered channel per
-			// user replaces the per-step make(chan verdict, 1) that
-			// dominated the hot path's allocations.
+			// reply is this user's reusable one-shot channel: every request
+			// and every failure gets exactly one verdict and the user reads
+			// it before sending the next, so one buffered channel per user
+			// replaces the per-step make(chan verdict, 1) that dominated the
+			// hot path's allocations.
 			reply := make(chan verdict, 1)
-			ack := make(chan struct{}, 1)
 			for tx := range jobCh {
 				timed := smp.next()
 				txStart := clock()
-				for {
+				// Every abort reaches this user as an aborted verdict, so it
+				// counts the job's attempts against MaxRestarts itself.
+				for attempt := 1; ; attempt++ {
 					restart, failed := false, false
 					steps := len(sys.Txs[tx].Steps)
 					for idx := 0; idx < steps; idx++ {
@@ -635,7 +626,8 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics,
 						if timed {
 							sent = clock()
 						}
-						reqCh <- request{tx: tx, idx: idx, timed: timed, reply: reply}
+						r := request{tx: tx, idx: idx, timed: timed, reply: reply}
+						inbox <- arrival{request: r}
 						v := <-reply
 						switch {
 						case v.parked && timed:
@@ -656,8 +648,8 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics,
 							// and stop this transaction for good — no later
 							// steps, no commit. Run surfaces the recorded
 							// error.
-							failCh <- failure{tx: tx, last: v.lastGranted, ack: ack}
-							<-ack
+							inbox <- arrival{request: r, kind: failArrival}
+							<-reply
 							failed = true
 							break
 						}
@@ -675,16 +667,10 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics,
 									}
 								}
 							}
-							commitCh <- tx
+							inbox <- arrival{request: request{tx: tx}, kind: commitArrival}
 						}
 					}
-					if failed || !restart {
-						break
-					}
-					mu.Lock()
-					budget := attempts[tx] > maxRestarts
-					mu.Unlock()
-					if budget {
+					if failed || !restart || attempt >= maxRestarts {
 						break
 					}
 					// Randomized backoff before restarting.
@@ -701,7 +687,7 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics,
 	}
 	close(jobCh)
 	wg.Wait()
-	close(done)
+	close(inbox)
 	schedWG.Wait()
 	m.Elapsed = clock()
 	if err := errs.get(); err != nil {
@@ -711,8 +697,6 @@ func runCentral(cfg Config, sys *core.System, users, maxRestarts int) (*Metrics,
 		return nil, err
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
 	for tx := 0; tx < sys.NumTxs(); tx++ {
 		if committed[tx] {
 			m.Committed++
@@ -806,19 +790,4 @@ func containsInt(xs []int, x int) bool {
 		}
 	}
 	return false
-}
-
-// allParked reports whether every in-flight transaction has a parked
-// request.
-func allParked(waiting []parked, inFlight map[int]bool) bool {
-	parkedTx := map[int]bool{}
-	for _, p := range waiting {
-		parkedTx[p.req.tx] = true
-	}
-	for tx := range inFlight {
-		if !parkedTx[tx] {
-			return false
-		}
-	}
-	return len(inFlight) > 0
 }

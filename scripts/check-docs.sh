@@ -230,7 +230,9 @@ fi
 # self-check cells E9 and E11–E15 (now tests that call internal/check), and
 # the hand-rolled per-transaction stores (the KV's context map, mutex and
 # pool, the disk backend's context stripes, the lock table's flat reserved
-# arrays and its sync.Map fallbacks; all now internal/txtab slots) are
+# arrays and its sync.Map fallbacks; all now internal/txtab slots), the
+# KV shard's old freelist mutex name, and the central loop's four-way
+# select with its allParked map scan (now one FIFO inbox) are
 # gone; nothing that documents or drives the current tree may name them:
 # not the docs and commands, and not a non-test Go file under internal/,
 # whose comments must not cite a deleted cell either (E8–E15 by id; the
@@ -262,7 +264,8 @@ for f in "${files[@]}"; do
       '-exp E9' '-exp E12' '-exp E13' '-exp E14' '-exp E15' 'E11–E15' \
       'diskStripe' 'ctxOfLocked' 'recycleLocked' 'resetStripes' 'diskCtx' 'txCtx' 'ctxOf(' \
       'ctxPool' 'ctxMu' 'releaseCtx' 'birthArr' 'fastArr' 'fastSetOf' 'fastSetIfAny' \
-      'watchdogPeriod' 'watchdog tick'; do
+      'watchdogPeriod' 'watchdog tick' \
+      'freeMu' 'allParked' 'failCh' 'commitCh'; do
     if grep -qF -- "$stale" "$f"; then
       echo "check-docs: $f still names the removed '$stale'"
       fail=1
