@@ -2,12 +2,15 @@ package storage
 
 // The record checksum is the corruption detector the recycling and
 // multiversion tests lean on ("a stale alias shows up as a checksum
-// panic"). FuzzChecksum holds the word-wide fold to the byte-wise one on
-// arbitrary bytes and misaligned starts; the bit-flip test proves a
-// corrupted payload really makes both read paths panic.
+// panic"). TestChecksumEquivalence and FuzzChecksum hold checksum (through
+// the AVX2 kernel where it runs) and the pure-Go fold to the byte-wise one
+// on every short length, arbitrary bytes and misaligned starts; the
+// bit-flip test proves a corrupted payload really makes both read paths
+// panic.
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"optcc/internal/core"
@@ -22,16 +25,55 @@ func checksumBytewise(p []byte) byte {
 	return s
 }
 
-// FuzzChecksum compares checksum with the byte-wise reference on the input
-// and on its sub-slices starting at offsets 1–7 (misaligned starts). The
-// seed corpus under testdata/fuzz/FuzzChecksum covers the block, word and
-// tail boundaries (lengths 0, 1, 7, 8, 31, 32, 33, 4095, 4096, 4097).
+// checksumGo is the pure-Go fold alone, as it runs where the kernel does
+// not.
+func checksumGo(p []byte) byte { return foldWords(0, p) }
+
+// TestChecksumEquivalence compares checksum, the pure-Go fold and the
+// byte-wise reference on every length from 0 to 1,100 and from 4,090 to
+// 4,100, each at start offsets 0–31: every split between the kernel's
+// 128-byte blocks, the Go fold's 32-byte blocks, words and tail bytes, at
+// every alignment.
+func TestChecksumEquivalence(t *testing.T) {
+	t.Logf("AVX2 fold kernel on: %v", foldKernel)
+	buf := make([]byte, 4100+32)
+	rand.New(rand.NewSource(1)).Read(buf)
+	check := func(n int) {
+		for off := 0; off < 32; off++ {
+			p := buf[off : off+n]
+			want := checksumBytewise(p)
+			if got := checksum(p); got != want {
+				t.Fatalf("len %d offset %d: checksum = %#x, byte-wise fold = %#x", n, off, got, want)
+			}
+			if got := checksumGo(p); got != want {
+				t.Fatalf("len %d offset %d: pure-Go fold = %#x, byte-wise fold = %#x", n, off, got, want)
+			}
+		}
+	}
+	for n := 0; n <= 1100; n++ {
+		check(n)
+	}
+	for n := 4090; n <= 4100; n++ {
+		check(n)
+	}
+}
+
+// FuzzChecksum compares checksum and the pure-Go fold with the byte-wise
+// reference on the input and on its sub-slices starting at offsets 1–7
+// (misaligned starts). The seed corpus under testdata/fuzz/FuzzChecksum
+// covers the kernel's 128-byte block edges and the Go fold's block, word
+// and tail boundaries (lengths 0, 1, 7, 8, 31, 32, 33, 127, 128, 129, 255,
+// 256, 257, 4095, 4096, 4097).
 func FuzzChecksum(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for off := 0; off < 8 && off <= len(data); off++ {
 			p := data[off:]
-			if got, want := checksum(p), checksumBytewise(p); got != want {
+			want := checksumBytewise(p)
+			if got := checksum(p); got != want {
 				t.Fatalf("len %d offset %d: checksum = %#x, byte-wise fold = %#x", len(data), off, got, want)
+			}
+			if got := checksumGo(p); got != want {
+				t.Fatalf("len %d offset %d: pure-Go fold = %#x, byte-wise fold = %#x", len(data), off, got, want)
 			}
 		}
 	})
@@ -52,9 +94,10 @@ func mustPanic(t *testing.T, what string, f func()) {
 // at the scalar word, a mid-body word, the last full word and (for a
 // length that is not a whole number of words) a tail byte: Get and
 // SnapshotRead must both panic, and both must read the scalar again once
-// the byte is restored.
+// the byte is restored. At 200 bytes the first two flips land in the
+// kernel's one 128-byte block and the last in the Go-folded remainder.
 func TestKVChecksumCatchesBitFlips(t *testing.T) {
-	for _, size := range []int{4096, 4101} {
+	for _, size := range []int{200, 4096, 4101} {
 		t.Run(fmt.Sprintf("%dB", size), func(t *testing.T) {
 			kv := NewKV(Config{Shards: 1, ValueSize: size, SnapshotSlots: 1})
 			kv.Reset(core.DB{"x": 0})
@@ -101,6 +144,47 @@ func TestKVFreshFillPattern(t *testing.T) {
 	for i := 8; i < len(p); i++ {
 		if p[i] != byte(i) {
 			t.Fatalf("payload byte %d = %d, want %d", i, p[i], byte(i))
+		}
+	}
+}
+
+// BenchmarkChecksum times one fold of a 256-byte and a 4 KiB payload,
+// through checksum (the AVX2 kernel where it runs) and the pure-Go fold:
+// "hot" folds one buffer over and over, from L1; "arena" folds a
+// different record of a 64 MiB arena each time, stepping through it in an
+// order the hardware prefetcher does not follow, the footprint of Bench
+// v2's kv4k store.
+func BenchmarkChecksum(b *testing.B) {
+	const arenaBytes = 64 << 20
+	arena := make([]byte, arenaBytes)
+	for i := range arena {
+		arena[i] = byte(i * 131 >> 3)
+	}
+	folds := []struct {
+		name string
+		fn   func([]byte) byte
+	}{{"kernel", checksum}, {"go", checksumGo}}
+	for _, size := range []int{256, 4096} {
+		records := arenaBytes / size
+		step := records*5/8 | 1 // odd, so coprime with the power-of-two count
+		for _, f := range folds {
+			b.Run(fmt.Sprintf("%dB/hot/%s", size, f.name), func(b *testing.B) {
+				p := arena[:size]
+				b.SetBytes(int64(size))
+				for b.Loop() {
+					f.fn(p)
+				}
+			})
+			b.Run(fmt.Sprintf("%dB/arena/%s", size, f.name), func(b *testing.B) {
+				b.SetBytes(int64(size))
+				r := 0
+				for b.Loop() {
+					f.fn(arena[r*size : (r+1)*size])
+					if r += step; r >= records {
+						r -= records
+					}
+				}
+			})
 		}
 	}
 }

@@ -101,8 +101,10 @@ var (
 //     then returns ErrInjected (a torn write); a Sync, Rename or Remove at
 //     n just fails.
 //   - CrashAt(n): operation n writes a partial prefix (if a write) and
-//     fails with ErrCrashed, as does everything after it. Models power
-//     loss mid-operation: the prefix may be on disk, the tail is not.
+//     fails with ErrCrashed, as does everything after it. Models a
+//     process crash with a torn last write, not a power loss: every
+//     earlier write, synced or not, and every earlier create, rename and
+//     remove survive.
 //
 // Ops() reports the operations performed so far, which is how the torture
 // harness discovers the total number of injection points for a workload
@@ -253,7 +255,7 @@ type errFile struct {
 func (ef *errFile) Write(p []byte) (int, error) {
 	switch ef.fs.op() {
 	case faultCrash:
-		// Power loss mid-write: a prefix of the buffer may reach the disk.
+		// A crash mid-write: a prefix of the buffer reaches the file.
 		n := len(p) / 2
 		if n > 0 {
 			ef.f.Write(p[:n])

@@ -521,16 +521,33 @@ func (kv *KV) shard(v core.Var) *kvShard {
 func (kv *KV) Bind(sys *core.System) { kv.bound.bind(sys) }
 
 // checksum is the XOR fold of a payload; recomputed on every read so a read
-// touches every byte, the way a real engine's page checksum does. It folds
-// a word at a time — four independent accumulators over 32-byte blocks,
-// then single words, then the word folded down to one byte and the 0–7
-// tail bytes XORed in — which equals the byte-at-a-time fold exactly (XOR
-// is associative and commutative; FuzzChecksum holds it to the reference).
-// A single-accumulator word loop measured 3× slower at 4 KiB.
+// touches every byte, the way a real engine's page checksum does. Where
+// foldKernel holds (amd64 with AVX2, outside race builds) xorFold128
+// folds the leading 128-byte blocks 32 bytes per instruction into one
+// word; foldWords folds the rest, or the whole payload elsewhere. The
+// result equals the byte-at-a-time fold exactly, since XOR is associative,
+// commutative and lane-independent (TestChecksumEquivalence and
+// FuzzChecksum hold it to the reference).
 //
 //optcc:hotpath
 func checksum(p []byte) byte {
-	var a, b, c, d uint64
+	var w uint64
+	if foldKernel && len(p) >= 128 {
+		n := len(p) &^ 127
+		w = xorFold128(&p[0], n)
+		p = p[n:]
+	}
+	return foldWords(w, p)
+}
+
+// foldWords XORs p into w and folds the word down to one byte: four
+// independent accumulators over 32-byte blocks, then single words, then
+// the word folded to a byte and the 0–7 tail bytes XORed in. A
+// single-accumulator word loop measured 3× slower at 4 KiB.
+//
+//optcc:hotpath
+func foldWords(w uint64, p []byte) byte {
+	a, b, c, d := w, uint64(0), uint64(0), uint64(0)
 	for ; len(p) >= 32; p = p[32:] {
 		a ^= binary.LittleEndian.Uint64(p)
 		b ^= binary.LittleEndian.Uint64(p[8:])
@@ -540,7 +557,7 @@ func checksum(p []byte) byte {
 	for ; len(p) >= 8; p = p[8:] {
 		a ^= binary.LittleEndian.Uint64(p)
 	}
-	w := a ^ b ^ c ^ d
+	w = a ^ b ^ c ^ d
 	w ^= w >> 32
 	w ^= w >> 16
 	w ^= w >> 8
